@@ -566,6 +566,15 @@ def _render(results, format):
     return "\n".join(lines)
 
 
+def _complex_arg(text):
+    """argparse type of ``--q-spot``: "re,im" -> complex."""
+    try:
+        re_, im_ = (float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected re,im, got {text!r}") from None
+    return complex(re_, im_)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="qgw")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -577,7 +586,8 @@ def main(argv=None):
                     help="m1,m2[,m1',m2'] integer label override")
     rp.add_argument("--rmatrix", default=None,
                     help="path to a serialized R-matrix to verify")
-    rp.add_argument("--q-spot", default=None, help="re,im complex q sample")
+    rp.add_argument("--q-spot", type=_complex_arg, default=None,
+                    help="re,im complex q sample")
     lp = sub.add_parser("list", help="list check descriptors")
     lp.add_argument("filter", nargs="?", default="")
     args = ap.parse_args(argv)
@@ -588,10 +598,6 @@ def main(argv=None):
     labels = None
     if args.labels:
         labels = [int(x) for x in args.labels.split(",")]
-    qs = None
-    if args.q_spot:
-        re_, im_ = (float(x) for x in args.q_spot.split(","))
-        qs = complex(re_, im_)
     extra = None
     if args.rmatrix:
         try:
@@ -602,7 +608,7 @@ def main(argv=None):
             return 2
     try:
         _, code = run(suite=args.suite, format=args.format, seed=args.seed,
-                      q_spotcheck=qs, labels=labels, extra_rmatrix=extra)
+                      q_spotcheck=args.q_spot, labels=labels, extra_rmatrix=extra)
     except UnknownCheck as exc:
         print(f"unknown check or suite: {exc}", file=sys.stderr)
         return 2

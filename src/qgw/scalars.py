@@ -1,12 +1,15 @@
-"""Exact coefficient field: rational functions over the Gaussian rationals.
+"""Exact coefficient field: rational functions over Q, or Q(i) once i appears.
 
 Every coefficient in the workbench is a ``Scalar``: a canonical fraction of
 multivariate polynomials in a fixed, ordered list of commuting indeterminates
 (the deformation parameter ``q`` plus representation labels), with
-coefficients in Q(i).  Canonical form is maintained by sympy's sparse
-fraction fields (gcd cancelled, normalized denominator), so equality of
-Scalars is exact and syntactic.  No floating point enters the core; floats
-appear only in :func:`scalar_eval`, which is a diagnostic.
+coefficients in Q.  The ground field switches to Q(i) the first time ``i``
+appears (:func:`imag_unit`, or ``i`` in :func:`parse`); Scalars made before
+the switch are lifted into the new field lazily.  Canonical form is
+maintained by sympy's sparse fraction fields (gcd cancelled, normalized
+denominator), so equality of Scalars is exact and syntactic.  No floating
+point enters the core; floats appear only in :func:`scalar_eval`, which is a
+diagnostic.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 import sympy
 from sympy import I as _sympy_I
 from sympy import Symbol
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.fields import field as _mkfield
 
 
@@ -35,13 +38,22 @@ class _Registry:
 
     def __init__(self, names):
         self.names = list(names)
+        self.domain = QQ
         self._build()
 
     def _build(self):
-        objs = _mkfield(",".join(self.names), QQ_I)
+        objs = _mkfield(",".join(self.names), self.domain)
         self.field = objs[0]
         self.gens = dict(zip(self.names, objs[1:]))
         self.symbols = {n: Symbol(n) for n in self.names}
+        self.one = self.field.ring.one
+        self.minus_one = -self.one
+
+    def adjoin_i(self):
+        """Switch the ground field from Q to Q(i); once, on first use of i."""
+        if self.domain is QQ:
+            self.domain = QQ_I
+            self._build()
 
     def register(self, name):
         if name in self.names:
@@ -63,25 +75,44 @@ def register_indeterminate(name: str) -> "Scalar":
     return indet(name)
 
 
-def _lift(f):
-    """Re-embed a frac element into the current global field if needed."""
-    if f.field is _REG.field:
-        return f
-    return _REG.field.from_expr(f.as_expr())
+def _lift(s):
+    """The fraction of Scalar ``s`` in the current global field.  After a
+    rebuild ``s`` is re-embedded once and keeps the new fraction (same value
+    and hash), so old Scalars such as ``ONE`` do not pay it on every use."""
+    f = s.f
+    if f.field is not _REG.field:
+        f = _REG.field.from_expr(f.as_expr())
+        object.__setattr__(s, "f", f)
+    return f
 
 
 def _coerce(x):
     if isinstance(x, Scalar):
-        return _lift(x.f)
+        return _lift(x)
     if isinstance(x, (int, Fraction)):
-        return _REG.field.ground_new(QQ_I.convert(sympy.Rational(x)))
+        return _REG.field.ground_new(_REG.domain.convert(x))
     if isinstance(x, sympy.Expr):
+        if x.has(_sympy_I):
+            _REG.adjoin_i()
         return _REG.field.from_expr(x)
     raise TypeError(f"cannot coerce {x!r} to Scalar")
 
 
+def _mul(a, b):
+    """a * b, short-cut when one factor is 1 or -1.  Exact: both fractions
+    are canonical, and negation flips only the sign of the numerator."""
+    one = _REG.one
+    for x, y in ((a, b), (b, a)):
+        if dict.__eq__(y.denom, one):
+            if dict.__eq__(y.numer, one):
+                return x
+            if dict.__eq__(y.numer, _REG.minus_one):
+                return -x
+    return a * b
+
+
 class Scalar:
-    """Immutable exact rational function over Q(i)."""
+    """Immutable exact rational function over Q, or over Q(i) once i appears."""
 
     __slots__ = ("f",)
 
@@ -100,10 +131,10 @@ class Scalar:
     # -- arithmetic -------------------------------------------------------
     def _bin(self, other, op):
         try:
-            a, b = _lift(self.f), _coerce(other)
+            b = _coerce(other)  # first: it may switch the field to Q(i)
         except TypeError:
             return NotImplemented
-        return Scalar._raw(op(a, b))
+        return Scalar._raw(op(_lift(self), b))
 
     def __add__(self, other):
         return self._bin(other, lambda a, b: a + b)
@@ -117,7 +148,7 @@ class Scalar:
         return self._bin(other, lambda a, b: b - a)
 
     def __mul__(self, other):
-        return self._bin(other, lambda a, b: a * b)
+        return self._bin(other, _mul)
 
     __rmul__ = __mul__
 
@@ -137,10 +168,10 @@ class Scalar:
         if not isinstance(n, numbers.Integral):
             return NotImplemented
         if n >= 0:
-            return Scalar._raw(_lift(self.f) ** int(n))
+            return Scalar._raw(_lift(self) ** int(n))
         if not self:
             raise DivisionByZero("0 ** negative power")
-        return Scalar._raw(_lift(self.f) ** int(n))
+        return Scalar._raw(_lift(self) ** int(n))
 
     def __neg__(self):
         return Scalar._raw(-self.f)
@@ -151,11 +182,15 @@ class Scalar:
     # -- comparison / hashing --------------------------------------------
     def __eq__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
-            return _lift(self.f) == _coerce(other)
+            return _lift(self) == _coerce(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(_lift(self.f))
+        # independent of the field object, and equal to hash(int/Fraction)
+        e = self.f.as_expr()
+        if e.is_Rational:
+            return hash(Fraction(int(e.p), int(e.q)))
+        return hash(e)
 
     def __bool__(self):
         return bool(self.f)
@@ -184,16 +219,12 @@ def indet(name: str) -> Scalar:
     return Scalar._raw(_REG.gens[name])
 
 
-def integer(n) -> Scalar:
-    return Scalar(n)
-
-
 ZERO = Scalar(0)
 ONE = Scalar(1)
 
 
 def imag_unit() -> Scalar:
-    return Scalar._raw(_REG.field.from_expr(_sympy_I))
+    return Scalar(_sympy_I)
 
 
 def qvar() -> Scalar:
@@ -203,20 +234,6 @@ def qvar() -> Scalar:
 def sign_pow(k: int) -> Scalar:
     """(-1)**k as a Scalar."""
     return ONE if k % 2 == 0 else -ONE
-
-
-# -- string-dispatched arithmetic entry point -----------------------------
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 # -- serialization --------------------------------------------------------
@@ -251,7 +268,7 @@ def scalar_eval(a: Scalar, assignment: dict) -> complex:
         if name in _REG.symbols:
             c = complex(val)
             sub[_REG.symbols[name]] = sympy.Float(c.real, 17) + _sympy_I * sympy.Float(c.imag, 17)
-    f = _lift(a.f)
+    f = _lift(a)
     num = complex(f.numer.as_expr().subs(sub).evalf())
     den = complex(f.denom.as_expr().subs(sub).evalf())
     if abs(den) <= 1e-12:

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,3 +106,28 @@ def test_main_missing_rmatrix_file():
 def test_labels_flag(capsys):
     code = cli.main(["run", "--suite", "prop2.4/ribbon", "--labels", "2,1"])
     assert code == 0
+
+
+def test_main_rejects_bad_q_spot(capsys):
+    for bad in ("abc", "0.8", "0.8,0.3,1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--suite", "sec2/qybe", "--q-spot", bad])
+        assert exc.value.code == 2
+        assert "--q-spot" in capsys.readouterr().err
+
+
+def test_suite_all_matches_golden():
+    """Same verdicts, residuals and rewrite steps as recorded, check by
+    check.  A fresh process, so that every check pays its presentation
+    builds as in a cold ``qgw run --suite all``."""
+    golden = json.loads((Path(__file__).parent / "golden_suite.json").read_text())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "qgw.cli", "run", "--suite",
+                           "all", "--seed", "0", "--format", "json"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    keys = ("id", "verdict", "steps", "residual")
+    rows = [{k: r[k] for k in keys if k in r} for r in json.loads(proc.stdout)]
+    assert rows == golden

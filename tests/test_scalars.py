@@ -1,9 +1,24 @@
-import pytest
-from hypothesis import given, strategies as st
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ, QQ_I
+
+from qgw import scalars
 from qgw.scalars import (ONE, ZERO, PoleAtPoint, Scalar, imag_unit, indet,
                          parse, qvar, register_indeterminate, render,
                          scalar_eval, sign_pow)
+
+
+@pytest.fixture
+def restore_field():
+    """Put the scalar field back as it was, so that a switch to Q(i) or a new
+    indeterminate made by one test does not reach the tests after it."""
+    reg = scalars._REG
+    saved = dict(vars(reg), names=list(reg.names))
+    yield
+    vars(reg).clear()
+    vars(reg).update(saved)
 
 
 def test_basic_arithmetic():
@@ -29,7 +44,7 @@ def test_sign_pow():
     assert sign_pow(4) == ONE
 
 
-def test_imag_unit():
+def test_imag_unit(restore_field):
     i = imag_unit()
     assert i * i == -ONE
 
@@ -40,7 +55,7 @@ def test_label_indeterminates():
     assert l1 * m1 == m1 * l1
 
 
-def test_register_indeterminate_new_symbol():
+def test_register_indeterminate_new_symbol(restore_field):
     t = register_indeterminate("tmp_extra")
     assert t * t != t or t == ONE  # it behaves like a transcendental
     assert indet("tmp_extra") == t
@@ -88,3 +103,76 @@ def test_power_consistency(k):
     for _ in range(abs(k)):
         rhs = rhs * (q if k >= 0 else ONE / q)
     assert lhs == rhs
+
+
+def _scalars():
+    """0, 1, -1, integers and fractions, Laurent polynomials in q and lam1,
+    and rational functions with a general denominator."""
+    q, l1 = qvar(), indet("lam1")
+    small = st.integers(-3, 3)
+    const = st.builds(lambda n, d: Scalar(Fraction(n, d)), small, st.integers(1, 4))
+    laurent = st.builds(
+        lambda cs, s, c: sum((k * q ** (i - s) for i, k in enumerate(cs)), c * l1),
+        st.lists(small, max_size=4), st.integers(0, 3), small)
+    general = st.builds(lambda x, d, e: x / (q * q + d) ** e, laurent,
+                        st.sampled_from([-1, 1, 2]), st.integers(1, 2))
+    return st.sampled_from([ZERO, ONE, -ONE]) | const | laurent | general
+
+
+@settings(deadline=None)
+@given(_scalars(), _scalars())
+def test_unit_shortcut_matches_field_product(a, b):
+    fa, fb = scalars._lift(a), scalars._lift(b)
+    got, want = scalars._mul(fa, fb), fa * fb
+    assert (got.numer, got.denom) == (want.numer, want.denom)
+    assert (a * b).f == want
+    assert -(a * -ONE) == a and (-ONE) * b == -b
+
+
+@pytest.mark.parametrize("make_i", [imag_unit, lambda: parse("i*q") / qvar()],
+                         ids=["imag_unit", "parse"])
+def test_values_survive_switch_to_qi(restore_field, make_i):
+    def values():
+        q, l1 = qvar(), indet("lam1")
+        return [(q * q - ONE) / q ** 3 + l1, q + 1, ONE / (q * q - 1),
+                Scalar(Fraction(1, 2)), Scalar(1), Scalar(-1), Scalar(0)]
+
+    assert scalars._REG.domain is QQ
+    before = values()
+    texts = [render(x) for x in before]
+    index = {x: k for k, x in enumerate(before)}
+    i = make_i()
+    assert scalars._REG.domain is QQ_I
+    assert i * i == -ONE
+    after = values()
+    for k, (x, y) in enumerate(zip(before, after)):
+        assert x.f.field is not y.f.field
+        assert x == y and hash(x) == hash(y)
+        assert index[y] == k
+        assert render(x) == render(y) == texts[k]
+        assert x + i - i == y and x * y == y * y
+        assert render(x * i) == render(y * i)
+        assert x.f.field is y.f.field  # lifted once, not on every operation
+
+
+def test_plain_parse_stays_over_q(restore_field):
+    assert parse("(q^2 - 1)/q + lam1*mu1") == (qvar() ** 2 - 1) / qvar() \
+        + indet("lam1") * indet("mu1")
+    assert scalars._REG.domain is QQ
+
+
+def test_hash_agrees_with_eq_for_constants():
+    v = object()
+    assert {ONE: v}.get(1) is v
+    assert {Scalar(Fraction(1, 2)): v}.get(Fraction(1, 2)) is v
+    assert {Fraction(-3): v}.get(Scalar(-3)) is v
+    assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
+
+
+def test_hash_survives_new_indeterminate(restore_field):
+    key = qvar() + 1
+    d = {key: 1}
+    register_indeterminate("tmp_hash")
+    fresh = qvar() + 1
+    assert fresh.f.field is not key.f.field
+    assert d.get(fresh) == 1
