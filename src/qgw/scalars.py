@@ -3,13 +3,11 @@
 Every coefficient in the workbench is a ``Scalar``: a canonical fraction of
 multivariate polynomials in a fixed, ordered list of commuting indeterminates
 (the deformation parameter ``q`` plus representation labels), with
-coefficients in Q.  The ground field switches to Q(i) the first time ``i``
-appears (:func:`imag_unit`, or ``i`` in :func:`parse`); Scalars made before
-the switch are lifted into the new field lazily.  Canonical form is
-maintained by sympy's sparse fraction fields (gcd cancelled, normalized
-denominator), so equality of Scalars is exact and syntactic.  No floating
-point enters the core; floats appear only in :func:`scalar_eval`, which is a
-diagnostic.
+coefficients in Q, or in Q(i) from the first time ``i`` appears
+(:func:`imag_unit`, ``i`` in :func:`parse`).  Canonical form is maintained
+by sympy's sparse fraction fields (gcd cancelled, normalized denominator), so
+equality of Scalars is exact and syntactic.  No floating point enters the
+core; floats appear only in :func:`scalar_eval`, which is a diagnostic.
 """
 
 from __future__ import annotations
@@ -77,8 +75,8 @@ def register_indeterminate(name: str) -> "Scalar":
 
 def _lift(s):
     """The fraction of Scalar ``s`` in the current global field.  After a
-    rebuild ``s`` is re-embedded once and keeps the new fraction (same value
-    and hash), so old Scalars such as ``ONE`` do not pay it on every use."""
+    rebuild, ``s`` keeps its re-embedded fraction (same value and hash), so
+    that old Scalars such as ``ZERO`` pay the re-embedding once, not per use."""
     f = s.f
     if f.field is not _REG.field:
         f = _REG.field.from_expr(f.as_expr())
@@ -112,12 +110,13 @@ def _mul(a, b):
 
 
 class Scalar:
-    """Immutable exact rational function over Q, or over Q(i) once i appears."""
+    """Exact rational function over Q, or Q(i) once i appears; its value is
+    immutable (only :func:`_lift` swaps in an equal fraction of a new field)."""
 
     __slots__ = ("f",)
 
     def __init__(self, value=0):
-        object.__setattr__(self, "f", _coerce(value) if not isinstance(value, Scalar) else value.f)
+        object.__setattr__(self, "f", _coerce(value))
 
     @classmethod
     def _raw(cls, f):
@@ -167,9 +166,7 @@ class Scalar:
     def __pow__(self, n: int):
         if not isinstance(n, numbers.Integral):
             return NotImplemented
-        if n >= 0:
-            return Scalar._raw(_lift(self) ** int(n))
-        if not self:
+        if n < 0 and not self:
             raise DivisionByZero("0 ** negative power")
         return Scalar._raw(_lift(self) ** int(n))
 

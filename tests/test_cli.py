@@ -6,8 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from sympy.polys.domains import QQ, QQ_I
 
-from qgw import cli
+from qgw import cli, scalars
 from qgw.rmatlab import RMatrix, catalog, rmatrix_to_json
 from qgw.scalars import ONE
 
@@ -80,6 +81,29 @@ def test_user_rmatrix_pass_and_fail(tmp_path):
     bad.m[2][1] = ONE
     results, code = run_quiet(suite="sec5/hecke",
                               extra_rmatrix=rmatrix_to_json(bad))
+    assert code == 1
+    assert results[-1]["id"] == "user/rmatrix"
+    assert results[-1]["verdict"] == "fail"
+
+
+def test_user_rmatrix_switches_field_to_qi(restore_field):
+    # Every entry times i: both sides of the YBE are cubic in R, so it still
+    # holds.  The suite runs over Q, then parsing the user R-matrix switches
+    # the field to Q(i), and the braid check mixes Scalars of both fields.
+    data = json.loads(rmatrix_to_json(catalog("glnm", 2, 1)))
+    data["entries"] = [[r, c, f"i*({s})"] for r, c, s in data["entries"]]
+    assert scalars._REG.domain is QQ
+    results, code = run_quiet(suite="sec2/qybe",
+                              extra_rmatrix=json.dumps(data))
+    assert scalars._REG.domain is QQ_I
+    assert code == 0
+    assert [(r["id"], r["verdict"]) for r in results] == [
+        ("sec2/qybe", "pass"), ("user/rmatrix", "pass")]
+
+    r, c, s = next(e for e in data["entries"] if e[0] != e[1])
+    data["entries"][data["entries"].index([r, c, s])] = [r, c, f"2*{s}"]
+    results, code = run_quiet(suite="sec2/qybe",
+                              extra_rmatrix=json.dumps(data))
     assert code == 1
     assert results[-1]["id"] == "user/rmatrix"
     assert results[-1]["verdict"] == "fail"

@@ -10,17 +10,6 @@ from qgw.scalars import (ONE, ZERO, PoleAtPoint, Scalar, imag_unit, indet,
                          scalar_eval, sign_pow)
 
 
-@pytest.fixture
-def restore_field():
-    """Put the scalar field back as it was, so that a switch to Q(i) or a new
-    indeterminate made by one test does not reach the tests after it."""
-    reg = scalars._REG
-    saved = dict(vars(reg), names=list(reg.names))
-    yield
-    vars(reg).clear()
-    vars(reg).update(saved)
-
-
 def test_basic_arithmetic():
     q = qvar()
     assert q * (ONE / q) == ONE
