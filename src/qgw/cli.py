@@ -40,7 +40,6 @@ class CheckDescriptor:
     anchor: str
     fn: object
     expected: str = "pass"  # or "fail-of-property"
-    params: dict = None
 
 
 # -- small helpers ---------------------------------------------------------
@@ -507,7 +506,7 @@ def run(suite="all", format="text", seed=0, q_spotcheck=None, labels=None,
     for c in descs:
         ctx = {"rng": random.Random(seed), "q_spot": q_spotcheck,
                "labels": labels}
-        t0 = time.time()
+        t0 = time.perf_counter()
         s0 = STATS["steps"]
         residual = None
         try:
@@ -519,7 +518,7 @@ def run(suite="all", format="text", seed=0, q_spotcheck=None, labels=None,
             verdict = "error"
             residual = f"{type(exc).__name__}: {exc}"
         row = {"id": c.id, "anchor": c.anchor, "verdict": verdict,
-               "millis": int(1000 * (time.time() - t0)),
+               "millis": int(1000 * (time.perf_counter() - t0)),
                "steps": STATS["steps"] - s0}
         if residual is not None:
             row["residual"] = residual
@@ -531,21 +530,21 @@ def run(suite="all", format="text", seed=0, q_spotcheck=None, labels=None,
             if not ok:
                 code = 1
     if extra_rmatrix is not None:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             R = rmatlab.rmatrix_from_json(extra_rmatrix)
             ok = qybe_check(R) if not R.is_super else sybe_check(R)
             verdict = "pass" if ok else "fail"
             row = {"id": "user/rmatrix", "anchor": "user-supplied R-matrix "
                    "satisfies the (graded) YBE", "verdict": verdict,
-                   "millis": int(1000 * (time.time() - t0)), "steps": 0}
+                   "millis": int(1000 * (time.perf_counter() - t0)), "steps": 0}
             if not ok:
                 row["residual"] = "braid relation has a nonzero residual"
                 code = max(code, 1)
         except Exception as exc:
             row = {"id": "user/rmatrix", "anchor": "user-supplied R-matrix",
                    "verdict": "error", "residual": f"{type(exc).__name__}: {exc}",
-                   "millis": int(1000 * (time.time() - t0)), "steps": 0}
+                   "millis": int(1000 * (time.perf_counter() - t0)), "steps": 0}
             code = 2
         results.append(row)
     text = _render(results, format)
@@ -575,6 +574,17 @@ def _complex_arg(text):
     return complex(re_, im_)
 
 
+def _labels_arg(text):
+    """argparse type of ``--labels``: "m1,m2[,m1',m2',...]" -> list of int."""
+    try:
+        labels = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
+    if len(labels) % 2:
+        raise argparse.ArgumentTypeError(f"expected pairs m1,m2, got {text!r}")
+    return labels
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="qgw")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -582,7 +592,7 @@ def main(argv=None):
     rp.add_argument("--suite", default="all")
     rp.add_argument("--format", choices=("text", "json"), default="text")
     rp.add_argument("--seed", type=int, default=0)
-    rp.add_argument("--labels", default=None,
+    rp.add_argument("--labels", type=_labels_arg, default=None,
                     help="m1,m2[,m1',m2'] integer label override")
     rp.add_argument("--rmatrix", default=None,
                     help="path to a serialized R-matrix to verify")
@@ -595,9 +605,6 @@ def main(argv=None):
     if args.cmd == "list":
         print(list_checks(args.filter))
         return 0
-    labels = None
-    if args.labels:
-        labels = [int(x) for x in args.labels.split(",")]
     extra = None
     if args.rmatrix:
         try:
@@ -608,7 +615,8 @@ def main(argv=None):
             return 2
     try:
         _, code = run(suite=args.suite, format=args.format, seed=args.seed,
-                      q_spotcheck=args.q_spot, labels=labels, extra_rmatrix=extra)
+                      q_spotcheck=args.q_spot, labels=args.labels,
+                      extra_rmatrix=extra)
     except UnknownCheck as exc:
         print(f"unknown check or suite: {exc}", file=sys.stderr)
         return 2

@@ -125,9 +125,6 @@ class ActionTable:
         self.tag = tag
         self.entries = entries
 
-    def actors(self):
-        return list(self.entries)
-
 
 def _scalars(omega, on_x, on_dx):
     out = {}

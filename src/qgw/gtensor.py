@@ -108,9 +108,6 @@ class TensorElement:
     def __bool__(self):
         return bool(self.terms)
 
-    def leg_degrees(self, legs):
-        return tuple(self.pres.degree(w) for w in legs)
-
     def flip(self, i=0, j=1):
         """Swap two legs (the map tau, used for the opposite coproduct)."""
         out = {}

@@ -2,8 +2,8 @@
 
 A Presentation is an ordered list of generators plus oriented rewrite rules,
 each mapping a two-letter word to a linear combination of strictly smaller
-words.  normal_form repeatedly applies the leftmost applicable rule until a
-fixed point; Elements store only normal-form words.
+words.  Presentation.reduce_terms repeatedly applies the leftmost
+applicable rule until a fixed point; Elements store only normal-form words.
 
 The term order is weighted deg-lex: total generator weight, then length,
 then the index tuple.  Rules produced by compile_relations are always
@@ -263,12 +263,6 @@ class Element:
         degs = {self.pres.degree(w) for w in self.terms}
         return degs.pop() if len(degs) == 1 else "mixed"
 
-    def nf(self) -> "Element":
-        return Element(self.pres, self.terms)
-
-    def map_coeffs(self, fn) -> "Element":
-        return Element(self.pres, {w: fn(c) for w, c in self.terms.items()})
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -281,10 +275,6 @@ class Element:
 
     def __repr__(self):
         return f"Element[{self}]"
-
-
-def normal_form(e: Element) -> Element:
-    return e.nf()
 
 
 # -- relation compilation -------------------------------------------------

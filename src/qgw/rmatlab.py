@@ -287,10 +287,28 @@ def rmatrix_to_json(R: RMatrix) -> str:
                        "entries": entries}, indent=1)
 
 
+def _is_index(x, size):
+    return type(x) is int and 0 <= x < size
+
+
 def rmatrix_from_json(text: str) -> RMatrix:
+    """Read what :func:`rmatrix_to_json` writes; ValueError on malformed data."""
     data = json.loads(text)
-    n = data["n"]
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    n, grading, entries = data.get("n"), data.get("grading"), data.get("entries")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if grading is not None and not (isinstance(grading, list) and len(grading) == n
+                                    and all(_is_index(g, 2) for g in grading)):
+        raise ValueError(f"grading must be a list of {n} values in {{0, 1}}, got {grading!r}")
+    if not isinstance(entries, list):
+        raise ValueError("entries must be a list of [row, column, expression]")
     ent = smat.zeros(n * n)
-    for i, j, s in data["entries"]:
-        ent[i][j] = parse(s)
-    return RMatrix(n, ent, grading=data.get("grading"), name=data.get("name", ""))
+    for e in entries:
+        if not (isinstance(e, list) and len(e) == 3 and _is_index(e[0], n * n)
+                and _is_index(e[1], n * n) and isinstance(e[2], str)):
+            raise ValueError(f"entry {e!r} is not [row, column, expression] "
+                             f"with 0 <= row, column < {n * n}")
+        ent[e[0]][e[1]] = parse(e[2])
+    return RMatrix(n, ent, grading=grading, name=data.get("name", ""))

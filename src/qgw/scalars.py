@@ -4,17 +4,21 @@ Every coefficient in the workbench is a ``Scalar``: a canonical fraction of
 multivariate polynomials in a fixed, ordered list of commuting indeterminates
 (the deformation parameter ``q`` plus representation labels), with
 coefficients in Q, or in Q(i) from the first time ``i`` appears
-(:func:`imag_unit`, ``i`` in :func:`parse`).  Canonical form is maintained
-by sympy's sparse fraction fields (gcd cancelled, normalized denominator), so
-equality of Scalars is exact and syntactic.  No floating point enters the
-core; floats appear only in :func:`scalar_eval`, which is a diagnostic.
+(:func:`imag_unit`, ``i`` in :func:`parse`).  Canonical form is that of
+sympy's sparse fraction fields (numerator and denominator coprime in Z[x],
+denominator with positive leading coefficient), so equality of Scalars is
+exact and syntactic.  Over Q, +, - and * of fractions with monomial
+denominators c x^e skip sympy's gcd: against a monomial it is a monomial,
+read off the numerator in one pass.  No floating point enters the core;
+floats appear only in :func:`scalar_eval`, which is a diagnostic.
 """
 
 from __future__ import annotations
 
-import cmath
 import numbers
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 
 import sympy
 from sympy import I as _sympy_I
@@ -87,8 +91,9 @@ def _lift(s):
 def _coerce(x):
     if isinstance(x, Scalar):
         return _lift(x)
-    if isinstance(x, (int, Fraction)):
-        return _REG.field.ground_new(_REG.domain.convert(x))
+    if isinstance(x, (int, Fraction)):  # canonical as it stands: no cancel
+        new = _REG.field.ring.ground_new
+        return _REG.field.raw_new(new(x.numerator), new(x.denominator))
     if isinstance(x, sympy.Expr):
         if x.has(_sympy_I):
             _REG.adjoin_i()
@@ -96,9 +101,50 @@ def _coerce(x):
     raise TypeError(f"cannot coerce {x!r} to Scalar")
 
 
+def _laurent(a, b):
+    """Both denominators are monomials c x^e over Q (so no gcd search)."""
+    return _REG.domain is QQ and len(a.denom) == 1 and len(b.denom) == 1
+
+
+def _reduced(field, num, c, e):
+    """The canonical fraction num / (c x^e), for ``num`` a dict of integer
+    coefficients and an integer c > 0.  Against a monomial the gcd is a
+    monomial g x^m: g the gcd of c and the coefficients, m the componentwise
+    minimum of e and the exponents."""
+    num = {k: v for k, v in num.items() if v}
+    if not num:
+        return field.zero
+    g = gcd(c, *num.values())
+    m = tuple(map(min, e, *num)) if any(e) else e
+    if any(m):
+        num = {tuple(map(sub, k, m)): v for k, v in num.items()}
+        e = tuple(map(sub, e, m))
+    mpq, ring = QQ.dtype, field.ring
+    return field.raw_new(ring.dtype({k: mpq(v // g) for k, v in num.items()}),
+                         ring.dtype({e: mpq(c // g)}))
+
+
+def _add(a, b, sign=1):
+    """a + sign*b: each numerator shifted and scaled onto the lcm of the
+    denominators when both are monomials."""
+    if not _laurent(a, b):
+        return a + b if sign > 0 else a - b
+    (ea, ca), = a.denom.items()
+    (eb, cb), = b.denom.items()
+    c, e = lcm(ca.numerator, cb.numerator), tuple(map(max, ea, eb))
+    num = {}
+    for p, ep, s in ((a.numer, ea, c // ca.numerator),
+                     (b.numer, eb, sign * c // cb.numerator)):
+        d = tuple(map(sub, e, ep))
+        for k, v in p.items():
+            k = tuple(map(add, k, d))
+            num[k] = num.get(k, 0) + s * v.numerator
+    return _reduced(a.field, num, c, e)
+
+
 def _mul(a, b):
-    """a * b, short-cut when one factor is 1 or -1.  Exact: both fractions
-    are canonical, and negation flips only the sign of the numerator."""
+    """a * b; a factor (or its negation) when the other is 1 or -1, the
+    product of the integer numerators when both denominators are monomials."""
     one = _REG.one
     for x, y in ((a, b), (b, a)):
         if dict.__eq__(y.denom, one):
@@ -106,7 +152,17 @@ def _mul(a, b):
                 return x
             if dict.__eq__(y.numer, _REG.minus_one):
                 return -x
-    return a * b
+    if not _laurent(a, b):
+        return a * b
+    (ea, ca), = a.denom.items()
+    (eb, cb), = b.denom.items()
+    nb = [(k, v.numerator) for k, v in b.numer.items()]
+    num = {}
+    for ka, va in a.numer.items():
+        for kb, vb in nb:
+            k = tuple(map(add, ka, kb))
+            num[k] = num.get(k, 0) + va.numerator * vb
+    return _reduced(a.field, num, ca.numerator * cb.numerator, tuple(map(add, ea, eb)))
 
 
 class Scalar:
@@ -129,6 +185,10 @@ class Scalar:
 
     # -- arithmetic -------------------------------------------------------
     def _bin(self, other, op):
+        if isinstance(other, Scalar):
+            a, b = self.f, other.f
+            if a.field is b.field is _REG.field:
+                return Scalar._raw(op(a, b))
         try:
             b = _coerce(other)  # first: it may switch the field to Q(i)
         except TypeError:
@@ -136,15 +196,15 @@ class Scalar:
         return Scalar._raw(op(_lift(self), b))
 
     def __add__(self, other):
-        return self._bin(other, lambda a, b: a + b)
+        return self._bin(other, _add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._bin(other, lambda a, b: a - b)
+        return self._bin(other, lambda a, b: _add(a, b, -1))
 
     def __rsub__(self, other):
-        return self._bin(other, lambda a, b: b - a)
+        return self._bin(other, lambda a, b: _add(b, a, -1))
 
     def __mul__(self, other):
         return self._bin(other, _mul)
@@ -168,7 +228,11 @@ class Scalar:
             return NotImplemented
         if n < 0 and not self:
             raise DivisionByZero("0 ** negative power")
-        return Scalar._raw(_lift(self) ** int(n))
+        f = _lift(self) ** int(n)
+        u = f.denom.canonical_unit()  # sympy's f**-n keeps the unit of f.numer
+        if u != _REG.domain.one:
+            f = f.raw_new(f.numer.mul_ground(u), f.denom.mul_ground(u))
+        return Scalar._raw(f)
 
     def __neg__(self):
         return Scalar._raw(-self.f)
@@ -190,7 +254,7 @@ class Scalar:
         return hash(e)
 
     def __bool__(self):
-        return bool(self.f)
+        return bool(self.f.numer)
 
     # -- inspection -------------------------------------------------------
     def indeterminates(self):

@@ -23,10 +23,6 @@ def eye(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mneg(a):
-    return [[-x for x in row] for row in a]
-
-
 def madd(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -64,10 +60,6 @@ def kron(a, b):
         for rb in b:
             out.append([x * y for x in ra for y in rb])
     return out
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def meq(a, b):

@@ -86,6 +86,16 @@ def test_user_rmatrix_pass_and_fail(tmp_path):
     assert results[-1]["verdict"] == "fail"
 
 
+def test_malformed_user_rmatrix_is_an_error_row():
+    data = json.loads(rmatrix_to_json(catalog("ac")))
+    data["entries"].append([-1, -1, "q"])  # would wrap to the last cell
+    results, code = run_quiet(suite="sec2/qybe", extra_rmatrix=json.dumps(data))
+    assert code == 2
+    assert results[-1]["id"] == "user/rmatrix"
+    assert results[-1]["verdict"] == "error"
+    assert results[-1]["residual"].startswith("ValueError: entry [-1, -1, 'q']")
+
+
 def test_user_rmatrix_switches_field_to_qi(restore_field):
     # Every entry times i: both sides of the YBE are cubic in R, so it still
     # holds.  The suite runs over Q, then parsing the user R-matrix switches
@@ -138,6 +148,14 @@ def test_main_rejects_bad_q_spot(capsys):
             cli.main(["run", "--suite", "sec2/qybe", "--q-spot", bad])
         assert exc.value.code == 2
         assert "--q-spot" in capsys.readouterr().err
+
+
+def test_main_rejects_bad_labels(capsys):
+    for bad in ("abc", "1,x", "2,1,3", ""):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--suite", "prop2.4/ribbon", "--labels", bad])
+        assert exc.value.code == 2
+        assert "--labels" in capsys.readouterr().err
 
 
 def test_suite_all_matches_golden():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from qgw import smat
@@ -120,6 +122,33 @@ def test_serialization_roundtrip():
         R = catalog(*spec)
         R2 = rmatrix_from_json(rmatrix_to_json(R))
         assert R2 == R
+
+
+def _ac_json(**change):
+    data = json.loads(rmatrix_to_json(catalog("ac")))
+    data.update(change)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("change", [
+    {"entries": [[-1, -1, "q"]]}, {"entries": [[4, 0, "q"]]},
+    {"entries": [[0, 16, "q"]]}, {"entries": [[0, 0]]}, {"entries": [[0, 0, 1]]},
+    {"entries": [["0", 0, "q"]]}, {"entries": [[True, 0, "q"]]},
+    {"entries": [[0.0, 0, "q"]]}, {"entries": None}, {"entries": {"0": "q"}},
+    {"n": 0}, {"n": -2}, {"n": 2.0}, {"n": "2"}, {"n": True}, {"n": None},
+    {"grading": [0, 2]}, {"grading": [0]}, {"grading": [0, 1, 0]},
+    {"grading": "01"}, {"grading": [0, False]},
+], ids=repr)
+def test_json_loader_rejects_malformed_input(change):
+    with pytest.raises(ValueError):
+        rmatrix_from_json(_ac_json(**change))
+
+
+def test_json_loader_rejects_non_objects():
+    for text in ("[]", "3", "not json"):
+        with pytest.raises(ValueError):
+            rmatrix_from_json(text)
+    assert rmatrix_from_json(_ac_json()) == catalog("ac")
 
 
 def test_entry_convention_matches_matrix_layout():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.rings import PolyElement
 
 from qgw import scalars
 from qgw.scalars import (ONE, ZERO, PoleAtPoint, Scalar, imag_unit, indet,
@@ -24,6 +25,10 @@ def test_negative_powers():
     assert q ** -2 == ONE / (q * q)
     assert q ** 0 == ONE
     assert (q ** -3) * (q ** 3) == ONE
+    # inverting a negative leading coefficient keeps the denominator canonical
+    assert (-q) ** -3 == -ONE / q ** 3
+    assert (ONE - q) ** -1 == ONE / (ONE - q)
+    assert (-q) ** -1 + ONE / q == ZERO
 
 
 def test_sign_pow():
@@ -116,6 +121,59 @@ def test_unit_shortcut_matches_field_product(a, b):
     assert (got.numer, got.denom) == (want.numer, want.denom)
     assert (a * b).f == want
     assert -(a * -ONE) == a and (-ONE) * b == -b
+
+
+def _same(got, want):
+    assert (got.numer, got.denom) == (want.numer, want.denom)
+
+
+@settings(deadline=None)
+@given(_scalars(), _scalars())
+def test_laurent_path_matches_field(a, b):
+    fa, fb = scalars._lift(a), scalars._lift(b)
+    _same(scalars._add(fa, fb), fa + fb)
+    _same(scalars._add(fa, fb, -1), fa - fb)
+    _same(scalars._mul(fa, fb), fa * fb)
+    _same((a + b).f, fa + fb)
+    _same((a - b).f, fa - fb)
+    _same((a * b).f, fa * fb)
+
+
+def test_laurent_path_needs_no_cancel(monkeypatch):
+    q, l1 = qvar(), indet("lam1")
+    a, b = (q ** 2 - 1) / q ** 3, l1 / (2 * q)
+    want = [a.f + b.f, a.f - b.f, a.f * b.f]
+
+    def no_cancel(*args):
+        raise AssertionError("cancel called on a Laurent operation")
+
+    monkeypatch.setattr(PolyElement, "cancel", no_cancel)
+    got = [a + b, a - b, a * b, 3 * a - Fraction(1, 2)]
+    monkeypatch.undo()
+    for x, y in zip(got, want):
+        _same(x.f, y)
+    assert got[3] == 3 * a - parse("1/2")
+
+
+def test_qi_results_match_field(restore_field):
+    i = imag_unit()
+    q, l1 = qvar(), indet("lam1")
+    values = [ZERO, ONE, -ONE, i, (q * q - 1) / q ** 3 + l1, q - i / (2 * q),
+              ONE / (q * q - i), Scalar(Fraction(-3, 4))]
+    for a in values:
+        for b in values:
+            _same((a + b).f, a.f + b.f)
+            _same((a - b).f, a.f - b.f)
+            _same((a * b).f, a.f * b.f)
+
+
+@pytest.mark.parametrize("qi", [False, True], ids=["Q", "Q(i)"])
+def test_int_coercion_is_canonical(restore_field, qi):
+    if qi:
+        imag_unit()
+    reg = scalars._REG
+    for x in (Fraction(-3, 4), 0, -7, 1, Fraction(5, 1)):
+        _same(Scalar(x).f, reg.field.ground_new(reg.domain.convert(x)))
 
 
 @pytest.mark.parametrize("make_i", [imag_unit, lambda: parse("i*q") / qvar()],
