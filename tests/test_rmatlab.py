@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qgw import smat
+from qgw.reps import universal_r_eval
 from qgw.rmatlab import (NotSuperizable, NullDegreeViolated, RMatrix,
                          UnknownName, catalog, hecke_check,
                          hecke_identity_check, null_degree_check,
@@ -101,6 +102,41 @@ def test_superized_family_sybe():
         Rb = catalog("super_glnm", n, m)
         assert null_degree_check(Rb)
         assert sybe_check(Rb), (n, m)
+
+
+def _doubled(R):
+    """R with its first nonzero off-diagonal entry doubled."""
+    m = [list(row) for row in R.m]
+    i, j = next((i, j) for i, row in enumerate(m) for j, x in enumerate(row)
+                if x and i != j)
+    m[i][j] = 2 * m[i][j]
+    return RMatrix(R.n, m, grading=R.p, name=R.name + "-doubled")
+
+
+_SUPER_SOLUTIONS = [("super_ac",), ("super_omega",)] + [
+    ("super_glnm", n, m) for n, m in ((1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3))]
+
+
+@pytest.mark.parametrize("make", [lambda spec=spec: catalog(*spec)
+                                  for spec in _SUPER_SOLUTIONS]
+                         + [lambda w=w: universal_r_eval((1, 0), (1, 0), which=w)
+                            for w in ("super", "super-omega")],
+                         ids=[s[0] + "".join(map(str, s[1:])) for s in _SUPER_SOLUTIONS]
+                         + ["universal-super", "universal-super-omega"])
+def test_sybe_verdicts_pinned(make):
+    R = make()
+    assert R.is_super
+    assert sybe_check(R)
+    assert not sybe_check(_doubled(R))
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (1, 2)])
+def test_sybe_needs_the_koszul_signs(n, m):
+    # the bosonic gl(n|m) solution under a super grading, without the
+    # superization signs, is even but fails the graded braid relation
+    bosonic = catalog("glnm", n, m)
+    assert qybe_check(bosonic)
+    assert not sybe_check(RMatrix(n + m, bosonic.m, grading=[0] * n + [1] * m))
 
 
 def test_glnm_specializes_to_rank_two():
