@@ -362,8 +362,8 @@ def _chk_numeric(ctx):
     rep.record(err < 1e-9, ("canonical", qc, err))
     for nm in ("ac", "omega"):
         R = catalog(nm)
-        legs = {pair: _num_mat(rmatlab._embed3(R, pair), qc)
-                for pair in ((0, 1), (0, 2), (1, 2))}
+        legs = {pr: _num_mat(smat.embed_pair(R.m, (R.n,) * 3, (R.p,) * 3, pr), qc)
+                for pr in ((0, 1), (0, 2), (1, 2))}
         lhs = _num_mmul(_num_mmul(legs[(0, 1)], legs[(0, 2)]), legs[(1, 2)])
         rhs = _num_mmul(_num_mmul(legs[(1, 2)], legs[(0, 2)]), legs[(0, 1)])
         err = max(abs(x - y) for ra, rb in zip(lhs, rhs)
@@ -533,7 +533,7 @@ def run(suite="all", format="text", seed=0, q_spotcheck=None, labels=None,
         t0 = time.perf_counter()
         try:
             R = rmatlab.rmatrix_from_json(extra_rmatrix)
-            ok = qybe_check(R) if not R.is_super else sybe_check(R)
+            ok = qybe_check(R)
             verdict = "pass" if ok else "fail"
             row = {"id": "user/rmatrix", "anchor": "user-supplied R-matrix "
                    "satisfies the (graded) YBE", "verdict": verdict,

@@ -13,8 +13,6 @@ standard ones and the super forms live over the graded presentation.
 
 from __future__ import annotations
 
-from itertools import product
-
 from . import smat
 from .algebras import uq_hopf, uq_omega_hopf, uqgl11_hopf, uqgl11_omega_hopf, \
     uq_presentation
@@ -297,40 +295,6 @@ def universal_r_eval(lab1, lab2, which="standard") -> RMatrix:
                    name=f"{which}@{r1.label},{r2.label}")
 
 
-# -- embeddings into three legs with mixed dimensions ----------------------
-
-def _flatten(idx, dims):
-    return (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
-
-
-def _embed_pair(M, dims, ps, legs):
-    """Embed a two-leg operator matrix into three graded legs.
-
-    The sign is the Koszul cost of moving each operator factor past the
-    spectator leg; the factor's parity is read off entrywise from the row
-    and column indices of its leg (legal because every matrix here is even).
-    """
-    i, j = legs
-    k = ({0, 1, 2} - set(legs)).pop()
-    out = smat.zeros(dims[0] * dims[1] * dims[2])
-    for ri, rj in product(range(dims[i]), range(dims[j])):
-        for ci, cj in product(range(dims[i]), range(dims[j])):
-            x = M[ri * dims[j] + rj][ci * dims[j] + cj]
-            if not x:
-                continue
-            # parity of the operator factors acting on legs i and j
-            di = (ps[i][ri] + ps[i][ci]) % 2
-            dj = (ps[j][rj] + ps[j][cj]) % 2
-            cross = ((di if i > k else 0) + (dj if j > k else 0)) % 2
-            for s in range(dims[k]):
-                y = -x if (cross and ps[k][s]) else x
-                row, col = [0, 0, 0], [0, 0, 0]
-                row[i], row[j], row[k] = ri, rj, s
-                col[i], col[j], col[k] = ci, cj, s
-                out[_flatten(row, dims)][_flatten(col, dims)] = y
-    return out
-
-
 def quasitriangularity_check(lab1, lab2, lab3, which="standard") -> CheckReport:
     """Coproduct intertwining, both hexagon identities and the braid
     equation for the evaluated R-matrix on three integer labels."""
@@ -350,18 +314,16 @@ def quasitriangularity_check(lab1, lab2, lab3, which="standard") -> CheckReport:
 
     dims = [e.dim for e in evs]
     ps = [e.p for e in evs]
-    r12e = _embed_pair(r12, dims, ps, (0, 1))
-    r13 = _embed_pair(_r_matrix(ev1, ev3, which), dims, ps, (0, 2))
-    r23 = _embed_pair(_r_matrix(ev2, ev3, which), dims, ps, (1, 2))
+    r12e = smat.embed_pair(r12, dims, ps, (0, 1))
+    r13 = smat.embed_pair(_r_matrix(ev1, ev3, which), dims, ps, (0, 2))
+    r23 = smat.embed_pair(_r_matrix(ev2, ev3, which), dims, ps, (1, 2))
     t12 = _ev_tensor(ev1, ev2, h)
     t23 = _ev_tensor(ev2, ev3, h)
     rep.record(smat.meq(_r_matrix(t12, ev3, which), smat.mmul(r13, r23)),
                ("hexagon", "delta-leg1"))
     rep.record(smat.meq(_r_matrix(ev1, t23, which), smat.mmul(r13, r12e)),
                ("hexagon", "delta-leg2"))
-    lhs = smat.mmul(smat.mmul(r12e, r13), r23)
-    rhs = smat.mmul(smat.mmul(r23, r13), r12e)
-    rep.record(smat.meq(lhs, rhs), ("braid", "three-legs"))
+    rep.record(smat.braid_holds(r12e, r13, r23), ("braid", "three-legs"))
     return rep
 
 
@@ -573,9 +535,9 @@ def twist_check(lab1, lab2, lab3, super_side=False) -> CheckReport:
     dims = [e.dim for e in evs]
     ps = [e.p for e in evs]
     c12 = _chi(ev1, ev2, super_side)
-    lhs = smat.mmul(_embed_pair(c12, dims, ps, (0, 1)),
+    lhs = smat.mmul(smat.embed_pair(c12, dims, ps, (0, 1)),
                     _chi(_ev_tensor(ev1, ev2, h0), ev3, super_side))
-    rhs = smat.mmul(_embed_pair(_chi(ev2, ev3, super_side), dims, ps, (1, 2)),
+    rhs = smat.mmul(smat.embed_pair(_chi(ev2, ev3, super_side), dims, ps, (1, 2)),
                     _chi(ev1, _ev_tensor(ev2, ev3, h0), super_side))
     rep.record(smat.meq(lhs, rhs), ("cocycle",))
 

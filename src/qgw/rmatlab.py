@@ -3,8 +3,9 @@
 An RMatrix is an n^2 x n^2 matrix of exact scalars with the composite-index
 convention M[(a-1)n+b-1][(c-1)n+d-1] = R^a_c^b_d, i.e. rows are the upper
 index pair (a,b), columns the lower pair (c,d).  A grading p marks basis
-directions odd; the super checks carry the corresponding sign factors
-explicitly.
+directions odd.  The braid check embeds R into three graded legs with
+:func:`smat.embed_pair`, whose Koszul signs make one check serve as the QYBE
+(zero grading) and the super YBE.
 """
 
 from __future__ import annotations
@@ -63,37 +64,14 @@ class RMatrix:
         return f"RMatrix({self.name or 'anon'}, n={self.n}, p={self.p})"
 
 
-# -- embeddings into three legs -------------------------------------------
-
-def _embed3(R: RMatrix, legs):
-    n = R.n
-    N = n ** 3
-    out = smat.zeros(N)
-    i, j = legs  # 0-based pair of acted-on legs
-    spec = [k for k in range(3) if k not in legs]
-    k = spec[0]
-    for a, b, s in product(range(n), repeat=3):
-        row3 = [0, 0, 0]
-        row3[i], row3[j], row3[k] = a, b, s
-        for c, d in product(range(n), repeat=2):
-            x = R.m[a * n + b][c * n + d]
-            if not x:
-                continue
-            col3 = [0, 0, 0]
-            col3[i], col3[j], col3[k] = c, d, s
-            out[row3[0] * n * n + row3[1] * n + row3[2]][
-                col3[0] * n * n + col3[1] * n + col3[2]] = x
-    return out
-
+# -- braid relation ---------------------------------------------------------
 
 def qybe_check(R: RMatrix) -> bool:
-    """R12 R13 R23 = R23 R13 R12, exactly."""
-    r12 = _embed3(R, (0, 1))
-    r13 = _embed3(R, (0, 2))
-    r23 = _embed3(R, (1, 2))
-    lhs = smat.mmul(smat.mmul(r12, r13), r23)
-    rhs = smat.mmul(smat.mmul(r23, r13), r12)
-    return smat.meq(lhs, rhs)
+    """R12 R13 R23 = R23 R13 R12, exactly, with Koszul-signed legs graded by
+    R.p: the QYBE for a zero grading, the super YBE for a super R."""
+    dims, ps = (R.n,) * 3, (R.p,) * 3
+    return smat.braid_holds(*(smat.embed_pair(R.m, dims, ps, legs)
+                              for legs in ((0, 1), (0, 2), (1, 2))))
 
 
 def null_degree_check(R: RMatrix) -> bool:
@@ -105,46 +83,10 @@ def null_degree_check(R: RMatrix) -> bool:
 
 
 def sybe_check(R: RMatrix) -> bool:
-    """Graded braid relation with explicit sign factors."""
+    """The graded braid relation of :func:`qybe_check`, for an even R."""
     if not null_degree_check(R):
         raise NullDegreeViolated("SYBE requires the null-degree condition")
-    n = R.n
-    p = [0] + list(R.p)  # 1-based
-    rng = range(1, n + 1)
-    for i, j, a, b, c, d in product(rng, repeat=6):
-        lhs = ZERO
-        for e, f, k in product(rng, repeat=3):
-            x = R.entry(b, e, a, f)
-            if not x:
-                continue
-            y = R.entry(i, k, f, c)
-            if not y:
-                continue
-            z = R.entry(k, j, e, d)
-            if not z:
-                continue
-            t = x * y * z
-            if (p[e] * (p[f] + p[c])) % 2:
-                t = -t
-            lhs = lhs + t
-        rhs = ZERO
-        for pp, r, s in product(rng, repeat=3):
-            x = R.entry(i, pp, b, r)
-            if not x:
-                continue
-            y = R.entry(pp, j, a, s)
-            if not y:
-                continue
-            z = R.entry(r, d, s, c)
-            if not z:
-                continue
-            t = x * y * z
-            if (p[r] * (p[s] + p[a])) % 2:
-                t = -t
-            rhs = rhs + t
-        if lhs != rhs:
-            return False
-    return True
+    return qybe_check(R)
 
 
 def permutation_matrix(n):
@@ -287,6 +229,9 @@ def rmatrix_to_json(R: RMatrix) -> str:
                        "entries": entries}, indent=1)
 
 
+MAX_JSON_N = 8  # the braid check builds dense n^3 x n^3 matrices
+
+
 def _is_index(x, size):
     return type(x) is int and 0 <= x < size
 
@@ -297,8 +242,8 @@ def rmatrix_from_json(text: str) -> RMatrix:
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     n, grading, entries = data.get("n"), data.get("grading"), data.get("entries")
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if type(n) is not int or not 1 <= n <= MAX_JSON_N:
+        raise ValueError(f"n must be an integer from 1 to {MAX_JSON_N}, got {n!r}")
     if grading is not None and not (isinstance(grading, list) and len(grading) == n
                                     and all(_is_index(g, 2) for g in grading)):
         raise ValueError(f"grading must be a list of {n} values in {{0, 1}}, got {grading!r}")

@@ -16,6 +16,7 @@ floats appear only in :func:`scalar_eval`, which is a diagnostic.
 from __future__ import annotations
 
 import numbers
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
@@ -300,11 +301,20 @@ def sign_pow(k: int) -> Scalar:
 # -- serialization --------------------------------------------------------
 
 def parse(text: str) -> Scalar:
-    """Parse an expression over +,-,*,/,^ and integers, i, indeterminates."""
+    """Parse an expression over + - * / ^ **, parentheses, integers, i and
+    the registered indeterminates.  Any other name or character is a
+    ValueError before sympy sees the text, so the input is never run as code.
+    """
     local = dict(_REG.symbols)
     local["i"] = _sympy_I
-    expr = sympy.sympify(text.replace("^", "**"), locals=local, rational=True)
-    return Scalar(expr)
+    for tok in re.findall(r"[A-Za-z_]\w*|[^\s\d()*/^+-]", text, re.ASCII):
+        if tok not in local:
+            raise ValueError(f"unexpected {tok!r} in {text!r}")
+    try:
+        expr = sympy.sympify(text.replace("^", "**"), locals=local, rational=True)
+        return Scalar(expr)
+    except Exception as exc:
+        raise ValueError(f"cannot parse {text!r}: {exc}") from exc
 
 
 def render(a: Scalar) -> str:

@@ -2,10 +2,15 @@
 
 Plain list-of-list matrices with Scalar entries; enough linear algebra for
 R-matrix checks and representation work (multiply, Kronecker product,
-Gauss-Jordan inverse).  No numerics.
+Gauss-Jordan inverse).  No numerics.  :func:`embed_pair` is the one
+embedding of a two-leg operator into three graded tensor legs, with Koszul
+signs, and :func:`braid_holds` compares the two sides of the braid relation
+on three such legs.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -54,7 +59,6 @@ def mmul(a, b):
 
 
 def kron(a, b):
-    p, q = len(b), len(b[0])
     out = []
     for ra in a:
         for rb in b:
@@ -68,6 +72,44 @@ def meq(a, b):
 
 def is_zero(a):
     return all(not x for row in a for x in row)
+
+
+def _flatten(idx, dims):
+    return (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
+
+
+def embed_pair(m, dims, ps, legs):
+    """Embed ``m``, acting on legs ``legs = (i, j)``, into three legs of
+    dimensions ``dims`` and gradings ``ps`` (a 0/1 tuple per leg).
+
+    The sign is the Koszul cost of moving each operator factor past the
+    spectator leg; the factor's parity is read off entrywise from the row
+    and column indices of its leg (legal because every matrix here is even).
+    """
+    i, j = legs
+    k = ({0, 1, 2} - set(legs)).pop()
+    out = zeros(dims[0] * dims[1] * dims[2])
+    for ri, rj in product(range(dims[i]), range(dims[j])):
+        for ci, cj in product(range(dims[i]), range(dims[j])):
+            x = m[ri * dims[j] + rj][ci * dims[j] + cj]
+            if not x:
+                continue
+            # parity of the operator factors acting on legs i and j
+            di = (ps[i][ri] + ps[i][ci]) % 2
+            dj = (ps[j][rj] + ps[j][cj]) % 2
+            cross = ((di if i > k else 0) + (dj if j > k else 0)) % 2
+            for s in range(dims[k]):
+                y = -x if (cross and ps[k][s]) else x
+                row, col = [0, 0, 0], [0, 0, 0]
+                row[i], row[j], row[k] = ri, rj, s
+                col[i], col[j], col[k] = ci, cj, s
+                out[_flatten(row, dims)][_flatten(col, dims)] = y
+    return out
+
+
+def braid_holds(r12, r13, r23):
+    """R12 R13 R23 == R23 R13 R12 for three leg-embedded matrices."""
+    return meq(mmul(mmul(r12, r13), r23), mmul(mmul(r23, r13), r12))
 
 
 def nullspace(a):

@@ -21,7 +21,7 @@ from qgw.gtensor import TensorElement
 from qgw.ncalg import overlap_check
 from qgw.reps import (quasitriangularity_check, rep_build, ribbon_check,
                       twist_check, universal_r_eval)
-from qgw.rmatlab import _embed3, catalog, hecke_check, qybe_check, sybe_check
+from qgw.rmatlab import catalog, hecke_check, qybe_check, sybe_check
 from qgw.scalars import ONE, Scalar, qvar, scalar_eval, sign_pow
 
 
@@ -238,7 +238,8 @@ def test_accept_11_engine_health():
                   for x, y in zip(rg, rw))
         for nm in ("ac", "omega"):
             R = catalog(nm)
-            legs = {pr: ev(_embed3(R, pr)) for pr in ((0, 1), (0, 2), (1, 2))}
+            legs = {pr: ev(smat.embed_pair(R.m, (R.n,) * 3, (R.p,) * 3, pr))
+                    for pr in ((0, 1), (0, 2), (1, 2))}
             mul = lambda a, b: [[sum(a[i][k] * b[k][j] for k in range(len(a)))
                                  for j in range(len(a))]
                                 for i in range(len(a))]

@@ -96,6 +96,18 @@ def test_malformed_user_rmatrix_is_an_error_row():
     assert results[-1]["residual"].startswith("ValueError: entry [-1, -1, 'q']")
 
 
+def test_user_rmatrix_entry_is_data_not_code(tmp_path):
+    target = tmp_path / "written"
+    data = json.loads(rmatrix_to_json(catalog("ac")))
+    data["entries"][0][2] = f"open({str(target)!r}, 'w').write('x') + q"
+    results, code = run_quiet(suite="sec2/qybe", extra_rmatrix=json.dumps(data))
+    assert code == 2
+    assert results[-1]["id"] == "user/rmatrix"
+    assert results[-1]["verdict"] == "error"
+    assert results[-1]["residual"].startswith("ValueError: unexpected 'open'")
+    assert not target.exists()
+
+
 def test_user_rmatrix_switches_field_to_qi(restore_field):
     # Every entry times i: both sides of the YBE are cubic in R, so it still
     # holds.  The suite runs over Q, then parsing the user R-matrix switches

@@ -60,7 +60,7 @@ def test_embed_leg():
     assert t.terms == {((), ("e",), ()): ONE}
 
 
-def test_embed_pair_positions():
+def test_embed_leg_positions():
     p = free_super()
     a = tens(p, {(("e",), ("f",)): ONE})
     t = embed_leg(a, (1, 3), 3)

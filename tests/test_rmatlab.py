@@ -171,7 +171,8 @@ def _ac_json(**change):
     {"entries": [[0, 16, "q"]]}, {"entries": [[0, 0]]}, {"entries": [[0, 0, 1]]},
     {"entries": [["0", 0, "q"]]}, {"entries": [[True, 0, "q"]]},
     {"entries": [[0.0, 0, "q"]]}, {"entries": None}, {"entries": {"0": "q"}},
-    {"n": 0}, {"n": -2}, {"n": 2.0}, {"n": "2"}, {"n": True}, {"n": None},
+    {"n": 0}, {"n": -2}, {"n": 9, "grading": None}, {"n": 10 ** 6},
+    {"n": 2.0}, {"n": "2"}, {"n": True}, {"n": None},
     {"grading": [0, 2]}, {"grading": [0]}, {"grading": [0, 1, 0]},
     {"grading": "01"}, {"grading": [0, False]},
 ], ids=repr)

@@ -61,6 +61,20 @@ def test_parse_render_roundtrip():
     assert parse(render(a)) == a
 
 
+@pytest.mark.parametrize("text", ['__import__("os").getpid() + q', "Q + 1", "1.5",
+                                  "q.conjugate()", "2q", "q^^2", "1/0", ""])
+def test_parse_rejects_text_outside_the_grammar(text):
+    with pytest.raises(ValueError):
+        parse(text)
+
+
+def test_parse_runs_no_code(tmp_path):
+    target = tmp_path / "written"
+    with pytest.raises(ValueError):
+        parse(f"open({str(target)!r}, 'w').write('x') + q")
+    assert not target.exists()
+
+
 def test_scalar_eval():
     q = qvar()
     a = (q - ONE / q) ** 2
@@ -121,6 +135,12 @@ def test_unit_shortcut_matches_field_product(a, b):
     assert (got.numer, got.denom) == (want.numer, want.denom)
     assert (a * b).f == want
     assert -(a * -ONE) == a and (-ONE) * b == -b
+
+
+@settings(deadline=None)
+@given(_scalars())
+def test_parse_render_roundtrip_on_strategy(a):
+    assert parse(render(a)) == a
 
 
 def _same(got, want):
