@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgw.ncalg import (STATS, Element, GeneratorSymbol, Presentation,
-                       compile_relations, overlap_check,
+                       StepCapExceeded, compile_relations, overlap_check,
                        presentation_from_json, presentation_to_json)
 from qgw.scalars import ONE, qvar
 
@@ -91,6 +91,31 @@ def test_overlap_check_catches_bad_system():
     p.add_rule(("a", "b"), {(): 2 * ONE})
     rep = overlap_check(p)
     assert not rep.ok
+
+
+def _xy(step_cap):
+    return Presentation([GeneratorSymbol("x"), GeneratorSymbol("y")], step_cap=step_cap)
+
+
+def test_non_terminating_systems_hit_the_step_cap():
+    """An unoriented cycle and a growing rule are refused, not recursed
+    into: rewriting ends in StepCapExceeded."""
+    cycle = _xy(1000)
+    cycle.add_rule(("x", "y"), {("y", "x"): ONE}, unoriented=True)
+    cycle.add_rule(("y", "x"), {("x", "y"): ONE}, unoriented=True)
+    growing = _xy(1000)
+    growing.add_rule(("x", "x"), {("x", "x", "x"): ONE}, unoriented=True)
+    for p, word in ((cycle, ("x", "y")), (growing, ("x", "x"))):
+        with pytest.raises(StepCapExceeded):
+            p.reduce_terms({word: ONE})
+
+
+def test_deep_reduction_needs_no_recursion():
+    """y^40 x^40 on the quantum plane is a chain of 1,600 rewrites."""
+    before = STATS["steps"]
+    nf = quantum_plane().reduce_terms({("y",) * 40 + ("x",) * 40: ONE})
+    assert nf == {("x",) * 40 + ("y",) * 40: qvar() ** 1600}
+    assert STATS["steps"] - before == 1600
 
 
 def test_steps_counter_moves():
