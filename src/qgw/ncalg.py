@@ -2,16 +2,25 @@
 
 A Presentation is an ordered list of generators plus oriented rewrite rules,
 each mapping a two-letter word to a linear combination of strictly smaller
-words.  Presentation.reduce_terms repeatedly applies the leftmost
-applicable rule until a fixed point; Elements store only normal-form words.
+words.  Presentation.reduce_terms rewrites the leftmost redex of a word
+until none is left; Elements store only normal-form words.
+
+Within one reduce_terms call the normal form nf(w) of each distinct word,
+with coefficient 1, is computed once, bottom-up on an explicit work stack
+(no recursion), and kept in a memo that is dropped when the call returns.
+Nothing is cached on the Presentation, so add_rule needs no invalidation
+and step counts do not depend on what ran before.  STATS["steps"] counts
+the rule applications actually performed: one per distinct reducible word
+in each call.
 
 The term order is weighted deg-lex: total generator weight, then length,
 then the index tuple.  Rules produced by compile_relations are always
 order-decreasing.  Rules adjoined for inverses of non-q-commuting generators
 (the d/a corrections in the 2x2 function algebras) may grow the word length;
-they are admitted with ``unoriented=True`` and termination for them is
-enforced empirically by the step cap and certified by the overlap/
-associativity battery.
+they are admitted with ``unoriented=True``.  Their termination is not
+proved: the step cap bounds the rule applications of each call, so a system
+that does not terminate ends in StepCapExceeded, and the overlap/
+associativity battery certifies confluence.
 """
 
 from __future__ import annotations
@@ -106,7 +115,9 @@ class Presentation:
         lhs = tuple(lhs)
         if len(lhs) != 2:
             raise ValueError(f"rule LHS must be a two-letter word, got {lhs}")
-        rhs = {tuple(w): Scalar(c) for w, c in rhs.items() if Scalar(c)}
+        # a coefficient equal to 1 is ONE itself, which rewriting skips multiplying by
+        rhs = {tuple(w): ONE if c == ONE else c for w, c in
+               ((w, Scalar(c)) for w, c in rhs.items()) if c}
         if not (unoriented or lhs in self.unoriented):
             key = self.order_key(lhs)
             for w in rhs:
@@ -144,40 +155,82 @@ class Presentation:
 
     # -- rewriting --------------------------------------------------------
     def reduce_terms(self, terms) -> dict:
-        """Rewrite a word->coeff map to its normal form."""
-        out: dict[tuple, Scalar] = {}
-        stack = [(tuple(w), Scalar(c)) for w, c in terms.items()]
+        """Rewrite a word->coeff map to its normal form.
+
+        The normal form nf(w) of each distinct word, with coefficient 1, is
+        computed once and kept in a memo local to this call; the result is
+        the sum of c * nf(w) over the input terms.
+        """
+        rules, cap = self.rules, self.step_cap
+        memo: dict[tuple, dict] = {}
         steps = 0
-        rules = self.rules
-        while stack:
-            word, coeff = stack.pop()
+        out: dict[tuple, Scalar] = {}
+        for word, coeff in reversed(list(terms.items())):
+            coeff, word = Scalar(coeff), tuple(word)
             if not coeff:
                 continue
-            hit = None
-            for i in range(len(word) - 1):
-                pair = word[i : i + 2]
-                if pair in rules:
-                    hit = i
-                    break
-            if hit is None:
-                acc = out.get(word)
-                s = coeff if acc is None else acc + coeff
-                if s:
-                    out[word] = s
-                elif acc is not None:
-                    del out[word]
-                continue
-            pre, post = word[:hit], word[hit + 2 :]
-            for w2, c2 in rules[word[hit : hit + 2]].items():
-                stack.append((pre + w2 + post, coeff * c2))
-            steps += 1
-            if steps > self.step_cap:
-                raise StepCapExceeded(f"rewriting exceeded {self.step_cap} steps in {self.name}")
+            # work stack: (w, scan start, None) asks for nf(w); (w, _, children)
+            # combines the children's normal forms once they are all known
+            todo = [(word, 0, None)]
+            while todo:
+                w, start, children = todo.pop()
+                if children is not None:
+                    memo[w] = _combine(memo, children)
+                    continue
+                if w in memo:
+                    continue
+                for hit in range(start, len(w) - 1):
+                    if w[hit : hit + 2] in rules:
+                        break
+                else:
+                    memo[w] = {w: ONE}
+                    continue
+                steps += 1
+                if steps > cap:
+                    raise StepCapExceeded(f"rewriting exceeded {cap} steps in {self.name}")
+                # the prefix is irreducible: the children's scans start at hit - 1
+                pre, post, start = w[:hit], w[hit + 2 :], max(hit - 1, 0)
+                children = [(pre + w2 + post, c2) for w2, c2 in rules[w[hit : hit + 2]].items()]
+                todo.append((w, start, children))
+                for u, _ in children:
+                    if u not in memo:
+                        todo.append((u, start, None))
+            _add_scaled(out, coeff, memo[word])
         STATS["steps"] += steps
         return out
 
     def __repr__(self):
         return f"Presentation({self.name or 'anon'}, {len(self.gens)} gens, {len(self.rules)} rules)"
+
+
+def _add_scaled(acc, c, nf):
+    """acc += c * nf, dropping words whose sum is zero.  The ONE of an
+    irreducible word's normal form or of a rule is not multiplied by."""
+    for w, cw in nf.items():
+        if cw is ONE:
+            cw = c
+        elif c is not ONE:
+            cw = c * cw
+        a = acc.get(w)
+        if a is None:
+            acc[w] = cw
+        else:
+            a = a + cw
+            if a:
+                acc[w] = a
+            else:
+                del acc[w]
+
+
+def _combine(memo, children):
+    """Sum of c * nf(u) over the (u, c) children, last child first as the
+    tree rewriting visited them."""
+    if len(children) == 1 and children[0][1] is ONE:
+        return memo[children[0][0]]
+    acc: dict[tuple, Scalar] = {}
+    for u, c in reversed(children):
+        _add_scaled(acc, c, memo[u])
+    return acc
 
 
 class Element:
@@ -422,14 +475,53 @@ def presentation_to_json(p: Presentation) -> str:
     return json.dumps(data, indent=1)
 
 
+_GENERATOR_KEYS = frozenset(("name", "degree", "nilpotent", "inverse", "weight"))
+
+
+def _json_generator(g) -> GeneratorSymbol:
+    if not (isinstance(g, dict) and isinstance(g.get("name"), str) and set(g) <= _GENERATOR_KEYS):
+        raise ValueError(f"generator {g!r} is not an object with a string name "
+                         f"and keys from {sorted(_GENERATOR_KEYS)}")
+    degree, weight = g.get("degree", 0), g.get("weight", 1)
+    nilpotent, inverse = g.get("nilpotent", False), g.get("inverse")
+    if type(degree) is not int or degree not in (0, 1):
+        raise ValueError(f"degree of {g['name']} must be 0 or 1, got {degree!r}")
+    if type(weight) is not int or weight < 1:
+        raise ValueError(f"weight of {g['name']} must be a positive integer, got {weight!r}")
+    if not isinstance(nilpotent, bool) or not (inverse is None or isinstance(inverse, str)):
+        raise ValueError(f"generator {g['name']}: nilpotent must be a boolean, inverse a name or null")
+    return GeneratorSymbol(g["name"], degree, nilpotent, inverse, weight)
+
+
+def _json_word(w, names) -> tuple:
+    if not (isinstance(w, list) and all(isinstance(x, str) and x in names for x in w)):
+        raise ValueError(f"word {w!r} is not a list of generator names")
+    return tuple(w)
+
+
+def _json_rule(r, names):
+    """(lhs, rhs, unoriented) of one rule object."""
+    if not (isinstance(r, dict) and isinstance(r.get("rhs"), list)
+            and isinstance(r.get("unoriented", False), bool)):
+        raise ValueError(f"rule {r!r} is not an object with lhs, an rhs list and a boolean unoriented")
+    rhs = {}
+    for t in r["rhs"]:
+        if not (isinstance(t, dict) and isinstance(t.get("coeff"), str)):
+            raise ValueError(f"rhs term {t!r} is not an object with a word and a string coeff")
+        rhs[_json_word(t.get("word"), names)] = parse(t["coeff"])
+    return _json_word(r.get("lhs"), names), rhs, r.get("unoriented", False)
+
+
 def presentation_from_json(text: str) -> Presentation:
+    """Read what :func:`presentation_to_json` writes; ValueError on malformed data."""
     data = json.loads(text)
-    gens = [GeneratorSymbol(**g) for g in data["generators"]]
-    pres = Presentation(gens, name=data.get("name", ""))
+    if not (isinstance(data, dict) and isinstance(data.get("generators"), list)
+            and isinstance(data.get("rules"), list) and isinstance(data.get("name", ""), str)):
+        raise ValueError("expected a JSON object with generators and rules lists and a string name")
+    pres = Presentation([_json_generator(g) for g in data["generators"]], name=data.get("name", ""))
     for r in data["rules"]:
-        lhs = tuple(r["lhs"])
-        if lhs in pres.rules and not r.get("unoriented"):
+        lhs, rhs, unoriented = _json_rule(r, pres.index)
+        if lhs in pres.rules and not unoriented:
             continue  # structural rule already present
-        rhs = {tuple(t["word"]): parse(t["coeff"]) for t in r["rhs"]}
-        pres.add_rule(lhs, rhs, unoriented=r.get("unoriented", False))
+        pres.add_rule(lhs, rhs, unoriented=unoriented)
     return pres
