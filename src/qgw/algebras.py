@@ -181,6 +181,8 @@ def fa_presentation(key: str, inverses: bool = True) -> Presentation:
     generators ai, di are adjoined (see adjoin_inverses for the induced
     rules).
     """
+    if inverses:
+        return adjoin_inverses(fa_presentation(key, inverses=False))
     p_ba, p_ca, r_db, r_dc, s, t, odd = _fa_coeffs(key)
     d = 1 if odd else 0
     gens = [
@@ -197,10 +199,7 @@ def fa_presentation(key: str, inverses: bool = True) -> Presentation:
         ({("c", "b"): ONE}, {("b", "c"): s}),
         ({("d", "a"): ONE}, {("a", "d"): ONE, ("b", "c"): t}),
     ]
-    pres = compile_relations(gens, rel, name=f"fa-{key}", sample_budget=60)
-    if inverses:
-        pres = adjoin_inverses(pres)
-    return pres
+    return compile_relations(gens, rel, name=f"fa-{key}", sample_budget=60)
 
 
 def adjoin_inverses(pres: Presentation) -> Presentation:
@@ -227,26 +226,17 @@ def adjoin_inverses(pres: Presentation) -> Presentation:
         GeneratorSymbol("di", inverse="d"),
         GeneratorSymbol("d", inverse="di"),
     ]
-    out = Presentation(gens, name=pres.name + "-inv", step_cap=pres.step_cap)
-    for lhs, rhs in rules.items():
-        if lhs in out.rules:
-            continue
-        out.add_rule(lhs, rhs)
-    out.add_rule(("b", "ai"), {("ai", "b"): ONE / p_ba})
-    out.add_rule(("c", "ai"), {("ai", "c"): ONE / p_ca})
-    out.add_rule(("di", "b"), {("b", "di"): ONE / r_db})
-    out.add_rule(("di", "c"), {("c", "di"): ONE / r_dc})
-    out.add_rule(("d", "ai"),
-                 {("ai", "d"): ONE, ("ai", "ai", "b", "c"): -t / (p_ba * p_ca)},
-                 unoriented=True)
-    out.add_rule(("di", "a"),
-                 {("a", "di"): ONE, ("b", "c", "di", "di"): -t / (r_db * r_dc)},
-                 unoriented=True)
-    out.add_rule(("di", "ai"),
-                 {("ai", "di"): ONE,
-                  ("ai", "ai", "b", "c", "di", "di"): t / (p_ba * p_ca * r_db * r_dc)},
-                 unoriented=True)
-    return out
+    return pres.derive(gens=gens, name=pres.name + "-inv", rules=[
+        (("b", "ai"), {("ai", "b"): ONE / p_ba}, False),
+        (("c", "ai"), {("ai", "c"): ONE / p_ca}, False),
+        (("di", "b"), {("b", "di"): ONE / r_db}, False),
+        (("di", "c"), {("c", "di"): ONE / r_dc}, False),
+        (("d", "ai"), {("ai", "d"): ONE, ("ai", "ai", "b", "c"): -t / (p_ba * p_ca)}, True),
+        (("di", "a"), {("a", "di"): ONE, ("b", "c", "di", "di"): -t / (r_db * r_dc)}, True),
+        (("di", "ai"), {("ai", "di"): ONE,
+                        ("ai", "ai", "b", "c", "di", "di"): t / (p_ba * p_ca * r_db * r_dc)},
+         True),
+    ])
 
 
 @lru_cache(maxsize=None)

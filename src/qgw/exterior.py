@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .ncalg import Element, GeneratorSymbol, Presentation, compile_relations
+from .algebras import fa_presentation
+from .ncalg import Element, GeneratorSymbol, compile_relations, tensor
 from .report import CheckReport
 from .rmatlab import RMatrix, hecke_check
 from .scalars import ONE, Scalar, qvar
@@ -232,41 +233,13 @@ def covariance_check(table: ActionTable) -> CheckReport:
 
 # -- matrix super-transformation -------------------------------------------
 
-def _gl_tensor_presentation(omega: ExteriorAlgebra) -> Presentation:
-    """The graded tensor algebra of the 2x2 super matrix quantum group
-    (alpha, beta, gamma, delta) with Omega_q(R): the two factors
-    super-commute."""
-    q = qvar()
-    gens = [GeneratorSymbol("al"),
-            GeneratorSymbol("be", degree=1, nilpotent=True),
-            GeneratorSymbol("ga", degree=1, nilpotent=True),
-            GeneratorSymbol("de")] + list(omega.pres.gens)
-    out = Presentation(gens, name=f"glo(1|1)x{omega.name}",
-                       step_cap=omega.pres.step_cap)
-    out.add_rule(("be", "al"), {("al", "be"): ONE})
-    out.add_rule(("ga", "al"), {("al", "ga"): q * q})
-    out.add_rule(("de", "be"), {("be", "de"): ONE})
-    out.add_rule(("de", "ga"), {("ga", "de"): ONE / (q * q)})
-    out.add_rule(("ga", "be"), {("be", "ga"): -q * q})
-    out.add_rule(("de", "al"), {("al", "de"): ONE, ("be", "ga"): ONE - q * q})
-    for lhs, rhs in omega.pres.rules.items():
-        if lhs in out.rules:
-            continue
-        out.add_rule(lhs, rhs)
-    for y in omega.pres.by_name:
-        dy = omega.pres.by_name[y].degree
-        for u in ("al", "be", "ga", "de"):
-            du = out.by_name[u].degree
-            sign = -ONE if (dy and du) else ONE
-            out.add_rule((y, u), {(u, y): sign})
-    return out
-
-
 def gl_coaction_check(omega: ExteriorAlgebra) -> CheckReport:
     """The primed generators x' = alpha x + beta dx, dx' = gamma x + delta dx
     satisfy the Omega_q(R) relations inside the graded tensor algebra."""
     rep = CheckReport(f"gl-coaction:{omega.name}")
-    pres = _gl_tensor_presentation(omega)
+    gl = fa_presentation("gl11omega", inverses=False).derive(
+        rename={"a": "al", "b": "be", "c": "ga", "d": "de"})
+    pres = tensor(gl, omega.pres, f"glo(1|1)x{omega.name}")
     q = qvar()
     n = omega.n
     xp = {i: pres.word("al", f"x{i}") + pres.word("be", f"dx{i}")

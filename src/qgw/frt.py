@@ -22,7 +22,7 @@ from . import smat
 from .algebras import fa_presentation, uq_presentation
 from .gtensor import BOSONIC, SUPER, TensorElement
 from .hopfcore import HopfData, coproduct, try_invert
-from .ncalg import Element, GeneratorSymbol, compile_relations
+from .ncalg import Element, GeneratorSymbol, compile_relations, tensor
 from .report import CheckReport
 from .rmatlab import RMatrix
 from .scalars import ONE, ZERO, Scalar, qvar
@@ -296,46 +296,28 @@ def qdet_check(h: HopfData) -> CheckReport:
 
 @lru_cache(maxsize=None)
 def _two_family_presentation(key: str):
-    """Two commuting copies of the 2x2 matrix algebra fa_presentation(key)."""
+    """Two super-commuting copies of the 2x2 matrix algebra fa_presentation(key)."""
     base = fa_presentation(key)
-    ren = [{g.name: g.name + tag for g in base.gens} for tag in ("1", "2")]
-    gens = []
-    for tag in range(2):
-        for g in base.gens:
-            gens.append(GeneratorSymbol(ren[tag][g.name], degree=g.degree,
-                                        nilpotent=g.nilpotent,
-                                        inverse=ren[tag][g.inverse] if g.inverse else None))
-    from .ncalg import Presentation
-    out = Presentation(gens, name=base.name + "-x2", step_cap=base.step_cap)
-    for (x, y), rhs in base.rules.items():
-        uno = (x, y) in base.unoriented
-        for tag in range(2):
-            lhs2 = (ren[tag][x], ren[tag][y])
-            if lhs2 in out.rules:
-                continue
-            out.add_rule(lhs2, {tuple(ren[tag][z] for z in w): c
-                                for w, c in rhs.items()}, unoriented=uno)
-    for g2 in base.gens:
-        for g1 in base.gens:
-            out.add_rule((ren[1][g2.name], ren[0][g1.name]),
-                         {(ren[0][g1.name], ren[1][g2.name]): ONE})
-    return out
+    t1, t2 = (base.derive(rename={g.name: g.name + tag for g in base.gens}) for tag in "12")
+    return tensor(t1, t2, base.name + "-x2")
 
 
 def qdet_multiplicative_check(key: str = "ac") -> CheckReport:
-    """D(t t') = D(t) D(t') for two commuting copies of the matrix algebra."""
+    """D(t t') = D(t) D(t') for two super-commuting copies of the matrix
+    algebra; t, t' and tt' carry the grading (0, 1) when b is odd."""
     pres = _two_family_presentation(key)
     rep = CheckReport(f"qdet-mult[{key}]")
+    grading = (0, 1) if pres.by_name["b1"].degree else None
 
     def fam(tag):
         return OperatorMatrix(pres, [[pres.gen("a" + tag), pres.gen("b" + tag)],
                                      [pres.gen("c" + tag), pres.gen("d" + tag)]],
-                              label="t" + tag)
+                              label="t" + tag, grading=grading)
 
     t1, t2 = fam("1"), fam("2")
     prod = OperatorMatrix(pres, [
         [sum((t1.entry(i, k) * t2.entry(k, j) for k in (1, 2)), pres.zero())
-         for j in (1, 2)] for i in (1, 2)], label="tt'")
+         for j in (1, 2)] for i in (1, 2)], label="tt'", grading=grading)
     rep.record(qdet(prod) == qdet(t1) * qdet(t2), ("multiplicative", key))
     return rep
 

@@ -15,14 +15,14 @@ algebra with a chosen index grading, is z2_extend.
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 from .gtensor import BOSONIC, SUPER, TensorElement, apply_to_leg, tensor_mul, unit
 from .ncalg import Element, GeneratorSymbol, Presentation, overlap_check
 from .report import CheckReport
 from .scalars import ONE, ZERO, Scalar
-
-import random
 
 
 class NoAntipode(Exception):
@@ -265,21 +265,6 @@ def g_degrees(pres: Presentation, g: str) -> dict:
     return degs
 
 
-def _regrade(pres: Presentation, degs) -> Presentation:
-    gens = [GeneratorSymbol(g.name, degree=degs[g.name], nilpotent=g.nilpotent,
-                            inverse=g.inverse, weight=g.weight) for g in pres.gens]
-    out = Presentation(gens, name=pres.name + "/super", step_cap=pres.step_cap,
-                       unoriented=pres.unoriented)
-    for lhs, rhs in pres.rules.items():
-        if lhs in out.rules and lhs not in pres.unoriented:
-            continue  # structural
-        try:
-            out.add_rule(lhs, rhs, unoriented=lhs in pres.unoriented)
-        except ValueError as exc:
-            raise ActionNotCompatible(str(exc)) from None
-    return out
-
-
 def superize(h: HopfData) -> HopfData:
     """Bosonic Hopf algebra with involution g -> super-Hopf algebra.
 
@@ -291,7 +276,11 @@ def superize(h: HopfData) -> HopfData:
     if h.mode != BOSONIC:
         raise ValueError("superize starts from a bosonic HopfData")
     degs = g_degrees(h.pres, h.g)
-    spres = _regrade(h.pres, degs)
+    try:
+        spres = h.pres.derive(gens=[replace(x, degree=degs[x.name]) for x in h.pres.gens],
+                              name=h.pres.name + "/super")
+    except ValueError as exc:
+        raise ActionNotCompatible(str(exc)) from None
     g = h.g
 
     delta, eps, spo = {}, {}, {} if h.antipode_map is not None else None
@@ -337,16 +326,10 @@ def z2_extend(h: HopfData, parity: dict, gname: str = "g") -> HopfData:
         inv = pres.by_name[x].inverse
         if inv is not None and parity[x] % 2 != parity[inv] % 2:
             raise ActionNotCompatible(f"parities of {x} and {inv} differ")
-    gens = [GeneratorSymbol(gname, inverse=gname)] + list(pres.gens)
-    out = Presentation(gens, name=pres.name + f"x{gname}", step_cap=pres.step_cap,
-                       unoriented=pres.unoriented)
-    for lhs, rhs in pres.rules.items():
-        if lhs in out.rules and lhs not in pres.unoriented:
-            continue
-        out.add_rule(lhs, rhs, unoriented=lhs in pres.unoriented)
-    for x in pres.by_name:
-        sign = -ONE if parity[x] % 2 else ONE
-        out.add_rule((x, gname), {(gname, x): sign})
+    out = pres.derive(gens=(GeneratorSymbol(gname, inverse=gname),) + pres.gens,
+                      rules=[((x, gname), {(gname, x): -ONE if parity[x] % 2 else ONE}, False)
+                             for x in pres.by_name],
+                      name=pres.name + f"x{gname}")
     chk = overlap_check(out)
     if not chk.ok:
         raise ActionNotCompatible(f"{out.name}: {chk.failures[:3]}")

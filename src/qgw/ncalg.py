@@ -21,13 +21,18 @@ they are admitted with ``unoriented=True``.  Their termination is not
 proved: the step cap bounds the rule applications of each call, so a system
 that does not terminate ends in StepCapExceeded, and the overlap/
 associativity battery certifies confluence.
+
+Presentation.derive builds a presentation from another: it renames or
+regrades the generators, adds generators and rules, and carries each rule's
+unoriented flag and the step cap.  tensor(p1, p2, name) is the graded tensor
+product, with the Koszul sign in its cross rules.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .scalars import ONE, ZERO, Scalar, parse, render
 
@@ -72,7 +77,7 @@ class GeneratorSymbol:
 class Presentation:
     """Ordered generators + compiled rewrite rules."""
 
-    def __init__(self, gens, rules=None, name="", step_cap=10**6, unoriented=()):
+    def __init__(self, gens, name="", step_cap=10**6):
         self.gens = tuple(gens)
         self.name = name
         self.step_cap = step_cap
@@ -80,7 +85,7 @@ class Presentation:
         if len(self.index) != len(self.gens):
             raise ValueError("duplicate generator names")
         self.by_name = {g.name: g for g in self.gens}
-        self.unoriented = frozenset(unoriented)
+        self.unoriented = frozenset()
         self.rules: dict[tuple, dict[tuple, Scalar]] = {}
         # structural rules first: inverse pairs and nilpotent squares
         for g in self.gens:
@@ -95,9 +100,8 @@ class Presentation:
                 self.rules[(g.name, partner.name)] = {(): ONE}
             if g.nilpotent:
                 self.rules[(g.name, g.name)] = {}
-        if rules:
-            for lhs, rhs in rules.items():
-                self.add_rule(lhs, rhs)
+        # these may be re-added unchanged, as derive does, but not changed
+        self._structural = frozenset(self.rules)
 
     # -- term order -------------------------------------------------------
     def order_key(self, word):
@@ -118,6 +122,8 @@ class Presentation:
         # a coefficient equal to 1 is ONE itself, which rewriting skips multiplying by
         rhs = {tuple(w): ONE if c == ONE else c for w, c in
                ((w, Scalar(c)) for w, c in rhs.items()) if c}
+        if lhs in self._structural and rhs != self.rules[lhs]:
+            raise ValueError(f"rule {lhs} contradicts an inverse-pair or nilpotent rule")
         if not (unoriented or lhs in self.unoriented):
             key = self.order_key(lhs)
             for w in rhs:
@@ -131,6 +137,27 @@ class Presentation:
             if self.degree(w) != d:
                 raise ValueError(f"rule {lhs} -> {w} changes Z2-degree")
         self.rules[lhs] = rhs
+
+    def derive(self, gens=None, rename=None, rules=(), name=None) -> "Presentation":
+        """A presentation on ``gens`` (default: these generators and their
+        inverse partners renamed by the name map ``rename``) with every rule
+        of this one carried through ``rename``, unoriented flags included,
+        and then the extra ``(lhs, rhs, unoriented)`` rules."""
+        rename = rename or {}
+
+        def ren(w):
+            return tuple(rename.get(x, x) for x in w)
+
+        if gens is None:
+            gens = [replace(g, name=rename.get(g.name, g.name),
+                            inverse=g.inverse and rename.get(g.inverse, g.inverse))
+                    for g in self.gens]
+        out = Presentation(gens, name=self.name if name is None else name, step_cap=self.step_cap)
+        for lhs, rhs in self.rules.items():
+            out.add_rule(ren(lhs), {ren(w): c for w, c in rhs.items()}, lhs in self.unoriented)
+        for lhs, rhs, unoriented in rules:
+            out.add_rule(lhs, rhs, unoriented)
+        return out
 
     # -- element constructors --------------------------------------------
     def element(self, terms) -> "Element":
@@ -201,6 +228,15 @@ class Presentation:
 
     def __repr__(self):
         return f"Presentation({self.name or 'anon'}, {len(self.gens)} gens, {len(self.rules)} rules)"
+
+
+def tensor(p1: Presentation, p2: Presentation, name: str) -> Presentation:
+    """Graded tensor product: both rule sets, and y u -> (-1)^{|y||u|} u y
+    for each generator y of p2 and u of p1."""
+    cross = [((y.name, u.name), {(u.name, y.name): -ONE if y.degree and u.degree else ONE}, False)
+             for y in p2.gens for u in p1.gens]
+    own = [(lhs, rhs, lhs in p2.unoriented) for lhs, rhs in p2.rules.items()]
+    return p1.derive(gens=p1.gens + p2.gens, rules=own + cross, name=name)
 
 
 def _add_scaled(acc, c, nf):
@@ -332,8 +368,7 @@ class Element:
 
 # -- relation compilation -------------------------------------------------
 
-def compile_relations(gens, relations, name="", step_cap=10**6, check_confluence=True,
-                      extra_rules=None, sample_budget=200, rng=None):
+def compile_relations(gens, relations, name="", sample_budget=200, rng=None):
     """Turn homogeneous quadratic relations into an oriented rewrite system.
 
     ``relations`` is a list of (lhs, rhs) pairs of Elements (over any
@@ -341,7 +376,7 @@ def compile_relations(gens, relations, name="", step_cap=10**6, check_confluence
     relation set is row-reduced over the word basis, pivoting on the
     order-leading word of each row; each reduced row becomes one rule.
     """
-    pres = Presentation(gens, name=name, step_cap=step_cap)
+    pres = Presentation(gens, name=name)
 
     def as_terms(x):
         if isinstance(x, Element):
@@ -393,14 +428,9 @@ def compile_relations(gens, relations, name="", step_cap=10**6, check_confluence
         rhs = {w: -c for w, c in row.items() if w != pivot}
         pres.add_rule(pivot, rhs)
 
-    if extra_rules:
-        for lhs, rhs, unoriented in extra_rules:
-            pres.add_rule(lhs, rhs, unoriented=unoriented)
-
-    if check_confluence:
-        rep = overlap_check(pres, sample_budget=sample_budget, rng=rng)
-        if not rep.ok:
-            raise ConfluenceFailure(f"{name}: {rep.failures[:3]}")
+    rep = overlap_check(pres, sample_budget=sample_budget, rng=rng)
+    if not rep.ok:
+        raise ConfluenceFailure(f"{name}: {rep.failures[:3]}")
     return pres
 
 
@@ -520,8 +550,5 @@ def presentation_from_json(text: str) -> Presentation:
         raise ValueError("expected a JSON object with generators and rules lists and a string name")
     pres = Presentation([_json_generator(g) for g in data["generators"]], name=data.get("name", ""))
     for r in data["rules"]:
-        lhs, rhs, unoriented = _json_rule(r, pres.index)
-        if lhs in pres.rules and not unoriented:
-            continue  # structural rule already present
-        pres.add_rule(lhs, rhs, unoriented=unoriented)
+        pres.add_rule(*_json_rule(r, pres.index))
     return pres

@@ -102,8 +102,11 @@ def test_qdet_not_central_bosonic():
     assert det * b + b * det == pres.zero()
 
 
-def test_qdet_multiplicative():
-    assert qdet_multiplicative_check("ac").ok
+@pytest.mark.parametrize("key", ["ac", "gl11", "omega", "gl11omega"])
+def test_qdet_multiplicative(key):
+    """The super keys need graded matrices over Koszul-commuting copies."""
+    rep = qdet_multiplicative_check(key)
+    assert rep.ok, rep.failures
 
 
 def test_matrix_image():

@@ -51,6 +51,17 @@ def test_superize_needs_g():
         superize(bare)
 
 
+def test_superize_refuses_an_odd_invertible_generator():
+    """g k g = -k makes the invertible k odd: the action is not compatible."""
+    pres = Presentation([GeneratorSymbol("g", inverse="g"), GeneratorSymbol("k", inverse="ki"),
+                         GeneratorSymbol("ki", inverse="k")])
+    pres.add_rule(("k", "g"), {("g", "k"): -ONE})
+    pres.add_rule(("ki", "g"), {("g", "ki"): -ONE})
+    h = HopfData(pres, *grouplike_data(pres, ["g", "k", "ki"]), mode=BOSONIC, g="g")
+    with pytest.raises(ActionNotCompatible):
+        superize(h)
+
+
 def test_superize_coproduct_picks_up_g():
     hs = superize(uq_hopf())
     assert hs.mode == SUPER

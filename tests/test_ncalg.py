@@ -8,7 +8,7 @@ from qgw import frt
 from qgw.algebras import fa_presentation, uq_presentation
 from qgw.ncalg import (STATS, Element, GeneratorSymbol, Presentation,
                        StepCapExceeded, compile_relations, overlap_check,
-                       presentation_from_json, presentation_to_json)
+                       presentation_from_json, presentation_to_json, tensor)
 from qgw.rmatlab import catalog
 from qgw.scalars import ONE, ZERO, qvar
 
@@ -136,6 +136,58 @@ def test_serialization_roundtrip():
     assert p2.word("y", "x") == p2.word("x", "y") * qvar()
 
 
+def _same_presentation(p, p2):
+    assert p2.gens == p.gens and p2.name == p.name
+    assert p2.rules == p.rules and p2.unoriented == p.unoriented
+
+
+def _renamed(p, tag):
+    return p.derive(rename={g.name: g.name + tag for g in p.gens})
+
+
+def test_serialization_roundtrip_keeps_unoriented_rules_and_tensor_products():
+    fa = fa_presentation("ac")
+    assert fa.unoriented
+    for p in (fa, tensor(_renamed(fa, "1"), _renamed(fa_presentation("gl11"), "2"), "x2")):
+        _same_presentation(p, presentation_from_json(presentation_to_json(p)))
+
+
+def test_tensor_sign_is_odd_times_odd():
+    def pair(tag):
+        return Presentation([GeneratorSymbol("e" + tag), GeneratorSymbol("o" + tag, degree=1)],
+                            name=tag)
+
+    p1, p2 = pair("1"), pair("2")
+    t = tensor(p1, p2, "t")
+    assert [g.name for g in t.gens] == ["e1", "o1", "e2", "o2"] and t.name == "t"
+    for y in p2.gens:
+        for u in p1.gens:
+            sign = -ONE if y.degree and u.degree else ONE
+            assert t.rules[(y.name, u.name)] == {(u.name, y.name): sign}
+            assert t.word(y.name, u.name) == t.monomial((u.name, y.name), sign)
+
+
+def test_derive_renames_inverse_partners():
+    p = Presentation([GeneratorSymbol("k", inverse="ki"), GeneratorSymbol("ki", inverse="k"),
+                      GeneratorSymbol("x", nilpotent=True)], name="p", step_cap=500)
+    d = p.derive(rename={"k": "K"})
+    assert [(g.name, g.inverse) for g in d.gens] == [("K", "ki"), ("ki", "K"), ("x", None)]
+    assert d.word("K", "ki") == d.one() == d.word("ki", "K")
+    assert not d.word("x", "x")
+    assert d.name == "p" and d.step_cap == 500
+
+
+def test_derive_keeps_unoriented_flags():
+    def prime(w):
+        return tuple(x + "'" for x in w)
+
+    p = fa_presentation("ac")
+    d = _renamed(p, "'")
+    assert d.unoriented == {prime(lhs) for lhs in p.unoriented}
+    assert d.rules == {prime(lhs): {prime(w): c for w, c in rhs.items()} for lhs, rhs in p.rules.items()}
+    assert tensor(p, d, "pd").unoriented == p.unoriented | d.unoriented
+
+
 def _qplane_json(**change):
     data = json.loads(presentation_to_json(quantum_plane()))
     data.update(change)
@@ -164,6 +216,12 @@ _RHS = [{"word": ["x", "y"], "coeff": "q"}]
     _qplane_json(rules=[{"lhs": ["y", "x"], "rhs": [{"word": ["x", "w"], "coeff": "q"}]}]),
     _qplane_json(rules=[{"lhs": ["y", "x"], "rhs": [{"word": ["x", "y"], "coeff": "q +"}]}]),
     _qplane_json(rules=[{"lhs": ["y", "x"], "rhs": _RHS, "unoriented": "yes"}]),
+    # a rule may not change an inverse-pair or nilpotent rule
+    _qplane_json(generators=[{"name": "x", "inverse": "y"}, {"name": "y", "inverse": "x"}],
+                 rules=[{"lhs": ["x", "y"], "rhs": [{"word": [], "coeff": "2"}]}]),
+    _qplane_json(generators=[{"name": "x", "nilpotent": True}, {"name": "y"}],
+                 rules=[{"lhs": ["x", "x"], "rhs": [{"word": ["y", "y"], "coeff": "1"}],
+                         "unoriented": True}]),
 ], ids=repr)
 def test_json_loader_rejects_malformed_input(text):
     with pytest.raises(ValueError):
