@@ -37,6 +37,30 @@ def test_hopf_axioms_uq():
     assert rep.ok, rep.failures[:3]
 
 
+def _altered(h, name, delta=None, counit=None, antipode=None):
+    """h with some generator images replaced."""
+    return HopfData(h.pres, {**h.delta, **(delta or {})}, {**h.counit_map, **(counit or {})},
+                    {**h.antipode_map, **(antipode or {})}, mode=h.mode, g=h.g, name=name)
+
+
+def test_hopf_axioms_reject_a_doubled_coproduct_coefficient():
+    h = uq_hopf()
+    pres = h.pres
+    bad = TensorElement(pres, 2, {(("Xp",), ("K1",)): 2 * ONE, (("K2i",), ("Xp",)): ONE}, BOSONIC)
+    assert not check_hopf_axioms(_altered(h, "bad-delta", delta={"Xp": bad})).ok
+
+
+def test_hopf_axioms_reject_an_antipode_of_the_wrong_sign():
+    h = uq_hopf()
+    rep = check_hopf_axioms(_altered(h, "bad-antipode", antipode={"Xp": -h.antipode_map["Xp"]}))
+    assert not rep.ok
+
+
+def test_hopf_axioms_reject_a_wrong_counit():
+    h = uq_hopf()
+    assert not check_hopf_axioms(_altered(h, "bad-counit", counit={"Xp": ONE})).ok
+
+
 def test_g_degrees():
     degs = g_degrees(uq_presentation(), "g")
     assert degs["Xp"] == 1 and degs["Xm"] == 1
