@@ -63,7 +63,7 @@ def _uq_presentation(graded: bool) -> Presentation:
     rel.append(({("Xm", "Xp"): ONE},
                 {("Xp", "Xm"): ONE, ("K1", "K2"): -c, ("K1i", "K2i"): c}))
     name = "uq-super" if graded else "uq"
-    return compile_relations(gens, rel, name=name, sample_budget=60)
+    return compile_relations(gens, rel, name=name)
 
 
 def _tens(pres, terms, mode):
@@ -199,7 +199,7 @@ def fa_presentation(key: str, inverses: bool = True) -> Presentation:
         ({("c", "b"): ONE}, {("b", "c"): s}),
         ({("d", "a"): ONE}, {("a", "d"): ONE, ("b", "c"): t}),
     ]
-    return compile_relations(gens, rel, name=f"fa-{key}", sample_budget=60)
+    return compile_relations(gens, rel, name=f"fa-{key}")
 
 
 def adjoin_inverses(pres: Presentation) -> Presentation:
@@ -208,9 +208,9 @@ def adjoin_inverses(pres: Presentation) -> Presentation:
     The q-commutation rules for the inverses follow by conjugating the
     defining ones; the three rules involving both d-side and a-side
     inverses pick up nilpotent correction terms that grow word length, so
-    they are flagged unoriented (termination is empirical, certified by the
-    overlap battery: every correction carries a bc factor and bc squares
-    to zero).
+    they are flagged unoriented.  No weighted deg-lex order orients them, so
+    their termination rests on the step cap (every correction carries a bc
+    factor and bc squares to zero), and so does the overlap check.
     """
     rules = pres.rules
     p_ba = rules[("b", "a")][("a", "b")]

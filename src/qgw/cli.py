@@ -76,8 +76,8 @@ def _ctx_labels(ctx, default):
 # -- section 2 -------------------------------------------------------------
 
 def _chk_hopf_axioms(ctx):
-    rep = check_hopf_axioms(algebras.uq_hopf(), rng=ctx["rng"])
-    rep.merge(check_hopf_axioms(algebras.uqgl11_hopf(), rng=ctx["rng"]))
+    rep = check_hopf_axioms(algebras.uq_hopf())
+    rep.merge(check_hopf_axioms(algebras.uqgl11_hopf()))
     return rep
 
 
@@ -285,8 +285,8 @@ def _chk_super_twisting(ctx):
 
 
 def _chk_omega_hopf(ctx):
-    rep = check_hopf_axioms(algebras.uq_omega_hopf(), rng=ctx["rng"])
-    rep.merge(check_hopf_axioms(algebras.uqgl11_omega_hopf(), rng=ctx["rng"]))
+    rep = check_hopf_axioms(algebras.uq_omega_hopf())
+    rep.merge(check_hopf_axioms(algebras.uqgl11_omega_hopf()))
     return rep
 
 
@@ -323,21 +323,21 @@ def _catalog_presentations():
     yield frt.build_ar(catalog("ac"))
 
 
-def _chk_overlaps(ctx):
-    rep = CheckReport("overlaps")
+def _engine_report(name, probes=0, rng=None):
+    """overlap_check, with that many random probes, on each catalog presentation."""
+    rep = CheckReport(name)
     for pres in _catalog_presentations():
-        r = overlap_check(pres)
+        r = overlap_check(pres, sample_budget=probes, rng=rng)
         rep.record(r.ok, (pres.name, r.failures[:2]))
     return rep
+
+
+def _chk_overlaps(ctx):
+    return _engine_report("overlaps")
 
 
 def _chk_associativity(ctx):
-    rep = CheckReport("associativity")
-    probes = ctx.get("probes", 60)
-    for pres in _catalog_presentations():
-        r = overlap_check(pres, sample_budget=probes, rng=ctx["rng"])
-        rep.record(r.ok, (pres.name, r.failures[:2]))
-    return rep
+    return _engine_report("associativity", 60, ctx["rng"])
 
 
 def _num_mat(m, qc):

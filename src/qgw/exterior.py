@@ -63,8 +63,7 @@ class ExteriorAlgebra:
             rel.append(({(f"x{i}", f"x{j}"): ONE}, xx))
             rel.append(({(f"dx{i}", f"x{j}"): ONE}, dxx))
             rel.append(({(f"dx{i}", f"dx{j}"): ONE}, dxdx))
-        self.pres = compile_relations(gens, rel, name=self.name,
-                                      sample_budget=40)
+        self.pres = compile_relations(gens, rel, name=self.name)
         self._check_differential()
 
     def x(self, i) -> Element:

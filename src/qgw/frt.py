@@ -146,12 +146,13 @@ def frt_relation_check(R: RMatrix, L1: OperatorMatrix, L2: OperatorMatrix = None
 
 # -- the quadratic function algebra ---------------------------------------
 
-def build_ar(R: RMatrix, names=None, name="", sample_budget=60):
+def build_ar(R: RMatrix, names=None, name="", sample_budget=0):
     """Compile the matrix bialgebra A(R) as a rewrite presentation.
 
     Generators are row-major t<i><j> (or the given name grid) with degrees
     p(i)+p(j) from R's grading; relations come from R t1 t2 = t2 t1 R with
-    the graded sign factors when R is super.
+    the graded sign factors when R is super.  sample_budget is ignored: the
+    overlap check of compile_relations proves confluence without probes.
     """
     n = R.n
     p = R.p
@@ -165,7 +166,7 @@ def build_ar(R: RMatrix, names=None, name="", sample_budget=60):
             for i in range(1, n + 1) for j in range(1, n + 1)]
     rel = [(row, {}) for row in _function_rows(R, gname)]
     label = name or (f"ar-{R.name}" if R.name else "ar")
-    return compile_relations(gens, rel, name=label, sample_budget=sample_budget)
+    return compile_relations(gens, rel, name=label)
 
 
 def ar_hopf(R: RMatrix, names=None, name="") -> HopfData:

@@ -13,14 +13,16 @@ and step counts do not depend on what ran before.  STATS["steps"] counts
 the rule applications actually performed: one per distinct reducible word
 in each call.
 
-The term order is weighted deg-lex: total generator weight, then length,
-then the index tuple.  Rules produced by compile_relations are always
-order-decreasing.  Rules adjoined for inverses of non-q-commuting generators
-(the d/a corrections in the 2x2 function algebras) may grow the word length;
-they are admitted with ``unoriented=True``.  Their termination is not
-proved: the step cap bounds the rule applications of each call, so a system
-that does not terminate ends in StepCapExceeded, and the overlap/
-associativity battery certifies confluence.
+The term order is weighted deg-lex (total weight, every weight at least 1,
+then length, then the index tuple), a monomial order: add_rule makes every
+rule decrease in it, so rewriting terminates.  Left-hand sides have two
+letters, so by Bergman's diamond lemma (Adv. Math. 29, 1978) the exhaustive
+3-letter overlap_check is a complete confluence test.  Rules adjoined for
+inverses of non-q-commuting generators (the d/a corrections in the 2x2
+function algebras) may grow the word length and are admitted with
+``unoriented=True``; their termination is not proved but bounded by the
+step cap (StepCapExceeded), so overlap_check proves confluence only up to
+that cap.
 
 Presentation.derive builds a presentation from another: it renames or
 regrades the generators, adds generators and rules, and carries each rule's
@@ -72,6 +74,8 @@ class GeneratorSymbol:
     def __post_init__(self):
         if self.nilpotent and self.inverse is not None:
             raise ValueError(f"nilpotent generator {self.name} cannot be invertible")
+        if self.weight < 1:
+            raise ValueError(f"weight of {self.name} must be at least 1, got {self.weight}")
 
 
 class Presentation:
@@ -368,13 +372,14 @@ class Element:
 
 # -- relation compilation -------------------------------------------------
 
-def compile_relations(gens, relations, name="", sample_budget=200, rng=None):
+def compile_relations(gens, relations, name=""):
     """Turn homogeneous quadratic relations into an oriented rewrite system.
 
     ``relations`` is a list of (lhs, rhs) pairs of Elements (over any
     presentation on the same generators) or raw word->coeff dicts.  The
     relation set is row-reduced over the word basis, pivoting on the
     order-leading word of each row; each reduced row becomes one rule.
+    ConfluenceFailure when overlap_check finds an unresolved overlap.
     """
     pres = Presentation(gens, name=name)
 
@@ -428,7 +433,7 @@ def compile_relations(gens, relations, name="", sample_budget=200, rng=None):
         rhs = {w: -c for w, c in row.items() if w != pivot}
         pres.add_rule(pivot, rhs)
 
-    rep = overlap_check(pres, sample_budget=sample_budget, rng=rng)
+    rep = overlap_check(pres)
     if not rep.ok:
         raise ConfluenceFailure(f"{name}: {rep.failures[:3]}")
     return pres
@@ -449,7 +454,8 @@ class OverlapReport:
 
 
 def overlap_check(p: Presentation, sample_budget: int = 0, rng=None) -> OverlapReport:
-    """Exhaustive 3-letter overlap resolution plus random associativity probes."""
+    """Exhaustive 3-letter overlap resolution (a confluence proof when every
+    rule is oriented), plus sample_budget random associativity probes."""
     rep = OverlapReport(presentation=p.name)
     rules = p.rules
     for (x, y) in rules:
@@ -457,12 +463,8 @@ def overlap_check(p: Presentation, sample_budget: int = 0, rng=None) -> OverlapR
             if y2 != y:
                 continue
             rep.overlaps_checked += 1
-            left = {}
-            for w, c in rules[(x, y)].items():
-                left[w + (z,)] = left.get(w + (z,), ZERO) + c
-            right = {}
-            for w, c in rules[(y, z)].items():
-                right[(x,) + w] = right.get((x,) + w, ZERO) + c
+            left = {w + (z,): c for w, c in rules[(x, y)].items()}
+            right = {(x,) + w: c for w, c in rules[(y, z)].items()}
             try:
                 if p.reduce_terms(left) != p.reduce_terms(right):
                     rep.failures.append(("overlap", (x, y, z)))
@@ -472,11 +474,8 @@ def overlap_check(p: Presentation, sample_budget: int = 0, rng=None) -> OverlapR
         rng = rng or random.Random(0)
         names = [g.name for g in p.gens]
         def rand_elem():
-            t = {}
-            for _ in range(rng.randint(1, 3)):
-                w = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
-                t[w] = Scalar(rng.randint(-3, 3))
-            return Element(p, t)
+            return Element(p, {tuple(rng.choice(names) for _ in range(rng.randint(0, 4))):
+                               Scalar(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))})
         for _ in range(sample_budget):
             a, b, c = rand_elem(), rand_elem(), rand_elem()
             rep.probes += 1

@@ -7,6 +7,7 @@ from qgw.frt import (NoInverses, OperatorMatrix, ansatz, antipode_matrix,
                      duality_pairing_check, frt_relation_check, matrix_image,
                      matrix_coproduct_check, pairing_matrices, qdet,
                      qdet_check, qdet_multiplicative_check)
+from qgw.hopfcore import check_hopf_axioms
 from qgw.rmatlab import catalog
 from qgw.scalars import ONE, qvar
 
@@ -138,3 +139,11 @@ def test_ar_hopf_bialgebra():
     d = coproduct(h.pres.gen("t11"), h)
     assert d.terms == {(("t11",), ("t11",)): ONE, (("t12",), ("t21",)): ONE}
     assert h.antipode_map is None
+
+
+@pytest.mark.parametrize("key", ["glnm", "super_glnm"])
+@pytest.mark.parametrize("n, m", [(2, 1), (1, 2), (2, 2)])
+def test_ar_hopf_bialgebra_axioms_on_gl_n_m(key, n, m):
+    """Section 4: A(R) of gl(n|m), plain and graded, is a bialgebra."""
+    rep = check_hopf_axioms(ar_hopf(catalog(key, n, m)))
+    assert rep.ok, rep.failures[:3]

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from qgw import frt
 from qgw.algebras import fa_presentation, uq_presentation
-from qgw.ncalg import (STATS, Element, GeneratorSymbol, Presentation,
-                       StepCapExceeded, compile_relations, overlap_check,
+from qgw.ncalg import (STATS, ConfluenceFailure, Element, GeneratorSymbol,
+                       Presentation, StepCapExceeded, compile_relations, overlap_check,
                        presentation_from_json, presentation_to_json, tensor)
 from qgw.rmatlab import catalog
 from qgw.scalars import ONE, ZERO, qvar
@@ -21,8 +21,9 @@ def quantum_plane():
     """yx = q xy, the simplest interesting rewrite system."""
     q = qvar()
     gens = [GeneratorSymbol("x"), GeneratorSymbol("y")]
-    return compile_relations(gens, [({("y", "x"): ONE}, {("x", "y"): q})],
-                             name="qplane", sample_budget=20)
+    p = compile_relations(gens, [({("y", "x"): ONE}, {("x", "y"): q})], name="qplane")
+    assert overlap_check(p, sample_budget=20).ok
+    return p
 
 
 def test_normal_form_ordering():
@@ -95,6 +96,23 @@ def test_overlap_check_catches_bad_system():
     p.add_rule(("a", "b"), {(): 2 * ONE})
     rep = overlap_check(p)
     assert not rep.ok
+
+
+def test_compile_relations_refuses_a_non_confluent_system():
+    """yx = q xy, zx = xz, zy = yz + xx: the overlap zyx reduces to
+    q xyz + xxx one way and q xyz + q xxx the other."""
+    q = qvar()
+    gens = [GeneratorSymbol("x"), GeneratorSymbol("y"), GeneratorSymbol("z")]
+    with pytest.raises(ConfluenceFailure, match="zyx|'z', 'y', 'x'"):
+        compile_relations(gens, [({("y", "x"): ONE}, {("x", "y"): q}),
+                                 ({("z", "x"): ONE}, {("x", "z"): ONE}),
+                                 ({("z", "y"): ONE}, {("y", "z"): ONE, ("x", "x"): ONE})])
+
+
+@pytest.mark.parametrize("weight", [0, -1])
+def test_generator_weight_must_be_positive(weight):
+    with pytest.raises(ValueError, match="weight"):
+        GeneratorSymbol("x", weight=weight)
 
 
 def _xy(step_cap):
@@ -274,7 +292,7 @@ def rewriting_presentation(key):
         return fa_presentation("ac")
     if key == "uq-graded":
         return uq_presentation(graded=True)
-    return frt.build_ar(catalog("glnm", 2, 1), sample_budget=0)
+    return frt.build_ar(catalog("glnm", 2, 1))
 
 
 @pytest.mark.parametrize("key", ["fa-ac-inv", "uq-graded", "ar-gl(2|1)"])
