@@ -186,8 +186,8 @@ def check_hopf_axioms(h: HopfData) -> CheckReport:
     antipode laws on generators.
 
     Complete, without sampling.  Once Delta, eps and S respect every rule,
-    they are well defined.  In super mode Delta(x) and S(x) have degree |x| and
-    eps(x) = 0 for odd x, so both sides of coassociativity and of each
+    they are well defined.  In super mode Delta(x) and S(x) have degree |x|
+    and eps(x) = 0 for odd x, so both sides of coassociativity and of each
     counit law are algebra maps: agreeing on generators, they agree
     everywhere.  As S is antimultiplicative, the elements satisfying each
     antipode law form a subalgebra (Majid, Foundations of Quantum Group
@@ -221,11 +221,11 @@ def check_hopf_axioms(h: HopfData) -> CheckReport:
                 rep.record(h.antipode_map[x].degree() in (None, gsym.degree),
                            ("antipode-parity", w))
         rep.record(apply_to_leg(d, 0, delta, 1) == apply_to_leg(d, 1, delta, 1), ("coassoc", w))
-        unit = pres.one() * h.counit_map[x]
+        eta_eps = pres.one() * h.counit_map[x]
         for leg, side in ((0, "left"), (1, "right")):
             rep.record(_eps_leg(h, d, leg) == e, (f"counit-{side}", w))
             if h.antipode_map is not None:
-                rep.record(_mul_legs(h, apply_to_leg(d, leg, s1, 0)) == unit,
+                rep.record(_mul_legs(h, apply_to_leg(d, leg, s1, 0)) == eta_eps,
                            (f"antipode-{side}", w))
 
     if h.g is not None:

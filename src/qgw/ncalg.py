@@ -474,8 +474,11 @@ def overlap_check(p: Presentation, sample_budget: int = 0, rng=None) -> OverlapR
         rng = rng or random.Random(0)
         names = [g.name for g in p.gens]
         def rand_elem():
-            return Element(p, {tuple(rng.choice(names) for _ in range(rng.randint(0, 4))):
-                               Scalar(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))})
+            t = {}
+            for _ in range(rng.randint(1, 3)):
+                w = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
+                t[w] = Scalar(rng.randint(-3, 3))
+            return Element(p, t)
         for _ in range(sample_budget):
             a, b, c = rand_elem(), rand_elem(), rand_elem()
             rep.probes += 1
