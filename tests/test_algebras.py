@@ -129,3 +129,15 @@ def test_theta_map_images():
     assert th["a"] == aRbar.pres.gen("a")
     assert th["b"] == aRbar.pres.word("b", "g")
     assert th["g"] == aRbar.pres.gen("g")
+
+
+def test_theta_rejects_a_twist_that_is_not_an_algebra_map():
+    # x -> x g^col(x) between the wrong pair of algebras: the q-commutations
+    # of d with a, b and c do not map to relations of the target
+    col = {"a": 0, "b": 1, "c": 0, "d": 1, "ai": 0, "di": 1, "g": 0}
+    for src, tgt in (("ac", "gl11omega"), ("omega", "gl11")):
+        aR = superize(fa_z2_hopf(src))
+        aRbar = fa_z2_hopf(tgt)
+        rep = theta_iso_check(aR, aRbar, theta_map(aR.pres, aRbar, col))
+        bad = {f[1] for f in rep.failures if f[0] == "relation"}
+        assert {("d", "a"), ("d", "b"), ("d", "c")} <= bad, (src, tgt, rep.failures)
