@@ -19,10 +19,11 @@ in the graded tensor algebra.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 from .algebras import fa_presentation
-from .ncalg import Element, GeneratorSymbol, compile_relations, tensor
+from .ncalg import Element, GeneratorSymbol, compile_relations, linear, rule_residuals, tensor
 from .report import CheckReport
 from .rmatlab import RMatrix, hecke_check
 from .scalars import ONE, Scalar, qvar
@@ -74,11 +75,8 @@ class ExteriorAlgebra:
 
     def _check_differential(self):
         """d must send every rewrite rule to zero, making it well defined."""
-        for lhs, rhs in self.pres.rules.items():
-            img = self._d_word(lhs)
-            for w, c in rhs.items():
-                img = img - self._d_word(w) * c
-            if img:
+        for lhs, res in rule_residuals(self.pres, self._d_word, self.pres.zero()):
+            if res:
                 raise ValueError(f"differential not defined on rule {lhs}")
 
     def _d_word(self, w) -> Element:
@@ -97,10 +95,7 @@ class ExteriorAlgebra:
         """The exterior derivative, by the graded Leibniz rule."""
         if e.pres is not self.pres:
             raise ValueError("element not over this exterior algebra")
-        out = self.pres.zero()
-        for w, c in e.terms.items():
-            out = out + self._d_word(w) * c
-        return out
+        return linear(self._d_word, e.terms, self.pres.zero())
 
     def __repr__(self):
         return f"ExteriorAlgebra({self.name}, n={self.n})"
@@ -208,11 +203,7 @@ def act(e: Element, actor, table: ActionTable) -> Element:
         raise UnknownActor(actor)
     if e.pres is not table.omega.pres:
         raise ValueError("element not over this action's exterior algebra")
-    entry = table.entries[actor]
-    out = table.omega.pres.zero()
-    for w, c in e.terms.items():
-        out = out + _act_word(table, entry, w) * c
-    return out
+    return linear(partial(_act_word, table, table.entries[actor]), e.terms, e.pres.zero())
 
 
 def covariance_check(table: ActionTable) -> CheckReport:
@@ -221,12 +212,8 @@ def covariance_check(table: ActionTable) -> CheckReport:
     rep = CheckReport(f"covariance:{table.omega.name}:{table.tag}")
     pres = table.omega.pres
     for actor, entry in table.entries.items():
-        for lhs, rhs in pres.rules.items():
-            li = _act_word(table, entry, lhs)
-            ri = pres.zero()
-            for w, c in rhs.items():
-                ri = ri + _act_word(table, entry, w) * c
-            rep.record(li == ri, (actor, lhs))
+        for lhs, res in rule_residuals(pres, partial(_act_word, table, entry), pres.zero()):
+            rep.record(not res, (actor, lhs))
     return rep
 
 

@@ -20,7 +20,7 @@ from itertools import product
 
 from . import smat
 from .algebras import fa_presentation, uq_presentation
-from .gtensor import BOSONIC, SUPER, TensorElement
+from .gtensor import BOSONIC, SUPER, TensorElement, outer, zero
 from .hopfcore import HopfData, coproduct, try_invert
 from .ncalg import Element, GeneratorSymbol, compile_relations, tensor
 from .report import CheckReport
@@ -195,13 +195,8 @@ def matrix_coproduct_check(L: OperatorMatrix, h: HopfData) -> CheckReport:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             lhs = coproduct(L.entry(i, j), h)
-            rhs = TensorElement(h.pres, 2, {}, h.mode)
-            for k in range(1, n + 1):
-                a, b = L.entry(i, k), L.entry(k, j)
-                rhs = rhs + TensorElement(
-                    h.pres, 2,
-                    {(wa, wb): ca * cb for wa, ca in a.terms.items()
-                     for wb, cb in b.terms.items()}, h.mode)
+            rhs = sum((outer(L.entry(i, k), L.entry(k, j), h.mode) for k in range(1, n + 1)),
+                      zero(h.pres, 2, h.mode))
             rep.record(lhs == rhs, ((i, j), str(lhs - rhs)))
     return rep
 
@@ -256,10 +251,7 @@ def qdet(t: OperatorMatrix) -> Element:
 
 
 def _grouplike(h: HopfData, e: Element) -> bool:
-    want = TensorElement(h.pres, 2,
-                         {(w1, w2): c1 * c2 for w1, c1 in e.terms.items()
-                          for w2, c2 in e.terms.items()}, h.mode)
-    return coproduct(e, h) == want
+    return coproduct(e, h) == outer(e, e, h.mode)
 
 
 def qdet_check(h: HopfData) -> CheckReport:
@@ -324,18 +316,6 @@ def qdet_multiplicative_check(key: str = "ac") -> CheckReport:
 
 
 # -- duality pairing -------------------------------------------------------
-
-def matrix_image(e: Element, images: dict) -> list:
-    """Evaluate an element in a matrix representation given on generators."""
-    n = len(next(iter(images.values())))
-    out = smat.zeros(n)
-    for w, c in e.terms.items():
-        m = smat.eye(n)
-        for x in w:
-            m = smat.mmul(m, images[x])
-        out = smat.madd(out, smat.smul(c, m))
-    return out
-
 
 def pairing_matrices(R: RMatrix, signed=True):
     """Canonical duality pairing: the n x n scalar matrices of l+/l- entries.

@@ -162,6 +162,13 @@ def zero(pres, arity, mode=BOSONIC) -> TensorElement:
     return TensorElement(pres, arity, {}, mode, normalize=False)
 
 
+def outer(a: Element, b: Element, mode=BOSONIC) -> TensorElement:
+    """a (x) b of two Elements over one presentation."""
+    a._check(b)
+    return TensorElement(a.pres, 2, {(u, v): cu * cv for u, cu in a.terms.items()
+                                     for v, cv in b.terms.items()}, mode, normalize=False)
+
+
 def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
     s._check(t)
     pres, k, mode = s.pres, s.arity, s.mode

@@ -19,8 +19,9 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
-from .gtensor import BOSONIC, SUPER, TensorElement, apply_to_leg, tensor_mul, unit
-from .ncalg import Element, GeneratorSymbol, Presentation, overlap_check
+from .gtensor import BOSONIC, SUPER, TensorElement, apply_to_leg, outer, tensor_mul, unit, zero
+from .ncalg import (Element, GeneratorSymbol, Presentation, linear, multiplicative,
+                    overlap_check, rule_residuals)
 from .report import CheckReport
 from .scalars import ONE, ZERO, Scalar
 
@@ -72,16 +73,6 @@ class HopfData:
         if g is not None and g not in pres.index:
             raise KeyError(f"group-like {g} is not a generator")
 
-    # convenience wrappers
-    def coproduct(self, e):
-        return coproduct(e, self)
-
-    def counit(self, e):
-        return counit(e, self)
-
-    def antipode(self, e):
-        return antipode(e, self)
-
     def __repr__(self):
         return f"HopfData({self.name}, mode={self.mode})"
 
@@ -106,38 +97,26 @@ def grouplike_data(pres, names, mode=BOSONIC):
 
 # -- multiplicative / antimultiplicative extension -------------------------
 
-def _delta_word(h: HopfData, word) -> TensorElement:
-    out = unit(h.pres, 2, h.mode)
-    for x in word:
-        out = tensor_mul(out, h.delta[x])
-    return out
+def _delta_map(h: HopfData):
+    return multiplicative(h.delta, unit(h.pres, 2, h.mode))
+
+
+def _eps_map(h: HopfData):
+    return multiplicative(h.counit_map, ONE)
+
+
+def _terms(e: Element, h: HopfData) -> dict:
+    if e.pres is not h.pres:
+        raise ValueError("element not over this Hopf algebra")
+    return e.terms
 
 
 def coproduct(e: Element, h: HopfData) -> TensorElement:
-    if e.pres is not h.pres:
-        raise ValueError("element not over this Hopf algebra")
-    out = TensorElement(h.pres, 2, {}, h.mode, normalize=False)
-    for w, c in e.terms.items():
-        out = out + _delta_word(h, w) * c
-    return out
-
-
-def _eps_word(h: HopfData, word) -> Scalar:
-    c = ONE
-    for x in word:
-        c = c * h.counit_map[x]
-        if not c:
-            return ZERO
-    return c
+    return linear(_delta_map(h), _terms(e, h), zero(h.pres, 2, h.mode))
 
 
 def counit(e: Element, h: HopfData) -> Scalar:
-    if e.pres is not h.pres:
-        raise ValueError("element not over this Hopf algebra")
-    c = ZERO
-    for w, cw in e.terms.items():
-        c = c + cw * _eps_word(h, w)
-    return c
+    return linear(_eps_map(h), _terms(e, h), ZERO)
 
 
 def _s_word(h: HopfData, word) -> Element:
@@ -155,30 +134,20 @@ def _s_word(h: HopfData, word) -> Element:
 
 
 def antipode(e: Element, h: HopfData) -> Element:
-    if e.pres is not h.pres:
-        raise ValueError("element not over this Hopf algebra")
-    out = h.pres.zero()
-    for w, c in e.terms.items():
-        out = out + _s_word(h, w) * c
-    return out
+    return linear(partial(_s_word, h), _terms(e, h), h.pres.zero())
 
 
 # -- axiom checking --------------------------------------------------------
 
 def _mul_legs(h: HopfData, t: TensorElement) -> Element:
     """Multiplication map on the tensor square (no sign: it is m, not m o tau)."""
-    out = h.pres.zero()
-    for (w1, w2), c in t.terms.items():
-        out = out + h.pres.monomial(w1 + w2, c)
-    return out
+    return linear(lambda legs: h.pres.monomial(legs[0] + legs[1]), t.terms, h.pres.zero())
 
 
 def _eps_leg(h: HopfData, t: TensorElement, leg: int) -> Element:
-    out = h.pres.zero()
-    for legs, c in t.terms.items():
-        other = legs[1 - leg]
-        out = out + h.pres.monomial(other, c * _eps_word(h, legs[leg]))
-    return out
+    eps = _eps_map(h)
+    return linear(lambda legs: h.pres.monomial(legs[1 - leg], eps(legs[leg])), t.terms,
+                  h.pres.zero())
 
 
 def check_hopf_axioms(h: HopfData) -> CheckReport:
@@ -195,20 +164,16 @@ def check_hopf_axioms(h: HopfData) -> CheckReport:
     """
     rep = CheckReport(f"hopf-axioms:{h.name}")
     pres = h.pres
-
-    def image(f, rhs, zero):
-        return sum((f(h, w) * c for w, c in rhs.items()), zero)
+    delta, s1 = _delta_map(h), partial(_s1, h)
 
     # structure maps must descend through every rewrite rule
-    zero2 = TensorElement(pres, 2, {}, h.mode, normalize=False)
-    for lhs, rhs in pres.rules.items():
-        rep.record(_delta_word(h, lhs) == image(_delta_word, rhs, zero2), ("delta-rule", lhs))
-        rep.record(_eps_word(h, lhs) == image(_eps_word, rhs, ZERO), ("eps-rule", lhs))
-        if h.antipode_map is not None:
-            rep.record(_s_word(h, lhs) == image(_s_word, rhs, pres.zero()),
-                       ("antipode-rule", lhs))
+    maps = [("delta-rule", delta, zero(pres, 2, h.mode)), ("eps-rule", _eps_map(h), ZERO)]
+    if h.antipode_map is not None:
+        maps.append(("antipode-rule", partial(_s_word, h), pres.zero()))
+    for tag, f, z in maps:
+        for lhs, res in rule_residuals(pres, f, z):
+            rep.record(not res, (tag, lhs))
 
-    delta, s1 = partial(_delta_word, h), partial(_s1, h)
     for gsym in pres.gens:
         x, w = gsym.name, (gsym.name,)
         e = pres.gen(x)
@@ -347,52 +312,29 @@ def z2_extend(h: HopfData, parity: dict, gname: str = "g") -> HopfData:
 
 # -- isomorphism checking --------------------------------------------------
 
-def hom_image(e: Element, images: dict, target: Presentation) -> Element:
-    """Extend a generator map multiplicatively (no signs) and apply it."""
-    out = target.zero()
-    for w, c in e.terms.items():
-        m = target.one()
-        for x in w:
-            m = m * images[x]
-        out = out + m * c
-    return out
-
-
 def theta_iso_check(aR: HopfData, aRbar: HopfData, theta: dict) -> CheckReport:
     """Verify a generator map theta as a coalgebra-respecting algebra map.
 
     theta sends generator names of aR to Elements of aRbar.  Checks that
-    every defining rule of aR maps to zero and that
+    theta respects every defining rule of aR and that
     (theta (x) theta) o coproduct = coproduct o theta on all generators.
     """
     rep = CheckReport(f"theta:{aR.name}->{aRbar.name}")
     src, tgt = aR.pres, aRbar.pres
-    for lhs, rhs in src.rules.items():
-        li = hom_image(src.monomial(lhs), theta, tgt)
-        ri = tgt.zero()
-        for w, c in rhs.items():
-            ri = ri + hom_image(src.monomial(w), theta, tgt) * c
-        rep.record(li == ri, ("relation", lhs))
+    fwd = multiplicative(theta, tgt.one())
+    for lhs, res in rule_residuals(src, fwd, tgt.zero()):
+        rep.record(not res, ("relation", lhs))
     for x in src.by_name:
-        lhs_t = _push_tensor(coproduct(src.gen(x), aR), theta, aRbar)
-        rhs_t = coproduct(hom_image(src.gen(x), theta, tgt), aRbar)
-        rep.record(lhs_t == rhs_t, ("intertwine", x))
+        lhs_t = _push_tensor(coproduct(src.gen(x), aR), fwd, aRbar)
+        rep.record(lhs_t == coproduct(theta[x], aRbar), ("intertwine", x))
     return rep
 
 
-def _push_tensor(t: TensorElement, theta, target_h: HopfData) -> TensorElement:
-    tgt = target_h.pres
-    out = TensorElement(tgt, 2, {}, target_h.mode, normalize=False)
-    for (w1, w2), c in t.terms.items():
-        e1 = hom_image(t.pres.monomial(w1), theta, tgt)
-        e2 = hom_image(t.pres.monomial(w2), theta, tgt)
-        pair = tensor_mul(
-            TensorElement(tgt, 2, {(u, ()): cc for u, cc in e1.terms.items()},
-                          target_h.mode, normalize=False),
-            TensorElement(tgt, 2, {((), v): cc for v, cc in e2.terms.items()},
-                          target_h.mode, normalize=False))
-        out = out + pair * c
-    return out
+def _push_tensor(t: TensorElement, f, target_h: HopfData) -> TensorElement:
+    """(f (x) f)(t) for a word map f into the algebra of target_h."""
+    def legs_map(legs):
+        return outer(f(legs[0]), f(legs[1]), target_h.mode)
+    return linear(legs_map, t.terms, zero(target_h.pres, 2, target_h.mode))
 
 
 # -- centrality ------------------------------------------------------------

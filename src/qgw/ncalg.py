@@ -28,6 +28,11 @@ Presentation.derive builds a presentation from another: it renames or
 regrades the generators, adds generators and rules, and carries each rule's
 unoriented flag and the step cap.  tensor(p1, p2, name) is the graded tensor
 product, with the Koszul sign in its cross rules.
+
+A map given on generators extends to words by multiplicative(images, one)
+and to combinations by linear(word_map, terms, zero); rule_residuals(pres,
+word_map, zero) applies it to both sides of every rule, the left-hand-side
+word unreduced, and the map is well defined exactly when all are zero.
 """
 
 from __future__ import annotations
@@ -368,6 +373,37 @@ class Element:
 
     def __repr__(self):
         return f"Element[{self}]"
+
+
+# -- maps given on generators --------------------------------------------
+
+def multiplicative(images, one):
+    """The word map w -> one * images[w0] * images[w1] * ..., folded left to
+    right; a zero product ends the fold."""
+    def word_map(word):
+        out = one
+        for x in word:
+            out = out * images[x]
+            if not out:
+                break
+        return out
+    return word_map
+
+
+def linear(word_map, terms, zero):
+    """The sum of word_map(w) * c over the (w, c) items of ``terms``."""
+    out = zero
+    for w, c in terms.items():
+        out = out + word_map(w) * c
+    return out
+
+
+def rule_residuals(pres: Presentation, word_map, zero):
+    """(lhs, word_map(lhs) - linear(word_map, rhs, zero)) for each rule of
+    ``pres``.  The map sees the left-hand-side word itself, never its normal
+    form, so zero residuals prove that it respects the rule."""
+    for lhs, rhs in pres.rules.items():
+        yield lhs, word_map(lhs) - linear(word_map, rhs, zero)
 
 
 # -- relation compilation -------------------------------------------------

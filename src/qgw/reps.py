@@ -438,17 +438,11 @@ def tensor_decompose(lab1=None, lab2=None):
                              gsign=-lab1.gsign * lab2.gsign)
     h = uq_hopf()
     pres = h.pres
-    r1, r2 = Rep(lab1), Rep(lab2)
+    ev1, ev2 = (_Ev(r.dim, r.h1, r.h2, r.p, r.evaluate) for r in (Rep(lab1), Rep(lab2)))
     t1, t2 = Rep(out1), Rep(out2)
 
     def big(x):
-        t = coproduct(x, h)
-        out = smat.zeros(4)
-        for (w1, w2), c in t.terms.items():
-            out = smat.madd(out, smat.smul(
-                c, smat.kron(r1.evaluate(pres.monomial(w1)),
-                             r2.evaluate(pres.monomial(w2)))))
-        return out
+        return _tensor_image(coproduct(x, h), ev1, ev2, h)
 
     def blk(x):
         a, b = t1.evaluate(x), t2.evaluate(x)

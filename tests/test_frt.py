@@ -1,10 +1,9 @@
 import pytest
 
-from qgw import smat
-from qgw.algebras import fa_hopf, fa_presentation, uq_presentation
+from qgw.algebras import fa_hopf, fa_presentation
 from qgw.frt import (NoInverses, OperatorMatrix, ansatz, antipode_matrix,
                      antipode_matrix_check, ar_hopf, build_ar,
-                     duality_pairing_check, frt_relation_check, matrix_image,
+                     duality_pairing_check, frt_relation_check,
                      matrix_coproduct_check, pairing_matrices, qdet,
                      qdet_check, qdet_multiplicative_check)
 from qgw.hopfcore import check_hopf_axioms
@@ -108,14 +107,6 @@ def test_qdet_multiplicative(key):
     """The super keys need graded matrices over Koszul-commuting copies."""
     rep = qdet_multiplicative_check(key)
     assert rep.ok, rep.failures
-
-
-def test_matrix_image():
-    pres = uq_presentation()
-    q = qvar()
-    images = {"K1": [[q, 0], [0, ONE]], "K2": [[ONE, 0], [0, -q]]}
-    img = matrix_image(pres.word("K1", "K2"), images)
-    assert smat.meq(img, [[q, 0], [0, -q]])
 
 
 def test_duality_pairing():
