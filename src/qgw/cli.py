@@ -209,11 +209,14 @@ def _chk_glnm_ybe(ctx):
     return rep
 
 
+def _theta_iso(aR, aRbar, col):
+    return theta_iso_check(aR, aRbar, algebras.theta_map(aR.pres, aRbar, col),
+                           algebras.theta_map(aRbar.pres, aR, col))
+
+
 def _theta_2x2(src_key, tgt_key):
-    aR = superize(algebras.fa_z2_hopf(src_key))
-    aRbar = algebras.fa_z2_hopf(tgt_key)
     col = {"a": 0, "b": 1, "c": 0, "d": 1, "ai": 0, "di": 1, "g": 0}
-    return theta_iso_check(aR, aRbar, algebras.theta_map(aR.pres, aRbar, col))
+    return _theta_iso(superize(algebras.fa_z2_hopf(src_key)), algebras.fa_z2_hopf(tgt_key), col)
 
 
 def _chk_theta(ctx):
@@ -226,8 +229,7 @@ def _chk_theta(ctx):
     col["g"] = 0
     aR = superize(z2_extend(frt.ar_hopf(catalog("glnm", 2, 1)), parity))
     aRbar = z2_extend(frt.ar_hopf(catalog("super_glnm", 2, 1)), parity)
-    rep.merge(theta_iso_check(aR, aRbar,
-                              algebras.theta_map(aR.pres, aRbar, col)))
+    rep.merge(_theta_iso(aR, aRbar, col))
     return rep
 
 

@@ -312,19 +312,35 @@ def z2_extend(h: HopfData, parity: dict, gname: str = "g") -> HopfData:
 
 # -- isomorphism checking --------------------------------------------------
 
-def theta_iso_check(aR: HopfData, aRbar: HopfData, theta: dict) -> CheckReport:
-    """Verify a generator map theta as a coalgebra-respecting algebra map.
+def theta_iso_check(aR: HopfData, aRbar: HopfData, theta: dict, theta_inv: dict) -> CheckReport:
+    """Verify that the generator map theta is a bialgebra isomorphism
+    aR -> aRbar with inverse theta_inv.
 
-    theta sends generator names of aR to Elements of aRbar.  Checks that
-    theta respects every defining rule of aR and that
-    (theta (x) theta) o coproduct = coproduct o theta on all generators.
+    theta sends generator names of aR to Elements of aRbar, theta_inv the
+    names of aRbar to Elements of aR; both extend multiplicatively.  Checks:
+    each map respects every defining rule of its source (relation,
+    inverse-relation), so both are algebra maps; both composites fix every
+    generator (inverse-left, inverse-right), so the maps are mutually
+    inverse; theta(x) has the degree of x (parity); and
+    (theta (x) theta) o coproduct = coproduct o theta on generators
+    (intertwine).  Both sides of the last are algebra maps, as theta is
+    even, so it holds everywhere, and for a bijective theta it implies that
+    theta preserves the counit.
     """
     rep = CheckReport(f"theta:{aR.name}->{aRbar.name}")
     src, tgt = aR.pres, aRbar.pres
-    fwd = multiplicative(theta, tgt.one())
-    for lhs, res in rule_residuals(src, fwd, tgt.zero()):
-        rep.record(not res, ("relation", lhs))
-    for x in src.by_name:
+    fwd, back = multiplicative(theta, tgt.one()), multiplicative(theta_inv, src.one())
+    for tag, pres, f, z in (("relation", src, fwd, tgt.zero()),
+                            ("inverse-relation", tgt, back, src.zero())):
+        for lhs, res in rule_residuals(pres, f, z):
+            rep.record(not res, (tag, lhs))
+    for tag, gens, f, images, z in (("inverse-left", src, back, theta, src.zero()),
+                                    ("inverse-right", tgt, fwd, theta_inv, tgt.zero())):
+        for x in gens.by_name:
+            rep.record(linear(f, images[x].terms, z) == gens.gen(x), (tag, x))
+    for gsym in src.gens:
+        x = gsym.name
+        rep.record(theta[x].degree() in (None, gsym.degree), ("parity", x))
         lhs_t = _push_tensor(coproduct(src.gen(x), aR), fwd, aRbar)
         rep.record(lhs_t == coproduct(theta[x], aRbar), ("intertwine", x))
     return rep

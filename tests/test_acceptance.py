@@ -144,7 +144,8 @@ def test_accept_7_matrix_superization_iso():
     for src, tgt in (("ac", "gl11"), ("omega", "gl11omega")):
         aR = superize(fa_z2_hopf(src))
         aRbar = fa_z2_hopf(tgt)
-        rep = theta_iso_check(aR, aRbar, theta_map(aR.pres, aRbar, col2))
+        rep = theta_iso_check(aR, aRbar, theta_map(aR.pres, aRbar, col2),
+                              theta_map(aRbar.pres, aR, col2))
         if not rep.ok:
             ok, detail = False, f"{src}: {rep.failures[0]}"
     p = (0, 0, 1)
@@ -154,7 +155,8 @@ def test_accept_7_matrix_superization_iso():
     col3["g"] = 0
     aR = superize(z2_extend(ar_hopf(catalog("glnm", 2, 1)), parity))
     aRbar = z2_extend(ar_hopf(catalog("super_glnm", 2, 1)), parity)
-    rep = theta_iso_check(aR, aRbar, theta_map(aR.pres, aRbar, col3))
+    rep = theta_iso_check(aR, aRbar, theta_map(aR.pres, aRbar, col3),
+                          theta_map(aRbar.pres, aR, col3))
     if not rep.ok:
         ok, detail = False, f"gl(2|1): {rep.failures[0]}"
     _verdict("matrix-superization-iso", ok, detail)

@@ -112,14 +112,42 @@ def test_fa_matrix_coproduct():
     assert d.terms == {(("a",), ("a",)): ONE, (("b",), ("c",)): ONE}
 
 
+COL = {"a": 0, "b": 1, "c": 0, "d": 1, "ai": 0, "di": 1, "g": 0}
+
+
+def _theta_pair(src, tgt):
+    """superize(fa_z2_hopf(src)), fa_z2_hopf(tgt), and the twist x -> x g^COL(x)
+    in both directions."""
+    aR, aRbar = superize(fa_z2_hopf(src)), fa_z2_hopf(tgt)
+    return aR, aRbar, theta_map(aR.pres, aRbar, COL), theta_map(aRbar.pres, aR, COL)
+
+
 def test_theta_isomorphism_rank_two():
-    col = {"a": 0, "b": 1, "c": 0, "d": 1, "ai": 0, "di": 1, "g": 0}
     for src, tgt in (("ac", "gl11"), ("omega", "gl11omega")):
-        aR = superize(fa_z2_hopf(src))
-        aRbar = fa_z2_hopf(tgt)
-        th = theta_map(aR.pres, aRbar, col)
-        rep = theta_iso_check(aR, aRbar, th)
+        rep = theta_iso_check(*_theta_pair(src, tgt))
         assert rep.ok, (src, rep.failures[:3])
+        assert rep.checked == 80
+
+
+def test_theta_rejects_the_counit_map():
+    # x -> eps(x) 1 respects every rule and the coproduct, but is no isomorphism
+    aR, aRbar, _, theta_inv = _theta_pair("ac", "gl11")
+    eta_eps = {x: aRbar.pres.one() * aR.counit_map[x] for x in aR.pres.by_name}
+    rep = theta_iso_check(aR, aRbar, eta_eps, theta_inv)
+    assert {f[0] for f in rep.failures} == {"inverse-left", "inverse-right"}
+    assert ("inverse-left", "a") in rep.failures
+
+
+def test_theta_rejects_a_map_that_is_not_injective():
+    aR, aRbar, theta, theta_inv = _theta_pair("ac", "gl11")
+    rep = theta_iso_check(aR, aRbar, {**theta, "b": aRbar.pres.zero()}, theta_inv)
+    assert ("inverse-left", "b") in rep.failures
+
+
+def test_theta_rejects_an_odd_image_of_an_even_generator():
+    aR, aRbar, theta, theta_inv = _theta_pair("ac", "gl11")
+    rep = theta_iso_check(aR, aRbar, {**theta, "a": theta["a"] + theta["b"]}, theta_inv)
+    assert ("parity", "a") in rep.failures
 
 
 def test_theta_map_images():
@@ -134,10 +162,7 @@ def test_theta_map_images():
 def test_theta_rejects_a_twist_that_is_not_an_algebra_map():
     # x -> x g^col(x) between the wrong pair of algebras: the q-commutations
     # of d with a, b and c do not map to relations of the target
-    col = {"a": 0, "b": 1, "c": 0, "d": 1, "ai": 0, "di": 1, "g": 0}
     for src, tgt in (("ac", "gl11omega"), ("omega", "gl11")):
-        aR = superize(fa_z2_hopf(src))
-        aRbar = fa_z2_hopf(tgt)
-        rep = theta_iso_check(aR, aRbar, theta_map(aR.pres, aRbar, col))
+        rep = theta_iso_check(*_theta_pair(src, tgt))
         bad = {f[1] for f in rep.failures if f[0] == "relation"}
         assert {("d", "a"), ("d", "b"), ("d", "c")} <= bad, (src, tgt, rep.failures)
