@@ -582,11 +582,17 @@ def _json_rule(r, names):
 
 def presentation_from_json(text: str) -> Presentation:
     """Read what :func:`presentation_to_json` writes; ValueError on malformed data."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not (isinstance(data, dict) and isinstance(data.get("generators"), list)
             and isinstance(data.get("rules"), list) and isinstance(data.get("name", ""), str)):
         raise ValueError("expected a JSON object with generators and rules lists and a string name")
     pres = Presentation([_json_generator(g) for g in data["generators"]], name=data.get("name", ""))
     for r in data["rules"]:
-        pres.add_rule(*_json_rule(r, pres.index))
+        try:
+            pres.add_rule(*_json_rule(r, pres.index))
+        except NonTerminatingOrder as exc:
+            raise ValueError(str(exc)) from None
     return pres

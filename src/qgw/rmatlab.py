@@ -238,7 +238,10 @@ def _is_index(x, size):
 
 def rmatrix_from_json(text: str) -> RMatrix:
     """Read what :func:`rmatrix_to_json` writes; ValueError on malformed data."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     n, grading, entries = data.get("n"), data.get("grading"), data.get("entries")
@@ -256,4 +259,7 @@ def rmatrix_from_json(text: str) -> RMatrix:
             raise ValueError(f"entry {e!r} is not [row, column, expression] "
                              f"with 0 <= row, column < {n * n}")
         ent[e[0]][e[1]] = parse(e[2])
-    return RMatrix(n, ent, grading=grading, name=data.get("name", ""))
+    try:
+        return RMatrix(n, ent, grading=grading, name=data.get("name", ""))
+    except smat.Singular:
+        raise ValueError("the R-matrix is not invertible") from None
