@@ -40,6 +40,7 @@ class CheckDescriptor:
     anchor: str
     fn: object
     expected: str = "pass"  # or "fail-of-property"
+    error_anchor: str = ""  # the anchor of an error row, when not ``anchor``
 
 
 # -- small helpers ---------------------------------------------------------
@@ -499,56 +500,51 @@ def list_checks(filter_text="") -> str:
     return "\n".join(lines)
 
 
+def _user_rmatrix(text) -> CheckDescriptor:
+    """The check of a user R-matrix, given as the text of its JSON file."""
+    def check(ctx):
+        R = rmatlab.rmatrix_from_json(text)
+        return _bool_report("user-rmatrix", [(qybe_check(R), "braid relation has a nonzero residual")])
+    return CheckDescriptor("user/rmatrix", "user", "user-supplied R-matrix satisfies the (graded) YBE",
+                           check, error_anchor="user-supplied R-matrix")
+
+
+def _row(c: CheckDescriptor, ctx) -> dict:
+    """Run one check: its verdict, time, rewrite steps and first failure."""
+    t0 = time.perf_counter()
+    s0 = STATS["steps"]
+    residual = None
+    try:
+        rep = c.fn(ctx)
+        verdict = "pass" if rep.ok else "fail"
+        if rep.failures:
+            residual = str(rep.failures[0])
+    except Exception as exc:  # engine error: report, keep going
+        verdict = "error"
+        residual = f"{type(exc).__name__}: {exc}"
+    row = {"id": c.id, "anchor": verdict == "error" and c.error_anchor or c.anchor,
+           "verdict": verdict, "millis": int(1000 * (time.perf_counter() - t0)),
+           "steps": STATS["steps"] - s0}
+    if residual is not None:
+        row["residual"] = residual
+    return row
+
+
 def run(suite="all", format="text", seed=0, q_spotcheck=None, labels=None,
         extra_rmatrix=None, out=None):
-    """Execute a suite; returns (results, exit_code)."""
+    """Execute a suite, then the user R-matrix if given; returns (results, exit_code)."""
     descs = sorted(_resolve(suite), key=lambda c: c.id)
+    if extra_rmatrix is not None:
+        descs.append(_user_rmatrix(extra_rmatrix))
     results = []
     code = 0
     for c in descs:
-        ctx = {"rng": random.Random(seed), "q_spot": q_spotcheck,
-               "labels": labels}
-        t0 = time.perf_counter()
-        s0 = STATS["steps"]
-        residual = None
-        try:
-            rep = c.fn(ctx)
-            verdict = "pass" if rep.ok else "fail"
-            if rep.failures:
-                residual = str(rep.failures[0])
-        except Exception as exc:  # engine error: report, keep going
-            verdict = "error"
-            residual = f"{type(exc).__name__}: {exc}"
-        row = {"id": c.id, "anchor": c.anchor, "verdict": verdict,
-               "millis": int(1000 * (time.perf_counter() - t0)),
-               "steps": STATS["steps"] - s0}
-        if residual is not None:
-            row["residual"] = residual
+        row = _row(c, {"rng": random.Random(seed), "q_spot": q_spotcheck, "labels": labels})
         results.append(row)
-        if verdict == "error":
+        if row["verdict"] == "error":
             code = 2
-        elif code != 2:
-            ok = (verdict == "pass") == (c.expected == "pass")
-            if not ok:
-                code = 1
-    if extra_rmatrix is not None:
-        t0 = time.perf_counter()
-        try:
-            R = rmatlab.rmatrix_from_json(extra_rmatrix)
-            ok = qybe_check(R)
-            verdict = "pass" if ok else "fail"
-            row = {"id": "user/rmatrix", "anchor": "user-supplied R-matrix "
-                   "satisfies the (graded) YBE", "verdict": verdict,
-                   "millis": int(1000 * (time.perf_counter() - t0)), "steps": 0}
-            if not ok:
-                row["residual"] = "braid relation has a nonzero residual"
-                code = max(code, 1)
-        except Exception as exc:
-            row = {"id": "user/rmatrix", "anchor": "user-supplied R-matrix",
-                   "verdict": "error", "residual": f"{type(exc).__name__}: {exc}",
-                   "millis": int(1000 * (time.perf_counter() - t0)), "steps": 0}
-            code = 2
-        results.append(row)
+        elif code != 2 and (row["verdict"] == "pass") != (c.expected == "pass"):
+            code = 1
     text = _render(results, format)
     print(text, file=out or sys.stdout)
     return results, code
