@@ -522,9 +522,9 @@ def _row(c: CheckDescriptor, ctx) -> dict:
     except Exception as exc:  # engine error: report, keep going
         verdict = "error"
         residual = f"{type(exc).__name__}: {exc}"
-    row = {"id": c.id, "anchor": verdict == "error" and c.error_anchor or c.anchor,
-           "verdict": verdict, "millis": int(1000 * (time.perf_counter() - t0)),
-           "steps": STATS["steps"] - s0}
+    anchor = c.error_anchor if verdict == "error" and c.error_anchor else c.anchor
+    row = {"id": c.id, "anchor": anchor, "verdict": verdict,
+           "millis": int(1000 * (time.perf_counter() - t0)), "steps": STATS["steps"] - s0}
     if residual is not None:
         row["residual"] = residual
     return row
