@@ -144,7 +144,7 @@ def test_theta_rejects_a_map_that_is_not_injective():
     assert ("inverse-left", "b") in rep.failures
 
 
-def test_theta_rejects_an_odd_image_of_an_even_generator():
+def test_theta_rejects_an_image_of_the_wrong_parity():
     aR, aRbar, theta, theta_inv = _theta_pair("ac", "gl11")
     rep = theta_iso_check(aR, aRbar, {**theta, "a": theta["a"] + theta["b"]}, theta_inv)
     assert ("parity", "a") in rep.failures
