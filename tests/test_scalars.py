@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.fields import FracElement
 from sympy.polys.rings import PolyElement
 
 from qgw import scalars
@@ -89,6 +95,47 @@ def test_scalar_eval_pole():
         scalar_eval(ONE / (q - ONE), {"q": 1.0})
 
 
+def _sympy_eval(a, point):
+    sub = {sympy.Symbol(n): sympy.Float(v.real, 30) + sympy.I * sympy.Float(v.imag, 30)
+           for n, v in point.items()}
+    return complex(sympy.N(a.as_expr().subs(sub), 30))
+
+
+_POINT = {"q": 0.7 + 0.2j, "lam1": -1.1 + 0.3j, "lam2": 0.4 - 0.9j, "mu1": 1.3j, "mu2": 2.0}
+
+
+@settings(deadline=None)
+@given(st.deferred(lambda: _scalars()))
+def test_scalar_eval_matches_sympy(a):
+    want = _sympy_eval(a, _POINT)
+    assert abs(scalar_eval(a, _POINT) - want) <= 1e-12 * abs(want)
+
+
+def test_scalar_eval_matches_sympy_over_qi(restore_field):
+    i, q, l1 = imag_unit(), qvar(), indet("lam1")
+    for a in (i, i * q + l1, q - i / (2 * q), ONE / (q * q - i), (q * q - 1) / q ** 3):
+        want = _sympy_eval(a, _POINT)
+        assert abs(scalar_eval(a, _POINT) - want) <= 1e-12 * abs(want)
+
+
+_HOSTILE = ["9^9^9", "((2^100)^1000)^1000", "((2^10)^1000)^1000", "1" + "0" * 200,
+            "(q+lam1+lam2+mu1+mu2)^30", "(q+lam1+lam2+mu1+mu2)^12*(q+lam1+lam2+mu1+mu2)^12",
+            "(" * 1000 + "q" + ")" * 1000, "-" * 1000 + "q", "q^(1/2)", "2^q"]
+
+
+def test_parse_refuses_huge_work_in_time():
+    # a subprocess with a timeout, so that a regression fails instead of hanging
+    code = ("import sys\nfrom qgw.scalars import parse\n"
+            "for t in sys.argv[1:]:\n"
+            "    try:\n        parse(t)\n    except ValueError:\n        print('ValueError')\n"
+            "    else:\n        print('parsed')\n")
+    src = str(Path(scalars.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, *_HOSTILE], env=env, timeout=60,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["ValueError"] * len(_HOSTILE)
+
+
 def test_coercions():
     assert Scalar(3) + 2 == Scalar(5)
     assert 2 * qvar() == qvar() + qvar()
@@ -127,14 +174,77 @@ def _scalars():
     return st.sampled_from([ZERO, ONE, -ONE]) | const | laurent | general
 
 
+def _want_pow(f, k):
+    """f**k in sympy's field, canonical: / normalises the unit that a
+    negative power of sympy's fraction keeps."""
+    if k == 0:
+        return f.field.one  # 0**0 is 1, as for int and Fraction
+    return f ** k if k > 0 else f.field.one / f ** -k
+
+
+def _native_value(x):
+    """Whether x is a Laurent polynomial over Q, read off sympy's fraction."""
+    f = x.f
+    rational = f.field.domain is QQ or not any(c.y for c in f.numer.values())
+    return len(f.denom) == 1 and rational
+
+
 @settings(deadline=None)
-@given(_scalars(), _scalars())
-def test_unit_shortcut_matches_field_product(a, b):
-    fa, fb = scalars._lift(a), scalars._lift(b)
-    got, want = scalars._mul(fa, fb), fa * fb
-    assert (got.numer, got.denom) == (want.numer, want.denom)
-    assert (a * b).f == want
-    assert -(a * -ONE) == a and (-ONE) * b == -b
+@given(_scalars(), _scalars(), st.integers(-3, 3))
+def test_arithmetic_matches_field(a, b, k):
+    fa, fb = a.f, b.f
+    _same((a + b).f, fa + fb)
+    _same((a - b).f, fa - fb)
+    _same((a * b).f, fa * fb)
+    if b:
+        _same((a / b).f, fa / fb)
+    if a or k >= 0:
+        _same((a ** k).f, _want_pow(fa, k))
+    assert a * ONE == a and -(a * -ONE) == a and (-ONE) * b == -b
+
+
+@settings(deadline=None)
+@given(_scalars(), _scalars(), st.sampled_from([-1, 1, 2]))
+def test_one_representation_per_value(a, b, d):
+    q = qvar()
+    g = q * q + d  # a multi-term divisor: sympy does the division
+    for x in (a, b, a + b, a * b, (a * g) / g, (a * g + b * g) / g,
+              a / (b * g + 1) if b * g + 1 else a):
+        assert (x._d is not None) == _native_value(x)
+    back = (a * g) / g
+    assert back == a and hash(back) == hash(a) and back._d == a._d
+
+
+def _values_for_hash():
+    q, l1 = qvar(), indet("lam1")
+    g = q * q - 1
+    return [ZERO, ONE, -ONE, Scalar(Fraction(1, 2)), q + 1, q ** -2 * l1 / 3,
+            (q * q - ONE) / q ** 3 + l1, ONE / g, (g * (l1 - q)) / g, (q - 1) / g]
+
+
+@pytest.mark.parametrize("switch", [imag_unit, lambda: register_indeterminate("tmp_hash2")],
+                         ids=["Q(i)", "register_indeterminate"])
+def test_equal_values_hash_alike(restore_field, switch):
+    before = _values_for_hash()
+    for x, y in zip(before, _values_for_hash()):
+        assert x == y and hash(x) == hash(y)
+    switch()
+    for x, y in zip(before, _values_for_hash()):
+        assert x == y and hash(x) == hash(y)
+        assert x + ONE - ONE == y and hash(x * ONE) == hash(y)
+    assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2)) and hash(ZERO) == hash(0)
+
+
+@settings(deadline=None)
+@given(_scalars())
+def test_str_is_the_field_expression(a):
+    assert str(a) == str(a.f.as_expr()).replace("I", "i")
+
+
+def test_str_is_the_field_expression_over_qi(restore_field):
+    i, q = imag_unit(), qvar()
+    for a in (i, i * q, q - i / (2 * q), ONE / (q * q - i), (q * q - 1) / q):
+        assert str(a) == str(a.f.as_expr()).replace("I", "i")
 
 
 @settings(deadline=None)
@@ -147,32 +257,28 @@ def _same(got, want):
     assert (got.numer, got.denom) == (want.numer, want.denom)
 
 
-@settings(deadline=None)
-@given(_scalars(), _scalars())
-def test_laurent_path_matches_field(a, b):
-    fa, fb = scalars._lift(a), scalars._lift(b)
-    _same(scalars._add(fa, fb), fa + fb)
-    _same(scalars._add(fa, fb, -1), fa - fb)
-    _same(scalars._mul(fa, fb), fa * fb)
-    _same((a + b).f, fa + fb)
-    _same((a - b).f, fa - fb)
-    _same((a * b).f, fa * fb)
-
-
 def test_laurent_path_needs_no_cancel(monkeypatch):
     q, l1 = qvar(), indet("lam1")
     a, b = (q ** 2 - 1) / q ** 3, l1 / (2 * q)
-    want = [a.f + b.f, a.f - b.f, a.f * b.f]
+    c = 2 * q / 3
+    want = [a.f + b.f, a.f - b.f, a.f * b.f, a.f / b.f, a.f * 4 / 3,
+            _want_pow(b.f, -3), _want_pow(c.f, -2), a.f ** 2, -a.f]
 
-    def no_cancel(*args):
-        raise AssertionError("cancel called on a Laurent operation")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Laurent operation used sympy")
 
-    monkeypatch.setattr(PolyElement, "cancel", no_cancel)
-    got = [a + b, a - b, a * b, 3 * a - Fraction(1, 2)]
+    monkeypatch.setattr(PolyElement, "cancel", refuse)
+    monkeypatch.setattr(PolyElement, "__init__", refuse)
+    monkeypatch.setattr(FracElement, "__init__", refuse)
+    got = [a + b, a - b, a * b, a / b, a / Fraction(3, 4), b ** -3, c ** -2, a ** 2, -a,
+           3 * a - Fraction(1, 2)]
+    consts = [Scalar(3) == 3, Scalar(Fraction(-1, 2)) == Fraction(-1, 2), a != 3,
+              bool(a), not ZERO, Scalar(0) == 0, Scalar(a) == a]
     monkeypatch.undo()
     for x, y in zip(got, want):
         _same(x.f, y)
-    assert got[3] == 3 * a - parse("1/2")
+    assert got[-1] == 3 * a - parse("1/2")
+    assert all(consts)
 
 
 def test_qi_results_match_field(restore_field):
@@ -207,19 +313,21 @@ def test_values_survive_switch_to_qi(restore_field, make_i):
     assert scalars._REG.domain is QQ
     before = values()
     texts = [render(x) for x in before]
+    fields = [x.f.field for x in before]
     index = {x: k for k, x in enumerate(before)}
     i = make_i()
     assert scalars._REG.domain is QQ_I
     assert i * i == -ONE
     after = values()
     for k, (x, y) in enumerate(zip(before, after)):
-        assert x.f.field is not y.f.field
         assert x == y and hash(x) == hash(y)
         assert index[y] == k
         assert render(x) == render(y) == texts[k]
         assert x + i - i == y and x * y == y * y
         assert render(x * i) == render(y * i)
-        assert x.f.field is y.f.field  # lifted once, not on every operation
+        f = x.f
+        assert f.field is y.f.field is not fields[k]  # re-embedded into Q(i)
+        assert x * i * y == y * i * x and x.f is f  # once, not on every operation
 
 
 def test_plain_parse_stays_over_q(restore_field):
@@ -241,5 +349,5 @@ def test_hash_survives_new_indeterminate(restore_field):
     d = {key: 1}
     register_indeterminate("tmp_hash")
     fresh = qvar() + 1
-    assert fresh.f.field is not key.f.field
+    assert key._n < fresh._n  # exponent tuples of two lengths
     assert d.get(fresh) == 1
