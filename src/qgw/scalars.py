@@ -234,7 +234,7 @@ def _to_field(d, n):
     ring = field.ring
     if not d:
         return field.zero
-    conv = ring.domain.convert
+    conv = ring.domain.dtype
     pad = (0,) * (ring.ngens - n)
     den = lcm(*(v.denominator for v in d.values()))
     shift = tuple(max(0, -min(col)) for col in zip(*d))
