@@ -427,10 +427,6 @@ def _pow(s, n):
     return _from_field(f)
 
 
-# the four binary operations: native dict arithmetic, sympy's field
-_OPS = {"+": (_nadd, add), "-": (_nsub, sub), "*": (_nmul, mul), "/": (_ndiv, truediv)}
-
-
 def _operand(x):
     """``x`` as a Scalar operand, or None for a type Scalar cannot take."""
     try:
@@ -468,7 +464,9 @@ def sign_pow(k: int) -> Scalar:
 # -- serialization --------------------------------------------------------
 
 _NAME = re.compile(r"[A-Za-z_]\w*|[^\s\d()*/^+-]", re.ASCII)
-_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+# the four binary operations of parse: native dict arithmetic, sympy's field
+_BINARY = {ast.Add: (_nadd, add), ast.Sub: (_nsub, sub), ast.Mult: (_nmul, mul),
+           ast.Div: (_ndiv, truediv)}
 _MAX_DIGITS = 100         # of an integer literal
 _MAX_EXPONENT = 10 ** 9   # |n| in x^n
 _MAX_SIZE = 10 ** 6       # bound on terms x coefficient bits of a product or power
@@ -504,7 +502,9 @@ def _bounded_pow(x, n):
 
 def _evaluate(node, depth=0):
     """The Scalar of a parsed expression, refusing each product and power
-    before it is computed when a bound on its size passes ``_MAX_SIZE``."""
+    before it is computed when a bound on its size passes ``_MAX_SIZE``.
+    It calls the arithmetic helpers, not Scalar's operators, so that parsing
+    adds no operator calls to the caller's count."""
     if depth > _MAX_DEPTH:
         raise ValueError(f"nesting deeper than {_MAX_DEPTH}")
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
@@ -513,13 +513,13 @@ def _evaluate(node, depth=0):
             spine.append((_BINARY[type(node.op)], node.right))
             node = node.left
         x = _evaluate(node, depth + 1)
-        for op, right in reversed(spine):
+        for (nat, gen), right in reversed(spine):
             y = _evaluate(right, depth + 1)
-            if op in "*/":
+            if gen is mul or gen is truediv:
                 (ta, ha), (tb, hb) = _size(x), _size(y)
                 if ta * tb * (log2(ha * hb) + 1) > _MAX_SIZE:
                     raise ValueError("product too large")
-            x = x._bin(y, *_OPS[op])
+            x = x._bin(y, nat, gen)
         return x
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         x = _evaluate(node.left, depth + 1)
