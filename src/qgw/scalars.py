@@ -283,13 +283,10 @@ class Scalar:
 
     __slots__ = ("_d", "_n", "_f")
 
-    def __init__(self, value=0):
-        # a new object even for a Scalar: ncalg reads ``c is ONE`` as "not
-        # scaled", so Scalar(ONE) must stay a distinct object
-        s = value if isinstance(value, Scalar) else _coerce(value)
-        _set_d(self, s._d)
-        _set_n(self, s._n)
-        _set_f(self, s._f)
+    def __new__(cls, value=0):
+        # a Scalar is returned itself: ncalg reads ``c is ONE`` as "not
+        # scaled", so Scalar(ONE) must stay ONE
+        return value if isinstance(value, Scalar) else _coerce(value)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
