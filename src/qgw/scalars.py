@@ -8,28 +8,39 @@ the first time ``i`` appears (:func:`imag_unit`, ``i`` in :func:`parse`).
 A Scalar has one of two representations, and which one is a function of its
 value alone:
 
-- **native**: a Laurent polynomial over Q, that is a value whose reduced
-  denominator is c x^e.  It is held as a dict from exponent tuples (negative
-  entries allowed) to nonzero ``int``/``Fraction`` coefficients, which is
-  its canonical form.  +, -, * of two native values, / by a single-term
-  native value, ``**`` (any integer power of a single term, a power n >= 0
-  of more terms), ==, ``bool`` and the coercion of ``int``/``Fraction`` are
-  dict arithmetic and build no sympy object.
+- **native**: a value with rational coefficients whose reduced denominator
+  is c x^e times cyclotomic binomials Phi_d(m) (m - 1, m + 1, m^2 + 1,
+  m^4 + 1, ... for a primitive monomial m, such as q^2 - 1 or
+  lam1 lam2 mu1 mu2 - 1).  It is held as a Laurent numerator, a dict from
+  exponent tuples (negative entries allowed) to nonzero ``int``/``Fraction``
+  coefficients, over a sorted tuple of (factor, multiplicity) pairs.  The
+  factors are irreducible and the numerator is divisible by none of them,
+  so the form is canonical.  With no factors the value is a Laurent
+  polynomial, and +, -, *, / by a single term and ``**`` are plain dict
+  arithmetic.  With factors, * and / add multiplicities, + and - take the
+  larger ones, and a numerator is divided by a factor exactly, one pass
+  per chain of exponents; a divisor's numerator is split into binomial
+  factors along the edges of its Newton polytope.  None of this builds a
+  sympy object or takes a gcd.
 - **general**: every other value, held as a canonical fraction of sympy's
   sparse fraction field (numerator and denominator coprime in Z[x], or
   Z[i][x], denominator with positive leading coefficient).
 
-sympy's field does the rest: an operation with a general operand, division
-by a multi-term value, and a negative power of one.  Its result comes back
-native whenever its denominator is a monomial and its coefficients are
-rational, so no value has two representations, whatever the ground field.
-Hence == compares representations exactly and a native value never equals a
-general one.  ``hash`` hashes the representation: the exponent/coefficient
-pairs of a native value with trailing zero exponents dropped (the hash of
-the ``int``/``Fraction`` for a constant), the sympy expression of a general
-one.  Neither depends on the field object, so a value keeps its hash when
-``i`` is adjoined or an indeterminate is registered.  A general value is
-re-embedded into a rebuilt field on its first mixed operation.
+sympy's field does the rest: an operation with a general operand, and a
+division or negative power whose divisor's numerator has a factor other
+than a monomial and binomials.  Its result is classified exactly
+(``_from_field``): it comes back native whenever its coefficients are
+rational and its denominator splits as above, whatever the ground field (Q(i)
+splits m^2 + 1, but a value with rational coefficients keeps its native
+form).  So no value has two representations: == compares representations
+exactly and a native value never equals a general one.  ``hash`` hashes the
+representation: the exponent/coefficient pairs of a native value with
+trailing zero exponents dropped (the hash of the ``int``/``Fraction`` for a
+constant), together with its factors, trimmed the same way; the sympy
+expression of a general one.  Neither depends on the field object, so a
+value keeps its hash when ``i`` is adjoined or an indeterminate is
+registered.  A general value is re-embedded into a rebuilt field on its
+first mixed operation.
 
 ``Scalar.f`` is the value as a sympy fraction, built on first use for a
 native value and cached; ``str`` prints its expression.  No floating point
@@ -39,11 +50,10 @@ diagnostic.
 
 from __future__ import annotations
 
-import ast
 import numbers
 import re
 from fractions import Fraction
-from math import exp, lcm, lgamma, log2
+from math import exp, gcd, lcm, lgamma, log2
 from operator import add, mul, sub, truediv
 
 import sympy
@@ -180,11 +190,237 @@ def _npow(d, n, origin):
         d = _nmul(d, d)
 
 
+# -- native fractions: a Laurent numerator over binomial factors -------------
+#
+# A factor (m, d) is the cyclotomic binomial Phi_d(m): m - 1 for d = 1 and
+# m^(d/2) + 1 for d = 2, 4, 8, ..., with m a primitive exponent tuple (gcd of
+# its entries 1, first nonzero entry positive).  Each is irreducible in the
+# Laurent ring and no two are associates.  A denominator is a tuple of
+# ((m, d), multiplicity) pairs sorted by (m, d); the numerator is divisible
+# by none of its factors.
+
+def _at_root(pairs, d):
+    """Whether the sum of x z^t over the (t, x) pairs is 0 at a primitive
+    d-th root of unity z, d a power of 2: z^(d/2) = -1 reduces each power."""
+    if d == 1:
+        return not sum(x for _, x in pairs)
+    g, acc = d // 2, {}
+    for t, x in pairs:
+        t %= d
+        if t < g:
+            acc[t] = acc.get(t, 0) + x
+        else:
+            acc[t - g] = acc.get(t - g, 0) - x
+    return not any(acc.values())
+
+
+def _bdiv(a, m, d):
+    """a / Phi_d(m) when the division is exact, else None.
+
+    With y = m^g (g = 1 for d = 1, d/2 otherwise) the divisor is y + c.  The
+    exponents of ``a`` fall into chains k - t*g*m, and the division is exact
+    when it is exact on each chain as a polynomial in y; it then takes one
+    pass per chain, from its top.  First ``a`` must vanish at one root of
+    Phi_d(m): x_j a primitive d-th root of unity, for an odd m_j, and the
+    other indeterminates 1."""
+    j = next(i for i, e in enumerate(m) if e % 2)
+    if not _at_root(((k[j], x) for k, x in a.items()), d):
+        return None
+    c, g = (-1, 1) if d == 1 else (1, d // 2)
+    v = tuple(e * g for e in m)
+    i = next(i for i, e in enumerate(v) if e)
+    chains = {}
+    for k, x in a.items():
+        t = k[i] // v[i]
+        chains.setdefault(tuple(e - t * w for e, w in zip(k, v)), {})[t] = x
+    out = {}
+    for base, ch in chains.items():
+        low, qt = min(ch), 0
+        for t in range(max(ch), low, -1):  # a_t = q_(t-1) + c q_t
+            qt = ch.get(t, 0) - c * qt
+            if qt:
+                out[tuple(e + (t - 1) * w for e, w in zip(base, v))] = qt
+        if ch[low] != c * qt:
+            return None
+    return out
+
+
+def _reduce(a, b):
+    """a / b in canonical form: ``a`` divided by each factor of ``b`` while
+    the division is exact, largest degree first within each m."""
+    if not a:
+        return {}, ()
+    left = []
+    for f, k in reversed(b):
+        while k:
+            quo = _bdiv(a, *f)
+            if quo is None:
+                break
+            a, k = quo, k - 1
+        if k:
+            left.append((f, k))
+    return a, tuple(reversed(left))
+
+
+def _combine_factors(b1, b2, pick):
+    """The factor tuple with multiplicities ``pick(k1, k2)`` (add: a
+    product, max: a common multiple)."""
+    if not b1 or b1 == b2 and pick is max:
+        return b2
+    if not b2:
+        return b1
+    d = dict(b1)
+    for f, k in b2:
+        d[f] = pick(d[f], k) if f in d else k
+    return tuple(sorted(d.items()))
+
+
+def _phi(m, d):
+    """Phi_d(m) as a native dict."""
+    zero = (0,) * len(m)
+    if d == 1:
+        return {m: 1, zero: -1}
+    return {tuple(e * (d // 2) for e in m): 1, zero: 1}
+
+
+def _expand(b, n):
+    """The product of the factors of ``b`` as a native dict."""
+    out = {(0,) * n: 1}
+    for f, k in b:
+        out = _nmul(out, _npow(_phi(*f), k, None))
+    return out
+
+
+def _edge(a):
+    """(m, {t: coefficient of V m^-t}) for an edge of the Newton polytope of
+    ``a`` (two terms or more) at its lexicographically largest exponent V,
+    with m primitive.
+
+    The edges at V are the extreme rays of the cone spanned by the u - V.
+    Scaled onto the hyperplane w.r = -1, with w the weights that order
+    exponent differences lexicographically, the lexicographically largest of
+    them is a vertex, so its ray is an edge."""
+    v = max(a)
+    base = 2 * max(abs(e) for k in a for e in k) + 2
+    w = [base ** i for i in range(len(v) - 1, -1, -1)]
+
+    def scaled(r):
+        s = -sum(map(mul, w, r))
+        return tuple(Fraction(x, s) for x in r)
+
+    best = max((tuple(map(sub, u, v)) for u in a if u != v), key=scaled)
+    g = gcd(*best)
+    m = tuple(-e // g for e in best)
+    i = next(i for i, e in enumerate(m) if e)
+    edge = {0: a[v]}
+    for u, x in a.items():
+        t, rem = divmod(v[i] - u[i], m[i])
+        if t > 0 and not rem and all(p - t * e == q for p, e, q in zip(v, m, u)):
+            edge[t] = x
+    return m, edge
+
+
+def _root_order(edge, d):
+    """The multiplicity of Phi_d as a factor of the polynomial {t: coefficient}:
+    the number of its derivatives, from the 0th on, that vanish at a
+    primitive d-th root of unity."""
+    k = 0
+    while edge and _at_root(edge.items(), d):
+        k += 1
+        edge = {t - 1: t * x for t, x in edge.items() if t}
+    return k
+
+
+def _peel(a):
+    """(c x^e, factors) with ``a`` = c x^e times the product of the factors,
+    or None when ``a`` is no monomial times binomial factors.
+
+    Each round takes an edge of the Newton polytope.  Its coefficients are
+    the product of the factors of ``a`` along the edge's m, so unless they
+    are a product of Phi_d, ``a`` has another factor; those Phi_d(m) are
+    then divided out of ``a``, largest first."""
+    found = []
+    while len(a) > 1:
+        m, edge = _edge(a)
+        top, d, ks = max(edge), 1, []
+        while max(1, d // 2) <= top:
+            k = _root_order(edge, d)
+            if k:
+                ks.append((d, k))
+            d *= 2
+        if sum(max(1, d // 2) * k for d, k in ks) != top:
+            return None
+        for d, k in reversed(ks):
+            for _ in range(k):
+                a = _bdiv(a, m, d)
+                if a is None:
+                    return None
+            found.append(((m, d), k))
+    return a, tuple(sorted(found))
+
+
+def _fadd(x, bx, y, by, op=_nadd):
+    """x/bx + y/by (x/bx - y/by with ``op`` _nsub) over the least common
+    multiple of the denominators."""
+    if bx != by:
+        den = _combine_factors(bx, by, max)
+        n = len(next(iter(x or y)))
+        x = _nmul(x, _expand(_over(den, bx), n))
+        y = _nmul(y, _expand(_over(den, by), n))
+        bx = den
+    return _reduce(op(x, y), bx)
+
+
+def _fsub(x, bx, y, by):
+    return _fadd(x, bx, y, by, _nsub)
+
+
+def _over(b1, b2):
+    """The factors of b1 / b2, where b2 divides b1."""
+    d = dict(b2)
+    return tuple((f, k - d.get(f, 0)) for f, k in b1 if k > d.get(f, 0))
+
+
+def _fmul(x, bx, y, by):
+    """x/bx * y/by: each numerator is divided by the other's factors first,
+    so the product needs no division."""
+    x, by = _reduce(x, by)
+    y, bx = _reduce(y, bx)
+    if not x or not y:
+        return {}, ()
+    return _nmul(x, y), _combine_factors(bx, by, add)
+
+
+def _fdiv(x, bx, y, by):
+    """x/bx / (y/by) with y = c x^e times binomial factors, or None when
+    ``y`` is not."""
+    peeled = _peel(y)
+    if peeled is None:
+        return None
+    mono, fy = peeled  # a zero y gives an empty mono, which _ndiv refuses
+    x, den = _reduce(_ndiv(x, mono), _combine_factors(bx, fy, add))
+    return _fmul(x, den, _expand(by, len(next(iter(mono)))), ()) if by else (x, den)
+
+
+def _fpow(x, b, n, origin):
+    """(x/b) ** n, or None for a negative power of an ``x`` that is no
+    monomial times binomial factors."""
+    if n >= 0:
+        return _npow(x, n, origin), tuple((f, k * n) for f, k in b if n)
+    peeled = _peel(x)
+    if peeled is None:
+        return None
+    mono, fx = peeled
+    num = _nmul(_npow(_expand(b, len(origin)), -n, None), _npow(mono, n, None))
+    return num, tuple((f, -k * n) for f, k in fx)
+
+
 # -- the two representations and the sympy side ------------------------------
 
-def _native(d, n):
+def _native(d, n, b=()):
     s = _new(Scalar)
     _set_d(s, d)
+    _set_b(s, b)
     _set_n(s, n)
     _set_f(s, None)
     return s
@@ -193,6 +429,7 @@ def _native(d, n):
 def _general(f):
     s = _new(Scalar)
     _set_d(s, None)
+    _set_b(s, ())
     _set_n(s, f.field.ngens)
     _set_f(s, f)
     return s
@@ -201,35 +438,43 @@ def _general(f):
 def _int_value(s):
     """The value of Scalar ``s`` as an int, or None when it is no integer."""
     d = s._d
-    if d is None or len(d) > 1:
+    if d is None or len(d) > 1 or s._b:
         return None
     k, v = next(iter(d.items()), ((), 0))
     return v.numerator if v.denominator == 1 and not any(k) else None
 
 
+def _rational(c):
+    """A sympy rational coefficient as an int or Fraction."""
+    return _rat(Fraction(int(c.numerator), int(c.denominator)))
+
+
 def _from_field(f):
-    """The Scalar of a canonical sympy fraction: native when the denominator
-    is a monomial c x^e and every coefficient is rational."""
-    den = f.denom
-    if len(den) == 1:
-        (e, c), = den.items()
-        if f.field.domain is QQ_I:
-            if c.y or any(v.y for v in f.numer.values()):
-                return _general(f)
-            c, num = c.x, {k: v.x for k, v in f.numer.items()}
-        else:
-            num = f.numer
-        c = Fraction(int(c.numerator), int(c.denominator))
-        return _native({tuple(map(sub, k, e)):
-                        _rat(Fraction(int(v.numerator), int(v.denominator)) / c)
-                        for k, v in num.items()}, len(e))
-    return _general(f)
+    """The Scalar of a canonical sympy fraction: native when every
+    coefficient is rational and the denominator is c x^e times binomial
+    factors (found by ``_peel``)."""
+    num, den = f.numer, f.denom
+    if f.field.domain is QQ_I:
+        if any(v.y for p in (num, den) for v in p.values()):
+            return _general(f)
+        num, den = ({k: v.x for k, v in p.items()} for p in (num, den))
+    den, b = {k: _rational(v) for k, v in den.items()}, ()
+    if len(den) > 1:
+        peeled = _peel(den)
+        if peeled is None:
+            return _general(f)
+        den, b = peeled
+    (e, c), = den.items()
+    return _native({tuple(map(sub, k, e)): _rat(Fraction(_rational(v), c))
+                    for k, v in num.items()}, len(e), b)
 
 
-def _to_field(d, n):
-    """The canonical fraction, in the current field, of native ``d``: integer
-    numerator over the lcm L of the coefficient denominators times the
-    smallest monomial that clears the negative exponents."""
+def _to_field(d, b, n):
+    """The canonical fraction, in the current field, of native ``d`` over
+    the factors ``b``: both times the lcm L of the coefficient denominators
+    of ``d`` and the smallest monomial that clears the negative exponents.
+    The expanded factors have integer coefficients, content 1 and a
+    positive leading coefficient, so the two are coprime as they stand."""
     field = _REG.field
     ring = field.ring
     if not d:
@@ -237,11 +482,13 @@ def _to_field(d, n):
     conv = ring.domain.dtype
     pad = (0,) * (ring.ngens - n)
     den = lcm(*(v.denominator for v in d.values()))
-    shift = tuple(max(0, -min(col)) for col in zip(*d))
+    e = _expand(b, n)
+    shift = tuple(max(0, -min(col)) for col in zip(*d, *e))
     numer = ring.dtype({tuple(map(add, k, shift)) + pad:
                         conv(v.numerator * (den // v.denominator))
                         for k, v in d.items()})
-    return field.raw_new(numer, ring.dtype({shift + pad: conv(den)}))
+    return field.raw_new(numer, ring.dtype({tuple(map(add, k, shift)) + pad: conv(v * den)
+                                            for k, v in e.items()}))
 
 
 def _lift(s):
@@ -250,7 +497,8 @@ def _lift(s):
     re-embedding into a rebuilt field once, not per use."""
     f = s._f
     if f is None or f.field is not _REG.field:
-        f = _to_field(s._d, s._n) if s._d is not None else _REG.field.from_expr(f.as_expr())
+        f = (_to_field(s._d, s._b, s._n) if s._d is not None
+             else _REG.field.from_expr(f.as_expr()))
         _set_f(s, f)
     return f
 
@@ -281,7 +529,7 @@ class Scalar:
     immutable (only the cached sympy fraction is ever replaced, by an equal
     one in a rebuilt field)."""
 
-    __slots__ = ("_d", "_n", "_f")
+    __slots__ = ("_d", "_b", "_n", "_f")
 
     def __new__(cls, value=0):
         # a Scalar is returned itself: ncalg reads ``c is ONE`` as "not
@@ -298,18 +546,24 @@ class Scalar:
         return _lift(self)
 
     # -- arithmetic -------------------------------------------------------
-    def _bin(self, b, nat, gen):
-        """self (op) b: ``nat`` on two native dicts (None: not native), else
-        ``gen`` on the sympy fractions."""
+    def _bin(self, b, nat, frac, gen):
+        """self (op) b: ``nat`` on two Laurent dicts, else ``frac`` on two
+        native fractions (either None: not native), else ``gen`` on the
+        sympy fractions."""
         if not isinstance(b, Scalar):
             b = _operand(b)  # first: it may switch the field to Q(i)
             if b is None:
                 return NotImplemented
         x, y = self._d, b._d
         if x is not None and y is not None and self._n == b._n:
-            d = nat(x, y)
-            if d is not None:
-                return _native(d, self._n)
+            bx, by = self._b, b._b
+            if not (bx or by):
+                d = nat(x, y)
+                if d is not None:
+                    return _native(d, self._n)
+            r = frac(x, bx, y, by)
+            if r is not None:
+                return _native(r[0], self._n, r[1])
         if gen is mul:  # a general value times 1 or -1 needs no gcd
             for u, v in ((b, self), (self, b)):
                 c = _int_value(u)
@@ -321,28 +575,28 @@ class Scalar:
             raise DivisionByZero("division by zero Scalar") from None
 
     def __add__(self, other):
-        return self._bin(other, _nadd, add)
+        return self._bin(other, _nadd, _fadd, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._bin(other, _nsub, sub)
+        return self._bin(other, _nsub, _fsub, sub)
 
     def __rsub__(self, other):
         b = _operand(other)
-        return NotImplemented if b is None else b._bin(self, _nsub, sub)
+        return NotImplemented if b is None else b._bin(self, _nsub, _fsub, sub)
 
     def __mul__(self, other):
-        return self._bin(other, _nmul, mul)
+        return self._bin(other, _nmul, _fmul, mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._bin(other, _ndiv, truediv)
+        return self._bin(other, _ndiv, _fdiv, truediv)
 
     def __rtruediv__(self, other):
         b = _operand(other)
-        return NotImplemented if b is None else b._bin(self, _ndiv, truediv)
+        return NotImplemented if b is None else b._bin(self, _ndiv, _fdiv, truediv)
 
     def __pow__(self, n: int):
         if not isinstance(n, numbers.Integral):
@@ -362,7 +616,7 @@ class Scalar:
         b = _coerce(other)
         x, y = self._d, b._d
         if x is not None and y is not None and self._n == b._n:
-            return x == y
+            return x == y and self._b == b._b
         if (x is None) != (y is None):  # one representation per value
             return False
         return _lift(self) == _lift(b)
@@ -372,6 +626,9 @@ class Scalar:
         if d is None:
             return hash(self._f.as_expr())
         items = {_trim(k): v for k, v in d.items()}
+        if self._b:
+            return hash((frozenset(items.items()),
+                         tuple((_trim(m), dd, k) for (m, dd), k in self._b)))
         if not any(items):  # 0 or a constant: the hash of the int/Fraction
             return hash(items.get((), 0))
         return hash(frozenset(items.items()))
@@ -385,7 +642,8 @@ class Scalar:
         """Names of indeterminates actually occurring in this Scalar."""
         if self._d is None:
             return {s.name for s in self._f.as_expr().free_symbols}
-        return {_REG.names[i] for k in self._d for i, e in enumerate(k) if e}
+        return {_REG.names[i] for k in (*self._d, *(m for (m, _), _ in self._b))
+                for i, e in enumerate(k) if e}
 
     def as_expr(self):
         return self.f.as_expr()
@@ -399,6 +657,7 @@ class Scalar:
 
 _new = object.__new__
 _set_d = Scalar._d.__set__
+_set_b = Scalar._b.__set__
 _set_n = Scalar._n.__set__
 _set_f = Scalar._f.__set__
 
@@ -407,16 +666,21 @@ def _neg(s):
     d = s._d
     if d is None:
         return _general(-s._f)
-    return _native({k: -v for k, v in d.items()}, s._n)
+    return _native({k: -v for k, v in d.items()}, s._n, s._b)
 
 
 def _pow(s, n):
     if n < 0 and not s:
         raise DivisionByZero("0 ** negative power")
     if s._d is not None:
-        d = _npow(s._d, n, (0,) * s._n)
-        if d is not None:
-            return _native(d, s._n)
+        origin = (0,) * s._n
+        if not s._b:
+            d = _npow(s._d, n, origin)
+            if d is not None:
+                return _native(d, s._n)
+        r = _fpow(s._d, s._b, n, origin)
+        if r is not None:
+            return _native(r[0], s._n, r[1])
     f = _lift(s) ** n
     u = f.denom.canonical_unit()  # sympy's f**-n keeps the unit of f.numer
     if u != _REG.domain.one:
@@ -461,9 +725,11 @@ def sign_pow(k: int) -> Scalar:
 # -- serialization --------------------------------------------------------
 
 _NAME = re.compile(r"[A-Za-z_]\w*|[^\s\d()*/^+-]", re.ASCII)
-# the four binary operations of parse: native dict arithmetic, sympy's field
-_BINARY = {ast.Add: (_nadd, add), ast.Sub: (_nsub, sub), ast.Mult: (_nmul, mul),
-           ast.Div: (_ndiv, truediv)}
+_TOKEN = re.compile(r"\s*(\d+|\w+|\*\*|\S)", re.ASCII)
+# the four binary operations of parse: Laurent and binomial-tier arithmetic,
+# sympy's field
+_BINARY = {"+": (_nadd, _fadd, add), "-": (_nsub, _fsub, sub),
+           "*": (_nmul, _fmul, mul), "/": (_ndiv, _fdiv, truediv)}
 _MAX_DIGITS = 100         # of an integer literal
 _MAX_EXPONENT = 10 ** 9   # |n| in x^n
 _MAX_SIZE = 10 ** 6       # bound on terms x coefficient bits of a product or power
@@ -473,11 +739,12 @@ _MAX_DEPTH = 100          # nesting of signs, powers and bracketed terms
 def _size(s):
     """(terms, height) of a Scalar: the height is the largest numerator or
     denominator among its coefficients, in absolute value."""
-    if s._d is not None:
+    if s._d is not None and not s._b:
         cs = list(s._d.values())
     else:
-        cs = [p for v in (*s._f.numer.values(), *s._f.denom.values())
-              for p in ((v.x, v.y) if s._f.field.domain is QQ_I else (v,))]
+        f = _lift(s)
+        cs = [p for v in (*f.numer.values(), *f.denom.values())
+              for p in ((v.x, v.y) if f.field.domain is QQ_I else (v,))]
     return len(cs), max((max(abs(int(c.numerator)), int(c.denominator)) for c in cs),
                         default=1)
 
@@ -497,38 +764,65 @@ def _bounded_pow(x, n):
     return _pow(x, n)
 
 
-def _evaluate(node, depth=0):
-    """The Scalar of a parsed expression, refusing each product and power
-    before it is computed when a bound on its size passes ``_MAX_SIZE``.
-    It calls the arithmetic helpers, not Scalar's operators, so that parsing
-    adds no operator calls to the caller's count."""
+def _tokens(text):
+    """The tokens of ``text`` (integers, names, ``**`` and single characters),
+    last first, so that ``pop`` takes the next."""
+    return _TOKEN.findall(text.replace("^", "**"))[::-1]
+
+
+def _sum(toks, depth):
+    """A sum of products, left to right in one loop, so that its length
+    costs no recursion."""
+    x = _product(toks, depth)
+    while toks and toks[-1] in ("+", "-"):
+        ops = _BINARY[toks.pop()]
+        x = x._bin(_product(toks, depth), *ops)
+    return x
+
+
+def _product(toks, depth):
+    x = _factor(toks, depth)
+    while toks and toks[-1] in ("*", "/"):
+        ops = _BINARY[toks.pop()]
+        y = _factor(toks, depth)
+        (ta, ha), (tb, hb) = _size(x), _size(y)
+        if ta * tb * (log2(ha * hb) + 1) > _MAX_SIZE:
+            raise ValueError("product too large")
+        x = x._bin(y, *ops)
+    return x
+
+
+def _factor(toks, depth):
+    """A signed factor or a power, with Python's precedence: -x**n is
+    -(x**n), and x**-n takes the sign into the exponent.  A sign, an
+    exponent and a bracket each nest one level deeper."""
     if depth > _MAX_DEPTH:
         raise ValueError(f"nesting deeper than {_MAX_DEPTH}")
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        spine = []  # a chain such as a*b + c - d, left to right without recursion
-        while isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            spine.append((_BINARY[type(node.op)], node.right))
-            node = node.left
-        x = _evaluate(node, depth + 1)
-        for (nat, gen), right in reversed(spine):
-            y = _evaluate(right, depth + 1)
-            if gen is mul or gen is truediv:
-                (ta, ha), (tb, hb) = _size(x), _size(y)
-                if ta * tb * (log2(ha * hb) + 1) > _MAX_SIZE:
-                    raise ValueError("product too large")
-            x = x._bin(y, nat, gen)
+    if toks and toks[-1] in ("+", "-"):
+        sign = toks.pop()
+        x = _factor(toks, depth + 1)
+        return _neg(x) if sign == "-" else x
+    x = _atom(toks, depth)
+    if toks and toks[-1] == "**":
+        toks.pop()
+        return _bounded_pow(x, _int_value(_factor(toks, depth + 1)))
+    return x
+
+
+def _atom(toks, depth):
+    tok = toks.pop() if toks else "end of text"
+    if tok == "(":
+        x = _sum(toks, depth + 1)
+        if not toks or toks.pop() != ")":
+            raise ValueError("unbalanced bracket")
         return x
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        x = _evaluate(node.left, depth + 1)
-        return _bounded_pow(x, _int_value(_evaluate(node.right, depth + 1)))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        x = _evaluate(node.operand, depth + 1)
-        return _neg(x) if isinstance(node.op, ast.USub) else x
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return _coerce(node.value)
-    if isinstance(node, ast.Name):
-        return imag_unit() if node.id == "i" else indet(node.id)
-    raise ValueError(f"unexpected {type(node).__name__}")
+    if tok.isdigit():
+        return _coerce(int(tok))
+    if tok == "i":
+        return imag_unit()
+    if tok in _REG.symbols:
+        return indet(tok)
+    raise ValueError(f"unexpected {tok!r}")
 
 
 def parse(text: str) -> Scalar:
@@ -536,17 +830,25 @@ def parse(text: str) -> Scalar:
     the registered indeterminates, with the precedence of Python (``^`` is
     ``**``).  Any other name or character is a ValueError before the text is
     parsed, so it is never run as code.  So are a literal over 100 digits, an
-    exponent that is not an integer of at most 10^9 in size, and a product
-    or power whose result could pass 10^6 terms x coefficient bits, each
-    refused before it is computed."""
+    exponent that is not an integer of at most 10^9 in size, a product or
+    power whose result could pass 10^6 terms x coefficient bits, each refused
+    before it is computed, and signs, exponents and brackets nested over 100
+    deep.  A parser by recursive descent evaluates the text as it reads it,
+    with the arithmetic helpers, not Scalar's operators, so that parsing
+    adds no operator calls to the caller's count; sums and products are
+    loops, so their length is not bounded."""
     for tok in _NAME.findall(text):
         if tok != "i" and tok not in _REG.symbols:
             raise ValueError(f"unexpected {tok!r} in {text!r}")
     if max(map(len, re.findall(r"\d+", text)), default=0) > _MAX_DIGITS:
         raise ValueError(f"integer literal of more than {_MAX_DIGITS} digits in {text!r}")
     try:
-        return _evaluate(ast.parse(text.replace("^", "**").strip(), mode="eval").body)
-    except (SyntaxError, ValueError, RecursionError, DivisionByZero) as exc:
+        toks = _tokens(text)
+        x = _sum(toks, 0)
+        if toks:
+            raise ValueError(f"unexpected {toks[-1]!r}")
+        return x
+    except (ValueError, RecursionError, DivisionByZero) as exc:
         raise ValueError(f"cannot parse {text!r}: {exc}") from exc
 
 

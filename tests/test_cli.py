@@ -175,13 +175,38 @@ def test_suite_all_matches_golden():
     check.  A fresh process, so that every check pays its presentation
     builds as in a cold ``qgw run --suite all``."""
     golden = json.loads((Path(__file__).parent / "golden_suite.json").read_text())
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "qgw.cli", "run", "--suite",
-                           "all", "--seed", "0", "--format", "json"],
-                          capture_output=True, text=True, env=env, check=False)
+    proc = _fresh_python("-m", "qgw.cli", "run", "--suite", "all", "--seed", "0", "--format", "json")
     assert proc.returncode == 0, proc.stderr
     keys = ("id", "verdict", "steps", "residual")
     rows = [{k: r[k] for k in keys if k in r} for r in json.loads(proc.stdout)]
     assert rows == golden
+
+
+_COUNT_CANCEL = """
+import io
+from sympy.polys.rings import PolyElement
+from qgw import cli
+calls, cancel = [0], PolyElement.cancel
+def counted(*args):
+    calls[0] += 1
+    return cancel(*args)
+PolyElement.cancel = counted
+cli.run(suite="all", seed=0, out=io.StringIO())
+print(calls[0])
+"""
+
+
+def test_suite_all_needs_no_gcd():
+    """A cold ``qgw run --suite all`` keeps every coefficient native: no
+    operation reaches the gcd of sympy's fraction field."""
+    proc = _fresh_python("-c", _COUNT_CANCEL)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+def _fresh_python(*args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          check=False)

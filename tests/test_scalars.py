@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,22 @@ def test_parse_rejects_text_outside_the_grammar(text):
         parse(text)
 
 
+@pytest.mark.parametrize("text", ["-q**2", "q**-2", "2**-1", "-2^2", "2*-3+4", "2^3^2",
+                                  "q/q/q*q", "--q", "-(q+1)^2/3 - +lam1", "q^-(1+1)"])
+def test_parse_has_python_precedence(text):
+    want = sympy.sympify(text.replace("^", "**"))
+    assert parse(text).f == scalars._REG.field.from_expr(want)
+
+
+def test_parse_takes_long_sums():
+    q = qvar()
+    assert parse("+".join(["q"] * 3000)) == 3000 * q
+    x = sum((k * q ** (k - 100) for k in range(1, 3201)), ZERO)
+    # the shape of render(x), which sympy's printer takes seconds to build
+    text = "(" + " + ".join(f"{k}*q**{k - 1}" for k in range(3200, 0, -1)) + ")/q**99"
+    assert parse(text) == x
+
+
 def test_parse_runs_no_code(tmp_path):
     target = tmp_path / "written"
     with pytest.raises(ValueError):
@@ -100,6 +118,11 @@ _HOSTILE = ["9^9^9", "((2^100)^1000)^1000", "((2^10)^1000)^1000", "1" + "0" * 20
             "(" * 1000 + "q" + ")" * 1000, "-" * 1000 + "q", "q^(1/2)", "2^q"]
 
 
+# binomials of huge degree that stay sparse: Phi_d(q) for every d | 2^29,
+# and a divisor q^(10^9) - 1 with the factor Phi_5(q), which sympy keeps
+_SPARSE = ["1/(q^(2^29)-1) - 1/(q^(2^29)+1)", "(q^(2^29)+1)/(q^(2^28)+1)", "1/(q^(10^9)-1)"]
+
+
 def test_parse_refuses_huge_work_in_time():
     # a subprocess with a timeout, so that a regression fails instead of hanging
     code = ("import sys\nfrom qgw.scalars import parse\n"
@@ -108,9 +131,9 @@ def test_parse_refuses_huge_work_in_time():
             "    else:\n        print('parsed')\n")
     src = str(Path(scalars.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code, *_HOSTILE], env=env, timeout=60,
+    out = subprocess.run([sys.executable, "-c", code, *_HOSTILE, *_SPARSE], env=env, timeout=60,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["ValueError"] * len(_HOSTILE)
+    assert out.stdout.split() == ["ValueError"] * len(_HOSTILE) + ["parsed"] * len(_SPARSE)
 
 
 def test_coercions():
@@ -137,18 +160,38 @@ def test_power_consistency(k):
     assert lhs == rhs
 
 
-def _scalars():
-    """0, 1, -1, integers and fractions, Laurent polynomials in q and lam1,
-    and rational functions with a general denominator."""
-    q, l1 = qvar(), indet("lam1")
+# binomial factors Phi_d(m) of the native tier, and products of them
+_BINOMIALS = ["q - 1", "q + 1", "q^2 + 1", "q^4 + 1", "q - 1/q", "q^2 - 1", "lam1*q - 1",
+              "q - lam1", "lam1*lam2*mu1*mu2 - 1"]
+# divisors that have another irreducible factor, so that sympy keeps them
+_GENERAL = ["q^2 + 2", "q^2 + q + 1", "2*q - 1", "q^3 - 1"]
+
+
+def _texts():
+    """Text of 0, 1, -1, fractions, Laurent polynomials in q and lam1, such
+    polynomials over products of binomial factors, and over divisors that
+    stay general."""
     small = st.integers(-3, 3)
-    const = st.builds(lambda n, d: Scalar(Fraction(n, d)), small, st.integers(1, 4))
+    const = st.builds(lambda n, d: f"{n}/{d}", small, st.integers(1, 4))
     laurent = st.builds(
-        lambda cs, s, c: sum((k * q ** (i - s) for i, k in enumerate(cs)), c * l1),
+        lambda cs, s, c: "+".join([f"({k})*q^({i - s})" for i, k in enumerate(cs)] + [f"({c})*lam1"]),
         st.lists(small, max_size=4), st.integers(0, 3), small)
-    general = st.builds(lambda x, d, e: x / (q * q + d) ** e, laurent,
-                        st.sampled_from([-1, 1, 2]), st.integers(1, 2))
-    return st.sampled_from([ZERO, ONE, -ONE]) | const | laurent | general
+    power = st.builds(lambda b, e: f"({b})^{e}", st.sampled_from(_BINOMIALS), st.integers(1, 2))
+    binomial = st.builds(lambda x, ps: f"({x})/({'*'.join(ps)})", laurent,
+                         st.lists(power, min_size=1, max_size=2))
+    general = st.builds(lambda x, g, e: f"({x})/({g})^{e}", laurent | binomial,
+                        st.sampled_from(_GENERAL), st.integers(1, 2))
+    return st.sampled_from(["0", "1", "-1"]) | const | laurent | binomial | general
+
+
+def _scalars():
+    return _texts().map(parse)
+
+
+@settings(deadline=None)
+@given(_texts())
+def test_parse_matches_sympify(text):
+    _same(parse(text).f, scalars._REG.field.from_expr(sympy.sympify(text.replace("^", "**"))))
 
 
 def _sympy_eval(a, point):
@@ -183,43 +226,88 @@ def _want_pow(f, k):
 
 
 def _native_value(x):
-    """Whether x is a Laurent polynomial over Q, read off sympy's fraction."""
+    """Whether x is native, read off sympy's fraction: its coefficients are
+    rational and each irreducible factor of its denominator over Q is a
+    monomial or has two terms with equal or opposite coefficients (m - 1,
+    or m^(2^j) + 1, since m^g + 1 is reducible for other g)."""
     f = x.f
-    rational = f.field.domain is QQ or not any(c.y for c in f.numer.values())
-    return len(f.denom) == 1 and rational
+    if f.field.domain is QQ_I and any(c.y for p in (f.numer, f.denom) for c in p.values()):
+        return False
+    for p, _ in sympy.factor_list(f.denom.as_expr())[1]:
+        cs = sympy.Poly(p).coeffs()
+        if len(cs) > 2 or len(cs) == 2 and abs(cs[0]) != abs(cs[1]):
+            return False
+    return True
+
+
+def _primitive(e):
+    g = math.gcd(*e)
+    e = tuple(x // g for x in e)
+    return e if next(x for x in e if x) > 0 else tuple(-x for x in e)
+
+
+_factor = st.builds(lambda e, d, k: ((_primitive(e), d), k),
+                    st.tuples(*[st.integers(-2, 2)] * 5).filter(any),
+                    st.sampled_from([1, 2, 4, 8]), st.integers(1, 2))
+
+
+@settings(deadline=None)
+@given(st.lists(_factor, max_size=3), st.sampled_from([None] + _GENERAL),
+       st.tuples(*[st.integers(-2, 2)] * 5), st.sampled_from([1, -3, Fraction(2, 5)]))
+def test_peel_finds_every_binomial_factor(fs, other, e, c):
+    want = {}
+    for f, k in fs:
+        want[f] = want.get(f, 0) + k
+    want = tuple(sorted(want.items()))
+    p = scalars._nmul(scalars._expand(want, 5), {e: c})
+    if other is not None:
+        p = scalars._nmul(p, parse(other)._d)
+    got = scalars._peel(p)
+    if other is not None:
+        assert got is None
+    else:
+        assert got == ({e: c}, want)
+
+
+def _same_scalar(x, want):
+    """x has sympy's canonical fraction ``want`` and the one representation
+    of that value: the one its classification gives, with the same hash."""
+    _same(x.f, want)
+    y = scalars._from_field(want)
+    assert (x._d, x._b) == (y._d, y._b) and x == y and hash(x) == hash(y)
 
 
 @settings(deadline=None)
 @given(_scalars(), _scalars(), st.integers(-3, 3))
 def test_arithmetic_matches_field(a, b, k):
     fa, fb = a.f, b.f
-    _same((a + b).f, fa + fb)
-    _same((a - b).f, fa - fb)
-    _same((a * b).f, fa * fb)
+    _same_scalar(a + b, fa + fb)
+    _same_scalar(a - b, fa - fb)
+    _same_scalar(a * b, fa * fb)
     if b:
-        _same((a / b).f, fa / fb)
+        _same_scalar(a / b, fa / fb)
     if a or k >= 0:
-        _same((a ** k).f, _want_pow(fa, k))
+        _same_scalar(a ** k, _want_pow(fa, k))
     assert a * ONE == a and -(a * -ONE) == a and (-ONE) * b == -b
 
 
 @settings(deadline=None)
-@given(_scalars(), _scalars(), st.sampled_from([-1, 1, 2]))
-def test_one_representation_per_value(a, b, d):
-    q = qvar()
-    g = q * q + d  # a multi-term divisor: sympy does the division
+@given(_scalars(), _scalars(), st.sampled_from(_GENERAL + _BINOMIALS))
+def test_one_representation_per_value(a, b, g):
+    g = parse(g)  # a general divisor goes to sympy, a binomial one does not
     for x in (a, b, a + b, a * b, (a * g) / g, (a * g + b * g) / g,
               a / (b * g + 1) if b * g + 1 else a):
         assert (x._d is not None) == _native_value(x)
     back = (a * g) / g
-    assert back == a and hash(back) == hash(a) and back._d == a._d
+    assert back == a and hash(back) == hash(a) and (back._d, back._b) == (a._d, a._b)
 
 
 def _values_for_hash():
     q, l1 = qvar(), indet("lam1")
     g = q * q - 1
     return [ZERO, ONE, -ONE, Scalar(Fraction(1, 2)), q + 1, q ** -2 * l1 / 3,
-            (q * q - ONE) / q ** 3 + l1, ONE / g, (g * (l1 - q)) / g, (q - 1) / g]
+            (q * q - ONE) / q ** 3 + l1, ONE / g, (g * (l1 - q)) / g, (q - 1) / g,
+            l1 / (q * q + 1) ** 2, ONE / (q * q + 2), (q * q + 2) / g]
 
 
 @pytest.mark.parametrize("switch", [imag_unit, lambda: register_indeterminate("tmp_hash2")],
@@ -261,22 +349,31 @@ def test_laurent_path_needs_no_cancel(monkeypatch):
     q, l1 = qvar(), indet("lam1")
     a, b = (q ** 2 - 1) / q ** 3, l1 / (2 * q)
     c = 2 * q / 3
+    # binomial denominators: q^2 - 1 = Phi_1(q) Phi_2(q), (q + 1)^2, Phi_1(lam1 lam2 mu1 mu2)
+    x, y, w = (l1 - q) / (q * q - 1), q / (q + 1) ** 2, q - ONE / q
+    z = (l1 * indet("lam2") * indet("mu1") * indet("mu2") - 1) / (q * q + 1)
+    pairs = [(x, y), (y, x), (a, x), (x, z), (z, w)]
     want = [a.f + b.f, a.f - b.f, a.f * b.f, a.f / b.f, a.f * 4 / 3,
             _want_pow(b.f, -3), _want_pow(c.f, -2), a.f ** 2, -a.f]
+    want += [g(u.f, v.f) for u, v in pairs for g in (add, sub, mul, truediv)]
+    want += [x.f / w.f ** 2, _want_pow(x.f, -2), _want_pow(z.f, -1), x.f ** 3, -x.f,
+             x.f * y.f / y.f]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a Laurent operation used sympy")
+        raise AssertionError("a Laurent or binomial operation used sympy")
 
     monkeypatch.setattr(PolyElement, "cancel", refuse)
     monkeypatch.setattr(PolyElement, "__init__", refuse)
     monkeypatch.setattr(FracElement, "__init__", refuse)
-    got = [a + b, a - b, a * b, a / b, a / Fraction(3, 4), b ** -3, c ** -2, a ** 2, -a,
-           3 * a - Fraction(1, 2)]
+    got = [a + b, a - b, a * b, a / b, a / Fraction(3, 4), b ** -3, c ** -2, a ** 2, -a]
+    got += [g(u, v) for u, v in pairs for g in (add, sub, mul, truediv)]
+    got += [x / w ** 2, x ** -2, z ** -1, x ** 3, -x, x * y / y, 3 * a - Fraction(1, 2)]
     consts = [Scalar(3) == 3, Scalar(Fraction(-1, 2)) == Fraction(-1, 2), a != 3,
-              bool(a), not ZERO, Scalar(0) == 0, Scalar(a) == a]
+              bool(a), not ZERO, Scalar(0) == 0, Scalar(a) == a, x != y, x * y / y == x,
+              hash(x * y / y) == hash(x), x - x == 0, (x - x)._b == ()]
     monkeypatch.undo()
-    for x, y in zip(got, want):
-        _same(x.f, y)
+    for u, v in zip(got, want):
+        _same_scalar(u, v)
     assert got[-1] == 3 * a - parse("1/2")
     assert all(consts)
 
@@ -285,12 +382,18 @@ def test_qi_results_match_field(restore_field):
     i = imag_unit()
     q, l1 = qvar(), indet("lam1")
     values = [ZERO, ONE, -ONE, i, (q * q - 1) / q ** 3 + l1, q - i / (2 * q),
-              ONE / (q * q - i), Scalar(Fraction(-3, 4))]
+              ONE / (q * q - i), Scalar(Fraction(-3, 4)), ONE / (q * q + 1), (l1 - i) / (q + 1) ** 2,
+              (q + i) / (q * q + 1)]
     for a in values:
         for b in values:
-            _same((a + b).f, a.f + b.f)
-            _same((a - b).f, a.f - b.f)
-            _same((a * b).f, a.f * b.f)
+            _same_scalar(a + b, a.f + b.f)
+            _same_scalar(a - b, a.f - b.f)
+            _same_scalar(a * b, a.f * b.f)
+            if b:
+                _same_scalar(a / b, a.f / b.f)
+    # Phi_4(q) = q^2 + 1 splits over Q(i); a value with a non-rational
+    # coefficient stays general
+    assert values[-1] == ONE / (q - i) and values[-1]._d is None and values[-3]._b
 
 
 @pytest.mark.parametrize("qi", [False, True], ids=["Q", "Q(i)"])
