@@ -265,7 +265,7 @@ def _reduce(a, b):
 def _combine_factors(b1, b2, pick):
     """The factor tuple with multiplicities ``pick(k1, k2)`` (add: a
     product, max: a common multiple)."""
-    if not b1 or b1 == b2 and pick is max:
+    if not b1:
         return b2
     if not b2:
         return b1
