@@ -39,7 +39,7 @@ class RMatrix:
         self.p = tuple(grading) if grading is not None else (0,) * n
         if len(self.p) != n:
             raise ValueError("grading length must equal the dimension")
-        smat.inv(self.m)  # invertibility is part of the contract
+        smat.check_invertible(self.m)  # invertibility is part of the contract
         if self.is_super and not null_degree_check(self):
             raise NullDegreeViolated(f"{name or 'R'} is not even under {self.p}")
 

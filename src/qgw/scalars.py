@@ -46,21 +46,23 @@ first mixed operation.
 native value and cached; ``str`` prints its expression.  No floating point
 enters the core; floats appear only in :func:`scalar_eval`, which is a
 diagnostic.
+
+sympy itself is imported on first need, never by ``import qgw``: by a
+general value, by ``i`` (:func:`imag_unit`, ``i`` in :func:`parse`), by
+``.f``, :meth:`Scalar.as_expr`, ``str`` and :func:`render`, and by a sympy
+expression passed in.  Native arithmetic, ==, ``hash``, :func:`parse` of
+text without ``i`` whose divisors split into binomials, :func:`scalar_eval`
+and :func:`prime_point_value` of a native value need none of it.
 """
 
 from __future__ import annotations
 
 import numbers
 import re
+import sys
 from fractions import Fraction
 from math import exp, gcd, lcm, lgamma, log2
 from operator import add, mul, sub, truediv
-
-import sympy
-from sympy import I as _sympy_I
-from sympy import Symbol
-from sympy.polys.domains import QQ, QQ_I
-from sympy.polys.fields import field as _mkfield
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -71,31 +73,53 @@ class PoleAtPoint(ArithmeticError):
     pass
 
 
+def _sympy():
+    """The sympy package, imported on first need: the import takes 0.3-0.5 s
+    of CPU on a 2-core x86-64 VM with Python 3.11, about half as long as the
+    checks of a whole ``qgw run --suite all``, which needs none of it."""
+    import sympy
+    return sympy
+
+
 class _Registry:
-    """Global ordered indeterminate registry backing the scalar field."""
+    """Global ordered indeterminate registry backing the scalar field.  The
+    sympy field is built on first access of ``field``, and again after the
+    registry changes."""
 
     def __init__(self, names):
         self.names = list(names)
-        self.domain = QQ
-        self._build()
+        self.qi = False  # the ground field is Q(i), not Q
+        self._field = None
+        self._resize()
 
-    def _build(self):
-        self.field = _mkfield(",".join(self.names), self.domain)[0]
-        self.symbols = {n: Symbol(n) for n in self.names}
+    def _resize(self):
+        self.known = frozenset(self.names)
         self.n = len(self.names)
         self.origin = (0,) * self.n  # exponent tuple of a constant
 
+    @property
+    def domain(self):
+        domains = _sympy().polys.domains
+        return domains.QQ_I if self.qi else domains.QQ
+
+    @property
+    def field(self):
+        if self._field is None:
+            self._field = _sympy().polys.fields.field(",".join(self.names), self.domain)[0]
+        return self._field
+
     def adjoin_i(self):
         """Switch the ground field from Q to Q(i); once, on first use of i."""
-        if self.domain is QQ:
-            self.domain = QQ_I
-            self._build()
+        if not self.qi:
+            self.qi = True
+            self._field = None
 
     def register(self, name):
-        if name in self.names:
+        if name in self.known:
             return
         self.names.append(name)
-        self._build()
+        self._field = None
+        self._resize()
 
 
 _REG = _Registry(["q", "lam1", "lam2", "mu1", "mu2"])
@@ -222,7 +246,9 @@ def _bdiv(a, m, d):
     when it is exact on each chain as a polynomial in y; it then takes one
     pass per chain, from its top.  First ``a`` must vanish at one root of
     Phi_d(m): x_j a primitive d-th root of unity, for an odd m_j, and the
-    other indeterminates 1."""
+    other indeterminates 1.  Where a quotient term is 0 the pass jumps to
+    the next term of the chain, so a sparse quotient costs no more than its
+    terms."""
     j = next(i for i, e in enumerate(m) if e % 2)
     if not _at_root(((k[j], x) for k, x in a.items()), d):
         return None
@@ -235,11 +261,19 @@ def _bdiv(a, m, d):
         chains.setdefault(tuple(e - t * w for e, w in zip(k, v)), {})[t] = x
     out = {}
     for base, ch in chains.items():
-        low, qt = min(ch), 0
-        for t in range(max(ch), low, -1):  # a_t = q_(t-1) + c q_t
+        ts = sorted(ch, reverse=True)
+        low, t, qt, at = ts[-1], ts[0], 0, 0
+        while t > low:  # a_t = q_(t-1) + c q_t
+            if not qt:  # every q is 0 down to the next a_t
+                while ts[at] > t:
+                    at += 1
+                t = ts[at]
+                if t == low:
+                    break
             qt = ch.get(t, 0) - c * qt
             if qt:
                 out[tuple(e + (t - 1) * w for e, w in zip(base, v))] = qt
+            t -= 1
         if ch[low] != c * qt:
             return None
     return out
@@ -454,7 +488,7 @@ def _from_field(f):
     coefficient is rational and the denominator is c x^e times binomial
     factors (found by ``_peel``)."""
     num, den = f.numer, f.denom
-    if f.field.domain is QQ_I:
+    if f.field.domain.is_QQ_I:
         if any(v.y for p in (num, den) for v in p.values()):
             return _general(f)
         num, den = ({k: v.x for k, v in p.items()} for p in (num, den))
@@ -503,13 +537,19 @@ def _lift(s):
     return f
 
 
+def _is_expr(x):
+    """Whether ``x`` is a sympy expression; never imports sympy, since no
+    such expression exists before sympy is loaded."""
+    return "sympy" in sys.modules and isinstance(x, sys.modules["sympy"].Expr)
+
+
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
         return _native({_REG.origin: _rat(x)} if x else {}, _REG.n)
-    if isinstance(x, sympy.Expr):
-        if x.has(_sympy_I):
+    if _is_expr(x):
+        if x.has(_sympy().I):
             _REG.adjoin_i()
         return _from_field(_REG.field.from_expr(x))
     raise TypeError(f"cannot coerce {x!r} to Scalar")
@@ -683,23 +723,20 @@ def _pow(s, n):
             return _native(r[0], s._n, r[1])
     f = _lift(s) ** n
     u = f.denom.canonical_unit()  # sympy's f**-n keeps the unit of f.numer
-    if u != _REG.domain.one:
+    if u != f.field.domain.one:
         f = f.raw_new(f.numer.mul_ground(u), f.denom.mul_ground(u))
     return _from_field(f)
 
 
 def _operand(x):
     """``x`` as a Scalar operand, or None for a type Scalar cannot take."""
-    try:
-        return _coerce(x)
-    except TypeError:
-        return None
+    return _coerce(x) if isinstance(x, (int, Fraction)) or _is_expr(x) else None
 
 
 # -- constructors ---------------------------------------------------------
 
 def indet(name: str) -> Scalar:
-    if name not in _REG.symbols:
+    if name not in _REG.known:
         raise KeyError(f"unregistered indeterminate {name!r}; call register_indeterminate")
     k = _REG.names.index(name)
     return _native({tuple(int(j == k) for j in range(_REG.n)): 1}, _REG.n)
@@ -710,7 +747,7 @@ ONE = Scalar(1)
 
 
 def imag_unit() -> Scalar:
-    return Scalar(_sympy_I)
+    return Scalar(_sympy().I)
 
 
 def qvar() -> Scalar:
@@ -732,21 +769,66 @@ _BINARY = {"+": (_nadd, _fadd, add), "-": (_nsub, _fsub, sub),
            "*": (_nmul, _fmul, mul), "/": (_ndiv, _fdiv, truediv)}
 _MAX_DIGITS = 100         # of an integer literal
 _MAX_EXPONENT = 10 ** 9   # |n| in x^n
-_MAX_SIZE = 10 ** 6       # bound on terms x coefficient bits of a product or power
+_MAX_SIZE = 10 ** 6       # bound on terms x coefficient bits of a result
 _MAX_DEPTH = 100          # nesting of signs, powers and bracketed terms
 
 
+def _den_terms(b):
+    """A bound on the terms of the expanded product of the factors ``b``,
+    found without expanding it.  For each m the product is a polynomial in
+    y = m with at most (degree + 1) terms.  It is also the product of its
+    layers, the factors of multiplicity at least l for l = 1, 2, ..., and a
+    layer is a product of runs of consecutive Phi_(2^t)(y), t = i..j (Phi_1
+    for t = 0): y^(2^j) - 1, of 2 terms, for i = 0, and otherwise
+    1 + y^g + y^(2g) + ... with g = 2^(i-1), of 2^(j-i+1) terms.  The bound
+    for ``b`` is the product over m of the smaller of the two."""
+    by_m = {}
+    for (m, d), k in b:
+        by_m.setdefault(m, {})[d.bit_length() - 1] = k  # t with d = 2^t
+    total = 1
+    for ks in by_m.values():
+        degree = sum(k * (1 if t == 0 else 2 ** (t - 1)) for t, k in ks.items())
+        layers, below = 1, 0
+        for level in sorted(set(ks.values())):
+            ts = sorted(t for t, k in ks.items() if k >= level)
+            runs, start = 1, ts[0]
+            for prev, t in zip(ts, ts[1:] + [None]):
+                if t != prev + 1:
+                    runs *= 2 if start == 0 else 2 ** (prev - start + 1)
+                    start = t
+            layers *= runs ** (level - below)
+            below = level
+        total *= min(layers, degree + 1)
+    return total
+
+
 def _size(s):
-    """(terms, height) of a Scalar: the height is the largest numerator or
-    denominator among its coefficients, in absolute value."""
-    if s._d is not None and not s._b:
-        cs = list(s._d.values())
-    else:
-        f = _lift(s)
+    """(terms, height) of the canonical fraction of a Scalar (of a Laurent
+    value, its own coefficients), or a bound on them: the height is the
+    largest numerator or denominator among its coefficients, in absolute
+    value.  A native value with factors is never expanded: the terms of its
+    denominator are bounded by ``_den_terms``, and its coefficients by the
+    lcm L of the numerator's coefficient denominators times 2^(sum of the
+    multiplicities), each factor having two coefficients +-1."""
+    d = s._d
+    if d is None:
+        f = s.f
         cs = [p for v in (*f.numer.values(), *f.denom.values())
-              for p in ((v.x, v.y) if f.field.domain is QQ_I else (v,))]
+              for p in ((v.x, v.y) if f.field.domain.is_QQ_I else (v,))]
+    elif not s._b:
+        cs = d.values()
+    else:
+        den = lcm(*(v.denominator for v in d.values()))
+        height = max(abs(v.numerator) * (den // v.denominator) for v in d.values())
+        return (len(d) + _den_terms(s._b),
+                max(height, den << sum(k for _, k in s._b)))
     return len(cs), max((max(abs(int(c.numerator)), int(c.denominator)) for c in cs),
                         default=1)
+
+
+def _work(terms, height):
+    """terms x coefficient bits"""
+    return terms * (log2(height) + 1)
 
 
 def _bounded_pow(x, n):
@@ -761,7 +843,37 @@ def _bounded_pow(x, n):
     terms = exp(lgamma(m + t) - lgamma(m + 1) - lgamma(t))
     if (t > 1 and m > _MAX_SIZE) or terms * (m * log2(h * t) + 1) > _MAX_SIZE:
         raise ValueError("power too large")
-    return _pow(x, n)
+    return _bounded(_pow(x, n))
+
+
+def _bounded(x):
+    """``x``, unless it has binomial factors and its canonical fraction passes
+    the size bound: so every value parse returns can be printed.  (Dividing
+    out a common factor can make the expanded denominator of a result far
+    larger than its operands', as in (q + 1) / (q^(2^29) - 1)^2.)"""
+    if x._b and _work(*_size(x)) > _MAX_SIZE:
+        raise ValueError("value too large")
+    return x
+
+
+def _bounded_bin(x, op, y):
+    """x op y for an operator of ``_BINARY``, refused before it is computed
+    when it could pass the size bound, and after, when its value does.  A
+    product or quotient costs at most the product of the sizes (a quotient
+    multiplies by the expanded denominator of y); a sum or difference
+    multiplies each numerator by the factors that the other's denominator
+    adds."""
+    if op in "*/":
+        (ta, ha), (tb, hb) = _size(x), _size(y)
+        if _work(ta * tb, ha * hb) > _MAX_SIZE:
+            raise ValueError("product too large")
+    elif x._d is not None and y._d is not None and x._b != y._b:
+        (ta, ha), (tb, hb) = _size(x), _size(y)
+        den = _combine_factors(x._b, y._b, max)
+        if (_work(ta * _den_terms(_over(den, x._b)), ha)
+                + _work(tb * _den_terms(_over(den, y._b)), hb) > _MAX_SIZE):
+            raise ValueError("sum too large")
+    return _bounded(x._bin(y, *_BINARY[op]))
 
 
 def _tokens(text):
@@ -775,20 +887,16 @@ def _sum(toks, depth):
     costs no recursion."""
     x = _product(toks, depth)
     while toks and toks[-1] in ("+", "-"):
-        ops = _BINARY[toks.pop()]
-        x = x._bin(_product(toks, depth), *ops)
+        op = toks.pop()
+        x = _bounded_bin(x, op, _product(toks, depth))
     return x
 
 
 def _product(toks, depth):
     x = _factor(toks, depth)
     while toks and toks[-1] in ("*", "/"):
-        ops = _BINARY[toks.pop()]
-        y = _factor(toks, depth)
-        (ta, ha), (tb, hb) = _size(x), _size(y)
-        if ta * tb * (log2(ha * hb) + 1) > _MAX_SIZE:
-            raise ValueError("product too large")
-        x = x._bin(y, *ops)
+        op = toks.pop()
+        x = _bounded_bin(x, op, _factor(toks, depth))
     return x
 
 
@@ -820,7 +928,7 @@ def _atom(toks, depth):
         return _coerce(int(tok))
     if tok == "i":
         return imag_unit()
-    if tok in _REG.symbols:
+    if tok in _REG.known:
         return indet(tok)
     raise ValueError(f"unexpected {tok!r}")
 
@@ -830,15 +938,18 @@ def parse(text: str) -> Scalar:
     the registered indeterminates, with the precedence of Python (``^`` is
     ``**``).  Any other name or character is a ValueError before the text is
     parsed, so it is never run as code.  So are a literal over 100 digits, an
-    exponent that is not an integer of at most 10^9 in size, a product or
-    power whose result could pass 10^6 terms x coefficient bits, each refused
-    before it is computed, and signs, exponents and brackets nested over 100
-    deep.  A parser by recursive descent evaluates the text as it reads it,
-    with the arithmetic helpers, not Scalar's operators, so that parsing
-    adds no operator calls to the caller's count; sums and products are
-    loops, so their length is not bounded."""
+    exponent that is not an integer of at most 10^9 in size, a product,
+    quotient or power whose result could pass 10^6 terms x coefficient bits
+    and a sum or difference whose numerators, brought to the common
+    denominator, could, each refused before it is computed, a value with
+    binomial factors whose canonical fraction could pass it, and signs,
+    exponents and brackets nested over 100 deep.  A parser by recursive
+    descent evaluates the text as it reads it, with the arithmetic helpers,
+    not Scalar's operators, so that parsing adds no operator calls to the
+    caller's count; sums and products are loops, so their length is not
+    bounded."""
     for tok in _NAME.findall(text):
-        if tok != "i" and tok not in _REG.symbols:
+        if tok != "i" and tok not in _REG.known:
             raise ValueError(f"unexpected {tok!r} in {text!r}")
     if max(map(len, re.findall(r"\d+", text)), default=0) > _MAX_DIGITS:
         raise ValueError(f"integer literal of more than {_MAX_DIGITS} digits in {text!r}")
@@ -856,7 +967,47 @@ def render(a: Scalar) -> str:
     return str(a)
 
 
-# -- numeric evaluation ---------------------------------------------------
+# -- evaluation at a point -------------------------------------------------
+
+def _native_at(s, point, conv):
+    """The canonical numerator and denominator of native Scalar ``s`` (those
+    that ``_to_field`` builds) at ``point``, one value per indeterminate,
+    with coefficients converted by ``conv``.  The numerator is summed term by
+    term; the denominator is the product of its factors, never expanded, each
+    factor Phi_d(m) times the monomial that clears its negative exponents."""
+    d = s._d
+    if not d:
+        return conv(0), conv(1)
+    den = lcm(*(v.denominator for v in d.values()))
+    neg, factors = [0] * s._n, []
+    for (m, dd), k in s._b:
+        g = max(1, dd // 2)
+        hi = tuple(g * max(0, e) for e in m)
+        lo = tuple(g * max(0, -e) for e in m)
+        factors.append((hi, lo, -1 if dd == 1 else 1, k))
+        neg = [a + k * e for a, e in zip(neg, lo)]
+    shift = [max(c, -min(col), 0) for c, col in zip(neg, zip(*d))]
+    num = conv(0)
+    for k, v in d.items():
+        t = conv(v.numerator * (den // v.denominator))
+        for x, e, h in zip(point, k, shift):
+            if e + h:
+                t *= x ** (e + h)
+        num += t
+    value = conv(den)
+    for x, h, c in zip(point, shift, neg):
+        if h - c:
+            value *= x ** (h - c)
+    for hi, lo, c, k in factors:
+        u = w = conv(1)
+        for x, e, f in zip(point, hi, lo):
+            if e:
+                u *= x ** e
+            if f:
+                w *= x ** f
+        value *= (u + c * w) ** k
+    return num, value
+
 
 def _complex(c):
     if hasattr(c, "y"):  # an element of Q(i)
@@ -869,27 +1020,51 @@ def scalar_eval(a: Scalar, assignment: dict) -> complex:
 
     ``assignment`` maps indeterminate names to complex numbers and must cover
     all indeterminates of ``a``.  The numerator and denominator of the
-    canonical fraction are summed term by term in complex floats.  Raises
-    PoleAtPoint when the denominator vanishes (within 1e-12 of the
-    numerator's scale).
+    canonical fraction are evaluated in complex floats, a native value's
+    without sympy.  Raises PoleAtPoint when the denominator vanishes (within
+    1e-12 of the numerator's scale).
     """
     missing = a.indeterminates() - set(assignment)
     if missing:
         raise KeyError(f"assignment missing indeterminates {sorted(missing)}")
-    f = a.f
-    point = [complex(assignment.get(n, 0)) for n in _REG.names[:f.field.ngens]]
+    if a._d is not None:
+        point = [complex(assignment.get(x, 0)) for x in _REG.names[:a._n]]
+        num, den = _native_at(a, point, complex)
+    else:
+        f = a.f
+        point = [complex(assignment.get(x, 0)) for x in _REG.names[:f.field.ngens]]
 
-    def value(p):
-        total = 0j
-        for k, c in p.items():
-            t = _complex(c)
-            for x, e in zip(point, k):
-                if e:
-                    t *= x ** e
-            total += t
-        return total
+        def value(p):
+            total = 0j
+            for k, c in p.items():
+                t = _complex(c)
+                for x, e in zip(point, k):
+                    if e:
+                        t *= x ** e
+                total += t
+            return total
 
-    num, den = value(f.numer), value(f.denom)
+        num, den = value(f.numer), value(f.denom)
     if abs(den) <= 1e-12:
         raise PoleAtPoint(f"denominator vanishes at {assignment}")
+    return num / den
+
+
+_PRIMES = [2, 3, 5, 7, 11]
+
+
+def prime_point_value(a: Scalar) -> "Fraction | None":
+    """The exact value of ``a`` at q = 2, lam1 = 3, lam2 = 5, mu1 = 7,
+    mu2 = 11 and the next primes for indeterminates registered later, or
+    None for a general value.  No native value has a pole there: a factor
+    Phi_d(m) of its denominator is m^g +- 1 with m a nonzero exponent tuple,
+    and a product of powers of distinct primes is 1 only for m = 0."""
+    if a._d is None:
+        return None
+    while len(_PRIMES) < a._n:
+        p = _PRIMES[-1] + 2
+        while any(p % d == 0 for d in _PRIMES):
+            p += 2
+        _PRIMES.append(p)
+    num, den = _native_at(a, list(map(Fraction, _PRIMES[:a._n])), Fraction)
     return num / den

@@ -2,17 +2,17 @@
 
 Plain list-of-list matrices with Scalar entries; enough linear algebra for
 R-matrix checks and representation work (multiply, Kronecker product,
-Gauss-Jordan inverse).  No numerics.  :func:`embed_pair` is the one
-embedding of a two-leg operator into three graded tensor legs, with Koszul
-signs, and :func:`braid_holds` compares the two sides of the braid relation
-on three such legs.
+Gauss-Jordan inverse, an exact invertibility test).  No numerics.
+:func:`embed_pair` is the one embedding of a two-leg operator into three
+graded tensor legs, with Koszul signs, and :func:`braid_holds` compares the
+two sides of the braid relation on three such legs.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, prime_point_value
 
 
 class Singular(ArithmeticError):
@@ -162,3 +162,15 @@ def inv(a):
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]
+
+
+def check_invertible(a):
+    """Raise Singular unless ``a`` is invertible over the scalar field.
+
+    A determinant that is nonzero at one point is nonzero, so a matrix whose
+    entries' exact values at the prime point (``prime_point_value``) have no
+    nullspace is invertible, with no division of Scalars.  A matrix that is
+    singular there, or has a general entry, is decided by :func:`inv`."""
+    at = [[prime_point_value(x) if x else 0 for x in row] for row in a]
+    if any(v is None for row in at for v in row) or nullspace(at):
+        inv(a)

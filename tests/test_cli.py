@@ -9,7 +9,7 @@ import pytest
 from sympy.polys.domains import QQ, QQ_I
 
 from qgw import cli, scalars
-from qgw.rmatlab import RMatrix, catalog, rmatrix_to_json
+from qgw.rmatlab import RMatrix, catalog, rmatrix_from_json, rmatrix_to_json
 from qgw.scalars import ONE
 
 
@@ -202,6 +202,51 @@ def test_suite_all_needs_no_gcd():
     proc = _fresh_python("-c", _COUNT_CANCEL)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]
+
+
+_LAZY_SYMPY = """
+import io, json, sys
+import qgw
+from qgw import cli, rmatlab, scalars
+loaded = ["sympy" in sys.modules]
+cli.run(suite="all", seed=0, out=io.StringIO())
+loaded.append("sympy" in sys.modules)
+R = rmatlab.rmatrix_from_json(sys.argv[1])
+x = scalars.parse(sys.argv[2])
+loaded.append("sympy" in sys.modules)
+values = [x, *(e for row in R.m for e in row)]
+before = list(map(hash, values))
+if sys.argv[3] == "str":
+    str(x)
+else:
+    assert scalars.imag_unit() ** 2 == -1
+loaded.append("sympy" in sys.modules)
+y = scalars.parse(sys.argv[2])
+print(json.dumps({"loaded": loaded, "same": [x == y, hash(x) == hash(y)], "hashes": before,
+                  "after": list(map(hash, values)), "str": list(map(str, values))}))
+"""
+
+_BINOMIAL_FRACTION = "(q^2 + lam1)/(q^2 - 1)^2/(lam1*q - 1) - 1/q"
+
+
+@pytest.mark.parametrize("trigger", ["str", "imag_unit"])
+def test_sympy_loads_only_when_a_value_needs_it(trigger):
+    """``import qgw``, a whole suite, reading a corrupted gl(2|1) R (whose
+    inverse over the field divides by q + 2) and parsing a fraction over
+    binomials load no sympy; printing a value or adjoining i loads it, and
+    changes no value, == or hash."""
+    data = json.loads(rmatrix_to_json(catalog("glnm", 2, 1)))
+    r, c, text = data["entries"][0]
+    data["entries"][0] = [r, c, f"({text}) + 2"]
+    proc = _fresh_python("-c", _LAZY_SYMPY, json.dumps(data), _BINOMIAL_FRACTION, trigger)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["loaded"] == [False, False, False, True]
+    assert got["same"] == [True, True]
+    R = rmatrix_from_json(json.dumps(data))
+    values = [scalars.parse(_BINOMIAL_FRACTION), *(e for row in R.m for e in row)]
+    assert got["hashes"] == got["after"] == [hash(e) for e in values]
+    assert got["str"] == [str(e) for e in values]
 
 
 def _fresh_python(*args):

@@ -153,6 +153,41 @@ def test_invertibility_enforced():
         RMatrix(2, [[0] * 4 for _ in range(4)])
 
 
+def _counting_inv(monkeypatch):
+    calls, inv = [], smat.inv
+    monkeypatch.setattr(smat, "inv", lambda a: calls.append(a) or inv(a))
+    return calls
+
+
+def test_invertibility_certified_at_a_point(monkeypatch):
+    # gl(2|1) with one entry off by 2: invertible, and the Gauss-Jordan
+    # inverse would divide by q + 2 in sympy's field
+    calls = _counting_inv(monkeypatch)
+    data = json.loads(rmatrix_to_json(catalog("glnm", 2, 1)))
+    r, c, text = data["entries"][0]
+    data["entries"][0] = [r, c, f"({text}) + 2"]
+    assert rmatrix_from_json(json.dumps(data)).entry(1, 1, 1, 1) == qvar() + 2
+    assert calls == []
+
+
+def test_singular_r_keeps_its_message(monkeypatch):
+    calls = _counting_inv(monkeypatch)
+    rows = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    with pytest.raises(smat.Singular, match="matrix is singular over the scalar field"):
+        RMatrix(2, rows)
+    assert len(calls) == 1
+
+
+def test_singular_at_the_point_falls_back_to_the_inverse(monkeypatch):
+    # q - 2 vanishes at the point q = 2, but not identically
+    calls = _counting_inv(monkeypatch)
+    q = qvar()
+    R = RMatrix(2, [[q - 2 if i == j == 0 else ONE if i == j else 0 for j in range(4)]
+                    for i in range(4)])
+    assert len(calls) == 1
+    assert smat.meq(smat.mmul(R.m, R.inverse_matrix()), smat.eye(4))
+
+
 def test_serialization_roundtrip():
     for spec in (("ac",), ("super_ac",), ("glnm", 2, 1)):
         R = catalog(*spec)

@@ -121,19 +121,36 @@ _HOSTILE = ["9^9^9", "((2^100)^1000)^1000", "((2^10)^1000)^1000", "1" + "0" * 20
 # binomials of huge degree that stay sparse: Phi_d(q) for every d | 2^29,
 # and a divisor q^(10^9) - 1 with the factor Phi_5(q), which sympy keeps
 _SPARSE = ["1/(q^(2^29)-1) - 1/(q^(2^29)+1)", "(q^(2^29)+1)/(q^(2^28)+1)", "1/(q^(10^9)-1)"]
+# values whose canonical denominator, or a sum's common one, is dense: of
+# degree about 2^30 (q^(2^29) - 1 squared, over q + 1), and a numerator of
+# 2^20 terms, (q^(2^20) - 1)/(q - 1) + 1
+_DENSE = ["1/(q^(2^29)-1)^2 * (q+1)", "1/(q^(2^20)-1) + 1/(q-1)"]
+# an exact division whose quotient, q^(2^28 + 1) - q^(2^28) + q - 1, is sparse
+_SPARSE_QUOTIENT = "(q^(2^28)+1)*(q^2-1)/(q+1)"
 
 
-def test_parse_refuses_huge_work_in_time():
-    # a subprocess with a timeout, so that a regression fails instead of hanging
+def _parse_in_subprocess(texts, timeout):
+    """'ValueError' or 'parsed' for each text, parsed in a subprocess with a
+    timeout, so that a regression fails instead of hanging."""
     code = ("import sys\nfrom qgw.scalars import parse\n"
             "for t in sys.argv[1:]:\n"
             "    try:\n        parse(t)\n    except ValueError:\n        print('ValueError')\n"
             "    else:\n        print('parsed')\n")
     src = str(Path(scalars.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code, *_HOSTILE, *_SPARSE], env=env, timeout=60,
+    out = subprocess.run([sys.executable, "-c", code, *texts], env=env, timeout=timeout,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["ValueError"] * len(_HOSTILE) + ["parsed"] * len(_SPARSE)
+    return out.stdout.split()
+
+
+def test_parse_refuses_huge_work_in_time():
+    assert (_parse_in_subprocess(_HOSTILE + _SPARSE, 60)
+            == ["ValueError"] * len(_HOSTILE) + ["parsed"] * len(_SPARSE))
+
+
+def test_parse_bounds_denominators_in_time():
+    assert (_parse_in_subprocess(_DENSE + [_SPARSE_QUOTIENT], 10)
+            == ["ValueError"] * len(_DENSE) + ["parsed"])
 
 
 def test_coercions():
@@ -210,6 +227,77 @@ def test_scalar_eval_matches_sympy(a):
     assert abs(scalar_eval(a, _POINT) - want) <= 1e-12 * abs(want)
 
 
+def _field_eval(a, assignment):
+    """scalar_eval through the canonical sympy fraction ``a.f``: numerator
+    and denominator summed term by term in complex floats, the same pole
+    test."""
+    f = a.f
+    point = [complex(assignment.get(n, 0)) for n in scalars._REG.names[:f.field.ngens]]
+
+    def value(p):
+        return sum((complex(c) * math.prod(x ** e for x, e in zip(point, k))
+                    for k, c in p.items()), 0j)
+
+    num, den = value(f.numer), value(f.denom)
+    if abs(den) <= 1e-12:
+        raise PoleAtPoint
+    return num / den
+
+
+# points at the binomial factors' poles: q = 1, -1, i for q - 1, q + 1,
+# q^2 + 1, and lam1 = 2, q = 0.5 or lam1 = q = 1 for lam1 q - 1 and q - lam1
+_QS = [1, -1, 1j, -1j, 2, 0.5, 0.7 + 0.2j, -1.3 + 0.4j]
+_LAMS = [1, -1, 2, 0.5, -1.1 + 0.3j]
+
+
+@settings(deadline=None)
+@given(_scalars(), st.sampled_from(_QS), st.sampled_from(_LAMS))
+def test_native_scalar_eval_matches_field_path(a, qc, lc):
+    point = dict(_POINT, q=qc, lam1=lc)
+    try:
+        want = _field_eval(a, point)
+    except PoleAtPoint:
+        with pytest.raises(PoleAtPoint):
+            scalar_eval(a, point)
+        return
+    assert abs(scalar_eval(a, point) - want) <= 1e-9 * max(abs(want), 1e-3)
+
+
+@pytest.mark.parametrize("text", ["1/(q^2-1)", "(q+1)/(q^2-1)^2", "q/(q^4+1)/(q-1)"])
+def test_scalar_eval_pole_of_a_binomial(text):
+    a = parse(text)
+    assert a._b  # native, over binomial factors
+    with pytest.raises(PoleAtPoint):
+        scalar_eval(a, {"q": 1})
+    with pytest.raises(PoleAtPoint):
+        _field_eval(a, {"q": 1})
+
+
+@settings(deadline=None)
+@given(_scalars())
+def test_prime_point_value_is_exact(a):
+    point = {sympy.Symbol(n): p for n, p in zip(scalars._REG.names, (2, 3, 5, 7, 11))}
+    got = scalars.prime_point_value(a)
+    if a._d is None:
+        assert got is None
+    else:
+        want = sympy.Rational(a.as_expr().subs(point))
+        assert got == Fraction(int(want.p), int(want.q))
+
+
+def test_scalar_operand_of_another_type_is_not_printed():
+    class Probe:
+        def __repr__(self):
+            raise AssertionError("printed")
+
+        def __rmul__(self, other):
+            return "rmul"
+
+    assert qvar() * Probe() == "rmul"
+    with pytest.raises(TypeError, match="cannot coerce"):
+        Scalar(1.5)
+
+
 def test_scalar_eval_matches_sympy_over_qi(restore_field):
     i, q, l1 = imag_unit(), qvar(), indet("lam1")
     for a in (i, i * q + l1, q - i / (2 * q), ONE / (q * q - i), (q * q - 1) / q ** 3):
@@ -267,6 +355,22 @@ def test_peel_finds_every_binomial_factor(fs, other, e, c):
         assert got is None
     else:
         assert got == ({e: c}, want)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, -1, 0, 0, 0)]),
+                          st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 3)), max_size=7))
+def test_den_terms_bounds_the_expansion(fs):
+    b = tuple(sorted({(m, d): k for m, d, k in fs}.items()))
+    assert len(scalars._expand(b, 5)) <= scalars._den_terms(b)
+
+
+def test_den_terms_of_cyclotomic_chains():
+    q = (1, 0, 0, 0, 0)
+    chain = tuple(((q, 2 ** t if t else 1), 1) for t in range(30))  # q^(2^29) - 1
+    assert scalars._den_terms(chain) == 2
+    assert scalars._den_terms(tuple((f, 2) for f, _ in chain)) == 4
+    assert scalars._den_terms(chain[1:]) == 2 ** 29  # (q^(2^29) - 1)/(q - 1)
 
 
 def _same_scalar(x, want):
