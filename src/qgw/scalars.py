@@ -52,7 +52,7 @@ general value, by ``i`` (:func:`imag_unit`, ``i`` in :func:`parse`), by
 ``.f``, :meth:`Scalar.as_expr`, ``str`` and :func:`render`, and by a sympy
 expression passed in.  Native arithmetic, ==, ``hash``, :func:`parse` of
 text without ``i`` whose divisors split into binomials, :func:`scalar_eval`
-and :func:`prime_point_value` of a native value need none of it.
+and :func:`prime_point_residue` of a native value need none of it.
 """
 
 from __future__ import annotations
@@ -87,15 +87,10 @@ class _Registry:
     registry changes."""
 
     def __init__(self, names):
-        self.names = list(names)
+        self.names = []
         self.qi = False  # the ground field is Q(i), not Q
-        self._field = None
-        self._resize()
-
-    def _resize(self):
-        self.known = frozenset(self.names)
-        self.n = len(self.names)
-        self.origin = (0,) * self.n  # exponent tuple of a constant
+        for name in names:
+            self.register(name)
 
     @property
     def domain(self):
@@ -115,11 +110,12 @@ class _Registry:
             self._field = None
 
     def register(self, name):
-        if name in self.known:
+        if name in self.names:
             return
         self.names.append(name)
         self._field = None
-        self._resize()
+        self.n = len(self.names)
+        self.origin = (0,) * self.n  # exponent tuple of a constant
 
 
 _REG = _Registry(["q", "lam1", "lam2", "mu1", "mu2"])
@@ -246,9 +242,7 @@ def _bdiv(a, m, d):
     when it is exact on each chain as a polynomial in y; it then takes one
     pass per chain, from its top.  First ``a`` must vanish at one root of
     Phi_d(m): x_j a primitive d-th root of unity, for an odd m_j, and the
-    other indeterminates 1.  Where a quotient term is 0 the pass jumps to
-    the next term of the chain, so a sparse quotient costs no more than its
-    terms."""
+    other indeterminates 1."""
     j = next(i for i, e in enumerate(m) if e % 2)
     if not _at_root(((k[j], x) for k, x in a.items()), d):
         return None
@@ -261,19 +255,11 @@ def _bdiv(a, m, d):
         chains.setdefault(tuple(e - t * w for e, w in zip(k, v)), {})[t] = x
     out = {}
     for base, ch in chains.items():
-        ts = sorted(ch, reverse=True)
-        low, t, qt, at = ts[-1], ts[0], 0, 0
-        while t > low:  # a_t = q_(t-1) + c q_t
-            if not qt:  # every q is 0 down to the next a_t
-                while ts[at] > t:
-                    at += 1
-                t = ts[at]
-                if t == low:
-                    break
+        low, qt = min(ch), 0
+        for t in range(max(ch), low, -1):  # a_t = q_(t-1) + c q_t
             qt = ch.get(t, 0) - c * qt
             if qt:
                 out[tuple(e + (t - 1) * w for e, w in zip(base, v))] = qt
-            t -= 1
         if ch[low] != c * qt:
             return None
     return out
@@ -736,7 +722,7 @@ def _operand(x):
 # -- constructors ---------------------------------------------------------
 
 def indet(name: str) -> Scalar:
-    if name not in _REG.known:
+    if name not in _REG.names:
         raise KeyError(f"unregistered indeterminate {name!r}; call register_indeterminate")
     k = _REG.names.index(name)
     return _native({tuple(int(j == k) for j in range(_REG.n)): 1}, _REG.n)
@@ -928,7 +914,7 @@ def _atom(toks, depth):
         return _coerce(int(tok))
     if tok == "i":
         return imag_unit()
-    if tok in _REG.known:
+    if tok in _REG.names:
         return indet(tok)
     raise ValueError(f"unexpected {tok!r}")
 
@@ -949,7 +935,7 @@ def parse(text: str) -> Scalar:
     caller's count; sums and products are loops, so their length is not
     bounded."""
     for tok in _NAME.findall(text):
-        if tok != "i" and tok not in _REG.known:
+        if tok != "i" and tok not in _REG.names:
             raise ValueError(f"unexpected {tok!r} in {text!r}")
     if max(map(len, re.findall(r"\d+", text)), default=0) > _MAX_DIGITS:
         raise ValueError(f"integer literal of more than {_MAX_DIGITS} digits in {text!r}")
@@ -1050,15 +1036,37 @@ def scalar_eval(a: Scalar, assignment: dict) -> complex:
     return num / den
 
 
+MODULUS = (1 << 64) - 59  # a prime; 2, 3, 5, 7 and 11 have large order mod it
 _PRIMES = [2, 3, 5, 7, 11]
 
 
-def prime_point_value(a: Scalar) -> "Fraction | None":
-    """The exact value of ``a`` at q = 2, lam1 = 3, lam2 = 5, mu1 = 7,
-    mu2 = 11 and the next primes for indeterminates registered later, or
-    None for a general value.  No native value has a pole there: a factor
-    Phi_d(m) of its denominator is m^g +- 1 with m a nonzero exponent tuple,
-    and a product of powers of distinct primes is 1 only for m = 0."""
+class _Residue(int):
+    """An integer modulo ``MODULUS``; +, * and ** keep it reduced, so a power
+    costs the bits of its exponent, not those of its value."""
+
+    def __new__(cls, x):
+        return super().__new__(cls, x % MODULUS)
+
+    def __add__(self, other):
+        return _Residue(int(self) + other)
+
+    def __mul__(self, other):
+        return _Residue(int(self) * other)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, e):
+        return _Residue(pow(int(self), e, MODULUS))
+
+
+def prime_point_residue(a: Scalar) -> "int | None":
+    """The value of ``a`` at q = 2, lam1 = 3, lam2 = 5, mu1 = 7, mu2 = 11 and
+    the next primes for indeterminates registered later, modulo ``MODULUS``;
+    None for a general value, or when its denominator there is 0 modulo
+    ``MODULUS``.  No native value has a pole at the point: a factor Phi_d(m)
+    of its denominator is m^g +- 1 with m a nonzero exponent tuple, and a
+    product of powers of distinct primes is 1 only for m = 0.  So the
+    residue is the image of an exact rational value, whatever the degrees."""
     if a._d is None:
         return None
     while len(_PRIMES) < a._n:
@@ -1066,5 +1074,5 @@ def prime_point_value(a: Scalar) -> "Fraction | None":
         while any(p % d == 0 for d in _PRIMES):
             p += 2
         _PRIMES.append(p)
-    num, den = _native_at(a, list(map(Fraction, _PRIMES[:a._n])), Fraction)
-    return num / den
+    num, den = _native_at(a, list(map(_Residue, _PRIMES[:a._n])), _Residue)
+    return int(num) * pow(int(den), -1, MODULUS) % MODULUS if den else None

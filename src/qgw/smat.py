@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .scalars import ONE, ZERO, Scalar, prime_point_value
+from .scalars import MODULUS, ONE, ZERO, Scalar, prime_point_residue
 
 
 class Singular(ArithmeticError):
@@ -164,13 +164,33 @@ def inv(a):
     return [row[n:] for row in work]
 
 
+def _invertible_mod(a, p):
+    """Whether the integer matrix ``a`` is invertible modulo the prime ``p``."""
+    work = [list(row) for row in a]
+    n = len(work)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            return False
+        work[col], work[piv] = work[piv], work[col]
+        inv_pivot = pow(work[col][col], -1, p)
+        for r in range(col + 1, n):
+            if work[r][col]:
+                f = work[r][col] * inv_pivot
+                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[col])]
+    return True
+
+
 def check_invertible(a):
     """Raise Singular unless ``a`` is invertible over the scalar field.
 
-    A determinant that is nonzero at one point is nonzero, so a matrix whose
-    entries' exact values at the prime point (``prime_point_value``) have no
-    nullspace is invertible, with no division of Scalars.  A matrix that is
-    singular there, or has a general entry, is decided by :func:`inv`."""
-    at = [[prime_point_value(x) if x else 0 for x in row] for row in a]
-    if any(v is None for row in at for v in row) or nullspace(at):
+    A determinant that is nonzero at one point is nonzero, and so is one
+    whose value there is nonzero modulo a prime.  So a matrix whose entries'
+    residues at the prime point (``prime_point_residue``) form a matrix
+    invertible modulo ``MODULUS`` is invertible, with no division of Scalars
+    and at a cost that does not grow with the degrees of the entries.  A
+    matrix that is singular there, or has an entry without a residue, is
+    decided by :func:`inv`."""
+    at = [[prime_point_residue(x) if x else 0 for x in row] for row in a]
+    if any(v is None for row in at for v in row) or not _invertible_mod(at, MODULUS):
         inv(a)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +190,27 @@ def test_singular_at_the_point_falls_back_to_the_inverse(monkeypatch):
                     for i in range(4)])
     assert len(calls) == 1
     assert smat.meq(smat.mmul(R.m, R.inverse_matrix()), smat.eye(4))
+
+
+_HUGE_DEGREE = """
+import json, sys
+from qgw.rmatlab import rmatrix_from_json
+for text in sys.argv[1:]:
+    entries = [[0, 0, text]] + [[k, k, "1"] for k in (1, 2, 3)]
+    R = rmatrix_from_json(json.dumps({"n": 2, "grading": [0, 0], "entries": entries}))
+    print(R.m[1][1] == 1)
+"""
+
+
+def test_invertibility_of_huge_degree_in_time():
+    # the certificate reduces powers modulo a prime, so its cost does not
+    # grow with the degree; a subprocess with a timeout, so that a
+    # regression fails instead of hanging
+    src = str(Path(smat.__file__).resolve().parents[1])
+    texts = ["q^1000000000", "(q^(2^29)+1)/(q^(2^28)+1)", "lam1^-1000000000 + mu2^999999999"]
+    out = subprocess.run([sys.executable, "-c", _HUGE_DEGREE, *texts], timeout=20, check=True,
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split() == ["True"] * len(texts)
 
 
 def test_serialization_roundtrip():
