@@ -138,12 +138,22 @@ class Rep:
             self.h2 = (2 * self.label.m2, 2 * self.label.m2 + 2)
         else:
             self.h1 = self.h2 = None
+        # the matrix of each word met so far, built from its prefix's
+        self._words = {(): smat.eye(self.dim),
+                       **{(x,): m for x, m in self.images.items()}}
         self._verify()
 
     def _wmat(self, word):
-        m = smat.eye(self.dim)
-        for x in word:
-            m = smat.mmul(m, self.images[x])
+        """The matrix of ``word``: its prefix's times the image of its last
+        letter, each word once per Rep.  It is shared, so callers must not
+        change it."""
+        words = self._words
+        k = len(word)
+        while word[:k] not in words:
+            k -= 1
+        m = words[word[:k]]
+        for k in range(k + 1, len(word) + 1):
+            m = words[word[:k]] = smat.mmul(m, self.images[word[k - 1]])
         return m
 
     def _verify(self):
@@ -314,16 +324,17 @@ def quasitriangularity_check(lab1, lab2, lab3, which="standard") -> CheckReport:
 
     dims = [e.dim for e in evs]
     ps = [e.p for e in evs]
-    r12e = smat.embed_pair(r12, dims, ps, (0, 1))
-    r13 = smat.embed_pair(_r_matrix(ev1, ev3, which), dims, ps, (0, 2))
-    r23 = smat.embed_pair(_r_matrix(ev2, ev3, which), dims, ps, (1, 2))
+    on_legs = ((r12, (0, 1)), (_r_matrix(ev1, ev3, which), (0, 2)),
+               (_r_matrix(ev2, ev3, which), (1, 2)))
+    r12e, r13, r23 = (smat.embed_pair(m, dims, ps, legs) for m, legs in on_legs)
     t12 = _ev_tensor(ev1, ev2, h)
     t23 = _ev_tensor(ev2, ev3, h)
     rep.record(smat.meq(_r_matrix(t12, ev3, which), smat.mmul(r13, r23)),
                ("hexagon", "delta-leg1"))
     rep.record(smat.meq(_r_matrix(ev1, t23, which), smat.mmul(r13, r12e)),
                ("hexagon", "delta-leg2"))
-    rep.record(smat.braid_holds(r12e, r13, r23), ("braid", "three-legs"))
+    rep.record(smat.braid_holds(*(smat.embed_rows(m, dims, ps, legs) for m, legs in on_legs)),
+               ("braid", "three-legs"))
     return rep
 
 

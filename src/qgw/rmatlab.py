@@ -4,7 +4,7 @@ An RMatrix is an n^2 x n^2 matrix of exact scalars with the composite-index
 convention M[(a-1)n+b-1][(c-1)n+d-1] = R^a_c^b_d, i.e. rows are the upper
 index pair (a,b), columns the lower pair (c,d).  A grading p marks basis
 directions odd.  The braid check embeds R into three graded legs with
-:func:`smat.embed_pair`, whose Koszul signs make one check serve as the QYBE
+:func:`smat.embed_rows`, whose Koszul signs make one check serve as the QYBE
 (zero grading) and the super YBE.
 """
 
@@ -70,7 +70,7 @@ def qybe_check(R: RMatrix) -> bool:
     """R12 R13 R23 = R23 R13 R12, exactly, with Koszul-signed legs graded by
     R.p: the QYBE for a zero grading, the super YBE for a super R."""
     dims, ps = (R.n,) * 3, (R.p,) * 3
-    return smat.braid_holds(*(smat.embed_pair(R.m, dims, ps, legs)
+    return smat.braid_holds(*(smat.embed_rows(R.m, dims, ps, legs)
                               for legs in ((0, 1), (0, 2), (1, 2))))
 
 
@@ -229,7 +229,9 @@ def rmatrix_to_json(R: RMatrix) -> str:
                        "entries": entries}, indent=1)
 
 
-MAX_JSON_N = 8  # the braid check builds dense n^3 x n^3 matrices
+# the braid check multiplies n^3 x n^3 leg matrices in row form, at one
+# Scalar product per pair of nonzeros that meet: n^7 per product for a dense R
+MAX_JSON_N = 8
 
 
 def _is_index(x, size):

@@ -19,9 +19,11 @@ value alone:
   polynomial, and +, -, *, / by a single term and ``**`` are plain dict
   arithmetic.  With factors, * and / add multiplicities, + and - take the
   larger ones, and a numerator is divided by a factor exactly, one pass
-  per chain of exponents; a divisor's numerator is split into binomial
-  factors along the edges of its Newton polytope.  None of this builds a
-  sympy object or takes a gcd.
+  over the terms of each chain of exponents, at a cost of the quotient's
+  terms (one of more than 10^6 terms is refused with ValueError before it
+  is built); a divisor's numerator is split into binomial factors along the
+  edges of its Newton polytope.  None of this builds a sympy object or
+  takes a gcd.
 - **general**: every other value, held as a canonical fraction of sympy's
   sparse fraction field (numerator and denominator coprime in Z[x], or
   Z[i][x], denominator with positive leading coefficient).
@@ -239,10 +241,13 @@ def _bdiv(a, m, d):
 
     With y = m^g (g = 1 for d = 1, d/2 otherwise) the divisor is y + c.  The
     exponents of ``a`` fall into chains k - t*g*m, and the division is exact
-    when it is exact on each chain as a polynomial in y; it then takes one
-    pass per chain, from its top.  First ``a`` must vanish at one root of
-    Phi_d(m): x_j a primitive d-th root of unity, for an odd m_j, and the
-    other indeterminates 1."""
+    when it is exact on each chain as a polynomial in y.  First ``a`` must
+    vanish at one root of Phi_d(m): x_j a primitive d-th root of unity, for
+    an odd m_j, and the other indeterminates 1.  Then one pass over the
+    terms of each chain, from its top, finds the quotient: between two terms
+    of a chain its terms are q, -c q, q, ... or all 0.  So a sparse quotient
+    costs no more than its terms, and one of more than ``_MAX_SIZE`` terms
+    is refused with ValueError before any of it is built."""
     j = next(i for i, e in enumerate(m) if e % 2)
     if not _at_root(((k[j], x) for k, x in a.items()), d):
         return None
@@ -253,15 +258,25 @@ def _bdiv(a, m, d):
     for k, x in a.items():
         t = k[i] // v[i]
         chains.setdefault(tuple(e - t * w for e, w in zip(k, v)), {})[t] = x
-    out = {}
+    runs, size = [], 0  # (base, top, bottom, q_(top - 1)) per nonzero stretch
     for base, ch in chains.items():
-        low, qt = min(ch), 0
-        for t in range(max(ch), low, -1):  # a_t = q_(t-1) + c q_t
-            qt = ch.get(t, 0) - c * qt
+        ts = sorted(ch, reverse=True)
+        qt = 0
+        for top, bottom in zip(ts, ts[1:]):  # a_t = q_(t-1) + c q_t
+            qt = ch[top] - c * qt
             if qt:
-                out[tuple(e + (t - 1) * w for e, w in zip(base, v))] = qt
-        if ch[low] != c * qt:
+                runs.append((base, top, bottom, qt))
+                size += top - bottom
+                qt = qt if c == -1 or (top - bottom) % 2 else -qt  # q_bottom
+        if ch[ts[-1]] != c * qt:
             return None
+    if size > _MAX_SIZE:
+        raise ValueError(f"exact quotient of {size} terms, more than {_MAX_SIZE}")
+    out = {}
+    for base, top, bottom, qt in runs:
+        for t in range(top - 1, bottom - 1, -1):
+            out[tuple(e + t * w for e, w in zip(base, v))] = qt
+            qt = -c * qt
     return out
 
 
@@ -927,7 +942,9 @@ def parse(text: str) -> Scalar:
     exponent that is not an integer of at most 10^9 in size, a product,
     quotient or power whose result could pass 10^6 terms x coefficient bits
     and a sum or difference whose numerators, brought to the common
-    denominator, could, each refused before it is computed, a value with
+    denominator, could, each refused before it is computed, an exact
+    division by a binomial factor whose quotient has more than 10^6 terms,
+    refused by the division before it is built, a value with
     binomial factors whose canonical fraction could pass it, and signs,
     exponents and brackets nested over 100 deep.  A parser by recursive
     descent evaluates the text as it reads it, with the arithmetic helpers,

@@ -1,16 +1,21 @@
-"""Dense matrices over the exact scalar field.
+"""Matrices over the exact scalar field, stored dense and multiplied on their
+nonzeros.
 
-Plain list-of-list matrices with Scalar entries; enough linear algebra for
-R-matrix checks and representation work (multiply, Kronecker product,
-Gauss-Jordan inverse, an exact invertibility test).  No numerics.
-:func:`embed_pair` is the one embedding of a two-leg operator into three
-graded tensor legs, with Koszul signs, and :func:`braid_holds` compares the
-two sides of the braid relation on three such legs.
+A matrix is a plain list of lists of Scalar entries; enough linear algebra
+for R-matrix checks and representation work (multiply, Kronecker product,
+Gauss-Jordan inverse, an exact invertibility test).  No numerics.  Most
+entries of the matrices here are 0, so the products, sums and row
+operations skip zero operands: :func:`mmul` costs one multiplication per
+pair of nonzero entries that meet.  The *row form* of a matrix lists, for
+each row, the (column, value) pairs of its nonzero entries.
+:func:`embed_rows` is the one embedding of a two-leg operator into three
+graded tensor legs, with Koszul signs, in row form (:func:`embed_pair` is
+its dense form), and :func:`braid_holds` compares the two sides of the
+braid relation on three such legs without building a dense n^3 x n^3
+matrix.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from .scalars import MODULUS, ONE, ZERO, Scalar, prime_point_residue
 
@@ -29,40 +34,60 @@ def eye(n):
 
 
 def madd(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x + y if x and y else x or y for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def msub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def smul(c, a):
     c = Scalar(c)
-    return [[c * x for x in row] for row in a]
+    return [[c * x if x else x for x in row] for row in a]
+
+
+def _rows(a):
+    """The row form of ``a``."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+
+
+def _dense(rows, cols):
+    """The dense matrix of ``rows``, each an iterable of (column, value)
+    pairs."""
+    out = []
+    for pairs in rows:
+        row = [ZERO] * cols
+        for j, x in pairs:
+            row[j] = x
+        out.append(row)
+    return out
+
+
+def _products(a, b):
+    """The rows of a b as dicts {column: value}, one at a time, from ``a``
+    and ``b`` in row form: one Scalar multiplication per pair of nonzero
+    entries that meet, and no addition to a 0.  An entry that cancels stays,
+    as a 0."""
+    for ra in a:
+        acc = {}
+        for t, x in ra:
+            for j, y in b[t]:
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        yield acc
 
 
 def mmul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        ra = a[i]
-        ro = out[i]
-        for t in range(k):
-            x = ra[t]
-            if not x:
-                continue
-            rb = b[t]
-            for j in range(m):
-                if rb[j]:
-                    ro[j] = ro[j] + x * rb[j]
-    return out
+    """a b, at one Scalar multiplication per pair of nonzero entries that
+    meet."""
+    return _dense((acc.items() for acc in _products(_rows(a), _rows(b))), len(b[0]))
 
 
 def kron(a, b):
     out = []
     for ra in a:
         for rb in b:
-            out.append([x * y for x in ra for y in rb])
+            out.append([x * y if x and y else ZERO for x in ra for y in rb])
     return out
 
 
@@ -78,38 +103,50 @@ def _flatten(idx, dims):
     return (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
 
 
-def embed_pair(m, dims, ps, legs):
+def embed_rows(m, dims, ps, legs):
     """Embed ``m``, acting on legs ``legs = (i, j)``, into three legs of
-    dimensions ``dims`` and gradings ``ps`` (a 0/1 tuple per leg).
+    dimensions ``dims`` and gradings ``ps`` (a 0/1 tuple per leg), in row
+    form.
 
     The sign is the Koszul cost of moving each operator factor past the
     spectator leg; the factor's parity is read off entrywise from the row
     and column indices of its leg (legal because every matrix here is even).
     """
     i, j = legs
-    k = ({0, 1, 2} - set(legs)).pop()
-    out = zeros(dims[0] * dims[1] * dims[2])
-    for ri, rj in product(range(dims[i]), range(dims[j])):
-        for ci, cj in product(range(dims[i]), range(dims[j])):
-            x = m[ri * dims[j] + rj][ci * dims[j] + cj]
-            if not x:
-                continue
+    k = 3 - i - j
+    out = [[] for _ in range(dims[0] * dims[1] * dims[2])]
+    for r, pairs in enumerate(_rows(m)):
+        ri, rj = divmod(r, dims[j])
+        for c, x in pairs:
+            ci, cj = divmod(c, dims[j])
             # parity of the operator factors acting on legs i and j
             di = (ps[i][ri] + ps[i][ci]) % 2
             dj = (ps[j][rj] + ps[j][cj]) % 2
             cross = ((di if i > k else 0) + (dj if j > k else 0)) % 2
+            odd = -x if cross else x  # the entry next to an odd spectator
             for s in range(dims[k]):
-                y = -x if (cross and ps[k][s]) else x
                 row, col = [0, 0, 0], [0, 0, 0]
                 row[i], row[j], row[k] = ri, rj, s
                 col[i], col[j], col[k] = ci, cj, s
-                out[_flatten(row, dims)][_flatten(col, dims)] = y
+                y = odd if ps[k][s] else x
+                out[_flatten(row, dims)].append((_flatten(col, dims), y))
     return out
 
 
+def embed_pair(m, dims, ps, legs):
+    """The dense form of :func:`embed_rows`."""
+    rows = embed_rows(m, dims, ps, legs)
+    return _dense(rows, len(rows))
+
+
 def braid_holds(r12, r13, r23):
-    """R12 R13 R23 == R23 R13 R12 for three leg-embedded matrices."""
-    return meq(mmul(mmul(r12, r13), r23), mmul(mmul(r23, r13), r12))
+    """R12 R13 R23 == R23 R13 R12 for three leg-embedded matrices in row
+    form (:func:`embed_rows`), multiplied and compared in that form."""
+    def product(x, y, z):
+        xy = [[(j, v) for j, v in acc.items() if v] for acc in _products(x, y)]
+        return [{j: v for j, v in acc.items() if v} for acc in _products(xy, z)]
+
+    return product(r12, r13, r23) == product(r23, r13, r12)
 
 
 def nullspace(a):
@@ -126,11 +163,11 @@ def nullspace(a):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pc = rows[r][c]
-        rows[r] = [x / pc for x in rows[r]]
+        rows[r] = [x / pc if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -156,11 +193,11 @@ def inv(a):
             raise Singular("matrix is singular over the scalar field")
         work[col], work[piv] = work[piv], work[col]
         pc = work[col][col]
-        work[col] = [x / pc for x in work[col]]
+        work[col] = [x / pc if x else x for x in work[col]]
         for r in range(n):
             if r != col and work[r][col]:
                 f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+                work[r] = [x - f * y if y else x for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]
 
 

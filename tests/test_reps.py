@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from qgw import smat
@@ -28,6 +30,30 @@ def test_symbolic_label():
     assert not lab.integral
     rep = rep_build(lab)
     assert rep.images["K1"][0][0] == indet("lam1")
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_word_matrices_match_a_fresh_fold(graded):
+    r = rep_build((1, 0), graded=graded)
+    letters = sorted(r.images)
+    for length in range(5):
+        for word in product(letters, repeat=length):
+            want = smat.eye(2)
+            for x in word:
+                want = smat.mmul(want, r.images[x])
+            assert smat.meq(r._wmat(word), want), word
+
+
+def test_evaluate_returns_a_matrix_of_its_own():
+    r = rep_build((2, 1))
+    pres = r.pres
+    for e in (pres.one(), pres.word("K1"), pres.word("K2", "Xp"), pres.word("Xp", "Xm")):
+        want = [list(row) for row in r.evaluate(e)]
+        got = r.evaluate(e)
+        got[0][0] = qvar() ** 7
+        got[1].append(ONE)
+        got.append([])
+        assert r.evaluate(e) == want
 
 
 def test_rep_defining_relations_hold():

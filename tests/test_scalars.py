@@ -123,22 +123,29 @@ _HOSTILE = ["9^9^9", "((2^100)^1000)^1000", "((2^10)^1000)^1000", "1" + "0" * 20
 _SPARSE = ["1/(q^(2^29)-1) - 1/(q^(2^29)+1)", "(q^(2^29)+1)/(q^(2^28)+1)", "1/(q^(10^9)-1)"]
 # values whose canonical denominator, or a sum's common one, is dense: of
 # degree about 2^30 (q^(2^29) - 1 squared, over q + 1), and a numerator of
-# 2^20 terms, (q^(2^20) - 1)/(q - 1) + 1
-_DENSE = ["1/(q^(2^29)-1)^2 * (q+1)", "1/(q^(2^20)-1) + 1/(q-1)"]
+# 2^20 terms, (q^(2^20) - 1)/(q - 1) + 1; and exact quotients of 2^22 and
+# 2^29 terms
+_DENSE = ["1/(q^(2^29)-1)^2 * (q+1)", "1/(q^(2^20)-1) + 1/(q-1)",
+          "(q^(2^22)-1)/(q-1)", "(q^(2^29)-1)/(q-1)"]
+
+
+def _in_subprocess(code, args, timeout):
+    """The output lines of ``code`` run on ``args`` in a subprocess with a
+    timeout, so that a regression fails instead of hanging."""
+    src = str(Path(scalars.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, timeout=timeout,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
 
 
 def _parse_in_subprocess(texts, timeout):
-    """'ValueError' or 'parsed' for each text, parsed in a subprocess with a
-    timeout, so that a regression fails instead of hanging."""
+    """'ValueError' or 'parsed' for each text."""
     code = ("import sys\nfrom qgw.scalars import parse\n"
             "for t in sys.argv[1:]:\n"
             "    try:\n        parse(t)\n    except ValueError:\n        print('ValueError')\n"
             "    else:\n        print('parsed')\n")
-    src = str(Path(scalars.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code, *texts], env=env, timeout=timeout,
-                         capture_output=True, text=True, check=True)
-    return out.stdout.split()
+    return _in_subprocess(code, texts, timeout)
 
 
 def test_parse_refuses_huge_work_in_time():
@@ -148,6 +155,17 @@ def test_parse_refuses_huge_work_in_time():
 
 def test_parse_bounds_denominators_in_time():
     assert _parse_in_subprocess(_DENSE, 10) == ["ValueError"] * len(_DENSE)
+
+
+def test_exact_quotient_costs_its_terms():
+    # the quotient q^(2^28 + 1) - q^(2^28) + q - 1 skips a stretch of 2^28 - 2
+    # zero terms; (q^(2^28) - 1)/(q - 1), of 2^28 terms, is refused unbuilt
+    code = ("from qgw.scalars import ONE, qvar\nq = qvar()\nn = 2 ** 28\n"
+            "x = (q ** n + ONE) * (q ** 2 - ONE) / (q + ONE)\n"
+            "print(x == q ** (n + 1) - q ** n + q - ONE, len(x._d), x._b)\n"
+            "try:\n    (q ** n - ONE) / (q - ONE)\nexcept ValueError:\n"
+            "    print('ValueError')\n")
+    assert _in_subprocess(code, [], 10) == ["True", "4", "()", "ValueError"]
 
 
 def test_coercions():

@@ -1,10 +1,30 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgw import smat
 from qgw.rmatlab import catalog
-from qgw.scalars import ONE, qvar
+from qgw.scalars import ONE, ZERO, Scalar, qvar
+
+
+def _dense(rows):
+    """The dense square matrix of a matrix in row form, each row's columns
+    distinct and its values nonzero."""
+    out = smat.zeros(len(rows))
+    for r, pairs in enumerate(rows):
+        assert len({c for c, _ in pairs}) == len(pairs)
+        for c, x in pairs:
+            assert x
+            out[r][c] = x
+    return out
+
+
+def _embedded(m, dims, ps, legs):
+    """embed_pair, checked equal to the dense form of embed_rows."""
+    got = smat.embed_pair(m, dims, ps, legs)
+    assert smat.meq(got, _dense(smat.embed_rows(m, dims, ps, legs)))
+    return got
 
 
 def _placed(m, n, legs):
@@ -25,7 +45,7 @@ def _placed(m, n, legs):
 @pytest.mark.parametrize("legs", [(0, 1), (0, 2), (1, 2)])
 def test_leg_embedding_zero_grading_is_plain_placement(legs):
     R = catalog("ac")
-    got = smat.embed_pair(R.m, (2, 2, 2), ((0, 0),) * 3, legs)
+    got = _embedded(R.m, (2, 2, 2), ((0, 0),) * 3, legs)
     assert smat.meq(got, _placed(R.m, 2, legs))
 
 
@@ -35,13 +55,13 @@ def test_leg_embedding_odd_spectator_signs():
     m = smat.zeros(4)
     m[0][0] = q  # E00 (x) E00: both factors even
     m[0][3] = ONE  # E01 (x) E01: both factors odd
-    got = smat.embed_pair(m, (2, 2, 2), ((0, 1),) * 3, (0, 2))
+    got = _embedded(m, (2, 2, 2), ((0, 1),) * 3, (0, 2))
     # rows and columns are (leg0, leg1, leg2) -> 4 leg0 + 2 leg1 + leg2
     assert got[0][0] == q and got[2][2] == q
     assert got[0][5] == ONE and got[2][7] == -ONE
     assert sum(1 for row in got for x in row if x) == 4
     # on legs (0, 1) the spectator comes last and nothing moves past it
-    got = smat.embed_pair(m, (2, 2, 2), ((0, 1),) * 3, (0, 1))
+    got = _embedded(m, (2, 2, 2), ((0, 1),) * 3, (0, 1))
     assert got[0][6] == ONE and got[1][7] == ONE
 
 
@@ -51,7 +71,7 @@ def test_leg_embedding_mixed_dimensions():
     # (0, s, 1) for every spectator index s, flattened as (x0 * 4 + x1) * 3 + x2
     m = smat.zeros(6)
     m[1 * 3 + 2][0 * 3 + 1] = ONE
-    got = smat.embed_pair(m, (2, 4, 3), ((0, 0), (0, 0, 0, 0), (0, 0, 0)), (0, 2))
+    got = _embedded(m, (2, 4, 3), ((0, 0), (0, 0, 0, 0), (0, 0, 0)), (0, 2))
     assert len(got) == 24
     want = {((1 * 4 + s) * 3 + 2, (0 * 4 + s) * 3 + 1) for s in range(4)}
     assert {(r, c) for r, row in enumerate(got) for c, x in enumerate(row)
@@ -62,6 +82,61 @@ def test_braid_holds_on_embedded_legs():
     dims, ps = (2, 2, 2), ((0, 1),) * 3
     for name, ok in (("super_ac", True), ("ac", False)):
         m = catalog(name).m
-        legs = [smat.embed_pair(m, dims, ps, pr) for pr in ((0, 1), (0, 2), (1, 2))]
+        legs = [smat.embed_rows(m, dims, ps, pr) for pr in ((0, 1), (0, 2), (1, 2))]
         assert smat.braid_holds(*legs) is ok, name
-    assert smat.braid_holds(*[smat.eye(8)] * 3)
+    assert smat.braid_holds(*[[[(i, ONE)] for i in range(8)]] * 3)
+
+
+def _naive_mmul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), ZERO)
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+# x and -x both occur, so that sums of products cancel to 0
+_ENTRIES = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, Scalar(2), qvar(), -qvar(),
+                            ONE / qvar(), qvar() - ONE / qvar(), ONE / (qvar() + ONE)])
+
+
+@settings(deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+def test_mmul_matches_naive_product(data, n, k, m):
+    def matrix(rows, cols):
+        return [[data.draw(_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+
+    a, b = matrix(n, k), matrix(k, m)
+    if data.draw(st.booleans()):  # a zero row of a and a zero column of b
+        a[data.draw(st.integers(0, n - 1))] = [ZERO] * k
+        col = data.draw(st.integers(0, m - 1))
+        for row in b:
+            row[col] = ZERO
+    got = smat.mmul(a, b)
+    assert len(got) == n and all(len(row) == m for row in got)
+    assert smat.meq(got, _naive_mmul(a, b))
+
+
+def test_mmul_of_embedded_legs_multiplies_nonzero_pairs(monkeypatch):
+    # one Scalar multiplication per pair (a[i][t], b[t][j]) of nonzeros, and
+    # one addition fewer per entry that such pairs reach: none to a 0
+    R = catalog("super_glnm", n=2, m=2)
+    a, b = (smat.embed_pair(R.m, (4,) * 3, (R.p,) * 3, pr) for pr in ((0, 1), (0, 2)))
+    pairs = sum(sum(1 for row in a if row[t]) * sum(1 for x in b[t] if x)
+                for t in range(64))
+    reached = sum(1 for row in a for j in range(64)
+                  if any(row[t] and b[t][j] for t in range(64)))
+    calls = {"__mul__": 0, "__add__": 0}
+
+    def counted(name):
+        op = getattr(Scalar, name)
+
+        def wrapper(x, y):
+            calls[name] += 1
+            return op(x, y)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Scalar, name, counted(name))
+    got = smat.mmul(a, b)
+    monkeypatch.undo()
+    assert calls == {"__mul__": pairs, "__add__": pairs - reached}
+    assert pairs < 64 ** 3 // 10
+    assert smat.meq(got, _naive_mmul(a, b))
