@@ -12,7 +12,7 @@ so the sign of a product of basis tensors is always defined.
 from __future__ import annotations
 
 from .ncalg import Element, Presentation
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 
 BOSONIC = "bosonic"
 SUPER = "super"
@@ -134,11 +134,16 @@ class TensorElement:
 
 
 def _accum(acc, key, c):
-    s = acc.get(key, ZERO) + c
-    if s:
-        acc[key] = s
+    """acc[key] += c for a nonzero c, dropping a key whose sum is zero."""
+    s = acc.get(key)
+    if s is None:
+        acc[key] = c
     else:
-        acc.pop(key, None)
+        s = s + c
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
 
 
 def _expand(pres, legs, coeff):

@@ -7,7 +7,10 @@ until none is left; Elements store only normal-form words.
 
 Within one reduce_terms call the normal form nf(w) of each distinct word,
 with coefficient 1, is computed once, bottom-up on an explicit work stack
-(no recursion), and kept in a memo that is dropped when the call returns.
+(no recursion), and kept in a memo that is dropped when the call returns;
+an input word already in the memo starts no stack.  A Scalar coefficient and
+a tuple word are taken as they are, so Element, which coerces each term
+once, hands its terms over with no second coercion.
 Nothing is cached on the Presentation, so add_rule needs no invalidation
 and step counts do not depend on what ran before.  STATS["steps"] counts
 the rule applications actually performed: one per distinct reducible word
@@ -202,12 +205,15 @@ class Presentation:
         steps = 0
         out: dict[tuple, Scalar] = {}
         for word, coeff in reversed(list(terms.items())):
-            coeff, word = Scalar(coeff), tuple(word)
+            if not isinstance(coeff, Scalar):
+                coeff = Scalar(coeff)
             if not coeff:
                 continue
+            if type(word) is not tuple:
+                word = tuple(word)
             # work stack: (w, scan start, None) asks for nf(w); (w, _, children)
             # combines the children's normal forms once they are all known
-            todo = [(word, 0, None)]
+            todo = [] if word in memo else [(word, 0, None)]
             while todo:
                 w, start, children = todo.pop()
                 if children is not None:
@@ -216,7 +222,8 @@ class Presentation:
                 if w in memo:
                     continue
                 for hit in range(start, len(w) - 1):
-                    if w[hit : hit + 2] in rules:
+                    rhs = rules.get(w[hit : hit + 2])
+                    if rhs is not None:
                         break
                 else:
                     memo[w] = {w: ONE}
@@ -226,7 +233,7 @@ class Presentation:
                     raise StepCapExceeded(f"rewriting exceeded {cap} steps in {self.name}")
                 # the prefix is irreducible: the children's scans start at hit - 1
                 pre, post, start = w[:hit], w[hit + 2 :], max(hit - 1, 0)
-                children = [(pre + w2 + post, c2) for w2, c2 in rules[w[hit : hit + 2]].items()]
+                children = [(pre + w2 + post, c2) for w2, c2 in rhs.items()]
                 todo.append((w, start, children))
                 for u, _ in children:
                     if u not in memo:
@@ -285,7 +292,8 @@ class Element:
 
     def __init__(self, pres: Presentation, terms, normalize=True):
         self.pres = pres
-        t = {tuple(w): Scalar(c) for w, c in (terms.items() if isinstance(terms, dict) else terms) if Scalar(c)}
+        t = {tuple(w): c for w, c in ((w, Scalar(c)) for w, c in
+                                      (terms.items() if isinstance(terms, dict) else terms)) if c}
         self.terms = pres.reduce_terms(t) if normalize else t
 
     def _check(self, other):
@@ -297,12 +305,7 @@ class Element:
             other = self.pres.element({(): Scalar(other)})
         self._check(other)
         t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w, ZERO) + c
-            if s:
-                t[w] = s
-            else:
-                t.pop(w, None)
+        _add_scaled(t, ONE, other.terms)
         return Element(self.pres, t, normalize=False)
 
     __radd__ = __add__
@@ -326,11 +329,15 @@ class Element:
             for w2, c2 in other.terms.items():
                 w = w1 + w2
                 c = c1 * c2
-                s = prod.get(w, ZERO) + c
-                if s:
-                    prod[w] = s
+                s = prod.get(w)
+                if s is None:
+                    prod[w] = c
                 else:
-                    prod.pop(w, None)
+                    s = s + c
+                    if s:
+                        prod[w] = s
+                    else:
+                        del prod[w]
         return Element(self.pres, prod)
 
     def __rmul__(self, other):

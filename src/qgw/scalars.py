@@ -18,7 +18,9 @@ value alone:
   so the form is canonical.  With no factors the value is a Laurent
   polynomial, and +, -, *, / by a single term and ``**`` are plain dict
   arithmetic.  With factors, * and / add multiplicities, + and - take the
-  larger ones, and a numerator is divided by a factor exactly, one pass
+  larger ones (0 + x, x - 0 and x times a single term over no factors,
+  such as 1 or -1, need no reduction and take none), and a numerator is
+  divided by a factor exactly, one pass
   over the terms of each chain of exponents, at a cost of the quotient's
   terms (one of more than 10^6 terms is refused with ValueError before it
   is built); a divisor's numerator is split into binomial factors along the
@@ -396,7 +398,12 @@ def _peel(a):
 
 def _fadd(x, bx, y, by, op=_nadd):
     """x/bx + y/by (x/bx - y/by with ``op`` _nsub) over the least common
-    multiple of the denominators."""
+    multiple of the denominators.  A zero operand has no factors, so the
+    other, negated for 0 - y/by, is the canonical result as it stands."""
+    if not y:
+        return x, bx
+    if not x:
+        return op(x, y), by
     if bx != by:
         den = _combine_factors(bx, by, max)
         n = len(next(iter(x or y)))
@@ -418,7 +425,13 @@ def _over(b1, b2):
 
 def _fmul(x, bx, y, by):
     """x/bx * y/by: each numerator is divided by the other's factors first,
-    so the product needs no division."""
+    so the product needs no division.  A single term over no factors, such
+    as 1 or -1, is a unit of the Laurent ring: it divides no factor and no
+    factor divides it, so the product needs no reduction."""
+    if not by and len(y) == 1:
+        return _nmul(x, y), bx
+    if not bx and len(x) == 1:
+        return _nmul(x, y), by
     x, by = _reduce(x, by)
     y, bx = _reduce(y, bx)
     if not x or not y:
@@ -771,6 +784,7 @@ _BINARY = {"+": (_nadd, _fadd, add), "-": (_nsub, _fsub, sub),
 _MAX_DIGITS = 100         # of an integer literal
 _MAX_EXPONENT = 10 ** 9   # |n| in x^n
 _MAX_SIZE = 10 ** 6       # bound on terms x coefficient bits of a result
+_MAX_DEGREE = 2 ** 12     # of an operand in one indeterminate, for a gcd in sympy's field
 _MAX_DEPTH = 100          # nesting of signs, powers and bracketed terms
 
 
@@ -857,13 +871,60 @@ def _bounded(x):
     return x
 
 
+def _degree(s):
+    """A bound on the degree in any one indeterminate of the numerator and
+    the denominator of the canonical fraction of Scalar ``s``."""
+    d = s._d
+    if d is None:
+        f = s.f
+        return max(*f.numer.degrees(), *f.denom.degrees())
+    spans = [max(col) - min(col) for col in zip(*d)]
+    for (m, dd), k in s._b:
+        spans = [a + k * max(1, dd // 2) * abs(e) for a, e in zip(spans, m)]
+    return max(spans, default=0)
+
+
+def _monomial_parts(s):
+    """Whether the numerator and the denominator of the canonical fraction of
+    Scalar ``s`` are monomials (c x^e; 0 counts as one)."""
+    if s._d is None:
+        f = s.f
+        return len(f.numer) == 1, len(f.denom) == 1
+    return len(s._d) <= 1, not s._b
+
+
+def _huge_gcd(x, op, y):
+    """Whether x op y goes to sympy's field, with an operand of degree over
+    ``_MAX_DEGREE``, and takes a gcd there that no monomial makes trivial.
+    Two native operands go there only in a division whose divisor's
+    numerator is no monomial times binomials.  sympy cancels a new numerator
+    N against a new denominator D, built from the operands' numerators n and
+    denominators d (N = nx dy, D = dx ny for /; N = nx ny, D = dx dy for *;
+    D = dx dy for + and -), and its gcd with a monomial is a shortcut; a
+    product is a monomial when both factors are."""
+    native = x._d is not None and y._d is not None and x._n == y._n
+    if native and (op != "/" or len(y._d) == 1):
+        return False
+    if max(_degree(x), _degree(y)) <= _MAX_DEGREE or native and _peel(y._d) is not None:
+        return False
+    (nx, dx), (ny, dy) = _monomial_parts(x), _monomial_parts(y)
+    if op == "/":
+        return not (nx and dy or dx and ny)
+    if op == "*":
+        return not (nx and ny or dx and dy)
+    return not (dx and dy)
+
+
 def _bounded_bin(x, op, y):
     """x op y for an operator of ``_BINARY``, refused before it is computed
     when it could pass the size bound, and after, when its value does.  A
     product or quotient costs at most the product of the sizes (a quotient
     multiplies by the expanded denominator of y); a sum or difference
     multiplies each numerator by the factors that the other's denominator
-    adds."""
+    adds.  sympy's gcd has no such bound, so an operation that takes one
+    is refused when an operand's degree passes ``_MAX_DEGREE``."""
+    if _huge_gcd(x, op, y):
+        raise ValueError(f"gcd of degree beyond {_MAX_DEGREE}")
     if op in "*/":
         (ta, ha), (tb, hb) = _size(x), _size(y)
         if _work(ta * tb, ha * hb) > _MAX_SIZE:
@@ -945,8 +1006,10 @@ def parse(text: str) -> Scalar:
     denominator, could, each refused before it is computed, an exact
     division by a binomial factor whose quotient has more than 10^6 terms,
     refused by the division before it is built, a value with
-    binomial factors whose canonical fraction could pass it, and signs,
-    exponents and brackets nested over 100 deep.  A parser by recursive
+    binomial factors whose canonical fraction could pass it, an operation
+    that takes a gcd in sympy's field with an operand of degree over 2^12 in
+    an indeterminate, refused before it is taken, and signs, exponents and
+    brackets nested over 100 deep.  A parser by recursive
     descent evaluates the text as it reads it, with the arithmetic helpers,
     not Scalar's operators, so that parsing adds no operator calls to the
     caller's count; sums and products are loops, so their length is not

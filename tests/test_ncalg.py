@@ -286,10 +286,26 @@ def tree_rewrite(p, terms):
     return out
 
 
+def reducible_words(p, terms):
+    """The distinct words with a redex that leftmost-redex rewriting of the
+    words of ``terms`` with a nonzero coefficient reaches, one word at a
+    time."""
+    seen, stack = set(), [tuple(w) for w, c in terms.items() if c]
+    while stack:
+        word = stack.pop()
+        hit = next((i for i in range(len(word) - 1) if word[i:i + 2] in p.rules), None)
+        if hit is not None and word not in seen:
+            seen.add(word)
+            stack.extend(word[:hit] + w2 + word[hit + 2:] for w2 in p.rules[word[hit:hit + 2]])
+    return seen
+
+
 @lru_cache(maxsize=None)
 def rewriting_presentation(key):
     if key == "fa-ac-inv":
         return fa_presentation("ac")
+    if key == "uq":
+        return uq_presentation()
     if key == "uq-graded":
         return uq_presentation(graded=True)
     return frt.build_ar(catalog("glnm", 2, 1))
@@ -305,6 +321,28 @@ def test_memoized_normal_form_equals_tree_rewriting(key, data):
                                       st.integers(-3, 3).map(lambda n: n * ONE),
                                       min_size=1, max_size=3))
     assert p.reduce_terms(terms) == tree_rewrite(p, terms)
+
+
+@pytest.mark.parametrize("key", ["uq", "fa-ac-inv", "ar-gl(2|1)"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_reduce_terms_rewrites_each_reached_word_once(key, data):
+    """reduce_terms gives the one-word-at-a-time normal form with one step per
+    distinct reducible word reached, and Element gives the same terms from a
+    list of pairs with list words, int coefficients and zeros."""
+    p = rewriting_presentation(key)
+    names = st.sampled_from([g.name for g in p.gens])
+    pairs = data.draw(st.lists(st.tuples(st.lists(names, max_size=6),
+                                         st.integers(-2, 2) | st.integers(-2, 2).map(lambda n: n * qvar())),
+                               max_size=4))
+    terms = {tuple(w): ONE * c for w, c in pairs}
+    want = tree_rewrite(p, {w: c for w, c in terms.items() if c})
+    before = STATS["steps"]
+    assert p.reduce_terms(terms) == want
+    assert STATS["steps"] - before == len(reducible_words(p, terms))
+    assert p.reduce_terms({tuple(w): c for w, c in pairs}) == Element(p, terms).terms == want
+    # a zero pair is dropped before a later pair of the same word is read
+    assert Element(p, pairs).terms == tree_rewrite(p, {tuple(w): ONE * c for w, c in pairs if c})
 
 
 def test_shared_words_are_rewritten_once():

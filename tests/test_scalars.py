@@ -123,10 +123,12 @@ _HOSTILE = ["9^9^9", "((2^100)^1000)^1000", "((2^10)^1000)^1000", "1" + "0" * 20
 _SPARSE = ["1/(q^(2^29)-1) - 1/(q^(2^29)+1)", "(q^(2^29)+1)/(q^(2^28)+1)", "1/(q^(10^9)-1)"]
 # values whose canonical denominator, or a sum's common one, is dense: of
 # degree about 2^30 (q^(2^29) - 1 squared, over q + 1), and a numerator of
-# 2^20 terms, (q^(2^20) - 1)/(q - 1) + 1; and exact quotients of 2^22 and
-# 2^29 terms
+# 2^20 terms, (q^(2^20) - 1)/(q - 1) + 1; exact quotients of 2^22 and 2^29
+# terms; and gcds in sympy's field of degree 2^22 (the divisor has the
+# factor q^2 + q + 1) and 10^6 (q^(10^6) - 1 has the factor Phi_5(q))
 _DENSE = ["1/(q^(2^29)-1)^2 * (q+1)", "1/(q^(2^20)-1) + 1/(q-1)",
-          "(q^(2^22)-1)/(q-1)", "(q^(2^29)-1)/(q-1)"]
+          "(q^(2^22)-1)/(q-1)", "(q^(2^29)-1)/(q-1)", "(q^(2^22)-1)/(q^3-1)",
+          "q + 1/(q^(10^6)-1)"]
 
 
 def _in_subprocess(code, args, timeout):
@@ -155,6 +157,18 @@ def test_parse_refuses_huge_work_in_time():
 
 def test_parse_bounds_denominators_in_time():
     assert _parse_in_subprocess(_DENSE, 10) == ["ValueError"] * len(_DENSE)
+
+
+def test_parse_bounds_the_degree_of_a_gcd():
+    # at the bound sympy takes the gcd q - 1; past it the gcd is refused
+    # before it is taken, unless a monomial makes it trivial
+    n = scalars._MAX_DEGREE
+    assert parse(f"(q^{n}-1)/(q^3-1)") * parse("q^3-1") == parse(f"q^{n}-1")
+    for text in (f"(q^{n + 1}-1)/(q^3-1)", f"(q^3-1)/(q^{n + 1}-1)",
+                 f"1/(q^{n + 1}-1) * (q+2)", f"q + 1/(q^{n + 1}-1)"):
+        with pytest.raises(ValueError, match="gcd of degree"):
+            parse(text)
+    assert parse(f"2/(q^{n + 1}-1) * q^3") * parse(f"q^{n + 1}-1") == 2 * qvar() ** 3
 
 
 def test_exact_quotient_costs_its_terms():
@@ -199,18 +213,29 @@ _BINOMIALS = ["q - 1", "q + 1", "q^2 + 1", "q^4 + 1", "q - 1/q", "q^2 - 1", "lam
 _GENERAL = ["q^2 + 2", "q^2 + q + 1", "2*q - 1", "q^3 - 1"]
 
 
+def _laurent_texts():
+    """Text of Laurent polynomials in q and lam1."""
+    small = st.integers(-3, 3)
+    return st.builds(
+        lambda cs, s, c: "+".join([f"({k})*q^({i - s})" for i, k in enumerate(cs)] + [f"({c})*lam1"]),
+        st.lists(small, max_size=4), st.integers(0, 3), small)
+
+
+def _over_binomials(laurent, binomials, max_size):
+    """Text of Laurent polynomials over products of 1 to ``max_size`` powers
+    of the ``binomials``."""
+    power = st.builds(lambda b, e: f"({b})^{e}", st.sampled_from(binomials), st.integers(1, 2))
+    return st.builds(lambda x, ps: f"({x})/({'*'.join(ps)})", laurent,
+                     st.lists(power, min_size=1, max_size=max_size))
+
+
 def _texts():
     """Text of 0, 1, -1, fractions, Laurent polynomials in q and lam1, such
     polynomials over products of binomial factors, and over divisors that
     stay general."""
-    small = st.integers(-3, 3)
-    const = st.builds(lambda n, d: f"{n}/{d}", small, st.integers(1, 4))
-    laurent = st.builds(
-        lambda cs, s, c: "+".join([f"({k})*q^({i - s})" for i, k in enumerate(cs)] + [f"({c})*lam1"]),
-        st.lists(small, max_size=4), st.integers(0, 3), small)
-    power = st.builds(lambda b, e: f"({b})^{e}", st.sampled_from(_BINOMIALS), st.integers(1, 2))
-    binomial = st.builds(lambda x, ps: f"({x})/({'*'.join(ps)})", laurent,
-                         st.lists(power, min_size=1, max_size=2))
+    const = st.builds(lambda n, d: f"{n}/{d}", st.integers(-3, 3), st.integers(1, 4))
+    laurent = _laurent_texts()
+    binomial = _over_binomials(laurent, _BINOMIALS, 2)
     general = st.builds(lambda x, g, e: f"({x})/({g})^{e}", laurent | binomial,
                         st.sampled_from(_GENERAL), st.integers(1, 2))
     return st.sampled_from(["0", "1", "-1"]) | const | laurent | binomial | general
@@ -431,6 +456,45 @@ def test_one_representation_per_value(a, b, g):
         assert (x._d is not None) == _native_value(x)
     back = (a * g) / g
     assert back == a and hash(back) == hash(a) and (back._d, back._b) == (a._d, a._b)
+
+
+@settings(deadline=None)
+@given((_laurent_texts() | _over_binomials(_laurent_texts(), ["q^2 - 1", "q + 1",
+                                                             "lam1*lam2*mu1*mu2 - 1"], 3))
+       .map(parse))
+def test_identity_operands_match_field(x):
+    f, zero, one = x.f, ZERO.f, ONE.f
+    for got, want in [(x + ZERO, f + zero), (ZERO + x, zero + f), (x - ZERO, f - zero),
+                      (ZERO - x, zero - f), (x * ONE, f * one), (ONE * x, one * f),
+                      (x * -ONE, f * -one), (-ONE * x, -one * f)]:
+        _same_scalar(got, want)
+
+
+@settings(deadline=None)
+@given(_scalars(), _scalars())
+def test_every_zero_has_no_factors(a, b):
+    zeros = [a - a, a + -a, (a + b) - (b + a), a * ZERO, ZERO * b, (a - a) * b, a * b - b * a,
+             ZERO - ZERO, Scalar(0), parse("0"), parse("(q - 1)/(q^2 - 1) - 1/(q + 1)")]
+    if b:
+        zeros += [ZERO / b, (a - a) / b, (a / b) * b - a]
+    for z in zeros:
+        assert not z and z == 0 and (z._d, z._b) == ({}, ())
+
+
+def test_identity_operands_need_no_division(monkeypatch):
+    x = parse("(q^3 + lam1)/(q^2 - 1)")
+    calls = []
+    bdiv = scalars._bdiv
+
+    def counted(*args):
+        calls.append(args)
+        return bdiv(*args)
+
+    monkeypatch.setattr(scalars, "_bdiv", counted)
+    got = [ZERO + x, x + ZERO, ZERO - x, Scalar(-1) * x, x * Scalar(-1), ONE * x]
+    assert calls == []
+    monkeypatch.undo()
+    assert got == [x, x, -x, -x, -x, x] and all(g._b == x._b for g in got)
 
 
 def _values_for_hash():
