@@ -98,24 +98,29 @@ def _envelope_residuals(R: RMatrix, e1, e2, add, mul, smulf, zero):
 
 
 def _function_rows(R: RMatrix, gname):
-    """Rows of R t1 t2 - t2 t1 R as word->coeff dicts, graded signs included."""
+    """Rows of R t1 t2 - t2 t1 R as word->coeff dicts, graded signs included.
+
+    The row (A,B,C,D) reads the nonzeros R^A_f^B_e of R's row (A,B), in
+    (f,e) order, and R^s_C^r_D of its column (C,D), in (r,s) order; each
+    list is made once, so a row costs its nonzeros, not 2n^2 entry reads.
+    Zero rows are skipped.
+    """
     n = R.n
     p = (0,) + R.p
     rng = range(1, n + 1)
+    pairs = list(product(rng, repeat=2))
+    row_nz = {(A, B): [(f, e, x) for f, e in pairs if (x := R.entry(A, f, B, e))]
+              for A, B in pairs}
+    col_nz = {(C, D): [(r, s, x) for r, s in pairs if (x := R.entry(s, C, r, D))]
+              for C, D in pairs}
     for A, B, C, D in product(rng, repeat=4):
         row = {}
-        for f, e in product(rng, repeat=2):
-            x = R.entry(A, f, B, e)
-            if not x:
-                continue
+        for f, e, x in row_nz[A, B]:
             if (p[A] * p[B] + p[C] * p[e]) % 2:
                 x = -x
             w = (gname(f, C), gname(e, D))
             row[w] = row.get(w, ZERO) + x
-        for r, s in product(rng, repeat=2):
-            x = R.entry(s, C, r, D)
-            if not x:
-                continue
+        for r, s, x in col_nz[C, D]:
             if (p[C] * p[D] + p[r] * p[A]) % 2:
                 x = -x
             w = (gname(B, r), gname(A, s))

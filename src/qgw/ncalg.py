@@ -419,62 +419,85 @@ def compile_relations(gens, relations, name=""):
     """Turn homogeneous quadratic relations into an oriented rewrite system.
 
     ``relations`` is a list of (lhs, rhs) pairs of Elements (over any
-    presentation on the same generators) or raw word->coeff dicts.  The
-    relation set is row-reduced over the word basis, pivoting on the
-    order-leading word of each row; each reduced row becomes one rule.
-    ConfluenceFailure when overlap_check finds an unresolved overlap.
+    presentation on the same generators) or raw word->coeff dicts; a word
+    with a letter that is no generator is refused with ValueError.  Each
+    relation lhs - rhs, reduced modulo the inverse-pair and nilpotent rules,
+    is one row over the word basis, and the rows are brought to reduced
+    row-echelon form in one pass, pivoting on the order-leading word:
+
+    - forward: a row's leading word is replaced by the solved row of that
+      pivot, if there is one, until the leading word is new (the row is
+      solved for it) or the row is zero;
+    - back-substitution: smallest pivot first, each pivot is cleared from
+      the solved rows of larger pivots.
+
+    Each word's order_key is computed once per call, in a dict local to it.
+    The reduced row-echelon basis of a row space for a fixed column order is
+    unique, and a Scalar has one representation per value, so the rules and
+    their coefficients do not depend on the order of the rows.  Each solved
+    row becomes one rule, added in decreasing pivot order.  NotSolvable when
+    a pivot is not a two-letter word; ConfluenceFailure when overlap_check
+    finds an unresolved overlap.
     """
     pres = Presentation(gens, name=name)
+    index = pres.index
+    keys: dict[tuple, tuple] = {}
 
     def as_terms(x):
         if isinstance(x, Element):
             return dict(x.terms)
-        return {tuple(w): Scalar(c) for w, c in x.items()}
+        return {tuple(w): c for w, c in ((w, Scalar(c)) for w, c in x.items()) if c}
+
+    def add_keys(row):
+        for w in row:
+            if w not in keys:
+                for x in w:
+                    if x not in index:
+                        raise ValueError(f"relation word {w} of {name or 'a presentation'} "
+                                         f"has the letter {x!r}, which is no generator")
+                keys[w] = pres.order_key(w)
 
     rows = []
     for lhs, rhs in relations:
-        row = as_terms(lhs)
-        for w, c in as_terms(rhs).items():
+        row, rhs = as_terms(lhs), as_terms(rhs)
+        add_keys(row)
+        add_keys(rhs)
+        for w, c in rhs.items():
             s = row.get(w, ZERO) - c
             if s:
                 row[w] = s
             else:
                 row.pop(w, None)
-        # reduce modulo the structural rules (inverse pairs, nilpotents)
-        row = pres.reduce_terms(row)
+        # reduce modulo the structural rules (inverse pairs, nilpotents), if any
+        if pres.rules:
+            row = pres.reduce_terms(row)
+            add_keys(row)
         if row:
             rows.append(row)
 
-    key = pres.order_key
-    solved = []  # (pivot_word, row) with row[pivot] == 1
-    while rows:
-        rows.sort(key=lambda r: key(max(r, key=key)))
-        row = rows.pop()
-        pivot = max(row, key=key)
-        pc = row[pivot]
-        row = {w: c / pc for w, c in row.items()}
-        # eliminate the pivot from everything else
-        def elim(r):
-            if pivot in r:
-                c = r.pop(pivot)
-                for w, cw in row.items():
-                    if w == pivot:
-                        continue
-                    s = r.get(w, ZERO) - c * cw
-                    if s:
-                        r[w] = s
-                    else:
-                        r.pop(w, None)
-            return r
-        rows = [r for r in (elim(r) for r in rows) if r]
-        solved = [(p, elim(r)) for p, r in solved]
-        solved.append((pivot, row))
+    # solved[p] is the rhs of the rule p -> rhs: the row solved for its pivot p
+    key = keys.__getitem__
+    solved: dict[tuple, dict] = {}
+    for row in rows:
+        while row:
+            lead = max(row, key=key)
+            rhs = solved.get(lead)
+            if rhs is None:
+                c = -row.pop(lead)
+                solved[lead] = {w: cw / c for w, cw in row.items()}
+                break
+            _add_scaled(row, row.pop(lead), rhs)
+    pivots = sorted(solved, key=key)
+    for p in pivots:
+        rhs = solved[p]
+        # the pivots in rhs are smaller than p, and their rows are already cleared
+        for w in [w for w in rhs if w in solved]:
+            _add_scaled(rhs, rhs.pop(w), solved[w])
 
-    for pivot, row in solved:
+    for pivot in reversed(pivots):
         if len(pivot) != 2:
             raise NotSolvable(f"relation pivot {pivot} is not a quadratic word")
-        rhs = {w: -c for w, c in row.items() if w != pivot}
-        pres.add_rule(pivot, rhs)
+        pres.add_rule(pivot, solved[pivot])
 
     rep = overlap_check(pres)
     if not rep.ok:

@@ -1,14 +1,20 @@
-import pytest
+from itertools import product
+from math import comb
 
+import pytest
+from conftest import twisted_r
+
+from qgw import frt
 from qgw.algebras import fa_hopf, fa_presentation
 from qgw.frt import (NoInverses, OperatorMatrix, ansatz, antipode_matrix,
                      antipode_matrix_check, ar_hopf, build_ar,
                      duality_pairing_check, frt_relation_check,
                      matrix_coproduct_check, pairing_matrices, qdet,
                      qdet_check, qdet_multiplicative_check)
+from qgw.exterior import omega_build
 from qgw.hopfcore import check_hopf_axioms
 from qgw.rmatlab import catalog
-from qgw.scalars import ONE, qvar
+from qgw.scalars import ONE, ZERO, qvar
 
 
 def test_ansatz_families_satisfy_exchange_relations():
@@ -138,3 +144,63 @@ def test_ar_hopf_bialgebra_axioms_on_gl_n_m(key, n, m):
     """Section 4: A(R) of gl(n|m), plain and graded, is a bialgebra."""
     rep = check_hopf_axioms(ar_hopf(catalog(key, n, m)))
     assert rep.ok, rep.failures[:3]
+
+
+def dense_function_rows(R, gname):
+    """Reference for frt._function_rows: both sums read all 2n^2 entries."""
+    n = R.n
+    p = (0,) + R.p
+    rng = range(1, n + 1)
+    for A, B, C, D in product(rng, repeat=4):
+        row = {}
+        for f, e in product(rng, repeat=2):
+            x = R.entry(A, f, B, e)
+            if not x:
+                continue
+            if (p[A] * p[B] + p[C] * p[e]) % 2:
+                x = -x
+            w = (gname(f, C), gname(e, D))
+            row[w] = row.get(w, ZERO) + x
+        for r, s in product(rng, repeat=2):
+            x = R.entry(s, C, r, D)
+            if not x:
+                continue
+            if (p[C] * p[D] + p[r] * p[A]) % 2:
+                x = -x
+            w = (gname(B, r), gname(A, s))
+            row[w] = row.get(w, ZERO) - x
+        row = {w: c for w, c in row.items() if c}
+        if row:
+            yield row
+
+
+# (catalog spec, n, m) of gl(n|m)-type R-matrices
+GLNM_RS = [(("ac",), 1, 1), (("omega",), 1, 1), (("super_ac",), 1, 1),
+           (("glnm", 2, 1), 2, 1), (("super_glnm", 1, 2), 1, 2)]
+
+
+@pytest.mark.parametrize("twist", [None, 0, 1])
+@pytest.mark.parametrize("spec, n, m", GLNM_RS, ids=[s[0][0] + str(s[1:]) for s in GLNM_RS])
+def test_function_rows_from_nonzeros_and_rule_counts(spec, n, m, twist):
+    """The rows read from R's nonzeros are the dense double loop's, in the
+    same order and with the same dict order, and A(R) has C((n+m)^2, 2) +
+    2nm rules."""
+    R = catalog(*spec)
+    R = R if twist is None else twisted_r(R, twist)
+
+    def gname(i, j):
+        return f"t{i}{j}"
+
+    rows = [list(row.items()) for row in frt._function_rows(R, gname)]
+    assert rows == [list(row.items()) for row in dense_function_rows(R, gname)]
+    assert len(build_ar(R).rules) == comb((n + m) ** 2, 2) + 2 * n * m
+
+
+@pytest.mark.parametrize("twist", [None, 0, 1])
+@pytest.mark.parametrize("spec", [("ac",), ("omega",), ("std_gl", 2)], ids=repr)
+def test_omega_rule_count(spec, twist):
+    """Omega_q(R) has C(d,2) x x rules, d^2 dx x rules and C(d+1,2) dx dx
+    rules: 2d^2."""
+    R = catalog(*spec)
+    R = R if twist is None else twisted_r(R, twist)
+    assert len(omega_build(R).pres.rules) == 2 * R.n ** 2

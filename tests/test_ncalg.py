@@ -1,19 +1,19 @@
 import json
 import random
+from functools import lru_cache
+from unittest import mock
 
 import pytest
+from conftest import twisted_r
 from hypothesis import given, settings, strategies as st
 
-from qgw import frt
+from qgw import algebras, exterior, frt, ncalg
 from qgw.algebras import fa_presentation, uq_presentation
-from qgw.ncalg import (STATS, ConfluenceFailure, Element, GeneratorSymbol,
-                       Presentation, StepCapExceeded, compile_relations, overlap_check,
-                       presentation_from_json, presentation_to_json, tensor)
-from qgw.rmatlab import catalog
-from qgw.scalars import ONE, ZERO, qvar
-
-
-from functools import lru_cache
+from qgw.ncalg import (STATS, ConfluenceFailure, Element, GeneratorSymbol, NotSolvable,
+                       OverlapReport, Presentation, StepCapExceeded, compile_relations,
+                       overlap_check, presentation_from_json, presentation_to_json, tensor)
+from qgw.rmatlab import catalog, hecke_check
+from qgw.scalars import ONE, ZERO, Scalar, qvar
 
 
 @lru_cache(maxsize=None)
@@ -353,3 +353,192 @@ def test_shared_words_are_rewritten_once():
     nf = p.reduce_terms({("di",) * 4 + ("ai",) * 4: ONE})
     assert len(nf) == 2
     assert STATS["steps"] - before == 3657
+
+
+# -- relation compilation ---------------------------------------------------
+
+def sorted_elimination(gens, relations, name=""):
+    """Reference for compile_relations without its overlap check: the
+    elimination that sorts the remaining rows by their leading word before
+    each pivot and clears the pivot from every other row at once."""
+    pres = Presentation(gens, name=name)
+
+    def as_terms(x):
+        if isinstance(x, Element):
+            return dict(x.terms)
+        return {tuple(w): Scalar(c) for w, c in x.items()}
+
+    rows = []
+    for lhs, rhs in relations:
+        row = as_terms(lhs)
+        for w, c in as_terms(rhs).items():
+            s = row.get(w, ZERO) - c
+            if s:
+                row[w] = s
+            else:
+                row.pop(w, None)
+        row = pres.reduce_terms(row)
+        if row:
+            rows.append(row)
+
+    key = pres.order_key
+    solved = []
+    while rows:
+        rows.sort(key=lambda r: key(max(r, key=key)))
+        row = rows.pop()
+        pivot = max(row, key=key)
+        pc = row[pivot]
+        row = {w: c / pc for w, c in row.items()}
+
+        def elim(r):
+            if pivot in r:
+                c = r.pop(pivot)
+                for w, cw in row.items():
+                    if w == pivot:
+                        continue
+                    s = r.get(w, ZERO) - c * cw
+                    if s:
+                        r[w] = s
+                    else:
+                        r.pop(w, None)
+            return r
+        rows = [r for r in (elim(r) for r in rows) if r]
+        solved = [(p, elim(r)) for p, r in solved]
+        solved.append((pivot, row))
+
+    for pivot, row in solved:
+        if len(pivot) != 2:
+            raise NotSolvable(f"relation pivot {pivot} is not a quadratic word")
+        pres.add_rule(pivot, {w: -c for w, c in row.items() if w != pivot})
+    return pres
+
+
+def _same_rules(p, ref):
+    """The same rules in the same order, rhs compared as dicts."""
+    assert list(p.rules) == list(ref.rules)
+    assert p.rules == ref.rules
+
+
+def _catalog_rs():
+    """Catalog R-matrices, and gl(n|m) with n + m <= 3, plain and super,
+    under two seeded twists each."""
+    rs = [catalog(*spec) for spec in (
+        ("ac",), ("super_ac",), ("omega",), ("super_omega",), ("std_gl", 2),
+        ("std_gl", 3), ("identity", 2), ("glnm", 2, 1), ("super_glnm", 1, 2))]
+    for n, m in ((1, 1), (2, 1), (1, 2), (2, 0), (3, 0)):
+        for kind in ("glnm", "super_glnm") if m else ("glnm",):
+            rs += [twisted_r(catalog(kind, n, m), seed) for seed in (0, 1)]
+    return rs
+
+
+@lru_cache(maxsize=None)
+def compiled_relation_sets():
+    """(gens, relations, name, presentation) of every compile_relations call
+    made by the enveloping and function algebras of ``algebras``, and by
+    build_ar and omega_build on the R-matrices of _catalog_rs (omega_build
+    on the Hecke ones)."""
+    calls = []
+
+    def record(gens, relations, name=""):
+        gens, relations = list(gens), list(relations)
+        calls.append((gens, relations, name, compile_relations(gens, relations, name)))
+        return calls[-1][3]
+
+    with mock.patch.object(algebras, "compile_relations", record), \
+            mock.patch.object(frt, "compile_relations", record), \
+            mock.patch.object(exterior, "compile_relations", record):
+        for graded in (False, True):
+            algebras._uq_presentation.__wrapped__(graded)
+        for key in ("ac", "gl11", "omega", "gl11omega"):
+            fa_presentation.__wrapped__(key, inverses=False)
+        for R in _catalog_rs():
+            frt.build_ar(R)
+            if hecke_check(R):
+                exterior.omega_build(R)
+    return calls
+
+
+def test_echelon_pass_equals_sorted_elimination_on_compiled_relations():
+    calls = compiled_relation_sets()
+    assert {"uq", "uq-super", "fa-gl11", "ar-ac-super", "omega(std_gl(2))"} <= {c[2] for c in calls}
+    for gens, relations, name, p in calls:
+        _same_rules(p, sorted_elimination(gens, relations, name))
+
+
+def test_compiled_rules_decrease_in_the_term_order():
+    """compile_relations adds its rules in decreasing pivot order, which is
+    the order overlap_check and rule_residuals report in."""
+    for gens, _, name, p in compiled_relation_sets():
+        structural = set(Presentation(gens).rules)
+        keys = [p.order_key(lhs) for lhs in p.rules if lhs not in structural]
+        assert keys, name
+        assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:])), name
+
+
+# zero too: a zero coefficient in a relation is no term of it
+_LAURENT = st.builds(lambda c, e: c * qvar() ** e, st.integers(-3, 3), st.integers(-2, 2))
+
+
+@st.composite
+def relation_sets(draw):
+    """Generators a, b, c (and d), the first one maybe nilpotent and with
+    weights 1 or 2, and quadratic relations with Laurent coefficients, to
+    which duplicate, proportional and linearly dependent relations are
+    added before the whole list is shuffled."""
+    names = "abcd"[:draw(st.integers(3, 4))]
+    nil = draw(st.booleans())
+    gens = [GeneratorSymbol(x, nilpotent=nil and x == "a", weight=draw(st.integers(1, 2)))
+            for x in names]
+    words = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    sides = st.dictionaries(words, _LAURENT, max_size=4)
+    rels = draw(st.lists(st.tuples(sides, sides), min_size=1, max_size=6))
+
+    def combine(u, v, c):
+        out = dict(u)
+        for w, x in v.items():
+            out[w] = out.get(w, ZERO) + c * x
+        return out
+
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = (draw(st.integers(0, len(rels) - 1)) for _ in range(2))
+        c = draw(_LAURENT)
+        (l1, r1), (l2, r2) = rels[i], rels[j]
+        rels.append(draw(st.sampled_from([
+            (l1, r1),                                                  # duplicate
+            ({w: c * x for w, x in l1.items()}, {w: c * x for w, x in r1.items()}),
+            (combine(l1, l2, c), combine(r1, r2, c)),                  # dependent
+        ])))
+    return gens, draw(st.permutations(rels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation_sets())
+def test_echelon_pass_equals_sorted_elimination_on_random_relations(case):
+    """Same rules, rule order and coefficients, whatever the order of the
+    relations; the overlap check is left out, since random relations are
+    seldom confluent."""
+    gens, rels = case
+    with mock.patch.object(ncalg, "overlap_check", lambda p: OverlapReport(p.name)):
+        want = sorted_elimination(gens, rels)
+        for order in (rels, rels[::-1]):
+            _same_rules(compile_relations(gens, order), want)
+
+
+@pytest.mark.parametrize("relation, pivot", [
+    (({("x",): ONE}, {("y",): ONE}), "('y',)"),
+    (({("x", "y", "x"): ONE}, {}), "('x', 'y', 'x')"),
+])
+def test_compile_relations_refuses_a_pivot_that_is_not_quadratic(relation, pivot):
+    gens = [GeneratorSymbol("x"), GeneratorSymbol("y")]
+    with pytest.raises(NotSolvable) as info:
+        compile_relations(gens, [relation])
+    assert pivot in str(info.value)
+
+
+def test_compile_relations_refuses_a_letter_that_is_no_generator():
+    gens = [GeneratorSymbol("x"), GeneratorSymbol("y")]
+    with pytest.raises(ValueError, match=r"\('x', 'z'\).*'z'"):
+        compile_relations(gens, [({("x", "z"): 1}, {})])
+    # a word that cancels is refused too
+    with pytest.raises(ValueError, match=r"\('z', 'y'\).*'z'"):
+        compile_relations(gens, [({("y", "x"): 1, ("z", "y"): 1}, {("z", "y"): 1})])
