@@ -9,8 +9,18 @@ Within one reduce_terms call the normal form nf(w) of each distinct word,
 with coefficient 1, is computed once, bottom-up on an explicit work stack
 (no recursion), and kept in a memo that is dropped when the call returns;
 an input word already in the memo starts no stack.  A Scalar coefficient and
-a tuple word are taken as they are, so Element, which coerces each term
-once, hands its terms over with no second coercion.
+a tuple word are taken as they are.
+
+Element(pres, terms) is the one public constructor: it coerces each
+coefficient to a Scalar and each word to a tuple, refuses a letter that is
+no generator with ValueError, and reduces.  Everything else builds its
+Element with the trusted _element(pres, terms), whose terms are already
+tuple-keyed, nonzero, Scalar-valued and in normal form: +, - and scalar *
+combine normal forms, a product hands its dict of concatenated words
+straight to reduce_terms, and one, zero, gen, and monomial and word on a
+word of fewer than two letters skip rewriting, since every left-hand side
+has two letters (add_rule refuses any other) and so such a word is
+irreducible.
 Nothing is cached on the Presentation, so add_rule needs no invalidation
 and step counts do not depend on what ran before.  STATS["steps"] counts
 the rule applications actually performed: one per distinct reducible word
@@ -176,21 +186,34 @@ class Presentation:
         return Element(self, terms)
 
     def monomial(self, word, coeff=ONE) -> "Element":
-        return Element(self, {tuple(word): Scalar(coeff)})
+        word, coeff = self._checked_word(word), Scalar(coeff)
+        if not coeff:
+            return _element(self, {})
+        # every left-hand side has two letters, so a shorter word is irreducible
+        return _element(self, {word: coeff} if len(word) < 2 else self.reduce_terms({word: coeff}))
 
     def gen(self, name) -> "Element":
         if name not in self.index:
             raise KeyError(name)
-        return Element(self, {(name,): ONE})
+        return _element(self, {(name,): ONE})
 
     def one(self) -> "Element":
-        return Element(self, {(): ONE})
+        return _element(self, {(): ONE})
 
     def zero(self) -> "Element":
-        return Element(self, {})
+        return _element(self, {})
 
     def word(self, *names) -> "Element":
-        return Element(self, {tuple(names): ONE})
+        return self.monomial(names)
+
+    def _checked_word(self, word) -> tuple:
+        """``word`` as a tuple; ValueError names a letter that is no generator."""
+        word = tuple(word)
+        for x in word:
+            if x not in self.index:
+                raise ValueError(f"word {word} has the letter {x!r}, which is no "
+                                 f"generator of {self.name or 'the presentation'}")
+        return word
 
     # -- rewriting --------------------------------------------------------
     def reduce_terms(self, terms) -> dict:
@@ -286,15 +309,25 @@ def _combine(memo, children):
 
 
 class Element:
-    """Normal-form linear combination of generator words."""
+    """Normal-form linear combination of generator words.
+
+    ``Element(pres, terms)`` takes a dict or pairs of words and coefficients:
+    it coerces each coefficient to a Scalar and each word to a tuple, refuses
+    a letter that is no generator with ValueError, drops zeros and reduces.
+    Arithmetic, whose terms are already in that form, builds its result with
+    ``_element`` and coerces nothing again.
+    """
 
     __slots__ = ("pres", "terms")
 
-    def __init__(self, pres: Presentation, terms, normalize=True):
+    def __init__(self, pres: Presentation, terms):
         self.pres = pres
-        t = {tuple(w): c for w, c in ((w, Scalar(c)) for w, c in
-                                      (terms.items() if isinstance(terms, dict) else terms)) if c}
-        self.terms = pres.reduce_terms(t) if normalize else t
+        t = {}
+        for w, c in terms.items() if isinstance(terms, dict) else terms:
+            w, c = pres._checked_word(w), Scalar(c)
+            if c:
+                t[w] = c
+        self.terms = pres.reduce_terms(t)
 
     def _check(self, other):
         if self.pres is not other.pres:
@@ -302,11 +335,11 @@ class Element:
 
     def __add__(self, other):
         if isinstance(other, (int, Scalar)):
-            other = self.pres.element({(): Scalar(other)})
+            other = self.pres.monomial((), other)
         self._check(other)
         t = dict(self.terms)
         _add_scaled(t, ONE, other.terms)
-        return Element(self.pres, t, normalize=False)
+        return _element(self.pres, t)
 
     __radd__ = __add__
 
@@ -317,12 +350,12 @@ class Element:
         return (-self) + other
 
     def __neg__(self):
-        return Element(self.pres, {w: -c for w, c in self.terms.items()}, normalize=False)
+        return _element(self.pres, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             c0 = Scalar(other)
-            return Element(self.pres, {w: c * c0 for w, c in self.terms.items()}, normalize=False)
+            return _element(self.pres, {w: c * c0 for w, c in self.terms.items()} if c0 else {})
         self._check(other)
         prod: dict[tuple, Scalar] = {}
         for w1, c1 in self.terms.items():
@@ -338,7 +371,7 @@ class Element:
                         prod[w] = s
                     else:
                         del prod[w]
-        return Element(self.pres, prod)
+        return _element(self.pres, self.pres.reduce_terms(prod))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -347,7 +380,7 @@ class Element:
 
     def __eq__(self, other):
         if isinstance(other, (int, Scalar)):
-            other = self.pres.element({(): Scalar(other)})
+            other = self.pres.monomial((), other)
         if not isinstance(other, Element):
             return NotImplemented
         return self.pres is other.pres and self.terms == other.terms
@@ -380,6 +413,14 @@ class Element:
 
     def __repr__(self):
         return f"Element[{self}]"
+
+
+def _element(pres: Presentation, terms: dict) -> Element:
+    """The Element with exactly ``terms``, which the caller guarantees are
+    tuple words in normal form with nonzero Scalar coefficients."""
+    e = object.__new__(Element)
+    e.pres, e.terms = pres, terms
+    return e
 
 
 # -- maps given on generators --------------------------------------------

@@ -13,6 +13,8 @@ standard ones and the super forms live over the graded presentation.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import smat
 from .algebras import uq_hopf, uq_omega_hopf, uqgl11_hopf, uqgl11_omega_hopf, \
     uq_presentation
@@ -177,7 +179,20 @@ class Rep:
 
 
 def rep_build(label, graded=False) -> Rep:
-    return Rep(label, graded=graded)
+    """The verified representation at ``label``, a RepLabel or an (m1, m2)
+    pair.  An integer label is built and verified once per (m1, m2, graded)
+    in the process, so the matrices of the words its checks evaluate are
+    shared by every later check; callers must not change a Rep.  A symbolic
+    label is built afresh on each call.  DegenerateLabel as RepLabel."""
+    label = _aslabel(label)
+    if not label.integral:
+        return Rep(label, graded=graded)
+    return _integer_rep(label.m1, label.m2, bool(graded))
+
+
+@lru_cache(maxsize=None)
+def _integer_rep(m1, m2, graded) -> Rep:
+    return Rep((m1, m2), graded=graded)
 
 
 # -- evaluation contexts ----------------------------------------------------

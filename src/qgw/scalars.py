@@ -173,6 +173,9 @@ def _nmul(a, b):
         a, b = b, a
     if len(b) == 1:  # a monomial: a shift and a scaling, nothing cancels
         (kb, vb), = b.items()
+        if len(a) == 1:
+            (ka, va), = a.items()
+            return {tuple(map(add, ka, kb)): va * vb}
         if any(kb):
             return {tuple(map(add, k, kb)): v * vb for k, v in a.items()}
         return a if vb == 1 else {k: v * vb for k, v in a.items()}

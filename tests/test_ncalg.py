@@ -345,6 +345,76 @@ def test_reduce_terms_rewrites_each_reached_word_once(key, data):
     assert Element(p, pairs).terms == tree_rewrite(p, {tuple(w): ONE * c for w, c in pairs if c})
 
 
+def assert_trusted(p, e):
+    """``e`` is over ``p`` and holds what Element(p, ...) would: tuple words
+    in normal form with nonzero Scalar coefficients."""
+    assert e.pres is p
+    for w, c in e.terms.items():
+        assert type(w) is tuple
+        assert isinstance(c, Scalar) and c
+    assert Element(p, e.terms).terms == e.terms
+
+
+def element_terms(p):
+    """Raw terms of up to three words of up to three letters of ``p``, with
+    int or q-monomial coefficients."""
+    names = st.sampled_from([g.name for g in p.gens])
+    coeffs = st.integers(-2, 2) | st.tuples(st.integers(-2, 2).filter(bool), st.integers(-2, 2)).map(
+        lambda ck: ck[0] * qvar() ** ck[1])
+    return st.dictionaries(st.lists(names, max_size=3).map(tuple), coeffs, max_size=3)
+
+
+@pytest.mark.parametrize("key", ["uq", "uq-graded", "fa-ac-inv", "ar-gl(2|1)"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_arithmetic_builds_trusted_elements(key, data):
+    """Sums, differences, negation, scalar multiples (by 0, ZERO, ONE, an int
+    and a Scalar) and products come out in the form Element would give them,
+    over uq, its graded form uq-super, fa-ac-inv and ar-gl(2|1)."""
+    p = rewriting_presentation(key)
+    a, b = (Element(p, data.draw(element_terms(p))) for _ in range(2))
+    c = data.draw(st.integers(-3, 3)) * qvar() ** data.draw(st.integers(-2, 2))
+    results = [a + b, a - b, -a, a * b, b * a, a + 2, 3 - a]
+    results += [a * x for x in (0, ZERO, ONE, -2, c)] + [x * a for x in (0, ONE, 5, c)]
+    for r in results:
+        assert_trusted(p, r)
+    assert not a * 0 and not a * ZERO and a * ONE == a and (a - a).terms == {}
+
+
+@pytest.mark.parametrize("key", ["uq", "uq-graded", "fa-ac-inv", "ar-gl(2|1)"])
+def test_constructors_build_trusted_elements(key):
+    """one, zero, gen, and monomial and word on every letter, nilpotent and
+    invertible ones included, and on their squares and inverse pairs."""
+    p = rewriting_presentation(key)
+    q = qvar()
+    built = [p.one(), p.zero(), p.word(), p.monomial(()), p.monomial((), 0), p.monomial((), q)]
+    for g in p.gens:
+        x = g.name
+        built += [p.gen(x), p.word(x), p.monomial([x], 2), p.monomial((x,), ZERO),
+                  p.word(x, x), p.monomial((x, x), -q)]
+        if g.inverse:
+            built += [p.word(x, g.inverse), p.monomial((g.inverse, x), q)]
+            assert p.word(x, g.inverse) == p.one()
+        if g.nilpotent:
+            assert not p.word(x, x)
+        assert p.gen(x).terms == p.word(x).terms == {(x,): ONE}
+    for e in built:
+        assert_trusted(p, e)
+
+
+def test_a_letter_that_is_no_generator_is_refused():
+    """Element, element, monomial and word name the word and the letter; gen
+    keeps its KeyError."""
+    p = quantum_plane()
+    for make in (lambda: Element(p, {("z", "x"): 1}), lambda: Element(p, [(["x", "z"], 0)]),
+                 lambda: p.element({("z", "x"): 1}), lambda: p.monomial(("z", "x")),
+                 lambda: p.monomial(("z",), 2), lambda: p.word("z", "x"), lambda: p.word("z")):
+        with pytest.raises(ValueError, match=r"word \(.*'z'.*\) has the letter 'z'"):
+            make()
+    with pytest.raises(KeyError):
+        p.gen("z")
+
+
 def test_shared_words_are_rewritten_once():
     """di^4 ai^4 on fa-ac-inv: tree rewriting takes 29,812 steps to reach
     the 2-term normal form, rewriting each distinct word once 3,657."""

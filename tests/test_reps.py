@@ -56,6 +56,28 @@ def test_evaluate_returns_a_matrix_of_its_own():
         assert r.evaluate(e) == want
 
 
+def test_integer_labels_are_built_once():
+    r = rep_build((1, 0))
+    assert rep_build((1, 0)) is r is rep_build(RepLabel(1, 0))
+    graded = rep_build((1, 0), graded=True)
+    assert graded is not r and graded.graded and not r.graded
+    assert rep_build(RepLabel(1, 0), graded=True) is graded
+    assert rep_build((2, 1)) is not r
+
+
+def test_symbolic_labels_are_built_afresh():
+    lab = RepLabel.symbolic(indet("lam1"), indet("lam2"))
+    assert rep_build(lab) is not rep_build(lab)
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_degenerate_label_raises_on_every_call(graded):
+    for _ in range(2):
+        for lab in ((0, 0), (1, -1)):
+            with pytest.raises(DegenerateLabel):
+                rep_build(lab, graded=graded)
+
+
 def test_rep_defining_relations_hold():
     # rep_build verifies every rewrite rule as a matrix identity on
     # construction; failure would raise

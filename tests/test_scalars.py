@@ -649,3 +649,32 @@ def test_hash_survives_new_indeterminate(restore_field):
     fresh = qvar() + 1
     assert key._n < fresh._n  # exponent tuples of two lengths
     assert d.get(fresh) == 1
+
+
+_monomials = st.tuples(st.tuples(*[st.integers(-3, 3)] * 5),
+                       st.integers(-9, 9).filter(bool)
+                       | st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool))
+
+
+@settings(deadline=None)
+@given(_monomials, _monomials)
+def test_monomial_products_match_a_dict_reference(a, b):
+    """c q^e times c' q^e' is c c' q^(e + e'), exponents negative and zero
+    included; a product whose exponents cancel is the constant c c', with
+    its hash."""
+    (ea, ca), (eb, cb) = a, b
+    names = scalars._REG.names[:5]
+
+    def mono(e, c):
+        x = Scalar(c)
+        for name, k in zip(names, e):
+            x = x * indet(name) ** k
+        return x
+
+    got = mono(ea, ca) * mono(eb, cb)
+    e, c = tuple(map(add, ea, eb)), ca * cb
+    assert got._d == {e: c} and got._b == ()
+    want = scalars._native({e: c}, got._n)
+    assert got == want and hash(got) == hash(want)
+    if not any(e):
+        assert got == c and hash(got) == hash(c)
