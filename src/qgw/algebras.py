@@ -66,10 +66,6 @@ def _uq_presentation(graded: bool) -> Presentation:
     return compile_relations(gens, rel, name=name)
 
 
-def _tens(pres, terms, mode):
-    return TensorElement(pres, 2, terms, mode)
-
-
 def _uq_grouplike_part(pres, mode):
     return grouplike_data(pres, ["K1i", "K1", "K2i", "K2", "g"], mode)
 
@@ -80,8 +76,10 @@ def uq_hopf() -> HopfData:
     pres = uq_presentation()
     q = qvar()
     delta, eps, spo = _uq_grouplike_part(pres, BOSONIC)
-    delta["Xp"] = _tens(pres, {(("Xp",), ("K1",)): ONE, (("K2i",), ("Xp",)): ONE}, BOSONIC)
-    delta["Xm"] = _tens(pres, {(("Xm",), ("K2",)): ONE, (("K1i",), ("Xm",)): ONE}, BOSONIC)
+    delta["Xp"] = TensorElement(pres, 2, {(("Xp",), ("K1",)): ONE,
+                                          (("K2i",), ("Xp",)): ONE}, BOSONIC)
+    delta["Xm"] = TensorElement(pres, 2, {(("Xm",), ("K2",)): ONE,
+                                          (("K1i",), ("Xm",)): ONE}, BOSONIC)
     eps["Xp"] = eps["Xm"] = Scalar(0)
     spo["Xp"] = pres.monomial(("K1i", "K2", "Xp"), -q)
     spo["Xm"] = pres.monomial(("K1", "K2i", "Xm"), q)
@@ -94,10 +92,10 @@ def uq_omega_hopf() -> HopfData:
     pres = uq_presentation()
     q = qvar()
     delta, eps, spo = _uq_grouplike_part(pres, BOSONIC)
-    delta["Xp"] = _tens(pres, {(("Xp",), ("K2i", "g")): ONE,
-                               (("K2i",), ("Xp",)): ONE}, BOSONIC)
-    delta["Xm"] = _tens(pres, {(("Xm",), ("K1", "K2", "K2", "g")): ONE,
-                               (("K1i",), ("Xm",)): ONE}, BOSONIC)
+    delta["Xp"] = TensorElement(pres, 2, {(("Xp",), ("K2i", "g")): ONE,
+                                          (("K2i",), ("Xp",)): ONE}, BOSONIC)
+    delta["Xm"] = TensorElement(pres, 2, {(("Xm",), ("K1", "K2", "K2", "g")): ONE,
+                                          (("K1i",), ("Xm",)): ONE}, BOSONIC)
     eps["Xp"] = eps["Xm"] = Scalar(0)
     spo["Xp"] = pres.monomial(("K2", "K2", "g", "Xp"), -q)
     spo["Xm"] = pres.monomial(("K2i", "K2i", "g", "Xm"), q)
@@ -115,10 +113,10 @@ def uqgl11_hopf() -> HopfData:
     pres = uq_presentation(graded=True)
     q = qvar()
     delta, eps, spo = _uq_grouplike_part(pres, SUPER)
-    delta["Xp"] = _tens(pres, {(("Xp",), ("K1",)): ONE,
-                               (("K2i", "g"), ("Xp",)): ONE}, SUPER)
-    delta["Xm"] = _tens(pres, {(("Xm",), ("K2",)): ONE,
-                               (("K1i", "g"), ("Xm",)): ONE}, SUPER)
+    delta["Xp"] = TensorElement(pres, 2, {(("Xp",), ("K1",)): ONE,
+                                          (("K2i", "g"), ("Xp",)): ONE}, SUPER)
+    delta["Xm"] = TensorElement(pres, 2, {(("Xm",), ("K2",)): ONE,
+                                          (("K1i", "g"), ("Xm",)): ONE}, SUPER)
     eps["Xp"] = eps["Xm"] = Scalar(0)
     spo["Xp"] = pres.monomial(("K1i", "K2", "g", "Xp"), -q)
     spo["Xm"] = pres.monomial(("K1", "K2i", "g", "Xm"), q)
@@ -131,19 +129,19 @@ def uqgl11_omega_hopf() -> HopfData:
     pres = uq_presentation(graded=True)
     q = qvar()
     delta, eps, spo = _uq_grouplike_part(pres, SUPER)
-    delta["Xp"] = _tens(pres, {(("Xp",), ("K2i", "g")): ONE,
-                               (("K2i", "g"), ("Xp",)): ONE}, SUPER)
-    delta["Xm"] = _tens(pres, {(("Xm",), ("K1", "K2", "K2", "g")): ONE,
-                               (("K1i", "g"), ("Xm",)): ONE}, SUPER)
+    delta["Xp"] = TensorElement(pres, 2, {(("Xp",), ("K2i", "g")): ONE,
+                                          (("K2i", "g"), ("Xp",)): ONE}, SUPER)
+    delta["Xm"] = TensorElement(pres, 2, {(("Xm",), ("K1", "K2", "K2", "g")): ONE,
+                                          (("K1i", "g"), ("Xm",)): ONE}, SUPER)
     eps["Xp"] = eps["Xm"] = Scalar(0)
     spo["Xp"] = pres.monomial(("K2", "K2", "Xp"), -q)
     spo["Xm"] = pres.monomial(("K2i", "K2i", "Xm"), q)
     return HopfData(pres, delta, eps, spo, mode=SUPER, g="g", name="uqgl11-omega")
 
 
-def uq_casimirs(pres=None):
+def uq_casimirs():
     """The group-like square (K1 K2)^2 and the quadratic central element."""
-    pres = pres or uq_presentation()
+    pres = uq_presentation()
     q = qvar()
     c1sq = pres.monomial(("K1", "K1", "K2", "K2"))
     c2 = pres.monomial(("Xp", "Xm")) \
@@ -245,10 +243,10 @@ def fa_hopf(key: str) -> HopfData:
     pres = fa_presentation(key)
     mode = SUPER if pres.by_name["b"].degree else BOSONIC
     delta = {
-        "a": _tens(pres, {(("a",), ("a",)): ONE, (("b",), ("c",)): ONE}, mode),
-        "b": _tens(pres, {(("a",), ("b",)): ONE, (("b",), ("d",)): ONE}, mode),
-        "c": _tens(pres, {(("c",), ("a",)): ONE, (("d",), ("c",)): ONE}, mode),
-        "d": _tens(pres, {(("c",), ("b",)): ONE, (("d",), ("d",)): ONE}, mode),
+        "a": TensorElement(pres, 2, {(("a",), ("a",)): ONE, (("b",), ("c",)): ONE}, mode),
+        "b": TensorElement(pres, 2, {(("a",), ("b",)): ONE, (("b",), ("d",)): ONE}, mode),
+        "c": TensorElement(pres, 2, {(("c",), ("a",)): ONE, (("d",), ("c",)): ONE}, mode),
+        "d": TensorElement(pres, 2, {(("c",), ("b",)): ONE, (("d",), ("d",)): ONE}, mode),
     }
     delta["ai"] = try_invert_tensor(delta["a"])
     delta["di"] = try_invert_tensor(delta["d"])

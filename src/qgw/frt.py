@@ -130,8 +130,7 @@ def _function_rows(R: RMatrix, gname):
             yield row
 
 
-def frt_relation_check(R: RMatrix, L1: OperatorMatrix, L2: OperatorMatrix = None,
-                       name="") -> CheckReport:
+def frt_relation_check(R: RMatrix, L1: OperatorMatrix, L2: OperatorMatrix = None) -> CheckReport:
     """Check R L2 L1 = L1 L2 R entrywise for a pair of generator matrices.
 
     Call once per relation family, e.g. (l+, l+), (l+, l-), (l-, l-).  The
@@ -140,7 +139,7 @@ def frt_relation_check(R: RMatrix, L1: OperatorMatrix, L2: OperatorMatrix = None
     """
     L2 = L1 if L2 is None else L2
     pres = L1.pres
-    rep = CheckReport(name or f"frt[{L1.label},{L2.label}]")
+    rep = CheckReport(f"frt[{L1.label},{L2.label}]")
     for idx, res in _envelope_residuals(
             R, L1.entry, L2.entry,
             lambda u, v: u + v, lambda u, v: u * v,
@@ -174,12 +173,12 @@ def build_ar(R: RMatrix, names=None, name="", sample_budget=0):
     return compile_relations(gens, rel, name=label)
 
 
-def ar_hopf(R: RMatrix, names=None, name="") -> HopfData:
-    """A(R) with the matrix coproduct t -> t (x) t (bialgebra, no antipode)."""
-    pres = build_ar(R, names=names, name=name)
+def ar_hopf(R: RMatrix) -> HopfData:
+    """A(R) with the matrix coproduct t -> t (x) t (bialgebra, no antipode);
+    the generator grid is read row-major from build_ar's generators."""
+    pres = build_ar(R)
     n = R.n
-    if names is None:
-        names = [[f"t{i}{j}" for j in range(1, n + 1)] for i in range(1, n + 1)]
+    names = [[g.name for g in pres.gens[i * n:(i + 1) * n]] for i in range(n)]
     mode = SUPER if any(R.p) else BOSONIC
     delta, eps = {}, {}
     for i in range(n):
@@ -189,8 +188,7 @@ def ar_hopf(R: RMatrix, names=None, name="") -> HopfData:
                 pres, 2,
                 {((names[i][k],), (names[k][j],)): ONE for k in range(n)}, mode)
             eps[g] = ONE if i == j else Scalar(0)
-    return HopfData(pres, delta, eps, None, mode=mode,
-                    name=name or pres.name)
+    return HopfData(pres, delta, eps, None, mode=mode)
 
 
 def matrix_coproduct_check(L: OperatorMatrix, h: HopfData) -> CheckReport:
@@ -322,30 +320,22 @@ def qdet_multiplicative_check(key: str = "ac") -> CheckReport:
 
 # -- duality pairing -------------------------------------------------------
 
-def pairing_matrices(R: RMatrix, signed=True):
+def pairing_matrices(R: RMatrix):
     """Canonical duality pairing: the n x n scalar matrices of l+/l- entries.
 
-    plus[k][l][i][j] = <.., l+ entry (k,l)> = R^i_j^k_l with, for graded R,
-    the sign (-1)^{p(j)(p(k)+p(l))}; minus uses R^-1 with the sign
-    (-1)^{p(k)(p(i)+p(j))}.  The signs encode the right-action convention;
-    signed=False strips them, leaving the plain representation matrices of
-    the l+/l- entries.
+    plus[k][l][i][j] = <.., l+ entry (k,l)> = R^i_j^k_l and minus is the same
+    from R^-1: the plain representation matrices of the l+/l- entries.  The
+    right-action convention of the pairing would add, for graded R, the sign
+    (-1)^{p(j)(p(k)+p(l))} to plus and (-1)^{p(k)(p(i)+p(j))} to minus.
     """
     n = R.n
-    p = (0,) + R.p
     rinv = R.inverse_matrix()
     plus = [[smat.zeros(n) for _ in range(n)] for _ in range(n)]
     minus = [[smat.zeros(n) for _ in range(n)] for _ in range(n)]
     for k, l in product(range(1, n + 1), repeat=2):
         for i, j in product(range(1, n + 1), repeat=2):
-            x = R.entry(i, j, k, l)
-            if signed and (p[j] * (p[k] + p[l])) % 2:
-                x = -x
-            plus[k - 1][l - 1][i - 1][j - 1] = x
-            y = rinv[(k - 1) * n + i - 1][(l - 1) * n + j - 1]
-            if signed and (p[k] * (p[i] + p[j])) % 2:
-                y = -y
-            minus[k - 1][l - 1][i - 1][j - 1] = y
+            plus[k - 1][l - 1][i - 1][j - 1] = R.entry(i, j, k, l)
+            minus[k - 1][l - 1][i - 1][j - 1] = rinv[(k - 1) * n + i - 1][(l - 1) * n + j - 1]
     return plus, minus
 
 
@@ -358,7 +348,7 @@ def duality_pairing_check(R: RMatrix) -> CheckReport:
     abstract generators.
     """
     n = R.n
-    plus, minus = pairing_matrices(R, signed=False)
+    plus, minus = pairing_matrices(R)
     rep = CheckReport(f"duality[{R.name or 'R'}]")
     fams = [("++", plus, plus), ("+-", plus, minus), ("--", minus, minus)]
     for tag, m1, m2 in fams:

@@ -7,6 +7,16 @@ the same presentation is tensored both ways in different checks.
 
 Terms are keyed by k-tuples of normal-form words; every word is homogeneous,
 so the sign of a product of basis tensors is always defined.
+
+TensorElement(pres, arity, terms, mode) is the one public constructor: it
+coerces each coefficient to a Scalar and each leg to a tuple, refuses a term
+of another arity with ArityMismatch, drops zeros, normal-forms each leg and
+sums repeated keys.  Everything else in this module builds its value with
+the trusted _tensor(pres, arity, terms, mode), as ncalg builds Elements with
+_element: +, -, scalar *, flip, tensor_mul, outer, unit, zero, embed_leg and
+apply_to_leg combine terms that are already in that form.  Other modules
+build through the constructor or those functions; a leg that is a normal
+word costs no rewrite step to normal-form again.
 """
 
 from __future__ import annotations
@@ -31,28 +41,24 @@ class BadPositions(ValueError):
 
 
 class TensorElement:
+    """Normal-form linear combination of k-tuples of words; see the module
+    docstring for what the constructor accepts."""
+
     __slots__ = ("pres", "arity", "mode", "terms")
 
-    def __init__(self, pres: Presentation, arity: int, terms, mode=BOSONIC, normalize=True):
-        if mode not in (BOSONIC, SUPER):
-            raise ValueError(f"unknown mode {mode}")
+    def __init__(self, pres: Presentation, arity: int, terms, mode=BOSONIC):
         self.pres = pres
         self.arity = arity
-        self.mode = mode
-        raw = terms.items() if isinstance(terms, dict) else terms
+        self.mode = _checked_mode(mode)
         acc: dict[tuple, Scalar] = {}
-        for legs, c in raw:
+        for legs, c in terms.items() if isinstance(terms, dict) else terms:
             legs = tuple(tuple(w) for w in legs)
             if len(legs) != arity:
                 raise ArityMismatch(f"term {legs} has arity {len(legs)}, expected {arity}")
             c = Scalar(c)
-            if not c:
-                continue
-            if normalize:
+            if c:
                 for key, cc in _expand(pres, legs, c):
                     _accum(acc, key, cc)
-            else:
-                _accum(acc, legs, c)
         self.terms = acc
 
     # -- ring structure ---------------------------------------------------
@@ -71,7 +77,7 @@ class TensorElement:
         t = dict(self.terms)
         for k, c in other.terms.items():
             _accum(t, k, c)
-        return TensorElement(self.pres, self.arity, t, self.mode, normalize=False)
+        return _tensor(self.pres, self.arity, t, self.mode)
 
     __radd__ = __add__
 
@@ -81,15 +87,13 @@ class TensorElement:
         return self + (-other)
 
     def __neg__(self):
-        return TensorElement(self.pres, self.arity,
-                             {k: -c for k, c in self.terms.items()}, self.mode, normalize=False)
+        return _tensor(self.pres, self.arity, {k: -c for k, c in self.terms.items()}, self.mode)
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             c0 = Scalar(other)
-            return TensorElement(self.pres, self.arity,
-                                 {k: c * c0 for k, c in self.terms.items()},
-                                 self.mode, normalize=False)
+            return _tensor(self.pres, self.arity,
+                           {k: c * c0 for k, c in self.terms.items()} if c0 else {}, self.mode)
         return tensor_mul(self, other)
 
     def __rmul__(self, other):
@@ -118,7 +122,7 @@ class TensorElement:
                 if self.pres.degree(legs[i]) and self.pres.degree(legs[j]):
                     c = -c
             _accum(out, tuple(ll), c)
-        return TensorElement(self.pres, self.arity, out, self.mode, normalize=False)
+        return _tensor(self.pres, self.arity, out, self.mode)
 
     def __str__(self):
         if not self.terms:
@@ -131,6 +135,21 @@ class TensorElement:
 
     def __repr__(self):
         return f"TensorElement[{self}]"
+
+
+def _tensor(pres: Presentation, arity: int, terms: dict, mode) -> TensorElement:
+    """The TensorElement with exactly ``terms``, which the caller guarantees
+    are tuples of ``arity`` normal-form words with nonzero Scalar
+    coefficients, in a checked mode."""
+    t = object.__new__(TensorElement)
+    t.pres, t.arity, t.mode, t.terms = pres, arity, mode, terms
+    return t
+
+
+def _checked_mode(mode):
+    if mode not in (BOSONIC, SUPER):
+        raise ValueError(f"unknown mode {mode}")
+    return mode
 
 
 def _accum(acc, key, c):
@@ -160,18 +179,18 @@ def _expand(pres, legs, coeff):
 
 
 def unit(pres, arity, mode=BOSONIC) -> TensorElement:
-    return TensorElement(pres, arity, {((),) * arity: ONE}, mode, normalize=False)
+    return _tensor(pres, arity, {((),) * arity: ONE}, _checked_mode(mode))
 
 
 def zero(pres, arity, mode=BOSONIC) -> TensorElement:
-    return TensorElement(pres, arity, {}, mode, normalize=False)
+    return _tensor(pres, arity, {}, _checked_mode(mode))
 
 
 def outer(a: Element, b: Element, mode=BOSONIC) -> TensorElement:
     """a (x) b of two Elements over one presentation."""
     a._check(b)
-    return TensorElement(a.pres, 2, {(u, v): cu * cv for u, cu in a.terms.items()
-                                     for v, cv in b.terms.items()}, mode, normalize=False)
+    return _tensor(a.pres, 2, {(u, v): cu * cv for u, cu in a.terms.items()
+                               for v, cv in b.terms.items()}, _checked_mode(mode))
 
 
 def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
@@ -193,7 +212,7 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
             legs = tuple(u[i] + v[i] for i in range(k))
             for key, cc in _expand(pres, legs, c):
                 _accum(acc, key, cc)
-    return TensorElement(pres, k, acc, mode, normalize=False)
+    return _tensor(pres, k, acc, mode)
 
 
 def embed_leg(e, positions, arity, mode=BOSONIC) -> TensorElement:
@@ -203,7 +222,7 @@ def embed_leg(e, positions, arity, mode=BOSONIC) -> TensorElement:
     leg notation.
     """
     if isinstance(e, Element):
-        e = TensorElement(e.pres, 1, {(w,): c for w, c in e.terms.items()}, mode, normalize=False)
+        e = _tensor(e.pres, 1, {(w,): c for w, c in e.terms.items()}, mode)
     positions = list(positions)
     if (len(positions) != e.arity or any(p < 1 or p > arity for p in positions)
             or sorted(set(positions)) != positions):
@@ -214,7 +233,7 @@ def embed_leg(e, positions, arity, mode=BOSONIC) -> TensorElement:
         for p, w in zip(positions, legs):
             new[p - 1] = w
         _accum(acc, tuple(new), c)
-    return TensorElement(e.pres, arity, acc, mode, normalize=False)
+    return _tensor(e.pres, arity, acc, _checked_mode(mode))
 
 
 def apply_to_leg(t: TensorElement, leg: int, fn, out_arity_delta: int) -> TensorElement:
@@ -231,4 +250,4 @@ def apply_to_leg(t: TensorElement, leg: int, fn, out_arity_delta: int) -> Tensor
         for slegs, sc in sub.terms.items():
             key = legs[:leg] + slegs + legs[leg + 1 :]
             _accum(acc, key, c * sc)
-    return TensorElement(pres, new_arity, acc, mode, normalize=False)
+    return _tensor(pres, new_arity, acc, mode)

@@ -19,7 +19,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
-from .gtensor import BOSONIC, SUPER, TensorElement, apply_to_leg, outer, tensor_mul, unit, zero
+from .gtensor import BOSONIC, SUPER, TensorElement, apply_to_leg, embed_leg, outer, unit, zero
 from .ncalg import (Element, GeneratorSymbol, Presentation, linear, multiplicative,
                     overlap_check, rule_residuals)
 from .report import CheckReport
@@ -86,7 +86,8 @@ def grouplike_data(pres, names, mode=BOSONIC):
     delta, eps, spo = {}, {}, {}
     for n in names:
         gsym = pres.by_name[n]
-        delta[n] = TensorElement(pres, 2, {((n,), (n,)): ONE}, mode, normalize=False)
+        x = pres.gen(n)
+        delta[n] = outer(x, x, mode)
         eps[n] = ONE
         inv = gsym.inverse
         if inv is None:
@@ -195,16 +196,14 @@ def check_hopf_axioms(h: HopfData) -> CheckReport:
 
     if h.g is not None:
         gels = pres.gen(h.g)
-        rep.record(coproduct(gels, h) == TensorElement(
-            pres, 2, {((h.g,), (h.g,)): ONE}, h.mode), ("grouplike-delta", h.g))
+        rep.record(coproduct(gels, h) == outer(gels, gels, h.mode), ("grouplike-delta", h.g))
         rep.record(counit(gels, h) == ONE, ("grouplike-eps", h.g))
         rep.record(gels * gels == pres.one(), ("involutive", h.g))
     return rep
 
 
 def _s1(h, word):
-    e = _s_word(h, word)
-    return TensorElement(h.pres, 1, {(w,): c for w, c in e.terms.items()}, h.mode, normalize=False)
+    return embed_leg(_s_word(h, word), (1,), 1, h.mode)
 
 
 # -- superization ----------------------------------------------------------
@@ -265,7 +264,7 @@ def rg_tensor(pres: Presentation, g: str, mode=BOSONIC) -> TensorElement:
     half = Scalar(Fraction(1, 2))
     return TensorElement(pres, 2, {
         ((), ()): half, ((), (g,)): half, ((g,), ()): half, ((g,), (g,)): -half,
-    }, mode, normalize=False)
+    }, mode)
 
 
 # -- Z2-extension ----------------------------------------------------------
@@ -372,58 +371,53 @@ def casimir_central_check(h: HopfData, c: Element, anticommuting=()) -> CheckRep
 def try_invert(e: Element, bound: int = 8) -> Element:
     """Invert unit + nilpotent-correction elements by a geometric series.
 
-    Picks a term whose word consists of invertible generators, peels it off
-    as the unit part u, and sums u^-1 (1 - r u^-1 + (r u^-1)^2 - ...) until
-    the residual vanishes.  Verifies the two-sided inverse exactly.
+    Picks the order-least term whose word consists of invertible
+    generators, peels it off as the unit part u, and sums
+    u^-1 (1 - r u^-1 + (r u^-1)^2 - ...) until the residual vanishes.
+    Verifies the two-sided inverse exactly.
     """
     pres = e.pres
-    uw = None
-    for w in sorted(e.terms, key=pres.order_key):
-        if all(pres.by_name[x].inverse is not None for x in w):
-            uw = w
-            break
+    uw = next((w for w in sorted(e.terms, key=pres.order_key) if _invertible(pres, w)), None)
     if uw is None:
         raise NotInvertible("no invertible monomial term")
-    v0 = pres.monomial(tuple(pres.by_name[x].inverse for x in reversed(uw)),
-                       ONE / e.terms[uw])
-    r = e - pres.monomial(uw, e.terms[uw])
-    y = v0 * r
-    power = v0  # (-y)^k * v0, k = 0
-    inv = v0
-    for _ in range(bound):
-        if e * inv == pres.one() and inv * e == pres.one():
-            return inv
-        power = -(y * power)
-        inv = inv + power
-    if e * inv == pres.one() and inv * e == pres.one():
-        return inv
-    raise NotInvertible(f"series did not close within {bound} terms")
+    c = e.terms[uw]
+    return _series_inverse(e, pres.monomial(_inverse_word(pres, uw), ONE / c),
+                           pres.monomial(uw, c), pres.one(), bound)
 
 
 def try_invert_tensor(t: TensorElement, bound: int = 8) -> TensorElement:
-    """Same geometric-series inversion inside the tensor square."""
+    """The same inversion inside a tensor power, with the unit part the
+    least term, legwise in order, whose legs are all invertible words."""
     pres = t.pres
-    uw = None
-    for legs in sorted(t.terms, key=lambda ls: tuple(pres.order_key(w) for w in ls)):
-        if all(pres.by_name[x].inverse is not None for w in legs for x in w):
-            uw = legs
-            break
+    uw = next((legs for legs in sorted(t.terms, key=lambda ls: tuple(map(pres.order_key, ls)))
+               if all(_invertible(pres, w) for w in legs)), None)
     if uw is None:
         raise NotInvertible("no invertible tensor monomial term")
-    one = unit(pres, t.arity, t.mode)
-    v0 = TensorElement(
-        pres, t.arity,
-        {tuple(tuple(pres.by_name[x].inverse for x in reversed(w)) for w in uw):
-         ONE / t.terms[uw]}, t.mode)
-    r = t - TensorElement(pres, t.arity, {uw: t.terms[uw]}, t.mode, normalize=False)
-    y = tensor_mul(v0, r)
-    power = v0
-    inv = v0
+    c = t.terms[uw]
+    v0 = TensorElement(pres, t.arity, {tuple(_inverse_word(pres, w) for w in uw): ONE / c}, t.mode)
+    return _series_inverse(t, v0, TensorElement(pres, t.arity, {uw: c}, t.mode),
+                           unit(pres, t.arity, t.mode), bound)
+
+
+def _invertible(pres, word) -> bool:
+    return all(pres.by_name[x].inverse is not None for x in word)
+
+
+def _inverse_word(pres, word) -> tuple:
+    return tuple(pres.by_name[x].inverse for x in reversed(word))
+
+
+def _series_inverse(e, v0, u, one, bound):
+    """v0 (1 - y + y^2 - ...) with y = v0 (e - u), v0 = u^-1, summed until
+    it is a two-sided inverse of e, for at most ``bound`` more terms.  On a
+    TensorElement ``*`` is tensor_mul."""
+    y = v0 * (e - u)
+    power = inv = v0  # (-y)^k v0, k = 0
     for _ in range(bound):
-        if tensor_mul(t, inv) == one and tensor_mul(inv, t) == one:
+        if e * inv == one and inv * e == one:
             return inv
-        power = -tensor_mul(y, power)
+        power = -(y * power)
         inv = inv + power
-    if tensor_mul(t, inv) == one and tensor_mul(inv, t) == one:
+    if e * inv == one and inv * e == one:
         return inv
     raise NotInvertible(f"series did not close within {bound} terms")

@@ -13,12 +13,12 @@ a tuple word are taken as they are.
 
 Element(pres, terms) is the one public constructor: it coerces each
 coefficient to a Scalar and each word to a tuple, refuses a letter that is
-no generator with ValueError, and reduces.  Everything else builds its
-Element with the trusted _element(pres, terms), whose terms are already
-tuple-keyed, nonzero, Scalar-valued and in normal form: +, - and scalar *
-combine normal forms, a product hands its dict of concatenated words
-straight to reduce_terms, and one, zero, gen, and monomial and word on a
-word of fewer than two letters skip rewriting, since every left-hand side
+no generator with ValueError, sums repeated words and reduces.  Everything
+else builds its Element with the trusted _element(pres, terms), whose terms
+are already tuple-keyed, nonzero, Scalar-valued and in normal form: +, - and
+scalar * combine normal forms, a product hands its dict of concatenated
+words straight to reduce_terms, and one, zero, gen, and monomial and word on
+a word of fewer than two letters skip rewriting, since every left-hand side
 has two letters (add_rule refuses any other) and so such a word is
 irreducible.
 Nothing is cached on the Presentation, so add_rule needs no invalidation
@@ -313,7 +313,8 @@ class Element:
 
     ``Element(pres, terms)`` takes a dict or pairs of words and coefficients:
     it coerces each coefficient to a Scalar and each word to a tuple, refuses
-    a letter that is no generator with ValueError, drops zeros and reduces.
+    a letter that is no generator with ValueError, sums the coefficients of
+    a repeated word, drops zeros and reduces.
     Arithmetic, whose terms are already in that form, builds its result with
     ``_element`` and coerces nothing again.
     """
@@ -326,7 +327,7 @@ class Element:
         for w, c in terms.items() if isinstance(terms, dict) else terms:
             w, c = pres._checked_word(w), Scalar(c)
             if c:
-                t[w] = c
+                _add_scaled(t, c, {w: ONE})
         self.terms = pres.reduce_terms(t)
 
     def _check(self, other):

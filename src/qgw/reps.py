@@ -213,32 +213,12 @@ def _ev_atom(rep: Rep) -> _Ev:
     return _Ev(rep.dim, list(rep.h1), list(rep.h2), rep.p, rep.evaluate)
 
 
-def _gkron(a, b, deg_b, pa):
-    """Matrix of a (x) b with the Koszul sign (-1)^(deg_b * parity of the
-    first-leg basis vector passed)."""
-    da, db = len(a), len(b)
-    out = smat.zeros(da * db)
-    for i in range(da):
-        for k in range(da):
-            x = a[i][k]
-            if not x:
-                continue
-            if deg_b and pa[k]:
-                x = -x
-            for j in range(db):
-                row = out[i * db + j]
-                for l in range(db):
-                    if b[j][l]:
-                        row[k * db + l] = x * b[j][l]
-    return out
-
-
 def _tensor_image(t, evA: _Ev, evB: _Ev, h):
     pres, sup = h.pres, h.mode == SUPER
     out = smat.zeros(evA.dim * evB.dim)
     for (w1, w2), c in t.terms.items():
-        m = _gkron(evA.elem(pres.monomial(w1)), evB.elem(pres.monomial(w2)),
-                   pres.degree(w2) if sup else 0, evA.p)
+        m = smat.kron(evA.elem(pres.monomial(w1)), evB.elem(pres.monomial(w2)),
+                      pres.degree(w2) if sup else 0, evA.p)
         out = smat.madd(out, smat.smul(c, m))
     return out
 
@@ -300,7 +280,7 @@ def _r_matrix(evA: _Ev, evB: _Ev, which):
     q = qvar()
     d = evA.dim * evB.dim
     tail = smat.madd(smat.eye(d), smat.smul(
-        ONE - q * q, _gkron(evA.elem(e1), evB.elem(e2), deg2, evA.p)))
+        ONE - q * q, smat.kron(evA.elem(e1), evB.elem(e2), deg2, evA.p)))
     pref = smat.zeros(d)
     for s in range(evA.dim):
         for t in range(evB.dim):
@@ -434,9 +414,9 @@ def ribbon_check(label) -> CheckReport:
         for t in range(r.dim):
             i = s * r.dim + t
             cross[i][i] = q ** (-(r.h1[s] * r.h1[t] - r.h2[s] * r.h2[t]) // 2)
-    lhs = smat.mmul(smat.mmul(smat.kron(data["pref"], data["pref"]), cross),
+    lhs = smat.mmul(smat.mmul(smat.kron(data["pref"], data["pref"], 0, r.p), cross),
                     _delta_mat(pres.word("K1", "K2") * data["tail_u"], ev, ev, h))
-    rhs = smat.mmul(smat.inv(smat.mmul(r21, rmat)), smat.kron(nu, nu))
+    rhs = smat.mmul(smat.inv(smat.mmul(r21, rmat)), smat.kron(nu, nu, 0, r.p))
     rep.record(smat.meq(lhs, rhs), ("delta-nu",))
     return rep
 
@@ -532,13 +512,6 @@ def _chi(evA: _Ev, evB: _Ev, super_side, swap=False):
     return out
 
 
-def _diag_inv(m):
-    out = smat.zeros(len(m))
-    for i in range(len(m)):
-        out[i][i] = ONE / m[i][i]
-    return out
-
-
 def twist_check(lab1, lab2, lab3, super_side=False) -> CheckReport:
     """The diagonal cocycle chi: counital 2-cocycle identity, conjugation
     of the coproduct, and the twisted R-matrix computed two ways."""
@@ -561,7 +534,7 @@ def twist_check(lab1, lab2, lab3, super_side=False) -> CheckReport:
                     _chi(ev1, _ev_tensor(ev2, ev3, h0), super_side))
     rep.record(smat.meq(lhs, rhs), ("cocycle",))
 
-    c12i = _diag_inv(c12)
+    c12i = smat.inv(c12)
     for gs in pres.gens:
         x = pres.gen(gs.name)
         twisted = smat.mmul(smat.mmul(c12, _delta_mat(x, ev1, ev2, h0)), c12i)

@@ -83,12 +83,19 @@ def mmul(a, b):
     return _dense((acc.items() for acc in _products(_rows(a), _rows(b))), len(b[0]))
 
 
-def kron(a, b):
+def kron(a, b, deg_b, pa):
+    """a (x) b on graded legs: entry ((i, j), (k, l)) is
+    (-1)^(deg_b * pa[k]) a[i][k] b[j][l], the Koszul sign of moving b, of
+    degree deg_b, past the first leg's basis vector k of parity pa[k].
+    deg_b = 0 gives the plain Kronecker product."""
+    cols = len(b[0])
+    rows_b = _rows(b)
     out = []
-    for ra in a:
-        for rb in b:
-            out.append([x * y if x and y else ZERO for x in ra for y in rb])
-    return out
+    for ra in _rows(a):
+        ra = [(k, -x if deg_b and pa[k] else x) for k, x in ra]
+        for rb in rows_b:
+            out.append([(k * cols + l, x * y) for k, x in ra for l, y in rb])
+    return _dense(out, len(a[0]) * cols)
 
 
 def meq(a, b):

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qgw.algebras import fa_presentation, uq_presentation
 from qgw.gtensor import (BOSONIC, SUPER, ArityMismatch, BadPositions,
                          ModeMismatch, TensorElement, apply_to_leg, embed_leg,
-                         tensor_mul, unit, zero)
-from qgw.ncalg import GeneratorSymbol, Presentation
-from qgw.scalars import ONE
+                         outer, tensor_mul, unit, zero)
+from qgw.ncalg import Element, GeneratorSymbol, Presentation
+from qgw.scalars import ONE, ZERO, Scalar, qvar
 
 
 def free_super():
@@ -100,3 +102,64 @@ def test_apply_to_leg_coproduct_style():
     out = apply_to_leg(a, 0, grouplike, 1)
     assert out.arity == 3
     assert out.terms == {(("e",), ("e",), ("f",)): ONE}
+
+
+def test_unknown_mode_is_refused():
+    p = free_super()
+    for make in (lambda: tens(p, {}, "odd"), lambda: unit(p, 2, "odd"),
+                 lambda: zero(p, 2, "odd"), lambda: outer(p.gen("e"), p.gen("f"), "odd"),
+                 lambda: embed_leg(p.gen("e"), (1,), 2, "odd")):
+        with pytest.raises(ValueError):
+            make()
+
+
+PRESENTATIONS = {"uq": uq_presentation,
+                 "uq-super": lambda: uq_presentation(graded=True),
+                 "fa-ac-inv": lambda: fa_presentation("ac")}
+
+
+def raw_terms(p, arity):
+    """Raw terms of up to three keys of ``arity`` words of up to three
+    letters of ``p``, with int or q-monomial coefficients, zeros included."""
+    word = st.lists(st.sampled_from([g.name for g in p.gens]), max_size=3).map(tuple)
+    coeffs = st.integers(-2, 2) | st.tuples(st.integers(-2, 2).filter(bool),
+                                            st.integers(-2, 2)).map(lambda ck: ck[0] * qvar() ** ck[1])
+    return st.dictionaries(st.tuples(*[word] * arity), coeffs, max_size=3)
+
+
+def assert_trusted(p, t):
+    """``t`` holds what the public constructor would give: keys that are
+    tuples of ``arity`` tuple words, and nonzero Scalar coefficients that
+    normal-forming again leaves as they are."""
+    assert t.pres is p
+    for legs, c in t.terms.items():
+        assert type(legs) is tuple and len(legs) == t.arity
+        assert all(type(w) is tuple for w in legs)
+        assert isinstance(c, Scalar) and c
+    assert TensorElement(p, t.arity, t.terms, t.mode).terms == t.terms
+
+
+@pytest.mark.parametrize("mode", [BOSONIC, SUPER])
+@pytest.mark.parametrize("key", sorted(PRESENTATIONS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_trusted_results_equal_the_constructors(key, mode, data):
+    """Every value built through the trusted path, over uq, uq-super and
+    fa-ac-inv in both modes, is in the form TensorElement(...) gives."""
+    p = PRESENTATIONS[key]()
+    a, b = (TensorElement(p, 2, data.draw(raw_terms(p, 2)), mode) for _ in range(2))
+    x, y = (Element(p, {w: c for (w,), c in data.draw(raw_terms(p, 1)).items()})
+            for _ in range(2))
+
+    def square(word):
+        e = p.monomial(word)
+        return outer(e, e, mode)
+
+    results = [a + b, a - b, -a, a + 2, a - 3, tensor_mul(a, b), a * b, b * a, a.flip(),
+               outer(x, y, mode), embed_leg(x, (2,), 3, mode), embed_leg(a, (1, 3), 3, mode),
+               apply_to_leg(a, 0, square, 1), apply_to_leg(b, 1, square, 1),
+               unit(p, 2, mode), zero(p, 3, mode)]
+    results += [a * c for c in (0, ZERO, ONE, -2)] + [c * a for c in (0, ONE, 5)]
+    for t in results:
+        assert_trusted(p, t)
+    assert not a * 0 and not a * ZERO and a * ONE == a and (a - a).terms == {}

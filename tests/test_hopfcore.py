@@ -161,6 +161,19 @@ def test_try_invert_tensor():
     assert tensor_mul(ti, t) == unit(pres, 2)
 
 
+def test_try_invert_tensor_rejects_noninvertible():
+    pres = uq_presentation()
+    t = TensorElement(pres, 2, {(("Xp",), ("K1",)): ONE, (("K1",), ("Xm",)): ONE}, BOSONIC)
+    with pytest.raises(NotInvertible, match="no invertible"):
+        try_invert_tensor(t)
+    # the unit part K1 (x) K1 is invertible, but with no correction term
+    # the series misses (Xp (x) Xm)
+    t = TensorElement(pres, 2, {(("K1",), ("K1",)): ONE, (("Xp",), ("Xm",)): ONE}, BOSONIC)
+    with pytest.raises(NotInvertible, match="within 0 terms"):
+        try_invert_tensor(t, bound=0)
+    assert try_invert_tensor(t, bound=1) == try_invert_tensor(t)
+
+
 def test_grouplike_data_helper():
     pres = uq_presentation()
     d, e, s = grouplike_data(pres, ["K1"], BOSONIC)

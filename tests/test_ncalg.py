@@ -329,7 +329,8 @@ def test_memoized_normal_form_equals_tree_rewriting(key, data):
 def test_reduce_terms_rewrites_each_reached_word_once(key, data):
     """reduce_terms gives the one-word-at-a-time normal form with one step per
     distinct reducible word reached, and Element gives the same terms from a
-    list of pairs with list words, int coefficients and zeros."""
+    list of pairs with list words, int coefficients, zeros and repeated
+    words."""
     p = rewriting_presentation(key)
     names = st.sampled_from([g.name for g in p.gens])
     pairs = data.draw(st.lists(st.tuples(st.lists(names, max_size=6),
@@ -341,8 +342,19 @@ def test_reduce_terms_rewrites_each_reached_word_once(key, data):
     assert p.reduce_terms(terms) == want
     assert STATS["steps"] - before == len(reducible_words(p, terms))
     assert p.reduce_terms({tuple(w): c for w, c in pairs}) == Element(p, terms).terms == want
-    # a zero pair is dropped before a later pair of the same word is read
-    assert Element(p, pairs).terms == tree_rewrite(p, {tuple(w): ONE * c for w, c in pairs if c})
+    # the coefficients of a repeated word add up, and a sum of 0 drops the word
+    summed = {}
+    for w, c in pairs:
+        summed[tuple(w)] = summed.get(tuple(w), ZERO) + c
+    assert Element(p, pairs).terms == tree_rewrite(p, {w: c for w, c in summed.items() if c})
+
+
+def test_element_sums_repeated_words():
+    p = uq_presentation()
+    assert Element(p, [(("K1",), 1), (("K1",), 2)]) == 3 * p.gen("K1")
+    assert Element(p, [(("K1",), 1), (["K1"], -1)]) == p.zero()
+    assert Element(p, [(("Xm", "Xp"), ONE), (("Xm", "Xp"), -ONE), (("K1",), 2)]).terms \
+        == {("K1",): Scalar(2)}
 
 
 def assert_trusted(p, e):

@@ -114,6 +114,27 @@ def test_mmul_matches_naive_product(data, n, k, m):
     assert smat.meq(got, _naive_mmul(a, b))
 
 
+@settings(deadline=None)
+@given(st.data(), *[st.integers(1, 3)] * 4)
+def test_kron_matches_koszul_formula(data, ra, ca, rb, cb):
+    """Entry ((i, j), (k, l)) of kron(a, b, deg_b, pa) is
+    (-1)^(deg_b pa[k]) a[i][k] b[j][l], on random parities and degrees."""
+    def matrix(rows, cols):
+        return [[data.draw(_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+
+    a, b = matrix(ra, ca), matrix(rb, cb)
+    pa = data.draw(st.lists(st.integers(0, 1), min_size=ca, max_size=ca))
+    deg_b = data.draw(st.integers(0, 1))
+    want = smat.zeros(ra * rb, ca * cb)
+    for i, k, j, l in product(range(ra), range(ca), range(rb), range(cb)):
+        x = a[i][k] * b[j][l]
+        want[i * rb + j][k * cb + l] = -x if deg_b * pa[k] else x
+    assert smat.meq(smat.kron(a, b, deg_b, pa), want)
+    plain = smat.kron(a, b, 0, pa)
+    assert all(plain[i * rb + j][k * cb + l] == a[i][k] * b[j][l]
+               for i, k, j, l in product(range(ra), range(ca), range(rb), range(cb)))
+
+
 def test_mmul_of_embedded_legs_multiplies_nonzero_pairs(monkeypatch):
     # one Scalar multiplication per pair (a[i][t], b[t][j]) of nonzeros, and
     # one addition fewer per entry that such pairs reach: none to a 0
