@@ -10,9 +10,10 @@ so the sign of a product of basis tensors is always defined.
 
 TensorElement(pres, arity, terms, mode) is the one public constructor: it
 coerces each coefficient to a Scalar and each leg to a tuple, refuses a term
-of another arity with ArityMismatch, drops zeros, normal-forms each leg and
-sums repeated keys.  Everything else in this module builds its value with
-the trusted _tensor(pres, arity, terms, mode), as ncalg builds Elements with
+of another arity with ArityMismatch and a leg with a letter that is no
+generator with ValueError (as Element does), drops zeros, normal-forms each
+leg and sums repeated keys.  Everything else in this module builds its value
+with the trusted _tensor(pres, arity, terms, mode), as ncalg builds Elements with
 _element: +, -, scalar *, flip, tensor_mul, outer, unit, zero, embed_leg and
 apply_to_leg combine terms that are already in that form.  Other modules
 build through the constructor or those functions; a leg that is a normal
@@ -52,7 +53,7 @@ class TensorElement:
         self.mode = _checked_mode(mode)
         acc: dict[tuple, Scalar] = {}
         for legs, c in terms.items() if isinstance(terms, dict) else terms:
-            legs = tuple(tuple(w) for w in legs)
+            legs = tuple(pres._checked_word(w) for w in legs)
             if len(legs) != arity:
                 raise ArityMismatch(f"term {legs} has arity {len(legs)}, expected {arity}")
             c = Scalar(c)
@@ -85,6 +86,9 @@ class TensorElement:
         if isinstance(other, (int, Scalar)):
             other = unit(self.pres, self.arity, self.mode) * Scalar(other)
         return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __neg__(self):
         return _tensor(self.pres, self.arity, {k: -c for k, c in self.terms.items()}, self.mode)

@@ -22,7 +22,7 @@ from .gtensor import SUPER
 from .hopfcore import antipode, coproduct, counit
 from .ncalg import Element
 from .report import CheckReport
-from .rmatlab import RMatrix, permutation_matrix
+from .rmatlab import RMatrix, flip_index
 from .scalars import ONE, ZERO, Scalar, indet, qvar, sign_pow
 
 
@@ -321,15 +321,15 @@ def quasitriangularity_check(lab1, lab2, lab3, which="standard") -> CheckReport:
     ps = [e.p for e in evs]
     on_legs = ((r12, (0, 1)), (_r_matrix(ev1, ev3, which), (0, 2)),
                (_r_matrix(ev2, ev3, which), (1, 2)))
-    r12e, r13, r23 = (smat.embed_pair(m, dims, ps, legs) for m, legs in on_legs)
+    embedded = [smat.embed_pair(m, dims, ps, legs) for m, legs in on_legs]
+    r12e, r13, r23 = embedded
     t12 = _ev_tensor(ev1, ev2, h)
     t23 = _ev_tensor(ev2, ev3, h)
     rep.record(smat.meq(_r_matrix(t12, ev3, which), smat.mmul(r13, r23)),
                ("hexagon", "delta-leg1"))
     rep.record(smat.meq(_r_matrix(ev1, t23, which), smat.mmul(r13, r12e)),
                ("hexagon", "delta-leg2"))
-    rep.record(smat.braid_holds(*(smat.embed_rows(m, dims, ps, legs) for m, legs in on_legs)),
-               ("braid", "three-legs"))
+    rep.record(smat.braid_holds(*map(smat.row_form, embedded)), ("braid", "three-legs"))
     return rep
 
 
@@ -407,8 +407,8 @@ def ribbon_check(label) -> CheckReport:
     # Delta nu = (R21 R)^-1 (nu (x) nu), both legs at this label
     ev = _ev_atom(r)
     rmat = _r_matrix(ev, ev, "standard")
-    perm = permutation_matrix(r.dim)
-    r21 = smat.mmul(smat.mmul(perm, rmat), perm)
+    flip = flip_index(r.dim)
+    r21 = [[rmat[i][j] for j in flip] for i in flip]  # P R P
     cross = smat.zeros(r.dim * r.dim)
     for s in range(r.dim):
         for t in range(r.dim):

@@ -69,8 +69,8 @@ class RMatrix:
 def qybe_check(R: RMatrix) -> bool:
     """R12 R13 R23 = R23 R13 R12, exactly, with Koszul-signed legs graded by
     R.p: the QYBE for a zero grading, the super YBE for a super R."""
-    dims, ps = (R.n,) * 3, (R.p,) * 3
-    return smat.braid_holds(*(smat.embed_rows(R.m, dims, ps, legs)
+    dims, ps, rows = (R.n,) * 3, (R.p,) * 3, smat.row_form(R.m)
+    return smat.braid_holds(*(smat.embed_rows(rows, dims, ps, legs)
                               for legs in ((0, 1), (0, 2), (1, 2))))
 
 
@@ -89,11 +89,23 @@ def sybe_check(R: RMatrix) -> bool:
     return qybe_check(R)
 
 
+def flip_index(n):
+    """The flip a (x) b -> b (x) a on composite indices: entry a n + b is
+    b n + a.  P M is M's rows in this order, and M P its columns."""
+    return [b * n + a for a, b in product(range(n), repeat=2)]
+
+
+def flip_rows(m, n):
+    """P m, for the flip P on two legs of dimension n: the rows of ``m`` in
+    the order of :func:`flip_index`, as new lists, with no multiplication."""
+    return [list(m[k]) for k in flip_index(n)]
+
+
 def permutation_matrix(n):
-    N = n * n
-    out = smat.zeros(N)
-    for a, b in product(range(n), repeat=2):
-        out[a * n + b][b * n + a] = ONE
+    """The matrix P of the flip on two legs of dimension n."""
+    out = smat.zeros(n * n)
+    for i, j in enumerate(flip_index(n)):
+        out[i][j] = ONE
     return out
 
 
@@ -101,7 +113,7 @@ def hecke_check(R: RMatrix) -> bool:
     """(PR - q)(PR + 1/q) = 0."""
     q = qvar()
     n = R.n
-    pr = smat.mmul(permutation_matrix(n), R.m)
+    pr = flip_rows(R.m, n)
     idm = smat.eye(n * n)
     lhs = smat.mmul(smat.msub(pr, smat.smul(q, idm)),
                     smat.madd(pr, smat.smul(ONE / q, idm)))

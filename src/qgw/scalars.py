@@ -30,6 +30,12 @@ value alone:
   sparse fraction field (numerator and denominator coprime in Z[x], or
   Z[i][x], denominator with positive leading coefficient).
 
+A product of a Scalar with ``ONE`` (the module's own Scalar 1, not any
+value equal to 1) is that other Scalar itself, in either representation:
+it builds no value and does no arithmetic.  ``ONE`` times an ``int``,
+``Fraction`` or sympy operand still coerces it, so ``ONE * 3`` is
+``Scalar(3)``.
+
 sympy's field does the rest: an operation with a general operand, and a
 division or negative power whose divisor's numerator has a factor other
 than a monomial and binomials.  Its result is classified exactly
@@ -590,7 +596,8 @@ class Scalar:
 
     def __new__(cls, value=0):
         # a Scalar is returned itself: ncalg reads ``c is ONE`` as "not
-        # scaled", so Scalar(ONE) must stay ONE
+        # scaled", so Scalar(ONE) must stay ONE; a product with ONE is its
+        # other Scalar operand itself, ONE * ONE included
         return value if isinstance(value, Scalar) else _coerce(value)
 
     def __setattr__(self, *a):
@@ -644,6 +651,10 @@ class Scalar:
         return NotImplemented if b is None else b._bin(self, _nsub, _fsub, sub)
 
     def __mul__(self, other):
+        if other is ONE:
+            return self
+        if self is ONE and isinstance(other, Scalar):
+            return other
         return self._bin(other, _nmul, _fmul, mul)
 
     __rmul__ = __mul__

@@ -7,12 +7,14 @@ Gauss-Jordan inverse, an exact invertibility test).  No numerics.  Most
 entries of the matrices here are 0, so the products, sums and row
 operations skip zero operands: :func:`mmul` costs one multiplication per
 pair of nonzero entries that meet.  The *row form* of a matrix lists, for
-each row, the (column, value) pairs of its nonzero entries.
-:func:`embed_rows` is the one embedding of a two-leg operator into three
-graded tensor legs, with Koszul signs, in row form (:func:`embed_pair` is
-its dense form), and :func:`braid_holds` compares the two sides of the
-braid relation on three such legs without building a dense n^3 x n^3
-matrix.
+each row, the (column, value) pairs of its nonzero entries
+(:func:`row_form`).  :func:`embed_rows` is the one embedding of a two-leg
+operator into three graded tensor legs, with Koszul signs: it takes the
+operator in row form and returns the embedding in row form, so a caller
+that embeds one matrix on several legs builds its row form once
+(:func:`embed_pair` takes and returns dense matrices).
+:func:`braid_holds` compares the two sides of the braid relation on three
+such legs without building a dense n^3 x n^3 matrix.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def smul(c, a):
     return [[c * x if x else x for x in row] for row in a]
 
 
-def _rows(a):
+def row_form(a):
     """The row form of ``a``."""
     return [[(j, x) for j, x in enumerate(row) if x] for row in a]
 
@@ -80,7 +82,7 @@ def _products(a, b):
 def mmul(a, b):
     """a b, at one Scalar multiplication per pair of nonzero entries that
     meet."""
-    return _dense((acc.items() for acc in _products(_rows(a), _rows(b))), len(b[0]))
+    return _dense((acc.items() for acc in _products(row_form(a), row_form(b))), len(b[0]))
 
 
 def kron(a, b, deg_b, pa):
@@ -89,9 +91,9 @@ def kron(a, b, deg_b, pa):
     degree deg_b, past the first leg's basis vector k of parity pa[k].
     deg_b = 0 gives the plain Kronecker product."""
     cols = len(b[0])
-    rows_b = _rows(b)
+    rows_b = row_form(b)
     out = []
-    for ra in _rows(a):
+    for ra in row_form(a):
         ra = [(k, -x if deg_b and pa[k] else x) for k, x in ra]
         for rb in rows_b:
             out.append([(k * cols + l, x * y) for k, x in ra for l, y in rb])
@@ -110,10 +112,10 @@ def _flatten(idx, dims):
     return (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
 
 
-def embed_rows(m, dims, ps, legs):
-    """Embed ``m``, acting on legs ``legs = (i, j)``, into three legs of
-    dimensions ``dims`` and gradings ``ps`` (a 0/1 tuple per leg), in row
-    form.
+def embed_rows(rows, dims, ps, legs):
+    """Embed the matrix of row form ``rows`` (:func:`row_form`), acting on
+    legs ``legs = (i, j)``, into three legs of dimensions ``dims`` and
+    gradings ``ps`` (a 0/1 tuple per leg), in row form.
 
     The sign is the Koszul cost of moving each operator factor past the
     spectator leg; the factor's parity is read off entrywise from the row
@@ -122,7 +124,7 @@ def embed_rows(m, dims, ps, legs):
     i, j = legs
     k = 3 - i - j
     out = [[] for _ in range(dims[0] * dims[1] * dims[2])]
-    for r, pairs in enumerate(_rows(m)):
+    for r, pairs in enumerate(rows):
         ri, rj = divmod(r, dims[j])
         for c, x in pairs:
             ci, cj = divmod(c, dims[j])
@@ -141,8 +143,8 @@ def embed_rows(m, dims, ps, legs):
 
 
 def embed_pair(m, dims, ps, legs):
-    """The dense form of :func:`embed_rows`."""
-    rows = embed_rows(m, dims, ps, legs)
+    """:func:`embed_rows` of the dense matrix ``m``, as a dense matrix."""
+    rows = embed_rows(row_form(m), dims, ps, legs)
     return _dense(rows, len(rows))
 
 

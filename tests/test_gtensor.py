@@ -113,6 +113,26 @@ def test_unknown_mode_is_refused():
             make()
 
 
+def test_constructor_refuses_a_letter_that_is_no_generator():
+    p = uq_presentation()
+    for terms in ({(("z",), ("K1",)): 1}, {(("K1",), ("K1", "z")): 1},
+                  [((("K1",), "zK"), ONE)]):
+        with pytest.raises(ValueError, match="no generator of uq"):
+            TensorElement(p, 2, terms, BOSONIC)
+    # a zero coefficient does not excuse the letter, as for an Element
+    with pytest.raises(ValueError, match="'z'"):
+        TensorElement(p, 2, {(("z",), ()): 0}, BOSONIC)
+
+
+def test_number_minus_tensor():
+    p = uq_presentation()
+    t = TensorElement(p, 2, {(("K1",), ("K1",)): 2}, BOSONIC)
+    one = unit(p, 2, BOSONIC)
+    assert 3 - t == one * 3 - t == -(t - 3)
+    assert Scalar(3) - t == 3 - t and 0 - t == -t
+    assert (3 - t).terms == {((), ()): Scalar(3), (("K1",), ("K1",)): Scalar(-2)}
+
+
 PRESENTATIONS = {"uq": uq_presentation,
                  "uq-super": lambda: uq_presentation(graded=True),
                  "fa-ac-inv": lambda: fa_presentation("ac")}

@@ -5,11 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import twisted_r
 
 from qgw import smat
 from qgw.reps import universal_r_eval
 from qgw.rmatlab import (NotSuperizable, NullDegreeViolated, RMatrix,
-                         UnknownName, catalog, hecke_check,
+                         UnknownName, catalog, flip_rows, hecke_check,
                          hecke_identity_check, null_degree_check,
                          permutation_matrix, qybe_check, rmatrix_from_json,
                          rmatrix_to_json, superizable_grading_search,
@@ -150,6 +151,45 @@ def test_glnm_specializes_to_rank_two():
 def test_permutation_matrix():
     P = permutation_matrix(2)
     assert smat.meq(smat.mmul(P, P), smat.eye(4))
+
+
+# every catalog R, two twists of gl(2|1), and the Hecke verdict of each
+_HECKE = [(("ac",), True), (("super_ac",), False), (("omega",), True),
+          (("super_omega",), False), (("glnm", 1, 1), True), (("glnm", 2, 1), True),
+          (("glnm", 1, 2), True), (("super_glnm", 2, 1), False), (("std_gl", 2), True),
+          (("std_gl", 3), True), (("identity", 2), False), (("twist", 0), True),
+          (("twist", 1), True)]
+
+
+def _hecke_r(spec):
+    return twisted_r(catalog("glnm", 2, 1), spec[1]) if spec[0] == "twist" else catalog(*spec)
+
+
+def _hecke_by_product(R):
+    """(PR - q)(PR + 1/q) = 0, with P R the product by the permutation matrix."""
+    q, idm = qvar(), smat.eye(R.n * R.n)
+    pr = smat.mmul(permutation_matrix(R.n), R.m)
+    return smat.is_zero(smat.mmul(smat.msub(pr, smat.smul(q, idm)),
+                                  smat.madd(pr, smat.smul(ONE / q, idm))))
+
+
+@pytest.mark.parametrize("spec", [s for s, _ in _HECKE], ids=str)
+def test_flip_rows_is_the_permutation_product(spec):
+    R = _hecke_r(spec)
+    pr = flip_rows(R.m, R.n)
+    assert smat.meq(pr, smat.mmul(permutation_matrix(R.n), R.m))
+    assert all(a is not b for a, b in zip(pr, R.m))  # new rows, R.m untouched
+    pr[0][0] = ONE + pr[0][0]
+    assert smat.meq(R.m, _hecke_r(spec).m)
+
+
+@pytest.mark.parametrize("spec, holds", _HECKE, ids=[str(s) for s, _ in _HECKE])
+def test_hecke_verdicts_pinned(spec, holds):
+    R = _hecke_r(spec)
+    assert hecke_check(R) is holds
+    assert _hecke_by_product(R) is holds
+    if holds:
+        assert not hecke_check(_doubled(R))
 
 
 def test_invertibility_enforced():

@@ -678,3 +678,42 @@ def test_monomial_products_match_a_dict_reference(a, b):
     assert got == want and hash(got) == hash(want)
     if not any(e):
         assert got == c and hash(got) == hash(c)
+
+
+# a Laurent polynomial, a value over binomial factors, a general value, a
+# constant and ONE itself
+_ONE_OPERANDS = ["q^2 - 3/q + lam1", "(q^3 + lam1)/(q^2 - 1)^2", "q/(q^2 + 2)", "-7/2", "1"]
+
+
+@pytest.mark.parametrize("text", _ONE_OPERANDS)
+def test_product_with_one_is_the_other_operand(text):
+    x = ONE if text == "1" else parse(text)
+    assert x * ONE is x and ONE * x is x
+    assert (parse(text)._d is None) == (text == "q/(q^2 + 2)")
+
+
+def test_product_of_one_with_a_number_is_a_scalar():
+    for got in (ONE * 3, 3 * ONE, ONE * Fraction(3), Fraction(3) * ONE):
+        assert type(got) is Scalar and got == 3 and hash(got) == hash(3)
+    assert ONE * sympy.Integer(3) == 3 and type(sympy.Integer(3) * ONE) is Scalar
+
+
+def test_product_with_one_of_another_field_size(restore_field):
+    old = qvar() + 1
+    register_indeterminate("tmp_one")
+    new = qvar() + 1
+    assert old._n < new._n
+    for x in (old, new):
+        assert x * ONE is x and ONE * x is x
+
+
+@settings(deadline=None)
+@given(_scalars())
+def test_products_with_one_match_the_arithmetic_reference(a):
+    """a * ONE and ONE * a, which take no arithmetic, equal what the
+    arithmetic of ``_bin`` makes of them, in value, representation and hash."""
+    for got, want in ((a * ONE, a._bin(ONE, scalars._nmul, scalars._fmul, mul)),
+                      (ONE * a, ONE._bin(a, scalars._nmul, scalars._fmul, mul))):
+        assert got is a
+        assert got == want and hash(got) == hash(want)
+        assert (got._d, got._b) == (want._d, want._b)

@@ -21,24 +21,29 @@ def _dense(rows):
 
 
 def _embedded(m, dims, ps, legs):
-    """embed_pair, checked equal to the dense form of embed_rows."""
+    """embed_pair, checked equal to the dense form of embed_rows on the row
+    form of ``m``."""
     got = smat.embed_pair(m, dims, ps, legs)
-    assert smat.meq(got, _dense(smat.embed_rows(m, dims, ps, legs)))
+    assert smat.meq(got, _dense(smat.embed_rows(smat.row_form(m), dims, ps, legs)))
     return got
 
 
-def _placed(m, n, legs):
-    """The plain index placement of an n^2 x n^2 matrix on two of three
-    legs of dimension n: no signs."""
-    out = smat.zeros(n ** 3)
+def _placed(m, dims, ps, legs):
+    """Entry by entry, the embedding of ``m`` on legs (i, j) next to the
+    spectator leg k: the entry of m at ((x_i, x_j), (y_i, y_j)) where x_k =
+    y_k, times -1 when the spectator basis vector is odd and the factors
+    acting on the legs after k have odd total parity."""
     i, j = legs
     k = 3 - i - j
-    for a, b, s, c, d in product(range(n), repeat=5):
-        row, col = [0, 0, 0], [0, 0, 0]
-        row[i], row[j], row[k] = a, b, s
-        col[i], col[j], col[k] = c, d, s
-        out[(row[0] * n + row[1]) * n + row[2]][(col[0] * n + col[1]) * n + col[2]] = \
-            m[a * n + b][c * n + d]
+    flat = list(product(*map(range, dims)))  # flat index -> (x0, x1, x2)
+    out = smat.zeros(len(flat))
+    for r, x in enumerate(flat):
+        for c, y in enumerate(flat):
+            if x[k] != y[k]:
+                continue
+            v = m[x[i] * dims[j] + x[j]][y[i] * dims[j] + y[j]]
+            after = sum(ps[l][x[l]] + ps[l][y[l]] for l in legs if l > k)
+            out[r][c] = -v if v and ps[k][x[k]] and after % 2 else v
     return out
 
 
@@ -46,7 +51,23 @@ def _placed(m, n, legs):
 def test_leg_embedding_zero_grading_is_plain_placement(legs):
     R = catalog("ac")
     got = _embedded(R.m, (2, 2, 2), ((0, 0),) * 3, legs)
-    assert smat.meq(got, _placed(R.m, 2, legs))
+    assert smat.meq(got, _placed(R.m, (2, 2, 2), ((0, 0),) * 3, legs))
+
+
+_CATALOG = [("ac",), ("super_ac",), ("omega",), ("super_omega",), ("glnm", 2, 1),
+            ("super_glnm", 2, 1), ("super_glnm", 1, 2), ("std_gl", 2), ("identity", 2)]
+
+
+@pytest.mark.parametrize("spec", _CATALOG, ids=lambda s: "".join(map(str, s)))
+def test_embedding_of_row_form_matches_entrywise_placement(spec):
+    """embed_rows on R's row form, and embed_pair on R, are the Koszul-signed
+    placement of R on each pair of legs of the catalog R's grading."""
+    R = catalog(*spec)
+    dims, ps, rows = (R.n,) * 3, (R.p,) * 3, smat.row_form(R.m)
+    for legs in ((0, 1), (0, 2), (1, 2)):
+        want = _placed(R.m, dims, ps, legs)
+        assert smat.meq(_dense(smat.embed_rows(rows, dims, ps, legs)), want), legs
+        assert smat.meq(smat.embed_pair(R.m, dims, ps, legs), want), legs
 
 
 def test_leg_embedding_odd_spectator_signs():
@@ -82,7 +103,8 @@ def test_braid_holds_on_embedded_legs():
     dims, ps = (2, 2, 2), ((0, 1),) * 3
     for name, ok in (("super_ac", True), ("ac", False)):
         m = catalog(name).m
-        legs = [smat.embed_rows(m, dims, ps, pr) for pr in ((0, 1), (0, 2), (1, 2))]
+        rows = smat.row_form(m)
+        legs = [smat.embed_rows(rows, dims, ps, pr) for pr in ((0, 1), (0, 2), (1, 2))]
         assert smat.braid_holds(*legs) is ok, name
     assert smat.braid_holds(*[[[(i, ONE)] for i in range(8)]] * 3)
 
