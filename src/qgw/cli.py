@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -564,11 +565,13 @@ def _render(results, format):
 
 
 def _complex_arg(text):
-    """argparse type of ``--q-spot``: "re,im" -> complex."""
+    """argparse type of ``--q-spot``: "re,im" -> complex, both parts finite."""
     try:
         re_, im_ = (float(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected re,im, got {text!r}") from None
+    if not (math.isfinite(re_) and math.isfinite(im_)):
+        raise argparse.ArgumentTypeError(f"expected finite re,im, got {text!r}")
     return complex(re_, im_)
 
 
@@ -606,9 +609,9 @@ def main(argv=None):
     extra = None
     if args.rmatrix:
         try:
-            with open(args.rmatrix) as fh:
+            with open(args.rmatrix, encoding="utf-8") as fh:
                 extra = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read {args.rmatrix}: {exc}", file=sys.stderr)
             return 2
     try:

@@ -628,7 +628,7 @@ class Scalar:
             r = frac(x, bx, y, by)
             if r is not None:
                 return _native(r[0], self._n, r[1])
-        if gen is mul:  # a general value times 1 or -1 needs no gcd
+        if nat is _nmul:  # a general value times 1 or -1 needs no gcd
             for u, v in ((b, self), (self, b)):
                 c = _int_value(u)
                 if c == 1 or c == -1:
@@ -831,28 +831,28 @@ def _den_terms(b):
     return total
 
 
-def _size(s):
-    """(terms, height) of the canonical fraction of a Scalar (of a Laurent
-    value, its own coefficients), or a bound on them: the height is the
-    largest numerator or denominator among its coefficients, in absolute
-    value.  A native value with factors is never expanded: the terms of its
-    denominator are bounded by ``_den_terms``, and its coefficients by the
-    lcm L of the numerator's coefficient denominators times 2^(sum of the
-    multiplicities), each factor having two coefficients +-1."""
+def _measure(s):
+    """(numerator terms, denominator terms, height) of the canonical fraction
+    of a Scalar, or bounds on them: the height is the largest numerator or
+    denominator among its coefficients in absolute value (of a Laurent
+    value, among its own coefficients).  A native value with factors is
+    never expanded: the terms of its denominator are bounded by
+    ``_den_terms``, and its coefficients by the lcm L of the numerator's
+    coefficient denominators times 2^(sum of the multiplicities), each
+    factor having two coefficients +-1."""
     d = s._d
     if d is None:
         f = s.f
         cs = [p for v in (*f.numer.values(), *f.denom.values())
               for p in ((v.x, v.y) if f.field.domain.is_QQ_I else (v,))]
-    elif not s._b:
-        cs = d.values()
-    else:
-        den = lcm(*(v.denominator for v in d.values()))
-        height = max(abs(v.numerator) * (den // v.denominator) for v in d.values())
-        return (len(d) + _den_terms(s._b),
-                max(height, den << sum(k for _, k in s._b)))
-    return len(cs), max((max(abs(int(c.numerator)), int(c.denominator)) for c in cs),
-                        default=1)
+        return (len(f.numer), len(f.denom),
+                max(max(abs(int(c.numerator)), int(c.denominator)) for c in cs))
+    if not s._b:
+        return len(d), 1, max((max(abs(v.numerator), v.denominator) for v in d.values()),
+                              default=1)
+    den = lcm(*(v.denominator for v in d.values()))
+    height = max(abs(v.numerator) * (den // v.denominator) for v in d.values())
+    return len(d), _den_terms(s._b), max(height, den << sum(k for _, k in s._b))
 
 
 def _work(terms, height):
@@ -865,11 +865,14 @@ def _bounded_pow(x, n):
         raise ValueError("exponent that is not an integer")
     if abs(n) > _MAX_EXPONENT:
         raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
-    # x^m has at most C(m+t-1, t-1) terms (at least m+1 when t > 1), with
-    # coefficients of at most m log2(h t) + 1 bits
-    t, h = _size(x)
-    m = abs(n)
-    terms = exp(lgamma(m + t) - lgamma(m + 1) - lgamma(t))
+    # num^m over den^m: a polynomial of u > 1 terms to the m has at most
+    # C(m+u-1, u-1) terms (at least m+1), with coefficients of at most
+    # m log2(h u) + 1 bits, and a monomial stays one term; a count is capped
+    # at e^40, far past the bound, so that exp cannot overflow
+    nx, dx, h = _measure(x)
+    m, t = abs(n), max(nx, dx)
+    terms = max(1, sum(exp(min(lgamma(m + u) - lgamma(m + 1) - lgamma(u), 40))
+                       for u in (nx, dx) if u > 1))
     if (t > 1 and m > _MAX_SIZE) or terms * (m * log2(h * t) + 1) > _MAX_SIZE:
         raise ValueError("power too large")
     return _bounded(_pow(x, n))
@@ -880,76 +883,57 @@ def _bounded(x):
     the size bound: so every value parse returns can be printed.  (Dividing
     out a common factor can make the expanded denominator of a result far
     larger than its operands', as in (q + 1) / (q^(2^29) - 1)^2.)"""
-    if x._b and _work(*_size(x)) > _MAX_SIZE:
-        raise ValueError("value too large")
+    if x._b:
+        nx, dx, h = _measure(x)
+        if _work(nx + dx, h) > _MAX_SIZE:
+            raise ValueError("value too large")
     return x
-
-
-def _degree(s):
-    """A bound on the degree in any one indeterminate of the numerator and
-    the denominator of the canonical fraction of Scalar ``s``."""
-    d = s._d
-    if d is None:
-        f = s.f
-        return max(*f.numer.degrees(), *f.denom.degrees())
-    spans = [max(col) - min(col) for col in zip(*d)]
-    for (m, dd), k in s._b:
-        spans = [a + k * max(1, dd // 2) * abs(e) for a, e in zip(spans, m)]
-    return max(spans, default=0)
-
-
-def _monomial_parts(s):
-    """Whether the numerator and the denominator of the canonical fraction of
-    Scalar ``s`` are monomials (c x^e; 0 counts as one)."""
-    if s._d is None:
-        f = s.f
-        return len(f.numer) == 1, len(f.denom) == 1
-    return len(s._d) <= 1, not s._b
-
-
-def _huge_gcd(x, op, y):
-    """Whether x op y goes to sympy's field, with an operand of degree over
-    ``_MAX_DEGREE``, and takes a gcd there that no monomial makes trivial.
-    Two native operands go there only in a division whose divisor's
-    numerator is no monomial times binomials.  sympy cancels a new numerator
-    N against a new denominator D, built from the operands' numerators n and
-    denominators d (N = nx dy, D = dx ny for /; N = nx ny, D = dx dy for *;
-    D = dx dy for + and -), and its gcd with a monomial is a shortcut; a
-    product is a monomial when both factors are."""
-    native = x._d is not None and y._d is not None and x._n == y._n
-    if native and (op != "/" or len(y._d) == 1):
-        return False
-    if max(_degree(x), _degree(y)) <= _MAX_DEGREE or native and _peel(y._d) is not None:
-        return False
-    (nx, dx), (ny, dy) = _monomial_parts(x), _monomial_parts(y)
-    if op == "/":
-        return not (nx and dy or dx and ny)
-    if op == "*":
-        return not (nx and ny or dx and dy)
-    return not (dx and dy)
 
 
 def _bounded_bin(x, op, y):
     """x op y for an operator of ``_BINARY``, refused before it is computed
-    when it could pass the size bound, and after, when its value does.  A
-    product or quotient costs at most the product of the sizes (a quotient
-    multiplies by the expanded denominator of y); a sum or difference
-    multiplies each numerator by the factors that the other's denominator
-    adds.  sympy's gcd has no such bound, so an operation that takes one
-    is refused when an operand's degree passes ``_MAX_DEGREE``."""
-    if _huge_gcd(x, op, y):
-        raise ValueError(f"gcd of degree beyond {_MAX_DEGREE}")
-    if op in "*/":
-        (ta, ha), (tb, hb) = _size(x), _size(y)
-        if _work(ta * tb, ha * hb) > _MAX_SIZE:
-            raise ValueError("product too large")
-    elif x._d is not None and y._d is not None and x._b != y._b:
-        (ta, ha), (tb, hb) = _size(x), _size(y)
-        den = _combine_factors(x._b, y._b, max)
-        if (_work(ta * _den_terms(_over(den, x._b)), ha)
-                + _work(tb * _den_terms(_over(den, y._b)), hb) > _MAX_SIZE):
-            raise ValueError("sum too large")
-    return _bounded(x._bin(y, *_BINARY[op]))
+    when it could pass the size bound, and after, when its value does.
+
+    The bound is on what the operation builds from the operands' numerators
+    n and denominators d, N + D terms with the coefficient bits of both:
+    N = nx ny, D = dx dy for *; N = nx dy, D = dx ny for /; N = nx dy +
+    ny dx, D = dx dy for + and -.  Two native operands are added over the
+    lcm of their denominators instead, each numerator multiplied by the
+    factors the other's denominator adds, which may expand to far more terms
+    than that denominator has (q - 1 against q^n - 1); with the same factors
+    a sum costs the operands' terms and needs no bound.  The native
+    arithmetic builds no more, apart from exact quotients, which ``_bdiv``
+    bounds.  sympy's field cancels N against D by a gcd, whose cost has no
+    such bound unless N or D is a monomial, so when the operation reaches
+    the field (with two native operands, only a division whose divisor's
+    numerator is no monomial times binomials) it is refused there if an
+    operand's fraction has a degree over ``_MAX_DEGREE`` in an
+    indeterminate."""
+    nat, frac, gen = _BINARY[op]
+    native_sum = op in "+-" and x._d is not None and y._d is not None and x._n == y._n
+    if native_sum and x._b == y._b:
+        return _bounded(x._bin(y, nat, frac, gen))
+    (nx, dx, hx), (ny, dy, hy) = _measure(x), _measure(y)
+    if op == "*":
+        num, den = nx * ny, dx * dy
+    elif op == "/":
+        num, den = nx * dy, dx * ny
+    elif native_sum:
+        common = _combine_factors(x._b, y._b, max)
+        num = nx * _den_terms(_over(common, x._b)) + ny * _den_terms(_over(common, y._b))
+        den = _den_terms(common)
+    else:
+        num, den = nx * dy + ny * dx, dx * dy
+    if _work(num + den, hx * hy) > _MAX_SIZE:
+        raise ValueError(f"{'product' if op in '*/' else 'sum'} too large")
+    field_op = gen
+    if num > 1 and den > 1:
+        def field_op(a, b):
+            if max(*a.numer.degrees(), *a.denom.degrees(),
+                   *b.numer.degrees(), *b.denom.degrees()) > _MAX_DEGREE:
+                raise ValueError(f"gcd of degree beyond {_MAX_DEGREE}")
+            return gen(a, b)
+    return _bounded(x._bin(y, nat, frac, field_op))
 
 
 def _tokens(text):
@@ -1012,22 +996,28 @@ def _atom(toks, depth):
 def parse(text: str) -> Scalar:
     """Parse an expression over + - * / ^ **, parentheses, integers, i and
     the registered indeterminates, with the precedence of Python (``^`` is
-    ``**``).  Any other name or character is a ValueError before the text is
-    parsed, so it is never run as code.  So are a literal over 100 digits, an
-    exponent that is not an integer of at most 10^9 in size, a product,
-    quotient or power whose result could pass 10^6 terms x coefficient bits
-    and a sum or difference whose numerators, brought to the common
-    denominator, could, each refused before it is computed, an exact
-    division by a binomial factor whose quotient has more than 10^6 terms,
-    refused by the division before it is built, a value with
-    binomial factors whose canonical fraction could pass it, an operation
-    that takes a gcd in sympy's field with an operand of degree over 2^12 in
-    an indeterminate, refused before it is taken, and signs, exponents and
-    brackets nested over 100 deep.  A parser by recursive
-    descent evaluates the text as it reads it, with the arithmetic helpers,
-    not Scalar's operators, so that parsing adds no operator calls to the
-    caller's count; sums and products are loops, so their length is not
-    bounded."""
+    ``**``).  A parser by recursive descent evaluates the text as it reads
+    it, with the arithmetic helpers, not Scalar's operators, so that parsing
+    adds no operator calls to the caller's count; sums and products are
+    loops, so their length is not bounded.
+
+    The work is bounded by one size: 10^6 terms x coefficient bits of a
+    canonical fraction.  These are refused with ValueError:
+
+    - a name or character outside the grammar, before the text is parsed,
+      so it is never run as code;
+    - an integer literal of more than 100 digits, an exponent that is not
+      an integer of at most 10^9 in size, and signs, exponents and brackets
+      nested more than 100 deep;
+    - a power or a binary operation whose result could pass the size,
+      before it is computed; an operation that takes a gcd in sympy's field
+      that no monomial makes trivial is also refused on an operand of degree
+      over 2^12 in an indeterminate;
+    - an exact division by a binomial factor whose quotient has more terms
+      than the size, before the quotient is built;
+    - a value with binomial factors whose canonical fraction passes the
+      size, once it is computed.
+    """
     for tok in _NAME.findall(text):
         if tok != "i" and tok not in _REG.names:
             raise ValueError(f"unexpected {tok!r} in {text!r}")

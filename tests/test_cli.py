@@ -149,13 +149,20 @@ def test_main_missing_rmatrix_file():
                      "--rmatrix", "/does/not/exist.json"]) == 2
 
 
+def test_main_rmatrix_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["run", "--suite", "sec2/qybe", "--rmatrix", str(path)]) == 2
+    assert f"cannot read {path}" in capsys.readouterr().err
+
+
 def test_labels_flag(capsys):
     code = cli.main(["run", "--suite", "prop2.4/ribbon", "--labels", "2,1"])
     assert code == 0
 
 
 def test_main_rejects_bad_q_spot(capsys):
-    for bad in ("abc", "0.8", "0.8,0.3,1"):
+    for bad in ("abc", "0.8", "0.8,0.3,1", "nan,0", "0,inf"):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--suite", "sec2/qybe", "--q-spot", bad])
         assert exc.value.code == 2

@@ -77,7 +77,8 @@ def test_parse_rejects_text_outside_the_grammar(text):
 
 
 @pytest.mark.parametrize("text", ["-q**2", "q**-2", "2**-1", "-2^2", "2*-3+4", "2^3^2",
-                                  "q/q/q*q", "--q", "-(q+1)^2/3 - +lam1", "q^-(1+1)"])
+                                  "q/q/q*q", "--q", "-(q+1)^2/3 - +lam1", "q^-(1+1)",
+                                  "0^2", "(q-q)^3"])
 def test_parse_has_python_precedence(text):
     want = sympy.sympify(text.replace("^", "**"))
     assert parse(text).f == scalars._REG.field.from_expr(want)
@@ -115,7 +116,8 @@ def test_scalar_eval_pole():
 
 _HOSTILE = ["9^9^9", "((2^100)^1000)^1000", "((2^10)^1000)^1000", "1" + "0" * 200,
             "(q+lam1+lam2+mu1+mu2)^30", "(q+lam1+lam2+mu1+mu2)^12*(q+lam1+lam2+mu1+mu2)^12",
-            "(" * 1000 + "q" + ")" * 1000, "-" * 1000 + "q", "q^(1/2)", "2^q"]
+            "(" * 1000 + "q" + ")" * 1000, "-" * 1000 + "q", "q^(1/2)", "2^q",
+            "(" + "+".join(f"q^{k}" for k in range(100)) + ")^1000000"]
 
 
 # binomials of huge degree that stay sparse: Phi_d(q) for every d | 2^29,
@@ -125,10 +127,15 @@ _SPARSE = ["1/(q^(2^29)-1) - 1/(q^(2^29)+1)", "(q^(2^29)+1)/(q^(2^28)+1)", "1/(q
 # degree about 2^30 (q^(2^29) - 1 squared, over q + 1), and a numerator of
 # 2^20 terms, (q^(2^20) - 1)/(q - 1) + 1; exact quotients of 2^22 and 2^29
 # terms; and gcds in sympy's field of degree 2^22 (the divisor has the
-# factor q^2 + q + 1) and 10^6 (q^(10^6) - 1 has the factor Phi_5(q))
+# factor q^2 + q + 1) and 10^6 (q^(10^6) - 1 has the factor Phi_5(q)); and
+# a sum and a difference of seven fractions that sympy's field holds, of
+# degree 4 only, refused at the fourth, whose common denominator with the
+# first three would have 455 x 35 terms
+_FRACTIONS = [f"((q + {j}*lam1 + lam2 + 1)^4 + 1)/((q + lam1 + {j + 1}*lam2 + 2)^4 + 3)"
+              for j in range(1, 8)]
 _DENSE = ["1/(q^(2^29)-1)^2 * (q+1)", "1/(q^(2^20)-1) + 1/(q-1)",
           "(q^(2^22)-1)/(q-1)", "(q^(2^29)-1)/(q-1)", "(q^(2^22)-1)/(q^3-1)",
-          "q + 1/(q^(10^6)-1)"]
+          "q + 1/(q^(10^6)-1)", " + ".join(_FRACTIONS), " - ".join(_FRACTIONS)]
 
 
 def _in_subprocess(code, args, timeout):
@@ -169,6 +176,13 @@ def test_parse_bounds_the_degree_of_a_gcd():
         with pytest.raises(ValueError, match="gcd of degree"):
             parse(text)
     assert parse(f"2/(q^{n + 1}-1) * q^3") * parse(f"q^{n + 1}-1") == 2 * qvar() ** 3
+
+
+def test_parse_refuses_a_native_sum_before_it_is_computed():
+    # over the lcm q^(2^20) - 1, 1/(q - 1) is multiplied by the 2^20 terms
+    # of (q^(2^20) - 1)/(q - 1), though its own denominator has two
+    with pytest.raises(ValueError, match="sum too large"):
+        parse("1/(q^(2^20)-1) + 1/(q-1)")
 
 
 def test_exact_quotient_costs_its_terms():
