@@ -3,10 +3,10 @@
 Layers, bottom up: scalars (exact rational functions in q and label
 parameters), ncalg (noncommutative rewriting), gtensor (graded tensor
 legs), hopfcore (Hopf structure maps and superization), rmatlab (matrix
-R-matrix checks and catalog), algebras (the concrete presentations),
-frt (matrix bialgebras and dualities), reps (finite dimensional
-representations, ribbon data, twisting), exterior (q-exterior calculus),
-cli (the named check suites).
+R-matrix checks and catalog), frt (matrix bialgebras and dualities of any
+R), algebras (the concrete presentations, with the function algebras built
+by frt), reps (finite dimensional representations, ribbon data, twisting),
+exterior (q-exterior calculus), cli (the named check suites).
 """
 
 __version__ = "0.1.0"

@@ -1,10 +1,13 @@
 """Built-in catalog of presentations and Hopf data.
 
 One enveloping-type algebra in two Hopf guises (standard and twisted), its
-super counterparts, and the family of 2x2 matrix function algebras that the
+super counterparts, the l+/l- generator matrices that realize its FRT
+exchange relations, and the four 2x2 matrix function algebras that the
 verification suites exercise.  Exponential generators never appear: the
 catalog works with the group-likes K1 = q^(H1/2), K2 = g q^(H2/2) and the
 involution g, in which every structure map of interest is a finite word.
+The function algebras are A(R) of catalog R-matrices, built by
+frt.build_ar, with the inverses ai, di of the diagonal generators adjoined.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .frt import OperatorMatrix, build_ar, matrix_coalgebra_data
 from .gtensor import BOSONIC, SUPER, TensorElement
 from .hopfcore import HopfData, grouplike_data, try_invert, try_invert_tensor, z2_extend
 from .ncalg import GeneratorSymbol, Presentation, compile_relations
+from .rmatlab import catalog
 from .scalars import ONE, Scalar, qvar
 
 HALF = Scalar(Fraction(1, 2))
@@ -150,54 +155,65 @@ def uq_casimirs():
     return c1sq, c2
 
 
+def ansatz(which: str):
+    """The l+/l- (m+/m-) generator matrices realizing the exchange relations.
+
+    which: "standard" or "omega" over the bosonic enveloping presentation,
+    "super" or "super-omega" over the graded one.  Returns (plus, minus).
+    The group-like letters are K1 = q^(H1/2), K2 = g q^(H2/2), g; in the
+    graded case qh = K1 K2 g and qN = g K2.
+    """
+    q = qvar()
+    w = q - ONE / q
+    graded = which in ("super", "super-omega")
+    pres = uq_presentation(graded=True) if graded else uq_presentation()
+    z = pres.zero()
+
+    def m(word, coeff=ONE):
+        return pres.monomial(word, coeff)
+
+    grading = (0, 1) if graded else None
+    if which == "standard":
+        plus = [[m(("K1",)), z], [m(("Xp",), w), m(("K2i",))]]
+        minus = [[m(("K1i",)), m(("Xm",), -w)], [z, m(("K2",))]]
+    elif which == "omega":
+        plus = [[m(("K1", "K2i", "g")), z],
+                [m(("K1", "Xp"), w), m(("K1", "K2i"))]]
+        minus = [[m(("K1i", "K2i", "g")), m(("K2i", "g", "Xm"), -w)],
+                 [z, m(("K1", "K2"))]]
+    elif which == "super":
+        plus = [[m(("K1",)), z], [m(("Xp",), w), m(("K2i", "g"))]]
+        minus = [[m(("K1i",)), m(("Xm", "g"), -w)], [z, m(("g", "K2"))]]
+    elif which == "super-omega":
+        plus = [[m(("K1", "K2i", "g")), z],
+                [m(("K1", "Xp"), w), m(("K1", "K2i", "g"))]]
+        minus = [[m(("K1i", "K2i", "g")), m(("K2i", "Xm"), w)],
+                 [z, m(("K1", "K2", "g"))]]
+    else:
+        raise KeyError(f"unknown ansatz {which!r}")
+    return (OperatorMatrix(pres, plus, label="plus", grading=grading),
+            OperatorMatrix(pres, minus, label="minus", grading=grading))
+
+
 # -- function algebra side -------------------------------------------------
 
-def _fa_coeffs(key):
-    q = qvar()
-    table = {
-        # p_ba, p_ca, r_db, r_dc, s, t, odd b/c
-        "ac":         (q, q, -ONE / q, -ONE / q, ONE, q - ONE / q, False),
-        # The t coefficient here is the one forced by the matrix super
-        # coproduct (and by transporting the bosonic algebra through the
-        # involution); literature sometimes quotes it with the opposite
-        # sign, which differs by the odd-odd reordering of the bc term.
-        "gl11":       (q, q, ONE / q, ONE / q, -ONE, ONE / q - q, True),
-        "omega":      (ONE, q ** 2, -ONE, -ONE / q ** 2, q ** 2, q ** 2 - ONE, False),
-        "gl11omega":  (ONE, q ** 2, ONE, ONE / q ** 2, -q ** 2, ONE - q ** 2, True),
-    }
-    if key not in table:
-        raise KeyError(f"unknown function algebra {key!r}")
-    return table[key]
+# the catalog R-matrix of each function algebra
+_FA_R = {"ac": "ac", "gl11": "super_ac", "omega": "omega", "gl11omega": "super_omega"}
+_FA_GRID = (("a", "b"), ("c", "d"))
 
 
 @lru_cache(maxsize=None)
 def fa_presentation(key: str, inverses: bool = True) -> Presentation:
-    """2x2 quantum matrix algebra from the six commutation coefficients.
+    """2x2 quantum matrix algebra A(R) of the catalog R-matrix for key.
 
-    Relations: ba = p_ba ab, ca = p_ca ac, db = r_db bd, dc = r_dc cd,
-    cb = s bc, da - ad = t bc, b^2 = c^2 = 0.  With inverses=True the
-    generators ai, di are adjoined (see adjoin_inverses for the induced
-    rules).
+    The generator grid is a b / c d.  With inverses=True the generators ai,
+    di are adjoined (see adjoin_inverses for the induced rules).
     """
     if inverses:
         return adjoin_inverses(fa_presentation(key, inverses=False))
-    p_ba, p_ca, r_db, r_dc, s, t, odd = _fa_coeffs(key)
-    d = 1 if odd else 0
-    gens = [
-        GeneratorSymbol("a"),
-        GeneratorSymbol("b", degree=d, nilpotent=True),
-        GeneratorSymbol("c", degree=d, nilpotent=True),
-        GeneratorSymbol("d"),
-    ]
-    rel = [
-        ({("b", "a"): ONE}, {("a", "b"): p_ba}),
-        ({("c", "a"): ONE}, {("a", "c"): p_ca}),
-        ({("d", "b"): ONE}, {("b", "d"): r_db}),
-        ({("d", "c"): ONE}, {("c", "d"): r_dc}),
-        ({("c", "b"): ONE}, {("b", "c"): s}),
-        ({("d", "a"): ONE}, {("a", "d"): ONE, ("b", "c"): t}),
-    ]
-    return compile_relations(gens, rel, name=f"fa-{key}")
+    if key not in _FA_R:
+        raise KeyError(f"unknown function algebra {key!r}")
+    return build_ar(catalog(_FA_R[key]), names=_FA_GRID, name=f"fa-{key}")
 
 
 def adjoin_inverses(pres: Presentation) -> Presentation:
@@ -242,15 +258,10 @@ def fa_hopf(key: str) -> HopfData:
     """Matrix coproduct Hopf data on fa_presentation(key, inverses=True)."""
     pres = fa_presentation(key)
     mode = SUPER if pres.by_name["b"].degree else BOSONIC
-    delta = {
-        "a": TensorElement(pres, 2, {(("a",), ("a",)): ONE, (("b",), ("c",)): ONE}, mode),
-        "b": TensorElement(pres, 2, {(("a",), ("b",)): ONE, (("b",), ("d",)): ONE}, mode),
-        "c": TensorElement(pres, 2, {(("c",), ("a",)): ONE, (("d",), ("c",)): ONE}, mode),
-        "d": TensorElement(pres, 2, {(("c",), ("b",)): ONE, (("d",), ("d",)): ONE}, mode),
-    }
+    delta, eps = matrix_coalgebra_data(pres, _FA_GRID, mode)
     delta["ai"] = try_invert_tensor(delta["a"])
     delta["di"] = try_invert_tensor(delta["d"])
-    eps = {"a": ONE, "d": ONE, "ai": ONE, "di": ONE, "b": Scalar(0), "c": Scalar(0)}
+    eps["ai"] = eps["di"] = ONE
     spo = {
         "a": pres.word("ai") + pres.word("ai", "b", "di", "c", "ai"),
         "b": -pres.word("ai", "b", "di"),

@@ -142,7 +142,7 @@ def _frt_triple(R, plus, minus, name):
 
 
 def _chk_frt(ctx):
-    return _frt_triple(catalog("ac"), *frt.ansatz("standard"), "frt-standard")
+    return _frt_triple(catalog("ac"), *algebras.ansatz("standard"), "frt-standard")
 
 
 def _chk_tensor_decompose(ctx):
@@ -194,7 +194,7 @@ def _chk_super_r(ctx):
 
 
 def _chk_super_frt(ctx):
-    return _frt_triple(catalog("super_ac"), *frt.ansatz("super"), "frt-super")
+    return _frt_triple(catalog("super_ac"), *algebras.ansatz("super"), "frt-super")
 
 
 def _chk_super_duality(ctx):
@@ -295,8 +295,8 @@ def _chk_omega_hopf(ctx):
 
 
 def _chk_omega_frt(ctx):
-    rep = _frt_triple(catalog("omega"), *frt.ansatz("omega"), "frt-omega")
-    rep.merge(_frt_triple(catalog("super_omega"), *frt.ansatz("super-omega"),
+    rep = _frt_triple(catalog("omega"), *algebras.ansatz("omega"), "frt-omega")
+    rep.merge(_frt_triple(catalog("super_omega"), *algebras.ansatz("super-omega"),
                           "frt-super-omega"))
     return rep
 
@@ -357,8 +357,9 @@ def _num_mmul(a, b):
 def _chk_numeric(ctx):
     """Re-confirm two exact identities in floating point at a complex q."""
     rng = ctx["rng"]
-    qc = ctx.get("q_spot") or complex(0.8 + 0.3 * rng.random(),
-                                      0.2 + 0.3 * rng.random())
+    qc = ctx["q_spot"]
+    if qc is None:
+        qc = complex(0.8 + 0.3 * rng.random(), 0.2 + 0.3 * rng.random())
     rep = CheckReport("numeric-spot")
     got = _num_mat(reps.universal_r_eval((1, 0), (1, 0)).m, qc)
     want = _num_mat(catalog("ac").m, qc)

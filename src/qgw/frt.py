@@ -3,29 +3,30 @@
 Two sides of the construction are covered.  On the enveloping side,
 matrices of algebra elements l+/l- (m+/m- in the graded case) must satisfy
 the quadratic exchange relations R l2 l1 = l1 l2 R; frt_relation_check
-verifies this entrywise for a concrete ansatz.  On the function algebra
-side, build_ar compiles the quadratic bialgebra A(R) from R t1 t2 = t2 t1 R
-(with the explicit sign factors in the graded case) and ar_hopf equips it
-with the matrix coproduct.  Determinants, antipode matrices and the
-canonical duality pairing round out the toolbox.
+verifies this entrywise for given generator matrices.  On the function
+algebra side, build_ar compiles the quadratic bialgebra A(R) from
+R t1 t2 = t2 t1 R (with the explicit sign factors in the graded case),
+matrix_coalgebra_data gives the matrix coproduct t -> t (x) t and its counit
+on a grid of generators, and ar_hopf puts the two together.  The quantum
+determinant and the canonical duality pairing round out the toolbox.
 
-All graded signs are carried explicitly by the index formulas; matrix
-products of graded entries are plain products in the ambient algebra.
+Everything here works for any R; the catalog algebras built from these
+constructions live in algebras.  All graded signs are carried explicitly by
+the index formulas; matrix products of graded entries are plain products in
+the ambient algebra.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 from . import smat
-from .algebras import fa_presentation, uq_presentation
-from .gtensor import BOSONIC, SUPER, TensorElement, outer, zero
+from .gtensor import BOSONIC, SUPER, TensorElement, outer
 from .hopfcore import HopfData, coproduct, try_invert
-from .ncalg import Element, GeneratorSymbol, compile_relations, tensor
+from .ncalg import Element, GeneratorSymbol, compile_relations
 from .report import CheckReport
 from .rmatlab import RMatrix
-from .scalars import ONE, ZERO, Scalar, qvar
+from .scalars import ONE, ZERO, Scalar
 
 
 class NoInverses(ValueError):
@@ -173,6 +174,22 @@ def build_ar(R: RMatrix, names=None, name="", sample_budget=0):
     return compile_relations(gens, rel, name=label)
 
 
+def matrix_coalgebra_data(pres, names, mode=BOSONIC):
+    """Delta/counit entries of the matrix coproduct on a square name grid.
+
+    names[i][j] is the generator t_ij; Delta(t_ij) = sum_k t_ik (x) t_kj and
+    eps(t_ij) = delta_ij.
+    """
+    n = len(names)
+    delta, eps = {}, {}
+    for i, row in enumerate(names):
+        for j, g in enumerate(row):
+            delta[g] = TensorElement(
+                pres, 2, {((row[k],), (names[k][j],)): ONE for k in range(n)}, mode)
+            eps[g] = ONE if i == j else Scalar(0)
+    return delta, eps
+
+
 def ar_hopf(R: RMatrix) -> HopfData:
     """A(R) with the matrix coproduct t -> t (x) t (bialgebra, no antipode);
     the generator grid is read row-major from build_ar's generators."""
@@ -180,67 +197,10 @@ def ar_hopf(R: RMatrix) -> HopfData:
     n = R.n
     names = [[g.name for g in pres.gens[i * n:(i + 1) * n]] for i in range(n)]
     mode = SUPER if any(R.p) else BOSONIC
-    delta, eps = {}, {}
-    for i in range(n):
-        for j in range(n):
-            g = names[i][j]
-            delta[g] = TensorElement(
-                pres, 2,
-                {((names[i][k],), (names[k][j],)): ONE for k in range(n)}, mode)
-            eps[g] = ONE if i == j else Scalar(0)
-    return HopfData(pres, delta, eps, None, mode=mode)
+    return HopfData(pres, *matrix_coalgebra_data(pres, names, mode), None, mode=mode)
 
 
-def matrix_coproduct_check(L: OperatorMatrix, h: HopfData) -> CheckReport:
-    """Delta(L_ij) = sum_k L_ik (x) L_kj for a matrix over h's presentation."""
-    rep = CheckReport(f"matrix-coproduct[{L.label}]")
-    n = L.n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            lhs = coproduct(L.entry(i, j), h)
-            rhs = sum((outer(L.entry(i, k), L.entry(k, j), h.mode) for k in range(1, n + 1)),
-                      zero(h.pres, 2, h.mode))
-            rep.record(lhs == rhs, ((i, j), str(lhs - rhs)))
-    return rep
-
-
-# -- antipode and determinant ---------------------------------------------
-
-def antipode_matrix_check(t: OperatorMatrix, s_t: OperatorMatrix) -> CheckReport:
-    """t S(t) = S(t) t = identity, entrywise by rewriting."""
-    pres = t.pres
-    rep = CheckReport(f"antipode-matrix[{t.label}]")
-    n = t.n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            want = pres.one() if i == j else pres.zero()
-            left = sum((t.entry(i, k) * s_t.entry(k, j) for k in range(1, n + 1)),
-                       pres.zero())
-            right = sum((s_t.entry(i, k) * t.entry(k, j) for k in range(1, n + 1)),
-                        pres.zero())
-            rep.record(left == want, (("t.St", i, j), str(left - want)))
-            rep.record(right == want, (("St.t", i, j), str(right - want)))
-    return rep
-
-
-def antipode_matrix(t: OperatorMatrix) -> OperatorMatrix:
-    """The 2x2 inverse matrix for a quantum matrix with nilpotent b, c.
-
-    S(t) = (1 - t0^-1 t1 + (t0^-1 t1)^2) t0^-1 with t0 the diagonal part;
-    the series truncates because the off-diagonal entries square to zero.
-    """
-    if t.n != 2:
-        raise ValueError("closed form implemented for 2x2 matrices")
-    a, b, c, d = t.entry(1, 1), t.entry(1, 2), t.entry(2, 1), t.entry(2, 2)
-    try:
-        ai, di = try_invert(a), try_invert(d)
-    except Exception as exc:
-        raise NoInverses(str(exc)) from exc
-    return OperatorMatrix(t.pres, [
-        [ai + ai * b * di * c * ai, -(ai * b * di)],
-        [-(di * c * ai), di + di * c * ai * b * di],
-    ], label=f"S({t.label})" if t.label else "S(t)", grading=t.p)
-
+# -- determinant -----------------------------------------------------------
 
 def qdet(t: OperatorMatrix) -> Element:
     """a d^-1 - b d^-1 c d^-1 for a 2x2 quantum matrix with invertible d."""
@@ -290,34 +250,6 @@ def qdet_check(h: HopfData) -> CheckReport:
     return rep
 
 
-@lru_cache(maxsize=None)
-def _two_family_presentation(key: str):
-    """Two super-commuting copies of the 2x2 matrix algebra fa_presentation(key)."""
-    base = fa_presentation(key)
-    t1, t2 = (base.derive(rename={g.name: g.name + tag for g in base.gens}) for tag in "12")
-    return tensor(t1, t2, base.name + "-x2")
-
-
-def qdet_multiplicative_check(key: str = "ac") -> CheckReport:
-    """D(t t') = D(t) D(t') for two super-commuting copies of the matrix
-    algebra; t, t' and tt' carry the grading (0, 1) when b is odd."""
-    pres = _two_family_presentation(key)
-    rep = CheckReport(f"qdet-mult[{key}]")
-    grading = (0, 1) if pres.by_name["b1"].degree else None
-
-    def fam(tag):
-        return OperatorMatrix(pres, [[pres.gen("a" + tag), pres.gen("b" + tag)],
-                                     [pres.gen("c" + tag), pres.gen("d" + tag)]],
-                              label="t" + tag, grading=grading)
-
-    t1, t2 = fam("1"), fam("2")
-    prod = OperatorMatrix(pres, [
-        [sum((t1.entry(i, k) * t2.entry(k, j) for k in (1, 2)), pres.zero())
-         for j in (1, 2)] for i in (1, 2)], label="tt'", grading=grading)
-    rep.record(qdet(prod) == qdet(t1) * qdet(t2), ("multiplicative", key))
-    return rep
-
-
 # -- duality pairing -------------------------------------------------------
 
 def pairing_matrices(R: RMatrix):
@@ -357,45 +289,3 @@ def duality_pairing_check(R: RMatrix) -> CheckReport:
                 smat.madd, smat.mmul, smat.smul, lambda: smat.zeros(n)):
             rep.record(smat.is_zero(res), ((tag,) + idx,))
     return rep
-
-
-# -- the catalog ansatz matrices ------------------------------------------
-
-def ansatz(which: str):
-    """The l+/l- (m+/m-) generator matrices realizing the exchange relations.
-
-    which: "standard" or "omega" over the bosonic enveloping presentation,
-    "super" or "super-omega" over the graded one.  Returns (plus, minus).
-    The group-like letters are K1 = q^(H1/2), K2 = g q^(H2/2), g; in the
-    graded case qh = K1 K2 g and qN = g K2.
-    """
-    q = qvar()
-    w = q - ONE / q
-    graded = which in ("super", "super-omega")
-    pres = uq_presentation(graded=True) if graded else uq_presentation()
-    z = pres.zero()
-
-    def m(word, coeff=ONE):
-        return pres.monomial(word, coeff)
-
-    grading = (0, 1) if graded else None
-    if which == "standard":
-        plus = [[m(("K1",)), z], [m(("Xp",), w), m(("K2i",))]]
-        minus = [[m(("K1i",)), m(("Xm",), -w)], [z, m(("K2",))]]
-    elif which == "omega":
-        plus = [[m(("K1", "K2i", "g")), z],
-                [m(("K1", "Xp"), w), m(("K1", "K2i"))]]
-        minus = [[m(("K1i", "K2i", "g")), m(("K2i", "g", "Xm"), -w)],
-                 [z, m(("K1", "K2"))]]
-    elif which == "super":
-        plus = [[m(("K1",)), z], [m(("Xp",), w), m(("K2i", "g"))]]
-        minus = [[m(("K1i",)), m(("Xm", "g"), -w)], [z, m(("g", "K2"))]]
-    elif which == "super-omega":
-        plus = [[m(("K1", "K2i", "g")), z],
-                [m(("K1", "Xp"), w), m(("K1", "K2i", "g"))]]
-        minus = [[m(("K1i", "K2i", "g")), m(("K2i", "Xm"), w)],
-                 [z, m(("K1", "K2", "g"))]]
-    else:
-        raise KeyError(f"unknown ansatz {which!r}")
-    return (OperatorMatrix(pres, plus, label="plus", grading=grading),
-            OperatorMatrix(pres, minus, label="minus", grading=grading))

@@ -16,7 +16,6 @@ algebra with a chosen index grading, is z2_extend.
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
 from functools import partial
 
 from .gtensor import BOSONIC, SUPER, TensorElement, apply_to_leg, embed_leg, outer, unit, zero
@@ -257,14 +256,6 @@ def superize(h: HopfData) -> HopfData:
             pre = spres.word(g) if degs[x] % 2 else spres.one()
             spo[x] = pre * Element(spres, sx.terms)
     return HopfData(spres, delta, eps, spo, mode=SUPER, g=g, name=h.name + "/super")
-
-
-def rg_tensor(pres: Presentation, g: str, mode=BOSONIC) -> TensorElement:
-    """(1/2)(1 (x) 1 + 1 (x) g + g (x) 1 - g (x) g), its own inverse."""
-    half = Scalar(Fraction(1, 2))
-    return TensorElement(pres, 2, {
-        ((), ()): half, ((), (g,)): half, ((g,), ()): half, ((g,), (g,)): -half,
-    }, mode)
 
 
 # -- Z2-extension ----------------------------------------------------------

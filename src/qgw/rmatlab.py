@@ -101,14 +101,6 @@ def flip_rows(m, n):
     return [list(m[k]) for k in flip_index(n)]
 
 
-def permutation_matrix(n):
-    """The matrix P of the flip on two legs of dimension n."""
-    out = smat.zeros(n * n)
-    for i, j in enumerate(flip_index(n)):
-        out[i][j] = ONE
-    return out
-
-
 def hecke_check(R: RMatrix) -> bool:
     """(PR - q)(PR + 1/q) = 0."""
     q = qvar()

@@ -1,11 +1,34 @@
+import pytest
+
 from qgw.algebras import (adjoin_inverses, fa_hopf, fa_presentation,
                           fa_z2_hopf, theta_map, uq_casimirs, uq_hopf,
                           uq_omega_hopf, uq_presentation, uqgl11_hopf,
                           uqgl11_omega_hopf)
 from qgw.hopfcore import (casimir_central_check, check_hopf_axioms, coproduct,
-                          superize, theta_iso_check)
+                          counit, superize, theta_iso_check)
 from qgw.ncalg import overlap_check
-from qgw.scalars import ONE, qvar
+from qgw.scalars import ONE, ZERO, qvar
+
+_q = qvar()
+# The paper's relations of the 2x2 function algebras, written out by hand:
+# ba = p ab, ca = p' ac, db = r bd, dc = r' cd, cb = s bc, da - ad = t bc,
+# b^2 = c^2 = 0, and whether b and c are odd.
+FA_RELATIONS = {
+    #             p,   p',      r,       r',            s,        t,              odd
+    "ac":        (_q,  _q,      -ONE / _q, -ONE / _q,   ONE,      _q - ONE / _q,  False),
+    "gl11":      (_q,  _q,      ONE / _q,  ONE / _q,    -ONE,     ONE / _q - _q,  True),
+    "omega":     (ONE, _q ** 2, -ONE,      -ONE / _q ** 2, _q ** 2,  _q ** 2 - ONE, False),
+    "gl11omega": (ONE, _q ** 2, ONE,       ONE / _q ** 2,  -_q ** 2, ONE - _q ** 2, True),
+}
+
+
+def paper_rules(coeffs):
+    """The rewrite rules of FA_RELATIONS' relations in the order a < b < c < d."""
+    p, p2, r, r2, s, t, _ = coeffs
+    return {("b", "a"): {("a", "b"): p}, ("c", "a"): {("a", "c"): p2},
+            ("d", "b"): {("b", "d"): r}, ("d", "c"): {("c", "d"): r2},
+            ("c", "b"): {("b", "c"): s}, ("d", "a"): {("a", "d"): ONE, ("b", "c"): t},
+            ("b", "b"): {}, ("c", "c"): {}}
 
 
 def test_uq_relations():
@@ -62,6 +85,15 @@ def test_superization_matches_direct_entry():
         assert hs.counit_map[x] == hg.counit_map[x], x
 
 
+@pytest.mark.parametrize("key", sorted(FA_RELATIONS))
+def test_fa_presentation_has_the_paper_relations(key):
+    p = fa_presentation(key, inverses=False)
+    assert p.name == f"fa-{key}"
+    assert p.rules == paper_rules(FA_RELATIONS[key])
+    odd = FA_RELATIONS[key][-1]
+    assert [(g.name, g.degree) for g in p.gens] == [("a", 0), ("b", odd), ("c", odd), ("d", 0)]
+
+
 def test_fa_relations_rank_two():
     p = fa_presentation("ac")
     q = qvar()
@@ -107,9 +139,15 @@ def test_fa_hopf_axioms():
 
 
 def test_fa_matrix_coproduct():
-    h = fa_hopf("ac")
-    d = coproduct(h.pres.gen("a"), h)
-    assert d.terms == {(("a",), ("a",)): ONE, (("b",), ("c",)): ONE}
+    want = {"a": {(("a",), ("a",)): ONE, (("b",), ("c",)): ONE},
+            "b": {(("a",), ("b",)): ONE, (("b",), ("d",)): ONE},
+            "c": {(("c",), ("a",)): ONE, (("d",), ("c",)): ONE},
+            "d": {(("c",), ("b",)): ONE, (("d",), ("d",)): ONE}}
+    for key in FA_RELATIONS:
+        h = fa_hopf(key)
+        for x, terms in want.items():
+            assert coproduct(h.pres.gen(x), h).terms == terms, (key, x)
+            assert counit(h.pres.gen(x), h) == (ONE if x in "ad" else ZERO), (key, x)
 
 
 COL = {"a": 0, "b": 1, "c": 0, "d": 1, "ai": 0, "di": 1, "g": 0}

@@ -169,6 +169,18 @@ def test_main_rejects_bad_q_spot(capsys):
         assert "--q-spot" in capsys.readouterr().err
 
 
+def test_q_spot_at_zero_is_not_replaced():
+    """q = 0 is a pole of the checked entries, so the spot check errs there;
+    without --q-spot the check runs at a random point and passes."""
+    rows, code = run_quiet(suite="engine/numeric-spot", q_spotcheck=0j)
+    assert code == 2
+    assert rows[0]["verdict"] == "error"
+    assert rows[0]["residual"].startswith("PoleAtPoint: denominator vanishes")
+    rows, code = run_quiet(suite="engine/numeric-spot")
+    assert code == 0
+    assert rows[0]["verdict"] == "pass"
+
+
 def test_main_rejects_bad_labels(capsys):
     for bad in ("abc", "1,x", "2,1,3", ""):
         with pytest.raises(SystemExit) as exc:

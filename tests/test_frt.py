@@ -3,16 +3,15 @@ from math import comb
 
 import pytest
 from conftest import twisted_r
+from test_algebras import FA_RELATIONS, paper_rules
 
 from qgw import frt
-from qgw.algebras import fa_hopf, fa_presentation
-from qgw.frt import (NoInverses, OperatorMatrix, ansatz, antipode_matrix,
-                     antipode_matrix_check, ar_hopf, build_ar,
-                     duality_pairing_check, frt_relation_check,
-                     matrix_coproduct_check, pairing_matrices, qdet,
-                     qdet_check, qdet_multiplicative_check)
+from qgw.algebras import ansatz, fa_hopf, fa_presentation
+from qgw.frt import (OperatorMatrix, ar_hopf, build_ar, duality_pairing_check,
+                     frt_relation_check, pairing_matrices, qdet, qdet_check)
 from qgw.exterior import omega_build
 from qgw.hopfcore import check_hopf_axioms
+from qgw.ncalg import tensor
 from qgw.rmatlab import catalog
 from qgw.scalars import ONE, ZERO, qvar
 
@@ -42,41 +41,14 @@ def test_frt_negative_wrong_matrix():
 
 def test_build_ar_recovers_catalog_relations():
     p = build_ar(catalog("ac"), names=[["a", "b"], ["c", "d"]])
-    ref = fa_presentation("ac", inverses=False)
-    assert p.rules == ref.rules
+    assert p.rules == paper_rules(FA_RELATIONS["ac"])
 
 
 def test_build_ar_super_grading():
     p = build_ar(catalog("super_ac"), names=[["a", "b"], ["c", "d"]])
     assert p.by_name["b"].degree == 1
     assert p.by_name["a"].degree == 0
-    ref = fa_presentation("gl11", inverses=False)
-    assert p.rules == ref.rules
-
-
-def test_matrix_coproduct():
-    h = fa_hopf("ac")
-    t = OperatorMatrix(h.pres, [[h.pres.gen("a"), h.pres.gen("b")],
-                                [h.pres.gen("c"), h.pres.gen("d")]], label="t")
-    assert matrix_coproduct_check(t, h).ok
-
-
-def test_antipode_matrix_two_sided_inverse():
-    for key, grading in (("ac", None), ("gl11", (0, 1))):
-        pres = fa_presentation(key)
-        t = OperatorMatrix(pres, [[pres.gen("a"), pres.gen("b")],
-                                  [pres.gen("c"), pres.gen("d")]], label="t",
-                           grading=grading)
-        st = antipode_matrix(t)
-        assert antipode_matrix_check(t, st).ok
-
-
-def test_antipode_matrix_needs_invertible_diagonal():
-    pres = fa_presentation("ac", inverses=False)
-    t = OperatorMatrix(pres, [[pres.gen("a"), pres.gen("b")],
-                              [pres.gen("c"), pres.gen("d")]], label="t")
-    with pytest.raises(NoInverses):
-        antipode_matrix(t)
+    assert p.rules == paper_rules(FA_RELATIONS["gl11"])
 
 
 def test_qdet_rank_two():
@@ -110,9 +82,24 @@ def test_qdet_not_central_bosonic():
 
 @pytest.mark.parametrize("key", ["ac", "gl11", "omega", "gl11omega"])
 def test_qdet_multiplicative(key):
-    """The super keys need graded matrices over Koszul-commuting copies."""
-    rep = qdet_multiplicative_check(key)
-    assert rep.ok, rep.failures
+    """D(t t') = D(t) D(t') for two super-commuting copies t, t' of the matrix
+    algebra; the super keys need t, t' and tt' graded (0, 1) over
+    Koszul-commuting copies."""
+    base = fa_presentation(key)
+    pres = tensor(*(base.derive(rename={g.name: g.name + tag for g in base.gens})
+                    for tag in "12"), base.name + "-x2")
+    grading = (0, 1) if pres.by_name["b1"].degree else None
+
+    def fam(tag):
+        return OperatorMatrix(pres, [[pres.gen("a" + tag), pres.gen("b" + tag)],
+                                     [pres.gen("c" + tag), pres.gen("d" + tag)]],
+                              label="t" + tag, grading=grading)
+
+    t1, t2 = fam("1"), fam("2")
+    prod = OperatorMatrix(pres, [
+        [sum((t1.entry(i, k) * t2.entry(k, j) for k in (1, 2)), pres.zero())
+         for j in (1, 2)] for i in (1, 2)], label="tt'", grading=grading)
+    assert qdet(prod) == qdet(t1) * qdet(t2)
 
 
 def test_duality_pairing():

@@ -1,13 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
 from qgw.algebras import uq_hopf, uq_presentation, uqgl11_hopf
 from qgw.gtensor import BOSONIC, SUPER, TensorElement
 from qgw.hopfcore import (ActionNotCompatible, HopfData, NotInvertible,
                           antipode, check_hopf_axioms, coproduct, counit,
-                          g_degrees, grouplike_data, rg_tensor, superize,
+                          g_degrees, grouplike_data, superize,
                           try_invert, try_invert_tensor, z2_extend)
 from qgw.ncalg import GeneratorSymbol, Presentation
-from qgw.scalars import ONE, ZERO, qvar
+from qgw.scalars import ONE, ZERO, Scalar, qvar
 
 
 def test_grouplike_structure_maps():
@@ -100,6 +102,14 @@ def test_superize_coproduct_picks_up_g():
     assert (("Xp",), ("K1",)) in d
     rep = check_hopf_axioms(hs)
     assert rep.ok, rep.failures[:3]
+
+
+def rg_tensor(pres: Presentation, g: str, mode=BOSONIC) -> TensorElement:
+    """(1/2)(1 (x) 1 + 1 (x) g + g (x) 1 - g (x) g), its own inverse."""
+    half = Scalar(Fraction(1, 2))
+    return TensorElement(pres, 2, {
+        ((), ()): half, ((), (g,)): half, ((g,), ()): half, ((g,), (g,)): -half,
+    }, mode)
 
 
 def test_rg_tensor_involutive():

@@ -1,22 +1,40 @@
 """Every private module-level function and class of qgw is used somewhere in
-qgw, so a helper whose last caller goes goes with it.
+qgw, so a helper whose last caller goes goes with it; and every public
+module-level function is read by qgw or its benchmark, or is named API, so a
+function that only tests call lives in the tests.
 
 A definition counts as used when its name is read, as a name or as an
-attribute, anywhere in src/qgw outside its own body: a helper that only
-calls itself, or is only imported, is unused.
+attribute, anywhere in src/qgw (or, for a public function, in qgwbench/*.py)
+outside its own body: a helper that only calls itself, or is only imported,
+is unused.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qgw"
+BENCH = SRC.parent.parent / "qgwbench"
+
+# public functions that are API for users of the package, not for qgw itself
+PUBLIC_API = frozenset((
+    "ncalg.presentation_to_json", "ncalg.presentation_from_json",
+    "rmatlab.rmatrix_to_json", "scalars.register_indeterminate", "exterior.act",
+))
 
 
-def _private_definitions(tree):
-    for node in tree.body:
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and node.name.startswith("_") and not node.name.startswith("__")):
-            yield node
+def _is_private(node):
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__"))
+
+
+def _is_public_function(node):
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_"))
+
+
+def _parse(folder):
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(folder.glob("*.py"))}
 
 
 def _reads(tree):
@@ -28,21 +46,38 @@ def _reads(tree):
             yield node.attr, node.lineno
 
 
-def unused_private_definitions(src=SRC):
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(src.glob("*.py"))}
+def _unread(src, kind, readers=()):
+    """(file, definition) for each definition of ``kind`` in ``src`` that no
+    module of ``src`` or of the ``readers`` folders reads outside its own
+    body, and the number of definitions of that kind."""
+    trees = _parse(src)
     reads = {}
+    for folder, parsed in [(None, trees)] + [(f, _parse(f)) for f in readers]:
+        for path, tree in parsed.items():
+            where = path if folder is None else f"{folder.name}/{path}"
+            for name, line in _reads(tree):
+                reads.setdefault(name, []).append((where, line))
+    unread, total = [], 0
     for path, tree in trees.items():
-        for name, line in _reads(tree):
-            reads.setdefault(name, []).append((path, line))
-    unused, total = [], 0
-    for path, tree in trees.items():
-        for node in _private_definitions(tree):
+        for node in tree.body:
+            if not kind(node):
+                continue
             total += 1
             inside = range(node.lineno, node.end_lineno + 1)
             if not any(p != path or line not in inside for p, line in reads.get(node.name, ())):
-                unused.append(f"{path}:{node.lineno} {node.name}")
-    return unused, total
+                unread.append((path, node))
+    return unread, total
+
+
+def unused_private_definitions(src=SRC):
+    unused, total = _unread(src, _is_private)
+    return [f"{path}:{node.lineno} {node.name}" for path, node in unused], total
+
+
+def unread_public_functions(src=SRC, readers=(BENCH,), api=PUBLIC_API):
+    unread, total = _unread(src, _is_public_function, readers)
+    return [f"{path}:{node.lineno} {node.name}" for path, node in unread
+            if f"{Path(path).stem}.{node.name}" not in api], total
 
 
 def test_every_private_definition_is_used():
@@ -61,3 +96,27 @@ def test_an_unused_helper_is_found(tmp_path):
     unused, total = unused_private_definitions(tmp_path)
     assert total == 3
     assert unused == ["a.py:5 _recursive", "a.py:9 _Dead"]
+
+
+def test_every_public_function_is_read_or_api():
+    unread, total = unread_public_functions()
+    assert total > 80
+    assert not unread, f"public functions read nowhere in qgw or qgwbench: {unread}"
+
+
+def test_an_unread_public_function_is_found(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "a.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n\n"
+        "def benched():\n    return used()\n\n\n"
+        "def api():\n    return 2\n\n\n"
+        "def only_imported():\n    return 3\n\n\n"
+        "class Public:\n    pass\n")
+    (src / "b.py").write_text("from .a import only_imported\n")
+    (bench / "run.py").write_text("import a\n\na.benched()\n")
+    unread, total = unread_public_functions(src, (bench,), frozenset(("a.api",)))
+    assert total == 5
+    assert unread == ["a.py:5 recursive", "a.py:17 only_imported"]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from qgw.reps import universal_r_eval
 from qgw.rmatlab import (NotSuperizable, NullDegreeViolated, RMatrix,
                          UnknownName, catalog, flip_rows, hecke_check,
                          hecke_identity_check, null_degree_check,
-                         permutation_matrix, qybe_check, rmatrix_from_json,
+                         qybe_check, rmatrix_from_json,
                          rmatrix_to_json, superizable_grading_search,
                          superize_r, sybe_check)
 from qgw.scalars import ONE, qvar
@@ -146,6 +147,14 @@ def test_sybe_needs_the_koszul_signs(n, m):
 
 def test_glnm_specializes_to_rank_two():
     assert catalog("glnm", 1, 1).m == catalog("ac").m
+
+
+def permutation_matrix(n):
+    """The matrix P of the flip a (x) b -> b (x) a on two legs of dimension n."""
+    out = smat.zeros(n * n)
+    for a, b in product(range(n), repeat=2):
+        out[a * n + b][b * n + a] = ONE
+    return out
 
 
 def test_permutation_matrix():
