@@ -1,9 +1,10 @@
 """Built-in catalog of presentations and Hopf data.
 
-One enveloping-type algebra in two Hopf guises (standard and twisted), its
-super counterparts, the l+/l- generator matrices that realize its FRT
-exchange relations, and the four 2x2 matrix function algebras that the
-verification suites exercise.  Exponential generators never appear: the
+One enveloping-type algebra in two Hopf guises (standard and twisted) and
+its super counterparts, the four written once, as the X+- legs of the table
+_UQ_HOPF; the l+/l- generator matrices that realize its FRT exchange
+relations; and the four 2x2 matrix function algebras that the verification
+suites exercise.  Exponential generators never appear: the
 catalog works with the group-likes K1 = q^(H1/2), K2 = g q^(H2/2) and the
 involution g, in which every structure map of interest is a finite word.
 The function algebras are A(R) of catalog R-matrices, built by
@@ -71,77 +72,60 @@ def _uq_presentation(graded: bool) -> Presentation:
     return compile_relations(gens, rel, name=name)
 
 
-def _uq_grouplike_part(pres, mode):
-    return grouplike_data(pres, ["K1i", "K1", "K2i", "K2", "g"], mode)
+# X+- in each Hopf structure on the enveloping algebra: the legs A, B of
+# Delta x = x (x) A + B (x) x and the word W of S x = -q W x for X+ and
+# +q W x for X-, keyed by the structure's name, with its grading
+_UQ_HOPF = {
+    "uq": (False, {"Xp": (("K1",), ("K2i",), ("K1i", "K2")),
+                   "Xm": (("K2",), ("K1i",), ("K1", "K2i"))}),
+    "uq-omega": (False, {"Xp": (("K2i", "g"), ("K2i",), ("K2", "K2", "g")),
+                         "Xm": (("K1", "K2", "K2", "g"), ("K1i",), ("K2i", "K2i", "g"))}),
+    "uqgl11": (True, {"Xp": (("K1",), ("K2i", "g"), ("K1i", "K2", "g")),
+                      "Xm": (("K2",), ("K1i", "g"), ("K1", "K2i", "g"))}),
+    "uqgl11-omega": (True, {"Xp": (("K2i", "g"), ("K2i", "g"), ("K2", "K2")),
+                            "Xm": (("K1", "K2", "K2", "g"), ("K1i", "g"), ("K2i", "K2i"))}),
+}
 
 
 @lru_cache(maxsize=None)
+def _uq_hopf(name) -> HopfData:
+    """The Hopf structure ``name`` of _UQ_HOPF: K1, K2, g group-like, X+- as
+    the table says."""
+    graded, legs = _UQ_HOPF[name]
+    mode = SUPER if graded else BOSONIC
+    pres = uq_presentation(graded)
+    q = qvar()
+    delta, eps, spo = grouplike_data(pres, ["K1i", "K1", "K2i", "K2", "g"], mode)
+    for (x, (a, b, w)), c in zip(legs.items(), (-q, q)):
+        delta[x] = TensorElement(pres, 2, {((x,), a): ONE, (b, (x,)): ONE}, mode)
+        eps[x] = Scalar(0)
+        spo[x] = pres.monomial(w + (x,), c)
+    return HopfData(pres, delta, eps, spo, mode=mode, g="g", name=name)
+
+
 def uq_hopf() -> HopfData:
     """The standard Hopf structure on the catalog enveloping algebra."""
-    pres = uq_presentation()
-    q = qvar()
-    delta, eps, spo = _uq_grouplike_part(pres, BOSONIC)
-    delta["Xp"] = TensorElement(pres, 2, {(("Xp",), ("K1",)): ONE,
-                                          (("K2i",), ("Xp",)): ONE}, BOSONIC)
-    delta["Xm"] = TensorElement(pres, 2, {(("Xm",), ("K2",)): ONE,
-                                          (("K1i",), ("Xm",)): ONE}, BOSONIC)
-    eps["Xp"] = eps["Xm"] = Scalar(0)
-    spo["Xp"] = pres.monomial(("K1i", "K2", "Xp"), -q)
-    spo["Xm"] = pres.monomial(("K1", "K2i", "Xm"), q)
-    return HopfData(pres, delta, eps, spo, mode=BOSONIC, g="g", name="uq")
+    return _uq_hopf("uq")
 
 
-@lru_cache(maxsize=None)
 def uq_omega_hopf() -> HopfData:
     """Twisted coproduct and antipode on the same algebra."""
-    pres = uq_presentation()
-    q = qvar()
-    delta, eps, spo = _uq_grouplike_part(pres, BOSONIC)
-    delta["Xp"] = TensorElement(pres, 2, {(("Xp",), ("K2i", "g")): ONE,
-                                          (("K2i",), ("Xp",)): ONE}, BOSONIC)
-    delta["Xm"] = TensorElement(pres, 2, {(("Xm",), ("K1", "K2", "K2", "g")): ONE,
-                                          (("K1i",), ("Xm",)): ONE}, BOSONIC)
-    eps["Xp"] = eps["Xm"] = Scalar(0)
-    spo["Xp"] = pres.monomial(("K2", "K2", "g", "Xp"), -q)
-    spo["Xm"] = pres.monomial(("K2i", "K2i", "g", "Xm"), q)
-    return HopfData(pres, delta, eps, spo, mode=BOSONIC, g="g", name="uq-omega")
+    return _uq_hopf("uq-omega")
 
 
-@lru_cache(maxsize=None)
 def uqgl11_hopf() -> HopfData:
     """The super-Hopf algebra on the graded presentation, entered directly.
 
     In the even/odd generator dictionary qh = K1 K2 g, qN = g K2, the odd
-    pair is X+ and X- g; the coproduct below is the standard super one
-    written back in the K generators.
+    pair is X+ and X- g; its coproduct is the standard super one written
+    back in the K generators.
     """
-    pres = uq_presentation(graded=True)
-    q = qvar()
-    delta, eps, spo = _uq_grouplike_part(pres, SUPER)
-    delta["Xp"] = TensorElement(pres, 2, {(("Xp",), ("K1",)): ONE,
-                                          (("K2i", "g"), ("Xp",)): ONE}, SUPER)
-    delta["Xm"] = TensorElement(pres, 2, {(("Xm",), ("K2",)): ONE,
-                                          (("K1i", "g"), ("Xm",)): ONE}, SUPER)
-    eps["Xp"] = eps["Xm"] = Scalar(0)
-    spo["Xp"] = pres.monomial(("K1i", "K2", "g", "Xp"), -q)
-    spo["Xm"] = pres.monomial(("K1", "K2i", "g", "Xm"), q)
-    return HopfData(pres, delta, eps, spo, mode=SUPER, g="g", name="uqgl11")
+    return _uq_hopf("uqgl11")
 
 
-@lru_cache(maxsize=None)
 def uqgl11_omega_hopf() -> HopfData:
     """Twisted super coproduct and antipode on the graded presentation."""
-    pres = uq_presentation(graded=True)
-    q = qvar()
-    delta, eps, spo = _uq_grouplike_part(pres, SUPER)
-    delta["Xp"] = TensorElement(pres, 2, {(("Xp",), ("K2i", "g")): ONE,
-                                          (("K2i", "g"), ("Xp",)): ONE}, SUPER)
-    delta["Xm"] = TensorElement(pres, 2, {(("Xm",), ("K1", "K2", "K2", "g")): ONE,
-                                          (("K1i", "g"), ("Xm",)): ONE}, SUPER)
-    eps["Xp"] = eps["Xm"] = Scalar(0)
-    spo["Xp"] = pres.monomial(("K2", "K2", "Xp"), -q)
-    spo["Xm"] = pres.monomial(("K2i", "K2i", "Xm"), q)
-    return HopfData(pres, delta, eps, spo, mode=SUPER, g="g", name="uqgl11-omega")
+    return _uq_hopf("uqgl11-omega")
 
 
 def uq_casimirs():

@@ -7,12 +7,15 @@ dx_1..dx_n (odd) with exchange relations driven by a Hecke R-matrix:
     dx_i x_j =    q  x_b dx_a R^a_i^b_j,
     dx_i dx_j = -q  dx_b dx_a R^a_i^b_j.
 
-The module compiles these into rewrite rules, carries the exterior
-differential, and implements two right actions mixing x and dx: the
-bosonic one of the twisted enveloping algebra (H1, H2, X+-) and the super
-one of its gl(1|1) counterpart (h, N, eta, eta+).  Both are stored on
-generators and extended through the (super-)covariance identity, whose
-coproduct legs act by scalars on generators.  The left coaction of the
+They are written once, in _relations, on any images of the generators:
+ExteriorAlgebra compiles them over the generator names into rewrite rules,
+and gl_coaction_check compares their two sides on the coaction's images.
+The module carries the exterior differential and implements two right
+actions mixing x and dx: the bosonic one of the twisted enveloping algebra
+(H1, H2, X+-) and the super one of its gl(1|1) counterpart (h, N, eta,
+eta+).  Both are stored on generators, each actor's entry built by _entry,
+and extended through the (super-)covariance identity, whose coproduct legs
+act by scalars on generators.  The left coaction of the
 2x2 super matrix quantum group on (x, dx) is checked by direct rewriting
 in the graded tensor algebra.
 """
@@ -26,7 +29,7 @@ from .algebras import fa_presentation
 from .ncalg import Element, GeneratorSymbol, compile_relations, linear, rule_residuals, tensor
 from .report import CheckReport
 from .rmatlab import RMatrix, hecke_check
-from .scalars import ONE, Scalar, qvar
+from .scalars import ONE, qvar
 
 
 class NotHecke(ValueError):
@@ -46,24 +49,12 @@ class ExteriorAlgebra:
         self.R = R
         self.n = R.n
         self.name = name or f"omega({R.name or 'R'})"
-        n = self.n
-        q = qvar()
-        gens = [GeneratorSymbol(f"x{i}") for i in range(1, n + 1)] + \
-               [GeneratorSymbol(f"dx{i}", degree=1) for i in range(1, n + 1)]
-        rel = []
-        for i, j in product(range(1, n + 1), repeat=2):
-            xx, dxx, dxdx = {}, {}, {}
-            for a, b in product(range(1, n + 1), repeat=2):
-                c = R.entry(a, i, b, j)
-                if not c:
-                    continue
-                for d, w, f in ((xx, (f"x{b}", f"x{a}"), ONE / q),
-                                (dxx, (f"x{b}", f"dx{a}"), q),
-                                (dxdx, (f"dx{b}", f"dx{a}"), -q)):
-                    d[w] = d.get(w, Scalar(0)) + f * c
-            rel.append(({(f"x{i}", f"x{j}"): ONE}, xx))
-            rel.append(({(f"dx{i}", f"x{j}"): ONE}, dxx))
-            rel.append(({(f"dx{i}", f"dx{j}"): ONE}, dxdx))
+        idx = range(1, self.n + 1)
+        gens = [GeneratorSymbol(f"x{i}") for i in idx] + \
+               [GeneratorSymbol(f"dx{i}", degree=1) for i in idx]
+        # over generator names, each pair of images is a word
+        rel = [({lhs: ONE}, dict(rhs)) for _, _, _, lhs, rhs in
+               _relations(R, {i: f"x{i}" for i in idx}, {i: f"dx{i}" for i in idx})]
         self.pres = compile_relations(gens, rel, name=self.name)
         self._check_differential()
 
@@ -101,6 +92,20 @@ class ExteriorAlgebra:
         return f"ExteriorAlgebra({self.name}, n={self.n})"
 
 
+def _relations(R: RMatrix, x, dx):
+    """The exchange relations of Omega_q(R) on the images x[i], dx[i] of the
+    generators, each as (tag, i, j, lhs, rhs) for the relation
+    u_i v_j = f v_b u_a R^a_i^b_j of the module docstring: lhs is the pair
+    (u_i, v_j) and rhs lists the ((v_b, u_a), f R^a_i^b_j) terms."""
+    q = qvar()
+    idx = range(1, R.n + 1)
+    kinds = (("x-x", x, x, ONE / q), ("dx-x", dx, x, q), ("dx-dx", dx, dx, -q))
+    for i, j in product(idx, repeat=2):
+        entries = [(a, b, R.entry(a, i, b, j)) for a, b in product(idx, repeat=2)]
+        for tag, u, v, f in kinds:
+            yield tag, i, j, (u[i], v[j]), [((v[b], u[a]), f * c) for a, b, c in entries if c]
+
+
 def omega_build(R: RMatrix) -> ExteriorAlgebra:
     return ExteriorAlgebra(R)
 
@@ -121,36 +126,32 @@ class ActionTable:
         self.entries = entries
 
 
-def _scalars(omega, on_x, on_dx):
-    out = {}
-    for i in range(1, omega.n + 1):
-        out[f"x{i}"] = Scalar(on_x)
-        out[f"dx{i}"] = Scalar(on_dx)
-    return out
+def _entry(omega, x_to, dx_to, left=(ONE, ONE), right=(ONE, ONE), deg=0):
+    """One actor of an ActionTable.  x_to and dx_to give the images of x_i
+    and dx_i: None for zero, or (c, omega.x) for c x_i and (c, omega.dx) for
+    c dx_i.  left and right are the scalar legs, each a pair (on every x_i,
+    on every dx_i); deg is the actor's parity."""
+    idx = range(1, omega.n + 1)
+
+    def images(to, src):
+        return {f"{src}{i}": to[1](i) * to[0] if to else omega.pres.zero() for i in idx}
+
+    def legs(pair):
+        return {f"{d}x{i}": c for i in idx for d, c in zip(("", "d"), pair)}
+
+    return {"gen": images(x_to, "x") | images(dx_to, "dx"),
+            "left": legs(left), "right": legs(right), "deg": deg}
 
 
 def bosonic_action(omega: ExteriorAlgebra) -> ActionTable:
     """H1 and H2 act by weight (2 on x / 2 on dx respectively), X+ sends
     coordinates to forms and X- back, with the twisted coproduct legs."""
-    pres = omega.pres
     q = qvar()
-    one = _scalars(omega, ONE, ONE)
     entries = {
-        "H1": {"gen": {f"x{i}": 2 * omega.x(i) for i in range(1, omega.n + 1)}
-               | {f"dx{i}": pres.zero() for i in range(1, omega.n + 1)},
-               "left": one, "right": one, "deg": 0},
-        "H2": {"gen": {f"x{i}": pres.zero() for i in range(1, omega.n + 1)}
-               | {f"dx{i}": 2 * omega.dx(i) for i in range(1, omega.n + 1)},
-               "left": one, "right": one, "deg": 0},
-        "Xp": {"gen": {f"x{i}": omega.dx(i) * (ONE / q)
-                       for i in range(1, omega.n + 1)}
-               | {f"dx{i}": pres.zero() for i in range(1, omega.n + 1)},
-               "left": _scalars(omega, ONE, -ONE / q),
-               "right": _scalars(omega, ONE, ONE / q), "deg": 0},
-        "Xm": {"gen": {f"x{i}": pres.zero() for i in range(1, omega.n + 1)}
-               | {f"dx{i}": q * omega.x(i) for i in range(1, omega.n + 1)},
-               "left": _scalars(omega, ONE / q, ONE),
-               "right": _scalars(omega, q, -q * q), "deg": 0},
+        "H1": _entry(omega, (2, omega.x), None),
+        "H2": _entry(omega, None, (2, omega.dx)),
+        "Xp": _entry(omega, (ONE / q, omega.dx), None, left=(ONE, -ONE / q), right=(ONE, ONE / q)),
+        "Xm": _entry(omega, None, (q, omega.x), left=(ONE / q, ONE), right=(q, -q * q)),
     }
     return ActionTable(omega, "bosonic", entries)
 
@@ -158,25 +159,13 @@ def bosonic_action(omega: ExteriorAlgebra) -> ActionTable:
 def super_action(omega: ExteriorAlgebra) -> ActionTable:
     """h, N act by weight; the odd pair eta, eta+ exchanges x and dx with
     Koszul signs through the super-covariance identity."""
-    pres = omega.pres
     q = qvar()
-    one = _scalars(omega, ONE, ONE)
     entries = {
-        "h": {"gen": {f"x{i}": omega.x(i) for i in range(1, omega.n + 1)}
-              | {f"dx{i}": omega.dx(i) for i in range(1, omega.n + 1)},
-              "left": one, "right": one, "deg": 0},
-        "N": {"gen": {f"x{i}": pres.zero() for i in range(1, omega.n + 1)}
-              | {f"dx{i}": omega.dx(i) for i in range(1, omega.n + 1)},
-              "left": one, "right": one, "deg": 0},
-        "eta": {"gen": {f"x{i}": omega.dx(i) * (ONE / q)
-                        for i in range(1, omega.n + 1)}
-                | {f"dx{i}": pres.zero() for i in range(1, omega.n + 1)},
-                "left": _scalars(omega, ONE, ONE / q),
-                "right": _scalars(omega, ONE, ONE / q), "deg": 1},
-        "etap": {"gen": {f"x{i}": pres.zero() for i in range(1, omega.n + 1)}
-                 | {f"dx{i}": q * omega.x(i) for i in range(1, omega.n + 1)},
-                 "left": _scalars(omega, ONE / q, ONE),
-                 "right": _scalars(omega, q, q * q), "deg": 1},
+        "h": _entry(omega, (ONE, omega.x), (ONE, omega.dx)),
+        "N": _entry(omega, None, (ONE, omega.dx)),
+        "eta": _entry(omega, (ONE / q, omega.dx), None, left=(ONE, ONE / q), right=(ONE, ONE / q),
+                      deg=1),
+        "etap": _entry(omega, None, (q, omega.x), left=(ONE / q, ONE), right=(q, q * q), deg=1),
     }
     return ActionTable(omega, "super", entries)
 
@@ -226,24 +215,14 @@ def gl_coaction_check(omega: ExteriorAlgebra) -> CheckReport:
     gl = fa_presentation("gl11omega", inverses=False).derive(
         rename={"a": "al", "b": "be", "c": "ga", "d": "de"})
     pres = tensor(gl, omega.pres, f"glo(1|1)x{omega.name}")
-    q = qvar()
     n = omega.n
     xp = {i: pres.word("al", f"x{i}") + pres.word("be", f"dx{i}")
           for i in range(1, n + 1)}
     dxp = {i: pres.word("ga", f"x{i}") + pres.word("de", f"dx{i}")
            for i in range(1, n + 1)}
-    for i, j in product(range(1, n + 1), repeat=2):
-        xx = xp[i] * xp[j]
-        dxx = dxp[i] * xp[j]
-        dxdx = dxp[i] * dxp[j]
-        for a, b in product(range(1, n + 1), repeat=2):
-            c = omega.R.entry(a, i, b, j)
-            if not c:
-                continue
-            xx = xx - xp[b] * xp[a] * (c / q)
-            dxx = dxx - xp[b] * dxp[a] * (c * q)
-            dxdx = dxdx + dxp[b] * dxp[a] * (c * q)
-        rep.record(not xx, ("x-x", i, j))
-        rep.record(not dxx, ("dx-x", i, j))
-        rep.record(not dxdx, ("dx-dx", i, j))
+    for tag, i, j, (u, v), rhs in _relations(omega.R, xp, dxp):
+        diff = u * v
+        for (s, t), c in rhs:
+            diff = diff - s * t * c
+        rep.record(not diff, (tag, i, j))
     return rep

@@ -23,7 +23,7 @@ word costs no rewrite step to normal-form again.
 from __future__ import annotations
 
 from .ncalg import Element, Presentation
-from .scalars import ONE, Scalar
+from .scalars import NUMBERS, ONE, Scalar
 
 BOSONIC = "bosonic"
 SUPER = "super"
@@ -72,7 +72,7 @@ class TensorElement:
             raise ModeMismatch(f"{self.mode} vs {other.mode}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, NUMBERS):
             other = unit(self.pres, self.arity, self.mode) * Scalar(other)
         self._check(other)
         t = dict(self.terms)
@@ -83,8 +83,6 @@ class TensorElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = unit(self.pres, self.arity, self.mode) * Scalar(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -94,19 +92,19 @@ class TensorElement:
         return _tensor(self.pres, self.arity, {k: -c for k, c in self.terms.items()}, self.mode)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, NUMBERS):
             c0 = Scalar(other)
             return _tensor(self.pres, self.arity,
                            {k: c * c0 for k, c in self.terms.items()} if c0 else {}, self.mode)
         return tensor_mul(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, NUMBERS):
             return self * other
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, NUMBERS):
             other = unit(self.pres, self.arity, self.mode) * Scalar(other)
         if not isinstance(other, TensorElement):
             return NotImplemented

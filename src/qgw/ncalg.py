@@ -54,7 +54,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
-from .scalars import ONE, ZERO, Scalar, parse, render
+from .scalars import NUMBERS, ONE, ZERO, Scalar, parse, render
 
 
 class NcalgError(Exception):
@@ -182,9 +182,6 @@ class Presentation:
         return out
 
     # -- element constructors --------------------------------------------
-    def element(self, terms) -> "Element":
-        return Element(self, terms)
-
     def monomial(self, word, coeff=ONE) -> "Element":
         word, coeff = self._checked_word(word), Scalar(coeff)
         if not coeff:
@@ -335,7 +332,7 @@ class Element:
             raise ValueError("elements over different presentations")
 
     def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, NUMBERS):
             other = self.pres.monomial((), other)
         self._check(other)
         t = dict(self.terms)
@@ -345,7 +342,7 @@ class Element:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Element) else -Scalar(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -354,7 +351,7 @@ class Element:
         return _element(self.pres, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, NUMBERS):
             c0 = Scalar(other)
             return _element(self.pres, {w: c * c0 for w, c in self.terms.items()} if c0 else {})
         self._check(other)
@@ -375,12 +372,12 @@ class Element:
         return _element(self.pres, self.pres.reduce_terms(prod))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, NUMBERS):
             return self * other
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, NUMBERS):
             other = self.pres.monomial((), other)
         if not isinstance(other, Element):
             return NotImplemented
@@ -391,9 +388,6 @@ class Element:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def coeff(self, word) -> Scalar:
-        return self.terms.get(tuple(word), ZERO)
 
     def degree(self):
         """0/1 when all words agree in Z2-degree, 'mixed' otherwise, None for 0."""

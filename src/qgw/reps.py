@@ -6,14 +6,23 @@ in the universal R-matrix, the ribbon element and the twisting cocycle has
 even integer eigenvalue exponents, so all of them evaluate to exact +-q^k
 diagonal matrices and every identity can be checked with no numerics.
 
-Families ("standard", "omega", "super", "super-omega") pair a coproduct
-with its universal R-matrix; the omega forms are the cocycle twists of the
-standard ones and the super forms live over the graded presentation.
+FAMILIES is where the four families ("standard", "omega", "super",
+"super-omega") are written: each pairs a Hopf structure of algebras (whose
+X+- legs are written in its _UQ_HOPF) with its universal R-matrix, given by
+the tail legs e1, e2 and the Cartan prefactor as a function of the weights
+of both legs.  The omega forms are the cocycle twists of the standard ones
+and the super forms live over the graded presentation.  A Rep is a leg of
+an evaluation as it is; _ev_tensor makes the tensor product of two legs
+through a coproduct, and _weight_diag builds every diagonal matrix over a
+product basis (the R-matrix prefactor, the twisting cocycle, the ribbon
+cross term).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
+from typing import Callable, NamedTuple
 
 from . import smat
 from .algebras import uq_hopf, uq_omega_hopf, uqgl11_hopf, uqgl11_omega_hopf, \
@@ -38,16 +47,36 @@ class NoIntertwiner(ArithmeticError):
     pass
 
 
-FAMILIES = ("standard", "omega", "super", "super-omega")
+class _Family(NamedTuple):
+    """A universal R-matrix (the Cartan prefactor times 1 + (1 - q^2) e1 (x) e2)
+    and the Hopf structure it belongs to.  tail1 and tail2 list the words
+    whose product is e1 and e2; pref(h1a, h2a, h1b, h2b) is the prefactor's
+    eigenvalue on a tensor of basis vectors with those Cartan weights."""
+    hopf: Callable
+    graded: bool
+    tail1: tuple
+    tail2: tuple
+    pref: Callable
 
 
-def _families():
-    return {
-        "standard": (uq_hopf, False),
-        "omega": (uq_omega_hopf, False),
-        "super": (uqgl11_hopf, True),
-        "super-omega": (uqgl11_omega_hopf, True),
-    }
+# the four families, each prefactor in the Cartan weights of both legs
+FAMILIES = {
+    "standard": _Family(
+        uq_hopf, False, (("K2", "Xp"),), (("K2i", "Xm"),),
+        lambda h1a, h2a, h1b, h2b:
+            sign_pow((h2a * h2b) // 4) * qvar() ** ((h1a * h1b - h2a * h2b) // 4)),
+    "omega": _Family(
+        uq_omega_hopf, False, (("K2", "Xp"),), (("K2i", "g", "K1i"), ("K2i", "Xm")),
+        lambda h1a, h2a, h1b, h2b:
+            sign_pow((h2a * h2b) // 4) * qvar() ** (((h1a - h2a) * (h1b + h2b)) // 4)),
+    "super": _Family(
+        uqgl11_hopf, True, (("g", "K2", "Xp"),), (("K2i", "g"), ("Xm", "g")),
+        lambda h1a, h2a, h1b, h2b:
+            qvar() ** (-((h1a + h2a) * h2b + h2a * (h1b + h2b)) // 4)),
+    "super-omega": _Family(
+        uqgl11_omega_hopf, True, (("g", "K2", "Xp"),), (("K2i", "K2i", "K1i"), ("Xm", "g")),
+        lambda h1a, h2a, h1b, h2b: qvar() ** (-(h2a * (h1b + h2b)) // 2)),
+}
 
 
 class RepLabel:
@@ -199,100 +228,69 @@ def _integer_rep(m1, m2, graded) -> Rep:
 
 class _Ev:
     """What R-matrix evaluation needs from a leg: dimension, Cartan weights
-    per basis vector, basis parity, and an Element -> matrix map."""
+    per basis vector, basis parity, and an Element -> matrix map.  A Rep
+    has all four, so a Rep is a leg too."""
 
-    __slots__ = ("dim", "h1", "h2", "p", "elem")
+    __slots__ = ("dim", "h1", "h2", "p", "evaluate")
 
-    def __init__(self, dim, h1, h2, p, elem):
-        self.dim, self.h1, self.h2, self.p, self.elem = dim, h1, h2, p, elem
+    def __init__(self, dim, h1, h2, p, evaluate):
+        self.dim, self.h1, self.h2, self.p, self.evaluate = dim, h1, h2, p, evaluate
 
 
-def _ev_atom(rep: Rep) -> _Ev:
+def _ev_atom(rep: Rep) -> Rep:
+    """``rep`` as a leg of an R-matrix evaluation, which needs integer weights."""
     if rep.h1 is None:
         raise NonIntegerLabel(f"{rep.label} has no integer Cartan weights")
-    return _Ev(rep.dim, list(rep.h1), list(rep.h2), rep.p, rep.evaluate)
+    return rep
 
 
-def _tensor_image(t, evA: _Ev, evB: _Ev, h):
+def _tensor_image(t, evA, evB, h):
     pres, sup = h.pres, h.mode == SUPER
     out = smat.zeros(evA.dim * evB.dim)
     for (w1, w2), c in t.terms.items():
-        m = smat.kron(evA.elem(pres.monomial(w1)), evB.elem(pres.monomial(w2)),
+        m = smat.kron(evA.evaluate(pres.monomial(w1)), evB.evaluate(pres.monomial(w2)),
                       pres.degree(w2) if sup else 0, evA.p)
         out = smat.madd(out, smat.smul(c, m))
     return out
 
 
-def _ev_tensor(a: _Ev, b: _Ev, h) -> _Ev:
+def _ev_tensor(a, b, h) -> _Ev:
     """The tensor product representation through the coproduct of h."""
-    def elem(e):
+    def evaluate(e):
         return _tensor_image(coproduct(e, h), a, b, h)
     h1 = [x + y for x in a.h1 for y in b.h1]
     h2 = [x + y for x in a.h2 for y in b.h2]
     p = tuple((x + y) % 2 for x in a.p for y in b.p)
-    return _Ev(a.dim * b.dim, h1, h2, p, elem)
+    return _Ev(a.dim * b.dim, h1, h2, p, evaluate)
 
 
-def _delta_mat(x: Element, evA: _Ev, evB: _Ev, h, flip=False):
-    t = coproduct(x, h)
-    if flip:
-        t = t.flip()
-    return _tensor_image(t, evA, evB, h)
+def _weight_diag(evA, evB, f):
+    """The diagonal matrix with f(h1a, h2a, h1b, h2b) at the tensor of basis
+    vectors a of evA and b of evB, Cartan weights h1a, h2a and h1b, h2b."""
+    out = smat.zeros(evA.dim * evB.dim)
+    i = 0
+    for h1a, h2a in zip(evA.h1, evA.h2):
+        for h1b, h2b in zip(evB.h1, evB.h2):
+            out[i][i] = f(h1a, h2a, h1b, h2b)
+            i += 1
+    return out
 
 
 # -- the four R-matrix families --------------------------------------------
 
-def _tail_pair(pres, which):
-    """The nilpotent tail legs of the universal R-matrix, as Elements."""
-    if which == "standard":
-        return pres.word("K2", "Xp"), pres.word("K2i", "Xm"), 0
-    if which == "omega":
-        return (pres.word("K2", "Xp"),
-                pres.word("K2i", "g", "K1i") * pres.word("K2i", "Xm"), 0)
-    if which == "super":
-        return (pres.word("g", "K2", "Xp"),
-                pres.word("K2i", "g") * pres.word("Xm", "g"), 1)
-    if which == "super-omega":
-        return (pres.word("g", "K2", "Xp"),
-                pres.word("K2i", "K2i", "K1i") * pres.word("Xm", "g"), 1)
-    raise KeyError(f"unknown family {which!r}")
-
-
-def _pref_entry(which, h1a, h2a, h1b, h2b) -> Scalar:
+def _r_matrix(evA, evB, which):
+    fam = FAMILIES[which]
+    pres = fam.hopf().pres
+    e1, e2 = (reduce(mul, (pres.word(*w) for w in words)) for words in (fam.tail1, fam.tail2))
     q = qvar()
-    if which == "standard":
-        return sign_pow((h2a * h2b) // 4) * q ** ((h1a * h1b - h2a * h2b) // 4)
-    if which == "omega":
-        return sign_pow((h2a * h2b) // 4) * q ** (((h1a - h2a) * (h1b + h2b)) // 4)
-    nha, nna = (h1a + h2a) // 2, h2a // 2
-    nhb, nnb = (h1b + h2b) // 2, h2b // 2
-    if which == "super":
-        return q ** (-(nha * nnb + nna * nhb))
-    if which == "super-omega":
-        return q ** (-2 * nna * nhb)
-    raise KeyError(f"unknown family {which!r}")
-
-
-def _r_matrix(evA: _Ev, evB: _Ev, which):
-    h, _ = _families()[which]
-    pres = h().pres
-    e1, e2, deg2 = _tail_pair(pres, which)
-    q = qvar()
-    d = evA.dim * evB.dim
-    tail = smat.madd(smat.eye(d), smat.smul(
-        ONE - q * q, smat.kron(evA.elem(e1), evB.elem(e2), deg2, evA.p)))
-    pref = smat.zeros(d)
-    for s in range(evA.dim):
-        for t in range(evB.dim):
-            i = s * evB.dim + t
-            pref[i][i] = _pref_entry(which, evA.h1[s], evA.h2[s],
-                                     evB.h1[t], evB.h2[t])
-    return smat.mmul(pref, tail)
+    tail = smat.madd(smat.eye(evA.dim * evB.dim), smat.smul(
+        ONE - q * q, smat.kron(evA.evaluate(e1), evB.evaluate(e2), e2.degree(), evA.p)))
+    return smat.mmul(_weight_diag(evA, evB, fam.pref), tail)
 
 
 def universal_r_eval(lab1, lab2, which="standard") -> RMatrix:
     """The universal R-matrix in a pair of integer-labelled representations."""
-    hfun, graded = _families()[which]
+    graded = FAMILIES[which].graded
     r1 = rep_build(lab1, graded=graded)
     r2 = rep_build(lab2, graded=graded)
     m = _r_matrix(_ev_atom(r1), _ev_atom(r2), which)
@@ -303,18 +301,19 @@ def universal_r_eval(lab1, lab2, which="standard") -> RMatrix:
 def quasitriangularity_check(lab1, lab2, lab3, which="standard") -> CheckReport:
     """Coproduct intertwining, both hexagon identities and the braid
     equation for the evaluated R-matrix on three integer labels."""
-    hfun, graded = _families()[which]
-    h = hfun()
+    fam = FAMILIES[which]
+    h = fam.hopf()
     pres = h.pres
-    evs = [_ev_atom(rep_build(l, graded=graded)) for l in (lab1, lab2, lab3)]
+    evs = [_ev_atom(rep_build(l, graded=fam.graded)) for l in (lab1, lab2, lab3)]
     ev1, ev2, ev3 = evs
     rep = CheckReport(f"quasitriangular:{which}")
 
     r12 = _r_matrix(ev1, ev2, which)
+    t12 = _ev_tensor(ev1, ev2, h)
     for gs in pres.gens:
         x = pres.gen(gs.name)
-        lhs = smat.mmul(_delta_mat(x, ev1, ev2, h, flip=True), r12)
-        rhs = smat.mmul(r12, _delta_mat(x, ev1, ev2, h))
+        lhs = smat.mmul(_tensor_image(coproduct(x, h).flip(), ev1, ev2, h), r12)
+        rhs = smat.mmul(r12, t12.evaluate(x))
         rep.record(smat.meq(lhs, rhs), ("intertwine", gs.name))
 
     dims = [e.dim for e in evs]
@@ -323,7 +322,6 @@ def quasitriangularity_check(lab1, lab2, lab3, which="standard") -> CheckReport:
                (_r_matrix(ev2, ev3, which), (1, 2)))
     embedded = [smat.embed_pair(m, dims, ps, legs) for m, legs in on_legs]
     r12e, r13, r23 = embedded
-    t12 = _ev_tensor(ev1, ev2, h)
     t23 = _ev_tensor(ev2, ev3, h)
     rep.record(smat.meq(_r_matrix(t12, ev3, which), smat.mmul(r13, r23)),
                ("hexagon", "delta-leg1"))
@@ -334,13 +332,6 @@ def quasitriangularity_check(lab1, lab2, lab3, which="standard") -> CheckReport:
 
 
 # -- ribbon structure -------------------------------------------------------
-
-def _ribbon_pref(rep: Rep):
-    q = qvar()
-    return _diag(*[sign_pow(rep.h2[s] // 2)
-                   * q ** (-(rep.h1[s] ** 2 - rep.h2[s] ** 2) // 4)
-                   for s in range(rep.dim)])
-
 
 def ribbon_data(label) -> dict:
     """Evaluated Drinfeld element u, its antipode image, the central square
@@ -355,7 +346,8 @@ def ribbon_data(label) -> dict:
     tail_su = pres.one() + ef * pres.word("K1", "K2") * w2
     tail_z = pres.one() + (pres.word("K1", "K2") * ef
                            + pres.word("K1i", "K2i") * fe) * w2
-    pref = _ribbon_pref(r)
+    pref = _diag(*[sign_pow(h2 // 2) * q ** (-(h1 ** 2 - h2 ** 2) // 4)
+                   for h1, h2 in zip(r.h1, r.h2)])
     u = smat.mmul(pref, r.evaluate(tail_u))
     su = smat.mmul(pref, r.evaluate(tail_su))
     z = smat.mmul(smat.mmul(pref, pref), r.evaluate(tail_z))
@@ -389,8 +381,7 @@ def ribbon_check(label) -> CheckReport:
 
     rep.record(smat.meq(smat.mmul(u, su), z), ("z-is-uSu",))
     rep.record(smat.meq(smat.mmul(nu, nu), z), ("nu-squared",))
-    rep.record(smat.meq(data["r"], _diag(*[q ** (-(r.h1[s] + r.h2[s]))
-                                           for s in range(r.dim)])),
+    rep.record(smat.meq(data["r"], _diag(*[q ** (-(h1 + h2)) for h1, h2 in zip(r.h1, r.h2)])),
                ("r-grouplike-weights",))
     rep.record(smat.meq(smat.mmul(data["r"], r.evaluate(
         pres.word("K1", "K1", "K2", "K2"))), smat.eye(r.dim)),
@@ -409,13 +400,10 @@ def ribbon_check(label) -> CheckReport:
     rmat = _r_matrix(ev, ev, "standard")
     flip = flip_index(r.dim)
     r21 = [[rmat[i][j] for j in flip] for i in flip]  # P R P
-    cross = smat.zeros(r.dim * r.dim)
-    for s in range(r.dim):
-        for t in range(r.dim):
-            i = s * r.dim + t
-            cross[i][i] = q ** (-(r.h1[s] * r.h1[t] - r.h2[s] * r.h2[t]) // 2)
+    cross = _weight_diag(ev, ev, lambda h1a, h2a, h1b, h2b:
+                         q ** (-(h1a * h1b - h2a * h2b) // 2))
     lhs = smat.mmul(smat.mmul(smat.kron(data["pref"], data["pref"], 0, r.p), cross),
-                    _delta_mat(pres.word("K1", "K2") * data["tail_u"], ev, ev, h))
+                    _ev_tensor(ev, ev, h).evaluate(pres.word("K1", "K2") * data["tail_u"]))
     rhs = smat.mmul(smat.inv(smat.mmul(r21, rmat)), smat.kron(nu, nu, 0, r.p))
     rep.record(smat.meq(lhs, rhs), ("delta-nu",))
     return rep
@@ -444,11 +432,11 @@ def tensor_decompose(lab1=None, lab2=None):
                              gsign=-lab1.gsign * lab2.gsign)
     h = uq_hopf()
     pres = h.pres
-    ev1, ev2 = (_Ev(r.dim, r.h1, r.h2, r.p, r.evaluate) for r in (Rep(lab1), Rep(lab2)))
+    r1, r2 = Rep(lab1), Rep(lab2)
     t1, t2 = Rep(out1), Rep(out2)
 
     def big(x):
-        return _tensor_image(coproduct(x, h), ev1, ev2, h)
+        return _tensor_image(coproduct(x, h), r1, r2, h)
 
     def blk(x):
         a, b = t1.evaluate(x), t2.evaluate(x)
@@ -496,20 +484,13 @@ def tensor_decompose(lab1=None, lab2=None):
 
 # -- cocycle twisting -------------------------------------------------------
 
-def _chi(evA: _Ev, evB: _Ev, super_side, swap=False):
+def _chi(evA, evB, swap=False):
+    """The twisting cocycle q^(H2 (x) (H1 + H2) / 4) on the weights of both
+    legs, or with the legs' roles swapped."""
     q = qvar()
-    d = evA.dim * evB.dim
-    out = smat.zeros(d)
-    for s in range(evA.dim):
-        for t in range(evB.dim):
-            if super_side:
-                e = ((evB.h2[t] // 2) * ((evA.h1[s] + evA.h2[s]) // 2) if swap
-                     else (evA.h2[s] // 2) * ((evB.h1[t] + evB.h2[t]) // 2))
-            else:
-                e = ((evB.h2[t] * (evA.h1[s] + evA.h2[s])) // 4 if swap
-                     else (evA.h2[s] * (evB.h1[t] + evB.h2[t])) // 4)
-            out[s * evB.dim + t][s * evB.dim + t] = q ** e
-    return out
+    if swap:
+        return _weight_diag(evA, evB, lambda h1a, h2a, h1b, h2b: q ** ((h2b * (h1a + h2a)) // 4))
+    return _weight_diag(evA, evB, lambda h1a, h2a, h1b, h2b: q ** ((h2a * (h1b + h2b)) // 4))
 
 
 def twist_check(lab1, lab2, lab3, super_side=False) -> CheckReport:
@@ -517,33 +498,32 @@ def twist_check(lab1, lab2, lab3, super_side=False) -> CheckReport:
     of the coproduct, and the twisted R-matrix computed two ways."""
     which0, which1 = ("super", "super-omega") if super_side \
         else ("standard", "omega")
-    hfun0, graded = _families()[which0]
-    hfun1, _ = _families()[which1]
-    h0, h1 = hfun0(), hfun1()
+    h0, h1 = FAMILIES[which0].hopf(), FAMILIES[which1].hopf()
     pres = h0.pres
-    evs = [_ev_atom(rep_build(l, graded=graded)) for l in (lab1, lab2, lab3)]
+    evs = [_ev_atom(rep_build(l, graded=super_side)) for l in (lab1, lab2, lab3)]
     ev1, ev2, ev3 = evs
     rep = CheckReport(f"twist:{which1}")
 
     dims = [e.dim for e in evs]
     ps = [e.p for e in evs]
-    c12 = _chi(ev1, ev2, super_side)
-    lhs = smat.mmul(smat.embed_pair(c12, dims, ps, (0, 1)),
-                    _chi(_ev_tensor(ev1, ev2, h0), ev3, super_side))
-    rhs = smat.mmul(smat.embed_pair(_chi(ev2, ev3, super_side), dims, ps, (1, 2)),
-                    _chi(ev1, _ev_tensor(ev2, ev3, h0), super_side))
+    t12 = _ev_tensor(ev1, ev2, h0)
+    c12 = _chi(ev1, ev2)
+    lhs = smat.mmul(smat.embed_pair(c12, dims, ps, (0, 1)), _chi(t12, ev3))
+    rhs = smat.mmul(smat.embed_pair(_chi(ev2, ev3), dims, ps, (1, 2)),
+                    _chi(ev1, _ev_tensor(ev2, ev3, h0)))
     rep.record(smat.meq(lhs, rhs), ("cocycle",))
 
     c12i = smat.inv(c12)
+    t12_twisted = _ev_tensor(ev1, ev2, h1)
     for gs in pres.gens:
         x = pres.gen(gs.name)
-        twisted = smat.mmul(smat.mmul(c12, _delta_mat(x, ev1, ev2, h0)), c12i)
-        rep.record(smat.meq(twisted, _delta_mat(x, ev1, ev2, h1)),
+        twisted = smat.mmul(smat.mmul(c12, t12.evaluate(x)), c12i)
+        rep.record(smat.meq(twisted, t12_twisted.evaluate(x)),
                    ("conjugated-coproduct", gs.name))
 
     r0 = _r_matrix(ev1, ev2, which0)
     r1m = _r_matrix(ev1, ev2, which1)
-    c21 = _chi(ev1, ev2, super_side, swap=True)
+    c21 = _chi(ev1, ev2, swap=True)
     rep.record(smat.meq(r1m, smat.mmul(smat.mmul(c21, r0), c12i)),
                ("twisted-R",))
     return rep

@@ -679,7 +679,7 @@ class Scalar:
 
     # -- comparison / hashing --------------------------------------------
     def __eq__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
+        if not isinstance(other, NUMBERS):
             return NotImplemented
         b = _coerce(other)
         x, y = self._d, b._d
@@ -722,6 +722,9 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({self})"
 
+
+#: what Scalar, Element and TensorElement arithmetic and == take as a number
+NUMBERS = (Scalar, int, Fraction)
 
 _new = object.__new__
 _set_d = Scalar._d.__set__

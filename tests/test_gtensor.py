@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,24 @@ def free_super():
 
 def tens(pres, terms, mode=BOSONIC):
     return TensorElement(pres, 2, terms, mode)
+
+
+@pytest.mark.parametrize("c", [3, Fraction(1, 2), Scalar(Fraction(-2, 3)), qvar()],
+                         ids=["int", "Fraction", "Scalar", "q"])
+@pytest.mark.parametrize("kind", ["Element", "TensorElement"])
+def test_numbers_are_scalars_on_either_side(kind, c):
+    """int, Fraction and Scalar operands of +, -, * and == act as the Scalar
+    of their value, on the left and on the right, in both classes."""
+    p = free_super()
+    if kind == "Element":
+        e, one = Element(p, {("e",): 2, ("f", "h"): 1}), p.one()
+    else:
+        e, one = tens(p, {(("e",), ("f",)): 2, ((), ("h",)): 1}), unit(p, 2)
+    s = one * Scalar(c)
+    assert e + c == c + e == e + s
+    assert e - c == e - s and c - e == s - e
+    assert e * c == c * e == e * Scalar(c)
+    assert s == c and c == s and s != c + 1 and c + 1 != s
 
 
 def test_bosonic_product_is_legwise():

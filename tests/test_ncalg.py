@@ -415,11 +415,11 @@ def test_constructors_build_trusted_elements(key):
 
 
 def test_a_letter_that_is_no_generator_is_refused():
-    """Element, element, monomial and word name the word and the letter; gen
-    keeps its KeyError."""
+    """Element, monomial and word name the word and the letter; gen keeps
+    its KeyError."""
     p = quantum_plane()
     for make in (lambda: Element(p, {("z", "x"): 1}), lambda: Element(p, [(["x", "z"], 0)]),
-                 lambda: p.element({("z", "x"): 1}), lambda: p.monomial(("z", "x")),
+                 lambda: p.monomial(("z", "x")),
                  lambda: p.monomial(("z",), 2), lambda: p.word("z", "x"), lambda: p.word("z")):
         with pytest.raises(ValueError, match=r"word \(.*'z'.*\) has the letter 'z'"):
             make()

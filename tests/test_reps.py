@@ -146,6 +146,14 @@ def test_quasitriangularity_all_families():
         assert rep.ok, (which, rep.failures[:3])
 
 
+def test_families_are_the_four_and_no_other():
+    assert list(FAMILIES) == ["standard", "omega", "super", "super-omega"]
+    with pytest.raises(KeyError):
+        universal_r_eval((1, 0), (2, 1), which="bogus")
+    with pytest.raises(KeyError):
+        quasitriangularity_check((1, 0), (0, 1), (1, 1), which="bogus")
+
+
 def test_quasitriangularity_mixed_dims():
     rep = quasitriangularity_check((2, 1), (1, 0), (2, 0))
     assert rep.ok, rep.failures[:3]
