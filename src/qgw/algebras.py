@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .frt import OperatorMatrix, build_ar, matrix_coalgebra_data
-from .gtensor import BOSONIC, SUPER, TensorElement
+from .gtensor import TensorElement
 from .hopfcore import HopfData, grouplike_data, try_invert, try_invert_tensor, z2_extend
 from .ncalg import GeneratorSymbol, Presentation, compile_relations
 from .rmatlab import catalog
@@ -92,15 +92,14 @@ def _uq_hopf(name) -> HopfData:
     """The Hopf structure ``name`` of _UQ_HOPF: K1, K2, g group-like, X+- as
     the table says."""
     graded, legs = _UQ_HOPF[name]
-    mode = SUPER if graded else BOSONIC
     pres = uq_presentation(graded)
     q = qvar()
-    delta, eps, spo = grouplike_data(pres, ["K1i", "K1", "K2i", "K2", "g"], mode)
+    delta, eps, spo = grouplike_data(pres, ["K1i", "K1", "K2i", "K2", "g"])
     for (x, (a, b, w)), c in zip(legs.items(), (-q, q)):
-        delta[x] = TensorElement(pres, 2, {((x,), a): ONE, (b, (x,)): ONE}, mode)
+        delta[x] = TensorElement(pres, 2, {((x,), a): ONE, (b, (x,)): ONE})
         eps[x] = Scalar(0)
         spo[x] = pres.monomial(w + (x,), c)
-    return HopfData(pres, delta, eps, spo, mode=mode, g="g", name=name)
+    return HopfData(pres, delta, eps, spo, g="g", name=name)
 
 
 def uq_hopf() -> HopfData:
@@ -241,8 +240,7 @@ def adjoin_inverses(pres: Presentation) -> Presentation:
 def fa_hopf(key: str) -> HopfData:
     """Matrix coproduct Hopf data on fa_presentation(key, inverses=True)."""
     pres = fa_presentation(key)
-    mode = SUPER if pres.by_name["b"].degree else BOSONIC
-    delta, eps = matrix_coalgebra_data(pres, _FA_GRID, mode)
+    delta, eps = matrix_coalgebra_data(pres, _FA_GRID)
     delta["ai"] = try_invert_tensor(delta["a"])
     delta["di"] = try_invert_tensor(delta["d"])
     eps["ai"] = eps["di"] = ONE
@@ -254,7 +252,7 @@ def fa_hopf(key: str) -> HopfData:
     }
     spo["ai"] = try_invert(spo["a"])
     spo["di"] = try_invert(spo["d"])
-    return HopfData(pres, delta, eps, spo, mode=mode, name=f"fa-{key}")
+    return HopfData(pres, delta, eps, spo, name=f"fa-{key}")
 
 
 @lru_cache(maxsize=None)

@@ -247,7 +247,7 @@ def _chk_determinant(ctx):
     Dsq = D * D
     rep = casimir_central_check(h, D, anticommuting=("Xp", "Xm"))
     rep.merge(casimir_central_check(h, Dsq))
-    want = TensorElement(pres, 2, {(("K1", "K2"), ("K1", "K2")): ONE}, h.mode)
+    want = TensorElement(pres, 2, {(("K1", "K2"), ("K1", "K2")): ONE})
     rep.record(coproduct(D, h) == want, "grouplike")
     for lab, val in (((1, 0), q * q), ((-1, 0), ONE / (q * q))):
         img = reps.rep_build(lab).evaluate(Dsq)

@@ -181,7 +181,7 @@ def _act_word(table: ActionTable, entry, w) -> Element:
     for y in rest:
         c = c * entry["right"][y]
     t = entry["gen"][head] * pres.monomial(rest, c)
-    if table.tag == "super" and entry["deg"] and pres.degree(rest):
+    if entry["deg"] and pres.degree(rest):
         t = -t
     return out + t
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import product
 
 from . import smat
-from .gtensor import BOSONIC, SUPER, TensorElement, outer
+from .gtensor import TensorElement, outer
 from .hopfcore import HopfData, coproduct, try_invert
 from .ncalg import Element, GeneratorSymbol, compile_relations
 from .report import CheckReport
@@ -155,7 +155,7 @@ def build_ar(R: RMatrix, names=None, name="", sample_budget=0):
     return compile_relations(gens, rel, name=label)
 
 
-def matrix_coalgebra_data(pres, names, mode=BOSONIC):
+def matrix_coalgebra_data(pres, names):
     """Delta/counit entries of the matrix coproduct on a square name grid.
 
     names[i][j] is the generator t_ij; Delta(t_ij) = sum_k t_ik (x) t_kj and
@@ -166,7 +166,7 @@ def matrix_coalgebra_data(pres, names, mode=BOSONIC):
     for i, row in enumerate(names):
         for j, g in enumerate(row):
             delta[g] = TensorElement(
-                pres, 2, {((row[k],), (names[k][j],)): ONE for k in range(n)}, mode)
+                pres, 2, {((row[k],), (names[k][j],)): ONE for k in range(n)})
             eps[g] = ONE if i == j else Scalar(0)
     return delta, eps
 
@@ -177,8 +177,7 @@ def ar_hopf(R: RMatrix) -> HopfData:
     pres = build_ar(R)
     n = R.n
     names = [[g.name for g in pres.gens[i * n:(i + 1) * n]] for i in range(n)]
-    mode = SUPER if any(R.p) else BOSONIC
-    return HopfData(pres, *matrix_coalgebra_data(pres, names, mode), None, mode=mode)
+    return HopfData(pres, *matrix_coalgebra_data(pres, names), None)
 
 
 # -- determinant -----------------------------------------------------------
@@ -195,7 +194,7 @@ def qdet(t: OperatorMatrix) -> Element:
 
 
 def _grouplike(h: HopfData, e: Element) -> bool:
-    return coproduct(e, h) == outer(e, e, h.mode)
+    return coproduct(e, h) == outer(e, e)
 
 
 def qdet_check(h: HopfData) -> CheckReport:
@@ -208,10 +207,10 @@ def qdet_check(h: HopfData) -> CheckReport:
     pres = h.pres
     t = OperatorMatrix(pres, [[pres.gen("a"), pres.gen("b")],
                               [pres.gen("c"), pres.gen("d")]], label="t",
-                       grading=(0, 1) if h.mode == SUPER else None)
+                       grading=(0, 1) if pres.graded else None)
     det = qdet(t)
     rep = CheckReport(f"qdet[{h.name}]")
-    if h.mode == SUPER:
+    if pres.graded:
         for gname in ("a", "b", "c", "d"):
             x = pres.gen(gname)
             rep.record(det * x == x * det, ("central", gname))

@@ -1,19 +1,19 @@
 """k-fold Z2-graded tensor powers of a presented algebra.
 
-Multiplication is legwise with the Koszul rule in super mode:
-(a (x) b)(c (x) d) = (-1)^(deg b * deg c) ac (x) bd.  Bosonic mode drops the
-sign.  Mode is a property of the tensor context, not of the algebra, since
-the same presentation is tensored both ways in different checks.
+Multiplication is legwise with the Koszul rule:
+(a (x) b)(c (x) d) = (-1)^(deg b * deg c) ac (x) bd, with the degrees of
+the presentation's generators.  Over a presentation with no odd generator
+(pres.graded is false) every sign is +1, and tensor_mul computes none.
 
 Terms are keyed by k-tuples of normal-form words; every word is homogeneous,
 so the sign of a product of basis tensors is always defined.
 
-TensorElement(pres, arity, terms, mode) is the one public constructor: it
+TensorElement(pres, arity, terms) is the one public constructor: it
 coerces each coefficient to a Scalar and each leg to a tuple, refuses a term
 of another arity with ArityMismatch and a leg with a letter that is no
 generator with ValueError (as Element does), drops zeros, normal-forms each
 leg and sums repeated keys.  Everything else in this module builds its value
-with the trusted _tensor(pres, arity, terms, mode), as ncalg builds Elements with
+with the trusted _tensor(pres, arity, terms), as ncalg builds Elements with
 _element: +, -, scalar *, flip, tensor_mul, outer, unit, zero, embed_leg and
 apply_to_leg combine terms that are already in that form.  Other modules
 build through the constructor or those functions; a leg that is a normal
@@ -25,15 +25,7 @@ from __future__ import annotations
 from .ncalg import Element, Presentation
 from .scalars import NUMBERS, ONE, Scalar
 
-BOSONIC = "bosonic"
-SUPER = "super"
-
-
 class ArityMismatch(ValueError):
-    pass
-
-
-class ModeMismatch(ValueError):
     pass
 
 
@@ -45,12 +37,11 @@ class TensorElement:
     """Normal-form linear combination of k-tuples of words; see the module
     docstring for what the constructor accepts."""
 
-    __slots__ = ("pres", "arity", "mode", "terms")
+    __slots__ = ("pres", "arity", "terms")
 
-    def __init__(self, pres: Presentation, arity: int, terms, mode=BOSONIC):
+    def __init__(self, pres: Presentation, arity: int, terms):
         self.pres = pres
         self.arity = arity
-        self.mode = _checked_mode(mode)
         acc: dict[tuple, Scalar] = {}
         for legs, c in terms.items() if isinstance(terms, dict) else terms:
             legs = tuple(pres._checked_word(w) for w in legs)
@@ -68,17 +59,15 @@ class TensorElement:
             raise ValueError("tensors over different presentations")
         if self.arity != other.arity:
             raise ArityMismatch(f"{self.arity} vs {other.arity}")
-        if self.mode != other.mode:
-            raise ModeMismatch(f"{self.mode} vs {other.mode}")
 
     def __add__(self, other):
         if isinstance(other, NUMBERS):
-            other = unit(self.pres, self.arity, self.mode) * Scalar(other)
+            other = unit(self.pres, self.arity) * Scalar(other)
         self._check(other)
         t = dict(self.terms)
         for k, c in other.terms.items():
             _accum(t, k, c)
-        return _tensor(self.pres, self.arity, t, self.mode)
+        return _tensor(self.pres, self.arity, t)
 
     __radd__ = __add__
 
@@ -89,13 +78,13 @@ class TensorElement:
         return (-self) + other
 
     def __neg__(self):
-        return _tensor(self.pres, self.arity, {k: -c for k, c in self.terms.items()}, self.mode)
+        return _tensor(self.pres, self.arity, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, NUMBERS):
             c0 = Scalar(other)
             return _tensor(self.pres, self.arity,
-                           {k: c * c0 for k, c in self.terms.items()} if c0 else {}, self.mode)
+                           {k: c * c0 for k, c in self.terms.items()} if c0 else {})
         return tensor_mul(self, other)
 
     def __rmul__(self, other):
@@ -105,26 +94,23 @@ class TensorElement:
 
     def __eq__(self, other):
         if isinstance(other, NUMBERS):
-            other = unit(self.pres, self.arity, self.mode) * Scalar(other)
+            other = unit(self.pres, self.arity) * Scalar(other)
         if not isinstance(other, TensorElement):
             return NotImplemented
         return (self.pres is other.pres and self.arity == other.arity
-                and self.mode == other.mode and self.terms == other.terms)
+                and self.terms == other.terms)
 
     def __bool__(self):
         return bool(self.terms)
 
-    def flip(self, i=0, j=1):
-        """Swap two legs (the map tau, used for the opposite coproduct)."""
-        out = {}
-        for legs, c in self.terms.items():
-            ll = list(legs)
-            ll[i], ll[j] = ll[j], ll[i]
-            if self.mode == SUPER:
-                if self.pres.degree(legs[i]) and self.pres.degree(legs[j]):
-                    c = -c
-            _accum(out, tuple(ll), c)
-        return _tensor(self.pres, self.arity, out, self.mode)
+    def flip(self):
+        """Swap the two legs of a tensor square, with the Koszul sign (the
+        map tau, used for the opposite coproduct)."""
+        if self.arity != 2:
+            raise ArityMismatch(f"flip needs arity 2, got {self.arity}")
+        deg = self.pres.degree
+        return _tensor(self.pres, 2, {(b, a): -c if deg(a) and deg(b) else c
+                                      for (a, b), c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -139,19 +125,13 @@ class TensorElement:
         return f"TensorElement[{self}]"
 
 
-def _tensor(pres: Presentation, arity: int, terms: dict, mode) -> TensorElement:
+def _tensor(pres: Presentation, arity: int, terms: dict) -> TensorElement:
     """The TensorElement with exactly ``terms``, which the caller guarantees
     are tuples of ``arity`` normal-form words with nonzero Scalar
-    coefficients, in a checked mode."""
+    coefficients."""
     t = object.__new__(TensorElement)
-    t.pres, t.arity, t.mode, t.terms = pres, arity, mode, terms
+    t.pres, t.arity, t.terms = pres, arity, terms
     return t
-
-
-def _checked_mode(mode):
-    if mode not in (BOSONIC, SUPER):
-        raise ValueError(f"unknown mode {mode}")
-    return mode
 
 
 def _accum(acc, key, c):
@@ -180,31 +160,31 @@ def _expand(pres, legs, coeff):
     return out
 
 
-def unit(pres, arity, mode=BOSONIC) -> TensorElement:
-    return _tensor(pres, arity, {((),) * arity: ONE}, _checked_mode(mode))
+def unit(pres, arity) -> TensorElement:
+    return _tensor(pres, arity, {((),) * arity: ONE})
 
 
-def zero(pres, arity, mode=BOSONIC) -> TensorElement:
-    return _tensor(pres, arity, {}, _checked_mode(mode))
+def zero(pres, arity) -> TensorElement:
+    return _tensor(pres, arity, {})
 
 
-def outer(a: Element, b: Element, mode=BOSONIC) -> TensorElement:
+def outer(a: Element, b: Element) -> TensorElement:
     """a (x) b of two Elements over one presentation."""
     a._check(b)
     return _tensor(a.pres, 2, {(u, v): cu * cv for u, cu in a.terms.items()
-                               for v, cv in b.terms.items()}, _checked_mode(mode))
+                               for v, cv in b.terms.items()})
 
 
 def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
     s._check(t)
-    pres, k, mode = s.pres, s.arity, s.mode
+    pres, k, graded = s.pres, s.arity, s.pres.graded
     acc: dict[tuple, Scalar] = {}
     deg = pres.degree
     for u, cu in s.terms.items():
-        udeg = [deg(w) for w in u]
+        udeg = [deg(w) for w in u] if graded else None
         for v, cv in t.terms.items():
             c = cu * cv
-            if mode == SUPER:
+            if graded:
                 sgn = 0
                 for i in range(k):
                     if deg(v[i]):
@@ -214,17 +194,17 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
             legs = tuple(u[i] + v[i] for i in range(k))
             for key, cc in _expand(pres, legs, c):
                 _accum(acc, key, cc)
-    return _tensor(pres, k, acc, mode)
+    return _tensor(pres, k, acc)
 
 
-def embed_leg(e, positions, arity, mode=BOSONIC) -> TensorElement:
+def embed_leg(e, positions, arity) -> TensorElement:
     """Place an Element or TensorElement at the given legs, identity elsewhere.
 
     Positions are 1-based and strictly increasing, matching the R12/R13/R23
     leg notation.
     """
     if isinstance(e, Element):
-        e = _tensor(e.pres, 1, {(w,): c for w, c in e.terms.items()}, mode)
+        e = _tensor(e.pres, 1, {(w,): c for w, c in e.terms.items()})
     positions = list(positions)
     if (len(positions) != e.arity or any(p < 1 or p > arity for p in positions)
             or sorted(set(positions)) != positions):
@@ -235,7 +215,7 @@ def embed_leg(e, positions, arity, mode=BOSONIC) -> TensorElement:
         for p, w in zip(positions, legs):
             new[p - 1] = w
         _accum(acc, tuple(new), c)
-    return _tensor(e.pres, arity, acc, _checked_mode(mode))
+    return _tensor(e.pres, arity, acc)
 
 
 def apply_to_leg(t: TensorElement, leg: int, fn, out_arity_delta: int) -> TensorElement:
@@ -244,7 +224,7 @@ def apply_to_leg(t: TensorElement, leg: int, fn, out_arity_delta: int) -> Tensor
     fn must be linear on words; its output arity is 1 + out_arity_delta.
     Used for (Delta (x) id) style maps; splicing in place needs no sign.
     """
-    pres, mode = t.pres, t.mode
+    pres = t.pres
     new_arity = t.arity + out_arity_delta
     acc: dict[tuple, Scalar] = {}
     for legs, c in t.terms.items():
@@ -252,4 +232,4 @@ def apply_to_leg(t: TensorElement, leg: int, fn, out_arity_delta: int) -> Tensor
         for slegs, sc in sub.terms.items():
             key = legs[:leg] + slegs + legs[leg + 1 :]
             _accum(acc, key, c * sc)
-    return _tensor(pres, new_arity, acc, mode)
+    return _tensor(pres, new_arity, acc)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import partial
 
-from .gtensor import BOSONIC, SUPER, TensorElement, apply_to_leg, embed_leg, outer, unit, zero
+from .gtensor import TensorElement, apply_to_leg, embed_leg, outer, unit, zero
 from .ncalg import (Element, GeneratorSymbol, Presentation, linear, multiplicative,
                     overlap_check, rule_residuals)
 from .report import CheckReport
@@ -49,14 +49,13 @@ class HopfData:
     """Generator-level Hopf structure on a Presentation.
 
     delta maps generator names to arity-2 TensorElements, counit to Scalars,
-    antipode (optional) to Elements.  mode selects whether the tensor square
-    multiplies with Koszul signs.
+    antipode (optional) to Elements.  The structure is super exactly when
+    pres.graded: then the tensor square multiplies with Koszul signs and the
+    antipode of a word carries the sign of reversing its odd letters.
     """
 
-    def __init__(self, pres: Presentation, delta, counit, antipode=None,
-                 mode=BOSONIC, g=None, name=""):
+    def __init__(self, pres: Presentation, delta, counit, antipode=None, g=None, name=""):
         self.pres = pres
-        self.mode = mode
         self.g = g
         self.name = name or pres.name
         self.delta = dict(delta)
@@ -73,10 +72,10 @@ class HopfData:
             raise KeyError(f"group-like {g} is not a generator")
 
     def __repr__(self):
-        return f"HopfData({self.name}, mode={self.mode})"
+        return f"HopfData({self.name}, graded={self.pres.graded})"
 
 
-def grouplike_data(pres, names, mode=BOSONIC):
+def grouplike_data(pres, names):
     """Delta/counit/antipode entries for generators that are group-like.
 
     Covers a name and its inverse partner in one call; the antipode of a
@@ -86,7 +85,7 @@ def grouplike_data(pres, names, mode=BOSONIC):
     for n in names:
         gsym = pres.by_name[n]
         x = pres.gen(n)
-        delta[n] = outer(x, x, mode)
+        delta[n] = outer(x, x)
         eps[n] = ONE
         inv = gsym.inverse
         if inv is None:
@@ -98,7 +97,7 @@ def grouplike_data(pres, names, mode=BOSONIC):
 # -- multiplicative / antimultiplicative extension -------------------------
 
 def _delta_map(h: HopfData):
-    return multiplicative(h.delta, unit(h.pres, 2, h.mode))
+    return multiplicative(h.delta, unit(h.pres, 2))
 
 
 def _eps_map(h: HopfData):
@@ -112,7 +111,7 @@ def _terms(e: Element, h: HopfData) -> dict:
 
 
 def coproduct(e: Element, h: HopfData) -> TensorElement:
-    return linear(_delta_map(h), _terms(e, h), zero(h.pres, 2, h.mode))
+    return linear(_delta_map(h), _terms(e, h), zero(h.pres, 2))
 
 
 def counit(e: Element, h: HopfData) -> Scalar:
@@ -125,7 +124,7 @@ def _s_word(h: HopfData, word) -> Element:
     out = h.pres.one()
     for x in word:
         out = h.antipode_map[x] * out
-    if h.mode == SUPER:
+    if h.pres.graded:
         degs = [h.pres.by_name[x].degree for x in word]
         sgn = sum(degs[i] * degs[j] for i in range(len(degs)) for j in range(i + 1, len(degs)))
         if sgn % 2:
@@ -155,19 +154,20 @@ def check_hopf_axioms(h: HopfData) -> CheckReport:
     antipode laws on generators.
 
     Complete, without sampling.  Once Delta, eps and S respect every rule,
-    they are well defined.  In super mode Delta(x) and S(x) have degree |x|
-    and eps(x) = 0 for odd x, so both sides of coassociativity and of each
-    counit law are algebra maps: agreeing on generators, they agree
-    everywhere.  As S is antimultiplicative, the elements satisfying each
-    antipode law form a subalgebra (Majid, Foundations of Quantum Group
-    Theory, 1995, section 1).
+    they are well defined.  Over a graded presentation the parity checks
+    make Delta(x) and S(x) of degree |x| and eps(x) = 0 for odd x, so (as
+    over an ungraded one) both sides of coassociativity and of each counit
+    law are algebra maps: agreeing on generators, they agree everywhere.
+    As S is antimultiplicative, the elements satisfying each antipode law
+    form a subalgebra (Majid, Foundations of Quantum Group Theory, 1995,
+    section 1).
     """
     rep = CheckReport(f"hopf-axioms:{h.name}")
     pres = h.pres
     delta, s1 = _delta_map(h), partial(_s1, h)
 
     # structure maps must descend through every rewrite rule
-    maps = [("delta-rule", delta, zero(pres, 2, h.mode)), ("eps-rule", _eps_map(h), ZERO)]
+    maps = [("delta-rule", delta, zero(pres, 2)), ("eps-rule", _eps_map(h), ZERO)]
     if h.antipode_map is not None:
         maps.append(("antipode-rule", partial(_s_word, h), pres.zero()))
     for tag, f, z in maps:
@@ -178,7 +178,7 @@ def check_hopf_axioms(h: HopfData) -> CheckReport:
         x, w = gsym.name, (gsym.name,)
         e = pres.gen(x)
         d = coproduct(e, h)
-        if h.mode == SUPER:
+        if pres.graded:
             rep.record(all((pres.degree(w1) + pres.degree(w2)) % 2 == gsym.degree
                            for w1, w2 in d.terms), ("delta-parity", w))
             rep.record(not (gsym.degree and h.counit_map[x]), ("eps-parity", w))
@@ -195,14 +195,14 @@ def check_hopf_axioms(h: HopfData) -> CheckReport:
 
     if h.g is not None:
         gels = pres.gen(h.g)
-        rep.record(coproduct(gels, h) == outer(gels, gels, h.mode), ("grouplike-delta", h.g))
+        rep.record(coproduct(gels, h) == outer(gels, gels), ("grouplike-delta", h.g))
         rep.record(counit(gels, h) == ONE, ("grouplike-eps", h.g))
         rep.record(gels * gels == pres.one(), ("involutive", h.g))
     return rep
 
 
 def _s1(h, word):
-    return embed_leg(_s_word(h, word), (1,), 1, h.mode)
+    return embed_leg(_s_word(h, word), (1,), 1)
 
 
 # -- superization ----------------------------------------------------------
@@ -232,8 +232,8 @@ def superize(h: HopfData) -> HopfData:
     """
     if h.g is None:
         raise ValueError("superize needs a distinguished group-like g")
-    if h.mode != BOSONIC:
-        raise ValueError("superize starts from a bosonic HopfData")
+    if h.pres.graded:
+        raise ValueError("superize starts from a HopfData over an ungraded presentation")
     degs = g_degrees(h.pres, h.g)
     try:
         spres = h.pres.derive(gens=[replace(x, degree=degs[x.name]) for x in h.pres.gens],
@@ -249,13 +249,13 @@ def superize(h: HopfData) -> HopfData:
             if spres.degree(w2) % 2:
                 w1 = w1 + (g,)  # g^-1 = g
             terms[(w1, w2)] = terms.get((w1, w2), ZERO) + c
-        delta[x] = TensorElement(spres, 2, terms, SUPER)
+        delta[x] = TensorElement(spres, 2, terms)
         eps[x] = h.counit_map[x]
         if spo is not None:
             sx = h.antipode_map[x]
             pre = spres.word(g) if degs[x] % 2 else spres.one()
             spo[x] = pre * Element(spres, sx.terms)
-    return HopfData(spres, delta, eps, spo, mode=SUPER, g=g, name=h.name + "/super")
+    return HopfData(spres, delta, eps, spo, g=g, name=h.name + "/super")
 
 
 # -- Z2-extension ----------------------------------------------------------
@@ -287,17 +287,16 @@ def z2_extend(h: HopfData, parity: dict, gname: str = "g") -> HopfData:
 
     delta, eps, spo = {}, {}, {} if h.antipode_map is not None else None
     for x in pres.by_name:
-        delta[x] = TensorElement(out, 2, h.delta[x].terms, h.mode)
+        delta[x] = TensorElement(out, 2, h.delta[x].terms)
         eps[x] = h.counit_map[x]
         if spo is not None:
             spo[x] = Element(out, h.antipode_map[x].terms)
-    dg, eg, sg = grouplike_data(out, [gname], h.mode)
+    dg, eg, sg = grouplike_data(out, [gname])
     delta.update(dg)
     eps.update(eg)
     if spo is not None:
         spo.update(sg)
-    return HopfData(out, delta, eps, spo, mode=h.mode, g=gname,
-                    name=h.name + f"x{gname}")
+    return HopfData(out, delta, eps, spo, g=gname, name=h.name + f"x{gname}")
 
 
 # -- isomorphism checking --------------------------------------------------
@@ -339,8 +338,8 @@ def theta_iso_check(aR: HopfData, aRbar: HopfData, theta: dict, theta_inv: dict)
 def _push_tensor(t: TensorElement, f, target_h: HopfData) -> TensorElement:
     """(f (x) f)(t) for a word map f into the algebra of target_h."""
     def legs_map(legs):
-        return outer(f(legs[0]), f(legs[1]), target_h.mode)
-    return linear(legs_map, t.terms, zero(target_h.pres, 2, target_h.mode))
+        return outer(f(legs[0]), f(legs[1]))
+    return linear(legs_map, t.terms, zero(target_h.pres, 2))
 
 
 # -- centrality ------------------------------------------------------------
@@ -385,9 +384,9 @@ def try_invert_tensor(t: TensorElement, bound: int = 8) -> TensorElement:
     if uw is None:
         raise NotInvertible("no invertible tensor monomial term")
     c = t.terms[uw]
-    v0 = TensorElement(pres, t.arity, {tuple(_inverse_word(pres, w) for w in uw): ONE / c}, t.mode)
-    return _series_inverse(t, v0, TensorElement(pres, t.arity, {uw: c}, t.mode),
-                           unit(pres, t.arity, t.mode), bound)
+    v0 = TensorElement(pres, t.arity, {tuple(_inverse_word(pres, w) for w in uw): ONE / c})
+    return _series_inverse(t, v0, TensorElement(pres, t.arity, {uw: c}),
+                           unit(pres, t.arity), bound)
 
 
 def _invertible(pres, word) -> bool:

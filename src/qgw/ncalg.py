@@ -40,7 +40,9 @@ that cap.
 Presentation.derive builds a presentation from another: it renames or
 regrades the generators, adds generators and rules, and carries each rule's
 unoriented flag and the step cap.  tensor(p1, p2, name) is the graded tensor
-product, with the Koszul sign in its cross rules.
+product, with the Koszul sign in its cross rules.  Presentation.graded, fixed
+at construction, says whether some generator is odd: tensors and Hopf data
+over the presentation are super exactly then.
 
 A map given on generators extends to words by multiplicative(images, one)
 and to combinations by linear(word_map, terms, zero); rule_residuals(pres,
@@ -108,6 +110,7 @@ class Presentation:
         if len(self.index) != len(self.gens):
             raise ValueError("duplicate generator names")
         self.by_name = {g.name: g for g in self.gens}
+        self._graded = any(g.degree % 2 for g in self.gens)
         self.unoriented = frozenset()
         self.rules: dict[tuple, dict[tuple, Scalar]] = {}
         # structural rules first: inverse pairs and nilpotent squares
@@ -136,6 +139,10 @@ class Presentation:
 
     def degree(self, word) -> int:
         return sum(self.by_name[x].degree for x in word) % 2
+
+    @property
+    def graded(self) -> bool:
+        return self._graded
 
     # -- rule management --------------------------------------------------
     def add_rule(self, lhs, rhs, unoriented=False):

@@ -27,7 +27,6 @@ from typing import Callable, NamedTuple
 from . import smat
 from .algebras import uq_hopf, uq_omega_hopf, uqgl11_hopf, uqgl11_omega_hopf, \
     uq_presentation
-from .gtensor import SUPER
 from .hopfcore import antipode, coproduct, counit
 from .ncalg import Element
 from .report import CheckReport
@@ -53,7 +52,6 @@ class _Family(NamedTuple):
     whose product is e1 and e2; pref(h1a, h2a, h1b, h2b) is the prefactor's
     eigenvalue on a tensor of basis vectors with those Cartan weights."""
     hopf: Callable
-    graded: bool
     tail1: tuple
     tail2: tuple
     pref: Callable
@@ -62,19 +60,19 @@ class _Family(NamedTuple):
 # the four families, each prefactor in the Cartan weights of both legs
 FAMILIES = {
     "standard": _Family(
-        uq_hopf, False, (("K2", "Xp"),), (("K2i", "Xm"),),
+        uq_hopf, (("K2", "Xp"),), (("K2i", "Xm"),),
         lambda h1a, h2a, h1b, h2b:
             sign_pow((h2a * h2b) // 4) * qvar() ** ((h1a * h1b - h2a * h2b) // 4)),
     "omega": _Family(
-        uq_omega_hopf, False, (("K2", "Xp"),), (("K2i", "g", "K1i"), ("K2i", "Xm")),
+        uq_omega_hopf, (("K2", "Xp"),), (("K2i", "g", "K1i"), ("K2i", "Xm")),
         lambda h1a, h2a, h1b, h2b:
             sign_pow((h2a * h2b) // 4) * qvar() ** (((h1a - h2a) * (h1b + h2b)) // 4)),
     "super": _Family(
-        uqgl11_hopf, True, (("g", "K2", "Xp"),), (("K2i", "g"), ("Xm", "g")),
+        uqgl11_hopf, (("g", "K2", "Xp"),), (("K2i", "g"), ("Xm", "g")),
         lambda h1a, h2a, h1b, h2b:
             qvar() ** (-((h1a + h2a) * h2b + h2a * (h1b + h2b)) // 4)),
     "super-omega": _Family(
-        uqgl11_omega_hopf, True, (("g", "K2", "Xp"),), (("K2i", "K2i", "K1i"), ("Xm", "g")),
+        uqgl11_omega_hopf, (("g", "K2", "Xp"),), (("K2i", "K2i", "K1i"), ("Xm", "g")),
         lambda h1a, h2a, h1b, h2b: qvar() ** (-(h2a * (h1b + h2b)) // 2)),
 }
 
@@ -244,12 +242,12 @@ def _ev_atom(rep: Rep) -> Rep:
     return rep
 
 
-def _tensor_image(t, evA, evB, h):
-    pres, sup = h.pres, h.mode == SUPER
+def _tensor_image(t, evA, evB):
+    pres = t.pres
     out = smat.zeros(evA.dim * evB.dim)
     for (w1, w2), c in t.terms.items():
         m = smat.kron(evA.evaluate(pres.monomial(w1)), evB.evaluate(pres.monomial(w2)),
-                      pres.degree(w2) if sup else 0, evA.p)
+                      pres.degree(w2), evA.p)
         out = smat.madd(out, smat.smul(c, m))
     return out
 
@@ -257,7 +255,7 @@ def _tensor_image(t, evA, evB, h):
 def _ev_tensor(a, b, h) -> _Ev:
     """The tensor product representation through the coproduct of h."""
     def evaluate(e):
-        return _tensor_image(coproduct(e, h), a, b, h)
+        return _tensor_image(coproduct(e, h), a, b)
     h1 = [x + y for x in a.h1 for y in b.h1]
     h2 = [x + y for x in a.h2 for y in b.h2]
     p = tuple((x + y) % 2 for x in a.p for y in b.p)
@@ -290,7 +288,7 @@ def _r_matrix(evA, evB, which):
 
 def universal_r_eval(lab1, lab2, which="standard") -> RMatrix:
     """The universal R-matrix in a pair of integer-labelled representations."""
-    graded = FAMILIES[which].graded
+    graded = FAMILIES[which].hopf().pres.graded
     r1 = rep_build(lab1, graded=graded)
     r2 = rep_build(lab2, graded=graded)
     m = _r_matrix(_ev_atom(r1), _ev_atom(r2), which)
@@ -304,7 +302,7 @@ def quasitriangularity_check(lab1, lab2, lab3, which="standard") -> CheckReport:
     fam = FAMILIES[which]
     h = fam.hopf()
     pres = h.pres
-    evs = [_ev_atom(rep_build(l, graded=fam.graded)) for l in (lab1, lab2, lab3)]
+    evs = [_ev_atom(rep_build(l, graded=pres.graded)) for l in (lab1, lab2, lab3)]
     ev1, ev2, ev3 = evs
     rep = CheckReport(f"quasitriangular:{which}")
 
@@ -312,8 +310,8 @@ def quasitriangularity_check(lab1, lab2, lab3, which="standard") -> CheckReport:
     t12 = _ev_tensor(ev1, ev2, h)
     for gs in pres.gens:
         d = coproduct(pres.gen(gs.name), h)
-        lhs = smat.mmul(_tensor_image(d.flip(), ev1, ev2, h), r12)
-        rhs = smat.mmul(r12, _tensor_image(d, ev1, ev2, h))
+        lhs = smat.mmul(_tensor_image(d.flip(), ev1, ev2), r12)
+        rhs = smat.mmul(r12, _tensor_image(d, ev1, ev2))
         rep.record(smat.meq(lhs, rhs), ("intertwine", gs.name))
 
     dims = [e.dim for e in evs]
@@ -436,7 +434,7 @@ def tensor_decompose(lab1=None, lab2=None):
     t1, t2 = Rep(out1), Rep(out2)
 
     def big(x):
-        return _tensor_image(coproduct(x, h), r1, r2, h)
+        return _tensor_image(coproduct(x, h), r1, r2)
 
     e11, e22 = _diag(ONE, ZERO), _diag(ZERO, ONE)
 

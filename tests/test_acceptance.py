@@ -172,7 +172,7 @@ def test_accept_8_determinant_suite():
     ok = casimir_central_check(h, D, anticommuting=("Xp", "Xm")).ok
     ok = ok and casimir_central_check(h, D * D).ok
     ok = ok and coproduct(D, h) == TensorElement(
-        pres, 2, {(("K1", "K2"), ("K1", "K2")): ONE}, h.mode)
+        pres, 2, {(("K1", "K2"), ("K1", "K2")): ONE})
     for lab, val in (((1, 0), q * q), ((-1, 0), ONE / (q * q))):
         img = rep_build(lab).evaluate(D * D)
         ok = ok and smat.meq(img, smat.smul(val, smat.eye(2)))

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgw.algebras import fa_presentation, uq_presentation
-from qgw.gtensor import (BOSONIC, SUPER, ArityMismatch, BadPositions,
-                         ModeMismatch, TensorElement, apply_to_leg, embed_leg,
-                         outer, tensor_mul, unit, zero)
+from qgw.gtensor import (ArityMismatch, BadPositions, TensorElement, apply_to_leg,
+                         embed_leg, outer, tensor_mul, unit, zero)
 from qgw.ncalg import Element, GeneratorSymbol, Presentation
 from qgw.scalars import ONE, ZERO, Scalar, qvar
 
@@ -17,8 +16,8 @@ def free_super():
                          GeneratorSymbol("h", degree=1)])
 
 
-def tens(pres, terms, mode=BOSONIC):
-    return TensorElement(pres, 2, terms, mode)
+def tens(pres, terms):
+    return TensorElement(pres, 2, terms)
 
 
 @pytest.mark.parametrize("c", [3, Fraction(1, 2), Scalar(Fraction(-2, 3)), qvar()],
@@ -40,17 +39,19 @@ def test_numbers_are_scalars_on_either_side(kind, c):
 
 
 def test_bosonic_product_is_legwise():
-    p = free_super()
+    """Over a presentation with no odd generator no product has a sign."""
+    p = Presentation([GeneratorSymbol("e"), GeneratorSymbol("f"), GeneratorSymbol("h")])
     a = tens(p, {(("e",), ("f",)): ONE})
-    b = tens(p, {(("e",), ("f",)): ONE})
-    ab = tensor_mul(a, b)
+    ab = tensor_mul(a, a)
     assert ab.terms == {(("e", "e"), ("f", "f")): ONE}
+    assert tensor_mul(tens(p, {((), ("f",)): ONE}), tens(p, {(("h",), ()): ONE})).terms \
+        == {(("h",), ("f",)): ONE}
 
 
 def test_koszul_sign():
     p = free_super()
-    a = tens(p, {((), ("f",)): ONE}, SUPER)   # 1 (x) f
-    b = tens(p, {(("h",), ()): ONE}, SUPER)   # h (x) 1
+    a = tens(p, {((), ("f",)): ONE})   # 1 (x) f
+    b = tens(p, {(("h",), ()): ONE})   # h (x) 1
     ab = tensor_mul(a, b)
     # (1 (x) f)(h (x) 1) = (-1)^{|f||h|} h (x) f
     assert ab.terms == {(("h",), ("f",)): -ONE}
@@ -60,10 +61,21 @@ def test_koszul_sign():
 
 def test_flip_super_sign():
     p = free_super()
-    a = tens(p, {(("f",), ("h",)): ONE}, SUPER)
+    a = tens(p, {(("f",), ("h",)): ONE})
     assert a.flip().terms == {(("h",), ("f",)): -ONE}
-    bos = tens(p, {(("f",), ("h",)): ONE})
-    assert bos.flip().terms == {(("h",), ("f",)): ONE}
+
+
+def test_flip_is_an_involution_on_a_super_square_and_refuses_other_arities():
+    """tau o tau = id with the Koszul sign, also on a square whose terms mix
+    odd and even legs; flip swaps the legs of a square only."""
+    p = free_super()
+    a = tens(p, {(("f",), ("h",)): ONE, (("f",), ("f",)): 2 * ONE, (("e", "f"), ("h", "e")): qvar(),
+                 (("e",), ("f",)): -ONE, ((), ("f", "h")): 3 * ONE})
+    assert a.flip().flip() == a
+    assert a.flip().terms[(("f",), ("f",))] == -2 * ONE
+    assert a.flip().terms[(("f",), ("e",))] == -ONE
+    with pytest.raises(ArityMismatch):
+        TensorElement(p, 3, {(("f",), ("h",), ("e",)): ONE}).flip()
 
 
 def test_unit_and_zero():
@@ -98,16 +110,8 @@ def test_embed_bad_positions():
 def test_arity_mismatch():
     p = free_super()
     a = tens(p, {(("e",), ("f",)): ONE})
-    b = TensorElement(p, 3, {(("e",), ("f",), ()): ONE}, BOSONIC)
+    b = TensorElement(p, 3, {(("e",), ("f",), ()): ONE})
     with pytest.raises(ArityMismatch):
-        tensor_mul(a, b)
-
-
-def test_mode_mismatch():
-    p = free_super()
-    a = tens(p, {(("e",), ("f",)): ONE})
-    b = tens(p, {(("e",), ("f",)): ONE}, SUPER)
-    with pytest.raises(ModeMismatch):
         tensor_mul(a, b)
 
 
@@ -117,20 +121,11 @@ def test_apply_to_leg_coproduct_style():
 
     def grouplike(word):
         # w -> w (x) w, linear on words
-        return TensorElement(p, 2, {(word, word): ONE}, BOSONIC)
+        return TensorElement(p, 2, {(word, word): ONE})
 
     out = apply_to_leg(a, 0, grouplike, 1)
     assert out.arity == 3
     assert out.terms == {(("e",), ("e",), ("f",)): ONE}
-
-
-def test_unknown_mode_is_refused():
-    p = free_super()
-    for make in (lambda: tens(p, {}, "odd"), lambda: unit(p, 2, "odd"),
-                 lambda: zero(p, 2, "odd"), lambda: outer(p.gen("e"), p.gen("f"), "odd"),
-                 lambda: embed_leg(p.gen("e"), (1,), 2, "odd")):
-        with pytest.raises(ValueError):
-            make()
 
 
 def test_constructor_refuses_a_letter_that_is_no_generator():
@@ -138,16 +133,16 @@ def test_constructor_refuses_a_letter_that_is_no_generator():
     for terms in ({(("z",), ("K1",)): 1}, {(("K1",), ("K1", "z")): 1},
                   [((("K1",), "zK"), ONE)]):
         with pytest.raises(ValueError, match="no generator of uq"):
-            TensorElement(p, 2, terms, BOSONIC)
+            TensorElement(p, 2, terms)
     # a zero coefficient does not excuse the letter, as for an Element
     with pytest.raises(ValueError, match="'z'"):
-        TensorElement(p, 2, {(("z",), ()): 0}, BOSONIC)
+        TensorElement(p, 2, {(("z",), ()): 0})
 
 
 def test_number_minus_tensor():
     p = uq_presentation()
-    t = TensorElement(p, 2, {(("K1",), ("K1",)): 2}, BOSONIC)
-    one = unit(p, 2, BOSONIC)
+    t = TensorElement(p, 2, {(("K1",), ("K1",)): 2})
+    one = unit(p, 2)
     assert 3 - t == one * 3 - t == -(t - 3)
     assert Scalar(3) - t == 3 - t and 0 - t == -t
     assert (3 - t).terms == {((), ()): Scalar(3), (("K1",), ("K1",)): Scalar(-2)}
@@ -176,29 +171,28 @@ def assert_trusted(p, t):
         assert type(legs) is tuple and len(legs) == t.arity
         assert all(type(w) is tuple for w in legs)
         assert isinstance(c, Scalar) and c
-    assert TensorElement(p, t.arity, t.terms, t.mode).terms == t.terms
+    assert TensorElement(p, t.arity, t.terms).terms == t.terms
 
 
-@pytest.mark.parametrize("mode", [BOSONIC, SUPER])
 @pytest.mark.parametrize("key", sorted(PRESENTATIONS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_trusted_results_equal_the_constructors(key, mode, data):
+def test_trusted_results_equal_the_constructors(key, data):
     """Every value built through the trusted path, over uq, uq-super and
-    fa-ac-inv in both modes, is in the form TensorElement(...) gives."""
+    fa-ac-inv, is in the form TensorElement(...) gives."""
     p = PRESENTATIONS[key]()
-    a, b = (TensorElement(p, 2, data.draw(raw_terms(p, 2)), mode) for _ in range(2))
+    a, b = (TensorElement(p, 2, data.draw(raw_terms(p, 2))) for _ in range(2))
     x, y = (Element(p, {w: c for (w,), c in data.draw(raw_terms(p, 1)).items()})
             for _ in range(2))
 
     def square(word):
         e = p.monomial(word)
-        return outer(e, e, mode)
+        return outer(e, e)
 
     results = [a + b, a - b, -a, a + 2, a - 3, tensor_mul(a, b), a * b, b * a, a.flip(),
-               outer(x, y, mode), embed_leg(x, (2,), 3, mode), embed_leg(a, (1, 3), 3, mode),
+               outer(x, y), embed_leg(x, (2,), 3), embed_leg(a, (1, 3), 3),
                apply_to_leg(a, 0, square, 1), apply_to_leg(b, 1, square, 1),
-               unit(p, 2, mode), zero(p, 3, mode)]
+               unit(p, 2), zero(p, 3)]
     results += [a * c for c in (0, ZERO, ONE, -2)] + [c * a for c in (0, ONE, 5)]
     for t in results:
         assert_trusted(p, t)

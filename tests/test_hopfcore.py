@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from qgw import algebras, frt
 from qgw.algebras import uq_hopf, uq_presentation, uqgl11_hopf
-from qgw.gtensor import BOSONIC, SUPER, TensorElement
+from qgw.gtensor import TensorElement
 from qgw.hopfcore import (ActionNotCompatible, HopfData, NotInvertible,
                           antipode, check_hopf_axioms, coproduct, counit,
                           g_degrees, grouplike_data, superize,
                           try_invert, try_invert_tensor, z2_extend)
 from qgw.ncalg import GeneratorSymbol, Presentation
+from qgw.rmatlab import catalog
 from qgw.scalars import ONE, ZERO, Scalar, qvar
 
 
@@ -40,13 +42,13 @@ def test_hopf_axioms_uq():
 def _altered(h, name, delta=None, counit=None, antipode=None):
     """h with some generator images replaced."""
     return HopfData(h.pres, {**h.delta, **(delta or {})}, {**h.counit_map, **(counit or {})},
-                    {**h.antipode_map, **(antipode or {})}, mode=h.mode, g=h.g, name=name)
+                    {**h.antipode_map, **(antipode or {})}, g=h.g, name=name)
 
 
 def test_hopf_axioms_reject_a_doubled_coproduct_coefficient():
     h = uq_hopf()
     pres = h.pres
-    bad = TensorElement(pres, 2, {(("Xp",), ("K1",)): 2 * ONE, (("K2i",), ("Xp",)): ONE}, BOSONIC)
+    bad = TensorElement(pres, 2, {(("Xp",), ("K1",)): 2 * ONE, (("K2i",), ("Xp",)): ONE})
     assert not check_hopf_axioms(_altered(h, "bad-delta", delta={"Xp": bad})).ok
 
 
@@ -63,7 +65,7 @@ def test_hopf_axioms_reject_a_wrong_counit():
 
 def test_hopf_axioms_reject_a_coproduct_of_the_wrong_parity():
     h = uqgl11_hopf()
-    bad = h.delta["Xp"] + TensorElement(h.pres, 2, {(("Xp",), ("Xm",)): ONE}, SUPER)
+    bad = h.delta["Xp"] + TensorElement(h.pres, 2, {(("Xp",), ("Xm",)): ONE})
     rep = check_hopf_axioms(_altered(h, "bad-parity", delta={"Xp": bad}))
     assert ("delta-parity", ("Xp",)) in rep.failures
 
@@ -77,9 +79,14 @@ def test_g_degrees():
 def test_superize_needs_g():
     h = uq_hopf()
     bare = HopfData(h.pres, h.delta, h.counit_map, h.antipode_map,
-                    mode=BOSONIC, g=None, name="bare")
+                    g=None, name="bare")
     with pytest.raises(ValueError):
         superize(bare)
+
+
+def test_superize_refuses_a_graded_input():
+    with pytest.raises(ValueError, match="ungraded"):
+        superize(uqgl11_hopf())
 
 
 def test_superize_refuses_an_odd_invertible_generator():
@@ -88,14 +95,14 @@ def test_superize_refuses_an_odd_invertible_generator():
                          GeneratorSymbol("ki", inverse="k")])
     pres.add_rule(("k", "g"), {("g", "k"): -ONE})
     pres.add_rule(("ki", "g"), {("g", "ki"): -ONE})
-    h = HopfData(pres, *grouplike_data(pres, ["g", "k", "ki"]), mode=BOSONIC, g="g")
+    h = HopfData(pres, *grouplike_data(pres, ["g", "k", "ki"]), g="g")
     with pytest.raises(ActionNotCompatible):
         superize(h)
 
 
 def test_superize_coproduct_picks_up_g():
     hs = superize(uq_hopf())
-    assert hs.mode == SUPER
+    assert hs.pres.graded and not uq_hopf().pres.graded
     d = hs.delta["Xp"].terms
     # the term with odd second leg carries an extra g on the first leg
     assert (("K2i", "g"), ("Xp",)) in d
@@ -104,12 +111,12 @@ def test_superize_coproduct_picks_up_g():
     assert rep.ok, rep.failures[:3]
 
 
-def rg_tensor(pres: Presentation, g: str, mode=BOSONIC) -> TensorElement:
+def rg_tensor(pres: Presentation, g: str) -> TensorElement:
     """(1/2)(1 (x) 1 + 1 (x) g + g (x) 1 - g (x) g), its own inverse."""
     half = Scalar(Fraction(1, 2))
     return TensorElement(pres, 2, {
         ((), ()): half, ((), (g,)): half, ((g,), ()): half, ((g,), (g,)): -half,
-    }, mode)
+    })
 
 
 def test_rg_tensor_involutive():
@@ -124,10 +131,9 @@ def test_z2_extend_adds_involution():
     q = qvar()
     pres = Presentation(gens)
     delta = {"x": TensorElement(pres, 2,
-                                {(("x",), ()): ONE, ((), ("x",)): ONE},
-                                BOSONIC)}
+                                {(("x",), ()): ONE, ((), ("x",)): ONE})}
     h = HopfData(pres, delta, {"x": ZERO}, {"x": pres.monomial(("x",), -ONE)},
-                 mode=BOSONIC, name="prim")
+                 name="prim")
     hz = z2_extend(h, {"x": 1})
     assert hz.g == "g"
     assert hz.pres.word("x", "g") == hz.pres.monomial(("g", "x"), -ONE)
@@ -165,7 +171,7 @@ def test_try_invert_rejects_noninvertible():
 def test_try_invert_tensor():
     pres = uq_presentation()
     t = TensorElement(pres, 2, {(("K1",), ("K1",)): ONE,
-                                (("Xp",), ("Xm",)): ONE}, BOSONIC)
+                                (("Xp",), ("Xm",)): ONE})
     ti = try_invert_tensor(t)
     from qgw.gtensor import tensor_mul, unit
     assert tensor_mul(ti, t) == unit(pres, 2)
@@ -173,12 +179,12 @@ def test_try_invert_tensor():
 
 def test_try_invert_tensor_rejects_noninvertible():
     pres = uq_presentation()
-    t = TensorElement(pres, 2, {(("Xp",), ("K1",)): ONE, (("K1",), ("Xm",)): ONE}, BOSONIC)
+    t = TensorElement(pres, 2, {(("Xp",), ("K1",)): ONE, (("K1",), ("Xm",)): ONE})
     with pytest.raises(NotInvertible, match="no invertible"):
         try_invert_tensor(t)
     # the unit part K1 (x) K1 is invertible, but with no correction term
     # the series misses (Xp (x) Xm)
-    t = TensorElement(pres, 2, {(("K1",), ("K1",)): ONE, (("Xp",), ("Xm",)): ONE}, BOSONIC)
+    t = TensorElement(pres, 2, {(("K1",), ("K1",)): ONE, (("Xp",), ("Xm",)): ONE})
     with pytest.raises(NotInvertible, match="within 0 terms"):
         try_invert_tensor(t, bound=0)
     assert try_invert_tensor(t, bound=1) == try_invert_tensor(t)
@@ -186,7 +192,35 @@ def test_try_invert_tensor_rejects_noninvertible():
 
 def test_grouplike_data_helper():
     pres = uq_presentation()
-    d, e, s = grouplike_data(pres, ["K1"], BOSONIC)
+    d, e, s = grouplike_data(pres, ["K1"])
     assert d["K1"].terms == {(("K1",), ("K1",)): ONE}
     assert e["K1"] == ONE
     assert s["K1"] == pres.gen("K1i")
+
+
+# every Hopf structure the suite checks, with the number of sub-checks of
+# check_hopf_axioms: a structure over a graded presentation adds the
+# delta-, eps- and antipode-parity checks of each generator
+HOPF_STRUCTURES = {
+    "uq": (algebras.uq_hopf, 116),
+    "uq-omega": (algebras.uq_omega_hopf, 116),
+    "uqgl11": (algebras.uqgl11_hopf, 137),
+    "uqgl11-omega": (algebras.uqgl11_omega_hopf, 137),
+    **{f"fa-{key}": (lambda key=key: algebras.fa_hopf(key), checked)
+       for key, checked in (("ac", 87), ("omega", 87), ("gl11", 105), ("gl11omega", 105))},
+    **{f"fa-z2-{key}": (lambda key=key: algebras.fa_z2_hopf(key), checked)
+       for key, checked in (("ac", 116), ("omega", 116), ("gl11", 137), ("gl11omega", 137))},
+    "uq/super": (lambda: superize(algebras.uq_hopf()), 137),
+    "uq-omega/super": (lambda: superize(algebras.uq_omega_hopf()), 137),
+    "fa-z2-ac/super": (lambda: superize(algebras.fa_z2_hopf("ac")), 137),
+    "ar-glnm(2,1)": (lambda: frt.ar_hopf(catalog("glnm", 2, 1)), 107),
+    "ar-super_glnm(2,1)": (lambda: frt.ar_hopf(catalog("super_glnm", 2, 1)), 125),
+}
+
+
+@pytest.mark.parametrize("key", sorted(HOPF_STRUCTURES))
+def test_parity_checks_run_exactly_on_graded_presentations(key):
+    build, checked = HOPF_STRUCTURES[key]
+    rep = check_hopf_axioms(build())
+    assert rep.ok, rep.failures[:3]
+    assert rep.checked == checked

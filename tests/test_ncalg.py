@@ -52,6 +52,18 @@ def test_grading():
     assert p.degree(("b", "b")) == 0
 
 
+def test_graded_is_derived_from_the_generators():
+    """A presentation is graded exactly when some generator is odd; the flag
+    follows a regrading through derive and cannot be set by hand."""
+    p = Presentation([GeneratorSymbol("a"), GeneratorSymbol("b", degree=1)])
+    assert p.graded and not quantum_plane().graded
+    assert uq_presentation(graded=True).graded and not uq_presentation().graded
+    even = p.derive(gens=[GeneratorSymbol("a"), GeneratorSymbol("b")])
+    assert not even.graded
+    with pytest.raises(AttributeError):
+        even.graded = True
+
+
 def test_nilpotent_square_rule():
     gens = [GeneratorSymbol("x", nilpotent=True)]
     p = Presentation(gens)
