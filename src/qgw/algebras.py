@@ -9,6 +9,8 @@ catalog works with the group-likes K1 = q^(H1/2), K2 = g q^(H2/2) and the
 involution g, in which every structure map of interest is a finite word.
 The function algebras are A(R) of catalog R-matrices, built by
 frt.build_ar, with the inverses ai, di of the diagonal generators adjoined.
+theta_iso_for checks Theorem 4.1 on A(R) and A(superize_r(R, p)), with the
+Z2 grading and the twist t_ij -> t_ij g^(p_j) derived from p alone.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from functools import lru_cache
 
 from .frt import OperatorMatrix, build_ar, matrix_coalgebra_data
 from .gtensor import TensorElement
-from .hopfcore import HopfData, grouplike_data, try_invert, try_invert_tensor, z2_extend
+from .hopfcore import (HopfData, grouplike_data, superize, theta_iso_check, try_invert,
+                       try_invert_tensor, z2_extend)
 from .ncalg import GeneratorSymbol, Presentation, compile_relations
+from .report import CheckReport
 from .rmatlab import catalog
 from .scalars import ONE, Scalar, qvar
 
@@ -182,7 +186,7 @@ def ansatz(which: str):
 
 # the catalog R-matrix of each function algebra
 _FA_R = {"ac": "ac", "gl11": "super_ac", "omega": "omega", "gl11omega": "super_omega"}
-_FA_GRID = (("a", "b"), ("c", "d"))
+FA_GRID = (("a", "b"), ("c", "d"))
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +200,7 @@ def fa_presentation(key: str, inverses: bool = True) -> Presentation:
         return adjoin_inverses(fa_presentation(key, inverses=False))
     if key not in _FA_R:
         raise KeyError(f"unknown function algebra {key!r}")
-    return build_ar(catalog(_FA_R[key]), names=_FA_GRID, name=f"fa-{key}")
+    return build_ar(catalog(_FA_R[key]), names=FA_GRID, name=f"fa-{key}")
 
 
 def adjoin_inverses(pres: Presentation) -> Presentation:
@@ -240,7 +244,7 @@ def adjoin_inverses(pres: Presentation) -> Presentation:
 def fa_hopf(key: str) -> HopfData:
     """Matrix coproduct Hopf data on fa_presentation(key, inverses=True)."""
     pres = fa_presentation(key)
-    delta, eps = matrix_coalgebra_data(pres, _FA_GRID)
+    delta, eps = matrix_coalgebra_data(pres, FA_GRID)
     delta["ai"] = try_invert_tensor(delta["a"])
     delta["di"] = try_invert_tensor(delta["d"])
     eps["ai"] = eps["di"] = ONE
@@ -255,33 +259,30 @@ def fa_hopf(key: str) -> HopfData:
     return HopfData(pres, delta, eps, spo, name=f"fa-{key}")
 
 
-@lru_cache(maxsize=None)
-def fa_z2_hopf(key: str) -> HopfData:
-    """Z2-extension of fa_hopf(key) with the column-grading sign action."""
-    h = fa_hopf(key)
-    parity = {"a": 0, "ai": 0, "b": 1, "c": 1, "d": 0, "di": 0}
-    return z2_extend(h, parity)
-
-
 def theta_map(src_pres: Presentation, tgt: HopfData, col_parity: dict) -> dict:
     """Generator images x -> x g^(column parity) for the twist isomorphism.
 
     src_pres and the target presentation must share generator names; the
-    distinguished g of the target maps to itself and inverse generators to
-    the inverses of their partners' images.
+    distinguished g of the target maps to itself, and every other generator
+    needs a column parity (KeyError otherwise).
     """
-    images = {}
-    gname = tgt.g
-    for gs in src_pres.gens:
-        n = gs.name
-        if n == gname:
-            images[n] = tgt.pres.gen(gname)
-        elif n in col_parity:
-            e = tgt.pres.gen(n)
-            if col_parity[n] % 2:
-                e = e * tgt.pres.gen(gname)
-            images[n] = e
-    for gs in src_pres.gens:
-        if gs.name not in images and gs.inverse in images:
-            images[gs.name] = try_invert(images[gs.inverse])
-    return images
+    g = tgt.pres.gen(tgt.g)
+    return {x: tgt.pres.gen(x) * g if x != tgt.g and col_parity[x] % 2 else tgt.pres.gen(x)
+            for x in src_pres.by_name}
+
+
+def theta_iso_for(h: HopfData, hbar: HopfData, names, p) -> CheckReport:
+    """Theorem 4.1 for h = A(R), hbar = A(Rbar), Rbar = superize_r(R, p): superize(A(R)
+    x| Z2) = A(Rbar) x| Z2 via t_ij -> t_ij g^(p_j), by theta_iso_check.  names[i][j]
+    is t_ij in both; t_ij has parity p_i + p_j, and an adjoined inverse takes its
+    partner's parity and column."""
+    parity, col = {}, {}
+    for i, row in enumerate(names):
+        for j, x in enumerate(row):
+            parity[x], col[x] = (p[i] + p[j]) % 2, p[j]
+    for gs in h.pres.gens:
+        if gs.name not in parity and gs.inverse in parity:
+            parity[gs.name], col[gs.name] = parity[gs.inverse], col[gs.inverse]
+    aR, aRbar = superize(z2_extend(h, parity)), z2_extend(hbar, parity)
+    return theta_iso_check(aR, aRbar, theta_map(aR.pres, aRbar, col),
+                           theta_map(aRbar.pres, aR, col))

@@ -21,8 +21,7 @@ import time
 from dataclasses import dataclass
 
 from . import algebras, exterior, frt, reps, rmatlab, smat
-from .hopfcore import (casimir_central_check, check_hopf_axioms, coproduct,
-                       superize, theta_iso_check, z2_extend)
+from .hopfcore import casimir_central_check, check_hopf_axioms, coproduct, superize
 from .gtensor import TensorElement
 from .ncalg import STATS, overlap_check
 from .report import CheckReport
@@ -157,13 +156,16 @@ def _chk_duality(ctx):
 # -- section 3 -------------------------------------------------------------
 
 def _chk_superizable(ctx):
+    q = qvar()
     R = catalog("ac")
     gradings = rmatlab.superizable_grading_search(R)
     Rbar = rmatlab.superize_r(R, (0, 1))
+    gl11 = rmatlab.RMatrix(2, [[q, 0, 0, 0], [0, ONE, q - ONE / q, 0],
+                               [0, 0, ONE, 0], [0, 0, 0, ONE / q]], grading=(0, 1))
     return _bool_report("superizable", [
         ((0, 1) in gradings, "grading"),
         (sybe_check(Rbar), "sybe"),
-        (Rbar == catalog("super_ac"), "entries"),
+        (Rbar == gl11, "entries"),
     ])
 
 
@@ -206,32 +208,21 @@ def _chk_super_duality(ctx):
 def _chk_glnm_ybe(ctx):
     rep = CheckReport("glnm-ybe")
     for n, m in ((1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3)):
-        rep.record(qybe_check(catalog("glnm", n, m)), ("qybe", n, m))
-        rep.record(sybe_check(catalog("super_glnm", n, m)), ("sybe", n, m))
+        R = catalog("glnm", n, m)
+        rep.record(qybe_check(R), ("qybe", n, m))
+        rep.record(sybe_check(rmatlab.superize_r(R, (0,) * n + (1,) * m)), ("sybe", n, m))
     return rep
 
 
-def _theta_iso(aR, aRbar, col):
-    return theta_iso_check(aR, aRbar, algebras.theta_map(aR.pres, aRbar, col),
-                           algebras.theta_map(aRbar.pres, aR, col))
-
-
-def _theta_2x2(src_key, tgt_key):
-    col = {"a": 0, "b": 1, "c": 0, "d": 1, "ai": 0, "di": 1, "g": 0}
-    return _theta_iso(superize(algebras.fa_z2_hopf(src_key)), algebras.fa_z2_hopf(tgt_key), col)
-
-
 def _chk_theta(ctx):
-    rep = _theta_2x2("ac", "gl11")
-    rep.merge(_theta_2x2("omega", "gl11omega"))
-    p = (0, 0, 1)
-    parity = {f"t{i}{j}": (p[i - 1] + p[j - 1]) % 2
-              for i in range(1, 4) for j in range(1, 4)}
-    col = {f"t{i}{j}": p[j - 1] for i in range(1, 4) for j in range(1, 4)}
-    col["g"] = 0
-    aR = superize(z2_extend(frt.ar_hopf(catalog("glnm", 2, 1)), parity))
-    aRbar = z2_extend(frt.ar_hopf(catalog("super_glnm", 2, 1)), parity)
-    rep.merge(_theta_iso(aR, aRbar, col))
+    rep = CheckReport("theta")
+    for src, tgt in (("ac", "gl11"), ("omega", "gl11omega")):
+        rep.merge(algebras.theta_iso_for(algebras.fa_hopf(src), algebras.fa_hopf(tgt),
+                                         algebras.FA_GRID, (0, 1)))
+    R, p = catalog("glnm", 2, 1), (0, 0, 1)
+    h = frt.ar_hopf(R)
+    rep.merge(algebras.theta_iso_for(h, frt.ar_hopf(rmatlab.superize_r(R, p)),
+                                     frt.generator_grid(h.pres, R.n), p))
     return rep
 
 

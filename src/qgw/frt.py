@@ -171,13 +171,16 @@ def matrix_coalgebra_data(pres, names):
     return delta, eps
 
 
+def generator_grid(pres, n):
+    """The n x n grid t_ij of build_ar's generators, read row-major."""
+    return [[g.name for g in pres.gens[i * n:(i + 1) * n]] for i in range(n)]
+
+
 def ar_hopf(R: RMatrix) -> HopfData:
-    """A(R) with the matrix coproduct t -> t (x) t (bialgebra, no antipode);
-    the generator grid is read row-major from build_ar's generators."""
+    """A(R) with the matrix coproduct t -> t (x) t (bialgebra, no antipode)
+    on the generator_grid of build_ar's generators."""
     pres = build_ar(R)
-    n = R.n
-    names = [[g.name for g in pres.gens[i * n:(i + 1) * n]] for i in range(n)]
-    return HopfData(pres, *matrix_coalgebra_data(pres, names), None)
+    return HopfData(pres, *matrix_coalgebra_data(pres, generator_grid(pres, R.n)), None)
 
 
 # -- determinant -----------------------------------------------------------

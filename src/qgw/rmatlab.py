@@ -254,6 +254,8 @@ def rmatrix_from_json(text: str) -> RMatrix:
     n, grading, entries = data.get("n"), data.get("grading"), data.get("entries")
     if type(n) is not int or not 1 <= n <= MAX_JSON_N:
         raise ValueError(f"n must be an integer from 1 to {MAX_JSON_N}, got {n!r}")
+    if not isinstance(name := data.get("name", ""), str):
+        raise ValueError(f"name must be a string, got {name!r}")
     if grading is not None and not (isinstance(grading, list) and len(grading) == n
                                     and all(_is_index(g, 2) for g in grading)):
         raise ValueError(f"grading must be a list of {n} values in {{0, 1}}, got {grading!r}")
@@ -267,6 +269,6 @@ def rmatrix_from_json(text: str) -> RMatrix:
                              f"with 0 <= row, column < {n * n}")
         ent[e[0]][e[1]] = parse(e[2])
     try:
-        return RMatrix(n, ent, grading=grading, name=data.get("name", ""))
+        return RMatrix(n, ent, grading=grading, name=name)
     except smat.Singular:
         raise ValueError("the R-matrix is not invertible") from None

@@ -8,22 +8,22 @@ the build layers; everything is exact arithmetic unless stated.
 import random
 import time
 
-from test_algebras import FA_RELATIONS, paper_rules
+from test_algebras import FA_RELATIONS, fa_z2_hopf, paper_rules
 
 from qgw import smat
-from qgw.algebras import (ansatz, fa_presentation, fa_z2_hopf, theta_map, uq_hopf,
-                          uq_omega_hopf, uq_presentation, uqgl11_hopf,
-                          uqgl11_omega_hopf)
+from qgw.algebras import (FA_GRID, ansatz, fa_hopf, fa_presentation, theta_iso_for,
+                          theta_map, uq_hopf, uq_omega_hopf, uq_presentation,
+                          uqgl11_hopf, uqgl11_omega_hopf)
 from qgw.exterior import (bosonic_action, covariance_check, gl_coaction_check,
                           omega_build, super_action)
-from qgw.frt import ar_hopf, build_ar, frt_relation_check, qdet_check
+from qgw.frt import ar_hopf, build_ar, frt_relation_check, generator_grid, qdet_check
 from qgw.hopfcore import (casimir_central_check, check_hopf_axioms, coproduct,
                           superize, theta_iso_check, z2_extend)
 from qgw.gtensor import TensorElement
 from qgw.ncalg import overlap_check
 from qgw.reps import (quasitriangularity_check, rep_build, ribbon_check,
                       twist_check, universal_r_eval)
-from qgw.rmatlab import catalog, hecke_check, qybe_check, sybe_check
+from qgw.rmatlab import catalog, hecke_check, qybe_check, superize_r, sybe_check
 from qgw.scalars import ONE, Scalar, qvar, scalar_eval, sign_pow
 
 
@@ -142,12 +142,15 @@ def test_accept_6_superization_equivalence():
 def test_accept_7_matrix_superization_iso():
     ok = True
     detail = ""
+    checked = []
     col2 = {"a": 0, "b": 1, "c": 0, "d": 1, "ai": 0, "di": 1, "g": 0}
-    for src, tgt in (("ac", "gl11"), ("omega", "gl11omega")):
+    pairs = (("ac", "gl11"), ("omega", "gl11omega"))
+    for src, tgt in pairs:
         aR = superize(fa_z2_hopf(src))
         aRbar = fa_z2_hopf(tgt)
         rep = theta_iso_check(aR, aRbar, theta_map(aR.pres, aRbar, col2),
                               theta_map(aRbar.pres, aR, col2))
+        checked.append(rep.checked)
         if not rep.ok:
             ok, detail = False, f"{src}: {rep.failures[0]}"
     p = (0, 0, 1)
@@ -159,8 +162,18 @@ def test_accept_7_matrix_superization_iso():
     aRbar = z2_extend(ar_hopf(catalog("super_glnm", 2, 1)), parity)
     rep = theta_iso_check(aR, aRbar, theta_map(aR.pres, aRbar, col3),
                           theta_map(aRbar.pres, aR, col3))
+    checked.append(rep.checked)
     if not rep.ok:
         ok, detail = False, f"gl(2|1): {rep.failures[0]}"
+    # the same cases with the grading and the twist derived from p
+    R = catalog("glnm", 2, 1)
+    h = ar_hopf(R)
+    derived = [theta_iso_for(fa_hopf(src), fa_hopf(tgt), FA_GRID, (0, 1)) for src, tgt in pairs]
+    derived.append(theta_iso_for(h, ar_hopf(superize_r(R, p)), generator_grid(h.pres, R.n), p))
+    if not all(r.ok for r in derived):
+        ok, detail = False, f"theta_iso_for: {[r.failures[:1] for r in derived]}"
+    if checked != [r.checked for r in derived] or checked != [80, 80, 140]:
+        ok, detail = False, f"sub-checks {checked}, derived {[r.checked for r in derived]}"
     _verdict("matrix-superization-iso", ok, detail)
 
 

@@ -1,12 +1,16 @@
+from functools import lru_cache
+
 import pytest
 
 from qgw.algebras import (adjoin_inverses, fa_hopf, fa_presentation,
-                          fa_z2_hopf, theta_map, uq_casimirs, uq_hopf,
+                          theta_iso_for, theta_map, uq_casimirs, uq_hopf,
                           uq_omega_hopf, uq_presentation, uqgl11_hopf,
                           uqgl11_omega_hopf)
+from qgw.frt import ar_hopf, generator_grid
 from qgw.hopfcore import (casimir_central_check, check_hopf_axioms, coproduct,
-                          counit, superize, theta_iso_check)
+                          counit, superize, theta_iso_check, z2_extend)
 from qgw.ncalg import overlap_check
+from qgw.rmatlab import catalog, superizable_grading_search, superize_r
 from qgw.scalars import ONE, ZERO, qvar
 
 _q = qvar()
@@ -153,6 +157,14 @@ def test_fa_matrix_coproduct():
 COL = {"a": 0, "b": 1, "c": 0, "d": 1, "ai": 0, "di": 1, "g": 0}
 
 
+@lru_cache(maxsize=None)
+def fa_z2_hopf(key):
+    """Z2-extension of fa_hopf(key) with the column-grading sign action, from
+    a hand-written parity table: the reference for the one theta_iso_for
+    derives from the grading (0, 1)."""
+    return z2_extend(fa_hopf(key), {"a": 0, "ai": 0, "b": 1, "c": 1, "d": 0, "di": 0})
+
+
 def _theta_pair(src, tgt):
     """superize(fa_z2_hopf(src)), fa_z2_hopf(tgt), and the twist x -> x g^COL(x)
     in both directions."""
@@ -204,3 +216,59 @@ def test_theta_rejects_a_twist_that_is_not_an_algebra_map():
         rep = theta_iso_check(*_theta_pair(src, tgt))
         bad = {f[1] for f in rep.failures if f[0] == "relation"}
         assert {("d", "a"), ("d", "b"), ("d", "c")} <= bad, (src, tgt, rep.failures)
+
+
+# the sub-checks of theta_iso_check for each R: one per rule of A(R) and of
+# A(Rbar) and four per generator; for these R every grading is superizable
+THETA_CHECKS = {("ac",): 46, ("omega",): 46, ("std_gl", 2): 42, ("std_gl", 3): 132,
+                ("glnm", 2, 1): 140, ("identity", 2): 42}
+THETA_CASES = [(spec, p) for spec in THETA_CHECKS
+               for p in superizable_grading_search(catalog(*spec)) if any(p)]
+
+
+@pytest.mark.parametrize("spec,p", THETA_CASES, ids=str)
+def test_theta_iso_for_every_superizable_grading(spec, p):
+    R = catalog(*spec)
+    h = ar_hopf(R)
+    rep = theta_iso_for(h, ar_hopf(superize_r(R, p)), generator_grid(h.pres, R.n), p)
+    assert rep.ok, rep.failures[:3]
+    assert rep.checked == THETA_CHECKS[spec]
+
+
+def test_theta_cases_cover_every_nonzero_grading():
+    assert len(THETA_CASES) == sum(2 ** catalog(*spec).n - 1 for spec in THETA_CHECKS) == 26
+
+
+def _gl21_pair():
+    """superize(A(gl(2|1)) x| Z2) and A(super gl(2|1)) x| Z2, p = (0, 0, 1),
+    with the parities written out by hand."""
+    p = (0, 0, 1)
+    parity = {f"t{i}{j}": (p[i - 1] + p[j - 1]) % 2 for i in range(1, 4) for j in range(1, 4)}
+    R = catalog("glnm", 2, 1)
+    return superize(z2_extend(ar_hopf(R), parity)), z2_extend(ar_hopf(superize_r(R, p)), parity)
+
+
+@pytest.mark.parametrize("col,failed,tags", [
+    # t_ij -> t_ij g^(p_i), the row parity
+    (lambda pi, pj: pi, 17, {"relation", "inverse-relation", "intertwine"}),
+    # t_ij -> t_ij g^(1 - p_j)
+    (lambda pi, pj: 1 - pj, 48, {"relation", "inverse-relation"}),
+], ids=["row-parity", "flipped-column-parity"])
+def test_theta_rejects_a_twist_not_read_off_the_columns(col, failed, tags):
+    aR, aRbar = _gl21_pair()
+    p = (0, 0, 1)
+    table = {f"t{i + 1}{j + 1}": col(p[i], p[j]) for i in range(3) for j in range(3)}
+    rep = theta_iso_check(aR, aRbar, theta_map(aR.pres, aRbar, table),
+                          theta_map(aRbar.pres, aR, table))
+    assert rep.checked == 140
+    assert len(rep.failures) == failed
+    assert {f[0] for f in rep.failures} == tags
+
+
+def test_theta_map_needs_every_generator_but_g():
+    aR, aRbar = _gl21_pair()
+    table = {f"t{i}{j}": 0 for i in range(1, 4) for j in range(1, 4)}
+    assert theta_map(aR.pres, aRbar, table)["g"] == aRbar.pres.gen("g")
+    del table["t12"]
+    with pytest.raises(KeyError, match="t12"):
+        theta_map(aR.pres, aRbar, table)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from test_algebras import fa_z2_hopf
+
 from qgw import algebras, frt
 from qgw.algebras import uq_hopf, uq_presentation, uqgl11_hopf
 from qgw.gtensor import TensorElement
@@ -208,11 +210,11 @@ HOPF_STRUCTURES = {
     "uqgl11-omega": (algebras.uqgl11_omega_hopf, 137),
     **{f"fa-{key}": (lambda key=key: algebras.fa_hopf(key), checked)
        for key, checked in (("ac", 87), ("omega", 87), ("gl11", 105), ("gl11omega", 105))},
-    **{f"fa-z2-{key}": (lambda key=key: algebras.fa_z2_hopf(key), checked)
+    **{f"fa-z2-{key}": (lambda key=key: fa_z2_hopf(key), checked)
        for key, checked in (("ac", 116), ("omega", 116), ("gl11", 137), ("gl11omega", 137))},
     "uq/super": (lambda: superize(algebras.uq_hopf()), 137),
     "uq-omega/super": (lambda: superize(algebras.uq_omega_hopf()), 137),
-    "fa-z2-ac/super": (lambda: superize(algebras.fa_z2_hopf("ac")), 137),
+    "fa-z2-ac/super": (lambda: superize(fa_z2_hopf("ac")), 137),
     "ar-glnm(2,1)": (lambda: frt.ar_hopf(catalog("glnm", 2, 1)), 107),
     "ar-super_glnm(2,1)": (lambda: frt.ar_hopf(catalog("super_glnm", 2, 1)), 125),
 }

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qgw.algebras import fa_presentation, uq_presentation
 from qgw.ncalg import presentation_from_json, presentation_to_json
-from qgw.rmatlab import catalog, rmatrix_from_json, rmatrix_to_json
+from qgw.rmatlab import catalog, rmatrix_from_json, rmatrix_to_json, superize_r
 
 LOADERS = [presentation_from_json, rmatrix_from_json]
 
@@ -102,3 +102,13 @@ def test_presentation_loader_rejects_a_rule_that_is_not_order_decreasing():
            "rules": [{"lhs": ["x", "y"], "rhs": [{"word": ["y", "y", "x"], "coeff": "1"}]}]}
     with pytest.raises(ValueError, match="not order-decreasing"):
         presentation_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", [5, ["x"], None])
+def test_rmatrix_loader_rejects_a_name_that_is_not_a_string(name):
+    doc = {"n": 1, "entries": [[0, 0, "q"]], "name": name}
+    with pytest.raises(ValueError, match="name must be a string"):
+        rmatrix_from_json(json.dumps(doc))
+    # a string name reaches superize_r's derived name
+    R = rmatrix_from_json(json.dumps({**doc, "name": "x"}))
+    assert superize_r(R, (1,)).name == "x-super"
