@@ -8,8 +8,13 @@ until none is left; Elements store only normal-form words.
 Within one reduce_terms call the normal form nf(w) of each distinct word,
 with coefficient 1, is computed once, bottom-up on an explicit work stack
 (no recursion), and kept in a memo that is dropped when the call returns;
-an input word already in the memo starts no stack.  A Scalar coefficient and
-a tuple word are taken as they are.
+an input word already in the memo starts no stack.  A word's leftmost redex
+is found when the word is made (a child's scan starts at the redex of its
+parent minus one, since the prefix before it is irreducible), through the
+private rule index _follow[x][y], which is the rhs dict of the rule (x, y):
+a reducible word is pushed with its redex and rule, an irreducible one goes
+straight into the memo.  A Scalar coefficient and a tuple word are taken
+as they are.
 
 Element(pres, terms) is the one public constructor: it coerces each
 coefficient to a Scalar and each word to a tuple, refuses a letter that is
@@ -21,18 +26,20 @@ words straight to reduce_terms, and one, zero, gen, and monomial and word on
 a word of fewer than two letters skip rewriting, since every left-hand side
 has two letters (add_rule refuses any other) and so such a word is
 irreducible.
-Nothing is cached on the Presentation, so add_rule needs no invalidation
-and step counts do not depend on what ran before.  STATS["steps"] counts
-the rule applications actually performed: one per distinct reducible word
-in each call.
+The rule index is written with its rule (by the constructor's structural
+rules and add_rule) and no normal form is kept across calls, so step counts
+do not depend on what ran before.  STATS["steps"] counts the rule
+applications actually performed: one per distinct reducible word in each
+call, counted also when the call ends in StepCapExceeded.
 
 The term order is weighted deg-lex (total weight, every weight at least 1,
 then length, then the index tuple), a monomial order: add_rule makes every
 rule decrease in it, so rewriting terminates.  Left-hand sides have two
 letters, so by Bergman's diamond lemma (Adv. Math. 29, 1978) the exhaustive
-3-letter overlap_check is a complete confluence test.  Rules adjoined for
-inverses of non-q-commuting generators (the d/a corrections in the 2x2
-function algebras) may grow the word length and are admitted with
+3-letter overlap_check is a complete confluence test; it finds the overlaps
+x y z of a rule (x, y) through the rules (y, z) in the index.  Rules
+adjoined for inverses of non-q-commuting generators (the d/a corrections in
+the 2x2 function algebras) may grow the word length and are admitted with
 ``unoriented=True``; their termination is not proved but bounded by the
 step cap (StepCapExceeded), so overlap_check proves confluence only up to
 that cap.
@@ -113,6 +120,8 @@ class Presentation:
         self._graded = any(g.degree % 2 for g in self.gens)
         self.unoriented = frozenset()
         self.rules: dict[tuple, dict[tuple, Scalar]] = {}
+        # _follow[x][y] is rules[(x, y)], the same dict: written only with it
+        self._follow: dict[str, dict[str, dict]] = {}
         # structural rules first: inverse pairs and nilpotent squares
         for g in self.gens:
             if g.inverse is not None:
@@ -123,9 +132,9 @@ class Presentation:
                     raise ValueError(f"inverse partners {g.name}/{partner.name} not mutual")
                 if g.degree != 0 or partner.degree != 0:
                     raise ValueError("invertible generators must be even")
-                self.rules[(g.name, partner.name)] = {(): ONE}
+                self._set_rule((g.name, partner.name), {(): ONE})
             if g.nilpotent:
-                self.rules[(g.name, g.name)] = {}
+                self._set_rule((g.name, g.name), {})
         # these may be re-added unchanged, as derive does, but not changed
         self._structural = frozenset(self.rules)
 
@@ -166,7 +175,11 @@ class Presentation:
         for w in rhs:
             if self.degree(w) != d:
                 raise ValueError(f"rule {lhs} -> {w} changes Z2-degree")
+        self._set_rule(lhs, rhs)
+
+    def _set_rule(self, lhs, rhs):
         self.rules[lhs] = rhs
+        self._follow.setdefault(lhs[0], {})[lhs[1]] = rhs
 
     def derive(self, gens=None, rename=None, rules=(), name=None) -> "Presentation":
         """A presentation on ``gens`` (default: these generators and their
@@ -226,46 +239,48 @@ class Presentation:
 
         The normal form nf(w) of each distinct word, with coefficient 1, is
         computed once and kept in a memo local to this call; the result is
-        the sum of c * nf(w) over the input terms.
+        the sum of c * nf(w) over the input terms.  A word's leftmost redex
+        is found when the word is made, so a word on the work stack is
+        rewritten without a second scan, and an irreducible one goes
+        straight into the memo.
         """
-        rules, cap = self.rules, self.step_cap
+        follow, cap = self._follow, self.step_cap
         memo: dict[tuple, dict] = {}
         steps = 0
         out: dict[tuple, Scalar] = {}
-        for word, coeff in reversed(list(terms.items())):
+        for word, coeff in reversed(terms.items()):
             if not isinstance(coeff, Scalar):
                 coeff = Scalar(coeff)
             if not coeff:
                 continue
             if type(word) is not tuple:
                 word = tuple(word)
-            # work stack: (w, scan start, None) asks for nf(w); (w, _, children)
-            # combines the children's normal forms once they are all known
-            todo = [] if word in memo else [(word, 0, None)]
+            # work stack: (w, hit, rhs) rewrites w at its leftmost redex hit by
+            # rhs; (w, None, children) combines the children's normal forms
+            # once they are all known
+            todo = []
+            if word not in memo:
+                _scan(follow, word, 0, todo, memo)
             while todo:
-                w, start, children = todo.pop()
-                if children is not None:
-                    memo[w] = _combine(memo, children)
+                w, hit, rhs = todo.pop()
+                if hit is None:
+                    memo[w] = _combine(memo, rhs)
                     continue
                 if w in memo:
                     continue
-                for hit in range(start, len(w) - 1):
-                    rhs = rules.get(w[hit : hit + 2])
-                    if rhs is not None:
-                        break
-                else:
-                    memo[w] = {w: ONE}
-                    continue
+                if steps >= cap:
+                    STATS["steps"] += steps
+                    raise StepCapExceeded(f"rewriting exceeded {cap} steps in {self.name or 'unnamed'}")
                 steps += 1
-                if steps > cap:
-                    raise StepCapExceeded(f"rewriting exceeded {cap} steps in {self.name}")
                 # the prefix is irreducible: the children's scans start at hit - 1
-                pre, post, start = w[:hit], w[hit + 2 :], max(hit - 1, 0)
-                children = [(pre + w2 + post, c2) for w2, c2 in rhs.items()]
-                todo.append((w, start, children))
-                for u, _ in children:
+                pre, post, start = w[:hit], w[hit + 2 :], hit - 1 if hit else 0
+                children = []
+                todo.append((w, None, children))
+                for w2, c2 in rhs.items():
+                    u = pre + w2 + post
+                    children.append((u, c2))
                     if u not in memo:
-                        todo.append((u, start, None))
+                        _scan(follow, u, start, todo, memo)
             _add_scaled(out, coeff, memo[word])
         STATS["steps"] += steps
         return out
@@ -281,6 +296,19 @@ def tensor(p1: Presentation, p2: Presentation, name: str) -> Presentation:
              for y in p2.gens for u in p1.gens]
     own = [(lhs, rhs, lhs in p2.unoriented) for lhs, rhs in p2.rules.items()]
     return p1.derive(gens=p1.gens + p2.gens, rules=own + cross, name=name)
+
+
+def _scan(follow, w, start, todo, memo):
+    """Push (w, hit, rhs) for the leftmost redex of ``w`` at or after
+    ``start``, or put the irreducible ``w`` into the memo as its own normal
+    form."""
+    f, hit = None, start - 1
+    for y in w[start:]:
+        if f and y in f:  # (w[hit], y) is a left-hand side
+            todo.append((w, hit, f[y]))
+            return
+        f, hit = follow.get(y), hit + 1
+    memo[w] = {w: ONE}
 
 
 def _add_scaled(acc, c, nf):
@@ -339,8 +367,10 @@ class Element:
         if self.pres is not other.pres:
             raise ValueError("elements over different presentations")
 
+    # ``type(other) is not Element`` first: isinstance(other, NUMBERS) asks
+    # Fraction's ABC, which is slow for an Element
     def __add__(self, other):
-        if isinstance(other, NUMBERS):
+        if type(other) is not Element and isinstance(other, NUMBERS):
             other = self.pres.monomial((), other)
         self._check(other)
         t = dict(self.terms)
@@ -359,7 +389,7 @@ class Element:
         return _element(self.pres, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, NUMBERS):
+        if type(other) is not Element and isinstance(other, NUMBERS):
             c0 = Scalar(other)
             return _element(self.pres, {w: c * c0 for w, c in self.terms.items()} if c0 else {})
         self._check(other)
@@ -385,7 +415,7 @@ class Element:
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, NUMBERS):
+        if type(other) is not Element and isinstance(other, NUMBERS):
             other = self.pres.monomial((), other)
         if not isinstance(other, Element):
             return NotImplemented
@@ -556,13 +586,11 @@ def overlap_check(p: Presentation, sample_budget: int = 0, rng=None) -> CheckRep
     rule is oriented), plus sample_budget random associativity probes: one
     check per overlap and one per probe."""
     rep = CheckReport(p.name)
-    rules = p.rules
-    for (x, y) in rules:
-        for (y2, z) in rules:
-            if y2 != y:
-                continue
-            left = {w + (z,): c for w, c in rules[(x, y)].items()}
-            right = {(x,) + w: c for w, c in rules[(y, z)].items()}
+    # the rules (y, z) in rule order, for each rule (x, y) in rule order
+    for (x, y), xy in p.rules.items():
+        for z, yz in p._follow.get(y, {}).items():
+            left = {w + (z,): c for w, c in xy.items()}
+            right = {(x,) + w: c for w, c in yz.items()}
             try:
                 rep.record(p.reduce_terms(left) == p.reduce_terms(right), ("overlap", (x, y, z)))
             except StepCapExceeded:

@@ -34,7 +34,9 @@ A product of a Scalar with ``ONE`` (the module's own Scalar 1, not any
 value equal to 1) is that other Scalar itself, in either representation:
 it builds no value and does no arithmetic.  ``ONE`` times an ``int``,
 ``Fraction`` or sympy operand still coerces it, so ``ONE * 3`` is
-``Scalar(3)``.
+``Scalar(3)``.  A product, sum or == of two Laurent polynomials (native,
+no factors) over the same indeterminates goes straight to the dict
+arithmetic, which is where ``Scalar._bin`` would send it.
 
 sympy's field does the rest: an operation with a general operand, and a
 division or negative power whose divisor's numerator has a factor other
@@ -175,13 +177,16 @@ def _nsub(a, b):
 
 
 def _nmul(a, b):
+    if len(a) == 1 == len(b):  # two monomials, the most common product
+        (ka, va), = a.items()
+        (kb, vb), = b.items()
+        if not any(ka):  # a constant leaves the other's exponents as they are
+            return {kb: va * vb}
+        return {tuple(map(add, ka, kb)) if any(kb) else ka: va * vb}
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:  # a monomial: a shift and a scaling, nothing cancels
         (kb, vb), = b.items()
-        if len(a) == 1:
-            (ka, va), = a.items()
-            return {tuple(map(add, ka, kb)): va * vb}
         if any(kb):
             return {tuple(map(add, k, kb)): v * vb for k, v in a.items()}
         return a if vb == 1 else {k: v * vb for k, v in a.items()}
@@ -639,6 +644,11 @@ class Scalar:
             raise DivisionByZero("division by zero Scalar") from None
 
     def __add__(self, other):
+        # the common case, two Laurent polynomials, goes straight to _nadd
+        if type(other) is Scalar:
+            x, y = self._d, other._d
+            if x is not None and y is not None and not (self._b or other._b) and self._n == other._n:
+                return _native(_nadd(x, y), self._n)
         return self._bin(other, _nadd, _fadd, add)
 
     __radd__ = __add__
@@ -653,8 +663,12 @@ class Scalar:
     def __mul__(self, other):
         if other is ONE:
             return self
-        if self is ONE and isinstance(other, Scalar):
-            return other
+        if type(other) is Scalar:
+            if self is ONE:
+                return other
+            x, y = self._d, other._d
+            if x is not None and y is not None and not (self._b or other._b) and self._n == other._n:
+                return _native(_nmul(x, y), self._n)
         return self._bin(other, _nmul, _fmul, mul)
 
     __rmul__ = __mul__
@@ -679,9 +693,12 @@ class Scalar:
 
     # -- comparison / hashing --------------------------------------------
     def __eq__(self, other):
-        if not isinstance(other, NUMBERS):
+        if type(other) is Scalar:
+            b = other
+        elif isinstance(other, NUMBERS):
+            b = _coerce(other)
+        else:
             return NotImplemented
-        b = _coerce(other)
         x, y = self._d, b._d
         if x is not None and y is not None and self._n == b._n:
             return x == y and self._b == b._b

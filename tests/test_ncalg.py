@@ -110,6 +110,42 @@ def test_overlap_check_catches_bad_system():
     assert not rep.ok
 
 
+def reference_overlap_check(p):
+    """overlap_check without probes, over every pair of rules (x, y),
+    (y2, z) with y2 = y."""
+    rep = CheckReport(p.name)
+    for (x, y) in p.rules:
+        for (y2, z) in p.rules:
+            if y2 != y:
+                continue
+            left = {w + (z,): c for w, c in p.rules[(x, y)].items()}
+            right = {(x,) + w: c for w, c in p.rules[(y, z)].items()}
+            try:
+                rep.record(p.reduce_terms(left) == p.reduce_terms(right), ("overlap", (x, y, z)))
+            except StepCapExceeded:
+                rep.record(False, ("stepcap", (x, y, z)))
+    return rep
+
+
+def test_overlap_check_reports_what_the_double_loop_reports():
+    """The same overlaps in the same order, on every compiled presentation
+    of the catalog, the function algebras with their inverses, a system that
+    is not confluent and one that hits the step cap."""
+    # b a = 1, a b = 2 and a a = 0: the overlaps b a b and b a a both fail
+    bad = Presentation([GeneratorSymbol("a"), GeneratorSymbol("b")], name="bad")
+    bad.add_rule(("b", "a"), {(): ONE})
+    bad.add_rule(("a", "b"), {(): 2 * ONE})
+    bad.add_rule(("a", "a"), {})
+    presentations = [c[3] for c in compiled_relation_sets()]
+    presentations += [fa_presentation(k) for k in ("ac", "gl11", "omega", "gl11omega")]
+    presentations += [uq_presentation(), bad, _cycle(50)]
+    for p in presentations:
+        got, want = overlap_check(p), reference_overlap_check(p)
+        assert (got.checked, got.failures) == (want.checked, want.failures), p.name
+    assert overlap_check(bad).failures[:2] == [("overlap", ("b", "a", "b")), ("overlap", ("b", "a", "a"))]
+    assert overlap_check(_cycle(50)).failures[0][0] == "stepcap"
+
+
 def test_compile_relations_refuses_a_non_confluent_system():
     """yx = q xy, zx = xz, zy = yz + xx: the overlap zyx reduces to
     q xyz + xxx one way and q xyz + q xxx the other."""
@@ -131,17 +167,25 @@ def _xy(step_cap):
     return Presentation([GeneratorSymbol("x"), GeneratorSymbol("y")], step_cap=step_cap)
 
 
-def test_non_terminating_systems_hit_the_step_cap():
-    """An unoriented cycle and a growing rule are refused, not recursed
-    into: rewriting ends in StepCapExceeded."""
-    cycle = _xy(1000)
+def _cycle(step_cap):
+    """x y -> y x and y x -> x y, which never terminates."""
+    cycle = _xy(step_cap)
     cycle.add_rule(("x", "y"), {("y", "x"): ONE}, unoriented=True)
     cycle.add_rule(("y", "x"), {("x", "y"): ONE}, unoriented=True)
+    return cycle
+
+
+def test_non_terminating_systems_hit_the_step_cap():
+    """An unoriented cycle and a growing rule are refused, not recursed
+    into: rewriting ends in StepCapExceeded, naming an unnamed presentation
+    so, and the steps it performed are counted."""
     growing = _xy(1000)
     growing.add_rule(("x", "x"), {("x", "x", "x"): ONE}, unoriented=True)
-    for p, word in ((cycle, ("x", "y")), (growing, ("x", "x"))):
-        with pytest.raises(StepCapExceeded):
+    for p, word in ((_cycle(1000), ("x", "y")), (growing, ("x", "x"))):
+        before = STATS["steps"]
+        with pytest.raises(StepCapExceeded, match="exceeded 1000 steps in unnamed$"):
             p.reduce_terms({word: ONE})
+        assert STATS["steps"] - before == 1000
 
 
 def test_deep_reduction_needs_no_recursion():
@@ -316,11 +360,108 @@ def reducible_words(p, terms):
 def rewriting_presentation(key):
     if key == "fa-ac-inv":
         return fa_presentation("ac")
+    if key == "fa-gl11-inv":  # graded, with unoriented inverse rules
+        return fa_presentation("gl11")
     if key == "uq":
         return uq_presentation()
     if key == "uq-graded":
         return uq_presentation(graded=True)
+    if key == "omega(std_gl(2))":
+        return exterior.omega_build(catalog("std_gl", 2)).pres
+    if key == "fa-ac-inv x fa-gl11-inv":
+        return tensor(_renamed(fa_presentation("ac"), "1"), _renamed(fa_presentation("gl11"), "2"), "x2")
     return frt.build_ar(catalog("glnm", 2, 1))
+
+
+def reference_reduce_terms(p, terms):
+    """Reference for Presentation.reduce_terms, the same memoized
+    leftmost-redex rewriting written plainly: a popped word is scanned for
+    its redex by slicing its two-letter windows into ``p.rules``, every
+    child is pushed, irreducible or not, and a word's children are combined
+    only when their combine entry is popped."""
+    memo, steps, out = {}, 0, {}
+    for word, coeff in reversed(list(terms.items())):
+        coeff, word = Scalar(coeff), tuple(word)
+        if not coeff:
+            continue
+        todo = [] if word in memo else [(word, 0, None)]
+        while todo:
+            w, start, children = todo.pop()
+            if children is not None:
+                if len(children) == 1 and children[0][1] is ONE:
+                    memo[w] = memo[children[0][0]]
+                else:
+                    memo[w] = {}
+                    for u, c in reversed(children):
+                        ncalg._add_scaled(memo[w], c, memo[u])
+                continue
+            if w in memo:
+                continue
+            hit = next((i for i in range(start, len(w) - 1) if w[i:i + 2] in p.rules), None)
+            if hit is None:
+                memo[w] = {w: ONE}
+                continue
+            steps += 1
+            pre, post, start = w[:hit], w[hit + 2:], max(hit - 1, 0)
+            children = [(pre + w2 + post, c2) for w2, c2 in p.rules[w[hit:hit + 2]].items()]
+            todo.append((w, start, children))
+            todo.extend((u, start, None) for u, _ in children if u not in memo)
+        ncalg._add_scaled(out, coeff, memo[word])
+    STATS["steps"] += steps
+    return out
+
+
+_REFERENCE_KEYS = ["uq", "uq-graded", "fa-ac-inv", "fa-gl11-inv", "ar-gl(2|1)", "omega(std_gl(2))",
+                   "fa-ac-inv x fa-gl11-inv"]
+
+
+@pytest.mark.parametrize("key", _REFERENCE_KEYS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_reduce_terms_equals_the_reference(key, data):
+    """The same normal form, in the same dict order, for the same number of
+    steps, on words of up to six letters with coefficients ONE, -ONE, ints
+    (0 included) and q-multiples."""
+    p = rewriting_presentation(key)
+    names = st.sampled_from([g.name for g in p.gens])
+    coeffs = (st.sampled_from([ONE, -ONE]) | st.integers(-2, 2)
+              | st.integers(-2, 2).map(lambda n: n * qvar()))
+    terms = data.draw(st.dictionaries(st.lists(names, max_size=6).map(tuple), coeffs, max_size=4))
+    before = STATS["steps"]
+    want = reference_reduce_terms(p, terms)
+    middle = STATS["steps"]
+    got = p.reduce_terms(terms)
+    assert list(got.items()) == list(want.items())
+    assert STATS["steps"] - middle == middle - before
+
+
+def assert_rule_index(p):
+    """p._follow[x][y] is the rhs dict of the rule (x, y), for exactly the
+    rules of p, each follow[x] in rule order."""
+    assert sum(map(len, p._follow.values())) == len(p.rules)
+    for (x, y), rhs in p.rules.items():
+        assert p._follow[x][y] is rhs
+    for x, f in p._follow.items():
+        assert list(f) == [y for (x2, y) in p.rules if x2 == x]
+
+
+def test_the_rule_index_is_written_with_its_rule():
+    """After the constructor's structural rules, add_rule (a changed rule
+    included), derive, tensor, compile_relations and presentation_from_json."""
+    p = Presentation([GeneratorSymbol("k", inverse="ki"), GeneratorSymbol("ki", inverse="k"),
+                      GeneratorSymbol("x", nilpotent=True), GeneratorSymbol("y")])
+    assert_rule_index(p)
+    p.add_rule(("y", "x"), {("x", "y"): qvar()})
+    p.add_rule(("y", "k"), {("k", "y"): ONE})
+    p.add_rule(("y", "x"), {("x", "y"): 2})
+    assert p._follow["y"]["x"] == {("x", "y"): Scalar(2)}
+    fa = fa_presentation("ac")
+    built = [p, p.derive(rename={"y": "z"}), quantum_plane(), fa, _renamed(fa, "'"),
+             tensor(_renamed(fa, "1"), _renamed(fa_presentation("gl11"), "2"), "x2"),
+             presentation_from_json(presentation_to_json(fa))]
+    built += [c[3] for c in compiled_relation_sets()]
+    for q in built:
+        assert_rule_index(q)
 
 
 @pytest.mark.parametrize("key", ["fa-ac-inv", "uq-graded", "ar-gl(2|1)"])

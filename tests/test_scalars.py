@@ -731,3 +731,43 @@ def test_products_with_one_match_the_arithmetic_reference(a):
         assert got is a
         assert got == want and hash(got) == hash(want)
         assert (got._d, got._b) == (want._d, want._b)
+
+
+# native monomials, Laurent polynomials, native values over binomial
+# factors and general values
+_DIRECT_PATH_TEXTS = ["q", "-3*q^-2", "2/3*lam1*q", "-1", "0", "q^2 - 3/q + lam1", "q - 1/q",
+                      "(q^3 + lam1)/(q^2 - 1)^2", "1/(q - 1/q)", "q/(q^2 + 2)", "1/(q^2 + q + 1)"]
+
+
+def _assert_direct_path(xs, ys):
+    """x * y and x + y have the representation that ``_bin`` gives, and
+    x == y is equality of values in the field."""
+    for x in xs:
+        assert x * ONE is x and ONE * x is x
+        for y in ys:
+            for op, nat, frac in ((mul, scalars._nmul, scalars._fmul), (add, scalars._nadd, scalars._fadd)):
+                got, want = op(x, y), x._bin(y, nat, frac, op)
+                assert (got._d, got._b, got._n) == (want._d, want._b, want._n), (x, y, op)
+                assert got == want and hash(got) == hash(want)
+            assert (x == y) == (scalars._lift(x) == scalars._lift(y)), (x, y)
+
+
+def test_direct_path_matches_bin():
+    xs = [ONE] + [parse(t) for t in _DIRECT_PATH_TEXTS]
+    _assert_direct_path(xs, xs)
+    assert ONE * 3 == Scalar(3) and type(ONE * 3) is Scalar
+
+
+def test_direct_path_matches_bin_over_qi(restore_field):
+    i = imag_unit()
+    xs = [i, i * qvar() + 1] + [parse(t) for t in _DIRECT_PATH_TEXTS[::3]]
+    _assert_direct_path(xs, xs)
+
+
+def test_direct_path_matches_bin_across_field_sizes(restore_field):
+    old = [parse(t) for t in _DIRECT_PATH_TEXTS[::2]]
+    register_indeterminate("tmp_direct")
+    new = [parse(t) for t in _DIRECT_PATH_TEXTS[::2]] + [parse("tmp_direct*q")]
+    assert {x._n for x in old} != {x._n for x in new}
+    _assert_direct_path(old, new)
+    _assert_direct_path(new, old)
