@@ -2,9 +2,11 @@
 
 The file records the Delta/epsilon/S images of the generators of the four
 U_q Hopf structures, the compiled presentation of Omega_q(R) for three
-Hecke R-matrices, and the universal R-matrix of every family evaluated at
-two pairs of integer labels.  A refactor of how the catalog is written must
-leave all of them as they are.  To rewrite the file after a deliberate change
+Hecke R-matrices, the universal R-matrix of every family evaluated at two
+pairs of integer labels, and the ribbon u, S(u), z and nu evaluated at three
+integer labels ((1, 0) and (2, 1), where nu and z are 1, and (1, 1), where
+they are not).  A refactor of how the catalog is written must leave all of
+them as they are.  To rewrite the file after a deliberate change
 of a structure, run ``PYTHONPATH=src python tests/test_golden_catalog.py``.
 """
 
@@ -23,11 +25,16 @@ HOPF = {"uq": algebras.uq_hopf, "uq-omega": algebras.uq_omega_hopf,
         "uqgl11": algebras.uqgl11_hopf, "uqgl11-omega": algebras.uqgl11_omega_hopf}
 OMEGA_R = {"std_gl(2)": ("std_gl", 2), "std_gl(3)": ("std_gl", 3), "ac": ("ac",)}
 LABELS = (((1, 0), (2, 1)), ((2, 1), (1, 1)))
+RIBBON_LABELS = ((1, 0), (2, 1), (1, 1))
 
 
 def _terms(terms):
     """A term dict as a sorted list of [key, rendered coefficient]."""
     return sorted([k, render(c)] for k, c in terms.items())
+
+
+def _matrix(m):
+    return [[render(c) for c in row] for row in m]
 
 
 def _hopf(h):
@@ -42,9 +49,11 @@ def snapshot():
         "hopf": {name: _hopf(build()) for name, build in HOPF.items()},
         "omega": {name: json.loads(presentation_to_json(omega_build(catalog(*args)).pres))
                   for name, args in OMEGA_R.items()},
-        "universal_r": {f"{which}@{a}/{b}": [[render(c) for c in row] for row in
-                                             reps.universal_r_eval(a, b, which=which).m]
+        "universal_r": {f"{which}@{a}/{b}": _matrix(reps.universal_r_eval(a, b, which=which).m)
                         for which in reps.FAMILIES for a, b in LABELS},
+        "ribbon": {f"{name}@{a}": _matrix(data[name])
+                   for a in RIBBON_LABELS for data in [reps.ribbon_data(a)]
+                   for name in ("u", "su", "z", "nu")},
     }))
 
 
