@@ -61,7 +61,7 @@ class TensorElement:
             raise ArityMismatch(f"{self.arity} vs {other.arity}")
 
     def __add__(self, other):
-        if isinstance(other, NUMBERS):
+        if type(other) is not TensorElement and isinstance(other, NUMBERS):
             other = unit(self.pres, self.arity) * Scalar(other)
         self._check(other)
         t = dict(self.terms)
@@ -81,7 +81,7 @@ class TensorElement:
         return _tensor(self.pres, self.arity, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, NUMBERS):
+        if type(other) is not TensorElement and isinstance(other, NUMBERS):
             c0 = Scalar(other)
             return _tensor(self.pres, self.arity,
                            {k: c * c0 for k, c in self.terms.items()} if c0 else {})
@@ -93,7 +93,7 @@ class TensorElement:
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, NUMBERS):
+        if type(other) is not TensorElement and isinstance(other, NUMBERS):
             other = unit(self.pres, self.arity) * Scalar(other)
         if not isinstance(other, TensorElement):
             return NotImplemented

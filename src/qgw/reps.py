@@ -9,13 +9,13 @@ diagonal matrices and every identity can be checked with no numerics.
 FAMILIES is where the four families ("standard", "omega", "super",
 "super-omega") are written: each pairs a Hopf structure of algebras (whose
 X+- legs are written in its _UQ_HOPF) with its universal R-matrix, given by
-the tail legs e1, e2 and the Cartan prefactor as a function of the weights
-of both legs.  The omega forms are the cocycle twists of the standard ones
-and the super forms live over the graded presentation.  A Rep is a leg of
-an evaluation as it is; _ev_tensor makes the tensor product of two legs
-through a coproduct, and _weight_diag builds every diagonal matrix over a
-product basis (the R-matrix prefactor, the twisting cocycle, the ribbon
-cross term).
+the tail legs e1, e2 and the Cartan form of its prefactor.  The omega forms
+are the cocycle twists of the standard ones and the super forms live over
+the graded presentation.  Every diagonal matrix here (an R prefactor, the
+twisting cocycle, the ribbon prefactor and cross term) is a row of that
+one form table, data that _weight_diag evaluates over a product basis.  A
+Rep is a leg of an evaluation as it is; _ev_tensor makes the tensor
+product of two legs through a coproduct.
 """
 
 from __future__ import annotations
@@ -46,35 +46,51 @@ class NoIntertwiner(ArithmeticError):
     pass
 
 
+class _Form(NamedTuple):
+    """A Cartan form (Q, S), two integer 2x2 matrices: its value at the
+    weights a = (h1a, h2a) and b = (h1b, h2b) of two basis vectors is
+    (-1)^(a S b / 4) q^(a Q b / 4), with no sign when S is None."""
+    Q: tuple
+    S: tuple | None = None
+
+    def at(self, a, b):
+        def pair(m):  # a m b / 4, an integer as the weights are even
+            return (a[0] * (m[0][0] * b[0] + m[0][1] * b[1])
+                    + a[1] * (m[1][0] * b[0] + m[1][1] * b[1])) // 4
+        value = qvar() ** pair(self.Q)
+        return value if self.S is None else sign_pow(pair(self.S)) * value
+
+
 class _Family(NamedTuple):
     """A universal R-matrix (the Cartan prefactor times 1 + (1 - q^2) e1 (x) e2)
     and the Hopf structure it belongs to.  tail1 and tail2 list the words
-    whose product is e1 and e2; pref(h1a, h2a, h1b, h2b) is the prefactor's
-    eigenvalue on a tensor of basis vectors with those Cartan weights."""
+    whose product is e1 and e2; form is the prefactor's Cartan form on the
+    weights of the two legs."""
     hopf: Callable
     tail1: tuple
     tail2: tuple
-    pref: Callable
+    form: _Form
 
 
-# the four families, each prefactor in the Cartan weights of both legs
+_SIGN = ((0, 0), (0, 1))  # (-1)^(h2a h2b / 4)
+
+# the form table: the four families' prefactors, the twisting cocycle chi =
+# q^(H2 (x) (H1 + H2) / 4) and its flip chi21, and the ribbon element's
+# prefactor (on one leg: its value at b = a) and the cross term of its coproduct
 FAMILIES = {
-    "standard": _Family(
-        uq_hopf, (("K2", "Xp"),), (("K2i", "Xm"),),
-        lambda h1a, h2a, h1b, h2b:
-            sign_pow((h2a * h2b) // 4) * qvar() ** ((h1a * h1b - h2a * h2b) // 4)),
-    "omega": _Family(
-        uq_omega_hopf, (("K2", "Xp"),), (("K2i", "g", "K1i"), ("K2i", "Xm")),
-        lambda h1a, h2a, h1b, h2b:
-            sign_pow((h2a * h2b) // 4) * qvar() ** (((h1a - h2a) * (h1b + h2b)) // 4)),
-    "super": _Family(
-        uqgl11_hopf, (("g", "K2", "Xp"),), (("K2i", "g"), ("Xm", "g")),
-        lambda h1a, h2a, h1b, h2b:
-            qvar() ** (-((h1a + h2a) * h2b + h2a * (h1b + h2b)) // 4)),
-    "super-omega": _Family(
-        uqgl11_omega_hopf, (("g", "K2", "Xp"),), (("K2i", "K2i", "K1i"), ("Xm", "g")),
-        lambda h1a, h2a, h1b, h2b: qvar() ** (-(h2a * (h1b + h2b)) // 2)),
+    "standard": _Family(uq_hopf, (("K2", "Xp"),), (("K2i", "Xm"),),
+                        _Form(((1, 0), (0, -1)), _SIGN)),
+    "omega": _Family(uq_omega_hopf, (("K2", "Xp"),), (("K2i", "g", "K1i"), ("K2i", "Xm")),
+                     _Form(((1, 1), (-1, -1)), _SIGN)),
+    "super": _Family(uqgl11_hopf, (("g", "K2", "Xp"),), (("K2i", "g"), ("Xm", "g")),
+                     _Form(((0, -1), (-1, -2)))),
+    "super-omega": _Family(uqgl11_omega_hopf, (("g", "K2", "Xp"),),
+                           (("K2i", "K2i", "K1i"), ("Xm", "g")), _Form(((0, 0), (-2, -2)))),
 }
+_CHI = _Form(((0, 0), (1, 1)))
+_CHI21 = _Form(((0, 1), (0, 1)))
+_RIBBON = _Form(((-1, 0), (0, 1)), _SIGN)
+_RIBBON_CROSS = _Form(((-2, 0), (0, 2)))
 
 
 class RepLabel:
@@ -113,12 +129,13 @@ class RepLabel:
     def __eq__(self, other):
         if not isinstance(other, RepLabel):
             return NotImplemented
-        return self.lam1 == other.lam1 and self.lam2 == other.lam2
+        return (self.lam1 == other.lam1 and self.lam2 == other.lam2
+                and self.gsign == other.gsign)
 
     def __repr__(self):
         if self.integral:
             return f"RepLabel({self.m1}, {self.m2})"
-        return f"RepLabel.symbolic({self.lam1}, {self.lam2})"
+        return f"RepLabel.symbolic({self.lam1}, {self.lam2}, gsign={self.gsign})"
 
 
 def _aslabel(lab):
@@ -162,11 +179,9 @@ class Rep:
         }
         self.dim = 2
         self.p = (0, 1) if self.graded else (0, 0)
-        if self.label.integral:
-            self.h1 = (2 * self.label.m1, 2 * self.label.m1 - 2)
-            self.h2 = (2 * self.label.m2, 2 * self.label.m2 + 2)
-        else:
-            self.h1 = self.h2 = None
+        m1, m2 = self.label.m1, self.label.m2
+        self.weights = ((2 * m1, 2 * m2), (2 * m1 - 2, 2 * m2 + 2)) \
+            if self.label.integral else None
         # the matrix of each word met so far, built from its prefix's
         self._words = {(): smat.eye(self.dim),
                        **{(x,): m for x, m in self.images.items()}}
@@ -229,15 +244,15 @@ class _Ev:
     per basis vector, basis parity, and an Element -> matrix map.  A Rep
     has all four, so a Rep is a leg too."""
 
-    __slots__ = ("dim", "h1", "h2", "p", "evaluate")
+    __slots__ = ("dim", "weights", "p", "evaluate")
 
-    def __init__(self, dim, h1, h2, p, evaluate):
-        self.dim, self.h1, self.h2, self.p, self.evaluate = dim, h1, h2, p, evaluate
+    def __init__(self, dim, weights, p, evaluate):
+        self.dim, self.weights, self.p, self.evaluate = dim, weights, p, evaluate
 
 
 def _ev_atom(rep: Rep) -> Rep:
     """``rep`` as a leg of an R-matrix evaluation, which needs integer weights."""
-    if rep.h1 is None:
+    if rep.weights is None:
         raise NonIntegerLabel(f"{rep.label} has no integer Cartan weights")
     return rep
 
@@ -256,22 +271,15 @@ def _ev_tensor(a, b, h) -> _Ev:
     """The tensor product representation through the coproduct of h."""
     def evaluate(e):
         return _tensor_image(coproduct(e, h), a, b)
-    h1 = [x + y for x in a.h1 for y in b.h1]
-    h2 = [x + y for x in a.h2 for y in b.h2]
+    weights = tuple((x1 + y1, x2 + y2) for x1, x2 in a.weights for y1, y2 in b.weights)
     p = tuple((x + y) % 2 for x in a.p for y in b.p)
-    return _Ev(a.dim * b.dim, h1, h2, p, evaluate)
+    return _Ev(a.dim * b.dim, weights, p, evaluate)
 
 
-def _weight_diag(evA, evB, f):
-    """The diagonal matrix with f(h1a, h2a, h1b, h2b) at the tensor of basis
-    vectors a of evA and b of evB, Cartan weights h1a, h2a and h1b, h2b."""
-    out = smat.zeros(evA.dim * evB.dim)
-    i = 0
-    for h1a, h2a in zip(evA.h1, evA.h2):
-        for h1b, h2b in zip(evB.h1, evB.h2):
-            out[i][i] = f(h1a, h2a, h1b, h2b)
-            i += 1
-    return out
+def _weight_diag(evA, evB, form):
+    """The diagonal matrix of ``form`` over the tensor basis of evA and evB:
+    its value at the weights a and b of each pair of basis vectors."""
+    return _diag(*[form.at(a, b) for a in evA.weights for b in evB.weights])
 
 
 # -- the four R-matrix families --------------------------------------------
@@ -283,7 +291,7 @@ def _r_matrix(evA, evB, which):
     q = qvar()
     tail = smat.madd(smat.eye(evA.dim * evB.dim), smat.smul(
         ONE - q * q, smat.kron(evA.evaluate(e1), evB.evaluate(e2), e2.degree(), evA.p)))
-    return smat.mmul(_weight_diag(evA, evB, fam.pref), tail)
+    return smat.mmul(_weight_diag(evA, evB, fam.form), tail)
 
 
 def universal_r_eval(lab1, lab2, which="standard") -> RMatrix:
@@ -344,8 +352,7 @@ def ribbon_data(label) -> dict:
     tail_su = pres.one() + ef * pres.word("K1", "K2") * w2
     tail_z = pres.one() + (pres.word("K1", "K2") * ef
                            + pres.word("K1i", "K2i") * fe) * w2
-    pref = _diag(*[sign_pow(h2 // 2) * q ** (-(h1 ** 2 - h2 ** 2) // 4)
-                   for h1, h2 in zip(r.h1, r.h2)])
+    pref = _diag(*[_RIBBON.at(a, a) for a in r.weights])
     u = smat.mmul(pref, r.evaluate(tail_u))
     su = smat.mmul(pref, r.evaluate(tail_su))
     z = smat.mmul(smat.mmul(pref, pref), r.evaluate(tail_z))
@@ -379,7 +386,7 @@ def ribbon_check(label) -> CheckReport:
 
     rep.record(smat.meq(smat.mmul(u, su), z), ("z-is-uSu",))
     rep.record(smat.meq(smat.mmul(nu, nu), z), ("nu-squared",))
-    rep.record(smat.meq(data["r"], _diag(*[q ** (-(h1 + h2)) for h1, h2 in zip(r.h1, r.h2)])),
+    rep.record(smat.meq(data["r"], _diag(*[q ** (-(h1 + h2)) for h1, h2 in r.weights])),
                ("r-grouplike-weights",))
     rep.record(smat.meq(smat.mmul(data["r"], r.evaluate(
         pres.word("K1", "K1", "K2", "K2"))), smat.eye(r.dim)),
@@ -398,8 +405,7 @@ def ribbon_check(label) -> CheckReport:
     rmat = _r_matrix(ev, ev, "standard")
     flip = flip_index(r.dim)
     r21 = [[rmat[i][j] for j in flip] for i in flip]  # P R P
-    cross = _weight_diag(ev, ev, lambda h1a, h2a, h1b, h2b:
-                         q ** (-(h1a * h1b - h2a * h2b) // 2))
+    cross = _weight_diag(ev, ev, _RIBBON_CROSS)
     lhs = smat.mmul(smat.mmul(smat.kron(data["pref"], data["pref"], 0, r.p), cross),
                     _ev_tensor(ev, ev, h).evaluate(pres.word("K1", "K2") * data["tail_u"]))
     rhs = smat.mmul(smat.inv(smat.mmul(r21, rmat)), smat.kron(nu, nu, 0, r.p))
@@ -474,15 +480,6 @@ def tensor_decompose(lab1=None, lab2=None):
 
 # -- cocycle twisting -------------------------------------------------------
 
-def _chi(evA, evB, swap=False):
-    """The twisting cocycle q^(H2 (x) (H1 + H2) / 4) on the weights of both
-    legs, or with the legs' roles swapped."""
-    q = qvar()
-    if swap:
-        return _weight_diag(evA, evB, lambda h1a, h2a, h1b, h2b: q ** ((h2b * (h1a + h2a)) // 4))
-    return _weight_diag(evA, evB, lambda h1a, h2a, h1b, h2b: q ** ((h2a * (h1b + h2b)) // 4))
-
-
 def twist_check(lab1, lab2, lab3, super_side=False) -> CheckReport:
     """The diagonal cocycle chi: counital 2-cocycle identity, conjugation
     of the coproduct, and the twisted R-matrix computed two ways."""
@@ -497,10 +494,10 @@ def twist_check(lab1, lab2, lab3, super_side=False) -> CheckReport:
     dims = [e.dim for e in evs]
     ps = [e.p for e in evs]
     t12 = _ev_tensor(ev1, ev2, h0)
-    c12 = _chi(ev1, ev2)
-    lhs = smat.mmul(smat.embed_pair(c12, dims, ps, (0, 1)), _chi(t12, ev3))
-    rhs = smat.mmul(smat.embed_pair(_chi(ev2, ev3), dims, ps, (1, 2)),
-                    _chi(ev1, _ev_tensor(ev2, ev3, h0)))
+    c12 = _weight_diag(ev1, ev2, _CHI)
+    lhs = smat.mmul(smat.embed_pair(c12, dims, ps, (0, 1)), _weight_diag(t12, ev3, _CHI))
+    rhs = smat.mmul(smat.embed_pair(_weight_diag(ev2, ev3, _CHI), dims, ps, (1, 2)),
+                    _weight_diag(ev1, _ev_tensor(ev2, ev3, h0), _CHI))
     rep.record(smat.meq(lhs, rhs), ("cocycle",))
 
     c12i = smat.inv(c12)
@@ -513,7 +510,7 @@ def twist_check(lab1, lab2, lab3, super_side=False) -> CheckReport:
 
     r0 = _r_matrix(ev1, ev2, which0)
     r1m = _r_matrix(ev1, ev2, which1)
-    c21 = _chi(ev1, ev2, swap=True)
+    c21 = _weight_diag(ev1, ev2, _CHI21)
     rep.record(smat.meq(r1m, smat.mmul(smat.mmul(c21, r0), c12i)),
                ("twisted-R",))
     return rep

@@ -2,8 +2,8 @@ from itertools import product
 
 import pytest
 
-from qgw import smat
-from qgw.reps import (DegenerateLabel, FAMILIES, NonIntegerLabel, RepLabel,
+from qgw import reps, smat
+from qgw.reps import (DegenerateLabel, FAMILIES, NonIntegerLabel, Rep, RepLabel,
                       quasitriangularity_check, rep_build, ribbon_check,
                       tensor_decompose, twist_check, universal_r_eval)
 from qgw.rmatlab import catalog, hecke_check, qybe_check, sybe_check
@@ -23,6 +23,16 @@ def test_degenerate_label_rejected():
         RepLabel(0, 0)
     with pytest.raises(DegenerateLabel):
         RepLabel(1, -1)
+
+
+def test_labels_differing_in_gsign_are_unequal():
+    lam1, lam2 = indet("lam1"), indet("lam2")
+    plus = RepLabel.symbolic(lam1, lam2, gsign=ONE)
+    minus = RepLabel.symbolic(lam1, lam2, gsign=-ONE)
+    assert plus == RepLabel.symbolic(lam1, lam2)
+    assert plus != minus
+    assert not smat.meq(Rep(plus).images["g"], Rep(minus).images["g"])
+    assert repr(plus) != repr(minus)
 
 
 def test_symbolic_label():
@@ -186,3 +196,62 @@ def test_tensor_decompose_integer():
 def test_twist_check_both_sides():
     assert twist_check((1, 0), (1, 1), (2, 1), super_side=False).ok
     assert twist_check((1, 0), (1, 1), (2, 1), super_side=True).ok
+
+
+# -- the form table ----------------------------------------------------------
+
+EVEN = range(-8, 9, 2)
+WEIGHTS = [(h1, h2) for h1 in EVEN for h2 in EVEN]
+
+
+def _bumped(m, i, j):
+    """The 2x2 matrix m (zero for None) with entry (i, j) raised by one."""
+    rows = [list(row) for row in (m or ((0, 0), (0, 0)))]
+    rows[i][j] += 1
+    return tuple(map(tuple, rows))
+
+
+def test_ribbon_rows_invert_the_standard_form():
+    std = FAMILIES["standard"].form
+    for a in WEIGHTS:
+        assert reps._RIBBON.at(a, a) * std.at(a, a) == ONE, a
+        for b in WEIGHTS:
+            assert reps._RIBBON_CROSS.at(a, b) * std.at(a, b) * std.at(b, a) == ONE, (a, b)
+
+
+def test_chi21_is_chi_transposed():
+    assert reps._CHI21.Q == tuple(zip(*reps._CHI.Q))
+    assert reps._CHI.S is reps._CHI21.S is None
+
+
+@pytest.mark.parametrize("which", list(FAMILIES))
+@pytest.mark.parametrize("part", ["Q", "S"])
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_changed_family_form_entry_fails_quasitriangularity(monkeypatch, which, part, i, j):
+    fam = FAMILIES[which]
+    form = fam.form._replace(**{part: _bumped(getattr(fam.form, part), i, j)})
+    monkeypatch.setitem(FAMILIES, which, fam._replace(form=form))
+    rep = quasitriangularity_check((1, 0), (0, 1), (1, 1), which=which)
+    assert (rep.checked, len(rep.failures)) == (10, 5), rep.failures
+
+
+@pytest.mark.parametrize("super_side", [False, True])
+def test_chi_swapped_for_chi21_fails_twist(monkeypatch, super_side):
+    monkeypatch.setattr(reps, "_CHI", reps._CHI21)
+    monkeypatch.setattr(reps, "_CHI21", reps._CHI)
+    rep = twist_check((1, 0), (1, 1), (2, 1), super_side=super_side)
+    assert (rep.checked, len(rep.failures)) == (9, 3), rep.failures
+
+
+def test_ribbon_prefactor_without_its_sign_fails(monkeypatch):
+    monkeypatch.setattr(reps, "_RIBBON", reps._RIBBON._replace(S=None))
+    for lab in ((1, 0), (2, 1), (1, 1), (0, 1)):
+        assert not ribbon_check(lab).ok, lab
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_wrong_ribbon_cross_term_fails_delta_nu(monkeypatch, i, j):
+    cross = reps._RIBBON_CROSS
+    monkeypatch.setattr(reps, "_RIBBON_CROSS", cross._replace(Q=_bumped(cross.Q, i, j)))
+    for lab in ((1, 0), (2, 1)):
+        assert ribbon_check(lab).failures == [("delta-nu",)], lab
