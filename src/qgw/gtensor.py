@@ -14,10 +14,11 @@ of another arity with ArityMismatch and a leg with a letter that is no
 generator with ValueError (as Element does), drops zeros, normal-forms each
 leg and sums repeated keys.  Everything else in this module builds its value
 with the trusted _tensor(pres, arity, terms), as ncalg builds Elements with
-_element: +, -, scalar *, flip, tensor_mul, outer, unit, zero, embed_leg and
+_element: +, -, scalar *, flip, tensor_mul, outer, unit, zero and
 apply_to_leg combine terms that are already in that form.  Other modules
-build through the constructor or those functions; a leg that is a normal
-word costs no rewrite step to normal-form again.
+build through the constructor or those functions, except hopfcore, which
+puts an antipode image, already normal, on one leg with _tensor; a leg that
+is a normal word costs no rewrite step to normal-form again.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from .ncalg import Element, Presentation
 from .scalars import NUMBERS, ONE, Scalar
 
 class ArityMismatch(ValueError):
-    pass
-
-
-class BadPositions(ValueError):
     pass
 
 
@@ -195,27 +192,6 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
             for key, cc in _expand(pres, legs, c):
                 _accum(acc, key, cc)
     return _tensor(pres, k, acc)
-
-
-def embed_leg(e, positions, arity) -> TensorElement:
-    """Place an Element or TensorElement at the given legs, identity elsewhere.
-
-    Positions are 1-based and strictly increasing, matching the R12/R13/R23
-    leg notation.
-    """
-    if isinstance(e, Element):
-        e = _tensor(e.pres, 1, {(w,): c for w, c in e.terms.items()})
-    positions = list(positions)
-    if (len(positions) != e.arity or any(p < 1 or p > arity for p in positions)
-            or sorted(set(positions)) != positions):
-        raise BadPositions(f"positions {positions} for arity {e.arity} into {arity}")
-    acc = {}
-    for legs, c in e.terms.items():
-        new = [()] * arity
-        for p, w in zip(positions, legs):
-            new[p - 1] = w
-        _accum(acc, tuple(new), c)
-    return _tensor(e.pres, arity, acc)
 
 
 def apply_to_leg(t: TensorElement, leg: int, fn, out_arity_delta: int) -> TensorElement:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import partial
 
-from .gtensor import TensorElement, apply_to_leg, embed_leg, outer, unit, zero
+from .gtensor import TensorElement, _tensor, apply_to_leg, outer, unit, zero
 from .ncalg import (Element, GeneratorSymbol, Presentation, linear, multiplicative,
                     overlap_check, rule_residuals)
 from .report import CheckReport
@@ -202,7 +202,7 @@ def check_hopf_axioms(h: HopfData) -> CheckReport:
 
 
 def _s1(h, word):
-    return embed_leg(_s_word(h, word), (1,), 1)
+    return _tensor(h.pres, 1, {(w,): c for w, c in _s_word(h, word).terms.items()})
 
 
 # -- superization ----------------------------------------------------------

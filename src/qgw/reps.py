@@ -179,13 +179,19 @@ class Rep:
         }
         self.dim = 2
         self.p = (0, 1) if self.graded else (0, 0)
-        m1, m2 = self.label.m1, self.label.m2
-        self.weights = ((2 * m1, 2 * m2), (2 * m1 - 2, 2 * m2 + 2)) \
-            if self.label.integral else None
         # the matrix of each word met so far, built from its prefix's
         self._words = {(): smat.eye(self.dim),
                        **{(x,): m for x, m in self.images.items()}}
         self._verify()
+
+    @property
+    def weights(self):
+        """The Cartan weights (2 m1, 2 m2) and (2 m1 - 2, 2 m2 + 2) of the
+        basis vectors; NonIntegerLabel on a symbolic label, which has none."""
+        if not self.label.integral:
+            raise NonIntegerLabel(f"{self.label} has no integer Cartan weights")
+        m1, m2 = self.label.m1, self.label.m2
+        return (2 * m1, 2 * m2), (2 * m1 - 2, 2 * m2 + 2)
 
     def _wmat(self, word):
         """The matrix of ``word``: its prefix's times the image of its last
@@ -250,13 +256,6 @@ class _Ev:
         self.dim, self.weights, self.p, self.evaluate = dim, weights, p, evaluate
 
 
-def _ev_atom(rep: Rep) -> Rep:
-    """``rep`` as a leg of an R-matrix evaluation, which needs integer weights."""
-    if rep.weights is None:
-        raise NonIntegerLabel(f"{rep.label} has no integer Cartan weights")
-    return rep
-
-
 def _tensor_image(t, evA, evB):
     pres = t.pres
     out = smat.zeros(evA.dim * evB.dim)
@@ -299,7 +298,7 @@ def universal_r_eval(lab1, lab2, which="standard") -> RMatrix:
     graded = FAMILIES[which].hopf().pres.graded
     r1 = rep_build(lab1, graded=graded)
     r2 = rep_build(lab2, graded=graded)
-    m = _r_matrix(_ev_atom(r1), _ev_atom(r2), which)
+    m = _r_matrix(r1, r2, which)
     return RMatrix(2, m, grading=(0, 1) if graded else None,
                    name=f"{which}@{r1.label},{r2.label}")
 
@@ -310,7 +309,7 @@ def quasitriangularity_check(lab1, lab2, lab3, which="standard") -> CheckReport:
     fam = FAMILIES[which]
     h = fam.hopf()
     pres = h.pres
-    evs = [_ev_atom(rep_build(l, graded=pres.graded)) for l in (lab1, lab2, lab3)]
+    evs = [rep_build(l, graded=pres.graded) for l in (lab1, lab2, lab3)]
     ev1, ev2, ev3 = evs
     rep = CheckReport(f"quasitriangular:{which}")
 
@@ -401,13 +400,12 @@ def ribbon_check(label) -> CheckReport:
                ("counit-nu",))
 
     # Delta nu = (R21 R)^-1 (nu (x) nu), both legs at this label
-    ev = _ev_atom(r)
-    rmat = _r_matrix(ev, ev, "standard")
+    rmat = _r_matrix(r, r, "standard")
     flip = flip_index(r.dim)
     r21 = [[rmat[i][j] for j in flip] for i in flip]  # P R P
-    cross = _weight_diag(ev, ev, _RIBBON_CROSS)
+    cross = _weight_diag(r, r, _RIBBON_CROSS)
     lhs = smat.mmul(smat.mmul(smat.kron(data["pref"], data["pref"], 0, r.p), cross),
-                    _ev_tensor(ev, ev, h).evaluate(pres.word("K1", "K2") * data["tail_u"]))
+                    _ev_tensor(r, r, h).evaluate(pres.word("K1", "K2") * data["tail_u"]))
     rhs = smat.mmul(smat.inv(smat.mmul(r21, rmat)), smat.kron(nu, nu, 0, r.p))
     rep.record(smat.meq(lhs, rhs), ("delta-nu",))
     return rep
@@ -415,67 +413,58 @@ def ribbon_check(label) -> CheckReport:
 
 # -- decomposition of tensor products --------------------------------------
 
+def _summands(lab1, lab2):
+    """The labels of the two summands of lab1 (x) lab2: the weights of
+    e1 (x) e1, and of w (see tensor_decompose), one step lower in both
+    Cartan weights and of the opposite g-sign."""
+    q = qvar()
+    return (RepLabel.symbolic(lab1.lam1 * lab2.lam1, lab1.lam2 * lab2.lam2,
+                              gsign=lab1.gsign * lab2.gsign),
+            RepLabel.symbolic(lab1.lam1 * lab2.lam1 / q, -q * lab1.lam2 * lab2.lam2,
+                              gsign=-lab1.gsign * lab2.gsign))
+
+
 def tensor_decompose(lab1=None, lab2=None):
-    """Split the tensor square of two generic representations.
+    """Split the tensor product of two generic representations into two.
 
     Defaults to the fully symbolic pair (lam1, lam2) and (mu1, mu2).
-    Returns the two constituent labels and an invertible intertwiner T with
-    Delta(x) T = T (pi_1 + pi_2)(x) for every generator.  Raises
-    NoIntertwiner when the commutant construction fails.
+    Returns the two summands' labels and an invertible intertwiner T with
+    Delta(x) T = T (pi_1 + pi_2)(x) for every generator.  T is built from
+    the summands' highest-weight vectors: e1 (x) e1, and w = b e1 (x) e2 -
+    a e2 (x) e1, where Delta(Xp) sends e1 (x) e2 to a e1 (x) e1 and
+    e2 (x) e1 to b e1 (x) e1, so that Delta(Xp) w = 0.  Its columns are
+    e1 (x) e1, Delta(Xm)(e1 (x) e1), w and Delta(Xm) w.  Raises
+    NoIntertwiner when T is singular or fails to intertwine a generator,
+    which it names.
     """
     if lab1 is None:
         lab1 = RepLabel.symbolic(indet("lam1"), indet("lam2"))
     if lab2 is None:
         lab2 = RepLabel.symbolic(indet("mu1"), indet("mu2"))
     lab1, lab2 = _aslabel(lab1), _aslabel(lab2)
-    q = qvar()
-    out1 = RepLabel.symbolic(lab1.lam1 * lab2.lam1, lab1.lam2 * lab2.lam2,
-                             gsign=lab1.gsign * lab2.gsign)
-    out2 = RepLabel.symbolic(lab1.lam1 * lab2.lam1 / q,
-                             -q * lab1.lam2 * lab2.lam2,
-                             gsign=-lab1.gsign * lab2.gsign)
+    out1, out2 = _summands(lab1, lab2)
     h = uq_hopf()
     pres = h.pres
     r1, r2 = Rep(lab1), Rep(lab2)
     t1, t2 = Rep(out1), Rep(out2)
+    big = {gs.name: _tensor_image(coproduct(pres.gen(gs.name), h), r1, r2)
+           for gs in pres.gens}
 
-    def big(x):
-        return _tensor_image(coproduct(x, h), r1, r2)
-
+    a, b = big["Xp"][0][1:3]
+    w = [ZERO, b, -a, ZERO]
+    t = [[ONE if i == 0 else ZERO, xm[0], w[i], b * xm[1] - a * xm[2]]
+         for i, xm in enumerate(big["Xm"])]
+    try:
+        smat.check_invertible(t)
+    except smat.Singular:
+        raise NoIntertwiner("T is singular") from None
     e11, e22 = _diag(ONE, ZERO), _diag(ZERO, ONE)
-
-    def blk(x):
-        return smat.madd(smat.kron(e11, t1.evaluate(x), 0, ()),
-                         smat.kron(e22, t2.evaluate(x), 0, ()))
-
-    # big(x) T - T blk(x) = 0 on the row-major entries of T
-    one4 = smat.eye(4)
-    rows = []
-    for gs in pres.gens:
-        x = pres.gen(gs.name)
-        blk_t = [list(col) for col in zip(*blk(x))]
-        rows += smat.msub(smat.kron(big(x), one4, 0, ()), smat.kron(one4, blk_t, 0, ()))
-    basis = smat.nullspace(rows)
-    if not basis:
-        raise NoIntertwiner("the intertwiner space is zero")
-    for coeffs in ([ONE], [ONE, ONE], [ONE, -ONE], [ONE, Scalar(2)],
-                   [ZERO, ONE], [ONE, qvar()]):
-        if len(coeffs) > len(basis):
-            continue
-        vec = [ZERO] * 16
-        for c, v in zip(coeffs, basis):
-            vec = [x + c * y for x, y in zip(vec, v)]
-        t = [vec[i * 4:(i + 1) * 4] for i in range(4)]
-        try:
-            smat.inv(t)
-        except smat.Singular:
-            continue
-        for gs in pres.gens:
-            x = pres.gen(gs.name)
-            if not smat.meq(smat.mmul(big(x), t), smat.mmul(t, blk(x))):
-                raise NoIntertwiner(f"candidate fails to intertwine {gs.name}")
-        return out1, out2, t
-    raise NoIntertwiner("no invertible element found in the intertwiner space")
+    for x, m in big.items():
+        blk = smat.madd(smat.kron(e11, t1.evaluate(pres.gen(x)), 0, ()),
+                        smat.kron(e22, t2.evaluate(pres.gen(x)), 0, ()))
+        if not smat.meq(smat.mmul(m, t), smat.mmul(t, blk)):
+            raise NoIntertwiner(f"T fails to intertwine {x}")
+    return out1, out2, t
 
 
 # -- cocycle twisting -------------------------------------------------------
@@ -487,7 +476,7 @@ def twist_check(lab1, lab2, lab3, super_side=False) -> CheckReport:
         else ("standard", "omega")
     h0, h1 = FAMILIES[which0].hopf(), FAMILIES[which1].hopf()
     pres = h0.pres
-    evs = [_ev_atom(rep_build(l, graded=super_side)) for l in (lab1, lab2, lab3)]
+    evs = [rep_build(l, graded=super_side) for l in (lab1, lab2, lab3)]
     ev1, ev2, ev3 = evs
     rep = CheckReport(f"twist:{which1}")
 

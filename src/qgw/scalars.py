@@ -213,9 +213,12 @@ def _npow(d, n, origin):
     """d ** n; None sends a negative power of a multi-term d to sympy."""
     if n == 0:
         return {origin: 1}
-    if len(d) == 1:
+    if len(d) == 1:  # v ** n with no Fraction.__pow__, whose type test is an ABC's
         (k, v), = d.items()
-        return {tuple(e * n for e in k): _rat(Fraction(v) ** n)}
+        num, den = (v, 1) if type(v) is int else (v.numerator, v.denominator)
+        if n < 0:
+            num, den = den, num
+        return {tuple(e * n for e in k): _rat(Fraction(num ** abs(n), den ** abs(n)))}
     if n < 0:
         return None
     out = None
@@ -681,7 +684,7 @@ class Scalar:
         return NotImplemented if b is None else b._bin(self, _ndiv, _fdiv, truediv)
 
     def __pow__(self, n: int):
-        if not isinstance(n, numbers.Integral):
+        if type(n) is not int and not isinstance(n, numbers.Integral):
             return NotImplemented
         return _pow(self, int(n))
 

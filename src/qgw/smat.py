@@ -183,22 +183,6 @@ def _rref(rows):
     return rows, pivots
 
 
-def nullspace(a):
-    """Basis of the right kernel, by row reduction over the fraction field."""
-    rows, pivots = _rref(a)
-    ncols = len(a[0]) if a else 0
-    basis = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        v = [ZERO] * ncols
-        v[c] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][c]
-        basis.append(v)
-    return basis
-
-
 def inv(a):
     """Gauss-Jordan inverse over the fraction field: [a | 1] reduced to
     [1 | a^-1]; Singular when a column of ``a`` has no pivot."""

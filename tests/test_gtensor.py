@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgw.algebras import fa_presentation, uq_presentation
-from qgw.gtensor import (ArityMismatch, BadPositions, TensorElement, apply_to_leg,
-                         embed_leg, outer, tensor_mul, unit, zero)
+from qgw.gtensor import (ArityMismatch, TensorElement, apply_to_leg, outer, tensor_mul,
+                         unit, zero)
 from qgw.ncalg import Element, GeneratorSymbol, Presentation
 from qgw.scalars import ONE, ZERO, Scalar, qvar
 
@@ -86,25 +86,6 @@ def test_unit_and_zero():
     assert tensor_mul(u, a) == a
     assert a + z == a
     assert not z
-
-
-def test_embed_leg():
-    p = free_super()
-    t = embed_leg(p.gen("e"), (2,), 3)
-    assert t.terms == {((), ("e",), ()): ONE}
-
-
-def test_embed_leg_positions():
-    p = free_super()
-    a = tens(p, {(("e",), ("f",)): ONE})
-    t = embed_leg(a, (1, 3), 3)
-    assert t.terms == {(("e",), (), ("f",)): ONE}
-
-
-def test_embed_bad_positions():
-    p = free_super()
-    with pytest.raises(BadPositions):
-        embed_leg(p.gen("e"), (4,), 3)
 
 
 def test_arity_mismatch():
@@ -190,8 +171,7 @@ def test_trusted_results_equal_the_constructors(key, data):
         return outer(e, e)
 
     results = [a + b, a - b, -a, a + 2, a - 3, tensor_mul(a, b), a * b, b * a, a.flip(),
-               outer(x, y), embed_leg(x, (2,), 3), embed_leg(a, (1, 3), 3),
-               apply_to_leg(a, 0, square, 1), apply_to_leg(b, 1, square, 1),
+               outer(x, y), apply_to_leg(a, 0, square, 1), apply_to_leg(b, 1, square, 1),
                unit(p, 2), zero(p, 3)]
     results += [a * c for c in (0, ZERO, ONE, -2)] + [c * a for c in (0, ONE, 5)]
     for t in results:

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from qgw import reps, smat
-from qgw.reps import (DegenerateLabel, FAMILIES, NonIntegerLabel, Rep, RepLabel,
-                      quasitriangularity_check, rep_build, ribbon_check,
-                      tensor_decompose, twist_check, universal_r_eval)
+from qgw.algebras import uq_hopf
+from qgw.hopfcore import coproduct
+from qgw.reps import (DegenerateLabel, FAMILIES, NoIntertwiner, NonIntegerLabel, Rep,
+                      RepLabel, quasitriangularity_check, rep_build, ribbon_check,
+                      ribbon_data, tensor_decompose, twist_check, universal_r_eval)
 from qgw.rmatlab import catalog, hecke_check, qybe_check, sybe_check
 from qgw.scalars import ONE, indet, qvar, sign_pow
 
@@ -144,6 +150,17 @@ def test_symbolic_label_rejected_for_r_eval():
         universal_r_eval(lab, (1, 0))
 
 
+@pytest.mark.parametrize("check", [
+    lambda lab: universal_r_eval(lab, (1, 0)),
+    lambda lab: quasitriangularity_check((1, 0), lab, (0, 1)),
+    lambda lab: twist_check((1, 0), (0, 1), lab),
+    ribbon_check, ribbon_data])
+def test_symbolic_label_has_no_weights(check):
+    lab = RepLabel.symbolic(indet("lam1"), indet("lam2"))
+    with pytest.raises(NonIntegerLabel):
+        check(lab)
+
+
 def test_evaluated_r_solves_ybe():
     assert qybe_check(universal_r_eval((2, 1), (2, 1)))
     assert sybe_check(universal_r_eval((1, 0), (1, 0), which="super"))
@@ -191,6 +208,46 @@ def test_tensor_decompose_integer():
     # lam2 of the complement: -q * lam2(1,0) * lam2(2,1) = -q * 1 * (-q)
     assert out2.lam2 == q * q
     assert smat.inv(T)
+
+
+SYMBOLIC_PAIR = (RepLabel.symbolic(indet("lam1"), indet("lam2")),
+                 RepLabel.symbolic(indet("mu1"), indet("mu2")))
+
+
+@pytest.mark.parametrize("labels", [SYMBOLIC_PAIR, ((1, 0), (2, 1)), ((0, 1), (1, 1))])
+def test_tensor_decompose_columns_are_highest_weight_vectors_and_their_images(labels):
+    """T's columns 0 and 2 are killed by Delta(Xp), and columns 1 and 3 are
+    Delta(Xm) of them."""
+    _, _, T = tensor_decompose(*labels)
+    h = uq_hopf()
+    r1, r2 = (Rep(lab) for lab in labels)
+    xp, xm = (smat.mmul(reps._tensor_image(coproduct(h.pres.gen(x), h), r1, r2), T)
+              for x in ("Xp", "Xm"))
+    assert not any(row[0] or row[2] for row in xp)
+    assert [row[1] for row in T] == [row[0] for row in xm]
+    assert [row[3] for row in T] == [row[2] for row in xm]
+
+
+@pytest.mark.parametrize("labels", [((1, 0), (2, 1)), ((0, 1), (1, 1))])
+def test_tensor_decompose_at_integer_labels_loads_no_sympy(labels):
+    code = ("import sys; from qgw.reps import tensor_decompose; "
+            f"tensor_decompose(*{labels!r}); sys.exit('sympy' in sys.modules)")
+    src = str(Path(reps.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60, check=False)
+    assert out.returncode == 0, out.stderr
+
+
+def test_summand_with_flipped_gsign_fails_to_intertwine_g(monkeypatch):
+    summands = reps._summands
+
+    def flipped(lab1, lab2):
+        out1, out2 = summands(lab1, lab2)
+        return out1, RepLabel.symbolic(out2.lam1, out2.lam2, gsign=-out2.gsign)
+
+    monkeypatch.setattr(reps, "_summands", flipped)
+    with pytest.raises(NoIntertwiner, match="intertwine g$"):
+        tensor_decompose()
 
 
 def test_twist_check_both_sides():
