@@ -244,7 +244,10 @@ def _is_index(x, size):
 
 
 def rmatrix_from_json(text: str) -> RMatrix:
-    """Read what :func:`rmatrix_to_json` writes; ValueError on malformed data."""
+    """Read what :func:`rmatrix_to_json` writes; ValueError on malformed data,
+    including a (row, column) cell given twice.  Each distinct expression
+    text is parsed once (Scalars are immutable, so equal texts share one
+    value), and a bad expression raises at its first occurrence."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -261,13 +264,19 @@ def rmatrix_from_json(text: str) -> RMatrix:
         raise ValueError(f"grading must be a list of {n} values in {{0, 1}}, got {grading!r}")
     if not isinstance(entries, list):
         raise ValueError("entries must be a list of [row, column, expression]")
-    ent = smat.zeros(n * n)
+    ent, cells, parsed = smat.zeros(n * n), set(), {}
     for e in entries:
         if not (isinstance(e, list) and len(e) == 3 and _is_index(e[0], n * n)
                 and _is_index(e[1], n * n) and isinstance(e[2], str)):
             raise ValueError(f"entry {e!r} is not [row, column, expression] "
                              f"with 0 <= row, column < {n * n}")
-        ent[e[0]][e[1]] = parse(e[2])
+        row, col, expr = e
+        if (row, col) in cells:
+            raise ValueError(f"entry {e!r} repeats the cell ({row}, {col})")
+        cells.add((row, col))
+        if expr not in parsed:
+            parsed[expr] = parse(expr)
+        ent[row][col] = parsed[expr]
     try:
         return RMatrix(n, ent, grading=grading, name=name)
     except smat.Singular:

@@ -64,7 +64,8 @@ general value, by ``i`` (:func:`imag_unit`, ``i`` in :func:`parse`), by
 ``.f``, :meth:`Scalar.as_expr`, ``str`` and :func:`render`, and by a sympy
 expression passed in.  Native arithmetic, ==, ``hash``, :func:`parse` of
 text without ``i`` whose divisors split into binomials, :func:`scalar_eval`
-and :func:`prime_point_residue` of a native value need none of it.
+and :func:`prime_point_residue` of a native value, a plain ``int`` modulo a
+prime, need none of it.
 """
 
 from __future__ import annotations
@@ -1062,15 +1063,15 @@ def render(a: Scalar) -> str:
 
 # -- evaluation at a point -------------------------------------------------
 
-def _native_at(s, point, conv):
+def _native_at(s, point):
     """The canonical numerator and denominator of native Scalar ``s`` (those
-    that ``_to_field`` builds) at ``point``, one value per indeterminate,
-    with coefficients converted by ``conv``.  The numerator is summed term by
-    term; the denominator is the product of its factors, never expanded, each
-    factor Phi_d(m) times the monomial that clears its negative exponents."""
+    that ``_to_field`` builds) at the complex ``point``, one value per
+    indeterminate.  The numerator is summed term by term; the denominator is
+    the product of its factors, never expanded, each factor Phi_d(m) times
+    the monomial that clears its negative exponents."""
     d = s._d
     if not d:
-        return conv(0), conv(1)
+        return 0j, 1 + 0j
     den = lcm(*(v.denominator for v in d.values()))
     neg, factors = [0] * s._n, []
     for (m, dd), k in s._b:
@@ -1080,19 +1081,19 @@ def _native_at(s, point, conv):
         factors.append((hi, lo, -1 if dd == 1 else 1, k))
         neg = [a + k * e for a, e in zip(neg, lo)]
     shift = [max(c, -min(col), 0) for c, col in zip(neg, zip(*d))]
-    num = conv(0)
+    num = 0j
     for k, v in d.items():
-        t = conv(v.numerator * (den // v.denominator))
+        t = complex(v.numerator * (den // v.denominator))
         for x, e, h in zip(point, k, shift):
             if e + h:
                 t *= x ** (e + h)
         num += t
-    value = conv(den)
+    value = complex(den)
     for x, h, c in zip(point, shift, neg):
         if h - c:
             value *= x ** (h - c)
     for hi, lo, c, k in factors:
-        u = w = conv(1)
+        u = w = 1 + 0j
         for x, e, f in zip(point, hi, lo):
             if e:
                 u *= x ** e
@@ -1122,7 +1123,7 @@ def scalar_eval(a: Scalar, assignment: dict) -> complex:
         raise KeyError(f"assignment missing indeterminates {sorted(missing)}")
     if a._d is not None:
         point = [complex(assignment.get(x, 0)) for x in _REG.names[:a._n]]
-        num, den = _native_at(a, point, complex)
+        num, den = _native_at(a, point)
     else:
         f = a.f
         point = [complex(assignment.get(x, 0)) for x in _REG.names[:f.field.ngens]]
@@ -1147,33 +1148,28 @@ MODULUS = (1 << 64) - 59  # a prime; 2, 3, 5, 7 and 11 have large order mod it
 _PRIMES = [2, 3, 5, 7, 11]
 
 
-class _Residue(int):
-    """An integer modulo ``MODULUS``; +, * and ** keep it reduced, so a power
-    costs the bits of its exponent, not those of its value."""
-
-    def __new__(cls, x):
-        return super().__new__(cls, x % MODULUS)
-
-    def __add__(self, other):
-        return _Residue(int(self) + other)
-
-    def __mul__(self, other):
-        return _Residue(int(self) * other)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __pow__(self, e):
-        return _Residue(pow(int(self), e, MODULUS))
+def _monomial_residue(point, exps):
+    """The monomial of exponent tuple ``exps`` at ``point`` modulo
+    ``MODULUS``; a negative exponent is a power of the modular inverse."""
+    r = 1
+    for x, e in zip(point, exps):
+        if e:
+            r = r * pow(x, e, MODULUS) % MODULUS
+    return r
 
 
 def prime_point_residue(a: Scalar) -> "int | None":
     """The value of ``a`` at q = 2, lam1 = 3, lam2 = 5, mu1 = 7, mu2 = 11 and
     the next primes for indeterminates registered later, modulo ``MODULUS``;
-    None for a general value, or when its denominator there is 0 modulo
-    ``MODULUS``.  No native value has a pole at the point: a factor Phi_d(m)
-    of its denominator is m^g +- 1 with m a nonzero exponent tuple, and a
-    product of powers of distinct primes is 1 only for m = 0.  So the
-    residue is the image of an exact rational value, whatever the degrees."""
+    None for a general value, or when a coefficient's denominator or a factor
+    of its denominator is 0 modulo ``MODULUS`` there.  No native value has a
+    pole at the point: a factor Phi_d(m) of its denominator is m^g +- 1 with
+    m a nonzero exponent tuple, and a product of powers of distinct primes is
+    1 only for m = 0.  So the residue is the image of an exact rational
+    value, whatever the degrees.  It is computed in plain ints modulo
+    ``MODULUS``: each term of the Laurent numerator and each factor m^g +- 1
+    at the point, a power at the cost of the bits of its exponent, and one
+    modular inverse of the product of the factors."""
     if a._d is None:
         return None
     while len(_PRIMES) < a._n:
@@ -1181,5 +1177,21 @@ def prime_point_residue(a: Scalar) -> "int | None":
         while any(p % d == 0 for d in _PRIMES):
             p += 2
         _PRIMES.append(p)
-    num, den = _native_at(a, list(map(_Residue, _PRIMES[:a._n])), _Residue)
-    return int(num) * pow(int(den), -1, MODULUS) % MODULUS if den else None
+    point = _PRIMES[:a._n]
+    num = 0
+    for k, v in a._d.items():
+        if type(v) is int:
+            c = v
+        elif v.denominator % MODULUS:
+            c = v.numerator * pow(v.denominator, -1, MODULUS)
+        else:
+            return None
+        num += c * _monomial_residue(point, k)
+    den = 1
+    for (m, dd), k in a._b:
+        f = pow(_monomial_residue(point, m), max(1, dd // 2), MODULUS)
+        f = (f - 1 if dd == 1 else f + 1) % MODULUS
+        if not f:
+            return None
+        den = den * pow(f, k, MODULUS) % MODULUS
+    return num * pow(den, -1, MODULUS) % MODULUS

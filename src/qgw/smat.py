@@ -14,7 +14,8 @@ operator in row form and returns the embedding in row form, so a caller
 that embeds one matrix on several legs builds its row form once
 (:func:`embed_pair` takes and returns dense matrices).
 :func:`braid_holds` compares the two sides of the braid relation on three
-such legs without building a dense n^3 x n^3 matrix.
+such legs row by row, without building an n^3 x n^3 matrix: the rows are
+compared in order, and the check stops at the first row that differs.
 """
 
 from __future__ import annotations
@@ -150,12 +151,15 @@ def embed_pair(m, dims, ps, legs):
 
 def braid_holds(r12, r13, r23):
     """R12 R13 R23 == R23 R13 R12 for three leg-embedded matrices in row
-    form (:func:`embed_rows`), multiplied and compared in that form."""
-    def product(x, y, z):
-        xy = [[(j, v) for j, v in acc.items() if v] for acc in _products(x, y)]
-        return [{j: v for j, v in acc.items() if v} for acc in _products(xy, z)]
+    form (:func:`embed_rows`), multiplied and compared in that form, one row
+    at a time: row i of each side comes from row i of its first factor, the
+    rows are compared in order, and the check stops at the first row that
+    differs."""
+    def rows(x, y, z):
+        xy = ([(j, v) for j, v in acc.items() if v] for acc in _products(x, y))
+        return ({j: v for j, v in acc.items() if v} for acc in _products(xy, z))
 
-    return product(r12, r13, r23) == product(r23, r13, r12)
+    return all(a == b for a, b in zip(rows(r12, r13, r23), rows(r23, r13, r12)))
 
 
 def _rref(rows):

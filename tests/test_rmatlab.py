@@ -288,6 +288,29 @@ def test_json_loader_rejects_malformed_input(change):
         rmatrix_from_json(_ac_json(**change))
 
 
+@pytest.mark.parametrize("second", ["-q^-1", "q"])
+def test_json_loader_refuses_a_repeated_cell(second):
+    # with the last value winning, [0, 0] = -1/q would load and pass the
+    # braid check
+    data = json.loads(_ac_json())
+    assert data["entries"][0][:2] == [0, 0]
+    data["entries"].append([0, 0, second])
+    with pytest.raises(ValueError, match=r"repeats the cell \(0, 0\)"):
+        rmatrix_from_json(json.dumps(data))
+
+
+def test_json_loader_parses_each_distinct_entry_once(monkeypatch):
+    from qgw import rmatlab
+    calls, parse = [], rmatlab.parse
+    monkeypatch.setattr(rmatlab, "parse", lambda text: calls.append(text) or parse(text))
+    R = catalog("glnm", 2, 2)
+    text = rmatrix_to_json(R)
+    texts = [e[2] for e in json.loads(text)["entries"]]
+    assert rmatrix_from_json(text) == R
+    assert sorted(calls) == sorted(set(texts))
+    assert len(calls) < len(texts)
+
+
 def test_json_loader_rejects_non_objects():
     for text in ("[]", "3", "not json"):
         with pytest.raises(ValueError):

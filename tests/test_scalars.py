@@ -351,6 +351,15 @@ def test_prime_point_residue_of_huge_degree():
     assert scalars.prime_point_residue(b) == num * pow(den, -1, scalars.MODULUS) % scalars.MODULUS
 
 
+def test_prime_point_residue_of_a_coefficient_over_the_modulus_is_none():
+    # its coefficient's denominator is 0 modulo MODULUS: no residue, and no
+    # modular inverse is attempted
+    assert scalars.prime_point_residue(Fraction(1, scalars.MODULUS) * qvar()) is None
+    assert scalars.prime_point_residue(Fraction(1, 3 * scalars.MODULUS) + qvar()) is None
+    assert scalars.prime_point_residue(Fraction(1, scalars.MODULUS + 2) * qvar()) == \
+        2 * pow(scalars.MODULUS + 2, -1, scalars.MODULUS) % scalars.MODULUS
+
+
 def test_scalar_operand_of_another_type_is_not_printed():
     class Probe:
         def __repr__(self):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qgw import smat
 from qgw.rmatlab import catalog
-from qgw.scalars import ONE, ZERO, Scalar, qvar
+from qgw.scalars import MODULUS, ONE, ZERO, Scalar, prime_point_residue, qvar
 
 
 def _dense(rows):
@@ -107,6 +108,129 @@ def test_braid_holds_on_embedded_legs():
         legs = [smat.embed_rows(rows, dims, ps, pr) for pr in ((0, 1), (0, 2), (1, 2))]
         assert smat.braid_holds(*legs) is ok, name
     assert smat.braid_holds(*[[[(i, ONE)] for i in range(8)]] * 3)
+
+
+def _full_product(a, b):
+    """a b for dense square ``a`` and ``b``, every entry summed over the
+    nonzero pairs that meet: the plain reference for braid_holds."""
+    out = smat.zeros(len(a))
+    for i, row in enumerate(a):
+        for t, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[t]):
+                    if y:
+                        out[i][j] = out[i][j] + x * y
+    return out
+
+
+def _braid_sides(r12, r13, r23):
+    """Both sides of the braid relation for three matrices in row form, as
+    full dense products."""
+    a, b, c = (_dense(r) for r in (r12, r13, r23))
+    return _full_product(_full_product(a, b), c), _full_product(_full_product(c, b), a)
+
+
+def _braid_reference(r12, r13, r23):
+    return smat.meq(*_braid_sides(r12, r13, r23))
+
+
+_CATALOG = [("ac",), ("omega",), ("std_gl", 2), ("std_gl", 3), ("identity", 2)] + [
+    (kind, n, m) for kind in ("glnm", "super_glnm")
+    for n, m in ((1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3))] + [
+    ("super_ac",), ("super_omega",)]
+
+
+def _corrupted(m):
+    """``m`` with its last nonzero entry doubled."""
+    m = [list(row) for row in m]
+    i, j = max((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x)
+    m[i][j] = 2 * m[i][j]
+    return m
+
+
+@pytest.mark.parametrize("spec", _CATALOG, ids=lambda s: "".join(map(str, s)))
+def test_braid_holds_matches_the_full_products_on_the_catalog(spec):
+    # each catalog R, its last nonzero doubled, and for a super R its bosonic
+    # grading: the early exit must not pass an R whose sides differ late
+    R = catalog(*spec)
+    verdicts = []
+    for m, ps in ((R.m, R.p), (R.m, (0,) * R.n), (_corrupted(R.m), R.p)):
+        rows = smat.row_form(m)
+        legs = [smat.embed_rows(rows, (R.n,) * 3, (ps,) * 3, pr)
+                for pr in ((0, 1), (0, 2), (1, 2))]
+        verdicts.append(smat.braid_holds(*legs))
+        assert verdicts[-1] is _braid_reference(*legs), (spec, ps)
+    assert verdicts[0]
+
+
+@settings(deadline=None)
+@given(st.data(), st.integers(1, 6))
+def test_braid_holds_matches_the_full_products_on_random_triples(data, n):
+    def rows():
+        out = []
+        for _ in range(n):
+            cols = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+            out.append([(c, x) for c in cols if (x := data.draw(_ENTRIES))])
+        return out
+
+    triple = [rows() for _ in range(3)]
+    assert smat.braid_holds(*triple) is _braid_reference(*triple)
+
+
+_DIAGONAL = st.sampled_from([ONE, -ONE, Scalar(2), qvar(), ONE / qvar(), qvar() + ONE])
+
+
+@settings(deadline=None)
+@given(st.data(), st.integers(2, 6))
+def test_braid_holds_refutes_sides_that_differ_in_the_last_row_only(data, n):
+    # x, y and z diagonal commute; an entry off the diagonal in z's last row
+    # changes row n - 1 of x y z and of z y x, and no other row
+    x, y, z = ([[(i, data.draw(_DIAGONAL))] for i in range(n)] for _ in range(3))
+    c = data.draw(st.integers(0, n - 2))
+    z[-1].append((c, data.draw(_DIAGONAL)))
+    left, right = _braid_sides(x, y, z)
+    assert all(smat.meq([a], [b]) for a, b in zip(left[:-1], right[:-1]))
+    assert smat.braid_holds(x, y, z) is smat.meq(left, right)
+    if x[c][0][1] * y[c][0][1] != x[-1][0][1] * y[-1][0][1]:
+        assert not smat.braid_holds(x, y, z)
+
+
+def test_braid_holds_stops_at_the_first_row_that_differs(monkeypatch):
+    # x y z and z y x differ in row 0: one row of each product is computed
+    n = 8
+    diag = [[(i, ONE)] for i in range(n)]
+    z = [list(r) for r in diag]
+    z[0] = [(0, ONE), (1, ONE)]
+    x = [list(r) for r in diag]
+    x[1] = [(1, Scalar(2))]
+    assert not _braid_reference(x, diag, z)
+    rows, products = [], smat._products
+
+    def counted(a, b):
+        for acc in products(a, b):
+            rows.append(acc)
+            yield acc
+
+    monkeypatch.setattr(smat, "_products", counted)
+    assert not smat.braid_holds(x, diag, z)
+    assert len(rows) == 4
+    rows.clear()
+    assert smat.braid_holds(diag, diag, diag)
+    assert len(rows) == 4 * n
+
+
+def test_check_invertible_without_a_residue_decides_by_inverse(monkeypatch):
+    # 1/MODULUS q has no residue at the prime point, so the exact inverse
+    # decides: it is invertible alone and singular in a rank-one matrix
+    x = Fraction(1, MODULUS) * qvar()
+    assert prime_point_residue(x) is None
+    calls, inv = [], smat.inv
+    monkeypatch.setattr(smat, "inv", lambda a: calls.append(a) or inv(a))
+    smat.check_invertible([[x, ZERO], [ZERO, ONE]])
+    assert len(calls) == 1
+    with pytest.raises(smat.Singular):
+        smat.check_invertible([[x, x], [ONE, ONE]])
+    assert len(calls) == 2
 
 
 def _naive_mmul(a, b):
