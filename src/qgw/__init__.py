@@ -11,7 +11,7 @@ exterior (q-exterior calculus), cli (the named check suites).
 
 __version__ = "0.1.0"
 
-from .scalars import ONE, ZERO, Scalar, qvar, scalar_eval  # noqa: F401
+from .scalars import ONE, ZERO, Scalar, qvar  # noqa: F401
 from .ncalg import (  # noqa: F401
     Element, GeneratorSymbol, Presentation, compile_relations, overlap_check,
 )

@@ -203,6 +203,25 @@ def fa_presentation(key: str, inverses: bool = True) -> Presentation:
     return build_ar(catalog(_FA_R[key]), names=FA_GRID, name=f"fa-{key}")
 
 
+class NotQuantumMatrix(ValueError):
+    """A presentation without the rules that adjoin_inverses conjugates."""
+
+
+def _q_rule(pres, lhs, lead, extra=""):
+    """pres's rule ``lhs -> p lead`` with p != 0, or ``lhs -> lead + t extra``
+    when ``extra`` is given, as its dict; else NotQuantumMatrix, naming the
+    rule.  A word is spelled one letter per generator."""
+    rule = pres.rules.get(tuple(lhs))
+    p = rule.get(tuple(lead)) if rule else None
+    if not p or not set(rule) <= {tuple(lead), tuple(extra or lead)} or (extra and p != ONE):
+        w = " ".join
+        want = f"{w(lead)} + t {w(extra)}" if extra else f"p {w(lead)}"
+        has = f"no rule for {w(lhs)}" if rule is None else \
+            f"{w(lhs)} -> " + (" + ".join(w(x) or "1" for x in rule) or "0")
+        raise NotQuantumMatrix(f"{pres.name or 'unnamed'} needs {w(lhs)} -> {want}, has {has}")
+    return rule
+
+
 def adjoin_inverses(pres: Presentation) -> Presentation:
     """Adjoin ai, di to a 2x2 quantum matrix presentation.
 
@@ -211,14 +230,16 @@ def adjoin_inverses(pres: Presentation) -> Presentation:
     inverses pick up nilpotent correction terms that grow word length, so
     they are flagged unoriented.  No weighted deg-lex order orients them, so
     their termination rests on the step cap (every correction carries a bc
-    factor and bc squares to zero), and so does the overlap check.
+    factor and bc squares to zero), and so does the overlap check.  Raises
+    NotQuantumMatrix unless pres has the rules b a -> p a b, c a -> p a c,
+    d b -> p b d and d c -> p c d, each with its own p != 0, and
+    d a -> a d + t b c.
     """
-    rules = pres.rules
-    p_ba = rules[("b", "a")][("a", "b")]
-    p_ca = rules[("c", "a")][("a", "c")]
-    r_db = rules[("d", "b")][("b", "d")]
-    r_dc = rules[("d", "c")][("c", "d")]
-    t = rules[("d", "a")].get(("b", "c"), Scalar(0))
+    p_ba = _q_rule(pres, "ba", "ab")[("a", "b")]
+    p_ca = _q_rule(pres, "ca", "ac")[("a", "c")]
+    r_db = _q_rule(pres, "db", "bd")[("b", "d")]
+    r_dc = _q_rule(pres, "dc", "cd")[("c", "d")]
+    t = _q_rule(pres, "da", "ad", "bc").get(("b", "c"), Scalar(0))
     old = {g.name: g for g in pres.gens}
     gens = [
         GeneratorSymbol("ai", inverse="a"),

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 import time
 from dataclasses import dataclass
+from operator import mul
 
 from . import algebras, exterior, frt, reps, rmatlab, smat
 from .hopfcore import casimir_central_check, check_hopf_axioms, coproduct, superize
@@ -26,7 +26,7 @@ from .gtensor import TensorElement
 from .ncalg import STATS, overlap_check
 from .report import CheckReport
 from .rmatlab import catalog, hecke_check, qybe_check, sybe_check
-from .scalars import ONE, Scalar, qvar, scalar_eval, sign_pow
+from .scalars import MODULUS, ONE, Scalar, prime_point, prime_point_residue, qvar, sign_pow
 
 
 class UnknownCheck(KeyError):
@@ -145,8 +145,12 @@ def _chk_frt(ctx):
 
 
 def _chk_tensor_decompose(ctx):
-    out1, out2, T = reps.tensor_decompose()
-    return _bool_report("tensor-decompose", [(T is not None, "intertwiner")])
+    try:
+        reps.tensor_decompose()
+        failure = None
+    except reps.NoIntertwiner as exc:
+        failure = str(exc)
+    return _bool_report("tensor-decompose", [(failure is None, ("intertwiner", failure))])
 
 
 def _chk_duality(ctx):
@@ -335,36 +339,38 @@ def _chk_associativity(ctx):
     return _engine_report("associativity", 60, ctx["rng"])
 
 
-def _num_mat(m, qc):
-    return [[scalar_eval(x, {"q": qc}) for x in row] for row in m]
+def _residues(m, point, what):
+    """The residues of a Scalar matrix at ``point``; ValueError naming an
+    entry without one, a general value or one at a pole there."""
+    out = [[prime_point_residue(x, point) for x in row] for row in m]
+    for i, row in enumerate(out):
+        if None in row:
+            raise ValueError(f"{what} entry ({i}, {row.index(None)}) has no residue "
+                             f"at q = {point[0]}")
+    return out
 
 
-def _num_mmul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+def _mod_mmul(a, b):
+    return [[sum(map(mul, row, col)) % MODULUS for col in zip(*b)] for row in a]
 
 
 def _chk_numeric(ctx):
-    """Re-confirm two exact identities in floating point at a complex q."""
-    rng = ctx["rng"]
-    qc = ctx["q_spot"]
-    if qc is None:
-        qc = complex(0.8 + 0.3 * rng.random(), 0.2 + 0.3 * rng.random())
+    """Re-confirm two exact identities modulo MODULUS at a seeded q.
+
+    Evaluation at a point is a ring homomorphism away from poles, so a
+    nonzero residual survives at a random q with probability about
+    degree / MODULUS (Schwartz 1980, Zippel 1979)."""
+    q = ctx["rng"].randint(2, MODULUS - 2)
+    point = (q, *prime_point()[1:])
     rep = CheckReport("numeric-spot")
-    got = _num_mat(reps.universal_r_eval((1, 0), (1, 0)).m, qc)
-    want = _num_mat(catalog("ac").m, qc)
-    err = max(abs(x - y) for rg, rw in zip(got, want) for x, y in zip(rg, rw))
-    rep.record(err < 1e-9, ("canonical", qc, err))
+    got = _residues(reps.universal_r_eval((1, 0), (1, 0)).m, point, "universal R")
+    rep.record(got == _residues(catalog("ac").m, point, "ac"), ("canonical", q))
     for nm in ("ac", "omega"):
         R = catalog(nm)
-        legs = {pr: _num_mat(smat.embed_pair(R.m, (R.n,) * 3, (R.p,) * 3, pr), qc)
-                for pr in ((0, 1), (0, 2), (1, 2))}
-        lhs = _num_mmul(_num_mmul(legs[(0, 1)], legs[(0, 2)]), legs[(1, 2)])
-        rhs = _num_mmul(_num_mmul(legs[(1, 2)], legs[(0, 2)]), legs[(0, 1)])
-        err = max(abs(x - y) for ra, rb in zip(lhs, rhs)
-                  for x, y in zip(ra, rb))
-        rep.record(err < 1e-9, ("qybe", nm, qc, err))
+        r12, r13, r23 = (_residues(smat.embed_pair(R.m, (R.n,) * 3, (R.p,) * 3, pr), point, nm)
+                         for pr in ((0, 1), (0, 2), (1, 2)))
+        rep.record(_mod_mmul(_mod_mmul(r12, r13), r23) == _mod_mmul(_mod_mmul(r23, r13), r12),
+                   ("qybe", nm, q))
     return rep
 
 
@@ -460,7 +466,7 @@ CHECKS = [
                     "randomized associativity probes",
                     _chk_associativity),
     CheckDescriptor("engine/numeric-spot", "engine",
-                    "floating point confirmation at a complex q",
+                    "exact confirmation modulo a prime at a seeded q",
                     _chk_numeric),
 ]
 
@@ -523,8 +529,7 @@ def _row(c: CheckDescriptor, ctx) -> dict:
     return row
 
 
-def run(suite="all", format="text", seed=0, q_spotcheck=None, labels=None,
-        extra_rmatrix=None, out=None):
+def run(suite="all", format="text", seed=0, labels=None, extra_rmatrix=None, out=None):
     """Execute a suite, then the user R-matrix if given; returns (results, exit_code)."""
     descs = sorted(_resolve(suite), key=lambda c: c.id)
     if extra_rmatrix is not None:
@@ -532,7 +537,7 @@ def run(suite="all", format="text", seed=0, q_spotcheck=None, labels=None,
     results = []
     code = 0
     for c in descs:
-        row = _row(c, {"rng": random.Random(seed), "q_spot": q_spotcheck, "labels": labels})
+        row = _row(c, {"rng": random.Random(seed), "labels": labels})
         results.append(row)
         if row["verdict"] == "error":
             code = 2
@@ -554,17 +559,6 @@ def _render(results, format):
             line += f"  {r['residual']}"
         lines.append(line)
     return "\n".join(lines)
-
-
-def _complex_arg(text):
-    """argparse type of ``--q-spot``: "re,im" -> complex, both parts finite."""
-    try:
-        re_, im_ = (float(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected re,im, got {text!r}") from None
-    if not (math.isfinite(re_) and math.isfinite(im_)):
-        raise argparse.ArgumentTypeError(f"expected finite re,im, got {text!r}")
-    return complex(re_, im_)
 
 
 def _labels_arg(text):
@@ -589,8 +583,6 @@ def main(argv=None):
                     help="m1,m2[,m1',m2'] integer label override")
     rp.add_argument("--rmatrix", default=None,
                     help="path to a serialized R-matrix to verify")
-    rp.add_argument("--q-spot", type=_complex_arg, default=None,
-                    help="re,im complex q sample")
     lp = sub.add_parser("list", help="list check descriptors")
     lp.add_argument("filter", nargs="?", default="")
     args = ap.parse_args(argv)
@@ -608,8 +600,7 @@ def main(argv=None):
             return 2
     try:
         _, code = run(suite=args.suite, format=args.format, seed=args.seed,
-                      q_spotcheck=args.q_spot, labels=args.labels,
-                      extra_rmatrix=extra)
+                      labels=args.labels, extra_rmatrix=extra)
     except UnknownCheck as exc:
         print(f"unknown check or suite: {exc}", file=sys.stderr)
         return 2

@@ -56,16 +56,15 @@ first mixed operation.
 
 ``Scalar.f`` is the value as a sympy fraction, built on first use for a
 native value and cached; ``str`` prints its expression.  No floating point
-enters the core; floats appear only in :func:`scalar_eval`, which is a
-diagnostic.
+enters the module: a value is evaluated only exactly, as a plain ``int``
+modulo a prime (:func:`prime_point_residue`).
 
 sympy itself is imported on first need, never by ``import qgw``: by a
 general value, by ``i`` (:func:`imag_unit`, ``i`` in :func:`parse`), by
 ``.f``, :meth:`Scalar.as_expr`, ``str`` and :func:`render`, and by a sympy
 expression passed in.  Native arithmetic, ==, ``hash``, :func:`parse` of
-text without ``i`` whose divisors split into binomials, :func:`scalar_eval`
-and :func:`prime_point_residue` of a native value, a plain ``int`` modulo a
-prime, need none of it.
+text without ``i`` whose divisors split into binomials, and
+:func:`prime_point_residue` of a native value need none of it.
 """
 
 from __future__ import annotations
@@ -74,15 +73,12 @@ import numbers
 import re
 import sys
 from fractions import Fraction
+from itertools import count
 from math import exp, gcd, lcm, lgamma, log2
 from operator import add, mul, sub, truediv
 
 
 class DivisionByZero(ZeroDivisionError):
-    pass
-
-
-class PoleAtPoint(ArithmeticError):
     pass
 
 
@@ -727,13 +723,6 @@ class Scalar:
         return True if d is None else bool(d)
 
     # -- inspection -------------------------------------------------------
-    def indeterminates(self):
-        """Names of indeterminates actually occurring in this Scalar."""
-        if self._d is None:
-            return {s.name for s in self._f.as_expr().free_symbols}
-        return {_REG.names[i] for k in (*self._d, *(m for (m, _), _ in self._b))
-                for i, e in enumerate(k) if e}
-
     def as_expr(self):
         return self.f.as_expr()
 
@@ -1061,88 +1050,7 @@ def render(a: Scalar) -> str:
     return str(a)
 
 
-# -- evaluation at a point -------------------------------------------------
-
-def _native_at(s, point):
-    """The canonical numerator and denominator of native Scalar ``s`` (those
-    that ``_to_field`` builds) at the complex ``point``, one value per
-    indeterminate.  The numerator is summed term by term; the denominator is
-    the product of its factors, never expanded, each factor Phi_d(m) times
-    the monomial that clears its negative exponents."""
-    d = s._d
-    if not d:
-        return 0j, 1 + 0j
-    den = lcm(*(v.denominator for v in d.values()))
-    neg, factors = [0] * s._n, []
-    for (m, dd), k in s._b:
-        g = max(1, dd // 2)
-        hi = tuple(g * max(0, e) for e in m)
-        lo = tuple(g * max(0, -e) for e in m)
-        factors.append((hi, lo, -1 if dd == 1 else 1, k))
-        neg = [a + k * e for a, e in zip(neg, lo)]
-    shift = [max(c, -min(col), 0) for c, col in zip(neg, zip(*d))]
-    num = 0j
-    for k, v in d.items():
-        t = complex(v.numerator * (den // v.denominator))
-        for x, e, h in zip(point, k, shift):
-            if e + h:
-                t *= x ** (e + h)
-        num += t
-    value = complex(den)
-    for x, h, c in zip(point, shift, neg):
-        if h - c:
-            value *= x ** (h - c)
-    for hi, lo, c, k in factors:
-        u = w = 1 + 0j
-        for x, e, f in zip(point, hi, lo):
-            if e:
-                u *= x ** e
-            if f:
-                w *= x ** f
-        value *= (u + c * w) ** k
-    return num, value
-
-
-def _complex(c):
-    if hasattr(c, "y"):  # an element of Q(i)
-        return complex(float(c.x), float(c.y))
-    return complex(float(c))
-
-
-def scalar_eval(a: Scalar, assignment: dict) -> complex:
-    """Evaluate at a complex point.  Diagnostic only, never used for pass/fail.
-
-    ``assignment`` maps indeterminate names to complex numbers and must cover
-    all indeterminates of ``a``.  The numerator and denominator of the
-    canonical fraction are evaluated in complex floats, a native value's
-    without sympy.  Raises PoleAtPoint when the denominator vanishes (within
-    1e-12 of the numerator's scale).
-    """
-    missing = a.indeterminates() - set(assignment)
-    if missing:
-        raise KeyError(f"assignment missing indeterminates {sorted(missing)}")
-    if a._d is not None:
-        point = [complex(assignment.get(x, 0)) for x in _REG.names[:a._n]]
-        num, den = _native_at(a, point)
-    else:
-        f = a.f
-        point = [complex(assignment.get(x, 0)) for x in _REG.names[:f.field.ngens]]
-
-        def value(p):
-            total = 0j
-            for k, c in p.items():
-                t = _complex(c)
-                for x, e in zip(point, k):
-                    if e:
-                        t *= x ** e
-                total += t
-            return total
-
-        num, den = value(f.numer), value(f.denom)
-    if abs(den) <= 1e-12:
-        raise PoleAtPoint(f"denominator vanishes at {assignment}")
-    return num / den
-
+# -- residues modulo a prime ---------------------------------------------
 
 MODULUS = (1 << 64) - 59  # a prime; 2, 3, 5, 7 and 11 have large order mod it
 _PRIMES = [2, 3, 5, 7, 11]
@@ -1158,26 +1066,34 @@ def _monomial_residue(point, exps):
     return r
 
 
-def prime_point_residue(a: Scalar) -> "int | None":
-    """The value of ``a`` at q = 2, lam1 = 3, lam2 = 5, mu1 = 7, mu2 = 11 and
-    the next primes for indeterminates registered later, modulo ``MODULUS``;
-    None for a general value, or when a coefficient's denominator or a factor
-    of its denominator is 0 modulo ``MODULUS`` there.  No native value has a
-    pole at the point: a factor Phi_d(m) of its denominator is m^g +- 1 with
-    m a nonzero exponent tuple, and a product of powers of distinct primes is
-    1 only for m = 0.  So the residue is the image of an exact rational
-    value, whatever the degrees.  It is computed in plain ints modulo
-    ``MODULUS``: each term of the Laurent numerator and each factor m^g +- 1
-    at the point, a power at the cost of the bits of its exponent, and one
-    modular inverse of the product of the factors."""
+def prime_point() -> list:
+    """q = 2, lam1 = 3, lam2 = 5, mu1 = 7, mu2 = 11 and the next primes: one
+    value per registered indeterminate, in the registry's order."""
+    while len(_PRIMES) < _REG.n:
+        _PRIMES.append(next(p for p in count(_PRIMES[-1] + 2, 2) if all(p % d for d in _PRIMES)))
+    return _PRIMES[:_REG.n]
+
+
+def prime_point_residue(a: Scalar, point=None) -> "int | None":
+    """The value of ``a`` modulo ``MODULUS`` at ``point``, one int per
+    indeterminate in the registry's order, each nonzero modulo ``MODULUS``
+    (default :func:`prime_point`); ValueError for a point with fewer values
+    than ``a`` has indeterminates.  None for a general value, or when a
+    coefficient's denominator or a factor of its denominator is 0 modulo
+    ``MODULUS`` at the point.  At the prime point no factor is: a factor
+    Phi_d(m) is m^g +- 1 with m a nonzero exponent tuple, and a product of
+    powers of distinct primes is 1 only for m = 0, so there the residue is
+    the image of an exact rational value, whatever the degrees.  Elsewhere
+    a factor can vanish (q - 1 at q = 1).  Computed in plain ints: each
+    term of the Laurent numerator and each factor m^g +- 1 at the point, a
+    power at the cost of the bits of its exponent, and one modular inverse
+    of the product of the factors."""
     if a._d is None:
         return None
-    while len(_PRIMES) < a._n:
-        p = _PRIMES[-1] + 2
-        while any(p % d == 0 for d in _PRIMES):
-            p += 2
-        _PRIMES.append(p)
-    point = _PRIMES[:a._n]
+    if point is None:
+        point = prime_point()
+    if len(point) < a._n:
+        raise ValueError(f"a point of {len(point)} values for {a._n} indeterminates")
     num = 0
     for k, v in a._d.items():
         if type(v) is int:

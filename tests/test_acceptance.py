@@ -24,7 +24,8 @@ from qgw.ncalg import overlap_check
 from qgw.reps import (quasitriangularity_check, rep_build, ribbon_check,
                       twist_check, universal_r_eval)
 from qgw.rmatlab import catalog, hecke_check, qybe_check, superize_r, sybe_check
-from qgw.scalars import ONE, Scalar, qvar, scalar_eval, sign_pow
+from qgw.scalars import (MODULUS, ONE, Scalar, prime_point, prime_point_residue, qvar,
+                         sign_pow)
 
 
 def _verdict(name, ok, detail=""):
@@ -244,26 +245,27 @@ def test_accept_11_engine_health():
         rep = overlap_check(pres, sample_budget=1000, rng=random.Random(4))
         if not rep.ok:
             ok, detail = False, f"{pres.name}: {rep.failures[0]}"
-    # numeric spot checks at three pseudo-random complex q
+    # spot checks modulo MODULUS at three pseudo-random q
     rng = random.Random(13)
     for _ in range(3):
-        qc = complex(0.6 + 0.6 * rng.random(), 0.2 + 0.5 * rng.random())
-        ev = lambda m: [[scalar_eval(x, {"q": qc}) for x in row] for row in m]
-        got = ev(universal_r_eval((1, 0), (1, 0)).m)
-        want = ev(catalog("ac").m)
-        err = max(abs(x - y) for rg, rw in zip(got, want)
-                  for x, y in zip(rg, rw))
+        q = rng.randint(2, MODULUS - 2)
+        point = (q, *prime_point()[1:])
+        mul = lambda a, b: [[sum(a[i][k] * b[k][j] for k in range(len(a))) % MODULUS
+                             for j in range(len(a))] for i in range(len(a))]
+
+        def ev(m):
+            out = [[prime_point_residue(x, point) for x in row] for row in m]
+            assert all(None not in row for row in out), f"an entry has no residue at q={q}"
+            return out
+
+        bad = [] if ev(universal_r_eval((1, 0), (1, 0)).m) == ev(catalog("ac").m) else ["canonical"]
         for nm in ("ac", "omega"):
             R = catalog(nm)
             legs = {pr: ev(smat.embed_pair(R.m, (R.n,) * 3, (R.p,) * 3, pr))
                     for pr in ((0, 1), (0, 2), (1, 2))}
-            mul = lambda a, b: [[sum(a[i][k] * b[k][j] for k in range(len(a)))
-                                 for j in range(len(a))]
-                                for i in range(len(a))]
-            lhs = mul(mul(legs[(0, 1)], legs[(0, 2)]), legs[(1, 2)])
-            rhs = mul(mul(legs[(1, 2)], legs[(0, 2)]), legs[(0, 1)])
-            err = max(err, max(abs(x - y) for ra, rb in zip(lhs, rhs)
-                               for x, y in zip(ra, rb)))
-        if err > 1e-9:
-            ok, detail = False, f"numeric residual {err} at q={qc}"
+            if mul(mul(legs[(0, 1)], legs[(0, 2)]), legs[(1, 2)]) \
+                    != mul(mul(legs[(1, 2)], legs[(0, 2)]), legs[(0, 1)]):
+                bad.append(f"qybe {nm}")
+        if bad:
+            ok, detail = False, f"{bad} at q={q}"
     _verdict("engine-health", ok, f"{detail} [{time.time() - t0:.0f}s]")

@@ -2,15 +2,15 @@ from functools import lru_cache
 
 import pytest
 
-from qgw.algebras import (adjoin_inverses, fa_hopf, fa_presentation,
-                          theta_iso_for, theta_map, uq_casimirs, uq_hopf,
-                          uq_omega_hopf, uq_presentation, uqgl11_hopf,
+from qgw.algebras import (FA_GRID, NotQuantumMatrix, adjoin_inverses, fa_hopf,
+                          fa_presentation, theta_iso_for, theta_map, uq_casimirs,
+                          uq_hopf, uq_omega_hopf, uq_presentation, uqgl11_hopf,
                           uqgl11_omega_hopf)
-from qgw.frt import ar_hopf, generator_grid
+from qgw.frt import ar_hopf, build_ar, generator_grid
 from qgw.hopfcore import (casimir_central_check, check_hopf_axioms, coproduct,
                           counit, superize, theta_iso_check, z2_extend)
 from qgw.ncalg import overlap_check
-from qgw.rmatlab import catalog, superizable_grading_search, superize_r
+from qgw.rmatlab import RMatrix, catalog, superizable_grading_search, superize_r
 from qgw.scalars import ONE, ZERO, qvar
 
 _q = qvar()
@@ -134,6 +134,17 @@ def test_adjoin_inverses_no_inverse_flag():
     assert "ai" not in p.by_name
     p2 = adjoin_inverses(p)
     assert p2.word("ai", "a") == p2.one()
+
+
+def test_adjoin_inverses_refuses_a_rule_to_zero():
+    """A(R) of ac with its entry q - 1/q replaced by q has b a -> 0, not
+    b a -> p a b: adjoin_inverses names that rule instead of a KeyError."""
+    q = qvar()
+    R = RMatrix(2, [[q, 0, 0, 0], [0, ONE, q, 0], [0, 0, ONE, 0], [0, 0, 0, -ONE / q]])
+    pres = build_ar(R, names=FA_GRID, name="ac-w-q")
+    assert pres.rules[("b", "a")] == {}
+    with pytest.raises(NotQuantumMatrix, match=r"ac-w-q needs b a -> p a b, has b a -> 0$"):
+        adjoin_inverses(pres)
 
 
 def test_fa_hopf_axioms():

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from sympy.polys.domains import QQ, QQ_I
 
-from qgw import cli, scalars
+from qgw import cli, reps, scalars
 from qgw.rmatlab import RMatrix, catalog, rmatrix_from_json, rmatrix_to_json
 from qgw.scalars import ONE
 
@@ -138,7 +139,7 @@ def test_main_entry_list(capsys):
 
 def test_main_entry_run(capsys):
     code = cli.main(["run", "--suite", "sec2/qybe", "--format", "json",
-                     "--seed", "4", "--q-spot", "0.8,0.3"])
+                     "--seed", "4"])
     assert code == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["id"] == "sec2/qybe"
@@ -161,24 +162,50 @@ def test_labels_flag(capsys):
     assert code == 0
 
 
-def test_main_rejects_bad_q_spot(capsys):
-    for bad in ("abc", "0.8", "0.8,0.3,1", "nan,0", "0,inf"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--suite", "sec2/qybe", "--q-spot", bad])
-        assert exc.value.code == 2
-        assert "--q-spot" in capsys.readouterr().err
+def _ac_with(monkeypatch, row, col, value):
+    """cli.catalog with one entry of ``ac`` replaced."""
+    real = cli.catalog
+
+    def patched(name, *args):
+        R = real(name, *args)
+        if name != "ac":
+            return R
+        m = [list(r) for r in R.m]
+        m[row][col] = value
+        return RMatrix(2, m, name="ac")
+
+    monkeypatch.setattr(cli, "catalog", patched)
 
 
-def test_q_spot_at_zero_is_not_replaced():
-    """q = 0 is a pole of the checked entries, so the spot check errs there;
-    without --q-spot the check runs at a random point and passes."""
-    rows, code = run_quiet(suite="engine/numeric-spot", q_spotcheck=0j)
-    assert code == 2
-    assert rows[0]["verdict"] == "error"
-    assert rows[0]["residual"].startswith("PoleAtPoint: denominator vanishes")
+def test_numeric_spot_refuses_an_entry_without_a_residue(monkeypatch):
+    """An entry whose coefficient's denominator is MODULUS has no residue:
+    the row is an error that names the entry, never a comparison of Nones."""
+    _ac_with(monkeypatch, 0, 0, Fraction(1, scalars.MODULUS) * scalars.qvar())
     rows, code = run_quiet(suite="engine/numeric-spot")
-    assert code == 0
-    assert rows[0]["verdict"] == "pass"
+    assert (rows[0]["verdict"], code) == ("error", 2)
+    assert rows[0]["residual"].startswith("ValueError: ac entry (0, 0) has no residue")
+
+
+def test_numeric_spot_fails_a_wrong_entry(monkeypatch):
+    """ac with its entry q - 1/q replaced by q is no solution and is not the
+    fundamental image of the universal R-matrix."""
+    _ac_with(monkeypatch, 1, 2, scalars.qvar())
+    rows, code = run_quiet(suite="engine/numeric-spot")
+    assert (rows[0]["verdict"], code) == ("fail", 1)
+    assert rows[0]["residual"].startswith("('canonical', ")
+
+
+def test_tensor_decomposition_that_fails_to_intertwine_is_a_fail_row(monkeypatch):
+    summands = reps._summands
+
+    def flipped(lab1, lab2):
+        out1, out2 = summands(lab1, lab2)
+        return out1, reps.RepLabel.symbolic(out2.lam1, out2.lam2, gsign=-out2.gsign)
+
+    monkeypatch.setattr(reps, "_summands", flipped)
+    rows, code = run_quiet(suite="sec2/tensor-decomposition")
+    assert (rows[0]["verdict"], code) == ("fail", 1)
+    assert rows[0]["residual"] == "('intertwiner', 'T fails to intertwine g')"
 
 
 def test_main_rejects_bad_labels(capsys):

@@ -147,6 +147,20 @@ def test_glnm_specializes_to_rank_two():
     assert catalog("glnm", 1, 1).m == catalog("ac").m
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3)])
+def test_superized_glnm_diagonal(n, m):
+    """Superized with p = (0^n, 1^m), gl(n|m) has R^{ij}_{ij} = 1 for i != j
+    and R^{ii}_{ii} = q for even i, 1/q for odd i, as gl(1|1) in
+    prop3.1/superizable: the -1 of the bosonic solution on two odd indices
+    is undone by the superization sign."""
+    q, d, p = qvar(), n + m, (0,) * n + (1,) * m
+    Rb = superize_r(catalog("glnm", n, m), p)
+    for i in range(d):
+        for j in range(d):
+            want = (ONE / q if p[i] else q) if i == j else ONE
+            assert Rb.m[i * d + j][i * d + j] == want, (i, j)
+
+
 def permutation_matrix(n):
     """The matrix P of the flip a (x) b -> b (x) a on two legs of dimension n."""
     out = smat.zeros(n * n)

@@ -14,9 +14,8 @@ from sympy.polys.fields import FracElement
 from sympy.polys.rings import PolyElement
 
 from qgw import scalars
-from qgw.scalars import (ONE, ZERO, PoleAtPoint, Scalar, imag_unit, indet,
-                         parse, qvar, register_indeterminate, render,
-                         scalar_eval, sign_pow)
+from qgw.scalars import (ONE, ZERO, Scalar, imag_unit, indet, parse, qvar,
+                         register_indeterminate, render, sign_pow)
 
 
 def test_basic_arithmetic():
@@ -98,20 +97,6 @@ def test_parse_runs_no_code(tmp_path):
     with pytest.raises(ValueError):
         parse(f"open({str(target)!r}, 'w').write('x') + q")
     assert not target.exists()
-
-
-def test_scalar_eval():
-    q = qvar()
-    a = (q - ONE / q) ** 2
-    qc = 0.7 + 0.2j
-    want = (qc - 1 / qc) ** 2
-    assert abs(scalar_eval(a, {"q": qc}) - want) < 1e-12
-
-
-def test_scalar_eval_pole():
-    q = qvar()
-    with pytest.raises(PoleAtPoint):
-        scalar_eval(ONE / (q - ONE), {"q": 1.0})
 
 
 _HOSTILE = ["9^9^9", "((2^100)^1000)^1000", "((2^10)^1000)^1000", "1" + "0" * 200,
@@ -265,78 +250,56 @@ def test_parse_matches_sympify(text):
     _same(parse(text).f, scalars._REG.field.from_expr(sympy.sympify(text.replace("^", "**"))))
 
 
-def _sympy_eval(a, point):
-    sub = {sympy.Symbol(n): sympy.Float(v.real, 30) + sympy.I * sympy.Float(v.imag, 30)
-           for n, v in point.items()}
-    return complex(sympy.N(a.as_expr().subs(sub), 30))
-
-
-_POINT = {"q": 0.7 + 0.2j, "lam1": -1.1 + 0.3j, "lam2": 0.4 - 0.9j, "mu1": 1.3j, "mu2": 2.0}
-
-
-@settings(deadline=None)
-@given(_scalars())
-def test_scalar_eval_matches_sympy(a):
-    want = _sympy_eval(a, _POINT)
-    assert abs(scalar_eval(a, _POINT) - want) <= 1e-12 * abs(want)
-
-
-def _field_eval(a, assignment):
-    """scalar_eval through the canonical sympy fraction ``a.f``: numerator
-    and denominator summed term by term in complex floats, the same pole
-    test."""
-    f = a.f
-    point = [complex(assignment.get(n, 0)) for n in scalars._REG.names[:f.field.ngens]]
-
+def _canonical_residue(a, point):
+    """The canonical sympy fraction ``a.f`` at ``point`` modulo MODULUS, its
+    numerator and denominator summed term by term; None where the
+    denominator vanishes."""
     def value(p):
-        return sum((complex(c) * math.prod(x ** e for x, e in zip(point, k))
-                    for k, c in p.items()), 0j)
+        return sum(int(c.numerator) * pow(int(c.denominator), -1, scalars.MODULUS)
+                   * math.prod(pow(x, e, scalars.MODULUS) for x, e in zip(point, k))
+                   for k, c in p.items()) % scalars.MODULUS
 
-    num, den = value(f.numer), value(f.denom)
-    if abs(den) <= 1e-12:
-        raise PoleAtPoint
-    return num / den
+    num, den = value(a.f.numer), value(a.f.denom)
+    return num * pow(den, -1, scalars.MODULUS) % scalars.MODULUS if den else None
 
 
-# points at the binomial factors' poles: q = 1, -1, i for q - 1, q + 1,
-# q^2 + 1, and lam1 = 2, q = 0.5 or lam1 = q = 1 for lam1 q - 1 and q - lam1
-_QS = [1, -1, 1j, -1j, 2, 0.5, 0.7 + 0.2j, -1.3 + 0.4j]
-_LAMS = [1, -1, 2, 0.5, -1.1 + 0.3j]
+# q at poles of the texts' binomial factors modulo MODULUS: q + 1 at q = -1,
+# q - lam1 at q = 3 and lam1 q - 1 at q = 1/3 (lam1 = 3 at the prime point)
+_POLES = [scalars.MODULUS - 1, 3, pow(3, -1, scalars.MODULUS)]
 
 
 @settings(deadline=None)
-@given(_scalars(), st.sampled_from(_QS), st.sampled_from(_LAMS))
-def test_native_scalar_eval_matches_field_path(a, qc, lc):
-    point = dict(_POINT, q=qc, lam1=lc)
-    try:
-        want = _field_eval(a, point)
-    except PoleAtPoint:
-        with pytest.raises(PoleAtPoint):
-            scalar_eval(a, point)
-        return
-    assert abs(scalar_eval(a, point) - want) <= 1e-9 * max(abs(want), 1e-3)
+@given(_scalars(), st.integers(2, scalars.MODULUS - 2) | st.sampled_from(_POLES))
+def test_prime_point_residue_is_exact(a, q):
+    """At the prime point, exactly the value substituted by sympy; with q
+    moved to a drawn value, the canonical fraction's residue (None where a
+    binomial factor vanishes); None for a general value at either."""
+    at = {sympy.Symbol(n): p for n, p in zip(scalars._REG.names, scalars.prime_point())}
+    moved = (q, *scalars.prime_point()[1:])
+    got = scalars.prime_point_residue(a), scalars.prime_point_residue(a, moved)
+    if a._d is None:
+        assert got == (None, None)
+    else:
+        want = sympy.Rational(a.as_expr().subs(at))
+        assert got[0] == int(want.p) * pow(int(want.q), -1, scalars.MODULUS) % scalars.MODULUS
+        assert got[1] == _canonical_residue(a, moved)
 
 
 @pytest.mark.parametrize("text", ["1/(q^2-1)", "(q+1)/(q^2-1)^2", "q/(q^4+1)/(q-1)"])
-def test_scalar_eval_pole_of_a_binomial(text):
+def test_residue_at_a_pole_of_a_binomial_is_none(text):
     a = parse(text)
     assert a._b  # native, over binomial factors
-    with pytest.raises(PoleAtPoint):
-        scalar_eval(a, {"q": 1})
-    with pytest.raises(PoleAtPoint):
-        _field_eval(a, {"q": 1})
+    assert scalars.prime_point_residue(a, (1, *scalars.prime_point()[1:])) is None
+    assert _canonical_residue(a, (1, *scalars.prime_point()[1:])) is None
 
 
-@settings(deadline=None)
-@given(_scalars())
-def test_prime_point_residue_is_exact(a):
-    point = {sympy.Symbol(n): p for n, p in zip(scalars._REG.names, (2, 3, 5, 7, 11))}
-    got = scalars.prime_point_residue(a)
-    if a._d is None:
-        assert got is None
-    else:
-        want = sympy.Rational(a.as_expr().subs(point))
-        assert got == int(want.p) * pow(int(want.q), -1, scalars.MODULUS) % scalars.MODULUS
+def test_prime_point_residue_refuses_a_short_point():
+    """A point must give every indeterminate of the value a value: zip would
+    drop the ones past its end."""
+    a = qvar() + indet("mu2")
+    assert scalars.prime_point_residue(a, (2, 3, 5, 7, 11)) == 13
+    with pytest.raises(ValueError, match="4 values for 5 indeterminates"):
+        scalars.prime_point_residue(a, (2, 3, 5, 7))
 
 
 def test_prime_point_residue_of_huge_degree():
@@ -371,13 +334,6 @@ def test_scalar_operand_of_another_type_is_not_printed():
     assert qvar() * Probe() == "rmul"
     with pytest.raises(TypeError, match="cannot coerce"):
         Scalar(1.5)
-
-
-def test_scalar_eval_matches_sympy_over_qi(restore_field):
-    i, q, l1 = imag_unit(), qvar(), indet("lam1")
-    for a in (i, i * q + l1, q - i / (2 * q), ONE / (q * q - i), (q * q - 1) / q ** 3):
-        want = _sympy_eval(a, _POINT)
-        assert abs(scalar_eval(a, _POINT) - want) <= 1e-12 * abs(want)
 
 
 def _want_pow(f, k):
