@@ -115,15 +115,20 @@ def flip_rows(m, n):
     return [list(m[k]) for k in flip_index(n)]
 
 
+def _shifted(m, c):
+    """m + c times the identity, as new rows."""
+    out = [list(row) for row in m]
+    for i, row in enumerate(out):
+        row[i] = row[i] + c
+    return out
+
+
 def hecke_check(R: RMatrix) -> bool:
-    """(PR - q)(PR + 1/q) = 0."""
+    """(PR - q)(PR + 1/q) = 0, the product taken by
+    :func:`smat.product_is_zero`."""
     q = qvar()
-    n = R.n
-    pr = flip_rows(R.m, n)
-    idm = smat.eye(n * n)
-    lhs = smat.mmul(smat.msub(pr, smat.smul(q, idm)),
-                    smat.madd(pr, smat.smul(ONE / q, idm)))
-    return smat.is_zero(lhs)
+    pr = flip_rows(R.m, R.n)
+    return smat.product_is_zero(_shifted(pr, -q), _shifted(pr, ONE / q))
 
 
 def hecke_identity_check(R: RMatrix) -> bool:

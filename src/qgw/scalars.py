@@ -1076,11 +1076,12 @@ def prime_point() -> list:
 
 def prime_point_residue(a: Scalar, point=None) -> "int | None":
     """The value of ``a`` modulo ``MODULUS`` at ``point``, one int per
-    indeterminate in the registry's order, each nonzero modulo ``MODULUS``
-    (default :func:`prime_point`); ValueError for a point with fewer values
-    than ``a`` has indeterminates.  None for a general value, or when a
-    coefficient's denominator or a factor of its denominator is 0 modulo
-    ``MODULUS`` at the point.  At the prime point no factor is: a factor
+    indeterminate in the registry's order (default :func:`prime_point`);
+    ValueError, before anything is computed, for a point that gives an
+    indeterminate a value that is 0 modulo ``MODULUS`` (naming it), and for
+    one with fewer values than ``a`` has indeterminates.  None for a
+    general value, or when a coefficient's denominator or a factor of its
+    denominator is 0 modulo ``MODULUS`` at the point.  At the prime point no factor is: a factor
     Phi_d(m) is m^g +- 1 with m a nonzero exponent tuple, and a product of
     powers of distinct primes is 1 only for m = 0, so there the residue is
     the image of an exact rational value, whatever the degrees.  Elsewhere
@@ -1088,10 +1089,13 @@ def prime_point_residue(a: Scalar, point=None) -> "int | None":
     term of the Laurent numerator and each factor m^g +- 1 at the point, a
     power at the cost of the bits of its exponent, and one modular inverse
     of the product of the factors."""
-    if a._d is None:
-        return None
     if point is None:
         point = prime_point()
+    for i, (name, x) in enumerate(zip(_REG.names, point)):
+        if not x % MODULUS:
+            raise ValueError(f"coordinate {i} ({name}) of the point is 0 modulo MODULUS")
+    if a._d is None:
+        return None
     if len(point) < a._n:
         raise ValueError(f"a point of {len(point)} values for {a._n} indeterminates")
     num = 0
@@ -1111,3 +1115,57 @@ def prime_point_residue(a: Scalar, point=None) -> "int | None":
             return None
         den = den * pow(f, k, MODULUS) % MODULUS
     return num * pow(den, -1, MODULUS) % MODULUS
+
+
+# -- Kronecker substitution ----------------------------------------------
+
+_MAX_CODE_BITS = 1 << 14  # of one entry's code
+
+
+def _kronecker_bits(k, width, norm):
+    """b with X = 2^b > 2 width^(k-1) norm^k."""
+    return (2 * width ** (k - 1) * norm ** k).bit_length()
+
+
+def kronecker_codes(factors):
+    """The matrices ``factors``, in row form (each row a list of (column,
+    Scalar) pairs), with each entry x replaced by the int D q^s x at q = X =
+    2^b: an identity between products of k = len(factors) of them, such as
+    R12 R13 R23 = R23 R13 R12 or A B = 0, holds exactly when it holds
+    between the products of their codes.  None, and nothing is built, unless
+    every entry is a native Laurent polynomial in q alone (no binomial
+    factor, no other indeterminate) and no code passes ``_MAX_CODE_BITS``
+    bits.
+
+    D is the lcm of the coefficient denominators and -s the lowest exponent
+    of q, both over all entries, so each D q^s x lies in Z[q].  Evaluation
+    at X is a ring map, so the code of a product of k factors is the value
+    at X of (D q^s)^k times the product, the same unit on both sides of the
+    identity.  An entry of such a product is a sum of at most W^(k-1)
+    products of k entries, W the largest number of entries in a row, so its
+    coefficients are at most W^(k-1) M^k < X/2 in size, M the largest L1
+    norm of a D q^s x (at least D, the norm of the code of 1).  The
+    difference of the two sides then has integer coefficients below X in
+    size, and such a polynomial is 0 at X only when it is 0: its top term
+    outweighs all the others."""
+    values = {id(x): x for rows in factors for row in rows for _, x in row}
+    terms = []
+    for x in values.values():
+        if type(x) is not Scalar or x._d is None or x._b:
+            return None
+        terms += x._d.items()
+    if any(any(k[1:]) for k, _ in terms):
+        return None
+    den = lcm(*(v.denominator for _, v in terms))
+    exps = [k[0] for k, _ in terms]
+    lo, hi = min(exps, default=0), max(exps, default=0)
+    norm = max([den] + [sum(abs(v.numerator) * (den // v.denominator) for v in x._d.values())
+                        for x in values.values()])
+    width = max(map(len, (row for rows in factors for row in rows)), default=1)
+    b = _kronecker_bits(len(factors), width, norm)
+    if b * (hi - lo) + norm.bit_length() > _MAX_CODE_BITS:
+        return None
+    codes = {i: sum((v.numerator * (den // v.denominator)) << (b * (k[0] - lo))
+                    for k, v in x._d.items())
+             for i, x in values.items()}
+    return [[[(j, codes[id(x)]) for j, x in row] for row in rows] for rows in factors]

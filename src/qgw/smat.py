@@ -16,11 +16,24 @@ that embeds one matrix on several legs builds its row form once
 :func:`braid_holds` compares the two sides of the braid relation on three
 such legs row by row, without building an n^3 x n^3 matrix: the rows are
 compared in order, and the check stops at the first row that differs.
+:func:`product_is_zero` decides a b = 0 the same way.
+
+Both run on plain ints when every entry of their factors is a Laurent
+polynomial in q over Q (``scalars.kronecker_codes``): each entry x becomes
+the value at q = X = 2^b of D q^s x, with D the lcm of the coefficient
+denominators and -s the lowest exponent of q.  The map is a ring map, and
+an entry of a product of k factors is a sum of at most W^(k-1) products
+of k codes (W the widest row), whose coefficients are below W^(k-1) M^k in
+size (M the largest L1 norm of a D q^s x, at least D).  With X > 2 W^(k-1)
+M^k the two sides' difference has coefficients below X, and a nonzero
+integer polynomial with coefficients below X does not vanish at X: equal
+ints are equal entries.  Any other entry, or a code of more than 2^14 bits
+(an entry q^1000000000), leaves the factors on the Scalar products.
 """
 
 from __future__ import annotations
 
-from .scalars import MODULUS, ONE, ZERO, Scalar, prime_point_residue
+from .scalars import MODULUS, ONE, ZERO, Scalar, kronecker_codes, prime_point_residue
 
 
 class Singular(ArithmeticError):
@@ -39,10 +52,6 @@ def eye(n):
 def madd(a, b):
     return [[x + y if x and y else x or y for x, y in zip(ra, rb)]
             for ra, rb in zip(a, b)]
-
-
-def msub(a, b):
-    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def smul(c, a):
@@ -154,12 +163,28 @@ def braid_holds(r12, r13, r23):
     form (:func:`embed_rows`), multiplied and compared in that form, one row
     at a time: row i of each side comes from row i of its first factor, the
     rows are compared in order, and the check stops at the first row that
-    differs."""
+    differs.
+
+    When every entry is a Laurent polynomial in q over Q, the products run
+    on the entries' Kronecker codes at q = X = 2^b (:func:`kronecker_codes`)
+    with k = 3: an entry of either side is a sum of at most W^2 products of
+    three codes, so its coefficients are below W^2 M^3 in size, and X > 2
+    W^2 M^3 makes two sides with equal ints equal as Laurent polynomials."""
+    r12, r13, r23 = kronecker_codes((r12, r13, r23)) or (r12, r13, r23)
+
     def rows(x, y, z):
         xy = ([(j, v) for j, v in acc.items() if v] for acc in _products(x, y))
         return ({j: v for j, v in acc.items() if v} for acc in _products(xy, z))
 
     return all(a == b for a, b in zip(rows(r12, r13, r23), rows(r23, r13, r12)))
+
+
+def product_is_zero(a, b):
+    """Whether a b = 0, row by row, stopping at the first nonzero row; on
+    Kronecker codes at k = 2 when they apply, as in :func:`braid_holds`."""
+    rows = row_form(a), row_form(b)
+    a, b = kronecker_codes(rows) or rows
+    return not any(any(acc.values()) for acc in _products(a, b))
 
 
 def _rref(rows):

@@ -109,8 +109,8 @@ def test_evaluate_words():
     img = rep.evaluate(pres.word("K1", "K2"))
     assert smat.meq(img, [[q, 0], [0, -q]])
     comm = pres.word("Xp", "Xm") - pres.word("Xm", "Xp")
-    want = smat.msub(rep.evaluate(pres.word("Xp", "Xm")),
-                     rep.evaluate(pres.word("Xm", "Xp")))
+    want = smat.madd(rep.evaluate(pres.word("Xp", "Xm")),
+                     smat.smul(-ONE, rep.evaluate(pres.word("Xm", "Xp"))))
     assert smat.meq(rep.evaluate(comm), want)
 
 

@@ -16,7 +16,7 @@ from qgw.rmatlab import (NotSuperizable, NullDegreeViolated, RMatrix,
                          qybe_check, rmatrix_from_json,
                          rmatrix_to_json, superizable_grading_search,
                          superize_r, sybe_check)
-from qgw.scalars import ONE, qvar
+from qgw.scalars import ONE, Scalar, qvar
 
 
 def test_catalog_rank_two_entries():
@@ -190,7 +190,7 @@ def _hecke_by_product(R):
     """(PR - q)(PR + 1/q) = 0, with P R the product by the permutation matrix."""
     q, idm = qvar(), smat.eye(R.n * R.n)
     pr = smat.mmul(permutation_matrix(R.n), R.m)
-    return smat.is_zero(smat.mmul(smat.msub(pr, smat.smul(q, idm)),
+    return smat.is_zero(smat.mmul(smat.madd(pr, smat.smul(-q, idm)),
                                   smat.madd(pr, smat.smul(ONE / q, idm))))
 
 
@@ -211,6 +211,39 @@ def test_hecke_verdicts_pinned(spec, holds):
     assert _hecke_by_product(R) is holds
     if holds:
         assert not hecke_check(_doubled(R))
+
+
+_ALL = [("ac",), ("super_ac",), ("omega",), ("super_omega",), ("std_gl", 2),
+        ("std_gl", 3)] + [(kind, n, m) for kind in ("glnm", "super_glnm")
+                            for n, m in ((1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3))]
+
+
+@pytest.mark.parametrize("spec", _ALL, ids=lambda s: "".join(map(str, s)))
+def test_hecke_integer_and_scalar_paths_agree(spec, monkeypatch):
+    # each catalog R and a twist of it, as they are and doubled: the product
+    # takes the integer path and gives the verdict of the Scalar path and of
+    # the product by the permutation matrix
+    R = catalog(*spec)
+    for S in (R, twisted_r(R, 5), _doubled(R), _doubled(twisted_r(R, 5))):
+        factors = [smat.row_form(m) for m in (S.m, S.m)]
+        assert smat.kronecker_codes(factors) is not None
+        got = hecke_check(S)
+        with monkeypatch.context() as m:
+            m.setattr(smat, "kronecker_codes", lambda factors: None)
+            assert hecke_check(S) is got, (spec, S.name)
+        assert _hecke_by_product(S) is got, (spec, S.name)
+
+
+def test_braid_and_hecke_on_glnm_make_no_scalar_product(monkeypatch):
+    # every entry of gl(2|2) is a Laurent polynomial in q: the products run
+    # on ints, and the checks multiply no Scalars
+    R = catalog("glnm", 2, 2)
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        op = getattr(Scalar, name)
+        monkeypatch.setattr(Scalar, name, lambda x, y, op=op: calls.append(y) or op(x, y))
+    assert qybe_check(R) and hecke_check(R) and sybe_check(catalog("super_glnm", 2, 2))
+    assert calls == []
 
 
 def test_invertibility_enforced():
@@ -272,6 +305,28 @@ def test_invertibility_of_huge_degree_in_time():
     out = subprocess.run([sys.executable, "-c", _HUGE_DEGREE, *texts], timeout=20, check=True,
                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.split() == ["True"] * len(texts)
+
+
+_HUGE_BRAID = """
+import json, sys
+from qgw.rmatlab import hecke_check, qybe_check, rmatrix_from_json
+# ac at q^N: a QYBE solution, but not Hecke at q; with a 2 for its 1 at
+# ((1, 0), (1, 0)), no solution
+n, w = "q^1000000000", "q^1000000000 - q^-1000000000"
+for d in ("1", "2"):
+    entries = [[0, 0, n], [1, 1, d], [1, 2, w], [2, 2, "1"], [3, 3, "-q^-1000000000"]]
+    R = rmatrix_from_json(json.dumps({"n": 2, "entries": entries}))
+    print(qybe_check(R), hecke_check(R))
+"""
+
+
+def test_braid_check_of_huge_degree_in_time():
+    # codes of entries q^(+-10^9) would pass the size bound: the checks run
+    # on the Scalar path, at a cost that does not grow with the degree
+    src = str(Path(smat.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _HUGE_BRAID], timeout=20, check=True,
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split() == ["True", "False", "False", "False"]
 
 
 def test_serialization_roundtrip():

@@ -302,6 +302,17 @@ def test_prime_point_residue_refuses_a_short_point():
         scalars.prime_point_residue(a, (2, 3, 5, 7))
 
 
+def test_prime_point_residue_refuses_a_coordinate_at_zero():
+    """A coordinate that is 0 modulo MODULUS has no inverse for a negative
+    exponent: the point is refused before anything is computed, for any
+    value, naming the coordinate."""
+    for a in (ONE / qvar(), qvar(), ONE):
+        with pytest.raises(ValueError, match=r"coordinate 0 \(q\)"):
+            scalars.prime_point_residue(a, (0, 3, 5, 7, 11))
+    with pytest.raises(ValueError, match=r"coordinate 2 \(lam2\)"):
+        scalars.prime_point_residue(qvar(), (2, 3, scalars.MODULUS, 7, 11))
+
+
 def test_prime_point_residue_of_huge_degree():
     # 2^(10^9) and 3^(2^29) are never built; q^(2^29) + 1 over q^(2^28) + 1
     # is a value over a binomial factor

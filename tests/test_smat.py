@@ -2,11 +2,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from conftest import twisted_r
 from hypothesis import given, settings, strategies as st
 
-from qgw import smat
+from qgw import scalars, smat
 from qgw.rmatlab import catalog
-from qgw.scalars import MODULUS, ONE, ZERO, Scalar, prime_point_residue, qvar
+from qgw.scalars import (MODULUS, ONE, ZERO, Scalar, imag_unit, indet, kronecker_codes,
+                         parse, prime_point_residue, qvar)
 
 
 def _dense(rows):
@@ -217,6 +219,95 @@ def test_braid_holds_stops_at_the_first_row_that_differs(monkeypatch):
     rows.clear()
     assert smat.braid_holds(diag, diag, diag)
     assert len(rows) == 4 * n
+
+
+def _on_scalars(fn, *args):
+    """fn(*args) with smat's Kronecker codes turned off: the Scalar path."""
+    codes = smat.kronecker_codes
+    smat.kronecker_codes = lambda factors: None
+    try:
+        return fn(*args)
+    finally:
+        smat.kronecker_codes = codes
+
+
+def _legs(m, n, ps):
+    rows = smat.row_form(m)
+    return [smat.embed_rows(rows, (n,) * 3, (ps,) * 3, pr) for pr in ((0, 1), (0, 2), (1, 2))]
+
+
+@pytest.mark.parametrize("spec", [s for s in _CATALOG if s[0] != "identity"],
+                         ids=lambda s: "".join(map(str, s)))
+def test_integer_and_scalar_paths_agree_on_the_catalog(spec):
+    # each catalog R and a twist of it, as they are and with the last
+    # nonzero doubled: the integer path applies and gives the Scalar verdict
+    R = catalog(*spec)
+    verdicts = []
+    for m in (R.m, twisted_r(R, 3).m):
+        for mm in (m, _corrupted(m)):
+            legs = _legs(mm, R.n, R.p)
+            assert kronecker_codes(legs) is not None
+            verdicts.append(smat.braid_holds(*legs))
+            assert verdicts[-1] is _on_scalars(smat.braid_holds, *legs), spec
+    assert verdicts[0] and verdicts[2]
+    assert not (verdicts[1] or verdicts[3])
+
+
+_Q = qvar()
+# sums of up to three terms a/d q^e with negative exponents and Fraction
+# coefficients
+_LAURENT = st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 6), st.integers(-3, 3)),
+                    min_size=1, max_size=3).map(
+    lambda terms: sum((Fraction(a, d) * _Q ** e for a, d, e in terms), ZERO))
+
+
+@settings(deadline=None)
+@given(st.data(), st.integers(1, 5))
+def test_integer_and_scalar_paths_agree_on_random_triples(data, n):
+    # mostly diagonal, so that the sides are equal as often as not
+    def rows():
+        out = []
+        for i in range(n):
+            cols = [i] + data.draw(st.lists(st.integers(0, n - 1), max_size=1, unique=True))
+            out.append([(c, x) for c in dict.fromkeys(cols) if (x := data.draw(_LAURENT))])
+        return out
+
+    triple = [rows() for _ in range(3)]
+    assert kronecker_codes(triple) is not None
+    got = smat.braid_holds(*triple)
+    assert got is _on_scalars(smat.braid_holds, *triple) is _braid_reference(*triple)
+
+
+def test_kronecker_bound_is_needed(monkeypatch):
+    # x = diag(M, q), y = diag(M, 1), z the flip: x y z has M^2 and q where
+    # z y x has q and M^2, so the sides differ, but agree at q = M^2.  With
+    # M = 2^t every code is an integer polynomial of L1 norm at most M and
+    # the rows have one entry, so the bound asks for X > 2 M^3, b = 3t + 2
+    t = 5
+    big = Scalar(2 ** t)
+    x = [[(0, big)], [(1, _Q)]]
+    y = [[(0, big)], [(1, ONE)]]
+    z = [[(1, ONE)], [(0, ONE)]]
+    assert not _braid_reference(x, y, z)
+    assert scalars._kronecker_bits(3, 1, 2 ** t) == 3 * t + 2
+    assert not smat.braid_holds(x, y, z)
+    monkeypatch.setattr(scalars, "_kronecker_bits", lambda k, width, norm: 2 * t)
+    assert smat.braid_holds(x, y, z)  # a smaller X: unequal sides compare equal
+
+
+def test_kronecker_codes_refuse_other_entries(restore_field):
+    # labels, binomial denominators, Q(i) and codes past the size bound stay
+    # on the Scalar path, and braid_holds still decides on them
+    q = _Q
+    diag = [[(i, ONE)] for i in range(2)]
+    for x in (indet("lam1"), ONE / (q + ONE), q ** 1000000000 + ONE, parse("2/(q^2-1)"),
+              q * imag_unit()):
+        z = [[(0, ONE), (1, x)], [(1, ONE)]]
+        assert kronecker_codes([diag, diag, z]) is None, x
+        assert smat.braid_holds(diag, diag, z)
+        assert smat.braid_holds(z, [[(0, 2 * ONE)], [(1, ONE)]], diag) is \
+            _braid_reference(z, [[(0, 2 * ONE)], [(1, ONE)]], diag)
+    assert kronecker_codes([[[(0, Fraction(1, 2) * q ** -2)]]]) == [[[(0, 1)]]]
 
 
 def test_check_invertible_without_a_residue_decides_by_inverse(monkeypatch):
