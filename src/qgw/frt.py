@@ -269,8 +269,8 @@ def duality_pairing_check(R: RMatrix) -> CheckReport:
     for tag, m1, m2 in fams:
         for idx, terms in _exchange_r21(R, lambda i, j: m1[i - 1][j - 1],
                                         lambda i, j: m2[i - 1][j - 1]):
-            res = smat.zeros(n)
+            res = [{} for _ in range(n)]
             for c, left, right in terms:
-                res = smat.madd(res, smat.smul(c, smat.mmul(left, right)))
-            rep.record(smat.is_zero(res), ((tag,) + idx,))
+                smat.add_rows(res, c, smat.row_form(smat.mmul(left, right)))
+            rep.record(not any(x for row in res for x in row.values()), ((tag,) + idx,))
     return rep

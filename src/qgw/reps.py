@@ -16,6 +16,12 @@ twisting cocycle, the ribbon prefactor and cross term) is a row of that
 one form table, data that _weight_diag evaluates over a product basis.  A
 Rep is a leg of an evaluation as it is; _ev_tensor makes the tensor
 product of two legs through a coproduct.
+
+A Rep finds the nonzeros of each word matrix it meets once and keeps that
+row form (smat.row_form): an image is summed from the row forms of its
+words into row dicts (smat.add_rows), and an image on a tensor product is
+summed from the graded Kronecker products of the row forms of its legs'
+words (smat.kron_rows), with no dense zero matrix built, added or scaled.
 """
 
 from __future__ import annotations
@@ -179,9 +185,11 @@ class Rep:
         }
         self.dim = 2
         self.p = (0, 1) if self.graded else (0, 0)
-        # the matrix of each word met so far, built from its prefix's
+        # the matrix of each word met so far, built from its prefix's, and
+        # the row forms of those read
         self._words = {(): smat.eye(self.dim),
                        **{(x,): m for x, m in self.images.items()}}
+        self._rows = {}
         self._verify()
 
     @property
@@ -206,21 +214,35 @@ class Rep:
             m = words[word[:k]] = smat.mmul(m, self.images[word[k - 1]])
         return m
 
+    def _word_rows(self, word):
+        """The row form of the matrix of ``word``, found once per Rep and
+        shared, so callers must not change it."""
+        rows = self._rows.get(word)
+        if rows is None:
+            rows = self._rows[word] = smat.row_form(self._wmat(word))
+        return rows
+
+    def _sum(self, terms):
+        """The sum of c times the matrix of w over the (w, c) of ``terms``,
+        as a list of row dicts {column: value}."""
+        acc = [{} for _ in range(self.dim)]
+        for w, c in terms:
+            smat.add_rows(acc, c, self._word_rows(w))
+        return acc
+
     def _verify(self):
         for lhs, rhs in self.pres.rules.items():
-            want = smat.zeros(self.dim)
-            for w, c in rhs.items():
-                want = smat.madd(want, smat.smul(c, self._wmat(w)))
-            if not smat.meq(self._wmat(lhs), want):
+            if not smat.meq(self._wmat(lhs), _square(self._sum(rhs.items()))):
                 raise ValueError(f"rule {lhs} fails in representation {self.label}")
 
-    def evaluate(self, e: Element):
+    def image_rows(self, e: Element):
+        """The matrix of ``e`` as a list of row dicts {column: value}."""
         if e.pres is not self.pres:
             raise ValueError("element not over this representation's algebra")
-        out = smat.zeros(self.dim)
-        for w, c in e.terms.items():
-            out = smat.madd(out, smat.smul(c, self._wmat(w)))
-        return out
+        return self._sum(e.terms.items())
+
+    def evaluate(self, e: Element):
+        return _square(self.image_rows(e))
 
     def __repr__(self):
         return f"Rep({self.label}, graded={self.graded})"
@@ -247,32 +269,51 @@ def _integer_rep(m1, m2, graded) -> Rep:
 
 class _Ev:
     """What R-matrix evaluation needs from a leg: dimension, Cartan weights
-    per basis vector, basis parity, and an Element -> matrix map.  A Rep
-    has all four, so a Rep is a leg too."""
+    per basis vector, basis parity, and an Element -> matrix map, as row
+    dicts (image_rows) or dense (evaluate).  A Rep has all of them, so a
+    Rep is a leg too."""
 
-    __slots__ = ("dim", "weights", "p", "evaluate")
+    __slots__ = ("dim", "weights", "p", "image_rows")
 
-    def __init__(self, dim, weights, p, evaluate):
-        self.dim, self.weights, self.p, self.evaluate = dim, weights, p, evaluate
+    def __init__(self, dim, weights, p, image_rows):
+        self.dim, self.weights, self.p, self.image_rows = dim, weights, p, image_rows
+
+    def evaluate(self, e):
+        return _square(self.image_rows(e))
+
+
+def _square(rows):
+    """The dense square matrix of a list of row dicts {column: value}."""
+    return smat.dense((row.items() for row in rows), len(rows))
+
+
+def _tensor_rows(t, evA, evB):
+    """The matrix of the tensor element ``t`` on the Reps evA (x) evB, as a
+    list of row dicts {column: value}: the sum over t's terms c w1 (x) w2 of
+    c times the graded Kronecker product of the row forms of the Reps'
+    images of w1 and w2."""
+    pres = t.pres
+    acc = [{} for _ in range(evA.dim * evB.dim)]
+    for (w1, w2), c in t.terms.items():
+        a = [row.items() for row in evA.image_rows(pres.monomial(w1))]
+        b = [row.items() for row in evB.image_rows(pres.monomial(w2))]
+        smat.add_rows(acc, c, smat.kron_rows(a, b, pres.degree(w2), evA.p, evB.dim))
+    return acc
 
 
 def _tensor_image(t, evA, evB):
-    pres = t.pres
-    out = smat.zeros(evA.dim * evB.dim)
-    for (w1, w2), c in t.terms.items():
-        m = smat.kron(evA.evaluate(pres.monomial(w1)), evB.evaluate(pres.monomial(w2)),
-                      pres.degree(w2), evA.p)
-        out = smat.madd(out, smat.smul(c, m))
-    return out
+    """:func:`_tensor_rows` as a dense matrix."""
+    return _square(_tensor_rows(t, evA, evB))
 
 
 def _ev_tensor(a, b, h) -> _Ev:
-    """The tensor product representation through the coproduct of h."""
-    def evaluate(e):
-        return _tensor_image(coproduct(e, h), a, b)
+    """The tensor product representation of the Reps a and b through the
+    coproduct of h."""
+    def image_rows(e):
+        return _tensor_rows(coproduct(e, h), a, b)
     weights = tuple((x1 + y1, x2 + y2) for x1, x2 in a.weights for y1, y2 in b.weights)
     p = tuple((x + y) % 2 for x in a.p for y in b.p)
-    return _Ev(a.dim * b.dim, weights, p, evaluate)
+    return _Ev(a.dim * b.dim, weights, p, image_rows)
 
 
 def _weight_diag(evA, evB, form):
@@ -288,9 +329,11 @@ def _r_matrix(evA, evB, which):
     pres = fam.hopf().pres
     e1, e2 = (reduce(mul, (pres.word(*w) for w in words)) for words in (fam.tail1, fam.tail2))
     q = qvar()
-    tail = smat.madd(smat.eye(evA.dim * evB.dim), smat.smul(
-        ONE - q * q, smat.kron(evA.evaluate(e1), evB.evaluate(e2), e2.degree(), evA.p)))
-    return smat.mmul(_weight_diag(evA, evB, fam.form), tail)
+    dim = evA.dim * evB.dim
+    a, b = ([row.items() for row in ev.image_rows(e)] for ev, e in ((evA, e1), (evB, e2)))
+    tail = [{i: ONE} for i in range(dim)]
+    smat.add_rows(tail, ONE - q * q, smat.kron_rows(a, b, e2.degree(), evA.p, evB.dim))
+    return smat.mmul(_weight_diag(evA, evB, fam.form), _square(tail))
 
 
 def universal_r_eval(lab1, lab2, which="standard") -> RMatrix:
@@ -323,16 +366,17 @@ def quasitriangularity_check(lab1, lab2, lab3, which="standard") -> CheckReport:
 
     dims = [e.dim for e in evs]
     ps = [e.p for e in evs]
-    on_legs = ((r12, (0, 1)), (_r_matrix(ev1, ev3, which), (0, 2)),
-               (_r_matrix(ev2, ev3, which), (1, 2)))
-    embedded = [smat.embed_pair(m, dims, ps, legs) for m, legs in on_legs]
-    r12e, r13, r23 = embedded
+    rows = [smat.row_form(m) for m in (r12, _r_matrix(ev1, ev3, which),
+                                       _r_matrix(ev2, ev3, which))]
+    size = dims[0] * dims[1] * dims[2]
+    r12e, r13, r23 = (smat.dense(smat.embed_rows(m, dims, ps, legs), size)
+                      for m, legs in zip(rows, smat.LEGS))
     t23 = _ev_tensor(ev2, ev3, h)
     rep.record(smat.meq(_r_matrix(t12, ev3, which), smat.mmul(r13, r23)),
                ("hexagon", "delta-leg1"))
     rep.record(smat.meq(_r_matrix(ev1, t23, which), smat.mmul(r13, r12e)),
                ("hexagon", "delta-leg2"))
-    rep.record(smat.braid_holds(*map(smat.row_form, embedded)), ("braid", "three-legs"))
+    rep.record(smat.braid_holds(*smat.braid_legs(*rows, dims, ps)), ("braid", "three-legs"))
     return rep
 
 
@@ -455,13 +499,13 @@ def tensor_decompose(lab1=None, lab2=None):
     t = [[ONE if i == 0 else ZERO, xm[0], w[i], b * xm[1] - a * xm[2]]
          for i, xm in enumerate(big["Xm"])]
     try:
-        smat.check_invertible(t)
+        smat.check_invertible(smat.row_form(t))
     except smat.Singular:
         raise NoIntertwiner("T is singular") from None
-    e11, e22 = _diag(ONE, ZERO), _diag(ZERO, ONE)
     for x, m in big.items():
-        blk = smat.madd(smat.kron(e11, t1.evaluate(pres.gen(x)), 0, ()),
-                        smat.kron(e22, t2.evaluate(pres.gen(x)), 0, ()))
+        # pi_1(x) + pi_2(x), block diagonal
+        blk = ([row + [ZERO, ZERO] for row in t1.evaluate(pres.gen(x))]
+               + [[ZERO, ZERO] + row for row in t2.evaluate(pres.gen(x))])
         if not smat.meq(smat.mmul(m, t), smat.mmul(t, blk)):
             raise NoIntertwiner(f"T fails to intertwine {x}")
     return out1, out2, t

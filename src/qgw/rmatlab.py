@@ -3,12 +3,14 @@
 An RMatrix is an n^2 x n^2 matrix of exact scalars with the composite-index
 convention M[(a-1)n+b-1][(c-1)n+d-1] = R^a_c^b_d, i.e. rows are the upper
 index pair (a,b), columns the lower pair (c,d).  A grading p marks basis
-directions odd.  The braid check embeds R into three graded legs with
-:func:`smat.embed_rows`, whose Koszul signs make one check serve as the QYBE
-(zero grading) and the super YBE: sybe_check is qybe_check, since RMatrix
-refuses a graded R that is not even.  One iterator over R's nonzeros and
-one parity test serve null_degree_check, superizable_grading_search and
-superize_r.
+directions odd.  Its entries are read-only, held as tuples, and its row
+form (``R.rows``, :func:`smat.row_form`) is found once, at construction:
+every check below reads that, not the n^4 entries.  The braid check embeds
+R into three graded legs with :func:`smat.braid_legs`, whose Koszul signs
+make one check serve as the QYBE (zero grading) and the super YBE:
+sybe_check is qybe_check, since RMatrix refuses a graded R that is not
+even.  One iterator over R's nonzeros and one parity test serve
+null_degree_check, superizable_grading_search and superize_r.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 from itertools import product
 
 from . import smat
-from .scalars import ONE, ZERO, Scalar, parse, qvar, render
+from .scalars import ONE, Scalar, parse, qvar, render
 
 
 class UnknownName(KeyError):
@@ -36,13 +38,16 @@ class RMatrix:
     def __init__(self, n, entries, grading=None, name=""):
         self.n = n
         self.name = name
-        self.m = [[Scalar(x) for x in row] for row in entries]
+        # Scalar(x) is x for a Scalar: the type test spares the call
+        self.m = tuple(tuple(x if type(x) is Scalar else Scalar(x) for x in row)
+                       for row in entries)
         if len(self.m) != n * n or any(len(r) != n * n for r in self.m):
             raise ValueError(f"need a {n * n}x{n * n} entry grid")
+        self.rows = tuple(map(tuple, smat.row_form(self.m)))
         self.p = tuple(grading) if grading is not None else (0,) * n
         if len(self.p) != n:
             raise ValueError("grading length must equal the dimension")
-        smat.check_invertible(self.m)  # invertibility is part of the contract
+        smat.check_invertible(self.rows)  # invertibility is part of the contract
         if self.is_super and not null_degree_check(self):
             raise NullDegreeViolated(f"{name or 'R'} is not even under {self.p}")
 
@@ -72,20 +77,17 @@ class RMatrix:
 def qybe_check(R: RMatrix) -> bool:
     """R12 R13 R23 = R23 R13 R12, exactly, with Koszul-signed legs graded by
     R.p: the QYBE for a zero grading, the super YBE for a super R."""
-    dims, ps, rows = (R.n,) * 3, (R.p,) * 3, smat.row_form(R.m)
-    return smat.braid_holds(*(smat.embed_rows(rows, dims, ps, legs)
-                              for legs in ((0, 1), (0, 2), (1, 2))))
+    return smat.braid_holds(*smat.braid_legs(*(R.rows,) * 3, (R.n,) * 3, (R.p,) * 3))
 
 
 def _nonzeros(R: RMatrix):
     """(a, b, c, d, x) for each nonzero x = R^a_c^b_d, with 0-based indices,
     in the row-major order of R.m."""
     n = R.n
-    for i, row in enumerate(R.m):
+    for i, pairs in enumerate(R.rows):
         a, b = divmod(i, n)
-        for j, x in enumerate(row):
-            if x:
-                yield (a, b, *divmod(j, n), x)
+        for j, x in pairs:
+            yield (a, b, *divmod(j, n), x)
 
 
 def _odd(p, a, b, c, d):
@@ -110,44 +112,45 @@ def flip_index(n):
 
 
 def flip_rows(m, n):
-    """P m, for the flip P on two legs of dimension n: the rows of ``m`` in
-    the order of :func:`flip_index`, as new lists, with no multiplication."""
+    """P m, for the flip P on two legs of dimension n: the rows of ``m``,
+    dense or in row form, in the order of :func:`flip_index`, as new lists,
+    with no multiplication."""
     return [list(m[k]) for k in flip_index(n)]
 
 
-def _shifted(m, c):
-    """m + c times the identity, as new rows."""
-    out = [list(row) for row in m]
-    for i, row in enumerate(out):
-        row[i] = row[i] + c
+def _shifted(rows, c):
+    """m + c times the identity, in row form, for m of row form ``rows``."""
+    out = []
+    for i, pairs in enumerate(rows):
+        row = dict(pairs)
+        row[i] = row[i] + c if i in row else c
+        out.append([(j, x) for j, x in row.items() if x])
     return out
 
 
 def hecke_check(R: RMatrix) -> bool:
     """(PR - q)(PR + 1/q) = 0, the product taken by
-    :func:`smat.product_is_zero`."""
+    :func:`smat.product_is_zero` on R's row form."""
     q = qvar()
-    pr = flip_rows(R.m, R.n)
+    pr = flip_rows(R.rows, R.n)
     return smat.product_is_zero(_shifted(pr, -q), _shifted(pr, ONE / q))
 
 
+def _without_zeros(row):
+    return {j: x for j, x in row.items() if x}
+
+
 def hecke_identity_check(R: RMatrix) -> bool:
-    """Contracted form: R^f_k^e_l R^l_i^k_j = (q - 1/q) R^f_i^e_j + delta delta."""
+    """Contracted form: R^f_k^e_l R^l_i^k_j = (q - 1/q) R^f_i^e_j + delta delta,
+    that is R P R = (q - 1/q) R + P for the flip P, summed over R's row form
+    one row (f, e) at a time."""
     q = qvar()
-    n = R.n
-    rng = range(1, n + 1)
-    for f, e, i, j in product(rng, repeat=4):
-        s = ZERO
-        for k, l in product(rng, repeat=2):
-            x = R.entry(f, k, e, l)
-            if x:
-                y = R.entry(l, i, k, j)
-                if y:
-                    s = s + x * y
-        want = (q - ONE / q) * R.entry(f, i, e, j)
-        if f == j and e == i:
-            want = want + ONE
-        if s != want:
+    w = q - ONE / q
+    rows, flip = R.rows, flip_index(R.n)
+    for r, (got, pairs) in enumerate(zip(smat.products(rows, flip_rows(rows, R.n)), rows)):
+        want = {j: w * x for j, x in pairs}
+        want[flip[r]] = want[flip[r]] + ONE if flip[r] in want else ONE
+        if _without_zeros(got) != _without_zeros(want):
             return False
     return True
 
@@ -179,17 +182,19 @@ def _glnm(n, m):
     q = qvar()
     d = n + m
     p = [0] * n + [1] * m
+    # each distinct entry made once and shared
+    w, odd_diag, minus = q - ONE / q, -ONE / q, -ONE
     out = smat.zeros(d * d)
     for i in range(1, d + 1):
-        diag = q if i <= n else -ONE / q
+        diag = q if i <= n else odd_diag
         out[(i - 1) * d + i - 1][(i - 1) * d + i - 1] = diag
         for j in range(1, d + 1):
             if i == j:
                 continue
-            sign = -ONE if (p[i - 1] and p[j - 1]) else ONE
+            sign = minus if (p[i - 1] and p[j - 1]) else ONE
             out[(i - 1) * d + j - 1][(i - 1) * d + j - 1] = sign
             if j > i:
-                out[(i - 1) * d + j - 1][(j - 1) * d + i - 1] = q - ONE / q
+                out[(i - 1) * d + j - 1][(j - 1) * d + i - 1] = w
     return out, p
 
 

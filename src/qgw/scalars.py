@@ -1147,8 +1147,10 @@ def kronecker_codes(factors):
     norm of a D q^s x (at least D, the norm of the code of 1).  The
     difference of the two sides then has integer coefficients below X in
     size, and such a polynomial is 0 at X only when it is 0: its top term
-    outweighs all the others."""
-    values = {id(x): x for rows in factors for row in rows for _, x in row}
+    outweighs all the others.  A matrix given more than once is encoded
+    once, and its codes are shared."""
+    distinct = {id(rows): rows for rows in factors}
+    values = {id(x): x for rows in distinct.values() for row in rows for _, x in row}
     terms = []
     for x in values.values():
         if type(x) is not Scalar or x._d is None or x._b:
@@ -1161,11 +1163,13 @@ def kronecker_codes(factors):
     lo, hi = min(exps, default=0), max(exps, default=0)
     norm = max([den] + [sum(abs(v.numerator) * (den // v.denominator) for v in x._d.values())
                         for x in values.values()])
-    width = max(map(len, (row for rows in factors for row in rows)), default=1)
+    width = max(map(len, (row for rows in distinct.values() for row in rows)), default=1)
     b = _kronecker_bits(len(factors), width, norm)
     if b * (hi - lo) + norm.bit_length() > _MAX_CODE_BITS:
         return None
     codes = {i: sum((v.numerator * (den // v.denominator)) << (b * (k[0] - lo))
                     for k, v in x._d.items())
              for i, x in values.items()}
-    return [[[(j, codes[id(x)]) for j, x in row] for row in rows] for rows in factors]
+    encoded = {i: [[(j, codes[id(x)]) for j, x in row] for row in rows]
+               for i, rows in distinct.items()}
+    return [encoded[id(rows)] for rows in factors]

@@ -1,5 +1,5 @@
-"""Matrices over the exact scalar field, stored dense and multiplied on their
-nonzeros.
+"""Matrices over the exact scalar field, stored dense or in row form and
+multiplied on their nonzeros.
 
 A matrix is a plain list of lists of Scalar entries; enough linear algebra
 for R-matrix checks and representation work (multiply, Kronecker product,
@@ -8,10 +8,13 @@ entries of the matrices here are 0, so the products, sums and row
 operations skip zero operands: :func:`mmul` costs one multiplication per
 pair of nonzero entries that meet.  The *row form* of a matrix lists, for
 each row, the (column, value) pairs of its nonzero entries
-(:func:`row_form`).  :func:`embed_rows` is the one embedding of a two-leg
-operator into three graded tensor legs, with Koszul signs: it takes the
-operator in row form and returns the embedding in row form, so a caller
-that embeds one matrix on several legs builds its row form once
+(:func:`row_form`; :func:`dense` is the way back).  A caller that reads a
+matrix more than once finds its nonzeros once and keeps the row form:
+:func:`add_rows` sums scaled matrices into row dicts and :func:`kron_rows`
+makes the graded Kronecker product of two row forms, with no dense zero
+matrix built, added or scaled.  :func:`embed_rows` is the one embedding of
+a two-leg operator into three graded tensor legs, with Koszul signs: it
+takes the operator in row form and returns the embedding in row form
 (:func:`embed_pair` takes and returns dense matrices).
 :func:`braid_holds` compares the two sides of the braid relation on three
 such legs row by row, without building an n^3 x n^3 matrix: the rows are
@@ -29,6 +32,13 @@ M^k the two sides' difference has coefficients below X, and a nonzero
 integer polynomial with coefficients below X does not vanish at X: equal
 ints are equal entries.  Any other entry, or a code of more than 2^14 bits
 (an entry q^1000000000), leaves the factors on the Scalar products.
+
+:func:`braid_legs` encodes the two-leg matrices before it embeds them, so
+each distinct entry is encoded once, not once per slot of three n^3 x n^3
+legs.  The bound is the same: a row of an embedded leg is one row of its
+matrix with shifted columns, each value times +-1, so the legs have the
+matrices' widest row, L1 norms, denominators and exponent span, hence
+their X, and the codes of the embedding are the embedding of the codes.
 """
 
 from __future__ import annotations
@@ -49,22 +59,18 @@ def eye(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def madd(a, b):
-    return [[x + y if x and y else x or y for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
-
-
 def smul(c, a):
     c = Scalar(c)
     return [[c * x if x else x for x in row] for row in a]
 
 
 def row_form(a):
-    """The row form of ``a``."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    """The row form of ``a``.  The shared ZERO, which fills most entries, is
+    passed over without a call of ``Scalar.__bool__``."""
+    return [[(j, x) for j, x in enumerate(row) if x is not ZERO and x] for row in a]
 
 
-def _dense(rows, cols):
+def dense(rows, cols):
     """The dense matrix of ``rows``, each an iterable of (column, value)
     pairs."""
     out = []
@@ -76,7 +82,20 @@ def _dense(rows, cols):
     return out
 
 
-def _products(a, b):
+def add_rows(acc, c, rows):
+    """Add c m into ``acc``, a list of dicts {column: value} (one per row),
+    for the matrix m of row form ``rows``: one Scalar product per nonzero of
+    m, none when c is ONE, and no addition to an entry not yet in ``acc``.
+    An entry that cancels stays, as a 0."""
+    scaled = c is not ONE
+    for out, pairs in zip(acc, rows):
+        for j, x in pairs:
+            if scaled:
+                x = c * x
+            out[j] = out[j] + x if j in out else x
+
+
+def products(a, b):
     """The rows of a b as dicts {column: value}, one at a time, from ``a``
     and ``b`` in row form: one Scalar multiplication per pair of nonzero
     entries that meet, and no addition to a 0.  An entry that cancels stays,
@@ -92,40 +111,42 @@ def _products(a, b):
 def mmul(a, b):
     """a b, at one Scalar multiplication per pair of nonzero entries that
     meet."""
-    return _dense((acc.items() for acc in _products(row_form(a), row_form(b))), len(b[0]))
+    return dense((acc.items() for acc in products(row_form(a), row_form(b))), len(b[0]))
+
+
+def kron_rows(a, b, deg_b, pa, cols):
+    """a (x) b on graded legs, in row form, from ``a`` and ``b`` in row
+    form, b with ``cols`` columns: entry ((i, j), (k, l)) is
+    (-1)^(deg_b * pa[k]) a[i][k] b[j][l], the Koszul sign of moving b, of
+    degree deg_b, past the first leg's basis vector k of parity pa[k].
+    deg_b = 0 gives the plain Kronecker product.  One Scalar product per
+    pair of nonzeros."""
+    out = []
+    for ra in a:
+        ra = [(k, -x if deg_b and pa[k] else x) for k, x in ra]
+        for rb in b:
+            out.append([(k * cols + l, x * y) for k, x in ra for l, y in rb])
+    return out
 
 
 def kron(a, b, deg_b, pa):
-    """a (x) b on graded legs: entry ((i, j), (k, l)) is
-    (-1)^(deg_b * pa[k]) a[i][k] b[j][l], the Koszul sign of moving b, of
-    degree deg_b, past the first leg's basis vector k of parity pa[k].
-    deg_b = 0 gives the plain Kronecker product."""
+    """:func:`kron_rows` of the dense matrices ``a`` and ``b``, as a dense
+    matrix."""
     cols = len(b[0])
-    rows_b = row_form(b)
-    out = []
-    for ra in row_form(a):
-        ra = [(k, -x if deg_b and pa[k] else x) for k, x in ra]
-        for rb in rows_b:
-            out.append([(k * cols + l, x * y) for k, x in ra for l, y in rb])
-    return _dense(out, len(a[0]) * cols)
+    return dense(kron_rows(row_form(a), row_form(b), deg_b, pa, cols), len(a[0]) * cols)
 
 
 def meq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def is_zero(a):
-    return all(not x for row in a for x in row)
-
-
-def _flatten(idx, dims):
-    return (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
+    """Whether the dense matrices ``a`` and ``b`` are equal, rows held as
+    lists or tuples."""
+    return len(a) == len(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
 
 
 def embed_rows(rows, dims, ps, legs):
     """Embed the matrix of row form ``rows`` (:func:`row_form`), acting on
     legs ``legs = (i, j)``, into three legs of dimensions ``dims`` and
-    gradings ``ps`` (a 0/1 tuple per leg), in row form.
+    gradings ``ps`` (a 0/1 tuple per leg), in row form.  A basis vector
+    (x0, x1, x2) of the three legs has the flat index (x0 d1 + x1) d2 + x2.
 
     The sign is the Koszul cost of moving each operator factor past the
     spectator leg; the factor's parity is read off entrywise from the row
@@ -133,9 +154,13 @@ def embed_rows(rows, dims, ps, legs):
     """
     i, j = legs
     k = 3 - i - j
-    out = [[] for _ in range(dims[0] * dims[1] * dims[2])]
+    stride = (dims[1] * dims[2], dims[2], 1)
+    # the flat offset and the parity of each basis vector of the spectator
+    spectator = [(s * stride[k], ps[k][s]) for s in range(dims[k])]
+    out = [[] for _ in range(dims[0] * stride[0])]
     for r, pairs in enumerate(rows):
         ri, rj = divmod(r, dims[j])
+        row = ri * stride[i] + rj * stride[j]
         for c, x in pairs:
             ci, cj = divmod(c, dims[j])
             # parity of the operator factors acting on legs i and j
@@ -143,19 +168,32 @@ def embed_rows(rows, dims, ps, legs):
             dj = (ps[j][rj] + ps[j][cj]) % 2
             cross = ((di if i > k else 0) + (dj if j > k else 0)) % 2
             odd = -x if cross else x  # the entry next to an odd spectator
-            for s in range(dims[k]):
-                row, col = [0, 0, 0], [0, 0, 0]
-                row[i], row[j], row[k] = ri, rj, s
-                col[i], col[j], col[k] = ci, cj, s
-                y = odd if ps[k][s] else x
-                out[_flatten(row, dims)].append((_flatten(col, dims), y))
+            col = ci * stride[i] + cj * stride[j]
+            for shift, p in spectator:
+                out[row + shift].append((col + shift, odd if p else x))
     return out
 
 
 def embed_pair(m, dims, ps, legs):
     """:func:`embed_rows` of the dense matrix ``m``, as a dense matrix."""
     rows = embed_rows(row_form(m), dims, ps, legs)
-    return _dense(rows, len(rows))
+    return dense(rows, len(rows))
+
+
+LEGS = ((0, 1), (0, 2), (1, 2))
+
+
+def braid_legs(m12, m13, m23, dims, ps):
+    """R12, R13 and R23 for :func:`braid_holds`: the two-leg matrices
+    ``m12``, ``m13`` and ``m23``, in row form, embedded (:func:`embed_rows`)
+    on the legs of ``LEGS`` of dimensions ``dims`` and gradings ``ps``.
+    When every entry is a Laurent polynomial in q over Q, the legs hold the
+    entries' Kronecker codes at k = 3 (:func:`kronecker_codes`), encoded
+    before they are embedded: the legs' rows are the matrices' rows, up to
+    columns and signs, so the codes and their X are those of the legs."""
+    mats = (m12, m13, m23)
+    mats = kronecker_codes(mats) or mats
+    return [embed_rows(m, dims, ps, legs) for m, legs in zip(mats, LEGS)]
 
 
 def braid_holds(r12, r13, r23):
@@ -165,26 +203,25 @@ def braid_holds(r12, r13, r23):
     rows are compared in order, and the check stops at the first row that
     differs.
 
-    When every entry is a Laurent polynomial in q over Q, the products run
-    on the entries' Kronecker codes at q = X = 2^b (:func:`kronecker_codes`)
-    with k = 3: an entry of either side is a sum of at most W^2 products of
-    three codes, so its coefficients are below W^2 M^3 in size, and X > 2
-    W^2 M^3 makes two sides with equal ints equal as Laurent polynomials."""
-    r12, r13, r23 = kronecker_codes((r12, r13, r23)) or (r12, r13, r23)
-
+    The entries are Scalars, or the ints of :func:`braid_legs`: an entry of
+    either side is then a sum of at most W^2 products of three codes, so its
+    coefficients are below W^2 M^3 in size, and X > 2 W^2 M^3 makes two
+    sides with equal ints equal as Laurent polynomials.  The legs' W, M, D
+    and exponent span are those of the two-leg matrices they embed, so the
+    matrices' codes bound the legs' products."""
     def rows(x, y, z):
-        xy = ([(j, v) for j, v in acc.items() if v] for acc in _products(x, y))
-        return ({j: v for j, v in acc.items() if v} for acc in _products(xy, z))
+        xy = ([(j, v) for j, v in acc.items() if v] for acc in products(x, y))
+        return ({j: v for j, v in acc.items() if v} for acc in products(xy, z))
 
     return all(a == b for a, b in zip(rows(r12, r13, r23), rows(r23, r13, r12)))
 
 
 def product_is_zero(a, b):
-    """Whether a b = 0, row by row, stopping at the first nonzero row; on
-    Kronecker codes at k = 2 when they apply, as in :func:`braid_holds`."""
-    rows = row_form(a), row_form(b)
-    a, b = kronecker_codes(rows) or rows
-    return not any(any(acc.values()) for acc in _products(a, b))
+    """Whether a b = 0 for ``a`` and ``b`` in row form, row by row, stopping
+    at the first nonzero row; on Kronecker codes at k = 2 when they apply,
+    as in :func:`braid_holds`."""
+    a, b = kronecker_codes((a, b)) or (a, b)
+    return not any(any(acc.values()) for acc in products(a, b))
 
 
 def _rref(rows):
@@ -239,8 +276,9 @@ def _invertible_mod(a, p):
     return True
 
 
-def check_invertible(a):
-    """Raise Singular unless ``a`` is invertible over the scalar field.
+def check_invertible(rows):
+    """Raise Singular unless the square matrix of row form ``rows`` is
+    invertible over the scalar field.
 
     A determinant that is nonzero at one point is nonzero, and so is one
     whose value there is nonzero modulo a prime.  So a matrix whose entries'
@@ -249,6 +287,12 @@ def check_invertible(a):
     and at a cost that does not grow with the degrees of the entries.  A
     matrix that is singular there, or has an entry without a residue, is
     decided by :func:`inv`."""
-    at = [[prime_point_residue(x) if x else 0 for x in row] for row in a]
-    if any(v is None for row in at for v in row) or not _invertible_mod(at, MODULUS):
-        inv(a)
+    n = len(rows)
+    values = {id(x): x for pairs in rows for _, x in pairs}  # each value once
+    residues = {i: prime_point_residue(x) for i, x in values.items()}
+    at = [[0] * n for _ in range(n)]
+    for row, pairs in zip(at, rows):
+        for j, x in pairs:
+            row[j] = residues[id(x)]
+    if None in residues.values() or not _invertible_mod(at, MODULUS):
+        inv(dense(rows, n))

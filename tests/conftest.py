@@ -17,6 +17,16 @@ def restore_field():
     vars(reg).update(saved)
 
 
+def madd(a, b):
+    """a + b for dense matrices, entry by entry: the plain reference for
+    the sums that qgw takes in row form."""
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def is_zero(a):
+    return all(not x for row in a for x in row)
+
+
 def twisted_r(R, seed):
     """R under a seeded diagonal twist: for each pair i < j of indices the
     entry at ((i,j),(i,j)) times q^k and the one at ((j,i),(j,i)) times

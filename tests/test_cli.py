@@ -11,7 +11,6 @@ from sympy.polys.domains import QQ, QQ_I
 
 from qgw import cli, reps, scalars
 from qgw.rmatlab import RMatrix, catalog, rmatrix_from_json, rmatrix_to_json
-from qgw.scalars import ONE
 
 
 def run_quiet(**kw):
@@ -84,11 +83,7 @@ def test_user_rmatrix_pass_and_fail(tmp_path):
     _, code = run_quiet(suite="sec5/hecke", extra_rmatrix=good)
     assert code == 0
 
-    bad = RMatrix(2, [[ONE if i == j else 0 for j in range(4)]
-                      for i in range(4)])
-    bad.m[1][1] = 2 * ONE
-    bad.m[1][2] = ONE
-    bad.m[2][1] = ONE
+    bad = RMatrix(2, [[1, 0, 0, 0], [0, 2, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
     results, code = run_quiet(suite="sec5/hecke",
                               extra_rmatrix=rmatrix_to_json(bad))
     assert code == 1

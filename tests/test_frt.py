@@ -3,7 +3,7 @@ from math import comb
 from unittest import mock
 
 import pytest
-from conftest import twisted_r
+from conftest import is_zero, madd, twisted_r
 from test_algebras import FA_RELATIONS, paper_rules
 
 from qgw import frt, smat
@@ -274,7 +274,7 @@ def test_duality_pairing_check_matches_the_reference(key, wrong):
         for tag, a, b in (("++", m1, m1), ("+-", m1, m2), ("--", m2, m2)):
             want += [(tag,) + _swapped(idx) for idx, res in envelope_residuals(
                 R, lambda i, j: a[i - 1][j - 1], lambda i, j: b[i - 1][j - 1],
-                smat.madd, smat.mmul, smat.smul, lambda: smat.zeros(n))
-                if not smat.is_zero(res)]
+                madd, smat.mmul, smat.smul, lambda: smat.zeros(n))
+                if not is_zero(res)]
         assert rep.checked == 3 * n ** 4
         assert sorted(f for f, in rep.failures) == sorted(want)

@@ -1,13 +1,15 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import product
 from pathlib import Path
 
 import pytest
+from conftest import madd
 
 from qgw import reps, smat
-from qgw.algebras import uq_hopf
+from qgw.algebras import uq_hopf, uqgl11_hopf
 from qgw.hopfcore import coproduct
 from qgw.reps import (DegenerateLabel, FAMILIES, NoIntertwiner, NonIntegerLabel, Rep,
                       RepLabel, quasitriangularity_check, rep_build, ribbon_check,
@@ -109,8 +111,8 @@ def test_evaluate_words():
     img = rep.evaluate(pres.word("K1", "K2"))
     assert smat.meq(img, [[q, 0], [0, -q]])
     comm = pres.word("Xp", "Xm") - pres.word("Xm", "Xp")
-    want = smat.madd(rep.evaluate(pres.word("Xp", "Xm")),
-                     smat.smul(-ONE, rep.evaluate(pres.word("Xm", "Xp"))))
+    want = madd(rep.evaluate(pres.word("Xp", "Xm")),
+                smat.smul(-ONE, rep.evaluate(pres.word("Xm", "Xp"))))
     assert smat.meq(rep.evaluate(comm), want)
 
 
@@ -312,3 +314,63 @@ def test_wrong_ribbon_cross_term_fails_delta_nu(monkeypatch, i, j):
     monkeypatch.setattr(reps, "_RIBBON_CROSS", cross._replace(Q=_bumped(cross.Q, i, j)))
     for lab in ((1, 0), (2, 1)):
         assert ribbon_check(lab).failures == [("delta-nu",)], lab
+
+
+def _dense_evaluate(rep, e):
+    """The image of ``e`` summed as dense matrices, c times the matrix of
+    each word added into a zero matrix: the reference for Rep.evaluate."""
+    out = smat.zeros(rep.dim)
+    for w, c in e.terms.items():
+        out = madd(out, smat.smul(c, rep._wmat(w)))
+    return out
+
+
+def _dense_tensor_image(t, a, b):
+    """The image of the tensor element ``t`` on a (x) b, summed as dense
+    Kronecker products: the reference for reps._tensor_image."""
+    pres = t.pres
+    out = smat.zeros(a.dim * b.dim)
+    for (w1, w2), c in t.terms.items():
+        m = smat.kron(_dense_evaluate(a, pres.monomial(w1)), _dense_evaluate(b, pres.monomial(w2)),
+                      pres.degree(w2), a.p)
+        out = madd(out, smat.smul(c, m))
+    return out
+
+
+def _random_element(pres, rng):
+    """A sum of up to four words of up to three letters, with coefficients
+    that cancel against each other as often as not."""
+    q = qvar()
+    coeffs = [ONE, -ONE, 2 * ONE, q, ONE / q, q - ONE / q]
+    names = [gs.name for gs in pres.gens]
+    out = pres.zero()
+    for _ in range(rng.randint(1, 4)):
+        word = tuple(rng.choice(names) for _ in range(rng.randint(0, 3)))
+        out = out + pres.monomial(word, rng.choice(coeffs))
+    return out
+
+
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("labels", [((1, 0), (2, -1)), ((0, 1), (3, -1)), SYMBOLIC_PAIR],
+                         ids=["integer", "integer2", "symbolic"])
+def test_row_form_images_match_the_dense_sums(labels, graded):
+    # Rep.evaluate, reps._tensor_image and a tensor leg's evaluate, summed in
+    # row form, against dense sums of scaled matrices and Kronecker products,
+    # on random Elements and on the coproduct images of generators and of
+    # random Elements
+    h = (uqgl11_hopf if graded else uq_hopf)()
+    r1, r2 = (Rep(lab, graded=graded) for lab in labels)
+    pres = h.pres
+    assert r1.pres is pres
+    rng = random.Random(7)
+    elements = [pres.gen(gs.name) for gs in pres.gens]
+    elements += [_random_element(pres, rng) for _ in range(12)]
+    # a tensor leg needs Cartan weights, which a symbolic label has not
+    leg = reps._ev_tensor(r1, r2, h) if r1.label.integral else None
+    for e in elements:
+        for r in (r1, r2):
+            assert smat.meq(r.evaluate(e), _dense_evaluate(r, e)), e
+        t = coproduct(e, h)
+        want = _dense_tensor_image(t, r1, r2)
+        assert smat.meq(reps._tensor_image(t, r1, r2), want), e
+        assert leg is None or smat.meq(leg.evaluate(e), want), e

@@ -6,7 +6,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from conftest import twisted_r
+from conftest import is_zero, madd, twisted_r
 
 from qgw import smat
 from qgw.reps import universal_r_eval
@@ -190,8 +190,7 @@ def _hecke_by_product(R):
     """(PR - q)(PR + 1/q) = 0, with P R the product by the permutation matrix."""
     q, idm = qvar(), smat.eye(R.n * R.n)
     pr = smat.mmul(permutation_matrix(R.n), R.m)
-    return smat.is_zero(smat.mmul(smat.madd(pr, smat.smul(-q, idm)),
-                                  smat.madd(pr, smat.smul(ONE / q, idm))))
+    return is_zero(smat.mmul(madd(pr, smat.smul(-q, idm)), madd(pr, smat.smul(ONE / q, idm))))
 
 
 @pytest.mark.parametrize("spec", [s for s, _ in _HECKE], ids=str)
@@ -243,6 +242,20 @@ def test_braid_and_hecke_on_glnm_make_no_scalar_product(monkeypatch):
         op = getattr(Scalar, name)
         monkeypatch.setattr(Scalar, name, lambda x, y, op=op: calls.append(y) or op(x, y))
     assert qybe_check(R) and hecke_check(R) and sybe_check(catalog("super_glnm", 2, 2))
+    assert calls == []
+
+
+def test_braid_check_on_a_built_glnm_makes_no_scalar_call(monkeypatch):
+    # R's row form is found at construction and encoded before it is
+    # embedded: the braid check itself tests no Scalar for zero, negates
+    # none and multiplies none
+    R = catalog("glnm", 2, 2)
+    calls = []
+    for name in ("__bool__", "__neg__", "__mul__", "__rmul__"):
+        op = getattr(Scalar, name)
+        monkeypatch.setattr(Scalar, name,
+                            lambda *a, op=op, name=name: calls.append(name) or op(*a))
+    assert qybe_check(R)
     assert calls == []
 
 

@@ -6,6 +6,7 @@ from conftest import twisted_r
 from hypothesis import given, settings, strategies as st
 
 from qgw import scalars, smat
+from qgw.reps import universal_r_eval
 from qgw.rmatlab import catalog
 from qgw.scalars import (MODULUS, ONE, ZERO, Scalar, imag_unit, indet, kronecker_codes,
                          parse, prime_point_residue, qvar)
@@ -206,14 +207,14 @@ def test_braid_holds_stops_at_the_first_row_that_differs(monkeypatch):
     x = [list(r) for r in diag]
     x[1] = [(1, Scalar(2))]
     assert not _braid_reference(x, diag, z)
-    rows, products = [], smat._products
+    rows, products = [], smat.products
 
     def counted(a, b):
         for acc in products(a, b):
             rows.append(acc)
             yield acc
 
-    monkeypatch.setattr(smat, "_products", counted)
+    monkeypatch.setattr(smat, "products", counted)
     assert not smat.braid_holds(x, diag, z)
     assert len(rows) == 4
     rows.clear()
@@ -233,7 +234,44 @@ def _on_scalars(fn, *args):
 
 def _legs(m, n, ps):
     rows = smat.row_form(m)
-    return [smat.embed_rows(rows, (n,) * 3, (ps,) * 3, pr) for pr in ((0, 1), (0, 2), (1, 2))]
+    return [smat.embed_rows(rows, (n,) * 3, (ps,) * 3, pr) for pr in smat.LEGS]
+
+
+def _catalog_variants(R):
+    """(matrix, grading) for R and a twist of it, as they are and with the
+    last nonzero doubled, each under R's grading and the zero grading."""
+    for m in (R.m, twisted_r(R, 3).m):
+        for mm in (m, _corrupted(m)):
+            for ps in dict.fromkeys((R.p, (0,) * R.n)):
+                yield mm, ps
+
+
+@pytest.mark.parametrize("spec", [s for s in _CATALOG if s[0] != "identity"],
+                         ids=lambda s: "".join(map(str, s)))
+def test_legs_embedded_from_codes_are_the_codes_of_the_legs(spec):
+    # encoding R before embedding it gives the legs that encoding the
+    # embedded Scalar legs gives: the same X and the same ints, slot by slot
+    R = catalog(*spec)
+    for m, ps in _catalog_variants(R):
+        dims, pss, rows = (R.n,) * 3, (ps,) * 3, smat.row_form(m)
+        legs = _legs(m, R.n, ps)
+        want = kronecker_codes(legs)
+        assert want is not None
+        assert smat.braid_legs(rows, rows, rows, dims, pss) == want, (spec, ps)
+        assert _on_scalars(smat.braid_legs, rows, rows, rows, dims, pss) == legs
+
+
+def test_legs_embedded_from_codes_on_a_quasitriangular_triple():
+    # three different R-matrices of the universal R at integer labels, on
+    # legs (0, 1), (0, 2) and (1, 2)
+    labs = ((1, 0), (2, -1), (0, 1))
+    mats = [smat.row_form(universal_r_eval(labs[i], labs[j]).m) for i, j in smat.LEGS]
+    dims, ps = (2, 2, 2), ((0, 0),) * 3
+    legs = [smat.embed_rows(m, dims, ps, pr) for m, pr in zip(mats, smat.LEGS)]
+    want = kronecker_codes(legs)
+    assert want is not None
+    assert smat.braid_legs(*mats, dims, ps) == want
+    assert smat.braid_holds(*want) is smat.braid_holds(*legs) is _braid_reference(*legs) is True
 
 
 @pytest.mark.parametrize("spec", [s for s in _CATALOG if s[0] != "identity"],
@@ -245,10 +283,11 @@ def test_integer_and_scalar_paths_agree_on_the_catalog(spec):
     verdicts = []
     for m in (R.m, twisted_r(R, 3).m):
         for mm in (m, _corrupted(m)):
-            legs = _legs(mm, R.n, R.p)
-            assert kronecker_codes(legs) is not None
-            verdicts.append(smat.braid_holds(*legs))
-            assert verdicts[-1] is _on_scalars(smat.braid_holds, *legs), spec
+            rows = smat.row_form(mm)
+            codes = smat.braid_legs(rows, rows, rows, (R.n,) * 3, (R.p,) * 3)
+            assert all(type(x) is int for leg in codes for row in leg for _, x in row)
+            verdicts.append(smat.braid_holds(*codes))
+            assert verdicts[-1] is smat.braid_holds(*_legs(mm, R.n, R.p)), spec
     assert verdicts[0] and verdicts[2]
     assert not (verdicts[1] or verdicts[3])
 
@@ -273,9 +312,10 @@ def test_integer_and_scalar_paths_agree_on_random_triples(data, n):
         return out
 
     triple = [rows() for _ in range(3)]
-    assert kronecker_codes(triple) is not None
-    got = smat.braid_holds(*triple)
-    assert got is _on_scalars(smat.braid_holds, *triple) is _braid_reference(*triple)
+    codes = kronecker_codes(triple)
+    assert codes is not None
+    got = smat.braid_holds(*codes)
+    assert got is smat.braid_holds(*triple) is _braid_reference(*triple)
 
 
 def test_kronecker_bound_is_needed(monkeypatch):
@@ -290,9 +330,10 @@ def test_kronecker_bound_is_needed(monkeypatch):
     z = [[(1, ONE)], [(0, ONE)]]
     assert not _braid_reference(x, y, z)
     assert scalars._kronecker_bits(3, 1, 2 ** t) == 3 * t + 2
-    assert not smat.braid_holds(x, y, z)
+    assert not smat.braid_holds(*kronecker_codes([x, y, z]))
     monkeypatch.setattr(scalars, "_kronecker_bits", lambda k, width, norm: 2 * t)
-    assert smat.braid_holds(x, y, z)  # a smaller X: unequal sides compare equal
+    # a smaller X: unequal sides compare equal
+    assert smat.braid_holds(*kronecker_codes([x, y, z]))
 
 
 def test_kronecker_codes_refuse_other_entries(restore_field):
@@ -317,10 +358,10 @@ def test_check_invertible_without_a_residue_decides_by_inverse(monkeypatch):
     assert prime_point_residue(x) is None
     calls, inv = [], smat.inv
     monkeypatch.setattr(smat, "inv", lambda a: calls.append(a) or inv(a))
-    smat.check_invertible([[x, ZERO], [ZERO, ONE]])
+    smat.check_invertible([[(0, x)], [(1, ONE)]])
     assert len(calls) == 1
     with pytest.raises(smat.Singular):
-        smat.check_invertible([[x, x], [ONE, ONE]])
+        smat.check_invertible([[(0, x), (1, x)], [(0, ONE), (1, ONE)]])
     assert len(calls) == 2
 
 
