@@ -15,7 +15,8 @@ generator with ValueError (as Element does), drops zeros, normal-forms each
 leg and sums repeated keys.  Everything else in this module builds its value
 with the trusted _tensor(pres, arity, terms), as ncalg builds Elements with
 _element: +, -, scalar *, flip, tensor_mul, outer, unit, zero and
-apply_to_leg combine terms that are already in that form.  Other modules
+apply_to_leg combine terms that are already in that form, and tensor_mul
+with a unit factor returns the other factor itself.  Other modules
 build through the constructor or those functions, except hopfcore, which
 puts an antipode image, already normal, on one leg with _tensor; a leg that
 is a normal word costs no rewrite step to normal-form again.
@@ -173,8 +174,16 @@ def outer(a: Element, b: Element) -> TensorElement:
 
 
 def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
+    """s * t legwise, with the Koszul sign.  A unit factor, whose terms are
+    exactly {((),) * k: ONE}, returns the other factor itself, since no
+    code mutates a TensorElement's terms."""
     s._check(t)
     pres, k, graded = s.pres, s.arity, s.pres.graded
+    unit_key = ((),) * k
+    if len(s.terms) == 1 and s.terms.get(unit_key) is ONE:
+        return t
+    if len(t.terms) == 1 and t.terms.get(unit_key) is ONE:
+        return s
     acc: dict[tuple, Scalar] = {}
     deg = pres.degree
     for u, cu in s.terms.items():

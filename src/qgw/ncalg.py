@@ -5,16 +5,18 @@ each mapping a two-letter word to a linear combination of strictly smaller
 words.  Presentation.reduce_terms rewrites the leftmost redex of a word
 until none is left; Elements store only normal-form words.
 
-Within one reduce_terms call the normal form nf(w) of each distinct word,
-with coefficient 1, is computed once, bottom-up on an explicit work stack
-(no recursion), and kept in a memo that is dropped when the call returns;
-an input word already in the memo starts no stack.  A word's leftmost redex
-is found when the word is made (a child's scan starts at the redex of its
-parent minus one, since the prefix before it is irreducible), through the
-private rule index _follow[x][y], which is the rhs dict of the rule (x, y):
-a reducible word is pushed with its redex and rule, an irreducible one goes
-straight into the memo.  A Scalar coefficient and a tuple word are taken
-as they are.
+The normal form nf(w) of each distinct word, with coefficient 1, is
+computed once per memo, bottom-up on an explicit work stack (no
+recursion).  The memo is local to one reduce_terms call unless the caller
+passes its own: overlap_check makes one per call, reduces both sides of
+every overlap and every probe element and product against it, and drops it
+on return.  An input word already in the memo starts no stack.  A word's
+leftmost redex is found when the word is made (a child's scan starts at the
+redex of its parent minus one, since the prefix before it is irreducible),
+through the private rule index _follow[x][y], which is the rhs dict of the
+rule (x, y): a reducible word is pushed with its redex and rule, an
+irreducible one goes straight into the memo.  A Scalar coefficient and a
+tuple word are taken as they are.
 
 Element(pres, terms) is the one public constructor: it coerces each
 coefficient to a Scalar and each word to a tuple, refuses a letter that is
@@ -22,15 +24,18 @@ no generator with ValueError, sums repeated words and reduces.  Everything
 else builds its Element with the trusted _element(pres, terms), whose terms
 are already tuple-keyed, nonzero, Scalar-valued and in normal form: +, - and
 scalar * combine normal forms, a product hands its dict of concatenated
-words straight to reduce_terms, and one, zero, gen, and monomial and word on
+words straight to reduce_terms (a unit factor, exactly {(): ONE}, returns
+the other factor itself), and one, zero, gen, and monomial and word on
 a word of fewer than two letters skip rewriting, since every left-hand side
 has two letters (add_rule refuses any other) and so such a word is
 irreducible.
 The rule index is written with its rule (by the constructor's structural
-rules and add_rule) and no normal form is kept across calls, so step counts
-do not depend on what ran before.  STATS["steps"] counts the rule
-applications actually performed: one per distinct reducible word in each
-call, counted also when the call ends in StepCapExceeded.
+rules and add_rule), and no normal form outlives the call that owns its
+memo, during which the rules do not change; so step counts do not depend
+on what ran before.  STATS["steps"] counts the rule applications actually
+performed: one per distinct reducible word per memo, counted also when a
+call ends in StepCapExceeded.  The step cap bounds each reduce_terms call,
+and a word already in a shared memo costs it nothing.
 
 The term order is weighted deg-lex (total weight, every weight at least 1,
 then length, then the index tuple), a monomial order: add_rule makes every
@@ -234,18 +239,24 @@ class Presentation:
         return word
 
     # -- rewriting --------------------------------------------------------
-    def reduce_terms(self, terms) -> dict:
-        """Rewrite a word->coeff map to its normal form.
+    def reduce_terms(self, terms, memo=None) -> dict:
+        """Rewrite a word->coeff map to its normal form, as a fresh dict.
 
         The normal form nf(w) of each distinct word, with coefficient 1, is
-        computed once and kept in a memo local to this call; the result is
-        the sum of c * nf(w) over the input terms.  A word's leftmost redex
-        is found when the word is made, so a word on the work stack is
-        rewritten without a second scan, and an irreducible one goes
-        straight into the memo.
+        computed once and kept in ``memo``: a dict local to this call by
+        default, or one the caller owns and passes to several calls on this
+        presentation while its rules stay the same, so that a word reached
+        in an earlier call is not rewritten again.  The memo holds finished
+        normal forms only, also after StepCapExceeded, and none is mutated
+        once stored.  The result is the sum of c * nf(w) over the input
+        terms.  A word's leftmost redex is found when the word is made, so a
+        word on the work stack is rewritten without a second scan, and an
+        irreducible one goes straight into the memo.  The step cap bounds
+        the steps of this call, which a word already in the memo costs none.
         """
         follow, cap = self._follow, self.step_cap
-        memo: dict[tuple, dict] = {}
+        if memo is None:
+            memo = {}
         steps = 0
         out: dict[tuple, Scalar] = {}
         for word, coeff in reversed(terms.items()):
@@ -393,21 +404,7 @@ class Element:
             c0 = Scalar(other)
             return _element(self.pres, {w: c * c0 for w, c in self.terms.items()} if c0 else {})
         self._check(other)
-        prod: dict[tuple, Scalar] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = prod.get(w)
-                if s is None:
-                    prod[w] = c
-                else:
-                    s = s + c
-                    if s:
-                        prod[w] = s
-                    else:
-                        del prod[w]
-        return _element(self.pres, self.pres.reduce_terms(prod))
+        return _product(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, NUMBERS):
@@ -454,6 +451,37 @@ def _element(pres: Presentation, terms: dict) -> Element:
     e = object.__new__(Element)
     e.pres, e.terms = pres, terms
     return e
+
+
+def _is_unit(terms) -> bool:
+    """Whether ``terms`` are exactly {(): ONE}, the module's own ONE."""
+    return len(terms) == 1 and terms.get(()) is ONE
+
+
+def _product(a: Element, b: Element, memo=None) -> Element:
+    """a * b over one presentation: the concatenated words reduced against
+    ``memo`` (see Presentation.reduce_terms).  A unit factor, whose terms
+    are exactly {(): ONE}, returns the other factor itself, since no code
+    mutates an Element's terms."""
+    if _is_unit(a.terms):
+        return b
+    if _is_unit(b.terms):
+        return a
+    prod: dict[tuple, Scalar] = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            w = w1 + w2
+            c = c1 * c2
+            s = prod.get(w)
+            if s is None:
+                prod[w] = c
+            else:
+                s = s + c
+                if s:
+                    prod[w] = s
+                else:
+                    del prod[w]
+    return _element(a.pres, a.pres.reduce_terms(prod, memo))
 
 
 # -- maps given on generators --------------------------------------------
@@ -584,15 +612,23 @@ def compile_relations(gens, relations, name=""):
 def overlap_check(p: Presentation, sample_budget: int = 0, rng=None) -> CheckReport:
     """Exhaustive 3-letter overlap resolution (a confluence proof when every
     rule is oriented), plus sample_budget random associativity probes: one
-    check per overlap and one per probe."""
+    check per overlap and one per probe.
+
+    Both sides of every overlap, and every probe element and product, are
+    reduced against one normal-form memo made by this call and dropped on
+    return: the rules do not change meanwhile, so each distinct reducible
+    word costs one step per call, and the steps of a call do not depend on
+    what ran before it."""
     rep = CheckReport(p.name)
+    memo: dict[tuple, dict] = {}
     # the rules (y, z) in rule order, for each rule (x, y) in rule order
     for (x, y), xy in p.rules.items():
         for z, yz in p._follow.get(y, {}).items():
             left = {w + (z,): c for w, c in xy.items()}
             right = {(x,) + w: c for w, c in yz.items()}
             try:
-                rep.record(p.reduce_terms(left) == p.reduce_terms(right), ("overlap", (x, y, z)))
+                rep.record(p.reduce_terms(left, memo) == p.reduce_terms(right, memo),
+                           ("overlap", (x, y, z)))
             except StepCapExceeded:
                 rep.record(False, ("stepcap", (x, y, z)))
     if sample_budget:
@@ -603,10 +639,11 @@ def overlap_check(p: Presentation, sample_budget: int = 0, rng=None) -> CheckRep
             for _ in range(rng.randint(1, 3)):
                 w = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
                 t[w] = Scalar(rng.randint(-3, 3))
-            return Element(p, t)
+            # Element(p, t) without the checks: every word is of generators
+            return _element(p, p.reduce_terms(t, memo))
         for _ in range(sample_budget):
             a, b, c = rand_elem(), rand_elem(), rand_elem()
-            ok = (a * b) * c == a * (b * c)
+            ok = _product(_product(a, b, memo), c, memo) == _product(a, _product(b, c, memo), memo)
             # str loads sympy, so a probe is printed only when it fails
             rep.record(ok, None if ok else ("assoc", (str(a), str(b), str(c))))
     return rep

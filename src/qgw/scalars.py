@@ -19,8 +19,9 @@ value alone:
   polynomial, and +, -, *, / by a single term and ``**`` are plain dict
   arithmetic.  With factors, * and / add multiplicities, + and - take the
   larger ones (0 + x, x - 0 and x times a single term over no factors,
-  such as 1 or -1, need no reduction and take none), and a numerator is
-  divided by a factor exactly, one pass
+  such as 1 or -1, need no reduction and take none; a product tries each
+  numerator only against the other's factors that its own denominator
+  lacks), and a numerator is divided by a factor exactly, one pass
   over the terms of each chain of exponents, at a cost of the quotient's
   terms (one of more than 10^6 terms is refused with ValueError before it
   is built); a divisor's numerator is split into binomial factors along the
@@ -296,14 +297,16 @@ def _bdiv(a, m, d):
     return out
 
 
-def _reduce(a, b):
+def _reduce(a, b, skip=()):
     """a / b in canonical form: ``a`` divided by each factor of ``b`` while
-    the division is exact, largest degree first within each m."""
+    the division is exact, largest degree first within each m.  A factor
+    in ``skip``, which the caller knows does not divide ``a``, is not
+    tried."""
     if not a:
         return {}, ()
     left = []
     for f, k in reversed(b):
-        while k:
+        while k and f not in skip:
             quo = _bdiv(a, *f)
             if quo is None:
                 break
@@ -439,18 +442,21 @@ def _over(b1, b2):
 
 def _fmul(x, bx, y, by):
     """x/bx * y/by: each numerator is divided by the other's factors first,
-    so the product needs no division.  A single term over no factors, such
-    as 1 or -1, is a unit of the Laurent ring: it divides no factor and no
-    factor divides it, so the product needs no reduction."""
+    so the product needs no division.  A canonical numerator is divisible by
+    none of its own factors, so x is not tried against a factor that bx
+    shares with by, nor y against one that by shares with bx.  A single
+    term over no factors, such as 1 or -1, is a unit of the Laurent ring: it
+    divides no factor and no factor divides it, so the product needs no
+    reduction."""
     if not by and len(y) == 1:
         return _nmul(x, y), bx
     if not bx and len(x) == 1:
         return _nmul(x, y), by
-    x, by = _reduce(x, by)
-    y, bx = _reduce(y, bx)
+    x, left_y = _reduce(x, by, dict(bx))
+    y, left_x = _reduce(y, bx, dict(by))
     if not x or not y:
         return {}, ()
-    return _nmul(x, y), _combine_factors(bx, by, add)
+    return _nmul(x, y), _combine_factors(left_x, left_y, add)
 
 
 def _fdiv(x, bx, y, by):

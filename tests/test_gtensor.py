@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,23 @@ def test_unit_and_zero():
     assert tensor_mul(u, a) == a
     assert a + z == a
     assert not z
+
+
+@pytest.mark.parametrize("key", ["uq", "uq-super"])
+def test_a_unit_factor_returns_the_other_factor(key):
+    """A factor whose terms are exactly {(): ONE}, or {((),) * k: ONE},
+    returns the other factor itself, with no rewriting, in an ungraded and
+    a graded algebra; a unit of another coefficient object equal to 1 takes
+    the general product to the same value."""
+    p = PRESENTATIONS[key]()
+    e = Element(p, {("Xp", "K1"): qvar(), ("Xm",): 2, (): -1})
+    t = tens(p, {(("Xp",), ("Xm", "K2")): qvar(), (("K1",), ()): 3, ((), ("Xp",)): -1})
+    one_e, one_t = Element(p, {(): Scalar(1)}), TensorElement(p, 2, {((), ()): Scalar(1)})
+    assert one_e.terms[()] is not ONE and one_t.terms[((), ())] is not ONE
+    with mock.patch.object(Presentation, "reduce_terms", side_effect=AssertionError):
+        units = [p.one() * e, e * p.one(), unit(p, 2) * t, t * unit(p, 2)]
+    assert units == [e, e, t, t] and all(u is v for u, v in zip(units, [e, e, t, t]))
+    assert one_e * e == e * one_e == e and one_t * t == t * one_t == t
 
 
 def test_arity_mismatch():

@@ -138,7 +138,7 @@ def test_overlap_check_reports_what_the_double_loop_reports():
     bad.add_rule(("a", "a"), {})
     presentations = [c[3] for c in compiled_relation_sets()]
     presentations += [fa_presentation(k) for k in ("ac", "gl11", "omega", "gl11omega")]
-    presentations += [uq_presentation(), bad, _cycle(50)]
+    presentations += [uq_presentation(), planted_uq(), bad, _cycle(50)]
     for p in presentations:
         got, want = overlap_check(p), reference_overlap_check(p)
         assert (got.checked, got.failures) == (want.checked, want.failures), p.name
@@ -433,6 +433,61 @@ def test_reduce_terms_equals_the_reference(key, data):
     got = p.reduce_terms(terms)
     assert list(got.items()) == list(want.items())
     assert STATS["steps"] - middle == middle - before
+
+
+@pytest.mark.parametrize("key", _REFERENCE_KEYS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_shared_memo_gives_fresh_normal_forms(key, data):
+    """Term dicts reduced one after another against one memo give what each
+    fresh reduce_terms call gives, in the same dict order and as a dict of
+    its own, for one step per distinct reducible word that the whole list
+    reaches."""
+    p = rewriting_presentation(key)
+    names = st.sampled_from([g.name for g in p.gens])
+    coeffs = st.sampled_from([ONE, -ONE]) | st.integers(-2, 2).map(lambda n: n * qvar())
+    batch = data.draw(st.lists(st.dictionaries(st.lists(names, max_size=5).map(tuple), coeffs,
+                                               max_size=3), max_size=5))
+    memo, shared, steps, reached = {}, [], 0, set()
+    for terms in batch:
+        before = STATS["steps"]
+        shared.append(p.reduce_terms(terms, memo))
+        steps += STATS["steps"] - before
+        reached |= reducible_words(p, terms)
+    for terms, got in zip(batch, shared):
+        assert list(got.items()) == list(p.reduce_terms(terms).items())
+        assert all(got is not nf for nf in memo.values())
+    assert steps == len(reached)
+
+
+def test_overlap_check_steps_do_not_depend_on_history():
+    """The memo of one overlap_check call is dropped on return: a second
+    call on the same presentation with the same probes counts the same
+    steps and gives the same report."""
+    p = fa_presentation("omega")
+    counts, reports = [], []
+    for _ in range(2):
+        before = STATS["steps"]
+        rep = overlap_check(p, 60, random.Random(0))
+        counts.append(STATS["steps"] - before)
+        reports.append((rep.ok, rep.checked, rep.failures))
+    assert counts[0] == counts[1] > 0 and reports[0] == reports[1] == (True, 104, [])
+
+
+def planted_uq():
+    """U_q with X+ K1 -> q K1 X+ in place of 1/q, which no longer resolves
+    against the rules of K1^-1 and X-."""
+    return uq_presentation().derive(rules=[(("Xp", "K1"), {("K1", "Xp"): qvar()}, False)],
+                                    name="uq-planted")
+
+
+def test_the_planted_uq_defect_fails_the_same_overlaps():
+    """The four overlaps that fresh reduction of each side fails, in the
+    same order."""
+    rep = overlap_check(planted_uq())
+    assert rep.checked == 70
+    assert rep.failures == [("overlap", ("Xm", "Xp", "Xp")), ("overlap", ("Xm", "Xp", "K1")),
+                            ("overlap", ("Xp", "K1", "K1i")), ("overlap", ("Xp", "K1i", "K1"))]
 
 
 def assert_rule_index(p):

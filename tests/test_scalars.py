@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from operator import add, mul, sub, truediv
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy
@@ -458,6 +459,38 @@ def test_identity_operands_match_field(x):
                       (ZERO - x, zero - f), (x * ONE, f * one), (ONE * x, one * f),
                       (x * -ONE, f * -one), (-ONE * x, -one * f)]:
         _same_scalar(got, want)
+
+
+def _fmul_trying_every_factor(x, bx, y, by):
+    """scalars._fmul without its skip: each numerator is tried against every
+    factor of the other denominator."""
+    if not by and len(y) == 1:
+        return scalars._nmul(x, y), bx
+    if not bx and len(x) == 1:
+        return scalars._nmul(x, y), by
+    x, left_y = scalars._reduce(x, by)
+    y, left_x = scalars._reduce(y, bx)
+    if not x or not y:
+        return {}, ()
+    return scalars._nmul(x, y), scalars._combine_factors(left_x, left_y, add)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_products_over_shared_binomials_equal_the_unskipped_path(data):
+    """Fractions over powers of a few shared binomials, one of them times a
+    power of one of those binomials, multiply to the representation that
+    trying every factor gives, and to sympy's product."""
+    pool = data.draw(st.lists(st.sampled_from(_BINOMIALS), min_size=1, max_size=3, unique=True))
+    texts = _over_binomials(_laurent_texts(), pool, 3)
+    a, b = parse(data.draw(texts)), parse(data.draw(texts))
+    b = b * parse(data.draw(st.sampled_from(pool))) ** data.draw(st.integers(0, 2))
+    for x, y in ((a, b), (b, a), (a, a)):
+        got = x * y
+        with mock.patch.object(scalars, "_fmul", _fmul_trying_every_factor):
+            want = x * y
+        assert (got._d, got._b) == (want._d, want._b)
+        _same_scalar(got, x.f * y.f)
 
 
 @settings(deadline=None)
