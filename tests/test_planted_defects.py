@@ -1,0 +1,63 @@
+"""Planted defects in the matrix layer, each caught by the suite.
+
+Each case copies the qgw package to a temporary folder, replaces one text
+in one module (the anchor must occur there exactly once), runs a cold
+``qgw run --suite all --seed 0 --format json`` on the copy, and compares
+its verdicts with tests/golden_suite.json.  The rows whose verdict changes
+must be exactly the listed ones, and each of them must fail or give an
+error: a defect that no row notices, or that a refactor moves out of the
+rows' reach, fails its case.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qgw"
+GOLDEN = Path(__file__).parent / "golden_suite.json"
+
+DEFECTS = {
+    "embed_rows without its Koszul sign": (
+        "smat.py", "odd = -x if cross else x", "odd = x",
+        {"prop3.1/superizable", "sec4/glnm-ybe", "thm2.2/quasitriangularity"}),
+    "kron_rows without its sign": (
+        "smat.py", "ra = [(k, -x if deg_b and pa[k] else x) for k, x in ra]", "ra = list(ra)",
+        {"sec3/super-r", "thm2.2/quasitriangularity"}),
+    "add_rows ignoring its scale": (
+        "smat.py", "scaled = c is not ONE", "scaled = False",
+        {"sec2/duality", "sec3/super-duality", "engine/numeric-spot", "prop2.4/ribbon",
+         "prop2.5/canonical", "prop5.1/twisting", "sec2/tensor-decomposition",
+         "sec3/super-r", "sec4/determinant", "sec5/super-twisting",
+         "thm2.2/quasitriangularity"}),
+    "_Form.at without its sign part": (
+        "reps.py", "return value if self.S is None else sign_pow(pair(self.S)) * value",
+        "return value",
+        {"engine/numeric-spot", "prop2.4/ribbon", "prop2.5/canonical", "prop5.1/twisting",
+         "thm2.2/quasitriangularity"}),
+}
+
+
+@pytest.mark.parametrize("name", list(DEFECTS))
+def test_planted_matrix_defect_changes_its_rows(tmp_path, name):
+    module, old, new, want = DEFECTS[name]
+    shutil.copytree(SRC, tmp_path / "qgw", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "qgw" / module
+    text = path.read_text()
+    assert text.count(old) == 1, f"anchor not found once in {module}: {old!r}"
+    path.write_text(text.replace(old, new))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgw.cli", "run", "--suite", "all", "--seed", "0",
+         "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True,
+        timeout=300, check=False)
+    golden = {r["id"]: r["verdict"] for r in json.loads(GOLDEN.read_text())}
+    rows = {r["id"]: r["verdict"] for r in json.loads(proc.stdout)}
+    assert rows.keys() == golden.keys()
+    changed = {k: v for k, v in rows.items() if v != golden[k]}
+    assert changed.keys() == want, changed
+    assert set(changed.values()) <= {"fail", "error"}, changed
