@@ -236,21 +236,27 @@ def qdet_check(h: HopfData) -> CheckReport:
 # -- duality pairing -------------------------------------------------------
 
 def pairing_matrices(R: RMatrix):
-    """Canonical duality pairing: the n x n scalar matrices of l+/l- entries.
+    """Canonical duality pairing: the n x n scalar matrices of l+/l- entries,
+    in row form.
 
-    plus[k][l][i][j] = <.., l+ entry (k,l)> = R^i_j^k_l and minus is the same
-    from R^-1: the plain representation matrices of the l+/l- entries.  The
+    plus[k-1][l-1] has the entry <.., l+ entry (k,l)> = R^i_j^k_l at (i-1, j-1),
+    and minus is the same from R^-1: the plain representation matrices of the l+/l- entries.  The
     right-action convention of the pairing would add, for graded R, the sign
     (-1)^{p(j)(p(k)+p(l))} to plus and (-1)^{p(k)(p(i)+p(j))} to minus.
     """
     n = R.n
-    rinv = R.inverse_matrix()
-    plus = [[smat.zeros(n) for _ in range(n)] for _ in range(n)]
-    minus = [[smat.zeros(n) for _ in range(n)] for _ in range(n)]
-    for k, l in product(range(1, n + 1), repeat=2):
-        for i, j in product(range(1, n + 1), repeat=2):
-            plus[k - 1][l - 1][i - 1][j - 1] = R.entry(i, j, k, l)
-            minus[k - 1][l - 1][i - 1][j - 1] = rinv[(k - 1) * n + i - 1][(l - 1) * n + j - 1]
+    plus, minus = ([[[[] for _ in range(n)] for _ in range(n)] for _ in range(n)]
+                   for _ in range(2))
+    for r, pairs in enumerate(R.rows):  # row (i, k), column (j, l)
+        i, k = divmod(r, n)
+        for c, x in pairs:
+            j, l = divmod(c, n)
+            plus[k][l][i].append((j, x))
+    for r, pairs in enumerate(R.inverse_matrix()):  # row (k, i), column (l, j)
+        k, i = divmod(r, n)
+        for c, x in pairs:
+            l, j = divmod(c, n)
+            minus[k][l][i].append((j, x))
     return plus, minus
 
 
@@ -271,6 +277,6 @@ def duality_pairing_check(R: RMatrix) -> CheckReport:
                                         lambda i, j: m2[i - 1][j - 1]):
             res = [{} for _ in range(n)]
             for c, left, right in terms:
-                smat.add_rows(res, c, smat.row_form(smat.mmul(left, right)))
+                smat.add_rows(res, c, smat.mmul(left, right))
             rep.record(not any(x for row in res for x in row.values()), ((tag,) + idx,))
     return rep

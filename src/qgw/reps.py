@@ -17,17 +17,17 @@ one form table, data that _weight_diag evaluates over a product basis.  A
 Rep is a leg of an evaluation as it is; _ev_tensor makes the tensor
 product of two legs through a coproduct.
 
-A Rep finds the nonzeros of each word matrix it meets once and keeps that
-row form (smat.row_form): an image is summed from the row forms of its
-words into row dicts (smat.add_rows), and an image on a tensor product is
-summed from the graded Kronecker products of the row forms of its legs'
-words (smat.kron_rows), with no dense zero matrix built, added or scaled.
+Every matrix here is in row form (smat): a Rep keeps the matrix of each
+word it meets, and its evaluate sums an Element's image from those into
+row dicts (smat.add_rows); the image on a tensor product is summed from the
+graded Kronecker products of its legs' images (smat.kron_rows).  The one
+dense grid is the entry grid of the RMatrix that universal_r_eval returns.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import mul
+from operator import index, mul
 from typing import Callable, NamedTuple
 
 from . import smat
@@ -108,7 +108,10 @@ class RepLabel:
     """
 
     def __init__(self, m1, m2):
-        self.m1, self.m2 = int(m1), int(m2)
+        try:
+            self.m1, self.m2 = index(m1), index(m2)
+        except TypeError:
+            raise NonIntegerLabel(f"weights must be integers, got ({m1!r}, {m2!r})") from None
         q = qvar()
         self.lam1 = q ** self.m1
         self.lam2 = sign_pow(self.m2) * q ** self.m2
@@ -152,11 +155,8 @@ def _aslabel(lab):
 
 
 def _diag(*entries):
-    n = len(entries)
-    out = smat.zeros(n)
-    for i, x in enumerate(entries):
-        out[i][i] = Scalar(x)
-    return out
+    """The diagonal matrix of the nonzero ``entries``."""
+    return [[(i, Scalar(x))] for i, x in enumerate(entries)]
 
 
 class Rep:
@@ -180,16 +180,14 @@ class Rep:
             "K1": _diag(l1, l1 / q), "K1i": _diag(ONE / l1, q / l1),
             "K2": _diag(l2, -q * l2), "K2i": _diag(ONE / l2, -ONE / (q * l2)),
             "g": _diag(gsc, -gsc),
-            "Xp": [[ZERO, c], [ZERO, ZERO]],
-            "Xm": [[ZERO, ZERO], [ONE, ZERO]],
+            "Xp": [[(1, c)], []],
+            "Xm": [[], [(0, ONE)]],
         }
         self.dim = 2
         self.p = (0, 1) if self.graded else (0, 0)
-        # the matrix of each word met so far, built from its prefix's, and
-        # the row forms of those read
+        # the matrix of each word met so far, built from its prefix's
         self._words = {(): smat.eye(self.dim),
                        **{(x,): m for x, m in self.images.items()}}
-        self._rows = {}
         self._verify()
 
     @property
@@ -214,35 +212,23 @@ class Rep:
             m = words[word[:k]] = smat.mmul(m, self.images[word[k - 1]])
         return m
 
-    def _word_rows(self, word):
-        """The row form of the matrix of ``word``, found once per Rep and
-        shared, so callers must not change it."""
-        rows = self._rows.get(word)
-        if rows is None:
-            rows = self._rows[word] = smat.row_form(self._wmat(word))
-        return rows
-
     def _sum(self, terms):
-        """The sum of c times the matrix of w over the (w, c) of ``terms``,
-        as a list of row dicts {column: value}."""
+        """The sum of c times the matrix of w over the (w, c) of ``terms``."""
         acc = [{} for _ in range(self.dim)]
         for w, c in terms:
-            smat.add_rows(acc, c, self._word_rows(w))
-        return acc
+            smat.add_rows(acc, c, self._wmat(w))
+        return smat.nonzeros(acc)
 
     def _verify(self):
         for lhs, rhs in self.pres.rules.items():
-            if not smat.meq(self._wmat(lhs), _square(self._sum(rhs.items()))):
+            if not smat.meq(self._wmat(lhs), self._sum(rhs.items())):
                 raise ValueError(f"rule {lhs} fails in representation {self.label}")
 
-    def image_rows(self, e: Element):
-        """The matrix of ``e`` as a list of row dicts {column: value}."""
+    def evaluate(self, e: Element):
+        """The matrix of ``e``, a new one."""
         if e.pres is not self.pres:
             raise ValueError("element not over this representation's algebra")
         return self._sum(e.terms.items())
-
-    def evaluate(self, e: Element):
-        return _square(self.image_rows(e))
 
     def __repr__(self):
         return f"Rep({self.label}, graded={self.graded})"
@@ -267,53 +253,34 @@ def _integer_rep(m1, m2, graded) -> Rep:
 
 # -- evaluation contexts ----------------------------------------------------
 
-class _Ev:
+class _Ev(NamedTuple):
     """What R-matrix evaluation needs from a leg: dimension, Cartan weights
-    per basis vector, basis parity, and an Element -> matrix map, as row
-    dicts (image_rows) or dense (evaluate).  A Rep has all of them, so a
-    Rep is a leg too."""
-
-    __slots__ = ("dim", "weights", "p", "image_rows")
-
-    def __init__(self, dim, weights, p, image_rows):
-        self.dim, self.weights, self.p, self.image_rows = dim, weights, p, image_rows
-
-    def evaluate(self, e):
-        return _square(self.image_rows(e))
+    per basis vector, basis parity, and an Element -> matrix map.  A Rep
+    has all of them, so a Rep is a leg too."""
+    dim: int
+    weights: tuple
+    p: tuple
+    evaluate: Callable
 
 
-def _square(rows):
-    """The dense square matrix of a list of row dicts {column: value}."""
-    return smat.dense((row.items() for row in rows), len(rows))
-
-
-def _tensor_rows(t, evA, evB):
-    """The matrix of the tensor element ``t`` on the Reps evA (x) evB, as a
-    list of row dicts {column: value}: the sum over t's terms c w1 (x) w2 of
-    c times the graded Kronecker product of the row forms of the Reps'
-    images of w1 and w2."""
+def _tensor_matrix(t, evA, evB):
+    """The matrix of the tensor element ``t`` on the legs evA (x) evB: the
+    sum over t's terms c w1 (x) w2 of c times the graded Kronecker product
+    of the legs' images of w1 and w2."""
     pres = t.pres
     acc = [{} for _ in range(evA.dim * evB.dim)]
     for (w1, w2), c in t.terms.items():
-        a = [row.items() for row in evA.image_rows(pres.monomial(w1))]
-        b = [row.items() for row in evB.image_rows(pres.monomial(w2))]
+        a, b = evA.evaluate(pres.monomial(w1)), evB.evaluate(pres.monomial(w2))
         smat.add_rows(acc, c, smat.kron_rows(a, b, pres.degree(w2), evA.p, evB.dim))
-    return acc
-
-
-def _tensor_image(t, evA, evB):
-    """:func:`_tensor_rows` as a dense matrix."""
-    return _square(_tensor_rows(t, evA, evB))
+    return smat.nonzeros(acc)
 
 
 def _ev_tensor(a, b, h) -> _Ev:
     """The tensor product representation of the Reps a and b through the
     coproduct of h."""
-    def image_rows(e):
-        return _tensor_rows(coproduct(e, h), a, b)
     weights = tuple((x1 + y1, x2 + y2) for x1, x2 in a.weights for y1, y2 in b.weights)
     p = tuple((x + y) % 2 for x in a.p for y in b.p)
-    return _Ev(a.dim * b.dim, weights, p, image_rows)
+    return _Ev(a.dim * b.dim, weights, p, lambda e: _tensor_matrix(coproduct(e, h), a, b))
 
 
 def _weight_diag(evA, evB, form):
@@ -330,10 +297,10 @@ def _r_matrix(evA, evB, which):
     e1, e2 = (reduce(mul, (pres.word(*w) for w in words)) for words in (fam.tail1, fam.tail2))
     q = qvar()
     dim = evA.dim * evB.dim
-    a, b = ([row.items() for row in ev.image_rows(e)] for ev, e in ((evA, e1), (evB, e2)))
     tail = [{i: ONE} for i in range(dim)]
-    smat.add_rows(tail, ONE - q * q, smat.kron_rows(a, b, e2.degree(), evA.p, evB.dim))
-    return smat.mmul(_weight_diag(evA, evB, fam.form), _square(tail))
+    smat.add_rows(tail, ONE - q * q, smat.kron_rows(evA.evaluate(e1), evB.evaluate(e2),
+                                                    e2.degree(), evA.p, evB.dim))
+    return smat.mmul(_weight_diag(evA, evB, fam.form), smat.nonzeros(tail))
 
 
 def universal_r_eval(lab1, lab2, which="standard") -> RMatrix:
@@ -342,7 +309,7 @@ def universal_r_eval(lab1, lab2, which="standard") -> RMatrix:
     r1 = rep_build(lab1, graded=graded)
     r2 = rep_build(lab2, graded=graded)
     m = _r_matrix(r1, r2, which)
-    return RMatrix(2, m, grading=(0, 1) if graded else None,
+    return RMatrix(2, smat.dense(m, len(m)), grading=(0, 1) if graded else None,
                    name=f"{which}@{r1.label},{r2.label}")
 
 
@@ -360,17 +327,14 @@ def quasitriangularity_check(lab1, lab2, lab3, which="standard") -> CheckReport:
     t12 = _ev_tensor(ev1, ev2, h)
     for gs in pres.gens:
         d = coproduct(pres.gen(gs.name), h)
-        lhs = smat.mmul(_tensor_image(d.flip(), ev1, ev2), r12)
-        rhs = smat.mmul(r12, _tensor_image(d, ev1, ev2))
+        lhs = smat.mmul(_tensor_matrix(d.flip(), ev1, ev2), r12)
+        rhs = smat.mmul(r12, _tensor_matrix(d, ev1, ev2))
         rep.record(smat.meq(lhs, rhs), ("intertwine", gs.name))
 
     dims = [e.dim for e in evs]
     ps = [e.p for e in evs]
-    rows = [smat.row_form(m) for m in (r12, _r_matrix(ev1, ev3, which),
-                                       _r_matrix(ev2, ev3, which))]
-    size = dims[0] * dims[1] * dims[2]
-    r12e, r13, r23 = (smat.dense(smat.embed_rows(m, dims, ps, legs), size)
-                      for m, legs in zip(rows, smat.LEGS))
+    rows = (r12, _r_matrix(ev1, ev3, which), _r_matrix(ev2, ev3, which))
+    r12e, r13, r23 = (smat.embed_rows(m, dims, ps, legs) for m, legs in zip(rows, smat.LEGS))
     t23 = _ev_tensor(ev2, ev3, h)
     rep.record(smat.meq(_r_matrix(t12, ev3, which), smat.mmul(r13, r23)),
                ("hexagon", "delta-leg1"))
@@ -446,11 +410,11 @@ def ribbon_check(label) -> CheckReport:
     # Delta nu = (R21 R)^-1 (nu (x) nu), both legs at this label
     rmat = _r_matrix(r, r, "standard")
     flip = flip_index(r.dim)
-    r21 = [[rmat[i][j] for j in flip] for i in flip]  # P R P
+    r21 = [[(flip[j], x) for j, x in rmat[i]] for i in flip]  # P R P
     cross = _weight_diag(r, r, _RIBBON_CROSS)
-    lhs = smat.mmul(smat.mmul(smat.kron(data["pref"], data["pref"], 0, r.p), cross),
+    lhs = smat.mmul(smat.mmul(smat.kron_rows(data["pref"], data["pref"], 0, r.p, r.dim), cross),
                     _ev_tensor(r, r, h).evaluate(pres.word("K1", "K2") * data["tail_u"]))
-    rhs = smat.mmul(smat.inv(smat.mmul(r21, rmat)), smat.kron(nu, nu, 0, r.p))
+    rhs = smat.mmul(smat.inv(smat.mmul(r21, rmat)), smat.kron_rows(nu, nu, 0, r.p, r.dim))
     rep.record(smat.meq(lhs, rhs), ("delta-nu",))
     return rep
 
@@ -491,21 +455,25 @@ def tensor_decompose(lab1=None, lab2=None):
     pres = h.pres
     r1, r2 = Rep(lab1), Rep(lab2)
     t1, t2 = Rep(out1), Rep(out2)
-    big = {gs.name: _tensor_image(coproduct(pres.gen(gs.name), h), r1, r2)
+    big = {gs.name: _tensor_matrix(coproduct(pres.gen(gs.name), h), r1, r2)
            for gs in pres.gens}
 
-    a, b = big["Xp"][0][1:3]
+    a, b = (dict(big["Xp"][0]).get(j, ZERO) for j in (1, 2))
     w = [ZERO, b, -a, ZERO]
-    t = [[ONE if i == 0 else ZERO, xm[0], w[i], b * xm[1] - a * xm[2]]
-         for i, xm in enumerate(big["Xm"])]
+    t = []
+    for i, row in enumerate(big["Xm"]):  # row i of T, entry by entry
+        xm = dict(row)
+        entries = (ONE if i == 0 else ZERO, xm.get(0, ZERO), w[i],
+                   b * xm.get(1, ZERO) - a * xm.get(2, ZERO))
+        t.append([(j, x) for j, x in enumerate(entries) if x])
     try:
-        smat.check_invertible(smat.row_form(t))
+        smat.check_invertible(t)
     except smat.Singular:
         raise NoIntertwiner("T is singular") from None
     for x, m in big.items():
         # pi_1(x) + pi_2(x), block diagonal
-        blk = ([row + [ZERO, ZERO] for row in t1.evaluate(pres.gen(x))]
-               + [[ZERO, ZERO] + row for row in t2.evaluate(pres.gen(x))])
+        blk = (t1.evaluate(pres.gen(x))
+               + [[(j + 2, y) for j, y in row] for row in t2.evaluate(pres.gen(x))])
         if not smat.meq(smat.mmul(m, t), smat.mmul(t, blk)):
             raise NoIntertwiner(f"T fails to intertwine {x}")
     return out1, out2, t
@@ -528,8 +496,8 @@ def twist_check(lab1, lab2, lab3, super_side=False) -> CheckReport:
     ps = [e.p for e in evs]
     t12 = _ev_tensor(ev1, ev2, h0)
     c12 = _weight_diag(ev1, ev2, _CHI)
-    lhs = smat.mmul(smat.embed_pair(c12, dims, ps, (0, 1)), _weight_diag(t12, ev3, _CHI))
-    rhs = smat.mmul(smat.embed_pair(_weight_diag(ev2, ev3, _CHI), dims, ps, (1, 2)),
+    lhs = smat.mmul(smat.embed_rows(c12, dims, ps, (0, 1)), _weight_diag(t12, ev3, _CHI))
+    rhs = smat.mmul(smat.embed_rows(_weight_diag(ev2, ev3, _CHI), dims, ps, (1, 2)),
                     _weight_diag(ev1, _ev_tensor(ev2, ev3, h0), _CHI))
     rep.record(smat.meq(lhs, rhs), ("cocycle",))
 

@@ -56,17 +56,22 @@ class RMatrix:
         return any(self.p)
 
     def entry(self, a, c, b, d):
-        """R^a_c^b_d with 1-based indices."""
+        """R^a_c^b_d with 1-based indices; IndexError for an index outside
+        1..n."""
         n = self.n
+        if not (0 < a <= n and 0 < c <= n and 0 < b <= n and 0 < d <= n):
+            bad = next(x for x in (a, c, b, d) if not 0 < x <= n)
+            raise IndexError(f"index {bad} outside 1..{n}")
         return self.m[(a - 1) * n + b - 1][(c - 1) * n + d - 1]
 
     def inverse_matrix(self):
-        return smat.inv(self.m)
+        """R^-1, in row form."""
+        return smat.inv(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, RMatrix):
             return NotImplemented
-        return self.n == other.n and self.p == other.p and smat.meq(self.m, other.m)
+        return self.n == other.n and self.p == other.p and smat.meq(self.rows, other.rows)
 
     def __repr__(self):
         return f"RMatrix({self.name or 'anon'}, n={self.n}, p={self.p})"
@@ -112,9 +117,8 @@ def flip_index(n):
 
 
 def flip_rows(m, n):
-    """P m, for the flip P on two legs of dimension n: the rows of ``m``,
-    dense or in row form, in the order of :func:`flip_index`, as new lists,
-    with no multiplication."""
+    """P m, for the flip P on two legs of dimension n: the rows of ``m`` in
+    the order of :func:`flip_index`, as new lists, with no multiplication."""
     return [list(m[k]) for k in flip_index(n)]
 
 
@@ -228,7 +232,7 @@ def catalog(name, n=None, m=None) -> RMatrix:
         ent, _ = _glnm(n, 0)
         return RMatrix(n, ent, name=f"std_gl({n})")
     if name == "identity":
-        return RMatrix(n, smat.eye(n * n), name="identity")
+        return RMatrix(n, smat.dense(smat.eye(n * n), n * n), name="identity")
     raise UnknownName(name)
 
 

@@ -1,21 +1,24 @@
-"""Matrices over the exact scalar field, stored dense or in row form and
-multiplied on their nonzeros.
+"""Matrices over the exact scalar field, in row form, multiplied on their
+nonzeros.
 
-A matrix is a plain list of lists of Scalar entries; enough linear algebra
-for R-matrix checks and representation work (multiply, Kronecker product,
-Gauss-Jordan inverse, an exact invertibility test).  No numerics.  Most
-entries of the matrices here are 0, so the products, sums and row
-operations skip zero operands: :func:`mmul` costs one multiplication per
-pair of nonzero entries that meet.  The *row form* of a matrix lists, for
-each row, the (column, value) pairs of its nonzero entries
-(:func:`row_form`; :func:`dense` is the way back).  A caller that reads a
-matrix more than once finds its nonzeros once and keeps the row form:
-:func:`add_rows` sums scaled matrices into row dicts and :func:`kron_rows`
-makes the graded Kronecker product of two row forms, with no dense zero
-matrix built, added or scaled.  :func:`embed_rows` is the one embedding of
-a two-leg operator into three graded tensor legs, with Koszul signs: it
-takes the operator in row form and returns the embedding in row form
-(:func:`embed_pair` takes and returns dense matrices).
+A matrix is held in *row form*: for each row, the (column, value) pairs of
+its nonzero entries, in any order.  This is the one form that the R-matrix
+checks and the representation work read and write (multiply, Kronecker
+product, leg embedding, Gauss-Jordan inverse, an exact invertibility test).
+No numerics.  Most entries of the matrices here are 0, so a product costs
+one Scalar multiplication per pair of nonzero entries that meet
+(:func:`products`, :func:`mmul`), and sums and scalings touch the nonzeros
+only.  :func:`add_rows` sums scaled matrices into row dicts {column:
+value}, and :func:`nonzeros` turns such sums back into row form.
+:func:`kron_rows` makes the graded Kronecker product of two matrices, and
+:func:`embed_rows` is the one embedding of a two-leg operator into three
+graded tensor legs, with Koszul signs.
+
+Dense grids remain only where data comes in or goes out, an R-matrix's
+entry grid (``rmatlab.RMatrix.m``, read by :func:`row_form` and written by
+:func:`dense`), and in the augmented matrix [a | 1] that :func:`inv`
+reduces, since Gauss-Jordan elimination fills it in.
+
 :func:`braid_holds` compares the two sides of the braid relation on three
 such legs row by row, without building an n^3 x n^3 matrix: the rows are
 compared in order, and the check stops at the first row that differs.
@@ -50,28 +53,28 @@ class Singular(ArithmeticError):
     pass
 
 
-def zeros(rows, cols=None):
-    cols = rows if cols is None else cols
-    return [[ZERO for _ in range(cols)] for _ in range(rows)]
+def zeros(n):
+    """The n x n zero entry grid, for an R-matrix's entries."""
+    return [[ZERO] * n for _ in range(n)]
 
 
 def eye(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return [[(i, ONE)] for i in range(n)]
 
 
 def smul(c, a):
     c = Scalar(c)
-    return [[c * x if x else x for x in row] for row in a]
+    return [[(j, c * x) for j, x in row] for row in a]
 
 
 def row_form(a):
-    """The row form of ``a``.  The shared ZERO, which fills most entries, is
-    passed over without a call of ``Scalar.__bool__``."""
+    """The row form of the dense grid ``a``.  The shared ZERO, which fills
+    most entries, is passed over without a call of ``Scalar.__bool__``."""
     return [[(j, x) for j, x in enumerate(row) if x is not ZERO and x] for row in a]
 
 
 def dense(rows, cols):
-    """The dense matrix of ``rows``, each an iterable of (column, value)
+    """The dense grid of ``rows``, each an iterable of (column, value)
     pairs."""
     out = []
     for pairs in rows:
@@ -80,6 +83,12 @@ def dense(rows, cols):
             row[j] = x
         out.append(row)
     return out
+
+
+def nonzeros(acc):
+    """The row form of a list of row dicts {column: value}: the entries that
+    did not cancel."""
+    return [[(j, x) for j, x in row.items() if x] for row in acc]
 
 
 def add_rows(acc, c, rows):
@@ -96,10 +105,9 @@ def add_rows(acc, c, rows):
 
 
 def products(a, b):
-    """The rows of a b as dicts {column: value}, one at a time, from ``a``
-    and ``b`` in row form: one Scalar multiplication per pair of nonzero
-    entries that meet, and no addition to a 0.  An entry that cancels stays,
-    as a 0."""
+    """The rows of a b as dicts {column: value}, one at a time: one Scalar
+    multiplication per pair of nonzero entries that meet, and no addition
+    to a 0.  An entry that cancels stays, as a 0."""
     for ra in a:
         acc = {}
         for t, x in ra:
@@ -111,16 +119,15 @@ def products(a, b):
 def mmul(a, b):
     """a b, at one Scalar multiplication per pair of nonzero entries that
     meet."""
-    return dense((acc.items() for acc in products(row_form(a), row_form(b))), len(b[0]))
+    return nonzeros(products(a, b))
 
 
 def kron_rows(a, b, deg_b, pa, cols):
-    """a (x) b on graded legs, in row form, from ``a`` and ``b`` in row
-    form, b with ``cols`` columns: entry ((i, j), (k, l)) is
-    (-1)^(deg_b * pa[k]) a[i][k] b[j][l], the Koszul sign of moving b, of
-    degree deg_b, past the first leg's basis vector k of parity pa[k].
-    deg_b = 0 gives the plain Kronecker product.  One Scalar product per
-    pair of nonzeros."""
+    """a (x) b on graded legs, b with ``cols`` columns: entry ((i, j),
+    (k, l)) is (-1)^(deg_b * pa[k]) a[i][k] b[j][l], the Koszul sign of
+    moving b, of degree deg_b, past the first leg's basis vector k of parity
+    pa[k].  deg_b = 0 gives the plain Kronecker product.  One Scalar product
+    per pair of nonzeros."""
     out = []
     for ra in a:
         ra = [(k, -x if deg_b and pa[k] else x) for k, x in ra]
@@ -129,24 +136,20 @@ def kron_rows(a, b, deg_b, pa, cols):
     return out
 
 
-def kron(a, b, deg_b, pa):
-    """:func:`kron_rows` of the dense matrices ``a`` and ``b``, as a dense
-    matrix."""
-    cols = len(b[0])
-    return dense(kron_rows(row_form(a), row_form(b), deg_b, pa, cols), len(a[0]) * cols)
-
-
 def meq(a, b):
-    """Whether the dense matrices ``a`` and ``b`` are equal, rows held as
-    lists or tuples."""
-    return len(a) == len(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
+    """Whether ``a`` and ``b`` are the same matrix: as many rows, and the
+    same nonzero entries in each."""
+    def entries(pairs):
+        return {j: x for j, x in pairs if x}
+
+    return len(a) == len(b) and all(entries(ra) == entries(rb) for ra, rb in zip(a, b))
 
 
 def embed_rows(rows, dims, ps, legs):
-    """Embed the matrix of row form ``rows`` (:func:`row_form`), acting on
-    legs ``legs = (i, j)``, into three legs of dimensions ``dims`` and
-    gradings ``ps`` (a 0/1 tuple per leg), in row form.  A basis vector
-    (x0, x1, x2) of the three legs has the flat index (x0 d1 + x1) d2 + x2.
+    """Embed the matrix ``rows``, acting on legs ``legs = (i, j)``, into
+    three legs of dimensions ``dims`` and gradings ``ps`` (a 0/1 tuple per
+    leg).  A basis vector (x0, x1, x2) of the three legs has the flat index
+    (x0 d1 + x1) d2 + x2.
 
     The sign is the Koszul cost of moving each operator factor past the
     spectator leg; the factor's parity is read off entrywise from the row
@@ -172,12 +175,6 @@ def embed_rows(rows, dims, ps, legs):
             for shift, p in spectator:
                 out[row + shift].append((col + shift, odd if p else x))
     return out
-
-
-def embed_pair(m, dims, ps, legs):
-    """:func:`embed_rows` of the dense matrix ``m``, as a dense matrix."""
-    rows = embed_rows(row_form(m), dims, ps, legs)
-    return dense(rows, len(rows))
 
 
 LEGS = ((0, 1), (0, 2), (1, 2))
@@ -225,11 +222,11 @@ def product_is_zero(a, b):
 
 
 def _rref(rows):
-    """Gauss-Jordan elimination over the fraction field: the reduced rows of
-    ``rows`` (a new matrix) and the list of pivot columns.  Each column in
-    turn takes as pivot the first row at or below the next pivot row with a
-    nonzero there; elimination stops once every row has a pivot."""
-    rows = [list(r) for r in rows]
+    """Gauss-Jordan elimination over the fraction field, in place: ``rows``
+    become the reduced rows, and the list of pivot columns is returned.
+    Each column in turn takes as pivot the first row at or below the next
+    pivot row with a nonzero there; elimination stops once every row has a
+    pivot."""
     pivots = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -246,39 +243,44 @@ def _rref(rows):
                 f = rows[i][c]
                 rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-    return rows, pivots
+    return pivots
 
 
 def inv(a):
     """Gauss-Jordan inverse over the fraction field: [a | 1] reduced to
     [1 | a^-1]; Singular when a column of ``a`` has no pivot."""
     n = len(a)
-    rows, pivots = _rref([list(row) + erow for row, erow in zip(a, eye(n))])
-    if pivots != list(range(n)):
+    aug = dense(a, 2 * n)
+    for i, row in enumerate(aug):
+        row[n + i] = ONE
+    if _rref(aug) != list(range(n)):
         raise Singular("matrix is singular over the scalar field")
-    return [row[n:] for row in rows]
+    return row_form([row[n:] for row in aug])
 
 
-def _invertible_mod(a, p):
-    """Whether the integer matrix ``a`` is invertible modulo the prime ``p``."""
-    work = [list(row) for row in a]
+def _invertible_mod(work, p):
+    """Whether the integer matrix ``work``, row dicts {column: value} of
+    values in [0, p), is invertible modulo the prime ``p``: Gaussian
+    elimination in place, the dicts filling in only where pivot rows reach."""
     n = len(work)
     for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
+        piv = next((r for r in range(col, n) if work[r].get(col)), None)
         if piv is None:
             return False
         work[col], work[piv] = work[piv], work[col]
-        inv_pivot = pow(work[col][col], -1, p)
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] * inv_pivot
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[col])]
+        pivot = work[col]
+        inv_pivot = pow(pivot[col], -1, p)
+        for row in work[col + 1:]:
+            if row.get(col):
+                f = row[col] * inv_pivot
+                for j, y in pivot.items():
+                    row[j] = (row.get(j, 0) - f * y) % p
     return True
 
 
 def check_invertible(rows):
-    """Raise Singular unless the square matrix of row form ``rows`` is
-    invertible over the scalar field.
+    """Raise Singular unless the square matrix ``rows`` is invertible over
+    the scalar field.
 
     A determinant that is nonzero at one point is nonzero, and so is one
     whose value there is nonzero modulo a prime.  So a matrix whose entries'
@@ -287,12 +289,8 @@ def check_invertible(rows):
     and at a cost that does not grow with the degrees of the entries.  A
     matrix that is singular there, or has an entry without a residue, is
     decided by :func:`inv`."""
-    n = len(rows)
     values = {id(x): x for pairs in rows for _, x in pairs}  # each value once
     residues = {i: prime_point_residue(x) for i, x in values.items()}
-    at = [[0] * n for _ in range(n)]
-    for row, pairs in zip(at, rows):
-        for j, x in pairs:
-            row[j] = residues[id(x)]
-    if None in residues.values() or not _invertible_mod(at, MODULUS):
-        inv(dense(rows, n))
+    if None in residues.values() or not _invertible_mod(
+            [{j: residues[id(x)] for j, x in pairs} for pairs in rows], MODULUS):
+        inv(rows)

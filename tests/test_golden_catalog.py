@@ -13,7 +13,7 @@ of a structure, run ``PYTHONPATH=src python tests/test_golden_catalog.py``.
 import json
 from pathlib import Path
 
-from qgw import algebras, reps
+from qgw import algebras, reps, smat
 from qgw.exterior import omega_build
 from qgw.ncalg import presentation_to_json
 from qgw.rmatlab import catalog
@@ -51,7 +51,7 @@ def snapshot():
                   for name, args in OMEGA_R.items()},
         "universal_r": {f"{which}@{a}/{b}": _matrix(reps.universal_r_eval(a, b, which=which).m)
                         for which in reps.FAMILIES for a, b in LABELS},
-        "ribbon": {f"{name}@{a}": _matrix(data[name])
+        "ribbon": {f"{name}@{a}": _matrix(smat.dense(data[name], 2))
                    for a in RIBBON_LABELS for data in [reps.ribbon_data(a)]
                    for name in ("u", "su", "z", "nu")},
     }))

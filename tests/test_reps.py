@@ -6,7 +6,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from conftest import madd
+from conftest import dense_eq, dense_smul, dense_zeros, madd, to_dense
 
 from qgw import reps, smat
 from qgw.algebras import uq_hopf, uqgl11_hopf
@@ -24,6 +24,16 @@ def test_integer_label_weights():
     assert lab.lam1 == q * q
     assert lab.lam2 == -q
     assert lab.integral
+
+
+@pytest.mark.parametrize("weights", [(1.5, 0), (1, 0.2), (1.9, 0.2), ("1", 0), (None, 0)])
+def test_non_integer_weights_are_refused(weights):
+    # int() would truncate (1.5, 0) to the label (1, 0)
+    with pytest.raises(TypeError, match="weights must be integers"):
+        RepLabel(*weights)
+    with pytest.raises(TypeError):
+        rep_build(weights)
+    assert isinstance(RepLabel(True, 0), RepLabel)  # a bool is an int
 
 
 def test_degenerate_label_rejected():
@@ -47,7 +57,7 @@ def test_symbolic_label():
     lab = RepLabel.symbolic(indet("lam1"), indet("lam2"))
     assert not lab.integral
     rep = rep_build(lab)
-    assert rep.images["K1"][0][0] == indet("lam1")
+    assert rep.images["K1"][0] == [(0, indet("lam1"))]
 
 
 @pytest.mark.parametrize("graded", [False, True])
@@ -68,7 +78,7 @@ def test_evaluate_returns_a_matrix_of_its_own():
     for e in (pres.one(), pres.word("K1"), pres.word("K2", "Xp"), pres.word("Xp", "Xm")):
         want = [list(row) for row in r.evaluate(e)]
         got = r.evaluate(e)
-        got[0][0] = qvar() ** 7
+        got[0][0] = (0, qvar() ** 7)
         got[1].append(ONE)
         got.append([])
         assert r.evaluate(e) == want
@@ -109,11 +119,11 @@ def test_evaluate_words():
     pres = rep.pres
     q = qvar()
     img = rep.evaluate(pres.word("K1", "K2"))
-    assert smat.meq(img, [[q, 0], [0, -q]])
+    assert smat.meq(img, [[(0, q)], [(1, -q)]])
     comm = pres.word("Xp", "Xm") - pres.word("Xm", "Xp")
-    want = madd(rep.evaluate(pres.word("Xp", "Xm")),
-                smat.smul(-ONE, rep.evaluate(pres.word("Xm", "Xp"))))
-    assert smat.meq(rep.evaluate(comm), want)
+    want = madd(to_dense(rep.evaluate(pres.word("Xp", "Xm"))),
+                dense_smul(-ONE, to_dense(rep.evaluate(pres.word("Xm", "Xp")))))
+    assert dense_eq(to_dense(rep.evaluate(comm)), want)
 
 
 def test_fundamental_recovers_catalog():
@@ -127,8 +137,8 @@ def test_omega_fundamental_recovers_catalog():
 def test_super_fundamental_up_to_normalization():
     q = qvar()
     got = universal_r_eval((1, 0), (1, 0), which="super")
-    want = smat.smul(ONE / q, catalog("super_ac").m)
-    assert smat.meq(got.m, want)
+    want = dense_smul(ONE / q, catalog("super_ac").m)
+    assert dense_eq(got.m, want)
     assert got.p == (0, 1)
 
 
@@ -223,8 +233,9 @@ def test_tensor_decompose_columns_are_highest_weight_vectors_and_their_images(la
     _, _, T = tensor_decompose(*labels)
     h = uq_hopf()
     r1, r2 = (Rep(lab) for lab in labels)
-    xp, xm = (smat.mmul(reps._tensor_image(coproduct(h.pres.gen(x), h), r1, r2), T)
+    xp, xm = (to_dense(smat.mmul(reps._tensor_matrix(coproduct(h.pres.gen(x), h), r1, r2), T))
               for x in ("Xp", "Xm"))
+    T = to_dense(T)
     assert not any(row[0] or row[2] for row in xp)
     assert [row[1] for row in T] == [row[0] for row in xm]
     assert [row[3] for row in T] == [row[2] for row in xm]
@@ -319,21 +330,32 @@ def test_wrong_ribbon_cross_term_fails_delta_nu(monkeypatch, i, j):
 def _dense_evaluate(rep, e):
     """The image of ``e`` summed as dense matrices, c times the matrix of
     each word added into a zero matrix: the reference for Rep.evaluate."""
-    out = smat.zeros(rep.dim)
+    out = dense_zeros(rep.dim)
     for w, c in e.terms.items():
-        out = madd(out, smat.smul(c, rep._wmat(w)))
+        out = madd(out, dense_smul(c, to_dense(rep._wmat(w))))
+    return out
+
+
+def _dense_kron(a, b, deg_b, pa):
+    """a (x) b for dense matrices, entry ((i, j), (k, l)) equal to
+    (-1)^(deg_b pa[k]) a[i][k] b[j][l]."""
+    rb, cb = len(b), len(b[0])
+    out = dense_zeros(len(a) * rb, len(a[0]) * cb)
+    for i, k, j, l in product(range(len(a)), range(len(a[0])), range(rb), range(cb)):
+        x = a[i][k] * b[j][l]
+        out[i * rb + j][k * cb + l] = -x if deg_b * pa[k] else x
     return out
 
 
 def _dense_tensor_image(t, a, b):
     """The image of the tensor element ``t`` on a (x) b, summed as dense
-    Kronecker products: the reference for reps._tensor_image."""
+    Kronecker products: the reference for reps._tensor_matrix."""
     pres = t.pres
-    out = smat.zeros(a.dim * b.dim)
+    out = dense_zeros(a.dim * b.dim)
     for (w1, w2), c in t.terms.items():
-        m = smat.kron(_dense_evaluate(a, pres.monomial(w1)), _dense_evaluate(b, pres.monomial(w2)),
-                      pres.degree(w2), a.p)
-        out = madd(out, smat.smul(c, m))
+        m = _dense_kron(_dense_evaluate(a, pres.monomial(w1)),
+                        _dense_evaluate(b, pres.monomial(w2)), pres.degree(w2), a.p)
+        out = madd(out, dense_smul(c, m))
     return out
 
 
@@ -354,7 +376,7 @@ def _random_element(pres, rng):
 @pytest.mark.parametrize("labels", [((1, 0), (2, -1)), ((0, 1), (3, -1)), SYMBOLIC_PAIR],
                          ids=["integer", "integer2", "symbolic"])
 def test_row_form_images_match_the_dense_sums(labels, graded):
-    # Rep.evaluate, reps._tensor_image and a tensor leg's evaluate, summed in
+    # Rep.evaluate, reps._tensor_matrix and a tensor leg's evaluate, summed in
     # row form, against dense sums of scaled matrices and Kronecker products,
     # on random Elements and on the coproduct images of generators and of
     # random Elements
@@ -369,8 +391,8 @@ def test_row_form_images_match_the_dense_sums(labels, graded):
     leg = reps._ev_tensor(r1, r2, h) if r1.label.integral else None
     for e in elements:
         for r in (r1, r2):
-            assert smat.meq(r.evaluate(e), _dense_evaluate(r, e)), e
+            assert dense_eq(to_dense(r.evaluate(e)), _dense_evaluate(r, e)), e
         t = coproduct(e, h)
         want = _dense_tensor_image(t, r1, r2)
-        assert smat.meq(reps._tensor_image(t, r1, r2), want), e
-        assert leg is None or smat.meq(leg.evaluate(e), want), e
+        assert dense_eq(to_dense(reps._tensor_matrix(t, r1, r2)), want), e
+        assert leg is None or dense_eq(to_dense(leg.evaluate(e)), want), e

@@ -6,7 +6,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from conftest import is_zero, madd, twisted_r
+from conftest import (dense_eq, dense_eye, dense_mmul, dense_smul, dense_zeros, is_zero, madd,
+                      to_dense, twisted_r)
 
 from qgw import smat
 from qgw.reps import universal_r_eval
@@ -145,6 +146,14 @@ def test_sybe_needs_the_koszul_signs(n, m):
 
 def test_glnm_specializes_to_rank_two():
     assert catalog("glnm", 1, 1).m == catalog("ac").m
+    assert catalog("glnm", 1, 1) == catalog("ac")
+
+
+def test_rmatrix_equality_reads_entries_and_grading():
+    ac = catalog("ac")
+    assert ac != catalog("omega") and ac != twisted_r(ac, 1)
+    assert ac != RMatrix(2, ac.m, grading=(0, 1))  # even under (0, 1), graded apart
+    assert ac != catalog("std_gl", 3) and ac != "ac"
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3)])
@@ -163,7 +172,7 @@ def test_superized_glnm_diagonal(n, m):
 
 def permutation_matrix(n):
     """The matrix P of the flip a (x) b -> b (x) a on two legs of dimension n."""
-    out = smat.zeros(n * n)
+    out = dense_zeros(n * n)
     for a, b in product(range(n), repeat=2):
         out[a * n + b][b * n + a] = ONE
     return out
@@ -171,7 +180,7 @@ def permutation_matrix(n):
 
 def test_permutation_matrix():
     P = permutation_matrix(2)
-    assert smat.meq(smat.mmul(P, P), smat.eye(4))
+    assert dense_eq(dense_mmul(P, P), dense_eye(4))
 
 
 # every catalog R, two twists of gl(2|1), and the Hecke verdict of each
@@ -188,19 +197,19 @@ def _hecke_r(spec):
 
 def _hecke_by_product(R):
     """(PR - q)(PR + 1/q) = 0, with P R the product by the permutation matrix."""
-    q, idm = qvar(), smat.eye(R.n * R.n)
-    pr = smat.mmul(permutation_matrix(R.n), R.m)
-    return is_zero(smat.mmul(madd(pr, smat.smul(-q, idm)), madd(pr, smat.smul(ONE / q, idm))))
+    q, idm = qvar(), dense_eye(R.n * R.n)
+    pr = dense_mmul(permutation_matrix(R.n), R.m)
+    return is_zero(dense_mmul(madd(pr, dense_smul(-q, idm)), madd(pr, dense_smul(ONE / q, idm))))
 
 
 @pytest.mark.parametrize("spec", [s for s, _ in _HECKE], ids=str)
 def test_flip_rows_is_the_permutation_product(spec):
     R = _hecke_r(spec)
-    pr = flip_rows(R.m, R.n)
-    assert smat.meq(pr, smat.mmul(permutation_matrix(R.n), R.m))
-    assert all(a is not b for a, b in zip(pr, R.m))  # new rows, R.m untouched
-    pr[0][0] = ONE + pr[0][0]
-    assert smat.meq(R.m, _hecke_r(spec).m)
+    pr = flip_rows(R.rows, R.n)
+    assert dense_eq(to_dense(pr), dense_mmul(permutation_matrix(R.n), R.m))
+    assert all(a is not b for a, b in zip(pr, R.rows))  # new rows, R.rows untouched
+    pr[0].append((0, ONE))
+    assert R.rows == _hecke_r(spec).rows
 
 
 @pytest.mark.parametrize("spec, holds", _HECKE, ids=[str(s) for s, _ in _HECKE])
@@ -259,6 +268,16 @@ def test_braid_check_on_a_built_glnm_makes_no_scalar_call(monkeypatch):
     assert calls == []
 
 
+def test_entry_refuses_an_index_outside_one_to_n():
+    R = catalog("ac")
+    assert R.entry(2, 2, 1, 1) == ONE and R.entry(1, 2, 2, 1) == qvar() - ONE / qvar()
+    # index 0 would read R.m[-1], and index 3 a neighbouring row
+    for args, bad in (((0, 1, 1, 1), 0), ((1, 0, 1, 1), 0), ((1, 1, 3, 1), 3),
+                      ((1, 1, 1, -1), -1)):
+        with pytest.raises(IndexError, match=rf"^index {bad} outside 1\.\.2$"):
+            R.entry(*args)
+
+
 def test_invertibility_enforced():
     with pytest.raises(Exception):
         RMatrix(2, [[0] * 4 for _ in range(4)])
@@ -296,7 +315,8 @@ def test_singular_at_the_point_falls_back_to_the_inverse(monkeypatch):
     R = RMatrix(2, [[q - 2 if i == j == 0 else ONE if i == j else 0 for j in range(4)]
                     for i in range(4)])
     assert len(calls) == 1
-    assert smat.meq(smat.mmul(R.m, R.inverse_matrix()), smat.eye(4))
+    assert smat.meq(smat.mmul(R.rows, R.inverse_matrix()), smat.eye(4))
+    assert dense_eq(dense_mmul(R.m, to_dense(R.inverse_matrix())), dense_eye(4))
 
 
 _HUGE_DEGREE = """

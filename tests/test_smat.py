@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import twisted_r
+from conftest import dense_eq, dense_zeros, twisted_r
 from hypothesis import given, settings, strategies as st
 
 from qgw import scalars, smat
@@ -15,7 +15,7 @@ from qgw.scalars import (MODULUS, ONE, ZERO, Scalar, imag_unit, indet, kronecker
 def _dense(rows):
     """The dense square matrix of a matrix in row form, each row's columns
     distinct and its values nonzero."""
-    out = smat.zeros(len(rows))
+    out = dense_zeros(len(rows))
     for r, pairs in enumerate(rows):
         assert len({c for c, _ in pairs}) == len(pairs)
         for c, x in pairs:
@@ -25,11 +25,8 @@ def _dense(rows):
 
 
 def _embedded(m, dims, ps, legs):
-    """embed_pair, checked equal to the dense form of embed_rows on the row
-    form of ``m``."""
-    got = smat.embed_pair(m, dims, ps, legs)
-    assert smat.meq(got, _dense(smat.embed_rows(smat.row_form(m), dims, ps, legs)))
-    return got
+    """The dense form of embed_rows on the row form of the dense ``m``."""
+    return _dense(smat.embed_rows(smat.row_form(m), dims, ps, legs))
 
 
 def _placed(m, dims, ps, legs):
@@ -40,7 +37,7 @@ def _placed(m, dims, ps, legs):
     i, j = legs
     k = 3 - i - j
     flat = list(product(*map(range, dims)))  # flat index -> (x0, x1, x2)
-    out = smat.zeros(len(flat))
+    out = dense_zeros(len(flat))
     for r, x in enumerate(flat):
         for c, y in enumerate(flat):
             if x[k] != y[k]:
@@ -55,7 +52,7 @@ def _placed(m, dims, ps, legs):
 def test_leg_embedding_zero_grading_is_plain_placement(legs):
     R = catalog("ac")
     got = _embedded(R.m, (2, 2, 2), ((0, 0),) * 3, legs)
-    assert smat.meq(got, _placed(R.m, (2, 2, 2), ((0, 0),) * 3, legs))
+    assert dense_eq(got, _placed(R.m, (2, 2, 2), ((0, 0),) * 3, legs))
 
 
 _CATALOG = [("ac",), ("super_ac",), ("omega",), ("super_omega",), ("glnm", 2, 1),
@@ -64,20 +61,19 @@ _CATALOG = [("ac",), ("super_ac",), ("omega",), ("super_omega",), ("glnm", 2, 1)
 
 @pytest.mark.parametrize("spec", _CATALOG, ids=lambda s: "".join(map(str, s)))
 def test_embedding_of_row_form_matches_entrywise_placement(spec):
-    """embed_rows on R's row form, and embed_pair on R, are the Koszul-signed
-    placement of R on each pair of legs of the catalog R's grading."""
+    """embed_rows on R's row form is the Koszul-signed placement of R on each
+    pair of legs of the catalog R's grading."""
     R = catalog(*spec)
-    dims, ps, rows = (R.n,) * 3, (R.p,) * 3, smat.row_form(R.m)
+    dims, ps = (R.n,) * 3, (R.p,) * 3
     for legs in ((0, 1), (0, 2), (1, 2)):
         want = _placed(R.m, dims, ps, legs)
-        assert smat.meq(_dense(smat.embed_rows(rows, dims, ps, legs)), want), legs
-        assert smat.meq(smat.embed_pair(R.m, dims, ps, legs), want), legs
+        assert dense_eq(_dense(smat.embed_rows(R.rows, dims, ps, legs)), want), legs
 
 
 def test_leg_embedding_odd_spectator_signs():
     # legs 0 and 2 around an odd spectator: the leg-2 factor moves past it
     q = qvar()
-    m = smat.zeros(4)
+    m = dense_zeros(4)
     m[0][0] = q  # E00 (x) E00: both factors even
     m[0][3] = ONE  # E01 (x) E01: both factors odd
     got = _embedded(m, (2, 2, 2), ((0, 1),) * 3, (0, 2))
@@ -94,7 +90,7 @@ def test_leg_embedding_mixed_dimensions():
     # a 6x6 operator on legs (0, 2) of dimensions (2, 4, 3): an entry at
     # row (a, b) = (1, 2), column (c, d) = (0, 1) lands at (1, s, 2) and
     # (0, s, 1) for every spectator index s, flattened as (x0 * 4 + x1) * 3 + x2
-    m = smat.zeros(6)
+    m = dense_zeros(6)
     m[1 * 3 + 2][0 * 3 + 1] = ONE
     got = _embedded(m, (2, 4, 3), ((0, 0), (0, 0, 0, 0), (0, 0, 0)), (0, 2))
     assert len(got) == 24
@@ -116,7 +112,7 @@ def test_braid_holds_on_embedded_legs():
 def _full_product(a, b):
     """a b for dense square ``a`` and ``b``, every entry summed over the
     nonzero pairs that meet: the plain reference for braid_holds."""
-    out = smat.zeros(len(a))
+    out = dense_zeros(len(a))
     for i, row in enumerate(a):
         for t, x in enumerate(row):
             if x:
@@ -134,7 +130,7 @@ def _braid_sides(r12, r13, r23):
 
 
 def _braid_reference(r12, r13, r23):
-    return smat.meq(*_braid_sides(r12, r13, r23))
+    return dense_eq(*_braid_sides(r12, r13, r23))
 
 
 _CATALOG = [("ac",), ("omega",), ("std_gl", 2), ("std_gl", 3), ("identity", 2)] + [
@@ -192,8 +188,8 @@ def test_braid_holds_refutes_sides_that_differ_in_the_last_row_only(data, n):
     c = data.draw(st.integers(0, n - 2))
     z[-1].append((c, data.draw(_DIAGONAL)))
     left, right = _braid_sides(x, y, z)
-    assert all(smat.meq([a], [b]) for a, b in zip(left[:-1], right[:-1]))
-    assert smat.braid_holds(x, y, z) is smat.meq(left, right)
+    assert all(dense_eq([a], [b]) for a, b in zip(left[:-1], right[:-1]))
+    assert smat.braid_holds(x, y, z) is dense_eq(left, right)
     if x[c][0][1] * y[c][0][1] != x[-1][0][1] * y[-1][0][1]:
         assert not smat.braid_holds(x, y, z)
 
@@ -365,6 +361,14 @@ def test_check_invertible_without_a_residue_decides_by_inverse(monkeypatch):
     assert len(calls) == 2
 
 
+def _dense_cols(rows, cols):
+    """The dense form of a matrix in row form with ``cols`` columns, its
+    rows' columns distinct and its values nonzero."""
+    assert all(len({c for c, _ in pairs}) == len(pairs) and all(x for _, x in pairs)
+               for pairs in rows)
+    return smat.dense(rows, cols)
+
+
 def _naive_mmul(a, b):
     return [[sum((a[i][t] * b[t][j] for t in range(len(b))), ZERO)
              for j in range(len(b[0]))] for i in range(len(a))]
@@ -387,15 +391,15 @@ def test_mmul_matches_naive_product(data, n, k, m):
         col = data.draw(st.integers(0, m - 1))
         for row in b:
             row[col] = ZERO
-    got = smat.mmul(a, b)
-    assert len(got) == n and all(len(row) == m for row in got)
-    assert smat.meq(got, _naive_mmul(a, b))
+    got = smat.mmul(smat.row_form(a), smat.row_form(b))
+    assert len(got) == n
+    assert dense_eq(_dense_cols(got, m), _naive_mmul(a, b))
 
 
 @settings(deadline=None)
 @given(st.data(), *[st.integers(1, 3)] * 4)
 def test_kron_matches_koszul_formula(data, ra, ca, rb, cb):
-    """Entry ((i, j), (k, l)) of kron(a, b, deg_b, pa) is
+    """Entry ((i, j), (k, l)) of kron_rows(a, b, deg_b, pa, cols) is
     (-1)^(deg_b pa[k]) a[i][k] b[j][l], on random parities and degrees."""
     def matrix(rows, cols):
         return [[data.draw(_ENTRIES) for _ in range(cols)] for _ in range(rows)]
@@ -403,12 +407,13 @@ def test_kron_matches_koszul_formula(data, ra, ca, rb, cb):
     a, b = matrix(ra, ca), matrix(rb, cb)
     pa = data.draw(st.lists(st.integers(0, 1), min_size=ca, max_size=ca))
     deg_b = data.draw(st.integers(0, 1))
-    want = smat.zeros(ra * rb, ca * cb)
+    want = dense_zeros(ra * rb, ca * cb)
     for i, k, j, l in product(range(ra), range(ca), range(rb), range(cb)):
         x = a[i][k] * b[j][l]
         want[i * rb + j][k * cb + l] = -x if deg_b * pa[k] else x
-    assert smat.meq(smat.kron(a, b, deg_b, pa), want)
-    plain = smat.kron(a, b, 0, pa)
+    got = smat.kron_rows(smat.row_form(a), smat.row_form(b), deg_b, pa, cb)
+    assert dense_eq(_dense_cols(got, ca * cb), want)
+    plain = _dense_cols(smat.kron_rows(smat.row_form(a), smat.row_form(b), 0, pa, cb), ca * cb)
     assert all(plain[i * rb + j][k * cb + l] == a[i][k] * b[j][l]
                for i, k, j, l in product(range(ra), range(ca), range(rb), range(cb)))
 
@@ -417,7 +422,7 @@ def test_mmul_of_embedded_legs_multiplies_nonzero_pairs(monkeypatch):
     # one Scalar multiplication per pair (a[i][t], b[t][j]) of nonzeros, and
     # one addition fewer per entry that such pairs reach: none to a 0
     R = catalog("super_glnm", n=2, m=2)
-    a, b = (smat.embed_pair(R.m, (4,) * 3, (R.p,) * 3, pr) for pr in ((0, 1), (0, 2)))
+    a, b = (_dense(smat.embed_rows(R.rows, (4,) * 3, (R.p,) * 3, pr)) for pr in ((0, 1), (0, 2)))
     pairs = sum(sum(1 for row in a if row[t]) * sum(1 for x in b[t] if x)
                 for t in range(64))
     reached = sum(1 for row in a for j in range(64)
@@ -432,10 +437,53 @@ def test_mmul_of_embedded_legs_multiplies_nonzero_pairs(monkeypatch):
             return op(x, y)
         return wrapper
 
+    ra, rb = smat.row_form(a), smat.row_form(b)
     for name in calls:
         monkeypatch.setattr(Scalar, name, counted(name))
-    got = smat.mmul(a, b)
+    got = smat.mmul(ra, rb)
     monkeypatch.undo()
     assert calls == {"__mul__": pairs, "__add__": pairs - reached}
     assert pairs < 64 ** 3 // 10
-    assert smat.meq(got, _naive_mmul(a, b))
+    assert dense_eq(_dense(got), _naive_mmul(a, b))
+
+
+def test_meq_compares_the_nonzero_entries_in_any_order():
+    q = qvar()
+    a = [[(0, q), (1, ONE)], []]
+    assert smat.meq(a, [[(1, ONE), (0, q)], [(1, q - q)]])
+    assert not smat.meq(a, [[(0, q)], []])
+    assert not smat.meq(a, [[(0, q), (1, -ONE)], []])
+    assert not smat.meq(a, a + [[]])
+
+
+def test_mmul_keeps_no_entry_that_cancels():
+    q = qvar()
+    a = [[(0, q), (1, -q)]]
+    b = [[(0, ONE), (1, ONE)], [(0, ONE), (1, 2 * ONE)]]
+    assert smat.mmul(a, b) == [[(1, -q)]]
+    assert smat.nonzeros([{0: q - q, 1: q}, {}]) == [[(1, q)], []]
+
+
+@settings(deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_inv_is_the_inverse_of_the_dense_matrix(data, n):
+    # half the draws are triangular with a nonzero diagonal, so invertible;
+    # check_invertible, modulo a prime at a point, agrees with inv
+    a = [[data.draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    triangular = data.draw(st.booleans())
+    if triangular:
+        for i in range(n):
+            a[i][:i] = [ZERO] * i
+            a[i][i] = data.draw(_ENTRIES.filter(bool))
+    rows = smat.row_form(a)
+    try:
+        b = smat.inv(rows)
+    except smat.Singular:
+        assert not triangular
+        with pytest.raises(smat.Singular):
+            smat.check_invertible(rows)
+        return
+    smat.check_invertible(rows)
+    eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    assert dense_eq(_naive_mmul(a, _dense_cols(b, n)), eye)
+    assert dense_eq(_naive_mmul(_dense_cols(b, n), a), eye)
