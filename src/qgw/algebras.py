@@ -1,10 +1,10 @@
 """Built-in catalog of presentations and Hopf data.
 
 One enveloping-type algebra in two Hopf guises (standard and twisted) and
-its super counterparts, the four written once, as the X+- legs of the table
-_UQ_HOPF; the l+/l- generator matrices that realize its FRT exchange
-relations; and the four 2x2 matrix function algebras that the verification
-suites exercise.  Exponential generators never appear: the
+its super counterparts, each written once, as the l+/l- generator matrices
+of ansatz that realize its FRT exchange relations, off which _uq_hopf reads
+the coproduct and antipode of X+-; and the four 2x2 matrix function algebras
+that the verification suites exercise.  Exponential generators never appear: the
 catalog works with the group-likes K1 = q^(H1/2), K2 = g q^(H2/2) and the
 involution g, in which every structure map of interest is a finite word.
 The function algebras are A(R) of catalog R-matrices, built by
@@ -76,33 +76,37 @@ def _uq_presentation(graded: bool) -> Presentation:
     return compile_relations(gens, rel, name=name)
 
 
-# X+- in each Hopf structure on the enveloping algebra: the legs A, B of
-# Delta x = x (x) A + B (x) x and the word W of S x = -q W x for X+ and
-# +q W x for X-, keyed by the structure's name, with its grading
-_UQ_HOPF = {
-    "uq": (False, {"Xp": (("K1",), ("K2i",), ("K1i", "K2")),
-                   "Xm": (("K2",), ("K1i",), ("K1", "K2i"))}),
-    "uq-omega": (False, {"Xp": (("K2i", "g"), ("K2i",), ("K2", "K2", "g")),
-                         "Xm": (("K1", "K2", "K2", "g"), ("K1i",), ("K2i", "K2i", "g"))}),
-    "uqgl11": (True, {"Xp": (("K1",), ("K2i", "g"), ("K1i", "K2", "g")),
-                      "Xm": (("K2",), ("K1i", "g"), ("K1", "K2i", "g"))}),
-    "uqgl11-omega": (True, {"Xp": (("K2i", "g"), ("K2i", "g"), ("K2", "K2")),
-                            "Xm": (("K1", "K2", "K2", "g"), ("K1i", "g"), ("K2i", "K2i"))}),
-}
+# the ansatz that each Hopf structure on the enveloping algebra is read off
+_ANSATZ = {"uq": "standard", "uq-omega": "omega", "uqgl11": "super", "uqgl11-omega": "super-omega"}
+
+
+def _ansatz_entry(mat, i, j, x=None):
+    """mat's (i, j) entry c W1 x W2, with W1 and W2 group-like words, as (W1, W2); for x
+    None, a group-like word W1 with c = 1.  ValueError names an entry of another shape."""
+    terms = list(mat.entry(i, j).terms.items())
+    word, c = terms[0] if len(terms) == 1 else ((), None)
+    k = word.index(x) if x in word else len(word)
+    if c is None or (x is None and c != ONE) or (x and k == len(word)) or any(
+            mat.pres.by_name[y].inverse is None for y in word[:k] + word[k + 1:]):
+        raise ValueError(f"ansatz {mat.label} entry ({i},{j}) = {mat.entry(i, j)} is not "
+                         + (f"c W1 {x} W2" if x else "a group-like word"))
+    return word[:k], word[k + 1:]
 
 
 @lru_cache(maxsize=None)
 def _uq_hopf(name) -> HopfData:
-    """The Hopf structure ``name`` of _UQ_HOPF: K1, K2, g group-like, X+- as
-    the table says."""
-    graded, legs = _UQ_HOPF[name]
-    pres = uq_presentation(graded)
-    q = qvar()
+    """Structure ``name`` read off its ansatz by FRT's Delta L = L (x) L, S L = L^-1:
+    K1, K2, g group-like, x = X+ (X-) from l+_21 (l-_12) = c W1 x W2 and a = l_ii, d = l_jj,
+    Delta x = x (x) W1^-1 d W2^-1 + W1^-1 a W2^-1 (x) x, S x = -W2 a^-1 W1 x W2 d^-1 W1."""
+    plus, minus = ansatz(_ANSATZ[name])
+    pres = plus.pres
     delta, eps, spo = grouplike_data(pres, ["K1i", "K1", "K2i", "K2", "g"])
-    for (x, (a, b, w)), c in zip(legs.items(), (-q, q)):
-        delta[x] = TensorElement(pres, 2, {((x,), a): ONE, (b, (x,)): ONE})
+    for x, mat, i, j in (("Xp", plus, 2, 1), ("Xm", minus, 1, 2)):
+        (w1, w2), (a, _), (d, _) = (_ansatz_entry(mat, *e) for e in ((i, j, x), (i, i), (j, j)))
+        v1, v2, va, vd = (tuple(pres.by_name[y].inverse for y in w[::-1]) for w in (w1, w2, a, d))
+        delta[x] = TensorElement(pres, 2, {((x,), v1 + d + v2): ONE, (v1 + a + v2, (x,)): ONE})
         eps[x] = Scalar(0)
-        spo[x] = pres.monomial(w + (x,), c)
+        spo[x] = pres.monomial(w2 + va + w1 + (x,) + w2 + vd + w1, -ONE)
     return HopfData(pres, delta, eps, spo, g="g", name=name)
 
 
@@ -117,12 +121,8 @@ def uq_omega_hopf() -> HopfData:
 
 
 def uqgl11_hopf() -> HopfData:
-    """The super-Hopf algebra on the graded presentation, entered directly.
-
-    In the even/odd generator dictionary qh = K1 K2 g, qN = g K2, the odd
-    pair is X+ and X- g; its coproduct is the standard super one written
-    back in the K generators.
-    """
+    """The super-Hopf algebra on the graded presentation: in the even/odd
+    generator dictionary qh = K1 K2 g, qN = g K2 its odd pair is X+ and X- g."""
     return _uq_hopf("uqgl11")
 
 

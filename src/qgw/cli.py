@@ -128,16 +128,18 @@ def _chk_canonical(ctx):
     return rep
 
 
-def _frt_triple(R, plus, minus, name):
-    rep = CheckReport(name)
+def _frt_triple(R, which, h):
+    plus, minus = algebras.ansatz(which)
+    rep = CheckReport(f"frt-{which}")
     rep.merge(frt.frt_relation_check(R, plus, plus))
     rep.merge(frt.frt_relation_check(R, plus, minus))
     rep.merge(frt.frt_relation_check(R, minus, minus))
+    rep.merge(frt.matrix_hopf_check(h, plus, minus))
     return rep
 
 
 def _chk_frt(ctx):
-    return _frt_triple(catalog("ac"), *algebras.ansatz("standard"), "frt-standard")
+    return _frt_triple(catalog("ac"), "standard", algebras.uq_hopf())
 
 
 def _chk_tensor_decompose(ctx):
@@ -196,7 +198,7 @@ def _chk_super_r(ctx):
 
 
 def _chk_super_frt(ctx):
-    return _frt_triple(catalog("super_ac"), *algebras.ansatz("super"), "frt-super")
+    return _frt_triple(catalog("super_ac"), "super", algebras.uqgl11_hopf())
 
 
 def _chk_super_duality(ctx):
@@ -286,9 +288,8 @@ def _chk_omega_hopf(ctx):
 
 
 def _chk_omega_frt(ctx):
-    rep = _frt_triple(catalog("omega"), *algebras.ansatz("omega"), "frt-omega")
-    rep.merge(_frt_triple(catalog("super_omega"), *algebras.ansatz("super-omega"),
-                          "frt-super-omega"))
+    rep = _frt_triple(catalog("omega"), "omega", algebras.uq_omega_hopf())
+    rep.merge(_frt_triple(catalog("super_omega"), "super-omega", algebras.uqgl11_omega_hopf()))
     return rep
 
 

@@ -9,9 +9,9 @@ and ar_hopf puts the two together.  On the enveloping side, matrices of
 algebra elements l+/l- (m+/m- in the graded case) must satisfy
 R l2 l1 = l1 l2 R, which are A(R21)'s relations with t1 -> l1 and
 t2 -> l2, for R21^a_c^b_d = R^b_d^a_c; frt_relation_check verifies them
-entrywise for given generator matrices, and duality_pairing_check for the
-scalar matrices of the canonical pairing.  The quantum determinant rounds
-out the toolbox.
+entrywise for given generator matrices, duality_pairing_check for the scalar
+matrices of the canonical pairing, and matrix_hopf_check FRT's Delta L = L (x) L
+and S L = L^-1 in a Hopf structure.  The quantum determinant rounds out the toolbox.
 
 Everything here works for any R; the catalog algebras built from these
 constructions live in algebras.  All graded signs are carried explicitly by
@@ -24,8 +24,8 @@ from __future__ import annotations
 from itertools import product
 
 from . import smat
-from .gtensor import TensorElement, outer
-from .hopfcore import HopfData, coproduct, try_invert
+from .gtensor import TensorElement, outer, zero
+from .hopfcore import HopfData, antipode, coproduct, try_invert
 from .ncalg import Element, GeneratorSymbol, compile_relations
 from .report import CheckReport
 from .rmatlab import RMatrix
@@ -120,6 +120,21 @@ def frt_relation_check(R: RMatrix, L1: OperatorMatrix, L2: OperatorMatrix = None
         for c, left, right in terms:
             res = res + left * right * c
         rep.record(not res, (idx, str(res)))
+    return rep
+
+
+def matrix_hopf_check(h: HopfData, *mats: OperatorMatrix) -> CheckReport:
+    """FRT's Hopf structure on generator matrices of h, at every (i, j) of each:
+    Delta(l_ij) = sum_k l_ik (x) l_kj and sum_k S(l_ik) l_kj = delta_ij."""
+    rep = CheckReport(f"matrix-hopf[{h.name}]")
+    for L in mats:
+        rng = range(1, L.n + 1)
+        for i, j in product(rng, repeat=2):
+            row = [(L.entry(i, k), L.entry(k, j)) for k in rng]
+            want = sum((outer(a, b) for a, b in row), zero(h.pres, 2))
+            rep.record(coproduct(L.entry(i, j), h) == want, ("coproduct", L.label, i, j))
+            inv = sum((antipode(a, h) * b for a, b in row), h.pres.zero())
+            rep.record(inv == (ONE if i == j else ZERO), ("antipode", L.label, i, j))
     return rep
 
 

@@ -146,10 +146,10 @@ def _accum(acc, key, c):
 
 
 def _expand(pres, legs, coeff):
-    """Normal-form every leg and expand the resulting products of sums."""
+    """Normal-form every leg of two or more letters and expand the products of sums."""
     out = [((), coeff)]
     for w in legs:
-        red = pres.reduce_terms({tuple(w): ONE})
+        red = pres.reduce_terms({tuple(w): ONE}) if len(w) > 1 else {tuple(w): ONE}
         nxt = []
         for prefix, c in out:
             for w2, c2 in red.items():

@@ -7,8 +7,8 @@ even integer eigenvalue exponents, so all of them evaluate to exact +-q^k
 diagonal matrices and every identity can be checked with no numerics.
 
 FAMILIES is where the four families ("standard", "omega", "super",
-"super-omega") are written: each pairs a Hopf structure of algebras (whose
-X+- legs are written in its _UQ_HOPF) with its universal R-matrix, given by
+"super-omega") are written: each pairs a Hopf structure of algebras (read
+off its l+/l- ansatz) with its universal R-matrix, given by
 the tail legs e1, e2 and the Cartan form of its prefactor.  The omega forms
 are the cocycle twists of the standard ones and the super forms live over
 the graded presentation.  Every diagonal matrix here (an R prefactor, the

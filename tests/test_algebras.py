@@ -2,6 +2,7 @@ from functools import lru_cache
 
 import pytest
 
+from qgw import algebras
 from qgw.algebras import (FA_GRID, NotQuantumMatrix, adjoin_inverses, fa_hopf,
                           fa_presentation, theta_iso_for, theta_map, uq_casimirs,
                           uq_hopf, uq_omega_hopf, uq_presentation, uqgl11_hopf,
@@ -72,6 +73,20 @@ def test_all_hopf_catalog_axioms():
     for build in (uq_hopf, uq_omega_hopf, uqgl11_hopf, uqgl11_omega_hopf):
         rep = check_hopf_axioms(build())
         assert rep.ok, (build.__name__, rep.failures[:3])
+
+
+@pytest.mark.parametrize("k, i, j, entry", [
+    (0, 1, 1, lambda p: p.monomial(("K1",), 2)),                     # diagonal coefficient 2
+    (0, 2, 1, lambda p: p.monomial(("Xp",)) + p.monomial(("K1", "Xp"))),  # two-term corner
+    (1, 1, 2, lambda p: p.monomial(("K1",))),                        # corner without Xm
+    (0, 2, 1, lambda p: p.monomial(("Xp", "Xm"))),                   # Xm is no group-like
+], ids=["diagonal-coefficient", "two-terms", "no-x", "not-group-like"])
+def test_uq_hopf_refuses_an_ansatz_outside_its_shape(monkeypatch, k, i, j, entry):
+    mats = algebras.ansatz("standard")
+    mats[k].rows[i - 1][j - 1] = entry(mats[k].pres)
+    monkeypatch.setattr(algebras, "ansatz", lambda which: mats)
+    with pytest.raises(ValueError, match=rf"ansatz {mats[k].label} entry \({i},{j}\)"):
+        algebras._uq_hopf.__wrapped__("uq")
 
 
 def test_omega_coproduct_differs():

@@ -7,11 +7,13 @@ from conftest import dense_mmul, dense_smul, dense_zeros, is_zero, madd, to_dens
 from test_algebras import FA_RELATIONS, paper_rules
 
 from qgw import frt
-from qgw.algebras import ansatz, fa_hopf, fa_presentation
+from qgw.algebras import (ansatz, fa_hopf, fa_presentation, uq_hopf, uq_omega_hopf,
+                          uqgl11_hopf, uqgl11_omega_hopf)
 from qgw.frt import (OperatorMatrix, ar_hopf, build_ar, duality_pairing_check,
-                     frt_relation_check, pairing_matrices, qdet, qdet_check)
+                     frt_relation_check, matrix_hopf_check, pairing_matrices, qdet, qdet_check)
 from qgw.exterior import omega_build
-from qgw.hopfcore import check_hopf_axioms
+from qgw.gtensor import outer, zero
+from qgw.hopfcore import check_hopf_axioms, coproduct
 from qgw.ncalg import tensor
 from qgw.rmatlab import catalog
 from qgw.scalars import ONE, ZERO, qvar
@@ -27,6 +29,38 @@ def test_ansatz_families_satisfy_exchange_relations():
             rep = frt_relation_check(R, L1, L2)
             assert rep.checked == 16
             assert rep.ok, (which, rep.failures[:2])
+
+
+HOPF_OF_ANSATZ = (("standard", uq_hopf), ("omega", uq_omega_hopf), ("super", uqgl11_hopf),
+                  ("super-omega", uqgl11_omega_hopf))
+
+
+def test_ansatz_entries_have_the_matrix_coproduct_and_antipode():
+    for which, build in HOPF_OF_ANSATZ:
+        rep = matrix_hopf_check(build(), *ansatz(which))
+        assert rep.checked == 16
+        assert rep.ok, (which, rep.failures[:2])
+
+
+def test_matrix_hopf_check_refuses_another_structure():
+    rep = matrix_hopf_check(uq_omega_hopf(), *ansatz("standard"))
+    assert {f[0] for f in rep.failures} == {"coproduct", "antipode"}
+
+
+def test_transposed_matrix_coproduct_fails_on_all_but_one_matrix():
+    """Delta(l_ij) = sum_k l_kj (x) l_ik, the transposed convention, holds on
+    every entry of super-omega's l+ alone, so the coproduct sub-check of
+    matrix_hopf_check tells the two conventions apart on the other seven."""
+    holds = set()
+    rng = range(1, 3)
+    for which, build in HOPF_OF_ANSATZ:
+        h = build()
+        for L in ansatz(which):
+            if all(coproduct(L.entry(i, j), h)
+                   == sum((outer(L.entry(k, j), L.entry(i, k)) for k in rng), zero(h.pres, 2))
+                   for i, j in product(rng, repeat=2)):
+                holds.add((which, L.label))
+    assert holds == {("super-omega", "plus")}
 
 
 def test_ansatz_unknown():

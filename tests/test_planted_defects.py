@@ -1,4 +1,5 @@
-"""Planted defects in the matrix layer, each caught by the suite.
+"""Planted defects in the matrix layer and in the l+/l- ansatz, each caught
+by the suite.
 
 Each case copies the qgw package to a temporary folder, replaces one text
 in one module (the anchor must occur there exactly once), runs a cold
@@ -39,6 +40,23 @@ DEFECTS = {
         "return value",
         {"engine/numeric-spot", "prop2.4/ribbon", "prop2.5/canonical", "prop5.1/twisting",
          "thm2.2/quasitriangularity"}),
+    # a wrong group-like on a diagonal of an ansatz, which its Hopf structure
+    # is read off: the Hopf-axiom row fails as well as the FRT row
+    "standard l+_22 K2i -> K2": (
+        "algebras.py", '[m(("Xp",), w), m(("K2i",))]]', '[m(("Xp",), w), m(("K2",))]]',
+        {"def2.1/hopf-axioms", "sec2/frt", "prop2.4/ribbon", "prop3.2/superization",
+         "prop5.1/twisting", "sec2/tensor-decomposition", "thm2.2/quasitriangularity"}),
+    "omega l-_22 K1 K2 -> K1 K2i": (
+        "algebras.py", '[z, m(("K1", "K2"))]]', '[z, m(("K1", "K2i"))]]',
+        {"sec5/omega-hopf", "sec5/omega-frt", "prop3.2/superization", "prop5.1/twisting"}),
+    "super l+_22 K2i g -> K2 g": (
+        "algebras.py", '[m(("Xp",), w), m(("K2i", "g"))]]', '[m(("Xp",), w), m(("K2", "g"))]]',
+        {"def2.1/hopf-axioms", "sec3/super-frt", "prop3.2/superization",
+         "sec5/super-twisting", "thm2.2/quasitriangularity"}),
+    "super-omega l-_11 K1i K2i g -> K1 K2i g": (
+        "algebras.py", 'minus = [[m(("K1i", "K2i", "g")), m(("K2i", "Xm"), w)],',
+        'minus = [[m(("K1", "K2i", "g")), m(("K2i", "Xm"), w)],',
+        {"sec5/omega-hopf", "sec5/omega-frt", "prop3.2/superization", "sec5/super-twisting"}),
 }
 
 
