@@ -6,6 +6,15 @@ in the universal R-matrix, the ribbon element and the twisting cocycle has
 even integer eigenvalue exponents, so all of them evaluate to exact +-q^k
 diagonal matrices and every identity can be checked with no numerics.
 
+Each representation is verified by specialization.  The generators'
+matrices are Laurent polynomials in the weights lam1 and lam2 over Q(q),
+and the rewrite rules' coefficients lie in Q(q), so a rule that holds on
+the symbolic weights holds at every pair of invertible weights: the
+substitution lam1 -> l1, lam2 -> l2 is a ring map.  So each family,
+ungraded or graded with g-sign 1 or -1, is checked against every rule once
+per process, on lam1 and lam2 (_verify_family), before its first Rep is
+returned, and every Rep, integer or symbolic, is an image of that one.
+
 FAMILIES is where the four families ("standard", "omega", "super",
 "super-omega") are written: each pairs a Hopf structure of algebras (read
 off its l+/l- ansatz) with its universal R-matrix, given by
@@ -59,6 +68,7 @@ class _Form(NamedTuple):
     Q: tuple
     S: tuple | None = None
 
+    @lru_cache(maxsize=1 << 12)  # a form's values repeat over the checks of a run
     def at(self, a, b):
         def pair(m):  # a m b / 4, an integer as the weights are even
             return (a[0] * (m[0][0] * b[0] + m[0][1] * b[1])
@@ -120,10 +130,14 @@ class RepLabel:
 
     @classmethod
     def symbolic(cls, lam1, lam2, gsign=ONE):
+        """The label of the invertible weights lam1 and lam2; DegenerateLabel
+        for a g-sign other than 1 or -1, since g squares to 1."""
         lab = object.__new__(cls)
         lab.m1 = lab.m2 = None
         lab.lam1, lab.lam2 = Scalar(lam1), Scalar(lam2)
         lab.gsign = Scalar(gsign)
+        if lab.gsign != ONE and lab.gsign != -ONE:
+            raise DegenerateLabel(f"g-sign {lab.gsign} is not 1 or -1")
         lab._guard()
         return lab
 
@@ -159,6 +173,20 @@ def _diag(*entries):
     return [[(i, Scalar(x))] for i, x in enumerate(entries)]
 
 
+def _images(l1, l2, gsc):
+    """The generators' matrices at the weights l1, l2 and the g-sign gsc:
+    Laurent polynomials in l1 and l2 over Q(q)."""
+    q = qvar()
+    c = (l1 * l2 - ONE / (l1 * l2)) / (q - ONE / q)
+    return {
+        "K1": _diag(l1, l1 / q), "K1i": _diag(ONE / l1, q / l1),
+        "K2": _diag(l2, -q * l2), "K2i": _diag(ONE / l2, -ONE / (q * l2)),
+        "g": _diag(gsc, -gsc),
+        "Xp": [[(1, c)], []],
+        "Xm": [[], [(0, ONE)]],
+    }
+
+
 class Rep:
     """A 2-dimensional representation, verified against every rewrite rule.
 
@@ -166,29 +194,27 @@ class Rep:
     by diag(lam2, -q lam2), and the involution by diag(1,-1) up to the
     overall sign (-1)^m2 on integer labels.  graded=True produces the same
     matrices over the graded presentation with basis parity (0, 1).
+
+    The rules are not checked per label: a Rep is the image, under
+    lam1 -> label.lam1 and lam2 -> label.lam2, of its family's Rep on the
+    symbolic weights, which _verify_family checks once per process, before
+    the first Rep of the family is returned (see the module docstring).
     """
 
     def __init__(self, label, graded=False):
-        self.label = _aslabel(label)
-        self.graded = bool(graded)
-        self.pres = uq_presentation(graded=self.graded)
-        q = qvar()
-        l1, l2 = self.label.lam1, self.label.lam2
-        gsc = self.label.gsign
-        c = (l1 * l2 - ONE / (l1 * l2)) / (q - ONE / q)
-        self.images = {
-            "K1": _diag(l1, l1 / q), "K1i": _diag(ONE / l1, q / l1),
-            "K2": _diag(l2, -q * l2), "K2i": _diag(ONE / l2, -ONE / (q * l2)),
-            "g": _diag(gsc, -gsc),
-            "Xp": [[(1, c)], []],
-            "Xm": [[], [(0, ONE)]],
-        }
+        self._load(_aslabel(label), bool(graded))
+        _verify_family(self.graded, self.label.gsign)
+
+    def _load(self, label, graded):
+        """Set the label, the presentation and the generators' images."""
+        self.label, self.graded = label, graded
+        self.pres = uq_presentation(graded=graded)
+        self.images = _images(label.lam1, label.lam2, label.gsign)
         self.dim = 2
-        self.p = (0, 1) if self.graded else (0, 0)
+        self.p = (0, 1) if graded else (0, 0)
         # the matrix of each word met so far, built from its prefix's
         self._words = {(): smat.eye(self.dim),
                        **{(x,): m for x, m in self.images.items()}}
-        self._verify()
 
     @property
     def weights(self):
@@ -220,6 +246,8 @@ class Rep:
         return smat.nonzeros(acc)
 
     def _verify(self):
+        """ValueError naming the first rewrite rule whose two sides have
+        different matrices here."""
         for lhs, rhs in self.pres.rules.items():
             if not smat.meq(self._wmat(lhs), self._sum(rhs.items())):
                 raise ValueError(f"rule {lhs} fails in representation {self.label}")
@@ -234,12 +262,22 @@ class Rep:
         return f"Rep({self.label}, graded={self.graded})"
 
 
+@lru_cache(maxsize=None)
+def _verify_family(graded, gsign):
+    """Check every rewrite rule on the Rep of the symbolic weights lam1 and
+    lam2 with this g-sign: once per (graded, g-sign) in the process.
+    ValueError naming the rule that fails."""
+    rep = object.__new__(Rep)
+    rep._load(RepLabel.symbolic(indet("lam1"), indet("lam2"), gsign), graded)
+    rep._verify()
+
+
 def rep_build(label, graded=False) -> Rep:
     """The verified representation at ``label``, a RepLabel or an (m1, m2)
-    pair.  An integer label is built and verified once per (m1, m2, graded)
-    in the process, so the matrices of the words its checks evaluate are
-    shared by every later check; callers must not change a Rep.  A symbolic
-    label is built afresh on each call.  DegenerateLabel as RepLabel."""
+    pair.  An integer label is built once per (m1, m2, graded) in the
+    process, so the matrices of the words its checks evaluate are shared by
+    every later check; callers must not change a Rep.  A symbolic label is
+    built afresh on each call.  DegenerateLabel as RepLabel."""
     label = _aslabel(label)
     if not label.integral:
         return Rep(label, graded=graded)
@@ -263,15 +301,18 @@ class _Ev(NamedTuple):
     evaluate: Callable
 
 
-def _tensor_matrix(t, evA, evB):
-    """The matrix of the tensor element ``t`` on the legs evA (x) evB: the
-    sum over t's terms c w1 (x) w2 of c times the graded Kronecker product
-    of the legs' images of w1 and w2."""
+def _tensor_matrix(t, a, b):
+    """The matrix of the tensor element ``t`` on the Reps a (x) b: the sum
+    over t's terms c w1 (x) w2 of c times the graded Kronecker product of
+    the word matrices of w1 and w2, which are their images, as a Rep
+    satisfies every rule."""
     pres = t.pres
-    acc = [{} for _ in range(evA.dim * evB.dim)]
+    if pres is not a.pres or pres is not b.pres:
+        raise ValueError("tensor element not over the representations' algebra")
+    acc = [{} for _ in range(a.dim * b.dim)]
     for (w1, w2), c in t.terms.items():
-        a, b = evA.evaluate(pres.monomial(w1)), evB.evaluate(pres.monomial(w2))
-        smat.add_rows(acc, c, smat.kron_rows(a, b, pres.degree(w2), evA.p, evB.dim))
+        smat.add_rows(acc, c, smat.kron_rows(a._wmat(w1), b._wmat(w2), pres.degree(w2),
+                                             a.p, b.dim))
     return smat.nonzeros(acc)
 
 
@@ -300,7 +341,9 @@ def _r_matrix(evA, evB, which):
     tail = [{i: ONE} for i in range(dim)]
     smat.add_rows(tail, ONE - q * q, smat.kron_rows(evA.evaluate(e1), evB.evaluate(e2),
                                                     e2.degree(), evA.p, evB.dim))
-    return smat.mmul(_weight_diag(evA, evB, fam.form), smat.nonzeros(tail))
+    # the prefactor D is diagonal: row i of D T is T's row i times D's entry
+    return [[(j, d * x) for j, x in row.items() if x]
+            for ((_, d),), row in zip(_weight_diag(evA, evB, fam.form), tail)]
 
 
 def universal_r_eval(lab1, lab2, which="standard") -> RMatrix:

@@ -5,12 +5,14 @@ convention M[(a-1)n+b-1][(c-1)n+d-1] = R^a_c^b_d, i.e. rows are the upper
 index pair (a,b), columns the lower pair (c,d).  A grading p marks basis
 directions odd.  Its entries are read-only, held as tuples, and its row
 form (``R.rows``, :func:`smat.row_form`) is found once, at construction:
-every check below reads that, not the n^4 entries.  The braid check embeds
-R into three graded legs with :func:`smat.braid_legs`, whose Koszul signs
-make one check serve as the QYBE (zero grading) and the super YBE:
-sybe_check is qybe_check, since RMatrix refuses a graded R that is not
-even.  One iterator over R's nonzeros and one parity test serve
-null_degree_check, superizable_grading_search and superize_r.
+every check below reads that, not the n^4 entries.  superize_r signs R's
+rows in that form, and the entry grid ``m`` of its result is built on
+first read.  The braid check embeds R into three graded legs with
+:func:`smat.braid_legs`, whose Koszul signs make one check serve as the
+QYBE (zero grading) and the super YBE: sybe_check is qybe_check, since
+RMatrix refuses a graded R that is not even.  One iterator over R's
+nonzeros and one parity test serve null_degree_check,
+superizable_grading_search and superize_r.
 """
 
 from __future__ import annotations
@@ -34,22 +36,45 @@ class NullDegreeViolated(ValueError):
     pass
 
 
+def _grading(p, n):
+    """The grading ``p`` as a tuple, none for p None; ValueError unless it
+    has n entries."""
+    p = tuple(p) if p is not None else (0,) * n
+    if len(p) != n:
+        raise ValueError("grading length must equal the dimension")
+    return p
+
+
 class RMatrix:
     def __init__(self, n, entries, grading=None, name=""):
         self.n = n
         self.name = name
         # Scalar(x) is x for a Scalar: the type test spares the call
-        self.m = tuple(tuple(x if type(x) is Scalar else Scalar(x) for x in row)
-                       for row in entries)
-        if len(self.m) != n * n or any(len(r) != n * n for r in self.m):
+        self._m = tuple(tuple(x if type(x) is Scalar else Scalar(x) for x in row)
+                        for row in entries)
+        if len(self._m) != n * n or any(len(r) != n * n for r in self._m):
             raise ValueError(f"need a {n * n}x{n * n} entry grid")
-        self.rows = tuple(map(tuple, smat.row_form(self.m)))
-        self.p = tuple(grading) if grading is not None else (0,) * n
-        if len(self.p) != n:
-            raise ValueError("grading length must equal the dimension")
+        self.rows = tuple(map(tuple, smat.row_form(self._m)))
+        self.p = _grading(grading, n)
         smat.check_invertible(self.rows)  # invertibility is part of the contract
         if self.is_super and not null_degree_check(self):
             raise NullDegreeViolated(f"{name or 'R'} is not even under {self.p}")
+
+    @classmethod
+    def _certified(cls, n, rows, p, name):
+        """The RMatrix of the row form ``rows``, which the caller has shown
+        to be invertible and even under the grading ``p``: no entry grid is
+        built until ``m`` is read, and neither property is checked again."""
+        R = object.__new__(cls)
+        R.n, R.name, R.rows, R.p, R._m = n, name, rows, p, None
+        return R
+
+    @property
+    def m(self):
+        """The n^2 x n^2 entry grid, as tuples."""
+        if self._m is None:
+            self._m = tuple(map(tuple, smat.dense(self.rows, self.n * self.n)))
+        return self._m
 
     @property
     def is_super(self):
@@ -169,15 +194,21 @@ def superizable_grading_search(R: RMatrix):
 
 
 def superize_r(R: RMatrix, p) -> RMatrix:
-    """Flip the sign of entries with both upper indices odd and flag super."""
+    """Flip the sign of entries with both upper indices odd and flag super.
+
+    The result is D R, D the diagonal matrix of the signs of R's rows, in
+    row form; NotSuperizable names the first entry of R that is odd under
+    ``p``.  D is its own inverse, so D R is invertible because R is: R's
+    certificate carries over, and D R is not checked again."""
     n = R.n
-    p = tuple(p)
-    out = smat.zeros(n * n)
+    p = _grading(p, n)
+    rows = [[] for _ in range(n * n)]
     for a, b, c, d, x in _nonzeros(R):
         if _odd(p, a, b, c, d):
             raise NotSuperizable(f"entry R^{a + 1}_{c + 1}^{b + 1}_{d + 1} violates grading {p}")
-        out[a * n + b][c * n + d] = -x if p[a] and p[b] else x
-    return RMatrix(n, out, grading=p, name=(R.name + "-super") if R.name else "")
+        rows[a * n + b].append((c * n + d, -x if p[a] and p[b] else x))
+    return RMatrix._certified(n, tuple(map(tuple, rows)), p,
+                              (R.name + "-super") if R.name else "")
 
 
 # -- catalog ---------------------------------------------------------------

@@ -1012,6 +1012,11 @@ def _atom(toks, depth):
     raise ValueError(f"unexpected {tok!r}")
 
 
+# parse's store of values: (text, registered names, Q(i) or Q) -> Scalar
+_PARSED = {}
+_MAX_PARSED = 1 << 12
+
+
 def parse(text: str) -> Scalar:
     """Parse an expression over + - * / ^ **, parentheses, integers, i and
     the registered indeterminates, with the precedence of Python (``^`` is
@@ -1019,6 +1024,14 @@ def parse(text: str) -> Scalar:
     it, with the arithmetic helpers, not Scalar's operators, so that parsing
     adds no operator calls to the caller's count; sums and products are
     loops, so their length is not bounded.
+
+    The value of each distinct text is kept, keyed by the text, the tuple
+    of registered indeterminates and whether the ground field is Q(i): the
+    value of a text depends on nothing else, and a Scalar is immutable, so
+    a repeated text returns the value it gave before.  The store keeps the
+    latest 4096 values.  A text with ``i`` is never kept, since parsing it
+    switches the field to Q(i), and neither is a text that is refused, so
+    it raises again on every call.
 
     The work is bounded by one size: 10^6 terms x coefficient bits of a
     canonical fraction.  These are refused with ValueError:
@@ -1037,7 +1050,22 @@ def parse(text: str) -> Scalar:
     - a value with binomial factors whose canonical fraction passes the
       size, once it is computed.
     """
-    for tok in _NAME.findall(text):
+    key = (text, tuple(_REG.names), _REG.qi)
+    x = _PARSED.get(key)
+    if x is None:
+        names = _NAME.findall(text)
+        x = _parse(text, names)
+        if "i" not in names:
+            if len(_PARSED) >= _MAX_PARSED:
+                del _PARSED[next(iter(_PARSED))]  # the oldest
+            _PARSED[key] = x
+    return x
+
+
+def _parse(text, names):
+    """The value of ``text``, whose name tokens are ``names``, parsed
+    afresh: :func:`parse` without its store."""
+    for tok in names:
         if tok != "i" and tok not in _REG.names:
             raise ValueError(f"unexpected {tok!r} in {text!r}")
     if max(map(len, re.findall(r"\d+", text)), default=0) > _MAX_DIGITS:

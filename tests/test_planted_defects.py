@@ -1,5 +1,5 @@
-"""Planted defects in the matrix layer and in the l+/l- ansatz, each caught
-by the suite.
+"""Planted defects in the matrix layer, the representations and the l+/l-
+ansatz, each caught by the suite.
 
 Each case copies the qgw package to a temporary folder, replaces one text
 in one module (the anchor must occur there exactly once), runs a cold
@@ -40,6 +40,13 @@ DEFECTS = {
         "return value",
         {"engine/numeric-spot", "prop2.4/ribbon", "prop2.5/canonical", "prop5.1/twisting",
          "thm2.2/quasitriangularity"}),
+    # the one runtime verification of the representations, on the symbolic
+    # weights, refuses every Rep: each row that builds one gives an error
+    "Rep image of Xp times q": (
+        "reps.py", '"Xp": [[(1, c)], []]', '"Xp": [[(1, c * q)], []]',
+        {"engine/numeric-spot", "prop2.4/ribbon", "prop2.5/canonical", "prop5.1/twisting",
+         "sec2/tensor-decomposition", "sec3/super-r", "sec4/determinant",
+         "sec5/super-twisting", "thm2.2/quasitriangularity"}),
     # a wrong group-like on a diagonal of an ansatz, which its Hopf structure
     # is read off: the Hopf-axiom row fails as well as the FRT row
     "standard l+_22 K2i -> K2": (

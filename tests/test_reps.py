@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from conftest import dense_eq, dense_smul, dense_zeros, madd, to_dense
 
-from qgw import reps, smat
+from qgw import cli, reps, smat
 from qgw.algebras import uq_hopf, uqgl11_hopf
 from qgw.hopfcore import coproduct
 from qgw.reps import (DegenerateLabel, FAMILIES, NoIntertwiner, NonIntegerLabel, Rep,
@@ -106,12 +106,44 @@ def test_degenerate_label_raises_on_every_call(graded):
                 rep_build(lab, graded=graded)
 
 
-def test_rep_defining_relations_hold():
-    # rep_build verifies every rewrite rule as a matrix identity on
-    # construction; failure would raise
-    for lab in ((1, 0), (2, 1), (-1, 0), (0, 1)):
-        rep_build(lab)
-        rep_build(lab, graded=True)
+# the labels of the suite's rows and of the benchmark's universal R-matrices
+ORACLE_LABELS = cli._label_grid() + [(m1, 1 - m1) for m1 in (-2, -1, 0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_rep_defining_relations_hold(graded):
+    # the per-label rule check, which construction leaves to the family's
+    # symbolic Rep, as the oracle for the specialization argument
+    for lab in ORACLE_LABELS:
+        rep_build(lab, graded=graded)._verify()
+
+
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("gsign", [1, -1])
+def test_family_verification_names_a_broken_rule(monkeypatch, graded, gsign):
+    q = qvar()
+    images = reps._images
+
+    def scaled(l1, l2, gsc):  # Xp's coefficient c times q
+        out = images(l1, l2, gsc)
+        (j, c), = out["Xp"][0]
+        out["Xp"] = [[(j, c * q)], []]
+        return out
+
+    monkeypatch.setattr(reps, "_images", scaled)
+    with pytest.raises(ValueError, match=r"rule \('Xm', 'Xp'\) fails in representation "
+                                         r"RepLabel.symbolic\(lam1, lam2"):
+        reps._verify_family.__wrapped__(graded, gsign * ONE)
+    # and no Rep of the family is returned unverified
+    reps._verify_family.cache_clear()
+    with pytest.raises(ValueError, match=r"rule \('Xm', 'Xp'\) fails"):
+        Rep((1, 0) if gsign == 1 else (1, 1), graded=graded)
+
+
+@pytest.mark.parametrize("gsign", [2, indet("q"), ONE / 2])
+def test_symbolic_label_refuses_a_gsign_other_than_plus_or_minus_one(gsign):
+    with pytest.raises(DegenerateLabel, match="g-sign"):
+        RepLabel.symbolic(indet("lam1"), indet("lam2"), gsign=gsign)
 
 
 def test_evaluate_words():

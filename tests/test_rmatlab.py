@@ -98,8 +98,32 @@ def test_superize_r_trivial_grading():
 
 
 def test_superize_r_rejects_bad_grading():
-    with pytest.raises(NotSuperizable):
+    with pytest.raises(NotSuperizable, match=r"^entry R\^1_1\^1_2 violates grading \(0, 1\)$"):
         superize_r(RMatrix(2, _odd_entry_matrix()), (0, 1))
+    with pytest.raises(ValueError, match="grading length"):
+        superize_r(catalog("ac"), (0, 1, 1))
+
+
+CATALOG = [("ac",), ("omega",), ("identity", 2), ("identity", 3), ("std_gl", 2),
+           ("std_gl", 3), *(("glnm", n, m) for n, m in ((1, 1), (2, 1), (1, 2), (3, 1),
+                                                         (2, 2), (1, 3)))]
+
+
+@pytest.mark.parametrize("spec", CATALOG, ids=str)
+def test_superize_r_matches_the_dense_signing(spec):
+    # at every grading under which R is even, the row-form D R against the
+    # entry grid with the rows of two odd upper indices negated
+    R = catalog(*spec)
+    n = R.n
+    for p in superizable_grading_search(R):
+        want = [[-x if p[a] and p[b] else x for x in R.m[a * n + b]]
+                for a, b in product(range(n), repeat=2)]
+        Rb = superize_r(R, p)
+        assert Rb.p == p and Rb.name == (R.name + "-super")
+        assert [list(r) for r in Rb.rows] == smat.row_form(want), p
+        assert dense_eq(Rb.m, want), p
+        smat.check_invertible(Rb.rows)
+        assert Rb == RMatrix(n, want, grading=p)
 
 
 def test_superized_family_sybe():

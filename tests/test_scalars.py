@@ -657,6 +657,66 @@ def test_plain_parse_stays_over_q(restore_field):
     assert scalars._REG.domain is QQ
 
 
+def _fresh(text):
+    """The value of ``text`` parsed with no store: the reference for parse."""
+    return scalars._parse(text, scalars._NAME.findall(text))
+
+
+def test_parse_returns_the_stored_value_of_a_repeated_text():
+    text = "(q^2 - 1)/q + lam1*mu1 - 3/(q^4 - 1)"
+    x = parse(text)
+    assert parse(text) is x
+    assert x == _fresh(text) and x._n == _fresh(text)._n
+
+
+def test_parse_store_is_keyed_by_the_registered_names(restore_field):
+    reg = scalars._REG
+    saved = dict(vars(reg), names=list(reg.names))
+    before = parse("q*lam1 + 1")
+    register_indeterminate("nu")
+    for text in ("q*lam1 + 1", "nu*q - 1/nu"):
+        x = parse(text)
+        assert x._n == reg.n == before._n + 1
+        assert parse(text) is x and x == _fresh(text) and x._n == _fresh(text)._n
+    vars(reg).clear()  # as restore_field does, then another name in nu's place
+    vars(reg).update(saved)
+    register_indeterminate("xi")
+    with pytest.raises(ValueError, match="unexpected 'nu'"):
+        parse("nu*q - 1/nu")
+    x = parse("xi*q - 1/xi")
+    assert x == _fresh("xi*q - 1/xi") and x == register_indeterminate("xi") * qvar() \
+        - 1 / indet("xi")
+
+
+def test_parse_switches_to_qi_on_every_text_with_i(restore_field):
+    reg = scalars._REG
+    over_q = dict(vars(reg), names=list(reg.names), qi=False, _field=None)
+    for _ in range(2):
+        vars(reg).clear()  # back to Q, as restore_field does
+        vars(reg).update(over_q)
+        x = parse("q + i")
+        assert reg.qi and x == qvar() + imag_unit()
+    assert not any(text == "q + i" for text, _, _ in scalars._PARSED)
+
+
+def test_parse_refuses_a_refused_text_every_time():
+    for text in ("q +", "nu", "2^q", "1/(q - q)"):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="cannot parse|unexpected"):
+                parse(text)
+        assert not any(key[0] == text for key in scalars._PARSED)
+
+
+def test_parse_store_keeps_the_latest_values(monkeypatch):
+    monkeypatch.setattr(scalars, "_PARSED", {})
+    monkeypatch.setattr(scalars, "_MAX_PARSED", 4)
+    texts = [f"{k}*q" for k in range(1, 8)]
+    for text in texts:
+        parse(text)
+    assert [key[0] for key in scalars._PARSED] == texts[-4:]
+    assert parse("1*q") == qvar() and len(scalars._PARSED) == 4
+
+
 def test_hash_agrees_with_eq_for_constants():
     v = object()
     assert {ONE: v}.get(1) is v
