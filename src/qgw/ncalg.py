@@ -702,12 +702,16 @@ def _json_rule(r, names):
     for t in r["rhs"]:
         if not (isinstance(t, dict) and isinstance(t.get("coeff"), str)):
             raise ValueError(f"rhs term {t!r} is not an object with a word and a string coeff")
-        rhs[_json_word(t.get("word"), names)] = parse(t["coeff"])
+        w = _json_word(t.get("word"), names)
+        if w in rhs:
+            raise ValueError(f"word {list(w)} is given twice in the rhs of rule {r.get('lhs')!r}")
+        rhs[w] = parse(t["coeff"])
     return _json_word(r.get("lhs"), names), rhs, r.get("unoriented", False)
 
 
 def presentation_from_json(text: str) -> Presentation:
-    """Read what :func:`presentation_to_json` writes; ValueError on malformed data."""
+    """Read what :func:`presentation_to_json` writes; ValueError on malformed data,
+    including a rule lhs given twice or a word given twice in one rhs."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -716,9 +720,14 @@ def presentation_from_json(text: str) -> Presentation:
             and isinstance(data.get("rules"), list) and isinstance(data.get("name", ""), str)):
         raise ValueError("expected a JSON object with generators and rules lists and a string name")
     pres = Presentation([_json_generator(g) for g in data["generators"]], name=data.get("name", ""))
+    seen = set()
     for r in data["rules"]:
+        lhs, rhs, unoriented = _json_rule(r, pres.index)
+        if lhs in seen:
+            raise ValueError(f"rule lhs {list(lhs)} is given twice")
+        seen.add(lhs)
         try:
-            pres.add_rule(*_json_rule(r, pres.index))
+            pres.add_rule(lhs, rhs, unoriented)
         except NonTerminatingOrder as exc:
             raise ValueError(str(exc)) from None
     return pres

@@ -1,9 +1,11 @@
 """Exact coefficient field: rational functions over Q, or Q(i) once i appears.
 
-Every coefficient in the workbench is a ``Scalar``: a rational function in a
-fixed, ordered list of commuting indeterminates (the deformation parameter
-``q`` plus representation labels), with coefficients in Q, or in Q(i) from
-the first time ``i`` appears (:func:`imag_unit`, ``i`` in :func:`parse`).
+Every coefficient in the workbench is a ``Scalar``: a rational function in
+five fixed commuting indeterminates, in this order: the deformation
+parameter ``q`` and the weights ``lam1``, ``lam2``, ``mu1``, ``mu2`` of the
+two generic irreducibles that Section 2's tensor decomposition multiplies.
+Its coefficients are in Q, or in Q(i) from the first time ``i`` appears
+(:func:`imag_unit`, ``i`` in :func:`parse`).
 
 A Scalar has one of two representations, and which one is a function of its
 value alone:
@@ -12,10 +14,10 @@ value alone:
   is c x^e times cyclotomic binomials Phi_d(m) (m - 1, m + 1, m^2 + 1,
   m^4 + 1, ... for a primitive monomial m, such as q^2 - 1 or
   lam1 lam2 mu1 mu2 - 1).  It is held as a Laurent numerator, a dict from
-  exponent tuples (negative entries allowed) to nonzero ``int``/``Fraction``
-  coefficients, over a sorted tuple of (factor, multiplicity) pairs.  The
-  factors are irreducible and the numerator is divisible by none of them,
-  so the form is canonical.  With no factors the value is a Laurent
+  exponent tuples of five entries (negative entries allowed) to nonzero
+  ``int``/``Fraction`` coefficients, over a sorted tuple of (factor,
+  multiplicity) pairs.  The factors are irreducible and the numerator is
+  divisible by none of them, so the form is canonical.  With no factors the value is a Laurent
   polynomial, and +, -, *, / by a single term and ``**`` are plain dict
   arithmetic.  With factors, * and / add multiplicities, + and - take the
   larger ones (0 + x, x - 0 and x times a single term over no factors,
@@ -36,8 +38,8 @@ value equal to 1) is that other Scalar itself, in either representation:
 it builds no value and does no arithmetic.  ``ONE`` times an ``int``,
 ``Fraction`` or sympy operand still coerces it, so ``ONE * 3`` is
 ``Scalar(3)``.  A product, sum or == of two Laurent polynomials (native,
-no factors) over the same indeterminates goes straight to the dict
-arithmetic, which is where ``Scalar._bin`` would send it.
+no factors) goes straight to the dict arithmetic, which is where
+``Scalar._bin`` would send it.
 
 sympy's field does the rest: an operation with a general operand, and a
 division or negative power whose divisor's numerator has a factor other
@@ -47,13 +49,11 @@ rational and its denominator splits as above, whatever the ground field (Q(i)
 splits m^2 + 1, but a value with rational coefficients keeps its native
 form).  So no value has two representations: == compares representations
 exactly and a native value never equals a general one.  ``hash`` hashes the
-representation: the exponent/coefficient pairs of a native value with
-trailing zero exponents dropped (the hash of the ``int``/``Fraction`` for a
-constant), together with its factors, trimmed the same way; the sympy
-expression of a general one.  Neither depends on the field object, so a
-value keeps its hash when ``i`` is adjoined or an indeterminate is
-registered.  A general value is re-embedded into a rebuilt field on its
-first mixed operation.
+representation: the exponent/coefficient pairs of a native value (the hash
+of the ``int``/``Fraction`` for a constant), together with its factors; the
+sympy expression of a general one.  Neither depends on the field object, so
+a value keeps its hash when ``i`` is adjoined.  A general value is
+re-embedded into the rebuilt field on its first mixed operation.
 
 ``Scalar.f`` is the value as a sympy fraction, built on first use for a
 native value and cached; ``str`` prints its expression.  No floating point
@@ -74,7 +74,6 @@ import numbers
 import re
 import sys
 from fractions import Fraction
-from itertools import count
 from math import exp, gcd, lcm, lgamma, log2
 from operator import add, mul, sub, truediv
 
@@ -91,16 +90,18 @@ def _sympy():
     return sympy
 
 
-class _Registry:
-    """Global ordered indeterminate registry backing the scalar field.  The
-    sympy field is built on first access of ``field``, and again after the
-    registry changes."""
+_NAMES = ("q", "lam1", "lam2", "mu1", "mu2")  # the indeterminates, in order
+_ORIGIN = (0,) * len(_NAMES)  # exponent tuple of a constant
 
-    def __init__(self, names):
-        self.names = []
+
+class _Registry:
+    """The ground field, Q or Q(i), and sympy's field of rational functions
+    over it, built on first access of ``field`` and again after the switch
+    to Q(i)."""
+
+    def __init__(self):
         self.qi = False  # the ground field is Q(i), not Q
-        for name in names:
-            self.register(name)
+        self._field = None
 
     @property
     def domain(self):
@@ -110,7 +111,7 @@ class _Registry:
     @property
     def field(self):
         if self._field is None:
-            self._field = _sympy().polys.fields.field(",".join(self.names), self.domain)[0]
+            self._field = _sympy().polys.fields.field(",".join(_NAMES), self.domain)[0]
         return self._field
 
     def adjoin_i(self):
@@ -119,26 +120,8 @@ class _Registry:
             self.qi = True
             self._field = None
 
-    def register(self, name):
-        if name in self.names:
-            return
-        self.names.append(name)
-        self._field = None
-        self.n = len(self.names)
-        self.origin = (0,) * self.n  # exponent tuple of a constant
 
-
-_REG = _Registry(["q", "lam1", "lam2", "mu1", "mu2"])
-
-
-def register_indeterminate(name: str) -> "Scalar":
-    """Add a new indeterminate at the end of the global order.
-
-    Existing Scalars keep working: a native value's exponent tuples are
-    shorter, and an operation mixing lengths runs in the enlarged field.
-    """
-    _REG.register(name)
-    return indet(name)
+_REG = _Registry()
 
 
 # -- native Laurent arithmetic: dicts {exponent tuple: nonzero int/Fraction} --
@@ -207,10 +190,10 @@ def _ndiv(a, b):
     return _nmul(a, {tuple(-e for e in kb): _rat(inv)})
 
 
-def _npow(d, n, origin):
+def _npow(d, n):
     """d ** n; None sends a negative power of a multi-term d to sympy."""
     if n == 0:
-        return {origin: 1}
+        return {_ORIGIN: 1}
     if len(d) == 1:  # v ** n with no Fraction.__pow__, whose type test is an ABC's
         (k, v), = d.items()
         num, den = (v, 1) if type(v) is int else (v.numerator, v.denominator)
@@ -331,17 +314,16 @@ def _combine_factors(b1, b2, pick):
 
 def _phi(m, d):
     """Phi_d(m) as a native dict."""
-    zero = (0,) * len(m)
     if d == 1:
-        return {m: 1, zero: -1}
-    return {tuple(e * (d // 2) for e in m): 1, zero: 1}
+        return {m: 1, _ORIGIN: -1}
+    return {tuple(e * (d // 2) for e in m): 1, _ORIGIN: 1}
 
 
-def _expand(b, n):
+def _expand(b):
     """The product of the factors of ``b`` as a native dict."""
-    out = {(0,) * n: 1}
+    out = {_ORIGIN: 1}
     for f, k in b:
-        out = _nmul(out, _npow(_phi(*f), k, None))
+        out = _nmul(out, _npow(_phi(*f), k))
     return out
 
 
@@ -423,9 +405,8 @@ def _fadd(x, bx, y, by, op=_nadd):
         return op(x, y), by
     if bx != by:
         den = _combine_factors(bx, by, max)
-        n = len(next(iter(x or y)))
-        x = _nmul(x, _expand(_over(den, bx), n))
-        y = _nmul(y, _expand(_over(den, by), n))
+        x = _nmul(x, _expand(_over(den, bx)))
+        y = _nmul(y, _expand(_over(den, by)))
         bx = den
     return _reduce(op(x, y), bx)
 
@@ -467,29 +448,28 @@ def _fdiv(x, bx, y, by):
         return None
     mono, fy = peeled  # a zero y gives an empty mono, which _ndiv refuses
     x, den = _reduce(_ndiv(x, mono), _combine_factors(bx, fy, add))
-    return _fmul(x, den, _expand(by, len(next(iter(mono)))), ()) if by else (x, den)
+    return _fmul(x, den, _expand(by), ()) if by else (x, den)
 
 
-def _fpow(x, b, n, origin):
+def _fpow(x, b, n):
     """(x/b) ** n, or None for a negative power of an ``x`` that is no
     monomial times binomial factors."""
     if n >= 0:
-        return _npow(x, n, origin), tuple((f, k * n) for f, k in b if n)
+        return _npow(x, n), tuple((f, k * n) for f, k in b if n)
     peeled = _peel(x)
     if peeled is None:
         return None
     mono, fx = peeled
-    num = _nmul(_npow(_expand(b, len(origin)), -n, None), _npow(mono, n, None))
+    num = _nmul(_npow(_expand(b), -n), _npow(mono, n))
     return num, tuple((f, -k * n) for f, k in fx)
 
 
 # -- the two representations and the sympy side ------------------------------
 
-def _native(d, n, b=()):
+def _native(d, b=()):
     s = _new(Scalar)
     _set_d(s, d)
     _set_b(s, b)
-    _set_n(s, n)
     _set_f(s, None)
     return s
 
@@ -498,7 +478,6 @@ def _general(f):
     s = _new(Scalar)
     _set_d(s, None)
     _set_b(s, ())
-    _set_n(s, f.field.ngens)
     _set_f(s, f)
     return s
 
@@ -534,10 +513,10 @@ def _from_field(f):
         den, b = peeled
     (e, c), = den.items()
     return _native({tuple(map(sub, k, e)): _rat(Fraction(_rational(v), c))
-                    for k, v in num.items()}, len(e), b)
+                    for k, v in num.items()}, b)
 
 
-def _to_field(d, b, n):
+def _to_field(d, b):
     """The canonical fraction, in the current field, of native ``d`` over
     the factors ``b``: both times the lcm L of the coefficient denominators
     of ``d`` and the smallest monomial that clears the negative exponents.
@@ -548,14 +527,12 @@ def _to_field(d, b, n):
     if not d:
         return field.zero
     conv = ring.domain.dtype
-    pad = (0,) * (ring.ngens - n)
     den = lcm(*(v.denominator for v in d.values()))
-    e = _expand(b, n)
+    e = _expand(b)
     shift = tuple(max(0, -min(col)) for col in zip(*d, *e))
-    numer = ring.dtype({tuple(map(add, k, shift)) + pad:
-                        conv(v.numerator * (den // v.denominator))
+    numer = ring.dtype({tuple(map(add, k, shift)): conv(v.numerator * (den // v.denominator))
                         for k, v in d.items()})
-    return field.raw_new(numer, ring.dtype({tuple(map(add, k, shift)) + pad: conv(v * den)
+    return field.raw_new(numer, ring.dtype({tuple(map(add, k, shift)): conv(v * den)
                                             for k, v in e.items()}))
 
 
@@ -565,7 +542,7 @@ def _lift(s):
     re-embedding into a rebuilt field once, not per use."""
     f = s._f
     if f is None or f.field is not _REG.field:
-        f = (_to_field(s._d, s._b, s._n) if s._d is not None
+        f = (_to_field(s._d, s._b) if s._d is not None
              else _REG.field.from_expr(f.as_expr()))
         _set_f(s, f)
     return f
@@ -581,7 +558,7 @@ def _coerce(x):
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return _native({_REG.origin: _rat(x)} if x else {}, _REG.n)
+        return _native({_ORIGIN: _rat(x)} if x else {})
     if _is_expr(x):
         if x.has(_sympy().I):
             _REG.adjoin_i()
@@ -589,21 +566,12 @@ def _coerce(x):
     raise TypeError(f"cannot coerce {x!r} to Scalar")
 
 
-def _trim(k):
-    """An exponent tuple without its trailing zeros: the same monomial for
-    any number of registered indeterminates."""
-    n = len(k)
-    while n and not k[n - 1]:
-        n -= 1
-    return k[:n]
-
-
 class Scalar:
     """Exact rational function over Q, or Q(i) once i appears; its value is
     immutable (only the cached sympy fraction is ever replaced, by an equal
     one in a rebuilt field)."""
 
-    __slots__ = ("_d", "_b", "_n", "_f")
+    __slots__ = ("_d", "_b", "_f")
 
     def __new__(cls, value=0):
         # a Scalar is returned itself: ncalg reads ``c is ONE`` as "not
@@ -630,15 +598,15 @@ class Scalar:
             if b is None:
                 return NotImplemented
         x, y = self._d, b._d
-        if x is not None and y is not None and self._n == b._n:
+        if x is not None and y is not None:
             bx, by = self._b, b._b
             if not (bx or by):
                 d = nat(x, y)
                 if d is not None:
-                    return _native(d, self._n)
+                    return _native(d)
             r = frac(x, bx, y, by)
             if r is not None:
-                return _native(r[0], self._n, r[1])
+                return _native(*r)
         if nat is _nmul:  # a general value times 1 or -1 needs no gcd
             for u, v in ((b, self), (self, b)):
                 c = _int_value(u)
@@ -653,8 +621,8 @@ class Scalar:
         # the common case, two Laurent polynomials, goes straight to _nadd
         if type(other) is Scalar:
             x, y = self._d, other._d
-            if x is not None and y is not None and not (self._b or other._b) and self._n == other._n:
-                return _native(_nadd(x, y), self._n)
+            if x is not None and y is not None and not (self._b or other._b):
+                return _native(_nadd(x, y))
         return self._bin(other, _nadd, _fadd, add)
 
     __radd__ = __add__
@@ -673,8 +641,8 @@ class Scalar:
             if self is ONE:
                 return other
             x, y = self._d, other._d
-            if x is not None and y is not None and not (self._b or other._b) and self._n == other._n:
-                return _native(_nmul(x, y), self._n)
+            if x is not None and y is not None and not (self._b or other._b):
+                return _native(_nmul(x, y))
         return self._bin(other, _nmul, _fmul, mul)
 
     __rmul__ = __mul__
@@ -706,23 +674,19 @@ class Scalar:
         else:
             return NotImplemented
         x, y = self._d, b._d
-        if x is not None and y is not None and self._n == b._n:
+        if x is not None or y is not None:  # one representation per value
             return x == y and self._b == b._b
-        if (x is None) != (y is None):  # one representation per value
-            return False
         return _lift(self) == _lift(b)
 
     def __hash__(self):
         d = self._d
         if d is None:
             return hash(self._f.as_expr())
-        items = {_trim(k): v for k, v in d.items()}
         if self._b:
-            return hash((frozenset(items.items()),
-                         tuple((_trim(m), dd, k) for (m, dd), k in self._b)))
-        if not any(items):  # 0 or a constant: the hash of the int/Fraction
-            return hash(items.get((), 0))
-        return hash(frozenset(items.items()))
+            return hash((frozenset(d.items()), self._b))
+        if not d or len(d) == 1 and _ORIGIN in d:  # 0 or a constant: the hash of the int/Fraction
+            return hash(d.get(_ORIGIN, 0))
+        return hash(frozenset(d.items()))
 
     def __bool__(self):
         d = self._d
@@ -745,7 +709,6 @@ NUMBERS = (Scalar, int, Fraction)
 _new = object.__new__
 _set_d = Scalar._d.__set__
 _set_b = Scalar._b.__set__
-_set_n = Scalar._n.__set__
 _set_f = Scalar._f.__set__
 
 
@@ -753,21 +716,20 @@ def _neg(s):
     d = s._d
     if d is None:
         return _general(-s._f)
-    return _native({k: -v for k, v in d.items()}, s._n, s._b)
+    return _native({k: -v for k, v in d.items()}, s._b)
 
 
 def _pow(s, n):
     if n < 0 and not s:
         raise DivisionByZero("0 ** negative power")
     if s._d is not None:
-        origin = (0,) * s._n
         if not s._b:
-            d = _npow(s._d, n, origin)
+            d = _npow(s._d, n)
             if d is not None:
-                return _native(d, s._n)
-        r = _fpow(s._d, s._b, n, origin)
+                return _native(d)
+        r = _fpow(s._d, s._b, n)
         if r is not None:
-            return _native(r[0], s._n, r[1])
+            return _native(*r)
     f = _lift(s) ** n
     u = f.denom.canonical_unit()  # sympy's f**-n keeps the unit of f.numer
     if u != f.field.domain.one:
@@ -783,10 +745,11 @@ def _operand(x):
 # -- constructors ---------------------------------------------------------
 
 def indet(name: str) -> Scalar:
-    if name not in _REG.names:
-        raise KeyError(f"unregistered indeterminate {name!r}; call register_indeterminate")
-    k = _REG.names.index(name)
-    return _native({tuple(int(j == k) for j in range(_REG.n)): 1}, _REG.n)
+    if name not in _NAMES:
+        raise KeyError(f"unknown indeterminate {name!r}; the indeterminates are "
+                       + ", ".join(_NAMES))
+    k = _NAMES.index(name)
+    return _native({tuple(int(j == k) for j in range(len(_NAMES))): 1})
 
 
 ZERO = Scalar(0)
@@ -929,7 +892,7 @@ def _bounded_bin(x, op, y):
     operand's fraction has a degree over ``_MAX_DEGREE`` in an
     indeterminate."""
     nat, frac, gen = _BINARY[op]
-    native_sum = op in "+-" and x._d is not None and y._d is not None and x._n == y._n
+    native_sum = op in "+-" and x._d is not None and y._d is not None
     if native_sum and x._b == y._b:
         return _bounded(x._bin(y, nat, frac, gen))
     (nx, dx, hx), (ny, dy, hy) = _measure(x), _measure(y)
@@ -1007,29 +970,28 @@ def _atom(toks, depth):
         return _coerce(int(tok))
     if tok == "i":
         return imag_unit()
-    if tok in _REG.names:
+    if tok in _NAMES:
         return indet(tok)
     raise ValueError(f"unexpected {tok!r}")
 
 
-# parse's store of values: (text, registered names, Q(i) or Q) -> Scalar
+# parse's store of values: (text, Q(i) or Q) -> Scalar
 _PARSED = {}
 _MAX_PARSED = 1 << 12
 
 
 def parse(text: str) -> Scalar:
     """Parse an expression over + - * / ^ **, parentheses, integers, i and
-    the registered indeterminates, with the precedence of Python (``^`` is
-    ``**``).  A parser by recursive descent evaluates the text as it reads
-    it, with the arithmetic helpers, not Scalar's operators, so that parsing
-    adds no operator calls to the caller's count; sums and products are
-    loops, so their length is not bounded.
+    the five indeterminates q, lam1, lam2, mu1 and mu2, with the precedence
+    of Python (``^`` is ``**``).  A parser by recursive descent evaluates the
+    text as it reads it, with the arithmetic helpers, not Scalar's operators,
+    so that parsing adds no operator calls to the caller's count; sums and
+    products are loops, so their length is not bounded.
 
-    The value of each distinct text is kept, keyed by the text, the tuple
-    of registered indeterminates and whether the ground field is Q(i): the
-    value of a text depends on nothing else, and a Scalar is immutable, so
-    a repeated text returns the value it gave before.  The store keeps the
-    latest 4096 values.  A text with ``i`` is never kept, since parsing it
+    The value of each distinct text is kept, keyed by the text and whether
+    the ground field is Q(i): the value of a text depends on nothing else,
+    and a Scalar is immutable, so a repeated text returns the value it gave
+    before.  The store keeps the latest 4096 values.  A text with ``i`` is never kept, since parsing it
     switches the field to Q(i), and neither is a text that is refused, so
     it raises again on every call.
 
@@ -1050,7 +1012,7 @@ def parse(text: str) -> Scalar:
     - a value with binomial factors whose canonical fraction passes the
       size, once it is computed.
     """
-    key = (text, tuple(_REG.names), _REG.qi)
+    key = (text, _REG.qi)
     x = _PARSED.get(key)
     if x is None:
         names = _NAME.findall(text)
@@ -1066,7 +1028,7 @@ def _parse(text, names):
     """The value of ``text``, whose name tokens are ``names``, parsed
     afresh: :func:`parse` without its store."""
     for tok in names:
-        if tok != "i" and tok not in _REG.names:
+        if tok != "i" and tok not in _NAMES:
             raise ValueError(f"unexpected {tok!r} in {text!r}")
     if max(map(len, re.findall(r"\d+", text)), default=0) > _MAX_DIGITS:
         raise ValueError(f"integer literal of more than {_MAX_DIGITS} digits in {text!r}")
@@ -1087,7 +1049,7 @@ def render(a: Scalar) -> str:
 # -- residues modulo a prime ---------------------------------------------
 
 MODULUS = (1 << 64) - 59  # a prime; 2, 3, 5, 7 and 11 have large order mod it
-_PRIMES = [2, 3, 5, 7, 11]
+_PRIMES = (2, 3, 5, 7, 11)
 
 
 def _monomial_residue(point, exps):
@@ -1101,22 +1063,19 @@ def _monomial_residue(point, exps):
 
 
 def prime_point() -> list:
-    """q = 2, lam1 = 3, lam2 = 5, mu1 = 7, mu2 = 11 and the next primes: one
-    value per registered indeterminate, in the registry's order."""
-    while len(_PRIMES) < _REG.n:
-        _PRIMES.append(next(p for p in count(_PRIMES[-1] + 2, 2) if all(p % d for d in _PRIMES)))
-    return _PRIMES[:_REG.n]
+    """q = 2, lam1 = 3, lam2 = 5, mu1 = 7, mu2 = 11: a distinct prime for
+    each indeterminate, in their order."""
+    return list(_PRIMES)
 
 
 def prime_point_residue(a: Scalar, point=None) -> "int | None":
     """The value of ``a`` modulo ``MODULUS`` at ``point``, one int per
-    indeterminate in the registry's order (default :func:`prime_point`);
-    ValueError, before anything is computed, for a point that gives an
-    indeterminate a value that is 0 modulo ``MODULUS`` (naming it), and for
-    one with fewer values than ``a`` has indeterminates.  None for a
-    general value, or when a coefficient's denominator or a factor of its
-    denominator is 0 modulo ``MODULUS`` at the point.  At the prime point no factor is: a factor
-    Phi_d(m) is m^g +- 1 with m a nonzero exponent tuple, and a product of
+    indeterminate in their order (default :func:`prime_point`); ValueError,
+    before anything is computed, for a point that gives an indeterminate a
+    value that is 0 modulo ``MODULUS`` (naming it), and for one with fewer
+    than five values.  None for a general value, or when a coefficient's
+    denominator or a factor of its denominator is 0 modulo ``MODULUS`` at
+    the point.  At the prime point no factor is: a factor Phi_d(m) is m^g +- 1 with m a nonzero exponent tuple, and a product of
     powers of distinct primes is 1 only for m = 0, so there the residue is
     the image of an exact rational value, whatever the degrees.  Elsewhere
     a factor can vanish (q - 1 at q = 1).  Computed in plain ints: each
@@ -1125,13 +1084,13 @@ def prime_point_residue(a: Scalar, point=None) -> "int | None":
     of the product of the factors."""
     if point is None:
         point = prime_point()
-    for i, (name, x) in enumerate(zip(_REG.names, point)):
+    for i, (name, x) in enumerate(zip(_NAMES, point)):
         if not x % MODULUS:
             raise ValueError(f"coordinate {i} ({name}) of the point is 0 modulo MODULUS")
     if a._d is None:
         return None
-    if len(point) < a._n:
-        raise ValueError(f"a point of {len(point)} values for {a._n} indeterminates")
+    if len(point) < len(_NAMES):
+        raise ValueError(f"a point of {len(point)} values for {len(_NAMES)} indeterminates")
     num = 0
     for k, v in a._d.items():
         if type(v) is int:

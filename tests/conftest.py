@@ -9,10 +9,10 @@ from qgw.scalars import ONE, ZERO
 
 @pytest.fixture
 def restore_field():
-    """Put the scalar field back as it was, so that a switch to Q(i) or a new
-    indeterminate made by one test does not reach the tests after it."""
+    """Put the scalar field back as it was, so that a switch to Q(i) made by
+    one test does not reach the tests after it."""
     reg = scalars._REG
-    saved = dict(vars(reg), names=list(reg.names))
+    saved = dict(vars(reg))
     yield
     vars(reg).clear()
     vars(reg).update(saved)

@@ -302,6 +302,25 @@ def test_json_loader_rejects_malformed_input(text):
         presentation_from_json(text)
 
 
+def test_json_loader_refuses_a_repeated_lhs():
+    """A second rule for d c would replace the first, d c -> -1/q c d; the
+    structural rules a ai -> 1, ..., written once each, still load."""
+    data = json.loads(presentation_to_json(fa_presentation("ac")))
+    assert any(r["lhs"] == ["ai", "a"] for r in data["rules"])
+    presentation_from_json(json.dumps(data))
+    data["rules"].append({"lhs": ["d", "c"], "rhs": [{"word": ["c", "d"], "coeff": "7"}]})
+    with pytest.raises(ValueError, match=r"rule lhs \['d', 'c'\] is given twice"):
+        presentation_from_json(json.dumps(data))
+
+
+def test_json_loader_refuses_a_repeated_rhs_word():
+    data = json.loads(presentation_to_json(fa_presentation("ac")))
+    rule = next(r for r in data["rules"] if r["lhs"] == ["d", "c"])
+    rule["rhs"].append({"word": ["c", "d"], "coeff": "7"})
+    with pytest.raises(ValueError, match=r"word \['c', 'd'\] is given twice in the rhs of rule \['d', 'c'\]"):
+        presentation_from_json(json.dumps(data))
+
+
 words = st.lists(st.sampled_from(["x", "y"]), min_size=0, max_size=5)
 
 

@@ -20,7 +20,7 @@ BENCH = SRC.parent.parent / "qgwbench"
 # public functions that are API for users of the package, not for qgw itself
 PUBLIC_API = frozenset((
     "ncalg.presentation_to_json", "ncalg.presentation_from_json",
-    "rmatlab.rmatrix_to_json", "scalars.register_indeterminate", "exterior.act",
+    "rmatlab.rmatrix_to_json", "exterior.act",
 ))
 
 

@@ -15,8 +15,7 @@ from sympy.polys.fields import FracElement
 from sympy.polys.rings import PolyElement
 
 from qgw import scalars
-from qgw.scalars import (ONE, ZERO, Scalar, imag_unit, indet, parse, qvar,
-                         register_indeterminate, render, sign_pow)
+from qgw.scalars import ONE, ZERO, Scalar, imag_unit, indet, parse, qvar, render, sign_pow
 
 
 def test_basic_arithmetic():
@@ -55,12 +54,6 @@ def test_label_indeterminates():
     l1, m1 = indet("lam1"), indet("mu1")
     assert l1 != m1
     assert l1 * m1 == m1 * l1
-
-
-def test_register_indeterminate_new_symbol(restore_field):
-    t = register_indeterminate("tmp_extra")
-    assert t * t != t or t == ONE  # it behaves like a transcendental
-    assert indet("tmp_extra") == t
 
 
 def test_parse_render_roundtrip():
@@ -275,7 +268,7 @@ def test_prime_point_residue_is_exact(a, q):
     """At the prime point, exactly the value substituted by sympy; with q
     moved to a drawn value, the canonical fraction's residue (None where a
     binomial factor vanishes); None for a general value at either."""
-    at = {sympy.Symbol(n): p for n, p in zip(scalars._REG.names, scalars.prime_point())}
+    at = {sympy.Symbol(n): p for n, p in zip(scalars._NAMES, scalars.prime_point())}
     moved = (q, *scalars.prime_point()[1:])
     got = scalars.prime_point_residue(a), scalars.prime_point_residue(a, moved)
     if a._d is None:
@@ -390,7 +383,7 @@ def test_peel_finds_every_binomial_factor(fs, other, e, c):
     for f, k in fs:
         want[f] = want.get(f, 0) + k
     want = tuple(sorted(want.items()))
-    p = scalars._nmul(scalars._expand(want, 5), {e: c})
+    p = scalars._nmul(scalars._expand(want), {e: c})
     if other is not None:
         p = scalars._nmul(p, parse(other)._d)
     got = scalars._peel(p)
@@ -405,7 +398,7 @@ def test_peel_finds_every_binomial_factor(fs, other, e, c):
                           st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 3)), max_size=7))
 def test_den_terms_bounds_the_expansion(fs):
     b = tuple(sorted({(m, d): k for m, d, k in fs}.items()))
-    assert len(scalars._expand(b, 5)) <= scalars._den_terms(b)
+    assert len(scalars._expand(b)) <= scalars._den_terms(b)
 
 
 def test_den_terms_of_cyclotomic_chains():
@@ -436,6 +429,28 @@ def test_arithmetic_matches_field(a, b, k):
     if a or k >= 0:
         _same_scalar(a ** k, _want_pow(fa, k))
     assert a * ONE == a and -(a * -ONE) == a and (-ONE) * b == -b
+
+
+def _five_wide(x):
+    """Whether every exponent tuple of ``x`` (none for a general value) and
+    the monomial of every binomial factor has one entry per indeterminate."""
+    return x._d is None or all(len(k) == 5 for k in x._d) and all(len(m) == 5 for (m, _), _ in x._b)
+
+
+@settings(deadline=None)
+@given(_scalars(), _scalars(), st.integers(-3, 3))
+def test_native_exponents_have_five_entries(a, b, k):
+    values = [a, b, parse(render(a)), a + b, a * b, scalars._from_field(a.f * b.f)]
+    if b:
+        values.append(a / b)
+    if a or k >= 0:
+        values.append(a ** k)
+    assert all(map(_five_wide, values))
+
+
+def test_indet_refuses_an_unknown_name():
+    with pytest.raises(KeyError, match="'nu'.*q, lam1, lam2, mu1, mu2"):
+        indet("nu")
 
 
 @settings(deadline=None)
@@ -528,13 +543,11 @@ def _values_for_hash():
             l1 / (q * q + 1) ** 2, ONE / (q * q + 2), (q * q + 2) / g]
 
 
-@pytest.mark.parametrize("switch", [imag_unit, lambda: register_indeterminate("tmp_hash2")],
-                         ids=["Q(i)", "register_indeterminate"])
-def test_equal_values_hash_alike(restore_field, switch):
+def test_equal_values_hash_alike(restore_field):
     before = _values_for_hash()
     for x, y in zip(before, _values_for_hash()):
         assert x == y and hash(x) == hash(y)
-    switch()
+    imag_unit()
     for x, y in zip(before, _values_for_hash()):
         assert x == y and hash(x) == hash(y)
         assert x + ONE - ONE == y and hash(x * ONE) == hash(y)
@@ -666,37 +679,18 @@ def test_parse_returns_the_stored_value_of_a_repeated_text():
     text = "(q^2 - 1)/q + lam1*mu1 - 3/(q^4 - 1)"
     x = parse(text)
     assert parse(text) is x
-    assert x == _fresh(text) and x._n == _fresh(text)._n
-
-
-def test_parse_store_is_keyed_by_the_registered_names(restore_field):
-    reg = scalars._REG
-    saved = dict(vars(reg), names=list(reg.names))
-    before = parse("q*lam1 + 1")
-    register_indeterminate("nu")
-    for text in ("q*lam1 + 1", "nu*q - 1/nu"):
-        x = parse(text)
-        assert x._n == reg.n == before._n + 1
-        assert parse(text) is x and x == _fresh(text) and x._n == _fresh(text)._n
-    vars(reg).clear()  # as restore_field does, then another name in nu's place
-    vars(reg).update(saved)
-    register_indeterminate("xi")
-    with pytest.raises(ValueError, match="unexpected 'nu'"):
-        parse("nu*q - 1/nu")
-    x = parse("xi*q - 1/xi")
-    assert x == _fresh("xi*q - 1/xi") and x == register_indeterminate("xi") * qvar() \
-        - 1 / indet("xi")
+    assert x == _fresh(text)
 
 
 def test_parse_switches_to_qi_on_every_text_with_i(restore_field):
     reg = scalars._REG
-    over_q = dict(vars(reg), names=list(reg.names), qi=False, _field=None)
+    over_q = dict(vars(reg), qi=False, _field=None)
     for _ in range(2):
         vars(reg).clear()  # back to Q, as restore_field does
         vars(reg).update(over_q)
         x = parse("q + i")
         assert reg.qi and x == qvar() + imag_unit()
-    assert not any(text == "q + i" for text, _, _ in scalars._PARSED)
+    assert not any(text == "q + i" for text, _ in scalars._PARSED)
 
 
 def test_parse_refuses_a_refused_text_every_time():
@@ -725,15 +719,6 @@ def test_hash_agrees_with_eq_for_constants():
     assert hash(Scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
 
 
-def test_hash_survives_new_indeterminate(restore_field):
-    key = qvar() + 1
-    d = {key: 1}
-    register_indeterminate("tmp_hash")
-    fresh = qvar() + 1
-    assert key._n < fresh._n  # exponent tuples of two lengths
-    assert d.get(fresh) == 1
-
-
 _monomials = st.tuples(st.tuples(*[st.integers(-3, 3)] * 5),
                        st.integers(-9, 9).filter(bool)
                        | st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool))
@@ -746,7 +731,7 @@ def test_monomial_products_match_a_dict_reference(a, b):
     included; a product whose exponents cancel is the constant c c', with
     its hash."""
     (ea, ca), (eb, cb) = a, b
-    names = scalars._REG.names[:5]
+    names = scalars._NAMES
 
     def mono(e, c):
         x = Scalar(c)
@@ -757,7 +742,7 @@ def test_monomial_products_match_a_dict_reference(a, b):
     got = mono(ea, ca) * mono(eb, cb)
     e, c = tuple(map(add, ea, eb)), ca * cb
     assert got._d == {e: c} and got._b == ()
-    want = scalars._native({e: c}, got._n)
+    want = scalars._native({e: c})
     assert got == want and hash(got) == hash(want)
     if not any(e):
         assert got == c and hash(got) == hash(c)
@@ -779,15 +764,6 @@ def test_product_of_one_with_a_number_is_a_scalar():
     for got in (ONE * 3, 3 * ONE, ONE * Fraction(3), Fraction(3) * ONE):
         assert type(got) is Scalar and got == 3 and hash(got) == hash(3)
     assert ONE * sympy.Integer(3) == 3 and type(sympy.Integer(3) * ONE) is Scalar
-
-
-def test_product_with_one_of_another_field_size(restore_field):
-    old = qvar() + 1
-    register_indeterminate("tmp_one")
-    new = qvar() + 1
-    assert old._n < new._n
-    for x in (old, new):
-        assert x * ONE is x and ONE * x is x
 
 
 @settings(deadline=None)
@@ -816,7 +792,7 @@ def _assert_direct_path(xs, ys):
         for y in ys:
             for op, nat, frac in ((mul, scalars._nmul, scalars._fmul), (add, scalars._nadd, scalars._fadd)):
                 got, want = op(x, y), x._bin(y, nat, frac, op)
-                assert (got._d, got._b, got._n) == (want._d, want._b, want._n), (x, y, op)
+                assert (got._d, got._b) == (want._d, want._b), (x, y, op)
                 assert got == want and hash(got) == hash(want)
             assert (x == y) == (scalars._lift(x) == scalars._lift(y)), (x, y)
 
@@ -831,12 +807,3 @@ def test_direct_path_matches_bin_over_qi(restore_field):
     i = imag_unit()
     xs = [i, i * qvar() + 1] + [parse(t) for t in _DIRECT_PATH_TEXTS[::3]]
     _assert_direct_path(xs, xs)
-
-
-def test_direct_path_matches_bin_across_field_sizes(restore_field):
-    old = [parse(t) for t in _DIRECT_PATH_TEXTS[::2]]
-    register_indeterminate("tmp_direct")
-    new = [parse(t) for t in _DIRECT_PATH_TEXTS[::2]] + [parse("tmp_direct*q")]
-    assert {x._n for x in old} != {x._n for x in new}
-    _assert_direct_path(old, new)
-    _assert_direct_path(new, old)
