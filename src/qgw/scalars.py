@@ -1087,10 +1087,10 @@ def prime_point_residue(a: Scalar, point=None) -> "int | None":
     for i, (name, x) in enumerate(zip(_NAMES, point)):
         if not x % MODULUS:
             raise ValueError(f"coordinate {i} ({name}) of the point is 0 modulo MODULUS")
-    if a._d is None:
-        return None
     if len(point) < len(_NAMES):
         raise ValueError(f"a point of {len(point)} values for {len(_NAMES)} indeterminates")
+    if a._d is None:
+        return None
     num = 0
     for k, v in a._d.items():
         if type(v) is int:

@@ -136,6 +136,17 @@ def _parse_in_subprocess(texts, timeout):
     return _in_subprocess(code, texts, timeout)
 
 
+def test_native_values_compare_and_hash_without_sympy():
+    """Equality, hashing and products with ONE of native values, constants
+    among them, never load sympy."""
+    code = ("import sys\nfrom qgw.scalars import ONE, Scalar, indet, parse, qvar\n"
+            "x = qvar() + 1\n"
+            "print(Scalar(1) == ONE, hash(Scalar(1)) == hash(1), x == parse('q + 1'),"
+            " x * ONE is x, ONE * indet('mu2') == indet('mu2'), Scalar(2) != ONE)\n"
+            "print('sympy' in sys.modules)\n")
+    assert _in_subprocess(code, [], 60) == ["True"] * 6 + ["False"]
+
+
 def test_parse_refuses_huge_work_in_time():
     assert (_parse_in_subprocess(_HOSTILE + _SPARSE, 60)
             == ["ValueError"] * len(_HOSTILE) + ["parsed"] * len(_SPARSE))
@@ -294,6 +305,14 @@ def test_prime_point_residue_refuses_a_short_point():
     assert scalars.prime_point_residue(a, (2, 3, 5, 7, 11)) == 13
     with pytest.raises(ValueError, match="4 values for 5 indeterminates"):
         scalars.prime_point_residue(a, (2, 3, 5, 7))
+
+
+def test_prime_point_residue_refuses_a_short_point_for_a_general_value():
+    """The length check comes before the general value's None."""
+    a = ONE / (qvar() ** 2 + 2)
+    assert a._d is None and scalars.prime_point_residue(a, (2, 3, 5, 7, 11)) is None
+    with pytest.raises(ValueError, match="2 values for 5 indeterminates"):
+        scalars.prime_point_residue(a, (2, 3))
 
 
 def test_prime_point_residue_refuses_a_coordinate_at_zero():
