@@ -43,12 +43,12 @@ class UnknownActor(KeyError):
 class ExteriorAlgebra:
     """Compiled presentation of Omega_q(R) for a Hecke R-matrix."""
 
-    def __init__(self, R: RMatrix, name=""):
+    def __init__(self, R: RMatrix):
         if not hecke_check(R):
             raise NotHecke(f"{R.name or 'R'} fails the Hecke condition")
         self.R = R
         self.n = R.n
-        self.name = name or f"omega({R.name or 'R'})"
+        self.name = f"omega({R.name or 'R'})"
         idx = range(1, self.n + 1)
         gens = [GeneratorSymbol(f"x{i}") for i in idx] + \
                [GeneratorSymbol(f"dx{i}", degree=1) for i in idx]

@@ -104,7 +104,7 @@ def _exchange_r21(R: RMatrix, u, v):
     return _exchange_terms(R.n, R.p, lambda a, c, b, d: R.entry(b, d, a, c), u, v)
 
 
-def frt_relation_check(R: RMatrix, L1: OperatorMatrix, L2: OperatorMatrix = None) -> CheckReport:
+def frt_relation_check(R: RMatrix, L1: OperatorMatrix, L2: OperatorMatrix) -> CheckReport:
     """Check R L2 L1 = L1 L2 R entrywise for a pair of generator matrices.
 
     Call once per relation family, e.g. (l+, l+), (l+, l-), (l-, l-).  The
@@ -112,7 +112,6 @@ def frt_relation_check(R: RMatrix, L1: OperatorMatrix, L2: OperatorMatrix = None
     t2 -> L2; the graded sign factors are taken from R's index grading, and
     a bosonic R gives the ungraded relations.
     """
-    L2 = L1 if L2 is None else L2
     pres = L1.pres
     rep = CheckReport(f"frt[{L1.label},{L2.label}]")
     for idx, terms in _exchange_r21(R, L1.entry, L2.entry):

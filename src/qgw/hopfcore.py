@@ -260,7 +260,7 @@ def superize(h: HopfData) -> HopfData:
 
 # -- Z2-extension ----------------------------------------------------------
 
-def z2_extend(h: HopfData, parity: dict, gname: str = "g") -> HopfData:
+def z2_extend(h: HopfData, parity: dict) -> HopfData:
     """Adjoin an involution g with g x = (-1)^parity[x] x g for each generator.
 
     parity maps every generator name to 0 or 1 (inverse partners must agree
@@ -269,18 +269,18 @@ def z2_extend(h: HopfData, parity: dict, gname: str = "g") -> HopfData:
     by exhaustive overlap resolution.
     """
     pres = h.pres
-    if gname in pres.index:
-        raise ValueError(f"generator name {gname} already taken")
+    if "g" in pres.index:
+        raise ValueError("generator name g already taken")
     for x in pres.by_name:
         if x not in parity:
             raise KeyError(f"no parity for generator {x}")
         inv = pres.by_name[x].inverse
         if inv is not None and parity[x] % 2 != parity[inv] % 2:
             raise ActionNotCompatible(f"parities of {x} and {inv} differ")
-    out = pres.derive(gens=(GeneratorSymbol(gname, inverse=gname),) + pres.gens,
-                      rules=[((x, gname), {(gname, x): -ONE if parity[x] % 2 else ONE}, False)
+    out = pres.derive(gens=(GeneratorSymbol("g", inverse="g"),) + pres.gens,
+                      rules=[((x, "g"), {("g", x): -ONE if parity[x] % 2 else ONE}, False)
                              for x in pres.by_name],
-                      name=pres.name + f"x{gname}")
+                      name=pres.name + "xg")
     chk = overlap_check(out)
     if not chk.ok:
         raise ActionNotCompatible(f"{out.name}: {chk.failures[:3]}")
@@ -291,12 +291,12 @@ def z2_extend(h: HopfData, parity: dict, gname: str = "g") -> HopfData:
         eps[x] = h.counit_map[x]
         if spo is not None:
             spo[x] = Element(out, h.antipode_map[x].terms)
-    dg, eg, sg = grouplike_data(out, [gname])
+    dg, eg, sg = grouplike_data(out, ["g"])
     delta.update(dg)
     eps.update(eg)
     if spo is not None:
         spo.update(sg)
-    return HopfData(out, delta, eps, spo, g=gname, name=h.name + f"x{gname}")
+    return HopfData(out, delta, eps, spo, g="g", name=h.name + "xg")
 
 
 # -- isomorphism checking --------------------------------------------------

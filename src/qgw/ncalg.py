@@ -60,6 +60,9 @@ A map given on generators extends to words by multiplicative(images, one)
 and to combinations by linear(word_map, terms, zero); rule_residuals(pres,
 word_map, zero) applies it to both sides of every rule, the left-hand-side
 word unreduced, and the map is well defined exactly when all are zero.
+
+echelon(rows, key) is the one exact elimination: compile_relations solves
+relations for their rules with it, and smat.inv inverts matrices with it.
 """
 
 from __future__ import annotations
@@ -341,6 +344,41 @@ def _add_scaled(acc, c, nf):
                 del acc[w]
 
 
+def echelon(rows, key):
+    """The reduced row-echelon form of ``rows``, each a dict {column: value}
+    of nonzero values that stands for the relation sum value * column = 0,
+    pivoting on the column of largest ``key``; the rows are consumed.
+    Returns (solved, pivots): solved[p] is the rhs of p -> rhs, the row
+    solved for its pivot p, and pivots lists the pivots in increasing key.
+
+    - forward: a row's leading column is replaced by the solved row of that
+      pivot, if there is one, until the leading column is new (the row is
+      solved for it) or the row is zero;
+    - back-substitution: smallest pivot first, each pivot is cleared from
+      the solved rows of larger pivots.
+
+    The reduced row-echelon basis of a row space for a fixed column order is
+    unique, and a Scalar has one representation per value, so the result
+    does not depend on the order of the rows."""
+    solved = {}
+    for row in rows:
+        while row:
+            lead = max(row, key=key)
+            rhs = solved.get(lead)
+            if rhs is None:
+                c = -row.pop(lead)
+                solved[lead] = {w: cw / c for w, cw in row.items()}
+                break
+            _add_scaled(row, row.pop(lead), rhs)
+    pivots = sorted(solved, key=key)
+    for p in pivots:
+        rhs = solved[p]
+        # the pivots in rhs are smaller than p, and their rows are already cleared
+        for w in [w for w in rhs if w in solved]:
+            _add_scaled(rhs, rhs.pop(w), solved[w])
+    return solved, pivots
+
+
 def _combine(memo, children):
     """Sum of c * nf(u) over the (u, c) children, last child first as the
     tree rewriting visited them."""
@@ -524,20 +562,12 @@ def compile_relations(gens, relations, name=""):
     presentation on the same generators) or raw word->coeff dicts; a word
     with a letter that is no generator is refused with ValueError.  Each
     relation lhs - rhs, reduced modulo the inverse-pair and nilpotent rules,
-    is one row over the word basis, and the rows are brought to reduced
-    row-echelon form in one pass, pivoting on the order-leading word:
-
-    - forward: a row's leading word is replaced by the solved row of that
-      pivot, if there is one, until the leading word is new (the row is
-      solved for it) or the row is zero;
-    - back-substitution: smallest pivot first, each pivot is cleared from
-      the solved rows of larger pivots.
-
-    Each word's order_key is computed once per call, in a dict local to it.
-    The reduced row-echelon basis of a row space for a fixed column order is
-    unique, and a Scalar has one representation per value, so the rules and
-    their coefficients do not depend on the order of the rows.  Each solved
-    row becomes one rule, added in decreasing pivot order.  NotSolvable when
+    is one row over the word basis, and :func:`echelon` brings the rows to
+    reduced row-echelon form, pivoting on the order-leading word.  Each
+    word's order_key is computed once per call, in a dict local to it.  Each
+    solved row becomes one rule, added in decreasing pivot order, so the
+    rules and their coefficients do not depend on the order of the
+    relations.  NotSolvable when
     a pivot is not a two-letter word; ConfluenceFailure when overlap_check
     finds an unresolved overlap.
     """
@@ -577,25 +607,7 @@ def compile_relations(gens, relations, name=""):
         if row:
             rows.append(row)
 
-    # solved[p] is the rhs of the rule p -> rhs: the row solved for its pivot p
-    key = keys.__getitem__
-    solved: dict[tuple, dict] = {}
-    for row in rows:
-        while row:
-            lead = max(row, key=key)
-            rhs = solved.get(lead)
-            if rhs is None:
-                c = -row.pop(lead)
-                solved[lead] = {w: cw / c for w, cw in row.items()}
-                break
-            _add_scaled(row, row.pop(lead), rhs)
-    pivots = sorted(solved, key=key)
-    for p in pivots:
-        rhs = solved[p]
-        # the pivots in rhs are smaller than p, and their rows are already cleared
-        for w in [w for w in rhs if w in solved]:
-            _add_scaled(rhs, rhs.pop(w), solved[w])
-
+    solved, pivots = echelon(rows, keys.__getitem__)
     for pivot in reversed(pivots):
         if len(pivot) != 2:
             raise NotSolvable(f"relation pivot {pivot} is not a quadratic word")

@@ -247,10 +247,13 @@ class Rep:
 
     def _verify(self):
         """ValueError naming the first rewrite rule whose two sides have
-        different matrices here."""
+        different matrices here, and the family of the Rep: the message is
+        built without printing a weight, which would load sympy."""
         for lhs, rhs in self.pres.rules.items():
             if not smat.meq(self._wmat(lhs), self._sum(rhs.items())):
-                raise ValueError(f"rule {lhs} fails in representation {self.label}")
+                raise ValueError(
+                    f"rule {lhs} fails in the {'graded' if self.graded else 'ungraded'} "
+                    f"representation family of g-sign {'+1' if self.label.gsign == ONE else '-1'}")
 
     def evaluate(self, e: Element):
         """The matrix of ``e``, a new one."""

@@ -4,7 +4,7 @@ nonzeros.
 A matrix is held in *row form*: for each row, the (column, value) pairs of
 its nonzero entries, in any order.  This is the one form that the R-matrix
 checks and the representation work read and write (multiply, Kronecker
-product, leg embedding, Gauss-Jordan inverse, an exact invertibility test).
+product, leg embedding, inverse, an exact invertibility test).
 No numerics.  Most entries of the matrices here are 0, so a product costs
 one Scalar multiplication per pair of nonzero entries that meet
 (:func:`products`, :func:`mmul`), and sums and scalings touch the nonzeros
@@ -14,10 +14,11 @@ value}, and :func:`nonzeros` turns such sums back into row form.
 :func:`embed_rows` is the one embedding of a two-leg operator into three
 graded tensor legs, with Koszul signs.
 
-Dense grids remain only where data comes in or goes out, an R-matrix's
+Dense grids remain only where data comes in or goes out, at an R-matrix's
 entry grid (``rmatlab.RMatrix.m``, read by :func:`row_form` and written by
-:func:`dense`), and in the augmented matrix [a | 1] that :func:`inv`
-reduces, since Gauss-Jordan elimination fills it in.
+:func:`dense`).  :func:`inv` reduces the rows of [a | 1] as dicts through
+``ncalg.echelon``, the one exact elimination, which also compiles the
+relations of every presentation.
 
 :func:`braid_holds` compares the two sides of the braid relation on three
 such legs row by row, without building an n^3 x n^3 matrix: the rows are
@@ -46,6 +47,7 @@ their X, and the codes of the embedding are the embedding of the codes.
 
 from __future__ import annotations
 
+from .ncalg import echelon
 from .scalars import MODULUS, ONE, ZERO, Scalar, kronecker_codes, prime_point_residue
 
 
@@ -221,41 +223,19 @@ def product_is_zero(a, b):
     return not any(any(acc.values()) for acc in products(a, b))
 
 
-def _rref(rows):
-    """Gauss-Jordan elimination over the fraction field, in place: ``rows``
-    become the reduced rows, and the list of pivot columns is returned.
-    Each column in turn takes as pivot the first row at or below the next
-    pivot row with a nonzero there; elimination stops once every row has a
-    pivot."""
-    pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pc = rows[r][c]
-        rows[r] = [x / pc if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return pivots
-
-
 def inv(a):
-    """Gauss-Jordan inverse over the fraction field: [a | 1] reduced to
-    [1 | a^-1]; Singular when a column of ``a`` has no pivot."""
+    """The inverse of ``a`` over the fraction field, in row form: the rows
+    of [a | 1] reduced by :func:`ncalg.echelon`, pivoting on the smallest
+    column, to [1 | a^-1], so a^-1[i][j] = -solved[i][n + j]; Singular
+    unless the pivots are exactly the columns of ``a``."""
     n = len(a)
-    aug = dense(a, 2 * n)
-    for i, row in enumerate(aug):
+    rows = [{j: x for j, x in pairs if x} for pairs in a]
+    for i, row in enumerate(rows):
         row[n + i] = ONE
-    if _rref(aug) != list(range(n)):
+    solved, pivots = echelon(rows, int.__neg__)
+    if pivots[::-1] != list(range(n)):
         raise Singular("matrix is singular over the scalar field")
-    return row_form([row[n:] for row in aug])
+    return [[(j - n, -x) for j, x in solved[i].items()] for i in range(n)]
 
 
 def _invertible_mod(work, p):

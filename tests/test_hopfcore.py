@@ -145,9 +145,11 @@ def test_z2_extend_adds_involution():
 
 
 def test_z2_extend_parity_required_for_all():
-    h = uq_hopf()
-    with pytest.raises((KeyError, ValueError)):
-        z2_extend(h, {"K1": 0}, gname="g2")
+    # A(ac) has no generator g, so its missing parities are what is refused
+    with pytest.raises(KeyError, match="no parity for generator"):
+        z2_extend(algebras.fa_hopf("ac"), {"a": 0})
+    with pytest.raises(ValueError, match="generator name g already taken"):
+        z2_extend(uq_hopf(), {"K1": 0})
 
 
 def test_try_invert_grouplike_word():

@@ -1,5 +1,5 @@
-"""Planted defects in the matrix layer, the representations and the l+/l-
-ansatz, each caught by the suite.
+"""Planted defects in the matrix layer, the shared exact elimination, the
+representations and the l+/l- ansatz, each caught by the suite.
 
 Each case copies the qgw package to a temporary folder, replaces one text
 in one module (the anchor must occur there exactly once), runs a cold
@@ -35,6 +35,25 @@ DEFECTS = {
          "prop2.5/canonical", "prop5.1/twisting", "sec2/tensor-decomposition",
          "sec3/super-r", "sec4/determinant", "sec5/super-twisting",
          "thm2.2/quasitriangularity"}),
+    # ncalg.echelon compiles every presentation and inverts every matrix
+    "echelon pivot without its sign": (
+        "ncalg.py", "c = -row.pop(lead)", "c = row.pop(lead)",
+        {"def2.1/hopf-axioms", "engine/associativity", "engine/numeric-spot",
+         "engine/overlaps", "prop2.4/ribbon", "prop2.5/canonical", "prop3.2/superization",
+         "prop5.1/twisting", "prop5.2/exterior", "sec2/casimirs", "sec2/duality", "sec2/frt",
+         "sec2/tensor-decomposition", "sec3/super-duality", "sec3/super-frt", "sec3/super-r",
+         "sec4/determinant", "sec4/determinant-noncentral", "sec4/superdeterminant",
+         "sec5/omega-frt", "sec5/omega-hopf", "sec5/super-twisting",
+         "thm2.2/quasitriangularity", "thm4.1/superization-iso"}),
+    "echelon without back-substitution": (
+        "ncalg.py", "for w in [w for w in rhs if w in solved]:", "for w in []:",
+        {"engine/associativity", "engine/overlaps", "prop2.4/ribbon", "sec2/duality",
+         "sec3/super-duality", "sec4/superdeterminant", "thm4.1/superization-iso"}),
+    # sec2/duality and sec3/super-duality cannot see this one: the exchange
+    # relations they check are homogeneous in the minus matrices
+    "inverse read without its minus sign": (
+        "smat.py", "[(j - n, -x) for j, x in", "[(j - n, x) for j, x in",
+        {"prop2.4/ribbon", "prop5.1/twisting", "sec5/super-twisting"}),
     "_Form.at without its sign part": (
         "reps.py", "return value if self.S is None else sign_pow(pair(self.S)) * value",
         "return value",

@@ -1,16 +1,19 @@
 import os
 import random
+import re
 import subprocess
 import sys
+from functools import reduce
 from itertools import product
+from operator import mul
 from pathlib import Path
 
 import pytest
 from conftest import dense_eq, dense_smul, dense_zeros, madd, to_dense
 
 from qgw import cli, reps, smat
-from qgw.algebras import uq_hopf, uqgl11_hopf
-from qgw.hopfcore import coproduct
+from qgw.algebras import ansatz, uq_hopf, uqgl11_hopf
+from qgw.hopfcore import coproduct, try_invert
 from qgw.reps import (DegenerateLabel, FAMILIES, NoIntertwiner, NonIntegerLabel, Rep,
                       RepLabel, quasitriangularity_check, rep_build, ribbon_check,
                       ribbon_data, tensor_decompose, twist_check, universal_r_eval)
@@ -131,13 +134,43 @@ def test_family_verification_names_a_broken_rule(monkeypatch, graded, gsign):
         return out
 
     monkeypatch.setattr(reps, "_images", scaled)
-    with pytest.raises(ValueError, match=r"rule \('Xm', 'Xp'\) fails in representation "
-                                         r"RepLabel.symbolic\(lam1, lam2"):
+    family = f"{'graded' if graded else 'ungraded'} representation family of g-sign {gsign:+d}"
+    with pytest.raises(ValueError, match=r"rule \('Xm', 'Xp'\) fails in the " + re.escape(family)):
         reps._verify_family.__wrapped__(graded, gsign * ONE)
     # and no Rep of the family is returned unverified
     reps._verify_family.cache_clear()
     with pytest.raises(ValueError, match=r"rule \('Xm', 'Xp'\) fails"):
         Rep((1, 0) if gsign == 1 else (1, 1), graded=graded)
+
+
+def test_family_verification_failure_loads_no_sympy():
+    """The message of a broken family names the rule and the family without
+    printing the symbolic weights, which would load sympy."""
+    code = """if True:
+        import sys
+        from qgw import reps
+        from qgw.scalars import qvar
+        images = reps._images
+
+        def scaled(l1, l2, gsc):
+            out = images(l1, l2, gsc)
+            (j, c), = out["Xp"][0]
+            out["Xp"] = [[(j, c * qvar())], []]
+            return out
+
+        reps._images = scaled
+        try:
+            reps.Rep((1, 0))
+        except ValueError as e:
+            print(e)
+        sys.exit("sympy" in sys.modules)
+    """
+    src = str(Path(reps.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60, check=False)
+    assert out.stdout.strip() == ("rule ('Xm', 'Xp') fails in the ungraded representation "
+                                  "family of g-sign +1")
+    assert out.returncode == 0, out.stderr
 
 
 @pytest.mark.parametrize("gsign", [2, indet("q"), ONE / 2])
@@ -215,6 +248,23 @@ def test_quasitriangularity_all_families():
     for which in FAMILIES:
         rep = quasitriangularity_check((1, 0), (0, 1), (1, 1), which=which)
         assert rep.ok, (which, rep.failures[:3])
+
+
+@pytest.mark.parametrize("which", list(FAMILIES))
+def test_tail_legs_agree_with_the_ansatz(which):
+    """The tails multiply to e1 = (l+_22)^-1 l+_21 / w and
+    e2 = -(l-_22)^-1 l-_12 / w of the family's l+/l- ansatz, w = q - 1/q:
+    the two hand-kept sources of each family agree."""
+    plus, minus = ansatz(which)
+    pres = plus.pres
+    w = qvar() - ONE / qvar()
+
+    def tail(words):
+        return reduce(mul, (pres.word(*word) for word in words))
+
+    fam = FAMILIES[which]
+    assert tail(fam.tail1) == try_invert(plus.entry(2, 2)) * plus.entry(2, 1) * (ONE / w)
+    assert tail(fam.tail2) == try_invert(minus.entry(2, 2)) * minus.entry(1, 2) * (-ONE / w)
 
 
 def test_families_are_the_four_and_no_other():
