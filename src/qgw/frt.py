@@ -26,7 +26,7 @@ from itertools import product
 from . import smat
 from .gtensor import TensorElement, outer, zero
 from .hopfcore import HopfData, antipode, coproduct, try_invert
-from .ncalg import Element, GeneratorSymbol, compile_relations
+from .ncalg import Element, GeneratorSymbol, _add_scaled, compile_relations
 from .report import CheckReport
 from .rmatlab import RMatrix
 from .scalars import ONE, ZERO, Scalar
@@ -161,8 +161,7 @@ def build_ar(R: RMatrix, names=None, name="", sample_budget=0):
     for _, terms in _exchange_terms(n, p, R.entry, gname, gname):
         row = {}
         for c, left, right in terms:
-            row[left, right] = row.get((left, right), ZERO) + c
-        row = {w: c for w, c in row.items() if c}
+            _add_scaled(row, c, {(left, right): ONE})
         if row:
             rel.append((row, {}))
     label = name or (f"ar-{R.name}" if R.name else "ar")

@@ -16,7 +16,10 @@ leg and sums repeated keys.  Everything else in this module builds its value
 with the trusted _tensor(pres, arity, terms), as ncalg builds Elements with
 _element: +, -, scalar *, flip, tensor_mul, outer, unit, zero and
 apply_to_leg combine terms that are already in that form, and tensor_mul
-with a unit factor returns the other factor itself.  Other modules
+with a unit factor returns the other factor itself.  +, -, negation, scalar
+*, == and truth are Element's arithmetic, inherited from ncalg._Terms; the
+constructor, tensor_mul and apply_to_leg sum through ncalg._add_scaled,
+each basis tensor's normal form coming from _expand.  Other modules
 build through the constructor or those functions, except hopfcore, which
 puts an antipode image, already normal, on one leg with _tensor; a leg that
 is a normal word costs no rewrite step to normal-form again.
@@ -24,18 +27,18 @@ is a normal word costs no rewrite step to normal-form again.
 
 from __future__ import annotations
 
-from .ncalg import Element, Presentation
-from .scalars import NUMBERS, ONE, Scalar
+from .ncalg import Element, Presentation, _add_scaled, _Terms
+from .scalars import ONE, Scalar
 
 class ArityMismatch(ValueError):
     pass
 
 
-class TensorElement:
+class TensorElement(_Terms):
     """Normal-form linear combination of k-tuples of words; see the module
     docstring for what the constructor accepts."""
 
-    __slots__ = ("pres", "arity", "terms")
+    __slots__ = ("arity",)
 
     def __init__(self, pres: Presentation, arity: int, terms):
         self.pres = pres
@@ -47,59 +50,26 @@ class TensorElement:
                 raise ArityMismatch(f"term {legs} has arity {len(legs)}, expected {arity}")
             c = Scalar(c)
             if c:
-                for key, cc in _expand(pres, legs, c):
-                    _accum(acc, key, cc)
+                _add_scaled(acc, c, _expand(pres, legs))
         self.terms = acc
 
-    # -- ring structure ---------------------------------------------------
     def _check(self, other):
         if self.pres is not other.pres:
             raise ValueError("tensors over different presentations")
         if self.arity != other.arity:
             raise ArityMismatch(f"{self.arity} vs {other.arity}")
 
-    def __add__(self, other):
-        if type(other) is not TensorElement and isinstance(other, NUMBERS):
-            other = unit(self.pres, self.arity) * Scalar(other)
-        self._check(other)
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            _accum(t, k, c)
-        return _tensor(self.pres, self.arity, t)
+    def _same(self, other):
+        return self.pres is other.pres and self.arity == other.arity
 
-    __radd__ = __add__
+    def _new(self, terms):
+        return _tensor(self.pres, self.arity, terms)
 
-    def __sub__(self, other):
-        return self + (-other)
+    def _unit_key(self):
+        return ((),) * self.arity
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return _tensor(self.pres, self.arity, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if type(other) is not TensorElement and isinstance(other, NUMBERS):
-            c0 = Scalar(other)
-            return _tensor(self.pres, self.arity,
-                           {k: c * c0 for k, c in self.terms.items()} if c0 else {})
+    def _mul(self, other):
         return tensor_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, NUMBERS):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if type(other) is not TensorElement and isinstance(other, NUMBERS):
-            other = unit(self.pres, self.arity) * Scalar(other)
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.pres is other.pres and self.arity == other.arity
-                and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def flip(self):
         """Swap the two legs of a tensor square, with the Koszul sign (the
@@ -132,29 +102,17 @@ def _tensor(pres: Presentation, arity: int, terms: dict) -> TensorElement:
     return t
 
 
-def _accum(acc, key, c):
-    """acc[key] += c for a nonzero c, dropping a key whose sum is zero."""
-    s = acc.get(key)
-    if s is None:
-        acc[key] = c
-    else:
-        s = s + c
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
-
-
-def _expand(pres, legs, coeff):
-    """Normal-form every leg of two or more letters and expand the products of sums."""
-    out = [((), coeff)]
+def _expand(pres, legs) -> dict:
+    """The normal form of the basis tensor ``legs`` with coefficient 1: each
+    leg of two or more letters normal-formed, the products of the sums
+    expanded."""
+    out = {(): ONE}
     for w in legs:
-        red = pres.reduce_terms({tuple(w): ONE}) if len(w) > 1 else {tuple(w): ONE}
-        nxt = []
-        for prefix, c in out:
-            for w2, c2 in red.items():
-                nxt.append((prefix + (w2,), c * c2))
-        out = nxt
+        # a word of fewer than two letters is irreducible; no two products
+        # share a key
+        red = pres.reduce_terms({w: ONE}) if len(w) > 1 else {w: ONE}
+        out = {k + (w2,): c2 if c is ONE else c if c2 is ONE else c * c2
+               for k, c in out.items() for w2, c2 in red.items()}
     return out
 
 
@@ -197,9 +155,7 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
                         sgn += sum(udeg[i + 1 :])
                 if sgn % 2:
                     c = -c
-            legs = tuple(u[i] + v[i] for i in range(k))
-            for key, cc in _expand(pres, legs, c):
-                _accum(acc, key, cc)
+            _add_scaled(acc, c, _expand(pres, tuple(u[i] + v[i] for i in range(k))))
     return _tensor(pres, k, acc)
 
 
@@ -213,8 +169,6 @@ def apply_to_leg(t: TensorElement, leg: int, fn, out_arity_delta: int) -> Tensor
     new_arity = t.arity + out_arity_delta
     acc: dict[tuple, Scalar] = {}
     for legs, c in t.terms.items():
-        sub = fn(legs[leg])
-        for slegs, sc in sub.terms.items():
-            key = legs[:leg] + slegs + legs[leg + 1 :]
-            _accum(acc, key, c * sc)
+        pre, post = legs[:leg], legs[leg + 1 :]
+        _add_scaled(acc, c, {pre + slegs + post: sc for slegs, sc in fn(legs[leg]).terms.items()})
     return _tensor(pres, new_arity, acc)

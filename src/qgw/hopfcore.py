@@ -244,12 +244,10 @@ def superize(h: HopfData) -> HopfData:
 
     delta, eps, spo = {}, {}, {} if h.antipode_map is not None else None
     for x in spres.by_name:
-        terms = {}
-        for (w1, w2), c in h.delta[x].terms.items():
-            if spres.degree(w2) % 2:
-                w1 = w1 + (g,)  # g^-1 = g
-            terms[(w1, w2)] = terms.get((w1, w2), ZERO) + c
-        delta[x] = TensorElement(spres, 2, terms)
+        # a term with an odd second leg gets g^-1 = g on its first leg; the
+        # constructor sums repeated keys
+        delta[x] = TensorElement(spres, 2, [((w1 + (g,) if spres.degree(w2) else w1, w2), c)
+                                            for (w1, w2), c in h.delta[x].terms.items()])
         eps[x] = h.counit_map[x]
         if spo is not None:
             sx = h.antipode_map[x]
@@ -358,7 +356,11 @@ def casimir_central_check(h: HopfData, c: Element, anticommuting=()) -> CheckRep
 
 # -- inversion helper ------------------------------------------------------
 
-def try_invert(e: Element, bound: int = 8) -> Element:
+#: the most terms try_invert and try_invert_tensor add to u^-1
+SERIES_TERMS = 8
+
+
+def try_invert(e: Element) -> Element:
     """Invert unit + nilpotent-correction elements by a geometric series.
 
     Picks the order-least term whose word consists of invertible
@@ -372,10 +374,10 @@ def try_invert(e: Element, bound: int = 8) -> Element:
         raise NotInvertible("no invertible monomial term")
     c = e.terms[uw]
     return _series_inverse(e, pres.monomial(_inverse_word(pres, uw), ONE / c),
-                           pres.monomial(uw, c), pres.one(), bound)
+                           pres.monomial(uw, c), pres.one())
 
 
-def try_invert_tensor(t: TensorElement, bound: int = 8) -> TensorElement:
+def try_invert_tensor(t: TensorElement) -> TensorElement:
     """The same inversion inside a tensor power, with the unit part the
     least term, legwise in order, whose legs are all invertible words."""
     pres = t.pres
@@ -386,7 +388,7 @@ def try_invert_tensor(t: TensorElement, bound: int = 8) -> TensorElement:
     c = t.terms[uw]
     v0 = TensorElement(pres, t.arity, {tuple(_inverse_word(pres, w) for w in uw): ONE / c})
     return _series_inverse(t, v0, TensorElement(pres, t.arity, {uw: c}),
-                           unit(pres, t.arity), bound)
+                           unit(pres, t.arity))
 
 
 def _invertible(pres, word) -> bool:
@@ -397,17 +399,17 @@ def _inverse_word(pres, word) -> tuple:
     return tuple(pres.by_name[x].inverse for x in reversed(word))
 
 
-def _series_inverse(e, v0, u, one, bound):
+def _series_inverse(e, v0, u, one):
     """v0 (1 - y + y^2 - ...) with y = v0 (e - u), v0 = u^-1, summed until
-    it is a two-sided inverse of e, for at most ``bound`` more terms.  On a
-    TensorElement ``*`` is tensor_mul."""
+    it is a two-sided inverse of e, for at most SERIES_TERMS more terms.  On
+    a TensorElement ``*`` is tensor_mul."""
     y = v0 * (e - u)
     power = inv = v0  # (-y)^k v0, k = 0
-    for _ in range(bound):
+    for _ in range(SERIES_TERMS):
         if e * inv == one and inv * e == one:
             return inv
         power = -(y * power)
         inv = inv + power
     if e * inv == one and inv * e == one:
         return inv
-    raise NotInvertible(f"series did not close within {bound} terms")
+    raise NotInvertible(f"series did not close within {SERIES_TERMS} terms")

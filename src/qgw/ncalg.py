@@ -63,6 +63,14 @@ word unreduced, and the map is well defined exactly when all are zero.
 
 echelon(rows, key) is the one exact elimination: compile_relations solves
 relations for their rules with it, and smat.inv inverts matrices with it.
+
+Element and gtensor.TensorElement share one arithmetic, the private base
+_Terms: +, -, negation, scalar *, == and truth, each subclass giving its
+space test, trusted constructor, unit and product; mixing the two raises
+TypeError.  _add_scaled(acc, c, nf), acc += c * nf, is the one accumulate
+of linear combinations: rewriting, the elimination, the relation rows and
+gtensor's constructor and products sum through it.  Only _product keeps an
+inline loop, which is faster on that hot path.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .report import CheckReport
-from .scalars import NUMBERS, ONE, ZERO, Scalar, parse, render
+from .scalars import NUMBERS, ONE, Scalar, parse, render
 
 
 class NcalgError(Exception):
@@ -390,107 +398,6 @@ def _combine(memo, children):
     return acc
 
 
-class Element:
-    """Normal-form linear combination of generator words.
-
-    ``Element(pres, terms)`` takes a dict or pairs of words and coefficients:
-    it coerces each coefficient to a Scalar and each word to a tuple, refuses
-    a letter that is no generator with ValueError, sums the coefficients of
-    a repeated word, drops zeros and reduces.
-    Arithmetic, whose terms are already in that form, builds its result with
-    ``_element`` and coerces nothing again.
-    """
-
-    __slots__ = ("pres", "terms")
-
-    def __init__(self, pres: Presentation, terms):
-        self.pres = pres
-        t = {}
-        for w, c in terms.items() if isinstance(terms, dict) else terms:
-            w, c = pres._checked_word(w), Scalar(c)
-            if c:
-                _add_scaled(t, c, {w: ONE})
-        self.terms = pres.reduce_terms(t)
-
-    def _check(self, other):
-        if self.pres is not other.pres:
-            raise ValueError("elements over different presentations")
-
-    # ``type(other) is not Element`` first: isinstance(other, NUMBERS) asks
-    # Fraction's ABC, which is slow for an Element
-    def __add__(self, other):
-        if type(other) is not Element and isinstance(other, NUMBERS):
-            other = self.pres.monomial((), other)
-        self._check(other)
-        t = dict(self.terms)
-        _add_scaled(t, ONE, other.terms)
-        return _element(self.pres, t)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return _element(self.pres, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if type(other) is not Element and isinstance(other, NUMBERS):
-            c0 = Scalar(other)
-            return _element(self.pres, {w: c * c0 for w, c in self.terms.items()} if c0 else {})
-        self._check(other)
-        return _product(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, NUMBERS):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if type(other) is not Element and isinstance(other, NUMBERS):
-            other = self.pres.monomial((), other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.pres is other.pres and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((id(self.pres), frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def degree(self):
-        """0/1 when all words agree in Z2-degree, 'mixed' otherwise, None for 0."""
-        if not self.terms:
-            return None
-        degs = {self.pres.degree(w) for w in self.terms}
-        return degs.pop() if len(degs) == 1 else "mixed"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=self.pres.order_key):
-            c = self.terms[w]
-            mono = "*".join(w) if w else "1"
-            bits.append(f"({c})*{mono}")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"Element[{self}]"
-
-
-def _element(pres: Presentation, terms: dict) -> Element:
-    """The Element with exactly ``terms``, which the caller guarantees are
-    tuple words in normal form with nonzero Scalar coefficients."""
-    e = object.__new__(Element)
-    e.pres, e.terms = pres, terms
-    return e
-
-
 def _is_unit(terms) -> bool:
     """Whether ``terms`` are exactly {(): ONE}, the module's own ONE."""
     return len(terms) == 1 and terms.get(()) is ONE
@@ -520,6 +427,136 @@ def _product(a: Element, b: Element, memo=None) -> Element:
                 else:
                     del prod[w]
     return _element(a.pres, a.pres.reduce_terms(prod, memo))
+
+
+class _Terms:
+    """The arithmetic of Element and TensorElement: +, -, negation, scalar
+    *, == and truth of the ``terms`` dict, normal-form keys with nonzero
+    Scalar coefficients, over ``pres``.  A number acts as that multiple of
+    the unit; any other operand not of the same type gives NotImplemented,
+    so mixing an Element with a TensorElement raises TypeError.  A subclass
+    supplies _check (raise unless other lies in the same space), _same (the
+    same test as a bool, for ==), _new (the trusted constructor on this
+    space), _unit_key and _mul (its product, after _check)."""
+
+    __slots__ = ("pres", "terms")
+
+    def _constant(self, c):
+        c = Scalar(c)
+        return self._new({self._unit_key(): c} if c else {})
+
+    # ``type(other) is not type(self)`` first: isinstance(other, NUMBERS)
+    # asks Fraction's ABC, which is slow for an Element
+    def __add__(self, other):
+        if type(other) is not type(self):
+            if not isinstance(other, NUMBERS):
+                return NotImplemented
+            other = self._constant(other)
+        self._check(other)
+        t = dict(self.terms)
+        _add_scaled(t, ONE, other.terms)
+        return self._new(t)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            if not isinstance(other, NUMBERS):
+                return NotImplemented
+            c0 = Scalar(other)
+            return self._new({k: c * c0 for k, c in self.terms.items()} if c0 else {})
+        self._check(other)
+        return self._mul(other)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            if not isinstance(other, NUMBERS):
+                return NotImplemented
+            other = self._constant(other)
+        return self._same(other) and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+class Element(_Terms):
+    """Normal-form linear combination of generator words.
+
+    ``Element(pres, terms)`` takes a dict or pairs of words and coefficients:
+    it coerces each coefficient to a Scalar and each word to a tuple, refuses
+    a letter that is no generator with ValueError, sums the coefficients of
+    a repeated word, drops zeros and reduces.
+    Arithmetic, whose terms are already in that form, builds its result with
+    ``_element`` and coerces nothing again.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, pres: Presentation, terms):
+        self.pres = pres
+        t = {}
+        for w, c in terms.items() if isinstance(terms, dict) else terms:
+            w, c = pres._checked_word(w), Scalar(c)
+            if c:
+                _add_scaled(t, c, {w: ONE})
+        self.terms = pres.reduce_terms(t)
+
+    def _check(self, other):
+        if self.pres is not other.pres:
+            raise ValueError("elements over different presentations")
+
+    def _same(self, other):
+        return self.pres is other.pres
+
+    def _new(self, terms):
+        return _element(self.pres, terms)
+
+    def _unit_key(self):
+        return ()
+
+    _mul = _product
+
+    def __hash__(self):
+        return hash((id(self.pres), frozenset(self.terms.items())))
+
+    def degree(self):
+        """0/1 when all words agree in Z2-degree, 'mixed' otherwise, None for 0."""
+        if not self.terms:
+            return None
+        degs = {self.pres.degree(w) for w in self.terms}
+        return degs.pop() if len(degs) == 1 else "mixed"
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for w in sorted(self.terms, key=self.pres.order_key):
+            c = self.terms[w]
+            mono = "*".join(w) if w else "1"
+            bits.append(f"({c})*{mono}")
+        return " + ".join(bits)
+
+    def __repr__(self):
+        return f"Element[{self}]"
+
+
+def _element(pres: Presentation, terms: dict) -> Element:
+    """The Element with exactly ``terms``, which the caller guarantees are
+    tuple words in normal form with nonzero Scalar coefficients."""
+    e = object.__new__(Element)
+    e.pres, e.terms = pres, terms
+    return e
 
 
 # -- maps given on generators --------------------------------------------
@@ -594,12 +631,7 @@ def compile_relations(gens, relations, name=""):
         row, rhs = as_terms(lhs), as_terms(rhs)
         add_keys(row)
         add_keys(rhs)
-        for w, c in rhs.items():
-            s = row.get(w, ZERO) - c
-            if s:
-                row[w] = s
-            else:
-                row.pop(w, None)
+        _add_scaled(row, -ONE, rhs)
         # reduce modulo the structural rules (inverse pairs, nilpotents), if any
         if pres.rules:
             row = pres.reduce_terms(row)

@@ -1,12 +1,14 @@
+import operator
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgw.algebras import fa_presentation, uq_presentation
+from qgw.algebras import fa_presentation, uq_hopf, uq_presentation
 from qgw.gtensor import (ArityMismatch, TensorElement, apply_to_leg, outer, tensor_mul,
                          unit, zero)
+from qgw.hopfcore import coproduct
 from qgw.ncalg import Element, GeneratorSymbol, Presentation
 from qgw.scalars import ONE, ZERO, Scalar, qvar
 
@@ -37,6 +39,19 @@ def test_numbers_are_scalars_on_either_side(kind, c):
     assert e - c == e - s and c - e == s - e
     assert e * c == c * e == e * Scalar(c)
     assert s == c and c == s and s != c + 1 and c + 1 != s
+
+
+def test_element_and_tensor_do_not_mix():
+    """An Element and a TensorElement over one presentation are refused by
+    +, - and * in either order, and are never equal."""
+    h = uq_hopf()
+    x = h.pres.gen("Xp")
+    t = coproduct(x, h)
+    for a, b in ((x, t), (t, x)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, b)
+        assert (a == b) is False and a != b
 
 
 def test_bosonic_product_is_legwise():

@@ -1,5 +1,6 @@
 """Planted defects in the matrix layer, the shared exact elimination, the
-representations and the l+/l- ansatz, each caught by the suite.
+representations, the l+/l- ansatz, the R-matrix checks and catalog and the
+tensor product, each caught by the suite; together they change every row.
 
 Each case copies the qgw package to a temporary folder, replaces one text
 in one module (the anchor must occur there exactly once), runs a cold
@@ -83,7 +84,32 @@ DEFECTS = {
         "algebras.py", 'minus = [[m(("K1i", "K2i", "g")), m(("K2i", "Xm"), w)],',
         'minus = [[m(("K1", "K2i", "g")), m(("K2i", "Xm"), w)],',
         {"sec5/omega-hopf", "sec5/omega-frt", "prop3.2/superization", "sec5/super-twisting"}),
+    # the Hecke relation (PR - q)(PR + 1/q) = 0 and its contracted form
+    "hecke_check shift 1/q -> q": (
+        "rmatlab.py", "_shifted(pr, ONE / q))", "_shifted(pr, q))",
+        {"prop5.2/exterior", "sec2/qybe", "sec5/hecke"}),
+    "hecke_identity_check with -w": (
+        "rmatlab.py", "want = {j: w * x for j, x in pairs}", "want = {j: -w * x for j, x in pairs}",
+        {"sec2/qybe", "sec5/hecke"}),
+    "ac corner -1/q -> -q": (
+        "rmatlab.py", '[0, 0, ONE, 0], [0, 0, 0, -ONE / q]], name="ac")',
+        '[0, 0, ONE, 0], [0, 0, 0, -q]], name="ac")',
+        {"engine/associativity", "engine/numeric-spot", "engine/overlaps", "prop2.5/canonical",
+         "prop3.1/superizable", "prop5.2/exterior", "sec2/duality", "sec2/frt", "sec2/qybe",
+         "sec3/super-duality", "sec3/super-frt", "sec3/super-r", "sec4/superdeterminant",
+         "sec5/hecke", "thm4.1/superization-iso"}),
+    # a defect in TensorElement.flip's Koszul sign changes no row: no
+    # generator's coproduct has a term with two odd legs
+    "tensor_mul without its Koszul sign": (
+        "gtensor.py", "if sgn % 2:", "if False:",
+        {"def2.1/hopf-axioms", "sec4/superdeterminant", "sec5/omega-hopf"}),
 }
+
+
+def test_every_row_can_fail():
+    """Each of the suite's rows is changed by some defect of the table."""
+    ids = {r["id"] for r in json.loads(GOLDEN.read_text())}
+    assert set().union(*(rows for *_, rows in DEFECTS.values())) == ids
 
 
 @pytest.mark.parametrize("name", list(DEFECTS))
