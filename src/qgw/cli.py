@@ -476,18 +476,18 @@ for c in CHECKS:
 
 
 def _resolve(suite):
-    if suite in SUITES:
-        return [_BY_ID[i] for i in SUITES[suite]]
-    out = []
+    """The checks that ``suite`` names, a comma-separated list of suite names
+    and check ids: each check once, in its first position."""
+    ids = []
     for tok in suite.split(","):
         tok = tok.strip()
         if tok in SUITES:
-            out.extend(_BY_ID[i] for i in SUITES[tok])
+            ids.extend(SUITES[tok])
         elif tok in _BY_ID:
-            out.append(_BY_ID[tok])
+            ids.append(tok)
         else:
             raise UnknownCheck(tok)
-    return out
+    return [_BY_ID[i] for i in dict.fromkeys(ids)]
 
 
 def list_checks(filter_text="") -> str:
@@ -584,6 +584,11 @@ def main(argv=None):
                     help="path to a serialized R-matrix to verify")
     lp = sub.add_parser("list", help="list check descriptors")
     lp.add_argument("filter", nargs="?", default="")
+    # argparse reads a token that starts with "-", such as the labels -1,2,
+    # as an option, so the token after --labels is joined to it as its value
+    tokens, argv = iter(sys.argv[1:] if argv is None else argv), []
+    for tok in tokens:
+        argv.append(f"--labels={next(tokens, '')}" if tok == "--labels" else tok)
     args = ap.parse_args(argv)
 
     if args.cmd == "list":

@@ -288,8 +288,6 @@ def duality_pairing_check(R: RMatrix) -> CheckReport:
     for tag, m1, m2 in fams:
         for idx, terms in _exchange_r21(R, lambda i, j: m1[i - 1][j - 1],
                                         lambda i, j: m2[i - 1][j - 1]):
-            res = [{} for _ in range(n)]
-            for c, left, right in terms:
-                smat.add_rows(res, c, smat.mmul(left, right))
-            rep.record(not any(x for row in res for x in row.values()), ((tag,) + idx,))
+            res = smat.lincomb(n, ((c, smat.mmul(left, right)) for c, left, right in terms))
+            rep.record(not any(res), ((tag,) + idx,))
     return rep

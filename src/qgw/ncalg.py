@@ -68,9 +68,10 @@ Element and gtensor.TensorElement share one arithmetic, the private base
 _Terms: +, -, negation, scalar *, == and truth, each subclass giving its
 space test, trusted constructor, unit and product; mixing the two raises
 TypeError.  _add_scaled(acc, c, nf), acc += c * nf, is the one accumulate
-of linear combinations: rewriting, the elimination, the relation rows and
-gtensor's constructor and products sum through it.  Only _product keeps an
-inline loop, which is faster on that hot path.
+of linear combinations: rewriting, the elimination, the relation rows,
+gtensor's constructor and products and the rows of smat.lincomb, the sum of
+scaled matrices, go through it.  Only _product and smat.products keep an
+inline loop, which is faster on those hot paths.
 """
 
 from __future__ import annotations
@@ -460,9 +461,13 @@ class _Terms:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is not type(self) and not isinstance(other, NUMBERS):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, NUMBERS):
+            return NotImplemented
         return (-self) + other
 
     def __neg__(self):

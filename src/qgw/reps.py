@@ -27,9 +27,9 @@ Rep is a leg of an evaluation as it is; _ev_tensor makes the tensor
 product of two legs through a coproduct.
 
 Every matrix here is in row form (smat): a Rep keeps the matrix of each
-word it meets, and its evaluate sums an Element's image from those into
-row dicts (smat.add_rows); the image on a tensor product is summed from the
-graded Kronecker products of its legs' images (smat.kron_rows).  The one
+word it meets, and its evaluate sums an Element's image from those
+(smat.lincomb); the image on a tensor product is the sum of the graded
+Kronecker products of its legs' images (smat.kron_rows).  The one
 dense grid is the entry grid of the RMatrix that universal_r_eval returns.
 """
 
@@ -238,19 +238,13 @@ class Rep:
             m = words[word[:k]] = smat.mmul(m, self.images[word[k - 1]])
         return m
 
-    def _sum(self, terms):
-        """The sum of c times the matrix of w over the (w, c) of ``terms``."""
-        acc = [{} for _ in range(self.dim)]
-        for w, c in terms:
-            smat.add_rows(acc, c, self._wmat(w))
-        return smat.nonzeros(acc)
-
     def _verify(self):
         """ValueError naming the first rewrite rule whose two sides have
         different matrices here, and the family of the Rep: the message is
         built without printing a weight, which would load sympy."""
         for lhs, rhs in self.pres.rules.items():
-            if not smat.meq(self._wmat(lhs), self._sum(rhs.items())):
+            if not smat.meq(self._wmat(lhs), smat.lincomb(
+                    self.dim, ((c, self._wmat(w)) for w, c in rhs.items()))):
                 raise ValueError(
                     f"rule {lhs} fails in the {'graded' if self.graded else 'ungraded'} "
                     f"representation family of g-sign {'+1' if self.label.gsign == ONE else '-1'}")
@@ -259,7 +253,7 @@ class Rep:
         """The matrix of ``e``, a new one."""
         if e.pres is not self.pres:
             raise ValueError("element not over this representation's algebra")
-        return self._sum(e.terms.items())
+        return smat.lincomb(self.dim, ((c, self._wmat(w)) for w, c in e.terms.items()))
 
     def __repr__(self):
         return f"Rep({self.label}, graded={self.graded})"
@@ -312,11 +306,9 @@ def _tensor_matrix(t, a, b):
     pres = t.pres
     if pres is not a.pres or pres is not b.pres:
         raise ValueError("tensor element not over the representations' algebra")
-    acc = [{} for _ in range(a.dim * b.dim)]
-    for (w1, w2), c in t.terms.items():
-        smat.add_rows(acc, c, smat.kron_rows(a._wmat(w1), b._wmat(w2), pres.degree(w2),
-                                             a.p, b.dim))
-    return smat.nonzeros(acc)
+    return smat.lincomb(a.dim * b.dim, (
+        (c, smat.kron_rows(a._wmat(w1), b._wmat(w2), pres.degree(w2), a.p, b.dim))
+        for (w1, w2), c in t.terms.items()))
 
 
 def _ev_tensor(a, b, h) -> _Ev:
@@ -341,11 +333,10 @@ def _r_matrix(evA, evB, which):
     e1, e2 = (reduce(mul, (pres.word(*w) for w in words)) for words in (fam.tail1, fam.tail2))
     q = qvar()
     dim = evA.dim * evB.dim
-    tail = [{i: ONE} for i in range(dim)]
-    smat.add_rows(tail, ONE - q * q, smat.kron_rows(evA.evaluate(e1), evB.evaluate(e2),
-                                                    e2.degree(), evA.p, evB.dim))
+    tail = smat.lincomb(dim, [(ONE, smat.eye(dim)), (ONE - q * q, smat.kron_rows(
+        evA.evaluate(e1), evB.evaluate(e2), e2.degree(), evA.p, evB.dim))])
     # the prefactor D is diagonal: row i of D T is T's row i times D's entry
-    return [[(j, d * x) for j, x in row.items() if x]
+    return [[(j, d * x) for j, x in row]
             for ((_, d),), row in zip(_weight_diag(evA, evB, fam.form), tail)]
 
 

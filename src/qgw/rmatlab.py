@@ -149,12 +149,7 @@ def flip_rows(m, n):
 
 def _shifted(rows, c):
     """m + c times the identity, in row form, for m of row form ``rows``."""
-    out = []
-    for i, pairs in enumerate(rows):
-        row = dict(pairs)
-        row[i] = row[i] + c if i in row else c
-        out.append([(j, x) for j, x in row.items() if x])
-    return out
+    return smat.lincomb(len(rows), [(ONE, rows), (c, smat.eye(len(rows)))])
 
 
 def hecke_check(R: RMatrix) -> bool:
@@ -165,23 +160,16 @@ def hecke_check(R: RMatrix) -> bool:
     return smat.product_is_zero(_shifted(pr, -q), _shifted(pr, ONE / q))
 
 
-def _without_zeros(row):
-    return {j: x for j, x in row.items() if x}
-
-
 def hecke_identity_check(R: RMatrix) -> bool:
     """Contracted form: R^f_k^e_l R^l_i^k_j = (q - 1/q) R^f_i^e_j + delta delta,
-    that is R P R = (q - 1/q) R + P for the flip P, summed over R's row form
-    one row (f, e) at a time."""
+    that is R P R = (q - 1/q) R + P for the flip P, on R's row form: the rows
+    (f, e) of R P R are taken one at a time, and the check stops at the first
+    that differs from the sum's."""
     q = qvar()
-    w = q - ONE / q
-    rows, flip = R.rows, flip_index(R.n)
-    for r, (got, pairs) in enumerate(zip(smat.products(rows, flip_rows(rows, R.n)), rows)):
-        want = {j: w * x for j, x in pairs}
-        want[flip[r]] = want[flip[r]] + ONE if flip[r] in want else ONE
-        if _without_zeros(got) != _without_zeros(want):
-            return False
-    return True
+    rows, flip = R.rows, [[(j, ONE)] for j in flip_index(R.n)]
+    want = smat.lincomb(len(rows), [(q - ONE / q, rows), (ONE, flip)])
+    return all({j: x for j, x in got.items() if x} == dict(pairs)
+               for got, pairs in zip(smat.products(rows, flip_rows(rows, R.n)), want))
 
 
 # -- superization ----------------------------------------------------------

@@ -8,8 +8,9 @@ product, leg embedding, inverse, an exact invertibility test).
 No numerics.  Most entries of the matrices here are 0, so a product costs
 one Scalar multiplication per pair of nonzero entries that meet
 (:func:`products`, :func:`mmul`), and sums and scalings touch the nonzeros
-only.  :func:`add_rows` sums scaled matrices into row dicts {column:
-value}, and :func:`nonzeros` turns such sums back into row form.
+only.  :func:`lincomb` is the one sum of scaled matrices: it adds each row
+through ``ncalg._add_scaled``, the one accumulate, so a coefficient ONE
+takes no product and an entry that cancels is dropped.
 :func:`kron_rows` makes the graded Kronecker product of two matrices, and
 :func:`embed_rows` is the one embedding of a two-leg operator into three
 graded tensor legs, with Koszul signs.
@@ -47,7 +48,7 @@ their X, and the codes of the embedding are the embedding of the codes.
 
 from __future__ import annotations
 
-from .ncalg import echelon
+from .ncalg import _add_scaled, echelon
 from .scalars import MODULUS, ONE, ZERO, Scalar, kronecker_codes, prime_point_residue
 
 
@@ -87,23 +88,16 @@ def dense(rows, cols):
     return out
 
 
-def nonzeros(acc):
-    """The row form of a list of row dicts {column: value}: the entries that
-    did not cancel."""
-    return [[(j, x) for j, x in row.items() if x] for row in acc]
-
-
-def add_rows(acc, c, rows):
-    """Add c m into ``acc``, a list of dicts {column: value} (one per row),
-    for the matrix m of row form ``rows``: one Scalar product per nonzero of
-    m, none when c is ONE, and no addition to an entry not yet in ``acc``.
-    An entry that cancels stays, as a 0."""
-    scaled = c is not ONE
-    for out, pairs in zip(acc, rows):
-        for j, x in pairs:
-            if scaled:
-                x = c * x
-            out[j] = out[j] + x if j in out else x
+def lincomb(n, terms):
+    """The sum of c m over the (c, m) of ``terms``, for matrices m of ``n``
+    rows, in row form.  Each row of m is added into a row dict by
+    ``ncalg._add_scaled``: no product by a coefficient or an entry that is
+    ONE, no addition to an entry not yet there, and no entry that cancels."""
+    acc = [{} for _ in range(n)]
+    for c, m in terms:
+        for row, pairs in zip(acc, m):
+            _add_scaled(row, c, dict(pairs))
+    return [list(row.items()) for row in acc]
 
 
 def products(a, b):
@@ -120,8 +114,8 @@ def products(a, b):
 
 def mmul(a, b):
     """a b, at one Scalar multiplication per pair of nonzero entries that
-    meet."""
-    return nonzeros(products(a, b))
+    meet, with no entry that cancels."""
+    return [[(j, x) for j, x in acc.items() if x] for acc in products(a, b)]
 
 
 def kron_rows(a, b, deg_b, pa, cols):

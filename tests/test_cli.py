@@ -54,6 +54,12 @@ def test_run_small_suite_json():
     assert json.loads(cli._render(results, "json")) == results
 
 
+def test_a_check_named_twice_runs_once():
+    results, _ = run_quiet(suite="sec2/qybe,sec2/qybe,sec2", format="json")
+    ids = [r["id"] for r in results]
+    assert ids == sorted(set(ids)) == sorted(cli.SUITES["sec2"])
+
+
 def test_negative_descriptor_expected_failure():
     results, code = run_quiet(suite="sec4/determinant-noncentral", seed=0)
     assert code == 0
@@ -212,8 +218,17 @@ def test_tensor_decomposition_that_fails_to_intertwine_is_a_fail_row(monkeypatch
     assert rows[0]["residual"] == "('intertwiner', 'T fails to intertwine g')"
 
 
+def test_labels_may_start_with_a_minus(capsys):
+    """The token after --labels is its value, also when it starts with -."""
+    outs = []
+    for argv in (["--labels", "-1,2"], ["--labels=-1,2"]):
+        assert cli.main(["run", "--suite", "prop2.4/ribbon", "--format", "json", *argv]) == 0
+        outs.append([(r["id"], r["verdict"]) for r in json.loads(capsys.readouterr().out)])
+    assert outs[0] == outs[1] == [("prop2.4/ribbon", "pass")]
+
+
 def test_main_rejects_bad_labels(capsys):
-    for bad in ("abc", "1,x", "2,1,3", ""):
+    for bad in ("abc", "1,x", "2,1,3", "", "-1,x", "-1"):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--suite", "prop2.4/ribbon", "--labels", bad])
         assert exc.value.code == 2

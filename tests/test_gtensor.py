@@ -54,6 +54,17 @@ def test_element_and_tensor_do_not_mix():
         assert (a == b) is False and a != b
 
 
+def test_subtraction_of_a_foreign_operand_names_minus():
+    """The TypeError of a - b, for an Element or a TensorElement and an
+    operand of another space or no number, names -, in both orders."""
+    h = uq_hopf()
+    x = h.pres.gen("Xp")
+    t = coproduct(x, h)
+    for a, b in ((x, t), (t, x), (x, "a"), ("a", x), (t, "a"), ("a", t)):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: "):
+            a - b
+
+
 def test_bosonic_product_is_legwise():
     """Over a presentation with no odd generator no product has a sign."""
     p = Presentation([GeneratorSymbol("e"), GeneratorSymbol("f"), GeneratorSymbol("h")])

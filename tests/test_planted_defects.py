@@ -30,12 +30,13 @@ DEFECTS = {
     "kron_rows without its sign": (
         "smat.py", "ra = [(k, -x if deg_b and pa[k] else x) for k, x in ra]", "ra = list(ra)",
         {"sec3/super-r", "thm2.2/quasitriangularity"}),
-    "add_rows ignoring its scale": (
-        "smat.py", "scaled = c is not ONE", "scaled = False",
+    # every sum of scaled matrices, the Hecke shifts and forms among them
+    "lincomb adding with ONE": (
+        "smat.py", "_add_scaled(row, c, dict(pairs))", "_add_scaled(row, ONE, dict(pairs))",
         {"sec2/duality", "sec3/super-duality", "engine/numeric-spot", "prop2.4/ribbon",
          "prop2.5/canonical", "prop5.1/twisting", "sec2/tensor-decomposition",
          "sec3/super-r", "sec4/determinant", "sec5/super-twisting",
-         "thm2.2/quasitriangularity"}),
+         "thm2.2/quasitriangularity", "sec2/qybe", "sec5/hecke", "prop5.2/exterior"}),
     # ncalg.echelon compiles every presentation and inverts every matrix
     "echelon pivot without its sign": (
         "ncalg.py", "c = -row.pop(lead)", "c = row.pop(lead)",
@@ -55,6 +56,13 @@ DEFECTS = {
     "inverse read without its minus sign": (
         "smat.py", "[(j - n, -x) for j, x in", "[(j - n, x) for j, x in",
         {"prop2.4/ribbon", "prop5.1/twisting", "sec5/super-twisting"}),
+    "_CHI's Q ((0, 0), (1, 1)) -> ((0, 0), (1, 0))": (
+        "reps.py", "_CHI = _Form(((0, 0), (1, 1)))", "_CHI = _Form(((0, 0), (1, 0)))",
+        {"prop5.1/twisting", "sec5/super-twisting"}),
+    "_RIBBON's -1 -> 1": (
+        "reps.py", "_RIBBON = _Form(((-1, 0), (0, 1)), _SIGN)",
+        "_RIBBON = _Form(((1, 0), (0, 1)), _SIGN)",
+        {"prop2.4/ribbon"}),
     "_Form.at without its sign part": (
         "reps.py", "return value if self.S is None else sign_pow(pair(self.S)) * value",
         "return value",
@@ -88,8 +96,8 @@ DEFECTS = {
     "hecke_check shift 1/q -> q": (
         "rmatlab.py", "_shifted(pr, ONE / q))", "_shifted(pr, q))",
         {"prop5.2/exterior", "sec2/qybe", "sec5/hecke"}),
-    "hecke_identity_check with -w": (
-        "rmatlab.py", "want = {j: w * x for j, x in pairs}", "want = {j: -w * x for j, x in pairs}",
+    "hecke_identity_check with 1/q - q": (
+        "rmatlab.py", "(q - ONE / q, rows)", "(ONE / q - q, rows)",
         {"sec2/qybe", "sec5/hecke"}),
     "ac corner -1/q -> -q": (
         "rmatlab.py", '[0, 0, ONE, 0], [0, 0, 0, -ONE / q]], name="ac")',
@@ -98,6 +106,26 @@ DEFECTS = {
          "prop3.1/superizable", "prop5.2/exterior", "sec2/duality", "sec2/frt", "sec2/qybe",
          "sec3/super-duality", "sec3/super-frt", "sec3/super-r", "sec4/superdeterminant",
          "sec5/hecke", "thm4.1/superization-iso"}),
+    "omega middle 1/q -> q": (
+        "rmatlab.py", '[0, 0, ONE / q, 0], [0, 0, 0, -ONE / q]], name="omega")',
+        '[0, 0, q, 0], [0, 0, 0, -ONE / q]], name="omega")',
+        {"engine/associativity", "engine/numeric-spot", "engine/overlaps", "prop5.1/twisting",
+         "prop5.2/exterior", "sec4/superdeterminant", "sec5/hecke", "sec5/omega-frt",
+         "thm4.1/superization-iso"}),
+    "superize_r without its sign flip": (
+        "rmatlab.py", "-x if p[a] and p[b] else x", "x",
+        {"engine/associativity", "engine/overlaps", "prop3.1/superizable", "sec3/super-duality",
+         "sec3/super-frt", "sec3/super-r", "sec4/glnm-ybe", "sec4/superdeterminant",
+         "sec5/omega-frt", "thm4.1/superization-iso"}),
+    "Omega_q(R) dx-x constant q -> 1/q": (
+        "exterior.py", '("dx-x", dx, x, q)', '("dx-x", dx, x, ONE / q)',
+        {"prop5.2/exterior"}),
+    "qdet with + b d^-1 c d^-1": (
+        "frt.py", "t.entry(1, 1) * di - t.entry(1, 2)", "t.entry(1, 1) * di + t.entry(1, 2)",
+        {"sec4/superdeterminant"}),
+    "uq_casimirs -1/2 -> -1": (
+        "algebras.py", "-HALF / (q - ONE / q)", "-ONE / (q - ONE / q)",
+        {"sec2/casimirs"}),
     # a defect in TensorElement.flip's Koszul sign changes no row: no
     # generator's coproduct has a term with two odd legs
     "tensor_mul without its Koszul sign": (

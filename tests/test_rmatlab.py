@@ -47,9 +47,14 @@ def test_hecke_battery():
 
 
 def test_hecke_identity_form():
-    # R^f_k^e_l R^l_i^k_j = (q - 1/q) R^f_i^e_j + delta delta
-    assert hecke_identity_check(catalog("ac"))
-    assert hecke_identity_check(catalog("omega"))
+    # R^f_k^e_l R^l_i^k_j = (q - 1/q) R^f_i^e_j + delta delta holds exactly
+    # where (P R - q)(P R + 1/q) = 0 does: on the Hecke R-matrices, and on none
+    # of the last four
+    hecke = [("ac",), ("omega",), ("std_gl", 2), ("std_gl", 3), ("glnm", 2, 1), ("glnm", 1, 2)]
+    other = [("identity", 2), ("super_ac",), ("super_omega",), ("super_glnm", 2, 1)]
+    for spec in hecke + other:
+        R = catalog(*spec)
+        assert hecke_identity_check(R) == hecke_check(R) == (spec in hecke), spec
 
 
 def test_sybe_super_ac():

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import dense_eq, dense_zeros, twisted_r
+from conftest import dense_eq, dense_smul, dense_zeros, madd, twisted_r
 from hypothesis import given, settings, strategies as st
 
 from qgw import scalars, smat
@@ -461,7 +461,46 @@ def test_mmul_keeps_no_entry_that_cancels():
     a = [[(0, q), (1, -q)]]
     b = [[(0, ONE), (1, ONE)], [(0, ONE), (1, 2 * ONE)]]
     assert smat.mmul(a, b) == [[(1, -q)]]
-    assert smat.nonzeros([{0: q - q, 1: q}, {}]) == [[(1, q)], []]
+    assert smat.lincomb(2, [(ONE, [[(0, q), (1, q)], []]), (ONE, [[(0, -q)], []])]) \
+        == [[(1, q)], []]
+
+
+_COEFFS = st.sampled_from([ONE, -ONE, Scalar(2), qvar(), ONE - qvar() * qvar(), ONE / qvar()])
+
+
+@settings(deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(0, 3))
+def test_lincomb_matches_the_dense_sum(data, n, k):
+    """lincomb(n, [(c, m), ...]) is the dense sum of the c m, in row form
+    with each column once and no entry that is 0 (``_dense`` asserts both);
+    a matrix minus itself leaves every row empty."""
+    terms = [(data.draw(_COEFFS), [[data.draw(_ENTRIES) for _ in range(n)] for _ in range(n)])
+             for _ in range(k)]
+    want = dense_zeros(n)
+    for c, m in terms:
+        want = madd(want, dense_smul(c, m))
+    got = smat.lincomb(n, [(c, smat.row_form(m)) for c, m in terms])
+    assert dense_eq(_dense(got), want)
+    c = data.draw(_COEFFS)
+    assert smat.lincomb(n, [(c, got), (-c, got)]) == [[] for _ in range(n)]
+
+
+def test_lincomb_takes_no_product_by_one(monkeypatch):
+    """A coefficient ONE, or an entry ONE, is not multiplied by: m + c 1
+    takes no product, and c m one per entry of m that is not ONE.  The
+    entry -q + q of m + q 1 cancels and is dropped."""
+    q = qvar()
+    m = [[(0, q), (1, ONE)], [(1, -q)]]
+    calls = []
+    mul = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    shifted = smat.lincomb(2, [(ONE, m), (q, smat.eye(2))])
+    assert not calls
+    scaled = smat.lincomb(2, [(q, m)])
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert shifted == [[(0, 2 * q), (1, ONE)], []]
+    assert smat.meq(scaled, [[(0, q * q), (1, q)], [(1, -q * q)]])
 
 
 @settings(deadline=None)
