@@ -227,10 +227,12 @@ def adjoin_inverses(pres: Presentation) -> Presentation:
 
     The q-commutation rules for the inverses follow by conjugating the
     defining ones; the three rules involving both d-side and a-side
-    inverses pick up nilpotent correction terms that grow word length, so
-    they are flagged unoriented.  No weighted deg-lex order orients them, so
-    their termination rests on the step cap (every correction carries a bc
-    factor and bc squares to zero), and so does the overlap check.  Raises
+    inverses pick up correction terms with a factor b c that grow word
+    length, so they are flagged unoriented.  No reduction order orients
+    them: rewriting di di ai at its rightmost di ai by the correction term
+    ai ai b c di di, again and again, never stops, each step adding four
+    letters and one b.  Whether leftmost rewriting terminates is not
+    proved, so it rests on the step cap, and so does the overlap check.  Raises
     NotQuantumMatrix unless pres has the rules b a -> p a b, c a -> p a c,
     d b -> p b d and d c -> p c d, each with its own p != 0, and
     d a -> a d + t b c.

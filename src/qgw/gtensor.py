@@ -22,7 +22,7 @@ constructor, tensor_mul and apply_to_leg sum through ncalg._add_scaled,
 each basis tensor's normal form coming from _expand.  Other modules
 build through the constructor or those functions, except hopfcore, which
 puts an antipode image, already normal, on one leg with _tensor; a leg that
-is a normal word costs no rewrite step to normal-form again.
+is a normal word is not rewritten.
 """
 
 from __future__ import annotations
@@ -104,13 +104,11 @@ def _tensor(pres: Presentation, arity: int, terms: dict) -> TensorElement:
 
 def _expand(pres, legs) -> dict:
     """The normal form of the basis tensor ``legs`` with coefficient 1: each
-    leg of two or more letters normal-formed, the products of the sums
-    expanded."""
+    leg with a redex normal-formed, the products of the sums expanded."""
     out = {(): ONE}
     for w in legs:
-        # a word of fewer than two letters is irreducible; no two products
-        # share a key
-        red = pres.reduce_terms({w: ONE}) if len(w) > 1 else {w: ONE}
+        # no two products share a key
+        red = {w: ONE} if pres.irreducible(w) else pres.reduce_terms({w: ONE})
         out = {k + (w2,): c2 if c is ONE else c if c2 is ONE else c * c2
                for k, c in out.items() for w2, c2 in red.items()}
     return out

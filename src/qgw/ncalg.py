@@ -25,10 +25,10 @@ else builds its Element with the trusted _element(pres, terms), whose terms
 are already tuple-keyed, nonzero, Scalar-valued and in normal form: +, - and
 scalar * combine normal forms, a product hands its dict of concatenated
 words straight to reduce_terms (a unit factor, exactly {(): ONE}, returns
-the other factor itself), and one, zero, gen, and monomial and word on
-a word of fewer than two letters skip rewriting, since every left-hand side
-has two letters (add_rule refuses any other) and so such a word is
-irreducible.
+the other factor itself), and one, zero and gen skip rewriting.  So do
+monomial and word on a word with no redex: Presentation.irreducible(word)
+runs the scan that reduce_terms makes of each new word, on throwaway
+containers, so there is one redex finder.
 The rule index is written with its rule (by the constructor's structural
 rules and add_rule), and no normal form outlives the call that owns its
 memo, during which the rules do not change; so step counts do not depend
@@ -45,9 +45,12 @@ letters, so by Bergman's diamond lemma (Adv. Math. 29, 1978) the exhaustive
 x y z of a rule (x, y) through the rules (y, z) in the index.  Rules
 adjoined for inverses of non-q-commuting generators (the d/a corrections in
 the 2x2 function algebras) may grow the word length and are admitted with
-``unoriented=True``; their termination is not proved but bounded by the
-step cap (StepCapExceeded), so overlap_check proves confluence only up to
-that cap.
+``unoriented=True``.  Such rules need not terminate under every strategy:
+in the fa-*-inv algebras, rewriting di di ai at its rightmost di ai by the
+correction term ai ai b c di di, again and again, gives words of 7, 11,
+15, ... letters, so no reduction order fits them.  Whether leftmost
+rewriting terminates on every word is not proved; the step cap bounds it
+(StepCapExceeded), so overlap_check proves confluence only up to that cap.
 
 Presentation.derive builds a presentation from another: it renames or
 regrades the generators, adds generators and rules, and carries each rule's
@@ -224,8 +227,8 @@ class Presentation:
         word, coeff = self._checked_word(word), Scalar(coeff)
         if not coeff:
             return _element(self, {})
-        # every left-hand side has two letters, so a shorter word is irreducible
-        return _element(self, {word: coeff} if len(word) < 2 else self.reduce_terms({word: coeff}))
+        return _element(self, {word: coeff} if self.irreducible(word)
+                        else self.reduce_terms({word: coeff}))
 
     def gen(self, name) -> "Element":
         if name not in self.index:
@@ -251,6 +254,13 @@ class Presentation:
         return word
 
     # -- rewriting --------------------------------------------------------
+    def irreducible(self, word) -> bool:
+        """Whether ``word`` has no redex: the scan of reduce_terms, on
+        throwaway containers, pushes nothing."""
+        todo = []
+        _scan(self._follow, tuple(word), 0, todo, {})
+        return not todo
+
     def reduce_terms(self, terms, memo=None) -> dict:
         """Rewrite a word->coeff map to its normal form, as a fresh dict.
 

@@ -21,14 +21,15 @@ value alone:
   polynomial, and +, -, *, / by a single term and ``**`` are plain dict
   arithmetic.  With factors, * and / add multiplicities, + and - take the
   larger ones (0 + x, x - 0 and x times a single term over no factors,
-  such as 1 or -1, need no reduction and take none; a product tries each
-  numerator only against the other's factors that its own denominator
-  lacks), and a numerator is divided by a factor exactly, one pass
-  over the terms of each chain of exponents, at a cost of the quotient's
-  terms (one of more than 10^6 terms is refused with ValueError before it
-  is built); a divisor's numerator is split into binomial factors along the
-  edges of its Newton polytope.  None of this builds a sympy object or
-  takes a gcd.
+  such as 1 or -1, need no reduction and take none; nor does a numerator
+  of one term, c x^e, a unit of the Laurent ring that no factor divides; a
+  product tries each numerator only against the other's factors that its
+  own denominator lacks), and a numerator is divided by a factor exactly,
+  one pass over the terms of each chain of exponents, at a cost of the
+  quotient's terms (one of more than 10^6 terms is refused with ValueError
+  before it is built); a divisor's numerator is split into binomial factors
+  along the edges of its Newton polytope.  None of this builds a sympy
+  object or takes a gcd.
 - **general**: every other value, held as a canonical fraction of sympy's
   sparse fraction field (numerator and denominator coprime in Z[x], or
   Z[i][x], denominator with positive leading coefficient).
@@ -284,9 +285,12 @@ def _reduce(a, b, skip=()):
     """a / b in canonical form: ``a`` divided by each factor of ``b`` while
     the division is exact, largest degree first within each m.  A factor
     in ``skip``, which the caller knows does not divide ``a``, is not
-    tried."""
+    tried.  A single term c x^e is a unit of the Laurent ring, which no
+    binomial divides, so a / b is canonical as it stands."""
     if not a:
         return {}, ()
+    if len(a) == 1:
+        return a, b
     left = []
     for f, k in reversed(b):
         while k and f not in skip:

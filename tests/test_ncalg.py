@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qgw import algebras, exterior, frt, ncalg
 from qgw.algebras import fa_presentation, uq_presentation
+from qgw.gtensor import TensorElement
 from qgw.ncalg import (STATS, ConfluenceFailure, Element, GeneratorSymbol, NotSolvable,
                        Presentation, StepCapExceeded, compile_relations,
                        overlap_check, presentation_from_json, presentation_to_json, tensor)
@@ -662,6 +663,43 @@ def test_shared_words_are_rewritten_once():
     nf = p.reduce_terms({("di",) * 4 + ("ai",) * 4: ONE})
     assert len(nf) == 2
     assert STATS["steps"] - before == 3657
+
+
+@pytest.mark.parametrize("key", ["uq", "uq-graded", "fa-ac-inv", "ar-gl(2|1)"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_irreducible_is_a_normal_form_at_no_step(key, data):
+    """irreducible(w), of a tuple or a list, holds exactly when reduce_terms
+    gives {w: ONE} at no step, on words of up to six letters; monomial and
+    a tensor leg then take w as it stands, without a call into the
+    rewriter."""
+    p = rewriting_presentation(key)
+    w = data.draw(st.lists(st.sampled_from([g.name for g in p.gens]), max_size=6).map(tuple))
+    before = STATS["steps"]
+    nf = p.reduce_terms({w: ONE})
+    normal = nf == {w: ONE} and STATS["steps"] == before
+    assert p.irreducible(w) == p.irreducible(list(w)) == normal
+    if normal:
+        with mock.patch.object(Presentation, "reduce_terms", side_effect=AssertionError):
+            assert p.monomial(w, 3).terms == {w: Scalar(3)}
+            assert TensorElement(p, 2, {(w, ()): ONE}).terms == {(w, ()): ONE}
+
+
+@pytest.mark.parametrize("key", ["ac", "gl11", "omega", "gl11omega"])
+def test_inverse_rules_grow_a_word_forever(key):
+    """The inverse rules of fa-*-inv fit no reduction order: from di di ai,
+    rewriting the rightmost di ai by its correction term ai ai b c di di,
+    whose coefficient is nonzero, gives a longer word at every step, with
+    one more b (20 steps checked)."""
+    p = fa_presentation(key)
+    rhs, term = p.rules[("di", "ai")], ("ai", "ai", "b", "c", "di", "di")
+    assert rhs[term]
+    w = ("di", "di", "ai")
+    for step in range(1, 21):
+        hit = max(i for i in range(len(w) - 1) if w[i:i + 2] == ("di", "ai"))
+        u = w[:hit] + term + w[hit + 2:]
+        assert len(u) == len(w) + 4 and u.count("b") == step
+        w = u
 
 
 # -- relation compilation ---------------------------------------------------

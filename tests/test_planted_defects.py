@@ -1,6 +1,7 @@
 """Planted defects in the matrix layer, the shared exact elimination, the
-representations, the l+/l- ansatz, the R-matrix checks and catalog and the
-tensor product, each caught by the suite; together they change every row.
+representations, the l+/l- ansatz, the R-matrix checks and catalog, the
+tensor product, the redex test and the native fractions, each caught by the
+suite; together they change every row.
 
 Each case copies the qgw package to a temporary folder, replaces one text
 in one module (the anchor must occur there exactly once), runs a cold
@@ -126,6 +127,19 @@ DEFECTS = {
     "uq_casimirs -1/2 -> -1": (
         "algebras.py", "-HALF / (q - ONE / q)", "-ONE / (q - ONE / q)",
         {"sec2/casimirs"}),
+    # the redex test that lets monomial, word and tensor legs skip the
+    # rewriter: a word whose redex is its first two letters passes as normal
+    "irreducible scan from the second letter": (
+        "ncalg.py", "_scan(self._follow, tuple(word), 0, todo, {})",
+        "_scan(self._follow, tuple(word), 1, todo, {})",
+        {"def2.1/hopf-axioms", "prop3.2/superization", "prop5.2/exterior", "sec3/super-frt",
+         "sec4/superdeterminant", "sec5/omega-hopf", "thm4.1/superization-iso"}),
+    # a two-term numerator can share a binomial factor with its denominator
+    "_reduce shortcut for two-term numerators": (
+        "scalars.py", "    if len(a) == 1:\n        return a, b",
+        "    if len(a) <= 2:\n        return a, b",
+        {"engine/associativity", "prop2.4/ribbon", "prop2.5/canonical", "prop5.1/twisting",
+         "sec3/super-r", "thm2.2/quasitriangularity"}),
     # a defect in TensorElement.flip's Koszul sign changes no row: no
     # generator's coproduct has a term with two odd legs
     "tensor_mul without its Koszul sign": (

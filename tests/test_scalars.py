@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.fields import FracElement
 from sympy.polys.rings import PolyElement
@@ -249,6 +249,15 @@ def _scalars():
     return _texts().map(parse)
 
 
+def _unit_fractions():
+    """One-term Laurent numerators c q^i lam1^j over products of binomial
+    factors, which no factor divides."""
+    unit = st.builds(lambda n, d, i, j: f"({n}/{d})*q^({i})*lam1^({j})",
+                     st.integers(-3, 3).filter(bool), st.integers(1, 3),
+                     st.integers(-3, 3), st.integers(-1, 1))
+    return _over_binomials(unit, _BINOMIALS, 2).map(parse)
+
+
 @settings(deadline=None)
 @given(_texts())
 def test_parse_matches_sympify(text):
@@ -437,7 +446,11 @@ def _same_scalar(x, want):
 
 
 @settings(deadline=None)
-@given(_scalars(), _scalars(), st.integers(-3, 3))
+@given(_scalars() | _unit_fractions(), _scalars() | _unit_fractions(), st.integers(-3, 3))
+@example(parse("q/(q^2 - 1)"), parse("3/2*q"), 2)
+@example(parse("q/(q^2 - 1)"), parse("lam1/(q + 1)^2"), -2)
+@example(parse("q/(q^2 - 1)"), parse("q^2 - 1"), -1)
+@example(parse("1/(q - 1)"), parse("1/(q + 1)"), 3)
 def test_arithmetic_matches_field(a, b, k):
     fa, fb = a.f, b.f
     _same_scalar(a + b, fa + fb)
