@@ -610,9 +610,9 @@ def rule_residuals(pres: Presentation, word_map, zero):
 def compile_relations(gens, relations, name=""):
     """Turn homogeneous quadratic relations into an oriented rewrite system.
 
-    ``relations`` is a list of (lhs, rhs) pairs of Elements (over any
-    presentation on the same generators) or raw word->coeff dicts; a word
-    with a letter that is no generator is refused with ValueError.  Each
+    ``relations`` is a list of (lhs, rhs) pairs of dicts from words to
+    coefficients (Scalars or numbers); a word with a letter that is no
+    generator is refused with ValueError.  Each
     relation lhs - rhs, reduced modulo the inverse-pair and nilpotent rules,
     is one row over the word basis, and :func:`echelon` brings the rows to
     reduced row-echelon form, pivoting on the order-leading word.  Each
@@ -628,8 +628,6 @@ def compile_relations(gens, relations, name=""):
     keys: dict[tuple, tuple] = {}
 
     def as_terms(x):
-        if isinstance(x, Element):
-            return dict(x.terms)
         return {tuple(w): c for w, c in ((w, Scalar(c)) for w, c in x.items()) if c}
 
     def add_keys(row):

@@ -146,6 +146,8 @@ class RepLabel:
         return self.m1 is not None
 
     def _guard(self):
+        if not (self.lam1 and self.lam2):
+            raise DegenerateLabel(f"a weight of {self} is 0, which is not invertible")
         if (self.lam1 * self.lam2) ** 2 == ONE:
             raise DegenerateLabel(f"(lam1 lam2)^2 = 1 at {self}")
 

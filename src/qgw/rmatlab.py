@@ -47,6 +47,8 @@ def _grading(p, n):
 
 class RMatrix:
     def __init__(self, n, entries, grading=None, name=""):
+        if type(n) is not int or n < 1:
+            raise ValueError(f"dimension {n!r} is not an int of at least 1")
         self.n = n
         self.name = name
         # Scalar(x) is x for a Scalar: the type test spares the call
@@ -229,7 +231,13 @@ def catalog(name, n=None, m=None) -> RMatrix:
     glnm / super_glnm (params n, m): the non-standard gl(n|m) family.
     std_gl (param n): the standard Hecke solution for GL_q(n).
     identity (param n).
+
+    ValueError names a size that is missing or not an int >= 0.
     """
+    sizes = {"glnm": (n, m), "super_glnm": (n, m), "std_gl": (n,), "identity": (n,)}
+    for label, size in zip("nm", sizes.get(name, ())):
+        if type(size) is not int or size < 0:
+            raise ValueError(f"catalog {name!r} needs a size {label}, an int >= 0; got {size!r}")
     q = qvar()
     w = q - ONE / q
     if name == "ac":

@@ -17,9 +17,9 @@ value alone:
   exponent tuples of five entries (negative entries allowed) to nonzero
   ``int``/``Fraction`` coefficients, over a sorted tuple of (factor,
   multiplicity) pairs.  The factors are irreducible and the numerator is
-  divisible by none of them, so the form is canonical.  With no factors the value is a Laurent
-  polynomial, and +, -, *, / by a single term and ``**`` are plain dict
-  arithmetic.  With factors, * and / add multiplicities, + and - take the
+  divisible by none of them, so the form is canonical.  A Laurent
+  polynomial is the value with no factors, and one arithmetic serves every
+  native value, on dicts: * and / add multiplicities, + and - take the
   larger ones (0 + x, x - 0 and x times a single term over no factors,
   such as 1 or -1, need no reduction and take none; nor does a numerator
   of one term, c x^e, a unit of the Laurent ring that no factor divides; a
@@ -38,9 +38,9 @@ A product of a Scalar with ``ONE`` (the module's own Scalar 1, not any
 value equal to 1) is that other Scalar itself, in either representation:
 it builds no value and does no arithmetic.  ``ONE`` times an ``int``,
 ``Fraction`` or sympy operand still coerces it, so ``ONE * 3`` is
-``Scalar(3)``.  A product, sum or == of two Laurent polynomials (native,
-no factors) goes straight to the dict arithmetic, which is where
-``Scalar._bin`` would send it.
+``Scalar(3)``.  A product, sum or == of two Laurent polynomials goes
+straight to the dict arithmetic, with none of the factor bookkeeping of
+``Scalar._bin``, which gives the same result.
 
 sympy's field does the rest: an operation with a general operand, and a
 division or negative power whose divisor's numerator has a factor other
@@ -147,17 +147,6 @@ def _nadd(a, b):
     return d
 
 
-def _nsub(a, b):
-    d = a.copy()
-    for k, v in b.items():
-        v = d.get(k, 0) - v
-        if v:
-            d[k] = v
-        else:
-            del d[k]
-    return d
-
-
 def _nmul(a, b):
     if len(a) == 1 == len(b):  # two monomials, the most common product
         (ka, va), = a.items()
@@ -180,19 +169,9 @@ def _nmul(a, b):
     return {k: v for k, v in d.items() if v}
 
 
-def _ndiv(a, b):
-    """a / b when b is a single term; None sends a multi-term b to sympy."""
-    if len(b) != 1:
-        if not b:
-            raise DivisionByZero("division by zero Scalar")
-        return None
-    (kb, vb), = b.items()
-    inv = vb if vb == 1 or vb == -1 else Fraction(vb.denominator, vb.numerator)
-    return _nmul(a, {tuple(-e for e in kb): _rat(inv)})
-
-
 def _npow(d, n):
-    """d ** n; None sends a negative power of a multi-term d to sympy."""
+    """d ** n, for n < 0 only of a single term: the fraction functions peel
+    a multi-term d into such a term and binomial factors first."""
     if n == 0:
         return {_ORIGIN: 1}
     if len(d) == 1:  # v ** n with no Fraction.__pow__, whose type test is an ABC's
@@ -200,9 +179,8 @@ def _npow(d, n):
         num, den = (v, 1) if type(v) is int else (v.numerator, v.denominator)
         if n < 0:
             num, den = den, num
-        return {tuple(e * n for e in k): _rat(Fraction(num ** abs(n), den ** abs(n)))}
-    if n < 0:
-        return None
+        num, den = num ** abs(n), den ** abs(n)
+        return {tuple(e * n for e in k): num if den == 1 else _rat(Fraction(num, den))}
     out = None
     while True:  # square and multiply
         if n & 1:
@@ -399,24 +377,25 @@ def _peel(a):
     return a, tuple(sorted(found))
 
 
-def _fadd(x, bx, y, by, op=_nadd):
-    """x/bx + y/by (x/bx - y/by with ``op`` _nsub) over the least common
-    multiple of the denominators.  A zero operand has no factors, so the
-    other, negated for 0 - y/by, is the canonical result as it stands."""
+def _fadd(x, bx, y, by):
+    """x/bx + y/by over the least common multiple of the denominators; with
+    no factors on either side, the sum of two Laurent polynomials.  A zero
+    operand has no factors, so the other is the canonical result as it
+    stands."""
     if not y:
         return x, bx
     if not x:
-        return op(x, y), by
+        return y, by
     if bx != by:
         den = _combine_factors(bx, by, max)
         x = _nmul(x, _expand(_over(den, bx)))
         y = _nmul(y, _expand(_over(den, by)))
         bx = den
-    return _reduce(op(x, y), bx)
+    return _reduce(_nadd(x, y), bx)
 
 
 def _fsub(x, bx, y, by):
-    return _fadd(x, bx, y, by, _nsub)
+    return _fadd(x, bx, {k: -v for k, v in y.items()}, by)
 
 
 def _over(b1, b2):
@@ -446,12 +425,16 @@ def _fmul(x, bx, y, by):
 
 def _fdiv(x, bx, y, by):
     """x/bx / (y/by) with y = c x^e times binomial factors, or None when
-    ``y`` is not."""
+    ``y`` is not; DivisionByZero for a zero y.  A single term y, such as a
+    Laurent monomial, peels to itself, and x is shifted and scaled by its
+    inverse."""
+    if not y:
+        raise DivisionByZero("division by zero Scalar")
     peeled = _peel(y)
     if peeled is None:
         return None
-    mono, fy = peeled  # a zero y gives an empty mono, which _ndiv refuses
-    x, den = _reduce(_ndiv(x, mono), _combine_factors(bx, fy, add))
+    mono, fy = peeled
+    x, den = _reduce(_nmul(x, _npow(mono, -1)), _combine_factors(bx, fy, add))
     return _fmul(x, den, _expand(by), ()) if by else (x, den)
 
 
@@ -464,7 +447,9 @@ def _fpow(x, b, n):
     if peeled is None:
         return None
     mono, fx = peeled
-    num = _nmul(_npow(_expand(b), -n), _npow(mono, n))
+    num = _npow(mono, n)
+    if b:
+        num = _nmul(_npow(_expand(b), -n), num)
     return num, tuple((f, -k * n) for f, k in fx)
 
 
@@ -593,25 +578,20 @@ class Scalar:
         return _lift(self)
 
     # -- arithmetic -------------------------------------------------------
-    def _bin(self, b, nat, frac, gen):
-        """self (op) b: ``nat`` on two Laurent dicts, else ``frac`` on two
-        native fractions (either None: not native), else ``gen`` on the
-        sympy fractions."""
+    def _bin(self, b, frac, gen):
+        """self (op) b: ``frac`` on two native fractions, Laurent
+        polynomials among them (None: the result is not native), else
+        ``gen`` on the sympy fractions."""
         if not isinstance(b, Scalar):
             b = _operand(b)  # first: it may switch the field to Q(i)
             if b is None:
                 return NotImplemented
         x, y = self._d, b._d
         if x is not None and y is not None:
-            bx, by = self._b, b._b
-            if not (bx or by):
-                d = nat(x, y)
-                if d is not None:
-                    return _native(d)
-            r = frac(x, bx, y, by)
+            r = frac(x, self._b, y, b._b)
             if r is not None:
                 return _native(*r)
-        if nat is _nmul:  # a general value times 1 or -1 needs no gcd
+        if frac is _fmul:  # a general value times 1 or -1 needs no gcd
             for u, v in ((b, self), (self, b)):
                 c = _int_value(u)
                 if c == 1 or c == -1:
@@ -627,16 +607,16 @@ class Scalar:
             x, y = self._d, other._d
             if x is not None and y is not None and not (self._b or other._b):
                 return _native(_nadd(x, y))
-        return self._bin(other, _nadd, _fadd, add)
+        return self._bin(other, _fadd, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._bin(other, _nsub, _fsub, sub)
+        return self._bin(other, _fsub, sub)
 
     def __rsub__(self, other):
         b = _operand(other)
-        return NotImplemented if b is None else b._bin(self, _nsub, _fsub, sub)
+        return NotImplemented if b is None else b._bin(self, _fsub, sub)
 
     def __mul__(self, other):
         if other is ONE:
@@ -647,16 +627,16 @@ class Scalar:
             x, y = self._d, other._d
             if x is not None and y is not None and not (self._b or other._b):
                 return _native(_nmul(x, y))
-        return self._bin(other, _nmul, _fmul, mul)
+        return self._bin(other, _fmul, mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._bin(other, _ndiv, _fdiv, truediv)
+        return self._bin(other, _fdiv, truediv)
 
     def __rtruediv__(self, other):
         b = _operand(other)
-        return NotImplemented if b is None else b._bin(self, _ndiv, _fdiv, truediv)
+        return NotImplemented if b is None else b._bin(self, _fdiv, truediv)
 
     def __pow__(self, n: int):
         if type(n) is not int and not isinstance(n, numbers.Integral):
@@ -727,10 +707,6 @@ def _pow(s, n):
     if n < 0 and not s:
         raise DivisionByZero("0 ** negative power")
     if s._d is not None:
-        if not s._b:
-            d = _npow(s._d, n)
-            if d is not None:
-                return _native(d)
         r = _fpow(s._d, s._b, n)
         if r is not None:
             return _native(*r)
@@ -777,10 +753,8 @@ def sign_pow(k: int) -> Scalar:
 
 _NAME = re.compile(r"[A-Za-z_]\w*|[^\s\d()*/^+-]", re.ASCII)
 _TOKEN = re.compile(r"\s*(\d+|\w+|\*\*|\S)", re.ASCII)
-# the four binary operations of parse: Laurent and binomial-tier arithmetic,
-# sympy's field
-_BINARY = {"+": (_nadd, _fadd, add), "-": (_nsub, _fsub, sub),
-           "*": (_nmul, _fmul, mul), "/": (_ndiv, _fdiv, truediv)}
+# the four binary operations of parse: native arithmetic, sympy's field
+_BINARY = {"+": (_fadd, add), "-": (_fsub, sub), "*": (_fmul, mul), "/": (_fdiv, truediv)}
 _MAX_DIGITS = 100         # of an integer literal
 _MAX_EXPONENT = 10 ** 9   # |n| in x^n
 _MAX_SIZE = 10 ** 6       # bound on terms x coefficient bits of a result
@@ -895,10 +869,10 @@ def _bounded_bin(x, op, y):
     numerator is no monomial times binomials) it is refused there if an
     operand's fraction has a degree over ``_MAX_DEGREE`` in an
     indeterminate."""
-    nat, frac, gen = _BINARY[op]
+    frac, gen = _BINARY[op]
     native_sum = op in "+-" and x._d is not None and y._d is not None
     if native_sum and x._b == y._b:
-        return _bounded(x._bin(y, nat, frac, gen))
+        return _bounded(x._bin(y, frac, gen))
     (nx, dx, hx), (ny, dy, hy) = _measure(x), _measure(y)
     if op == "*":
         num, den = nx * ny, dx * dy
@@ -919,7 +893,7 @@ def _bounded_bin(x, op, y):
                    *b.numer.degrees(), *b.denom.degrees()) > _MAX_DEGREE:
                 raise ValueError(f"gcd of degree beyond {_MAX_DEGREE}")
             return gen(a, b)
-    return _bounded(x._bin(y, nat, frac, field_op))
+    return _bounded(x._bin(y, frac, field_op))
 
 
 def _tokens(text):

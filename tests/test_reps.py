@@ -179,6 +179,14 @@ def test_symbolic_label_refuses_a_gsign_other_than_plus_or_minus_one(gsign):
         RepLabel.symbolic(indet("lam1"), indet("lam2"), gsign=gsign)
 
 
+@pytest.mark.parametrize("weights", [(0, indet("lam2")), (indet("lam1"), 0)])
+def test_symbolic_label_refuses_a_zero_weight(weights):
+    """The weights are invertible: a zero one is refused, not left for the
+    representation's images to divide by."""
+    with pytest.raises(DegenerateLabel, match="is 0"):
+        RepLabel.symbolic(*weights)
+
+
 def test_evaluate_words():
     rep = rep_build((1, 0))
     pres = rep.pres

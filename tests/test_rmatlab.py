@@ -35,6 +35,22 @@ def test_catalog_unknown():
         catalog("nosuch")
 
 
+@pytest.mark.parametrize("spec, message", [
+    (("glnm",), "needs a size n"), (("glnm", 2), "needs a size m"),
+    (("super_glnm", None, 1), "needs a size n"), (("std_gl",), "needs a size n"),
+    (("identity", -1), "needs a size n"), (("glnm", 0, 0), "dimension 0")])
+def test_catalog_refuses_a_missing_or_empty_size(spec, message):
+    with pytest.raises(ValueError, match=message):
+        catalog(*spec)
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.0, True, None])
+def test_rmatrix_refuses_a_dimension_below_one(n):
+    """A 0-dimensional R would pass every braid check vacuously."""
+    with pytest.raises(ValueError, match="dimension"):
+        RMatrix(n, [])
+
+
 def test_qybe_battery():
     for spec in (("ac",), ("omega",), ("std_gl", 2), ("identity", 3)):
         assert qybe_check(catalog(*spec)), spec

@@ -138,13 +138,18 @@ def _parse_in_subprocess(texts, timeout):
 
 def test_native_values_compare_and_hash_without_sympy():
     """Equality, hashing and products with ONE of native values, constants
-    among them, never load sympy."""
+    among them, and the native arithmetic of Laurent polynomials with an
+    int on either side, negative powers and division by binomials, never
+    load sympy."""
     code = ("import sys\nfrom qgw.scalars import ONE, Scalar, indet, parse, qvar\n"
-            "x = qvar() + 1\n"
+            "q = qvar()\nx = q + 1\n"
             "print(Scalar(1) == ONE, hash(Scalar(1)) == hash(1), x == parse('q + 1'),"
             " x * ONE is x, ONE * indet('mu2') == indet('mu2'), Scalar(2) != ONE)\n"
+            "print(q - 3 == parse('q - 3'), 3 - q == parse('3 - q'), 3 / q == parse('3/q'),"
+            " ONE / (q**2 - 1) == parse('1/(q^2 - 1)'), q ** -2 == parse('q^-2'),"
+            " x ** -1 == parse('1/(q + 1)'))\n"
             "print('sympy' in sys.modules)\n")
-    assert _in_subprocess(code, [], 60) == ["True"] * 6 + ["False"]
+    assert _in_subprocess(code, [], 60) == ["True"] * 12 + ["False"]
 
 
 def test_parse_refuses_huge_work_in_time():
@@ -451,13 +456,23 @@ def _same_scalar(x, want):
 @example(parse("q/(q^2 - 1)"), parse("lam1/(q + 1)^2"), -2)
 @example(parse("q/(q^2 - 1)"), parse("q^2 - 1"), -1)
 @example(parse("1/(q - 1)"), parse("1/(q + 1)"), 3)
+@example(parse("q"), parse("q"), -2)
+@example(parse("q^2 + 1"), parse("3/2*q"), -1)
+@example(parse("q + 1"), parse("0"), -1)
 def test_arithmetic_matches_field(a, b, k):
+    """+, -, * and / of two Scalars, or of a Scalar and an int on either
+    side, and ** match sympy's field."""
     fa, fb = a.f, b.f
+    three = fa.field(3)
     _same_scalar(a + b, fa + fb)
     _same_scalar(a - b, fa - fb)
     _same_scalar(a * b, fa * fb)
+    _same_scalar(a + 3, fa + three)
+    _same_scalar(a - 3, fa - three)
+    _same_scalar(3 - a, three - fa)
     if b:
         _same_scalar(a / b, fa / fb)
+        _same_scalar(3 / b, three / fb)
     if a or k >= 0:
         _same_scalar(a ** k, _want_pow(fa, k))
     assert a * ONE == a and -(a * -ONE) == a and (-ONE) * b == -b
@@ -803,8 +818,8 @@ def test_product_of_one_with_a_number_is_a_scalar():
 def test_products_with_one_match_the_arithmetic_reference(a):
     """a * ONE and ONE * a, which take no arithmetic, equal what the
     arithmetic of ``_bin`` makes of them, in value, representation and hash."""
-    for got, want in ((a * ONE, a._bin(ONE, scalars._nmul, scalars._fmul, mul)),
-                      (ONE * a, ONE._bin(a, scalars._nmul, scalars._fmul, mul))):
+    for got, want in ((a * ONE, a._bin(ONE, scalars._fmul, mul)),
+                      (ONE * a, ONE._bin(a, scalars._fmul, mul))):
         assert got is a
         assert got == want and hash(got) == hash(want)
         assert (got._d, got._b) == (want._d, want._b)
@@ -822,8 +837,8 @@ def _assert_direct_path(xs, ys):
     for x in xs:
         assert x * ONE is x and ONE * x is x
         for y in ys:
-            for op, nat, frac in ((mul, scalars._nmul, scalars._fmul), (add, scalars._nadd, scalars._fadd)):
-                got, want = op(x, y), x._bin(y, nat, frac, op)
+            for op, frac in ((mul, scalars._fmul), (add, scalars._fadd)):
+                got, want = op(x, y), x._bin(y, frac, op)
                 assert (got._d, got._b) == (want._d, want._b), (x, y, op)
                 assert got == want and hash(got) == hash(want)
             assert (x == y) == (scalars._lift(x) == scalars._lift(y)), (x, y)
