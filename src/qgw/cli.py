@@ -3,8 +3,8 @@
 Every headline identity of the workbench gets a stable check id grouped
 into suites (sec2..sec5, engine).  Negative checks are first class: their
 expected verdict is "fail-of-property" and the runner treats the failure
-as the correct outcome.  Reports are deterministic for a fixed seed and
-can be emitted as text or JSON.
+as the correct outcome.  Only engine/associativity draws from the seed;
+every other check is exact.  Reports can be emitted as text or JSON.
 
 Exit codes: 0 all expected verdicts met, 1 at least one mismatch, 2 an
 engine error (unexpected exception) occurred.
@@ -25,7 +25,7 @@ from .gtensor import TensorElement
 from .ncalg import STATS, overlap_check
 from .report import CheckReport
 from .rmatlab import catalog, hecke_check, qybe_check, sybe_check
-from .scalars import MODULUS, ONE, Scalar, prime_point, prime_point_residue, qvar, sign_pow
+from .scalars import ONE, Scalar, qvar, sign_pow
 
 
 class UnknownCheck(KeyError):
@@ -57,17 +57,9 @@ def _ac_at(t: Scalar) -> list:
     return [[(0, t)], [(1, ONE), (2, t - ONE / t)], [(2, ONE)], [(3, -ONE / t)]]
 
 
-def _label_grid():
-    return [(m1, m2) for m1 in (0, 1, -1, 2) for m2 in (0, 1, -1, 2)
-            if m1 + m2 != 0]
-
-
 def _ctx_labels(ctx, default):
     labs = ctx.get("labels")
-    if not labs:
-        return default
-    pairs = [tuple(labs[k:k + 2]) for k in range(0, len(labs), 2)]
-    return pairs
+    return [tuple(labs[k:k + 2]) for k in range(0, len(labs), 2)] if labs else default
 
 
 # -- section 2 -------------------------------------------------------------
@@ -87,15 +79,15 @@ def _chk_qybe(ctx):
     ])
 
 
+# the label triples of thm2.2/quasitriangularity, each with its family
+_QT_TRIPLES = [("standard", ((-1, 0), (2, 2), (-1, 0))), ("standard", ((0, 1), (1, 1), (-1, 2))),
+               ("standard", ((-1, -1), (-1, 0), (2, 2))), ("super", ((1, 1), (-1, -1), (1, 2)))]
+
+
 def _chk_quasitriangularity(ctx):
-    rng = ctx["rng"]
-    grid = _label_grid()
     rep = CheckReport("quasitriangularity")
-    triples = [tuple(rng.choice(grid) for _ in range(3)) for _ in range(3)]
-    for tri in triples:
-        rep.merge(reps.quasitriangularity_check(*tri, which="standard"))
-    rep.merge(reps.quasitriangularity_check(
-        rng.choice(grid), rng.choice(grid), rng.choice(grid), which="super"))
+    for which, tri in _QT_TRIPLES:
+        rep.merge(reps.quasitriangularity_check(*tri, which=which))
     return rep
 
 
@@ -294,18 +286,18 @@ def _chk_omega_frt(ctx):
 
 
 def _chk_exterior(ctx):
-    rng = ctx["rng"]
+    """Covariance, the coaction, and d^2 = 0 on each generator: d is an odd
+    derivation, checked well defined on every rule as Omega_q(R) is built,
+    so d^2 is an even derivation (the cross terms of d^2(a b) cancel), which
+    vanishes on every word once it vanishes on the generators."""
     rep = CheckReport("exterior")
     for spec in (("std_gl", 2), ("std_gl", 3), ("ac",)):
         om = exterior.omega_build(catalog(*spec))
         rep.merge(exterior.covariance_check(exterior.bosonic_action(om)))
         rep.merge(exterior.covariance_check(exterior.super_action(om)))
         rep.merge(exterior.gl_coaction_check(om))
-        names = list(om.pres.by_name)
-        for _ in range(20):
-            w = tuple(rng.choice(names) for _ in range(rng.randint(1, 4)))
-            e = om.pres.monomial(w)
-            rep.record(not om.differential(om.differential(e)), ("d2", w))
+        for x in om.pres.by_name:
+            rep.record(not om.differential(om.differential(om.pres.gen(x))), ("d2", x))
     return rep
 
 
@@ -336,40 +328,29 @@ def _chk_associativity(ctx):
     return _engine_report("associativity", 60, ctx["rng"])
 
 
-def _residues(rows, point, what):
-    """The residues of a Scalar matrix in row form at ``point``; ValueError
-    naming an entry without one, a general value or one at a pole there."""
-    out = []
-    for i, pairs in enumerate(rows):
-        out.append([(j, prime_point_residue(x, point)) for j, x in pairs])
-        for j, r in out[-1]:
-            if r is None:
-                raise ValueError(f"{what} entry ({i}, {j}) has no residue at q = {point[0]}")
+def _residues(rows, what):
+    """:func:`smat.residues` of a Scalar matrix in row form; ValueError
+    naming an entry without one, a general value or one at a pole."""
+    out = smat.residues(rows)
+    bad = [(i, j) for i, pairs in enumerate(out) for j, r in pairs if r is None]
+    if bad:
+        raise ValueError(f"{what} entry {bad[0]} has no residue at the prime point")
     return out
 
 
-def _mod_mmul(a, b):
-    """a b modulo MODULUS, for a and b in row form with int values."""
-    return [[(j, v % MODULUS) for j, v in acc.items()] for acc in smat.products(a, b)]
-
-
 def _chk_numeric(ctx):
-    """Re-confirm two exact identities modulo MODULUS at a seeded q.
-
-    Evaluation at a point is a ring homomorphism away from poles, so a
-    nonzero residual survives at a random q with probability about
-    degree / MODULUS (Schwartz 1980, Zippel 1979)."""
-    q = ctx["rng"].randint(2, MODULUS - 2)
-    point = (q, *prime_point()[1:])
+    """Re-confirm two exact identities modulo the prime ``scalars.MODULUS``
+    at the prime point (:func:`smat.residues`): evaluation at a point is a
+    ring homomorphism away from poles, so they hold between the residues."""
     rep = CheckReport("numeric-spot")
-    got = _residues(reps.universal_r_eval((1, 0), (1, 0)).rows, point, "universal R")
-    rep.record(smat.meq(got, _residues(catalog("ac").rows, point, "ac")), ("canonical", q))
+    got = _residues(reps.universal_r_eval((1, 0), (1, 0)).rows, "universal R")
+    rep.record(smat.meq(got, _residues(catalog("ac").rows, "ac")), ("canonical", "ac"))
     for nm in ("ac", "omega"):
         R = catalog(nm)
-        r12, r13, r23 = (_residues(smat.embed_rows(R.rows, (R.n,) * 3, (R.p,) * 3, pr), point, nm)
+        r12, r13, r23 = (_residues(smat.embed_rows(R.rows, (R.n,) * 3, (R.p,) * 3, pr), nm)
                          for pr in smat.LEGS)
-        rep.record(smat.meq(_mod_mmul(_mod_mmul(r12, r13), r23),
-                            _mod_mmul(_mod_mmul(r23, r13), r12)), ("qybe", nm, q))
+        rep.record(smat.meq(smat.mod_mmul(smat.mod_mmul(r12, r13), r23),
+                            smat.mod_mmul(smat.mod_mmul(r23, r13), r12)), ("qybe", nm))
     return rep
 
 
@@ -465,7 +446,7 @@ CHECKS = [
                     "randomized associativity probes",
                     _chk_associativity),
     CheckDescriptor("engine/numeric-spot", "engine",
-                    "exact confirmation modulo a prime at a seeded q",
+                    "exact confirmation modulo a prime at the prime point",
                     _chk_numeric),
 ]
 
@@ -577,7 +558,8 @@ def main(argv=None):
     rp = sub.add_parser("run", help="execute a check suite")
     rp.add_argument("--suite", default="all")
     rp.add_argument("--format", choices=("text", "json"), default="text")
-    rp.add_argument("--seed", type=int, default=0)
+    rp.add_argument("--seed", type=int, default=0,
+                    help="draws the engine/associativity probes, and nothing else")
     rp.add_argument("--labels", type=_labels_arg, default=None,
                     help="m1,m2[,m1',m2'] integer label override")
     rp.add_argument("--rmatrix", default=None,

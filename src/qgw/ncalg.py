@@ -120,6 +120,8 @@ class GeneratorSymbol:
     weight: int = 1
 
     def __post_init__(self):
+        if type(self.degree) is not int or self.degree not in (0, 1):
+            raise ValueError(f"degree of {self.name} must be 0 or 1, got {self.degree!r}")
         if self.nilpotent and self.inverse is not None:
             raise ValueError(f"nilpotent generator {self.name} cannot be invertible")
         if self.weight < 1:
@@ -137,7 +139,7 @@ class Presentation:
         if len(self.index) != len(self.gens):
             raise ValueError("duplicate generator names")
         self.by_name = {g.name: g for g in self.gens}
-        self._graded = any(g.degree % 2 for g in self.gens)
+        self._graded = any(g.degree for g in self.gens)
         self.unoriented = frozenset()
         self.rules: dict[tuple, dict[tuple, Scalar]] = {}
         # _follow[x][y] is rules[(x, y)], the same dict: written only with it
@@ -735,8 +737,6 @@ def _json_generator(g) -> GeneratorSymbol:
                          f"and keys from {sorted(_GENERATOR_KEYS)}")
     degree, weight = g.get("degree", 0), g.get("weight", 1)
     nilpotent, inverse = g.get("nilpotent", False), g.get("inverse")
-    if type(degree) is not int or degree not in (0, 1):
-        raise ValueError(f"degree of {g['name']} must be 0 or 1, got {degree!r}")
     if type(weight) is not int or weight < 1:
         raise ValueError(f"weight of {g['name']} must be a positive integer, got {weight!r}")
     if not isinstance(nilpotent, bool) or not (inverse is None or isinstance(inverse, str)):

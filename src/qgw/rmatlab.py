@@ -38,10 +38,12 @@ class NullDegreeViolated(ValueError):
 
 def _grading(p, n):
     """The grading ``p`` as a tuple, none for p None; ValueError unless it
-    has n entries."""
+    has n entries, each the int 0 or 1."""
     p = tuple(p) if p is not None else (0,) * n
     if len(p) != n:
         raise ValueError("grading length must equal the dimension")
+    if not all(type(x) is int and x in (0, 1) for x in p):
+        raise ValueError(f"grading {p!r} has a value other than the ints 0 and 1")
     return p
 
 

@@ -264,9 +264,12 @@ def _reduce(a, b, skip=()):
     the division is exact, largest degree first within each m.  A factor
     in ``skip``, which the caller knows does not divide ``a``, is not
     tried.  A single term c x^e is a unit of the Laurent ring, which no
-    binomial divides, so a / b is canonical as it stands."""
+    binomial divides, so a / b is canonical as it stands, and so is a
+    over no factors."""
     if not a:
         return {}, ()
+    if not b:
+        return a, b
     if len(a) == 1:
         return a, b
     left = []

@@ -252,19 +252,30 @@ def _invertible_mod(work, p):
     return True
 
 
+def residues(rows):
+    """The residues (``prime_point_residue``) of the matrix ``rows``, in row
+    form, each distinct value's found once: None where a value has none."""
+    values = {id(x): x for pairs in rows for _, x in pairs}
+    res = {i: prime_point_residue(x) for i, x in values.items()}
+    return [[(j, res[id(x)]) for j, x in pairs] for pairs in rows]
+
+
+def mod_mmul(a, b):
+    """a b modulo ``MODULUS``, for a and b in row form with int values."""
+    return [[(j, v % MODULUS) for j, v in acc.items()] for acc in products(a, b)]
+
+
 def check_invertible(rows):
     """Raise Singular unless the square matrix ``rows`` is invertible over
     the scalar field.
 
     A determinant that is nonzero at one point is nonzero, and so is one
-    whose value there is nonzero modulo a prime.  So a matrix whose entries'
-    residues at the prime point (``prime_point_residue``) form a matrix
-    invertible modulo ``MODULUS`` is invertible, with no division of Scalars
-    and at a cost that does not grow with the degrees of the entries.  A
-    matrix that is singular there, or has an entry without a residue, is
-    decided by :func:`inv`."""
-    values = {id(x): x for pairs in rows for _, x in pairs}  # each value once
-    residues = {i: prime_point_residue(x) for i, x in values.items()}
-    if None in residues.values() or not _invertible_mod(
-            [{j: residues[id(x)] for j, x in pairs} for pairs in rows], MODULUS):
+    whose value there is nonzero modulo a prime.  So a matrix whose
+    :func:`residues` form a matrix invertible modulo ``MODULUS`` is
+    invertible, with no division of Scalars and at a cost that does not
+    grow with the degrees of the entries.  A matrix that is singular there,
+    or has an entry without a residue, is decided by :func:`inv`."""
+    res = residues(rows)
+    if any(r is None for pairs in res for _, r in pairs) or not _invertible_mod(
+            list(map(dict, res)), MODULUS):
         inv(rows)

@@ -70,7 +70,7 @@ def test_negative_descriptor_expected_failure():
 _COLD_RUN = """
 import io, json
 from qgw import cli
-rows, _ = cli.run(out=io.StringIO(), suite="sec2/qybe,engine/numeric-spot", seed=9)
+rows, _ = cli.run(out=io.StringIO(), suite="engine/associativity,engine/numeric-spot", seed=9)
 print(json.dumps([{k: v for k, v in r.items() if k != "millis"} for r in rows]))
 """
 
@@ -82,6 +82,43 @@ def test_determinism_for_fixed_seed():
     a, b = (json.loads(_fresh_python("-c", _COLD_RUN).stdout) for _ in range(2))
     assert [r["verdict"] for r in a] == ["pass", "pass"]
     assert a == b
+
+
+def test_the_seed_draws_only_the_associativity_probes():
+    """Fresh runs at two seeds give the same verdict, steps and residual on
+    every row but engine/associativity, whose probes the seed draws."""
+    runs = []
+    for seed in ("0", "1"):
+        proc = _fresh_python("-m", "qgw.cli", "run", "--suite", "all", "--seed", seed,
+                             "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        runs.append({r["id"]: [r["verdict"], r["steps"], r.get("residual")]
+                     for r in json.loads(proc.stdout)})
+    a, b = runs
+    assert a.pop("engine/associativity") != b.pop("engine/associativity")
+    assert len(a) == len(cli.CHECKS) - 1 and a == b
+
+
+def test_only_the_associativity_check_reads_the_seed():
+    for c in cli.CHECKS:
+        if c.id != "engine/associativity":
+            c.fn({"labels": None})  # KeyError on a read of ctx["rng"]
+
+
+def test_exterior_checks_d2_on_each_generator(monkeypatch):
+    """d^2 = 0 is checked on the generators x1..xn, dx1..dxn of each
+    Omega_q(R), n = 2, 3, 2: once each, and nowhere else."""
+    seen = []
+
+    class Logged(cli.CheckReport):
+        def record(self, ok, what):
+            seen.append((ok, what))
+            super().record(ok, what)
+
+    monkeypatch.setattr(cli, "CheckReport", Logged)
+    assert cli._chk_exterior({}).ok
+    gens = [f"{d}x{i}" for n in (2, 3, 2) for d in ("", "d") for i in range(1, n + 1)]
+    assert seen == [(True, ("d2", x)) for x in gens]
 
 
 def test_user_rmatrix_pass_and_fail(tmp_path):

@@ -53,6 +53,14 @@ def test_grading():
     assert p.degree(("b", "b")) == 0
 
 
+@pytest.mark.parametrize("degree", [2, -1, 3, True, 1.0, "1"], ids=repr)
+def test_a_degree_other_than_the_ints_0_and_1_is_refused(degree):
+    # Presentation.degree reads a degree mod 2 and the Koszul sign of a
+    # tensor product by truth value, so a degree 2 would be read two ways
+    with pytest.raises(ValueError, match="degree of x must be 0 or 1"):
+        GeneratorSymbol("x", degree=degree)
+
+
 def test_graded_is_derived_from_the_generators():
     """A presentation is graded exactly when some generator is odd; the flag
     follows a regrading through derive and cannot be set by hand."""

@@ -125,6 +125,16 @@ def test_superize_r_rejects_bad_grading():
         superize_r(catalog("ac"), (0, 1, 1))
 
 
+@pytest.mark.parametrize("p", [(0, 2), (0, -1), (0, 3), (0, True), (0, 1.0)], ids=repr)
+def test_a_parity_other_than_the_ints_0_and_1_is_refused(p):
+    # _odd reads a parity mod 2 and superize_r and embed_rows by truth value,
+    # so a grading (0, 2) would be read as even by one and odd by the others
+    with pytest.raises(ValueError, match="other than the ints 0 and 1"):
+        RMatrix(2, catalog("ac").m, grading=p)
+    with pytest.raises(ValueError, match="other than the ints 0 and 1"):
+        superize_r(catalog("ac"), p)
+
+
 CATALOG = [("ac",), ("omega",), ("identity", 2), ("identity", 3), ("std_gl", 2),
            ("std_gl", 3), *(("glnm", n, m) for n, m in ((1, 1), (2, 1), (1, 2), (3, 1),
                                                          (2, 2), (1, 3)))]
