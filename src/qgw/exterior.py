@@ -7,9 +7,9 @@ dx_1..dx_n (odd) with exchange relations driven by a Hecke R-matrix:
     dx_i x_j =    q  x_b dx_a R^a_i^b_j,
     dx_i dx_j = -q  dx_b dx_a R^a_i^b_j.
 
-They are written once, in _relations, on any images of the generators:
-ExteriorAlgebra compiles them over the generator names into rewrite rules,
-and gl_coaction_check compares their two sides on the coaction's images.
+On the column vectors x and dx they are u1 v2 = f R^t v2 u1, whose rows
+_exchange_rows reads off frt.relation_rows: ExteriorAlgebra compiles them,
+and gl_coaction_check maps them to the coaction's images.
 The module carries the exterior differential and implements two right
 actions mixing x and dx: the bosonic one of the twisted enveloping algebra
 (H1, H2, X+-) and the super one of its gl(1|1) counterpart (h, N, eta,
@@ -26,6 +26,7 @@ from functools import partial
 from itertools import product
 
 from .algebras import fa_presentation
+from .frt import leg1, leg2, relation_rows, scalar_factor
 from .ncalg import Element, GeneratorSymbol, compile_relations, linear, rule_residuals, tensor
 from .report import CheckReport
 from .rmatlab import RMatrix, hecke_check
@@ -52,10 +53,8 @@ class ExteriorAlgebra:
         idx = range(1, self.n + 1)
         gens = [GeneratorSymbol(f"x{i}") for i in idx] + \
                [GeneratorSymbol(f"dx{i}", degree=1) for i in idx]
-        # over generator names, each pair of images is a word
-        rel = [({lhs: ONE}, dict(rhs)) for _, _, _, lhs, rhs in
-               _relations(R, {i: f"x{i}" for i in idx}, {i: f"dx{i}" for i in idx})]
-        self.pres = compile_relations(gens, rel, name=self.name)
+        self.pres = compile_relations(gens, [(row, {}) for *_, row in _exchange_rows(R)],
+                                      name=self.name)
         self._check_differential()
 
     def x(self, i) -> Element:
@@ -92,18 +91,25 @@ class ExteriorAlgebra:
         return f"ExteriorAlgebra({self.name}, n={self.n})"
 
 
-def _relations(R: RMatrix, x, dx):
-    """The exchange relations of Omega_q(R) on the images x[i], dx[i] of the
-    generators, each as (tag, i, j, lhs, rhs) for the relation
-    u_i v_j = f v_b u_a R^a_i^b_j of the module docstring: lhs is the pair
-    (u_i, v_j) and rhs lists the ((v_b, u_a), f R^a_i^b_j) terms."""
-    q = qvar()
-    idx = range(1, R.n + 1)
-    kinds = (("x-x", x, x, ONE / q), ("dx-x", dx, x, q), ("dx-dx", dx, dx, -q))
-    for i, j in product(idx, repeat=2):
-        entries = [(a, b, R.entry(a, i, b, j)) for a, b in product(idx, repeat=2)]
-        for tag, u, v, f in kinds:
-            yield tag, i, j, (u[i], v[j]), [((v[b], u[a]), f * c) for a, b, c in entries if c]
+def _exchange_rows(R: RMatrix, mark=""):
+    """(tag, i, j, row) of u_i v_j = f v_b u_a R^a_i^b_j for (u, v) = (x, x),
+    (dx, x) and (dx, dx), as u1 v2 = f R^t v2 u1 on column vectors of
+    letters, v's followed by ``mark``."""
+    n, q = R.n, qvar()
+
+    def rows(su, sv, f):
+        rt = [[] for _ in range(n * n)]  # f R^t
+        for i, pairs in enumerate(R.rows):
+            for j, x in pairs:
+                rt[j].append((i, f * x))
+        u, v = ([[f"{s}{i}{m}"] for i in range(1, n + 1)] for s, m in ((su, ""), (sv, mark)))
+        return relation_rows([leg1(u, n), leg2(v, (0,), (R.p, (0,)))],
+                             [scalar_factor(rt), leg2(v, R.p, (R.p, (0,))), leg1(u, 1)], 1)
+
+    kinds = zip(product(range(1, n + 1), repeat=2), rows("x", "x", ONE / q),
+                rows("dx", "x", q), rows("dx", "dx", -q))
+    return [(tag, i, j, row) for (i, j), *kind in kinds
+            for tag, row in zip(("x-x", "dx-x", "dx-dx"), kind)]
 
 
 def omega_build(R: RMatrix) -> ExteriorAlgebra:
@@ -215,14 +221,12 @@ def gl_coaction_check(omega: ExteriorAlgebra) -> CheckReport:
     gl = fa_presentation("gl11omega", inverses=False).derive(
         rename={"a": "al", "b": "be", "c": "ga", "d": "de"})
     pres = tensor(gl, omega.pres, f"glo(1|1)x{omega.name}")
-    n = omega.n
-    xp = {i: pres.word("al", f"x{i}") + pres.word("be", f"dx{i}")
-          for i in range(1, n + 1)}
-    dxp = {i: pres.word("ga", f"x{i}") + pres.word("de", f"dx{i}")
-           for i in range(1, n + 1)}
-    for tag, i, j, (u, v), rhs in _relations(omega.R, xp, dxp):
-        diff = u * v
-        for (s, t), c in rhs:
-            diff = diff - s * t * c
-        rep.record(not diff, (tag, i, j))
+    images = {}
+    for s, a, b in (("x", "al", "be"), ("dx", "ga", "de")):
+        for i in range(1, omega.n + 1):
+            # v's letters, marked, too: no row sums a term of either side with one of the other
+            images[f"{s}{i}"] = images[f"{s}{i}'"] = pres.word(a, f"x{i}") + pres.word(b, f"dx{i}")
+    for tag, i, j, row in _exchange_rows(omega.R, "'"):
+        res = linear(lambda w: images[w[0]] * images[w[1]], row, pres.zero())
+        rep.record(not res, (tag, i, j))
     return rep

@@ -1,22 +1,17 @@
 """FRT-type constructions from an R-matrix.
 
-Both sides of the construction come from one exchange relation,
-R t1 t2 = t2 t1 R with the explicit sign factors in the graded case, which
-_exchange_terms writes once.  On the function algebra side, build_ar
-compiles the quadratic bialgebra A(R) from it, matrix_coalgebra_data gives
-the matrix coproduct t -> t (x) t and its counit on a grid of generators,
-and ar_hopf puts the two together.  On the enveloping side, matrices of
-algebra elements l+/l- (m+/m- in the graded case) must satisfy
-R l2 l1 = l1 l2 R, which are A(R21)'s relations with t1 -> l1 and
-t2 -> l2, for R21^a_c^b_d = R^b_d^a_c; frt_relation_check verifies them
-entrywise for given generator matrices, duality_pairing_check for the scalar
-matrices of the canonical pairing, and matrix_hopf_check FRT's Delta L = L (x) L
-and S L = L^-1 in a Hopf structure.  The quantum determinant rounds out the toolbox.
-
-Everything here works for any R; the catalog algebras built from these
-constructions live in algebras.  All graded signs are carried explicitly by
-the index formulas; matrix products of graded entries are plain products in
-the ambient algebra.
+Every relation built from R is a matrix equation on V (x) V, whose rows
+{word: Scalar}, one per entry, relation_rows reads off the nonzeros of its
+factors: matrices of Scalars and the legs u1 = u (x) 1 and u2 = 1 (x) u of
+a grid of letters.  u2's entry (-1)^(p(a)(p(b) + p(d))) delta^a_c u^b_d,
+the sign rule of smat.embed_rows, is the one Koszul sign.  build_ar compiles
+A(R) from R t1 t2 = t2 t1 R; matrix_coalgebra_data and ar_hopf give it the
+coproduct t -> t (x) t.  FRT's R l2 l1 = l1 l2 R is checked on generator
+matrices l+/l- (m+/m- when graded) by frt_relation_check, on the canonical
+pairing's scalar matrices by duality_pairing_check, and matrix_hopf_check
+checks Delta L = L (x) L and S L = L^-1; exterior compiles Omega_q(R) the
+same way.  The quantum determinant rounds out the toolbox.  Everything here
+works for any R; the catalog algebras built from it live in algebras.
 """
 
 from __future__ import annotations
@@ -25,8 +20,8 @@ from itertools import product
 
 from . import smat
 from .gtensor import TensorElement, outer, zero
-from .hopfcore import HopfData, antipode, coproduct, try_invert
-from .ncalg import Element, GeneratorSymbol, _add_scaled, compile_relations
+from .hopfcore import HopfData, NotInvertible, antipode, coproduct, try_invert
+from .ncalg import Element, GeneratorSymbol, _add_scaled, compile_relations, linear
 from .report import CheckReport
 from .rmatlab import RMatrix
 from .scalars import ONE, ZERO, Scalar
@@ -69,55 +64,70 @@ class OperatorMatrix:
         return f"OperatorMatrix({self.label or 'anon'}, n={self.n})"
 
 
-# -- exchange relations ----------------------------------------------------
+# -- matrix relations on V (x) V ------------------------------------------
 
-def _exchange_terms(n, p, entry, u, v):
-    """The FRT exchange relation R t1 t2 = t2 t1 R, with t1 -> u and t2 -> v.
-
-    entry(a, c, b, d) reads R^a_c^b_d, u(i, j) and v(i, j) give the images
-    of the matrix entries and p is the index grading.  Yields, for each
-    index (A,B,C,D), the list of signed terms (coefficient, left, right) of
-    R^A_f^B_e u(f,C) v(e,D) - R^s_C^r_D v(B,r) u(A,s), in (f,e) and then
-    (r,s) order, with the graded sign factors of a super R.  The nonzeros of
-    each row and column of R are listed once, so an index costs its
-    nonzeros, not 2n^2 entry reads.
-    """
-    p = (0,) + p
-    rng = range(1, n + 1)
-    pairs = list(product(rng, repeat=2))
-    row_nz = {(A, B): [(f, e, x) for f, e in pairs if (x := entry(A, f, B, e))]
-              for A, B in pairs}
-    col_nz = {(C, D): [(r, s, x) for r, s in pairs if (x := entry(s, C, r, D))]
-              for C, D in pairs}
-    for A, B, C, D in product(rng, repeat=4):
-        terms = [(-x if (p[A] * p[B] + p[C] * p[e]) % 2 else x, u(f, C), v(e, D))
-                 for f, e, x in row_nz[A, B]]
-        terms += [(x if (p[C] * p[D] + p[r] * p[A]) % 2 else -x, v(B, r), u(A, s))
-                  for r, s, x in col_nz[C, D]]
-        yield (A, B, C, D), terms
+def scalar_factor(rows):
+    """The matrix ``rows`` of Scalars, in row form, as a factor, by columns."""
+    return [[(j, (), x, False) for j, x in sorted(pairs)] for pairs in rows]
 
 
-def _exchange_r21(R: RMatrix, u, v):
-    """:func:`_exchange_terms` of R21, R21^a_c^b_d = R^b_d^a_c: the l+/l-
-    relation R L2 L1 = L1 L2 R at (B,A,C,D) is A(R21)'s relation at
-    (A,B,C,D), with t1 -> L1 and t2 -> L2."""
-    return _exchange_terms(R.n, R.p, lambda a, c, b, d: R.entry(b, d, a, c), u, v)
+def leg1(names, dim):
+    """u1 = u (x) 1 on a second leg of dimension ``dim``, for the grid of
+    u's letters: entry ((a, b), (c, b)) is u^a_c."""
+    return [[(c * dim + b, (x,), ONE, False) for c, x in enumerate(row)]
+            for row in names for b in range(dim)]
+
+
+def leg2(names, p, pu):
+    """u2 = 1 (x) u on a first leg of grading ``p``, for the grid of u's
+    letters, its rows and columns graded by ``pu``: entry ((a, b), (a, d)) is
+    (-1)^(p(a)(p(b) + p(d))) u^b_d, the sign of moving u^b_d past a."""
+    cols = len(names[0])
+    return [[(a * cols + d, (x,), ONE, pa * (pu[0][b] + pu[1][d]) % 2 == 1)
+             for d, x in enumerate(row)] for a, pa in enumerate(p) for b, row in enumerate(names)]
+
+
+def _paths(factors, r, word, x, odd):
+    if not factors:
+        yield r, word, x, odd
+        return
+    for c, w, y, o in factors[0][r]:
+        yield from _paths(factors[1:], c, word + w,
+                          y if x is ONE else x if y is ONE else x * y, odd != o)
+
+
+def relation_rows(lhs, rhs, width):
+    """The entries of LHS - RHS, row-major, each a dict {word: Scalar}, for two
+    products (lists) of factors with ``width`` columns, matrices in row form of
+    (column, letters, Scalar, sign) entries.  A path through a side's nonzeros
+    gives a word, its Scalars' product (none by ONE) and a sign, one negation."""
+    for r in range(len(lhs[0])):
+        row = [{} for _ in range(width)]
+        for side, odd in ((lhs, False), (rhs, True)):
+            for c, word, x, o in _paths(side, r, (), ONE, odd):
+                _add_scaled(row[c], -x if o else x, {word: ONE})
+        yield from row
+
+
+def _envelope_rows(R: RMatrix):
+    """(label, row) of FRT's R u2 v1 = v1 u2 R on the letters i n + j of u
+    and n^2 + i n + j of v: the entry at ((a, b), (c, d)) has the label
+    (b, a, d, c), its index in the flipped relation R21 u1 v2 = v2 u1 R21."""
+    n, p = R.n, R.p
+    u, v = ([[k + i * n + j for j in range(n)] for i in range(n)] for k in (0, n * n))
+    rf, u2, v1 = scalar_factor(R.rows), leg2(u, p, (p, p)), leg1(v, n)
+    labels = ((b, a, d, c) for a, b, c, d in product(range(1, n + 1), repeat=4))
+    return zip(labels, relation_rows([rf, u2, v1], [v1, u2, rf], n * n))
 
 
 def frt_relation_check(R: RMatrix, L1: OperatorMatrix, L2: OperatorMatrix) -> CheckReport:
-    """Check R L2 L1 = L1 L2 R entrywise for a pair of generator matrices.
-
-    Call once per relation family, e.g. (l+, l+), (l+, l-), (l-, l-).  The
-    residual at (A,B,C,D) is that of A(R21)'s relation with t1 -> L1 and
-    t2 -> L2; the graded sign factors are taken from R's index grading, and
-    a bosonic R gives the ungraded relations.
-    """
-    pres = L1.pres
+    """Check R L2 L1 = L1 L2 R, FRT's R (L1)_2 (L2)_1 = (L2)_1 (L1)_2 R,
+    entrywise for a pair of generator matrices, e.g. (l+, l+), (l+, l-),
+    (l-, l-); the residuals are labelled as in :func:`_envelope_rows`."""
+    images = [x for L in (L1, L2) for row in L.rows for x in row]
     rep = CheckReport(f"frt[{L1.label},{L2.label}]")
-    for idx, terms in _exchange_r21(R, L1.entry, L2.entry):
-        res = pres.zero()
-        for c, left, right in terms:
-            res = res + left * right * c
+    for idx, row in _envelope_rows(R):
+        res = linear(lambda w: images[w[0]] * images[w[1]], row, L1.pres.zero())
         rep.record(not res, (idx, str(res)))
     return rep
 
@@ -143,29 +153,18 @@ def build_ar(R: RMatrix, names=None, name="", sample_budget=0):
     """Compile the matrix bialgebra A(R) as a rewrite presentation.
 
     Generators are row-major t<i><j> (or the given name grid) with degrees
-    p(i)+p(j) from R's grading; relations come from R t1 t2 = t2 t1 R with
-    the graded sign factors when R is super.  sample_budget is ignored: the
-    overlap check of compile_relations proves confluence without probes.
+    p(i)+p(j) from R's grading; relations are the rows of R t1 t2 = t2 t1 R.
+    sample_budget is ignored: the overlap check of compile_relations proves
+    confluence without probes.
     """
-    n = R.n
-    p = R.p
+    n, p = R.n, R.p
     if names is None:
         names = [[f"t{i}{j}" for j in range(1, n + 1)] for i in range(1, n + 1)]
-
-    def gname(i, j):
-        return names[i - 1][j - 1]
-
-    gens = [GeneratorSymbol(gname(i, j), degree=(p[i - 1] + p[j - 1]) % 2)
-            for i in range(1, n + 1) for j in range(1, n + 1)]
-    rel = []
-    for _, terms in _exchange_terms(n, p, R.entry, gname, gname):
-        row = {}
-        for c, left, right in terms:
-            _add_scaled(row, c, {(left, right): ONE})
-        if row:
-            rel.append((row, {}))
-    label = name or (f"ar-{R.name}" if R.name else "ar")
-    return compile_relations(gens, rel, name=label)
+    gens = [GeneratorSymbol(x, degree=(p[i] + p[j]) % 2)
+            for i, row in enumerate(names) for j, x in enumerate(row)]
+    rf, t1, t2 = scalar_factor(R.rows), leg1(names, n), leg2(names, p, (p, p))
+    rel = [(row, {}) for row in relation_rows([rf, t1, t2], [t2, t1, rf], n * n) if row]
+    return compile_relations(gens, rel, name=name or (f"ar-{R.name}" if R.name else "ar"))
 
 
 def matrix_coalgebra_data(pres, names):
@@ -204,7 +203,7 @@ def qdet(t: OperatorMatrix) -> Element:
         raise ValueError("determinant implemented for 2x2 matrices")
     try:
         di = try_invert(t.entry(2, 2))
-    except Exception as exc:
+    except NotInvertible as exc:
         raise NoInverses(str(exc)) from exc
     return t.entry(1, 1) * di - t.entry(1, 2) * di * t.entry(2, 1) * di
 
@@ -260,16 +259,13 @@ def pairing_matrices(R: RMatrix):
     n = R.n
     plus, minus = ([[[[] for _ in range(n)] for _ in range(n)] for _ in range(n)]
                    for _ in range(2))
-    for r, pairs in enumerate(R.rows):  # row (i, k), column (j, l)
-        i, k = divmod(r, n)
-        for c, x in pairs:
-            j, l = divmod(c, n)
-            plus[k][l][i].append((j, x))
-    for r, pairs in enumerate(R.inverse_matrix()):  # row (k, i), column (l, j)
-        k, i = divmod(r, n)
-        for c, x in pairs:
-            l, j = divmod(c, n)
-            minus[k][l][i].append((j, x))
+    # row (i, k) and column (j, l) of R, row (k, i) and column (l, j) of R^-1
+    for out, rows, order in ((plus, R.rows, 1), (minus, R.inverse_matrix(), -1)):
+        for r, pairs in enumerate(rows):
+            i, k = divmod(r, n)[::order]
+            for c, x in pairs:
+                j, l = divmod(c, n)[::order]
+                out[k][l][i].append((j, x))
     return plus, minus
 
 
@@ -284,10 +280,9 @@ def duality_pairing_check(R: RMatrix) -> CheckReport:
     n = R.n
     plus, minus = pairing_matrices(R)
     rep = CheckReport(f"duality[{R.name or 'R'}]")
-    fams = [("++", plus, plus), ("+-", plus, minus), ("--", minus, minus)]
-    for tag, m1, m2 in fams:
-        for idx, terms in _exchange_r21(R, lambda i, j: m1[i - 1][j - 1],
-                                        lambda i, j: m2[i - 1][j - 1]):
-            res = smat.lincomb(n, ((c, smat.mmul(left, right)) for c, left, right in terms))
+    for tag, m1, m2 in (("++", plus, plus), ("+-", plus, minus), ("--", minus, minus)):
+        mats = [m for ms in (m1, m2) for row in ms for m in row]
+        for idx, row in _envelope_rows(R):
+            res = smat.lincomb(n, ((c, smat.mmul(mats[a], mats[b])) for (a, b), c in row.items()))
             rep.record(not any(res), ((tag,) + idx,))
     return rep

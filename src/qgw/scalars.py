@@ -66,7 +66,8 @@ general value, by ``i`` (:func:`imag_unit`, ``i`` in :func:`parse`), by
 ``.f``, :meth:`Scalar.as_expr`, ``str`` and :func:`render`, and by a sympy
 expression passed in.  Native arithmetic, ==, ``hash``, :func:`parse` of
 text without ``i`` whose divisors split into binomials, and
-:func:`prime_point_residue` of a native value need none of it.
+:func:`prime_point_residue` of a native value need none of it; a general
+value has its residue too, read off its sympy fraction.
 """
 
 from __future__ import annotations
@@ -1049,20 +1050,40 @@ def prime_point() -> list:
     return list(_PRIMES)
 
 
+def _terms_residue(terms, point):
+    """The residue of the sum of the terms c x^k, the (k, c) of ``terms``
+    with int or Fraction c, at ``point``; None when a denominator of a c is
+    0 modulo ``MODULUS``."""
+    r = 0
+    for k, c in terms:
+        if type(c) is not int:
+            if not c.denominator % MODULUS:
+                return None
+            c = c.numerator * pow(c.denominator, -1, MODULUS)
+        r += c * _monomial_residue(point, k)
+    return r % MODULUS
+
+
 def prime_point_residue(a: Scalar, point=None) -> "int | None":
     """The value of ``a`` modulo ``MODULUS`` at ``point``, one int per
     indeterminate in their order (default :func:`prime_point`); ValueError,
     before anything is computed, for a point that gives an indeterminate a
     value that is 0 modulo ``MODULUS`` (naming it), and for one with fewer
-    than five values.  None for a general value, or when a coefficient's
-    denominator or a factor of its denominator is 0 modulo ``MODULUS`` at
-    the point.  At the prime point no factor is: a factor Phi_d(m) is m^g +- 1 with m a nonzero exponent tuple, and a product of
-    powers of distinct primes is 1 only for m = 0, so there the residue is
-    the image of an exact rational value, whatever the degrees.  Elsewhere
-    a factor can vanish (q - 1 at q = 1).  Computed in plain ints: each
-    term of the Laurent numerator and each factor m^g +- 1 at the point, a
-    power at the cost of the bits of its exponent, and one modular inverse
-    of the product of the factors."""
+    than five values.  None when a coefficient's denominator is 0 modulo
+    ``MODULUS``, at a pole (a denominator that is 0 modulo ``MODULUS`` at
+    the point), and for a general value with an imaginary part.
+
+    A native value is computed in plain ints: each term of the Laurent
+    numerator and each factor m^g +- 1 at the point, a power at the cost of
+    the bits of its exponent, and one modular inverse of the product of the
+    factors.  At the prime point no factor vanishes: a factor Phi_d(m) is
+    m^g +- 1 with m a nonzero exponent tuple, and a product of powers of
+    distinct primes is 1 only for m = 0, so there the residue is the image
+    of an exact rational value, whatever the degrees.  Elsewhere a factor
+    can vanish (q - 1 at q = 1).  A general value is its canonical sympy
+    fraction, numerator and denominator each evaluated term by term.  The
+    evaluation is a ring map wherever the denominator does not vanish, so
+    a value has one residue whatever its representation."""
     if point is None:
         point = prime_point()
     for i, (name, x) in enumerate(zip(_NAMES, point)):
@@ -1071,23 +1092,21 @@ def prime_point_residue(a: Scalar, point=None) -> "int | None":
     if len(point) < len(_NAMES):
         raise ValueError(f"a point of {len(point)} values for {len(_NAMES)} indeterminates")
     if a._d is None:
+        f = _lift(a)
+        polys = (f.numer, f.denom)
+        if f.field.domain.is_QQ_I:
+            if any(c.y for p in polys for c in p.values()):
+                return None
+            polys = [{k: c.x for k, c in p.items()} for p in polys]
+        num, den = (_terms_residue(((k, _rational(c)) for k, c in p.items()), point)
+                    for p in polys)
+    else:
+        num, den = _terms_residue(a._d.items(), point), 1
+        for (m, dd), k in a._b:
+            f = pow(_monomial_residue(point, m), max(1, dd // 2), MODULUS)
+            den = den * pow((f - 1 if dd == 1 else f + 1) % MODULUS, k, MODULUS) % MODULUS
+    if num is None or not den:
         return None
-    num = 0
-    for k, v in a._d.items():
-        if type(v) is int:
-            c = v
-        elif v.denominator % MODULUS:
-            c = v.numerator * pow(v.denominator, -1, MODULUS)
-        else:
-            return None
-        num += c * _monomial_residue(point, k)
-    den = 1
-    for (m, dd), k in a._b:
-        f = pow(_monomial_residue(point, m), max(1, dd // 2), MODULUS)
-        f = (f - 1 if dd == 1 else f + 1) % MODULUS
-        if not f:
-            return None
-        den = den * pow(f, k, MODULUS) % MODULUS
     return num * pow(den, -1, MODULUS) % MODULUS
 
 

@@ -6,15 +6,15 @@ import pytest
 from conftest import dense_mmul, dense_smul, dense_zeros, is_zero, madd, to_dense, twisted_r
 from test_algebras import FA_RELATIONS, paper_rules
 
-from qgw import frt
+from qgw import exterior, frt
 from qgw.algebras import (ansatz, fa_hopf, fa_presentation, uq_hopf, uq_omega_hopf,
                           uqgl11_hopf, uqgl11_omega_hopf)
 from qgw.frt import (OperatorMatrix, ar_hopf, build_ar, duality_pairing_check,
                      frt_relation_check, matrix_hopf_check, pairing_matrices, qdet, qdet_check)
 from qgw.exterior import omega_build
 from qgw.gtensor import outer, zero
-from qgw.hopfcore import check_hopf_axioms, coproduct
-from qgw.ncalg import tensor
+from qgw.hopfcore import NotInvertible, check_hopf_axioms, coproduct
+from qgw.ncalg import StepCapExceeded, tensor
 from qgw.rmatlab import catalog
 from qgw.scalars import ONE, ZERO, qvar
 
@@ -97,6 +97,22 @@ def test_qdet_rank_two():
     # multiplying back by d^2 gives the quadratic combination
     assert det * pres.word("d", "d") == pres.word("a", "d") \
         + pres.monomial(("b", "c"), q)
+
+
+def test_qdet_refuses_only_an_entry_with_no_inverse(monkeypatch):
+    """NoInverses when try_invert finds no inverse of d; a step cap or any
+    other exception inside it propagates as it is."""
+    pres = fa_presentation("ac")
+    t = OperatorMatrix(pres, [[pres.gen("a"), pres.gen("b")],
+                              [pres.gen("c"), pres.gen("d")]], label="t")
+    for exc, want in ((NotInvertible("no unit"), frt.NoInverses),
+                      (StepCapExceeded("cap"), StepCapExceeded), (KeyError("bug"), KeyError)):
+        def fail(e, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(frt, "try_invert", fail)
+        with pytest.raises(want):
+            qdet(t)
 
 
 def test_qdet_check_families():
@@ -198,28 +214,33 @@ def dense_function_rows(R, gname):
 
 # (catalog spec, n, m) of gl(n|m)-type R-matrices
 GLNM_RS = [(("ac",), 1, 1), (("omega",), 1, 1), (("super_ac",), 1, 1),
-           (("glnm", 2, 1), 2, 1), (("super_glnm", 1, 2), 1, 2)]
+           (("glnm", 2, 1), 2, 1), (("super_glnm", 1, 2), 1, 2), (("std_gl", 2), 2, 0),
+           (("std_gl", 3), 3, 0), (("glnm", 2, 2), 2, 2), (("super_omega",), 1, 1),
+           (("super_glnm", 2, 1), 2, 1), (("super_glnm", 2, 2), 2, 2)]
 
 
 @pytest.mark.parametrize("twist", [None, 0, 1])
 @pytest.mark.parametrize("spec, n, m", GLNM_RS, ids=[s[0][0] + str(s[1:]) for s in GLNM_RS])
 def test_function_rows_from_nonzeros_and_rule_counts(spec, n, m, twist):
-    """The rows folded from the exchange relation's terms, which are read
-    from R's nonzeros, are the dense double loop's, in the same order and with the same dict order, and A(R) has C((n+m)^2, 2) +
-    2nm rules."""
+    """The rows of R T1 T2 = T2 T1 R, compiled from R's nonzeros, are the
+    dense double loop's, in the same order and with the same dict order, up
+    to the sign (-1)^(p(A)p(B) + p(C)p(D)) of the row at (A,B,C,D), and A(R)
+    has C((n+m)^2, 2) + 2nm rules.  The loop's hand-derived signs are the
+    compiled rows' conjugated by the diagonal matrix of the signs
+    (-1)^(p(a)p(b)), which leaves the rules as they are."""
     R = catalog(*spec)
     R = R if twist is None else twisted_r(R, twist)
 
     def gname(i, j):
         return f"t{i}{j}"
 
-    rows = []
-    for _, terms in frt._exchange_terms(R.n, R.p, R.entry, gname, gname):
-        row = {}
-        for c, left, right in terms:
-            row[left, right] = row.get((left, right), ZERO) + c
-        if row := {w: c for w, c in row.items() if c}:
-            rows.append(list(row.items()))
+    names = [[gname(i, j) for j in range(1, R.n + 1)] for i in range(1, R.n + 1)]
+    p, sign = R.p, (0,) + R.p
+    rf, t1, t2 = frt.scalar_factor(R.rows), frt.leg1(names, R.n), frt.leg2(names, p, (p, p))
+    rows = [[(w, -c if (sign[A] * sign[B] + sign[C] * sign[D]) % 2 else c) for w, c in row.items()]
+            for (A, B, C, D), row in zip(product(range(1, R.n + 1), repeat=4),
+                                         frt.relation_rows([rf, t1, t2], [t2, t1, rf], R.n ** 2))
+            if row]
     assert rows == [list(row.items()) for row in dense_function_rows(R, gname)]
     assert len(build_ar(R).rules) == comb((n + m) ** 2, 2) + 2 * n * m
 
@@ -232,6 +253,36 @@ def test_omega_rule_count(spec, twist):
     R = catalog(*spec)
     R = R if twist is None else twisted_r(R, twist)
     assert len(omega_build(R).pres.rules) == 2 * R.n ** 2
+
+
+def dense_omega_rows(R):
+    """Reference for the relations of Omega_q(R): u_i v_j - f v_b u_a R^a_i^b_j
+    at each (i, j), read from all n^2 entries of R's column (i, j)."""
+    q = qvar()
+    rng = range(1, R.n + 1)
+    for i, j in product(rng, repeat=2):
+        for tag, u, v, f in (("x-x", "x", "x", ONE / q), ("dx-x", "dx", "x", q),
+                             ("dx-dx", "dx", "dx", -q)):
+            row = {(f"{u}{i}", f"{v}{j}"): ONE}
+            for a, b in product(rng, repeat=2):
+                c = R.entry(a, i, b, j)
+                if c:
+                    w = (f"{v}{b}", f"{u}{a}")
+                    row[w] = row.get(w, ZERO) - f * c
+            yield tag, i, j, [(w, c) for w, c in row.items() if c]
+
+
+@pytest.mark.parametrize("twist", [None, 0, 1])
+@pytest.mark.parametrize("spec", [("ac",), ("omega",), ("std_gl", 2), ("std_gl", 3),
+                                  ("glnm", 2, 1)], ids=repr)
+def test_omega_rows_from_nonzeros(spec, twist):
+    """The rows of Omega_q(R)'s three relations, compiled from the nonzeros
+    of R^t, are the dense loop's, in the same order and with the same dict
+    order."""
+    R = catalog(*spec)
+    R = R if twist is None else twisted_r(R, twist)
+    got = [(tag, i, j, list(row.items())) for tag, i, j, row in exterior._exchange_rows(R)]
+    assert got == list(dense_omega_rows(R))
 
 
 def envelope_residuals(R, e1, e2, add, mul, smulf, zero):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -17,7 +18,7 @@ from qgw.rmatlab import (NotSuperizable, NullDegreeViolated, RMatrix,
                          qybe_check, rmatrix_from_json,
                          rmatrix_to_json, superizable_grading_search,
                          superize_r, sybe_check)
-from qgw.scalars import ONE, Scalar, qvar
+from qgw.scalars import ONE, Scalar, parse, qvar
 
 
 def test_catalog_rank_two_entries():
@@ -484,3 +485,21 @@ def test_entry_convention_matches_matrix_layout():
                 for d in (1, 2):
                     assert R.entry(a, c, b, d) == \
                         R.m[(a - 1) * n + b - 1][(c - 1) * n + d - 1]
+
+
+def test_rmatrix_of_general_entries_needs_no_exact_inverse(monkeypatch):
+    """A dense R whose entries (a q + b)/(q^6 - 1) are general values (q^6 - 1
+    has the factors q^2 + q + 1 and q^2 - q + 1) is certified invertible by
+    its residues at the prime point: smat.inv, an elimination in sympy's
+    field, is never called."""
+    rng = random.Random(3)
+    entries = [[parse(f"({rng.randint(1, 9)}*q+{rng.randint(1, 9)})/(q^6-1)") for _ in range(9)]
+               for _ in range(9)]
+    assert all(x._d is None for row in entries for x in row)
+
+    def refuse(a):
+        raise AssertionError("smat.inv was called")
+
+    monkeypatch.setattr(smat, "inv", refuse)
+    R = RMatrix(3, entries, name="general")
+    assert R.rows[0][0][1] == entries[0][0]

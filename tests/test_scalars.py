@@ -291,17 +291,14 @@ _POLES = [scalars.MODULUS - 1, 3, pow(3, -1, scalars.MODULUS)]
 @given(_scalars(), st.integers(2, scalars.MODULUS - 2) | st.sampled_from(_POLES))
 def test_prime_point_residue_is_exact(a, q):
     """At the prime point, exactly the value substituted by sympy; with q
-    moved to a drawn value, the canonical fraction's residue (None where a
-    binomial factor vanishes); None for a general value at either."""
+    moved to a drawn value, the canonical fraction's residue (None where the
+    denominator vanishes); for a native and a general value alike."""
     at = {sympy.Symbol(n): p for n, p in zip(scalars._NAMES, scalars.prime_point())}
     moved = (q, *scalars.prime_point()[1:])
     got = scalars.prime_point_residue(a), scalars.prime_point_residue(a, moved)
-    if a._d is None:
-        assert got == (None, None)
-    else:
-        want = sympy.Rational(a.as_expr().subs(at))
-        assert got[0] == int(want.p) * pow(int(want.q), -1, scalars.MODULUS) % scalars.MODULUS
-        assert got[1] == _canonical_residue(a, moved)
+    want = sympy.Rational(a.as_expr().subs(at))
+    assert got[0] == int(want.p) * pow(int(want.q), -1, scalars.MODULUS) % scalars.MODULUS
+    assert got[1] == _canonical_residue(a, moved)
 
 
 @pytest.mark.parametrize("text", ["1/(q^2-1)", "(q+1)/(q^2-1)^2", "q/(q^4+1)/(q-1)"])
@@ -322,11 +319,26 @@ def test_prime_point_residue_refuses_a_short_point():
 
 
 def test_prime_point_residue_refuses_a_short_point_for_a_general_value():
-    """The length check comes before the general value's None."""
+    """A general value has the residue of the value substituted, 1/6 for
+    1/(q^2 + 2) at q = 2, and a short point is refused for it too."""
     a = ONE / (qvar() ** 2 + 2)
-    assert a._d is None and scalars.prime_point_residue(a, (2, 3, 5, 7, 11)) is None
+    assert a._d is None
+    assert scalars.prime_point_residue(a, (2, 3, 5, 7, 11)) == pow(6, -1, scalars.MODULUS)
     with pytest.raises(ValueError, match="2 values for 5 indeterminates"):
         scalars.prime_point_residue(a, (2, 3))
+
+
+def test_prime_point_residue_of_a_general_value_is_none_at_a_pole_or_off_the_reals(
+        restore_field):
+    """1/(q + 2) has a pole at q = -2 modulo MODULUS, over Q and over Q(i)
+    alike, and a general value with an imaginary part has no residue."""
+    a = ONE / (qvar() + 2)
+    assert a._d is None
+    for _ in range(2):
+        assert scalars.prime_point_residue(a, (scalars.MODULUS - 2, 3, 5, 7, 11)) is None
+        assert scalars.prime_point_residue(a, (3, 3, 5, 7, 11)) == pow(5, -1, scalars.MODULUS)
+        b = imag_unit() / (qvar() ** 2 + 2)
+        assert b._d is None and scalars.prime_point_residue(b) is None
 
 
 def test_prime_point_residue_refuses_a_coordinate_at_zero():
