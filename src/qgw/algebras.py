@@ -207,15 +207,17 @@ class NotQuantumMatrix(ValueError):
     """A presentation without the rules that adjoin_inverses conjugates."""
 
 
-def _q_rule(pres, lhs, lead, extra=""):
-    """pres's rule ``lhs -> p lead`` with p != 0, or ``lhs -> lead + t extra``
-    when ``extra`` is given, as its dict; else NotQuantumMatrix, naming the
-    rule.  A word is spelled one letter per generator."""
+def _q_rule(pres, lhs, lead="", extra=""):
+    """pres's rule ``lhs -> p lead`` with p != 0, ``lhs -> lead + t extra``
+    when ``extra`` is given, or ``lhs -> 0`` when ``lead`` is empty, as its
+    dict; else NotQuantumMatrix, naming the rule.  A word is spelled one
+    letter per generator."""
     rule = pres.rules.get(tuple(lhs))
     p = rule.get(tuple(lead)) if rule else None
-    if not p or not set(rule) <= {tuple(lead), tuple(extra or lead)} or (extra and p != ONE):
+    if (rule != {}) if not lead else (
+            not p or not set(rule) <= {tuple(lead), tuple(extra or lead)} or (extra and p != ONE)):
         w = " ".join
-        want = f"{w(lead)} + t {w(extra)}" if extra else f"p {w(lead)}"
+        want = f"{w(lead)} + t {w(extra)}" if extra else f"p {w(lead)}" if lead else "0"
         has = f"no rule for {w(lhs)}" if rule is None else \
             f"{w(lhs)} -> " + (" + ".join(w(x) or "1" for x in rule) or "0")
         raise NotQuantumMatrix(f"{pres.name or 'unnamed'} needs {w(lhs)} -> {want}, has {has}")
@@ -235,13 +237,18 @@ def adjoin_inverses(pres: Presentation) -> Presentation:
     proved, so it rests on the step cap, and so does the overlap check.  Raises
     NotQuantumMatrix unless pres has the rules b a -> p a b, c a -> p a c,
     d b -> p b d and d c -> p c d, each with its own p != 0, and
-    d a -> a d + t b c.
+    d a -> a d + t b c; and, when t != 0, b b -> 0 and c c -> 0.  A(std_gl(2))
+    has neither, and 4 of the 32 overlaps of its inverse rules run into a step
+    cap of 20,000.
     """
     p_ba = _q_rule(pres, "ba", "ab")[("a", "b")]
     p_ca = _q_rule(pres, "ca", "ac")[("a", "c")]
     r_db = _q_rule(pres, "db", "bd")[("b", "d")]
     r_dc = _q_rule(pres, "dc", "cd")[("c", "d")]
     t = _q_rule(pres, "da", "ad", "bc").get(("b", "c"), Scalar(0))
+    if t:
+        _q_rule(pres, "bb")
+        _q_rule(pres, "cc")
     old = {g.name: g for g in pres.gens}
     gens = [
         GeneratorSymbol("ai", inverse="a"),

@@ -1,13 +1,17 @@
 """Named verification suites with a command line front end.
 
 Every headline identity of the workbench gets a stable check id grouped
-into suites (sec2..sec5, engine).  Negative checks are first class: their
-expected verdict is "fail-of-property" and the runner treats the failure
-as the correct outcome.  Only engine/associativity draws from the seed;
-every other check is exact.  Reports can be emitted as text or JSON.
+into suites (sec2..sec5, engine).  A check is one function, declared by
+@_check(id, anchor, expected); its suite is read off its id: an engine/...
+id names its own, and any other is anchored in the paper (def2.1, sec3/...,
+thm4.1) and falls in sec plus the digit of its section.  Negative checks
+are first class: their expected verdict is "fail-of-property" and the
+runner treats the failure as the correct outcome.  Only engine/associativity
+draws from the seed; every other check is exact.  Reports can be emitted as
+text or JSON; ``qgw list`` prints each check's id, expected verdict and anchor.
 
 Exit codes: 0 all expected verdicts met, 1 at least one mismatch, 2 an
-engine error (unexpected exception) occurred.
+error row (an unexpected exception in a check) or a usage error.
 """
 
 from __future__ import annotations
@@ -35,11 +39,28 @@ class UnknownCheck(KeyError):
 @dataclass
 class CheckDescriptor:
     id: str
-    suite: str
     anchor: str
     fn: object
     expected: str = "pass"  # or "fail-of-property"
     error_anchor: str = ""  # the anchor of an error row, when not ``anchor``
+
+    @property
+    def suite(self) -> str:
+        """An engine/... or user/... id names its suite; any other id's suite is
+        sec and the first digit of its place in the paper (def2.1 -> sec2)."""
+        place = self.id.split("/")[0]
+        return place if place in ("engine", "user") else "sec" + next(filter(str.isdigit, place))
+
+
+CHECKS = []
+
+
+def _check(id, anchor, expected="pass"):
+    """Declare the decorated function the check ``id``, after those above it."""
+    def register(fn):
+        CHECKS.append(CheckDescriptor(id, anchor, fn, expected))
+        return fn
+    return register
 
 
 # -- small helpers ---------------------------------------------------------
@@ -64,12 +85,14 @@ def _ctx_labels(ctx, default):
 
 # -- section 2 -------------------------------------------------------------
 
+@_check("def2.1/hopf-axioms", "the twisted enveloping algebras satisfy the Hopf axioms")
 def _chk_hopf_axioms(ctx):
     rep = check_hopf_axioms(algebras.uq_hopf())
     rep.merge(check_hopf_axioms(algebras.uqgl11_hopf()))
     return rep
 
 
+@_check("sec2/qybe", "the rank two matrix solution satisfies the QYBE")
 def _chk_qybe(ctx):
     R = catalog("ac")
     return _bool_report("qybe-ac", [
@@ -84,6 +107,7 @@ _QT_TRIPLES = [("standard", ((-1, 0), (2, 2), (-1, 0))), ("standard", ((0, 1), (
                ("standard", ((-1, -1), (-1, 0), (2, 2))), ("super", ((1, 1), (-1, -1), (1, 2)))]
 
 
+@_check("thm2.2/quasitriangularity", "hexagon and intertwining identities in tensor triples")
 def _chk_quasitriangularity(ctx):
     rep = CheckReport("quasitriangularity")
     for which, tri in _QT_TRIPLES:
@@ -91,6 +115,7 @@ def _chk_quasitriangularity(ctx):
     return rep
 
 
+@_check("sec2/casimirs", "the quadratic and group-like-square elements are central")
 def _chk_casimirs(ctx):
     h = algebras.uq_hopf()
     c1sq, c2 = algebras.uq_casimirs()
@@ -99,6 +124,7 @@ def _chk_casimirs(ctx):
     return rep
 
 
+@_check("prop2.4/ribbon", "is a ribbon Hopf algebra")
 def _chk_ribbon(ctx):
     rep = CheckReport("ribbon")
     for lab in _ctx_labels(ctx, [(1, 0), (2, 1), (1, 1), (0, 1)]):
@@ -106,6 +132,8 @@ def _chk_ribbon(ctx):
     return rep
 
 
+@_check("prop2.5/canonical", "the fundamental representation recovers the matrix solution, "
+        "up to reparametrization for general labels")
 def _chk_canonical(ctx):
     q = qvar()
     rep = CheckReport("canonical")
@@ -130,10 +158,12 @@ def _frt_triple(R, which, h):
     return rep
 
 
+@_check("sec2/frt", "generator matrices satisfy the exchange relations")
 def _chk_frt(ctx):
     return _frt_triple(catalog("ac"), "standard", algebras.uq_hopf())
 
 
+@_check("sec2/tensor-decomposition", "a product of two irreducibles splits into two")
 def _chk_tensor_decompose(ctx):
     try:
         reps.tensor_decompose()
@@ -143,12 +173,14 @@ def _chk_tensor_decompose(ctx):
     return _bool_report("tensor-decompose", [(failure is None, ("intertwiner", failure))])
 
 
+@_check("sec2/duality", "duality pairing between matrix and enveloping sides")
 def _chk_duality(ctx):
     return frt.duality_pairing_check(catalog("ac"))
 
 
 # -- section 3 -------------------------------------------------------------
 
+@_check("prop3.1/superizable", "the rank two solution is superizable with p=(0,1)")
 def _chk_superizable(ctx):
     q = qvar()
     R = catalog("ac")
@@ -174,6 +206,7 @@ def _hopf_match(a, b, name):
     return rep
 
 
+@_check("prop3.2/superization", "superization reproduces the super quantum group")
 def _chk_superization(ctx):
     rep = _hopf_match(superize(algebras.uq_hopf()), algebras.uqgl11_hopf(),
                       "superization")
@@ -182,6 +215,8 @@ def _chk_superization(ctx):
     return rep
 
 
+@_check("sec3/super-r", "super universal R-matrix in the fundamental representation, "
+        "up to the central normalization")
 def _chk_super_r(ctx):
     q = qvar()
     got = reps.universal_r_eval((1, 0), (1, 0), which="super")
@@ -189,16 +224,19 @@ def _chk_super_r(ctx):
     return _bool_report("super-r", [(smat.meq(got.rows, want), "entries")])
 
 
+@_check("sec3/super-frt", "super generator matrices satisfy the exchange relations")
 def _chk_super_frt(ctx):
     return _frt_triple(catalog("super_ac"), "super", algebras.uqgl11_hopf())
 
 
+@_check("sec3/super-duality", "graded duality pairing")
 def _chk_super_duality(ctx):
     return frt.duality_pairing_check(catalog("super_ac"))
 
 
 # -- section 4 -------------------------------------------------------------
 
+@_check("sec4/glnm-ybe", "gl(n|m)-type solutions satisfy the (graded) YBE")
 def _chk_glnm_ybe(ctx):
     rep = CheckReport("glnm-ybe")
     for n, m in ((1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3)):
@@ -208,6 +246,8 @@ def _chk_glnm_ybe(ctx):
     return rep
 
 
+@_check("thm4.1/superization-iso",
+        "superized matrix algebras are isomorphic to the super ones via the involution twist")
 def _chk_theta(ctx):
     rep = CheckReport("theta")
     for src, tgt in (("ac", "gl11"), ("omega", "gl11omega")):
@@ -224,6 +264,8 @@ def _det_element():
     return algebras.uq_presentation().word("K1", "K2")
 
 
+@_check("sec4/determinant", "the determinant-like element: group-like, sign commutation, "
+        "central square with images q^(+-2)")
 def _chk_determinant(ctx):
     h = algebras.uq_hopf()
     pres = h.pres
@@ -241,10 +283,13 @@ def _chk_determinant(ctx):
     return rep
 
 
+@_check("sec4/determinant-noncentral",
+        "the determinant-like element itself is not central", expected="fail-of-property")
 def _chk_determinant_noncentral(ctx):
     return casimir_central_check(algebras.uq_hopf(), _det_element())
 
 
+@_check("sec4/superdeterminant", "superdeterminants are central and group-like")
 def _chk_superdeterminant(ctx):
     rep = frt.qdet_check(algebras.fa_hopf("gl11"))
     rep.merge(frt.qdet_check(algebras.fa_hopf("gl11omega")))
@@ -253,6 +298,7 @@ def _chk_superdeterminant(ctx):
 
 # -- section 5 -------------------------------------------------------------
 
+@_check("sec5/hecke", "Hecke condition battery")
 def _chk_hecke(ctx):
     pairs = []
     for spec in (("ac",), ("omega",), ("std_gl", 2), ("std_gl", 3)):
@@ -262,6 +308,8 @@ def _chk_hecke(ctx):
     return _bool_report("hecke", pairs)
 
 
+@_check("prop5.1/twisting", "the exterior coproduct is a cocycle twist and the twisted "
+        "R-matrix matches its closed form")
 def _chk_twisting(ctx):
     rep = reps.twist_check((1, 0), (2, 1), (1, 1), super_side=False)
     rep.record(reps.universal_r_eval((1, 0), (1, 0), which="omega")
@@ -269,22 +317,27 @@ def _chk_twisting(ctx):
     return rep
 
 
+@_check("sec5/super-twisting", "the super exterior coproduct is a cocycle twist")
 def _chk_super_twisting(ctx):
     return reps.twist_check((1, 0), (2, 1), (1, 1), super_side=True)
 
 
+@_check("sec5/omega-hopf", "Hopf axioms for the exterior-variant presentations")
 def _chk_omega_hopf(ctx):
     rep = check_hopf_axioms(algebras.uq_omega_hopf())
     rep.merge(check_hopf_axioms(algebras.uqgl11_omega_hopf()))
     return rep
 
 
+@_check("sec5/omega-frt", "exterior-variant generator matrix exchange relations")
 def _chk_omega_frt(ctx):
     rep = _frt_triple(catalog("omega"), "omega", algebras.uq_omega_hopf())
     rep.merge(_frt_triple(catalog("super_omega"), "super-omega", algebras.uqgl11_omega_hopf()))
     return rep
 
 
+@_check("prop5.2/exterior",
+        "exterior algebras are covariant and carry the hidden matrix super-transformation")
 def _chk_exterior(ctx):
     """Covariance, the coaction, and d^2 = 0 on each generator: d is an odd
     derivation, checked well defined on every rule as Omega_q(R) is built,
@@ -320,10 +373,12 @@ def _engine_report(name, probes=0, rng=None):
     return rep
 
 
+@_check("engine/overlaps", "all catalog rewrite systems resolve their overlaps")
 def _chk_overlaps(ctx):
     return _engine_report("overlaps")
 
 
+@_check("engine/associativity", "randomized associativity probes")
 def _chk_associativity(ctx):
     return _engine_report("associativity", 60, ctx["rng"])
 
@@ -338,6 +393,7 @@ def _residues(rows, what):
     return out
 
 
+@_check("engine/numeric-spot", "exact confirmation modulo a prime at the prime point")
 def _chk_numeric(ctx):
     """Re-confirm two exact identities modulo the prime ``scalars.MODULUS``
     at the prime point (:func:`smat.residues`): evaluation at a point is a
@@ -353,102 +409,6 @@ def _chk_numeric(ctx):
                             smat.mod_mmul(smat.mod_mmul(r23, r13), r12)), ("qybe", nm))
     return rep
 
-
-# -- catalog ---------------------------------------------------------------
-
-CHECKS = [
-    CheckDescriptor("def2.1/hopf-axioms", "sec2",
-                    "the twisted enveloping algebras satisfy the Hopf axioms",
-                    _chk_hopf_axioms),
-    CheckDescriptor("sec2/qybe", "sec2",
-                    "the rank two matrix solution satisfies the QYBE",
-                    _chk_qybe),
-    CheckDescriptor("thm2.2/quasitriangularity", "sec2",
-                    "hexagon and intertwining identities in tensor triples",
-                    _chk_quasitriangularity),
-    CheckDescriptor("sec2/casimirs", "sec2",
-                    "the quadratic and group-like-square elements are central",
-                    _chk_casimirs),
-    CheckDescriptor("prop2.4/ribbon", "sec2",
-                    "is a ribbon Hopf algebra",
-                    _chk_ribbon),
-    CheckDescriptor("prop2.5/canonical", "sec2",
-                    "the fundamental representation recovers the matrix "
-                    "solution, up to reparametrization for general labels",
-                    _chk_canonical),
-    CheckDescriptor("sec2/frt", "sec2",
-                    "generator matrices satisfy the exchange relations",
-                    _chk_frt),
-    CheckDescriptor("sec2/tensor-decomposition", "sec2",
-                    "a product of two irreducibles splits into two",
-                    _chk_tensor_decompose),
-    CheckDescriptor("sec2/duality", "sec2",
-                    "duality pairing between matrix and enveloping sides",
-                    _chk_duality),
-    CheckDescriptor("prop3.1/superizable", "sec3",
-                    "the rank two solution is superizable with p=(0,1)",
-                    _chk_superizable),
-    CheckDescriptor("prop3.2/superization", "sec3",
-                    "superization reproduces the super quantum group",
-                    _chk_superization),
-    CheckDescriptor("sec3/super-r", "sec3",
-                    "super universal R-matrix in the fundamental "
-                    "representation, up to the central normalization",
-                    _chk_super_r),
-    CheckDescriptor("sec3/super-frt", "sec3",
-                    "super generator matrices satisfy the exchange relations",
-                    _chk_super_frt),
-    CheckDescriptor("sec3/super-duality", "sec3",
-                    "graded duality pairing",
-                    _chk_super_duality),
-    CheckDescriptor("sec4/glnm-ybe", "sec4",
-                    "gl(n|m)-type solutions satisfy the (graded) YBE",
-                    _chk_glnm_ybe),
-    CheckDescriptor("thm4.1/superization-iso", "sec4",
-                    "superized matrix algebras are isomorphic to the super "
-                    "ones via the involution twist",
-                    _chk_theta),
-    CheckDescriptor("sec4/determinant", "sec4",
-                    "the determinant-like element: group-like, sign "
-                    "commutation, central square with images q^(+-2)",
-                    _chk_determinant),
-    CheckDescriptor("sec4/determinant-noncentral", "sec4",
-                    "the determinant-like element itself is not central",
-                    _chk_determinant_noncentral,
-                    expected="fail-of-property"),
-    CheckDescriptor("sec4/superdeterminant", "sec4",
-                    "superdeterminants are central and group-like",
-                    _chk_superdeterminant),
-    CheckDescriptor("sec5/hecke", "sec5",
-                    "Hecke condition battery",
-                    _chk_hecke),
-    CheckDescriptor("prop5.1/twisting", "sec5",
-                    "the exterior coproduct is a cocycle twist and the "
-                    "twisted R-matrix matches its closed form",
-                    _chk_twisting),
-    CheckDescriptor("sec5/super-twisting", "sec5",
-                    "the super exterior coproduct is a cocycle twist",
-                    _chk_super_twisting),
-    CheckDescriptor("sec5/omega-hopf", "sec5",
-                    "Hopf axioms for the exterior-variant presentations",
-                    _chk_omega_hopf),
-    CheckDescriptor("sec5/omega-frt", "sec5",
-                    "exterior-variant generator matrix exchange relations",
-                    _chk_omega_frt),
-    CheckDescriptor("prop5.2/exterior", "sec5",
-                    "exterior algebras are covariant and carry the hidden "
-                    "matrix super-transformation",
-                    _chk_exterior),
-    CheckDescriptor("engine/overlaps", "engine",
-                    "all catalog rewrite systems resolve their overlaps",
-                    _chk_overlaps),
-    CheckDescriptor("engine/associativity", "engine",
-                    "randomized associativity probes",
-                    _chk_associativity),
-    CheckDescriptor("engine/numeric-spot", "engine",
-                    "exact confirmation modulo a prime at the prime point",
-                    _chk_numeric),
-]
 
 _BY_ID = {c.id: c for c in CHECKS}
 SUITES = {"all": [c.id for c in CHECKS]}
@@ -484,7 +444,7 @@ def _user_rmatrix(text) -> CheckDescriptor:
     def check(ctx):
         R = rmatlab.rmatrix_from_json(text)
         return _bool_report("user-rmatrix", [(qybe_check(R), "braid relation has a nonzero residual")])
-    return CheckDescriptor("user/rmatrix", "user", "user-supplied R-matrix satisfies the (graded) YBE",
+    return CheckDescriptor("user/rmatrix", "user-supplied R-matrix satisfies the (graded) YBE",
                            check, error_anchor="user-supplied R-matrix")
 
 

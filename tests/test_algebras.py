@@ -162,6 +162,23 @@ def test_adjoin_inverses_refuses_a_rule_to_zero():
         adjoin_inverses(pres)
 
 
+def test_adjoin_inverses_refuses_a_correction_without_nilpotent_b_and_c():
+    """A(std_gl(2)) has d a -> a d + t b c with t = q - 1/q but no rule b b -> 0:
+    rewriting with its inverse rules runs into the step cap, so it is refused by name."""
+    pres = build_ar(catalog("std_gl", 2), names=FA_GRID, name="std")
+    assert pres.rules[("d", "a")][("b", "c")] == qvar() - ONE / qvar()
+    with pytest.raises(NotQuantumMatrix, match=r"^std needs b b -> 0, has no rule for b b$"):
+        adjoin_inverses(pres)
+
+
+def test_adjoin_inverses_accepts_commuting_entries():
+    """A(identity(2)) has t = 0, so it needs no b b -> 0, and its inverse rules
+    resolve all their overlaps."""
+    pres = adjoin_inverses(build_ar(catalog("identity", 2), names=FA_GRID, name="id"))
+    rep = overlap_check(pres)
+    assert rep.ok and rep.checked == 32, rep.failures[:2]
+
+
 def test_fa_hopf_axioms():
     for key in ("ac", "gl11", "omega", "gl11omega"):
         rep = check_hopf_axioms(fa_hopf(key))

@@ -25,6 +25,28 @@ def test_every_check_has_unique_id():
     assert "prop2.4/ribbon" in ids
 
 
+def test_catalog_is_pinned():
+    """Each check's id, suite (read off its id) and expected verdict, in the
+    order the checks are declared."""
+    fail = "fail-of-property"
+    assert [(c.id, c.suite, c.expected) for c in cli.CHECKS] == [
+        ("def2.1/hopf-axioms", "sec2", "pass"), ("sec2/qybe", "sec2", "pass"),
+        ("thm2.2/quasitriangularity", "sec2", "pass"), ("sec2/casimirs", "sec2", "pass"),
+        ("prop2.4/ribbon", "sec2", "pass"), ("prop2.5/canonical", "sec2", "pass"),
+        ("sec2/frt", "sec2", "pass"), ("sec2/tensor-decomposition", "sec2", "pass"),
+        ("sec2/duality", "sec2", "pass"), ("prop3.1/superizable", "sec3", "pass"),
+        ("prop3.2/superization", "sec3", "pass"), ("sec3/super-r", "sec3", "pass"),
+        ("sec3/super-frt", "sec3", "pass"), ("sec3/super-duality", "sec3", "pass"),
+        ("sec4/glnm-ybe", "sec4", "pass"), ("thm4.1/superization-iso", "sec4", "pass"),
+        ("sec4/determinant", "sec4", "pass"), ("sec4/determinant-noncentral", "sec4", fail),
+        ("sec4/superdeterminant", "sec4", "pass"), ("sec5/hecke", "sec5", "pass"),
+        ("prop5.1/twisting", "sec5", "pass"), ("sec5/super-twisting", "sec5", "pass"),
+        ("sec5/omega-hopf", "sec5", "pass"), ("sec5/omega-frt", "sec5", "pass"),
+        ("prop5.2/exterior", "sec5", "pass"), ("engine/overlaps", "engine", "pass"),
+        ("engine/associativity", "engine", "pass"), ("engine/numeric-spot", "engine", "pass")]
+    assert cli._user_rmatrix("{}").suite == "user"
+
+
 def test_suites_partition_catalog():
     grouped = sum((cli.SUITES[s] for s in ("sec2", "sec3", "sec4", "sec5",
                                            "engine")), [])

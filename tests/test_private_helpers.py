@@ -7,7 +7,9 @@ a qgw class is read by qgw or its benchmark.
 A definition counts as used when its name is read, as a name or as an
 attribute, anywhere in src/qgw (or, for a public function, in qgwbench/*.py)
 outside its own body: a helper that only calls itself, or is only imported,
-is unused.  A method counts as used when its name is read as an attribute
+is unused.  A private function decorated by a call of ``_check`` is used, for
+that call registers it as a check of the command line; no other decorator
+counts.  A method counts as used when its name is read as an attribute
 in src/qgw or qgwbench/*.py outside its own body.
 """
 
@@ -82,9 +84,16 @@ def _unread(src, definitions, readers=(), names=True):
     return unread, total
 
 
+def _registered(node):
+    """Whether ``node`` is decorated by a call ``_check(...)``."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_check"
+               for d in node.decorator_list)
+
+
 def unused_private_definitions(src=SRC):
     unused, total = _unread(src, _top_level(_is_private))
-    return [f"{path}:{node.lineno} {node.name}" for path, node in unused], total
+    return [f"{path}:{node.lineno} {node.name}" for path, node in unused
+            if not _registered(node)], total
 
 
 def unread_public_functions(src=SRC, readers=(BENCH,), api=PUBLIC_API):
@@ -114,6 +123,18 @@ def test_an_unused_helper_is_found(tmp_path):
     unused, total = unused_private_definitions(tmp_path)
     assert total == 3
     assert unused == ["a.py:5 _recursive", "a.py:9 _Dead"]
+
+
+def test_only_a_registered_check_is_used_by_its_decorator(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from functools import lru_cache\n\n\n"
+        "def _check(id):\n    return lambda fn: fn\n\n\n"
+        "@_check(\"sec2/x\")\ndef _chk_registered(ctx):\n    return 1\n\n\n"
+        "def _chk_x(ctx):\n    return 2\n\n\n"
+        "@lru_cache(maxsize=None)\ndef _cached():\n    return 3\n")
+    unused, total = unused_private_definitions(tmp_path)
+    assert total == 4
+    assert unused == ["a.py:13 _chk_x", "a.py:18 _cached"]
 
 
 def test_every_public_function_is_read_or_api():
