@@ -22,7 +22,8 @@ from .frt import OperatorMatrix, build_ar, matrix_coalgebra_data
 from .gtensor import TensorElement
 from .hopfcore import (HopfData, grouplike_data, superize, theta_iso_check, try_invert,
                        try_invert_tensor, z2_extend)
-from .ncalg import GeneratorSymbol, Presentation, compile_relations
+from .ncalg import (ConfluenceFailure, GeneratorSymbol, Presentation, compile_relations,
+                    overlap_check)
 from .report import CheckReport
 from .rmatlab import catalog
 from .scalars import ONE, Scalar, qvar
@@ -234,7 +235,9 @@ def adjoin_inverses(pres: Presentation) -> Presentation:
     them: rewriting di di ai at its rightmost di ai by the correction term
     ai ai b c di di, again and again, never stops, each step adding four
     letters and one b.  Whether leftmost rewriting terminates is not
-    proved, so it rests on the step cap, and so does the overlap check.  Raises
+    proved, so it rests on the step cap, and so does the overlap check,
+    which runs here, as the presentation is built: ConfluenceFailure names
+    the first three overlaps that fail, as in compile_relations.  Raises
     NotQuantumMatrix unless pres has the rules b a -> p a b, c a -> p a c,
     d b -> p b d and d c -> p c d, each with its own p != 0, and
     d a -> a d + t b c; and, when t != 0, b b -> 0 and c c -> 0.  A(std_gl(2))
@@ -257,7 +260,7 @@ def adjoin_inverses(pres: Presentation) -> Presentation:
         GeneratorSymbol("di", inverse="d"),
         GeneratorSymbol("d", inverse="di"),
     ]
-    return pres.derive(gens=gens, name=pres.name + "-inv", rules=[
+    out = pres.derive(gens=gens, name=pres.name + "-inv", rules=[
         (("b", "ai"), {("ai", "b"): ONE / p_ba}, False),
         (("c", "ai"), {("ai", "c"): ONE / p_ca}, False),
         (("di", "b"), {("b", "di"): ONE / r_db}, False),
@@ -268,6 +271,10 @@ def adjoin_inverses(pres: Presentation) -> Presentation:
                         ("ai", "ai", "b", "c", "di", "di"): t / (p_ba * p_ca * r_db * r_dc)},
          True),
     ])
+    rep = overlap_check(out)
+    if not rep.ok:
+        raise ConfluenceFailure(f"{out.name}: {rep.failures[:3]}")
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,9 @@ involution g, the same algebra becomes a super-Hopf algebra with
 
 where the degree of a homogeneous element is read off from the adjoint
 action g h g^-1 = (-1)^deg(h) h.  The inverse direction, adjoining g to an
-algebra with a chosen index grading, is z2_extend.
+algebra with a chosen index grading, is z2_extend: it resolves only the
+overlaps that contain g, since those of the algebra's own rules never meet
+g and were resolved when the algebra was built.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import replace
 from functools import partial
 
 from .gtensor import TensorElement, _tensor, apply_to_leg, outer, unit, zero
-from .ncalg import (Element, GeneratorSymbol, Presentation, linear, multiplicative,
-                    overlap_check, rule_residuals)
+from .ncalg import (Element, GeneratorSymbol, Presentation, linear, multiplicative, overlaps,
+                    resolve_overlaps, rule_residuals)
 from .report import CheckReport
 from .scalars import ONE, ZERO, Scalar
 
@@ -263,8 +265,11 @@ def z2_extend(h: HopfData, parity: dict) -> HopfData:
 
     parity maps every generator name to 0 or 1 (inverse partners must agree
     with their partner's parity).  The result is a bosonic Hopf algebra with
-    g group-like; compatibility of the sign action with the rules is checked
-    by exhaustive overlap resolution.
+    g group-like.  Compatibility of the sign action with the rules is checked
+    by resolving every overlap that contains g, one check each, in the order
+    of overlap_check.  An overlap of two rules of h.pres never meets g and
+    resolves exactly as it does there, which is for the builder of h.pres to
+    prove (compile_relations and adjoin_inverses do, as they build).
     """
     pres = h.pres
     if "g" in pres.index:
@@ -279,7 +284,7 @@ def z2_extend(h: HopfData, parity: dict) -> HopfData:
                       rules=[((x, "g"), {("g", x): -ONE if parity[x] % 2 else ONE}, False)
                              for x in pres.by_name],
                       name=pres.name + "xg")
-    chk = overlap_check(out)
+    chk = resolve_overlaps(out, (o for o in overlaps(out) if "g" in o))
     if not chk.ok:
         raise ActionNotCompatible(f"{out.name}: {chk.failures[:3]}")
 

@@ -8,15 +8,15 @@ until none is left; Elements store only normal-form words.
 The normal form nf(w) of each distinct word, with coefficient 1, is
 computed once per memo, bottom-up on an explicit work stack (no
 recursion).  The memo is local to one reduce_terms call unless the caller
-passes its own: overlap_check makes one per call, reduces both sides of
-every overlap and every probe element and product against it, and drops it
-on return.  An input word already in the memo starts no stack.  A word's
-leftmost redex is found when the word is made (a child's scan starts at the
-redex of its parent minus one, since the prefix before it is irreducible),
-through the private rule index _follow[x][y], which is the rhs dict of the
-rule (x, y): a reducible word is pushed with its redex and rule, an
-irreducible one goes straight into the memo.  A Scalar coefficient and a
-tuple word are taken as they are.
+passes its own: resolve_overlaps makes one per call and reduces both sides
+of every overlap against it, associativity_probes every probe element and
+product, and each drops it on return.  An input word already in the memo
+starts no stack.  A word's leftmost redex is found when the word is made
+(a child's scan starts at the redex of its parent minus one, since the
+prefix before it is irreducible), through the private rule index
+_follow[x][y], which is the rhs dict of the rule (x, y): a reducible word
+is pushed with its redex and rule, an irreducible one goes straight into
+the memo.  A Scalar coefficient and a tuple word are taken as they are.
 
 Element(pres, terms) is the one public constructor: it coerces each
 coefficient to a Scalar and each word to a tuple, refuses a letter that is
@@ -41,16 +41,22 @@ The term order is weighted deg-lex (total weight, every weight at least 1,
 then length, then the index tuple), a monomial order: add_rule makes every
 rule decrease in it, so rewriting terminates.  Left-hand sides have two
 letters, so by Bergman's diamond lemma (Adv. Math. 29, 1978) the exhaustive
-3-letter overlap_check is a complete confluence test; it finds the overlaps
-x y z of a rule (x, y) through the rules (y, z) in the index.  Rules
-adjoined for inverses of non-q-commuting generators (the d/a corrections in
-the 2x2 function algebras) may grow the word length and are admitted with
+3-letter overlap_check is a complete confluence test, and only that: it
+passes every overlap of overlaps(p), a rule (x, y) and a rule (y, z) found
+through the index, to resolve_overlaps(p, triples), the one resolver, to
+which z2_extend passes those that contain its new letter.
+compile_relations and algebras.adjoin_inverses run it on each presentation
+they build, and a failed overlap raises ConfluenceFailure.  Rules adjoined for
+inverses of non-q-commuting generators (the d/a corrections in the 2x2
+function algebras) may grow the word length and are admitted with
 ``unoriented=True``.  Such rules need not terminate under every strategy:
 in the fa-*-inv algebras, rewriting di di ai at its rightmost di ai by the
 correction term ai ai b c di di, again and again, gives words of 7, 11,
 15, ... letters, so no reduction order fits them.  Whether leftmost
 rewriting terminates on every word is not proved; the step cap bounds it
-(StepCapExceeded), so overlap_check proves confluence only up to that cap.
+(StepCapExceeded), so overlap_check proves confluence only up to that cap,
+and associativity_probes(p, n, rng), n random checks (a b) c = a (b c),
+is the cross-check there.
 
 Presentation.derive builds a presentation from another: it renames or
 regrades the generators, adds generators and rules, and carries each rule's
@@ -60,7 +66,8 @@ at construction, says whether some generator is odd: tensors and Hopf data
 over the presentation are super exactly then.
 
 A map given on generators extends to words by multiplicative(images, one)
-and to combinations by linear(word_map, terms, zero); rule_residuals(pres,
+and to combinations by linear(word_map, terms, zero), which takes no
+product with a coefficient that is ONE; rule_residuals(pres,
 word_map, zero) applies it to both sides of every rule, the left-hand-side
 word unreduced, and the map is well defined exactly when all are zero.
 
@@ -80,7 +87,6 @@ inline loop, which is faster on those hot paths.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, replace
 
 from .report import CheckReport
@@ -592,10 +598,11 @@ def multiplicative(images, one):
 
 
 def linear(word_map, terms, zero):
-    """The sum of word_map(w) * c over the (w, c) items of ``terms``."""
+    """The sum of word_map(w) * c over the (w, c) items of ``terms``; a
+    coefficient that is ONE is not multiplied by."""
     out = zero
     for w, c in terms.items():
-        out = out + word_map(w) * c
+        out = out + (word_map(w) if c is ONE else word_map(w) * c)
     return out
 
 
@@ -668,43 +675,71 @@ def compile_relations(gens, relations, name=""):
 
 # -- confluence certification --------------------------------------------
 
-def overlap_check(p: Presentation, sample_budget: int = 0, rng=None) -> CheckReport:
-    """Exhaustive 3-letter overlap resolution (a confluence proof when every
-    rule is oriented), plus sample_budget random associativity probes: one
-    check per overlap and one per probe.
+def overlaps(p: Presentation):
+    """The overlaps x y z of ``p``, a rule (x, y) and a rule (y, z): the
+    rules (y, z) in rule order, found through the rule index, for each rule
+    (x, y) in rule order."""
+    for x, y in p.rules:
+        for z in p._follow.get(y, ()):
+            yield x, y, z
 
-    Both sides of every overlap, and every probe element and product, are
-    reduced against one normal-form memo made by this call and dropped on
-    return: the rules do not change meanwhile, so each distinct reducible
-    word costs one step per call, and the steps of a call do not depend on
-    what ran before it."""
+
+def resolve_overlaps(p: Presentation, triples) -> CheckReport:
+    """One check per overlap x y z of ``triples``: rewriting it by (x, y)
+    first and by (y, z) first gives the same normal form.
+
+    Both sides of every overlap are reduced against one normal-form memo
+    made by this call and dropped on return: the rules do not change
+    meanwhile, so each distinct reducible word costs one step per call, and
+    the steps of a call do not depend on what ran before it."""
     rep = CheckReport(p.name)
     memo: dict[tuple, dict] = {}
-    # the rules (y, z) in rule order, for each rule (x, y) in rule order
-    for (x, y), xy in p.rules.items():
-        for z, yz in p._follow.get(y, {}).items():
-            left = {w + (z,): c for w, c in xy.items()}
-            right = {(x,) + w: c for w, c in yz.items()}
-            try:
-                rep.record(p.reduce_terms(left, memo) == p.reduce_terms(right, memo),
-                           ("overlap", (x, y, z)))
-            except StepCapExceeded:
-                rep.record(False, ("stepcap", (x, y, z)))
-    if sample_budget:
-        rng = rng or random.Random(0)
-        names = [g.name for g in p.gens]
-        def rand_elem():
-            t = {}
-            for _ in range(rng.randint(1, 3)):
-                w = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
-                t[w] = Scalar(rng.randint(-3, 3))
-            # Element(p, t) without the checks: every word is of generators
-            return _element(p, p.reduce_terms(t, memo))
-        for _ in range(sample_budget):
-            a, b, c = rand_elem(), rand_elem(), rand_elem()
-            ok = _product(_product(a, b, memo), c, memo) == _product(a, _product(b, c, memo), memo)
-            # str loads sympy, so a probe is printed only when it fails
-            rep.record(ok, None if ok else ("assoc", (str(a), str(b), str(c))))
+    rules = p.rules
+    for x, y, z in triples:
+        left = {w + (z,): c for w, c in rules[(x, y)].items()}
+        right = {(x,) + w: c for w, c in rules[(y, z)].items()}
+        try:
+            rep.record(p.reduce_terms(left, memo) == p.reduce_terms(right, memo),
+                       ("overlap", (x, y, z)))
+        except StepCapExceeded:
+            rep.record(False, ("stepcap", (x, y, z)))
+    return rep
+
+
+def overlap_check(p: Presentation) -> CheckReport:
+    """Every overlap of ``p`` resolved, one check per overlap: a confluence
+    proof when every rule is oriented, and with unoriented rules one only up
+    to the step cap."""
+    return resolve_overlaps(p, overlaps(p))
+
+
+def associativity_probes(p: Presentation, n: int, rng) -> CheckReport:
+    """n random associativity probes (a b) c == a (b c), one check per
+    probe, each of a, b and c one to three random words of up to four
+    letters with integer coefficients from -3 to 3 drawn from ``rng``: the
+    cross-check for unoriented rules, where overlap_check proves confluence
+    only up to the step cap.
+
+    Every element and product is reduced against one normal-form memo made
+    by this call and dropped on return, so the steps of a call depend only
+    on the draws."""
+    rep = CheckReport(p.name)
+    memo: dict[tuple, dict] = {}
+    names = [g.name for g in p.gens]
+
+    def rand_elem():
+        t = {}
+        for _ in range(rng.randint(1, 3)):
+            w = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
+            t[w] = Scalar(rng.randint(-3, 3))
+        # Element(p, t) without the checks: every word is of generators
+        return _element(p, p.reduce_terms(t, memo))
+
+    for _ in range(n):
+        a, b, c = rand_elem(), rand_elem(), rand_elem()
+        ok = _product(_product(a, b, memo), c, memo) == _product(a, _product(b, c, memo), memo)
+        # str loads sympy, so a probe is printed only when it fails
+        rep.record(ok, None if ok else ("assoc", (str(a), str(b), str(c))))
     return rep
 
 

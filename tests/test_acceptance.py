@@ -21,7 +21,7 @@ from qgw.frt import ar_hopf, build_ar, frt_relation_check, generator_grid, qdet_
 from qgw.hopfcore import (casimir_central_check, check_hopf_axioms, coproduct,
                           superize, theta_iso_check, z2_extend)
 from qgw.gtensor import TensorElement
-from qgw.ncalg import overlap_check
+from qgw.ncalg import associativity_probes, overlap_check
 from qgw.reps import (quasitriangularity_check, rep_build, ribbon_check,
                       twist_check, universal_r_eval)
 from qgw.rmatlab import catalog, hecke_check, qybe_check, superize_r, sybe_check
@@ -243,7 +243,8 @@ def test_accept_11_engine_health():
         + [fa_presentation(k) for k in ("ac", "gl11", "omega", "gl11omega")] \
         + [build_ar(catalog("ac"))]
     for pres in cases:
-        rep = overlap_check(pres, sample_budget=1000, rng=random.Random(4))
+        rep = overlap_check(pres)
+        rep.merge(associativity_probes(pres, 1000, random.Random(4)))
         if not rep.ok:
             ok, detail = False, f"{pres.name}: {rep.failures[0]}"
     # spot checks modulo MODULUS at three pseudo-random q

@@ -2,15 +2,16 @@ from functools import lru_cache
 
 import pytest
 
-from qgw import algebras
+from qgw import algebras, cli, hopfcore
 from qgw.algebras import (FA_GRID, NotQuantumMatrix, adjoin_inverses, fa_hopf,
                           fa_presentation, theta_iso_for, theta_map, uq_casimirs,
                           uq_hopf, uq_omega_hopf, uq_presentation, uqgl11_hopf,
                           uqgl11_omega_hopf)
 from qgw.frt import ar_hopf, build_ar, generator_grid
-from qgw.hopfcore import (casimir_central_check, check_hopf_axioms, coproduct,
-                          counit, superize, theta_iso_check, z2_extend)
-from qgw.ncalg import overlap_check
+from qgw.hopfcore import (ActionNotCompatible, casimir_central_check, check_hopf_axioms,
+                          coproduct, counit, superize, theta_iso_check, z2_extend)
+from qgw.ncalg import (ConfluenceFailure, Presentation, overlap_check, overlaps,
+                       resolve_overlaps)
 from qgw.rmatlab import RMatrix, catalog, superizable_grading_search, superize_r
 from qgw.scalars import ONE, ZERO, qvar
 
@@ -179,6 +180,23 @@ def test_adjoin_inverses_accepts_commuting_entries():
     assert rep.ok and rep.checked == 32, rep.failures[:2]
 
 
+def test_adjoin_inverses_refuses_a_correction_without_its_sign(monkeypatch):
+    """The rule d ai -> ai d - t/(p p') ai ai b c with the sign of its
+    correction flipped: adjoin_inverses resolves the overlaps of the rules
+    it adjoins as it builds them, and names the first three that fail."""
+    derive = Presentation.derive
+
+    def flipped(self, gens=None, rename=None, rules=(), name=None):
+        rules = [(lhs, {w: -c if w == ("ai", "ai", "b", "c") else c for w, c in rhs.items()}, u)
+                 for lhs, rhs, u in rules]
+        return derive(self, gens, rename, rules, name)
+
+    monkeypatch.setattr(Presentation, "derive", flipped)
+    first = r"^fa-ac-inv: \[\('overlap', \('di', 'd', 'ai'\)\)"
+    with pytest.raises(ConfluenceFailure, match=first):
+        adjoin_inverses(fa_presentation("ac", inverses=False))
+
+
 def test_fa_hopf_axioms():
     for key in ("ac", "gl11", "omega", "gl11omega"):
         rep = check_hopf_axioms(fa_hopf(key))
@@ -315,3 +333,42 @@ def test_theta_map_needs_every_generator_but_g():
     del table["t12"]
     with pytest.raises(KeyError, match="t12"):
         theta_map(aR.pres, aRbar, table)
+
+
+def _logged_z2_resolutions(monkeypatch):
+    """The list of (presentation, report) of each overlap resolution that
+    z2_extend runs from now on."""
+    seen = []
+
+    def logged(p, triples):
+        rep = resolve_overlaps(p, triples)
+        seen.append((p, rep))
+        return rep
+
+    monkeypatch.setattr(hopfcore, "resolve_overlaps", logged)
+    return seen
+
+
+def test_z2_extend_resolves_the_overlaps_that_contain_g(monkeypatch):
+    """One check per overlap with the letter g, in each Z2 extension that
+    thm4.1/superization-iso builds, with the verdict of overlap_check of the
+    whole extension: an overlap of two base rules resolves as in the base."""
+    seen = _logged_z2_resolutions(monkeypatch)
+    assert cli._chk_theta({}).ok
+    assert len(seen) == 6
+    for pres, rep in seen:
+        full = overlap_check(pres)
+        assert rep.checked == sum("g" in o for o in overlaps(pres)) < full.checked, pres.name
+        assert rep.ok and full.ok, pres.name
+
+
+def test_z2_extend_fails_the_overlaps_that_overlap_check_fails(monkeypatch):
+    """A(ac) with inverses, b odd and c even: g does not respect d a -> a d
+    + t b c, and z2_extend reports the failures of overlap_check of the
+    whole extension, d a g first."""
+    seen = _logged_z2_resolutions(monkeypatch)
+    first = r"^fa-ac-invxg: \[\('overlap', \('d', 'a', 'g'\)\)"
+    with pytest.raises(ActionNotCompatible, match=first):
+        z2_extend(fa_hopf("ac"), {"a": 0, "ai": 0, "b": 1, "c": 0, "d": 0, "di": 0})
+    (pres, rep), = seen
+    assert rep.failures and rep.failures == overlap_check(pres).failures

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -119,6 +121,30 @@ def test_the_seed_draws_only_the_associativity_probes():
     a, b = runs
     assert a.pop("engine/associativity") != b.pop("engine/associativity")
     assert len(a) == len(cli.CHECKS) - 1 and a == b
+
+
+def test_engine_rows_record_one_check_per_presentation():
+    """engine/overlaps resolves the overlaps of the seven catalog
+    presentations, and engine/associativity probes the four with unoriented
+    rules, where no overlap check proves confluence."""
+    overlaps = cli._chk_overlaps({"labels": None})
+    probes = cli._chk_associativity({"rng": random.Random(0), "labels": None})
+    assert (overlaps.ok, overlaps.checked, probes.ok, probes.checked) == (True, 7, True, 4)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+@pytest.mark.parametrize("args", [("list",), ("run", "--suite", "sec2/qybe")], ids=" ".join)
+def test_a_closed_pipe_ends_the_command_quietly(args):
+    """As in ``qgw list | head -1``: a reader that closes the pipe ends the
+    command by SIGPIPE, with no traceback and not with exit 1 (a verdict
+    mismatch).  The pipe is closed before the command writes, so that its
+    first write meets a closed pipe, as a late write of ``head -1``'s may."""
+    proc = subprocess.Popen([sys.executable, "-m", "qgw.cli", *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_fresh_env())
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == -signal.SIGPIPE and "Traceback" not in err, err
 
 
 def test_only_the_associativity_check_reads_the_seed():
@@ -373,9 +399,13 @@ def test_sympy_loads_only_when_a_value_needs_it(trigger):
     assert got["str"] == [str(e) for e in values]
 
 
-def _fresh_python(*args):
+def _fresh_env():
+    """The environment of a fresh python that imports this qgw."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          check=False)
+
+
+def _fresh_python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=_fresh_env(), check=False)

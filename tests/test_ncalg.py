@@ -11,7 +11,7 @@ from qgw import algebras, exterior, frt, ncalg
 from qgw.algebras import fa_presentation, uq_presentation
 from qgw.gtensor import TensorElement
 from qgw.ncalg import (STATS, ConfluenceFailure, Element, GeneratorSymbol, NotSolvable,
-                       Presentation, StepCapExceeded, compile_relations,
+                       Presentation, StepCapExceeded, associativity_probes, compile_relations,
                        overlap_check, presentation_from_json, presentation_to_json, tensor)
 from qgw.report import CheckReport
 from qgw.rmatlab import catalog, hecke_check
@@ -24,7 +24,7 @@ def quantum_plane():
     q = qvar()
     gens = [GeneratorSymbol("x"), GeneratorSymbol("y")]
     p = compile_relations(gens, [({("y", "x"): ONE}, {("x", "y"): q})], name="qplane")
-    assert overlap_check(p, sample_budget=20).ok
+    assert overlap_check(p).ok and associativity_probes(p, 20, random.Random(0)).ok
     return p
 
 
@@ -104,9 +104,10 @@ def test_overlap_check_confluent():
     p = compile_relations(gens, [({("y", "x"): ONE}, {("x", "y"): q}),
                                  ({("z", "y"): ONE}, {("y", "z"): q}),
                                  ({("z", "x"): ONE}, {("x", "z"): q})])
-    rep = overlap_check(p, sample_budget=25, rng=random.Random(3))
-    assert rep.ok
-    assert rep.checked == 1 + 25  # the one overlap zyx and the probes
+    rep = overlap_check(p)
+    assert rep.ok and rep.checked == 1  # the one overlap zyx
+    rep = associativity_probes(p, 25, random.Random(3))
+    assert rep.ok and rep.checked == 25
 
 
 def test_overlap_check_catches_bad_system():
@@ -120,8 +121,7 @@ def test_overlap_check_catches_bad_system():
 
 
 def reference_overlap_check(p):
-    """overlap_check without probes, over every pair of rules (x, y),
-    (y2, z) with y2 = y."""
+    """overlap_check over every pair of rules (x, y), (y2, z) with y2 = y."""
     rep = CheckReport(p.name)
     for (x, y) in p.rules:
         for (y2, z) in p.rules:
@@ -488,18 +488,39 @@ def test_a_shared_memo_gives_fresh_normal_forms(key, data):
     assert steps == len(reached)
 
 
-def test_overlap_check_steps_do_not_depend_on_history():
-    """The memo of one overlap_check call is dropped on return: a second
-    call on the same presentation with the same probes counts the same
-    steps and gives the same report."""
-    p = fa_presentation("omega")
+def _twice(check):
+    """The steps and (ok, checked, failures) of two calls of check()."""
     counts, reports = [], []
     for _ in range(2):
         before = STATS["steps"]
-        rep = overlap_check(p, 60, random.Random(0))
+        rep = check()
         counts.append(STATS["steps"] - before)
         reports.append((rep.ok, rep.checked, rep.failures))
-    assert counts[0] == counts[1] > 0 and reports[0] == reports[1] == (True, 104, [])
+    return counts, reports
+
+
+def test_overlap_check_steps_do_not_depend_on_history():
+    """The memo of one overlap_check call is dropped on return: a second
+    call on the same presentation counts the same steps and gives the same
+    report."""
+    counts, reports = _twice(lambda: overlap_check(fa_presentation("omega")))
+    assert counts[0] == counts[1] > 0 and reports[0] == reports[1] == (True, 44, [])
+
+
+def test_associativity_probes_steps_do_not_depend_on_history():
+    """So is the memo of one associativity_probes call: the same draws
+    count the same steps and give the same report."""
+    counts, reports = _twice(lambda: associativity_probes(fa_presentation("omega"), 60,
+                                                          random.Random(0)))
+    assert counts[0] == counts[1] > 0 and reports[0] == reports[1] == (True, 60, [])
+
+
+def test_associativity_probes_catch_a_system_that_is_not_confluent():
+    """The planted U_q below fails four overlaps, and some probe of it
+    reduces (a b) c and a (b c) to different normal forms."""
+    rep = associativity_probes(planted_uq(), 60, random.Random(0))
+    assert not rep.ok and rep.checked == 60
+    assert {f[0] for f in rep.failures} == {"assoc"}
 
 
 def planted_uq():
